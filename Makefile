@@ -4,21 +4,22 @@
 # it, and runs the full test suite under the race detector — the experiment
 # grids execute simulation cells concurrently (Options.Workers), so
 # race-cleanliness is a correctness requirement, not a style preference.
-# It also replays the committed fuzz seed corpora and fails if statement
-# coverage of internal/... drops below the recorded baseline.
+# That run includes the committed fuzz seed corpora and the fault, array and
+# multi-tenant sweeps. It also tests the nested bench/ module and fails if
+# statement coverage of internal/... drops below the recorded baseline.
 
 GO ?= go
 COVERAGE_BASELINE := $(shell cat ci/coverage-baseline.txt)
 
 # PR number stamped into archived benchmark artifacts (BENCH_pr$(PR).json).
 # Bump per PR instead of editing the bench targets.
-PR ?= 10
+PR ?= 12
 
 # Benchmark repeats per run. 1 for the smoke run and gate; bench-compare
 # raises it so the Mann–Whitney U test has samples to work with.
 COUNT ?= 1
 
-.PHONY: ci build vet test test-race fuzz-regress fault-regress multitenant-smoke arrayscale-smoke trim-smoke coverage-gate fuzz bench-run bench bench-gate bench-baseline bench-compare bench-full bench-scale
+.PHONY: ci build vet test test-race bench-test coverage-gate fuzz bench-run bench bench-gate bench-baseline bench-compare bench-full bench-scale
 
 # Tolerance band for the bytes-per-logical-page memory gate: the FTL's
 # metadata footprint (heap delta around construction, measured by
@@ -32,7 +33,7 @@ BYTES_PER_LPAGE_BAND := bytes/lpage=1.10,1.0
 # baseline-relative bands — the format's reason to exist is quantified.
 BINLOG_FLOORS := -min-metric size-x=10 -min-metric speed-x=5
 
-ci: build vet test-race fuzz-regress fault-regress multitenant-smoke arrayscale-smoke trim-smoke coverage-gate bench-gate
+ci: build vet test-race bench-test coverage-gate bench-gate
 
 build:
 	$(GO) build ./...
@@ -46,51 +47,12 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Replay the committed seed corpora under testdata/fuzz/ as plain unit
-# tests (no -fuzz flag): every crasher we have ever minimised must keep
-# passing. Plain `go test` runs them too; this target isolates them so a
-# corpus regression is named in CI output rather than buried in a package
-# failure.
-fuzz-regress:
-	$(GO) test -run '^Fuzz' -count=1 ./internal/trace/
-
-# Fault-injection sweep under the race detector: the recovery paths (page
-# skipping, block retirement, read retries, degraded array members) run
-# against randomized interleavings and targeted one-shot faults. Isolated
-# from test-race so a recovery regression is named in CI output.
-fault-regress:
-	$(GO) test -race -count=1 \
-		-run 'Fault|Degraded|Retire|ReadRetry|WriteSeq|ReclaimBackgroundPropagates|GCPairing|TracerEmitsSimulationEvents' \
-		./internal/nand/ ./internal/ftl/ ./internal/array/ ./internal/sim/
-
-# Multi-tenant open-loop smoke under the race detector: the engine, DRR
-# scheduler and arrival-process property/statistical tests, plus the
-# experiment's worker-count determinism contract. Isolated from test-race
-# so a multi-tenant regression is named in CI output.
-multitenant-smoke:
-	$(GO) test -race -count=1 -short ./internal/tenant/
-	$(GO) test -race -count=1 -short -run 'TestMultiTenantExpDeterministic' .
-
-# Array rebuild/redundancy smoke under the race detector: mirror and parity
-# degraded service, spare rebuild and swap-in, online growth, the adaptive
-# token cap, and the wide-array experiment's worker-count determinism.
-# Isolated from test-race so an array regression is named in CI output.
-arrayscale-smoke:
-	$(GO) test -race -count=1 \
-		-run 'Rebuild|Redundancy|Mirror|Parity|Torn|AdaptiveCap|Growth|Spread' \
-		./internal/array/
-	$(GO) test -race -count=1 -short -run 'TestArrayScaleExpWorkersDeterministic' .
-
-# TRIM scenario smoke under the race detector: the TRIM-rich workload
-# generators' statistical tests, the trim-heavy quick interleaving sweeps
-# against the shadow model, the adaptive TRIM-OP policy, the Frankie
-# analytic oracle, and the trim experiment's worker-count determinism.
-# Isolated from test-race so a TRIM regression is named in CI output.
-trim-smoke:
-	$(GO) test -race -count=1 -short \
-		-run 'Trim|FileChurn|LogStructured|Frankie|EffectiveOP' \
-		./internal/workload/ ./internal/ftl/ ./internal/core/ ./internal/metrics/
-	$(GO) test -race -count=1 -short -run 'TestTrimExpWorkersDeterministic' .
+# The benchmark harness under bench/ is a nested module (its own go.mod), so
+# ./... above never reaches it; its tests check the harness against the
+# simulator's public API, including that the stepped driver reproduces
+# RunClosedLoop.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # Fail if total statement coverage of internal/... falls below the
 # baseline recorded in ci/coverage-baseline.txt. Raise the baseline when

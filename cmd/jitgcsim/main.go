@@ -147,16 +147,10 @@ func main() {
 		FaultRate: *faultR, FaultSeed: *faultS,
 		HostProfile: *profile, TrimRate: *trimRate}
 	if *size != "" {
-		preset, err := nand.PresetByName(*size)
+		cfg, err := presetConfig(*size)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := sim.DefaultConfig()
-		cfg.FTL.Geometry = preset.Geo
-		// Million-page presets drop payload integrity: they exist for
-		// performance and memory studies, where the 8 bytes/page of tokens
-		// would dominate the footprint being measured.
-		cfg.FTL.DisableIntegrity = preset.Geo.TotalPages() >= 1<<20
 		opt.Config = &cfg
 	}
 	if *tenants > 0 {
@@ -236,6 +230,34 @@ func main() {
 	}
 }
 
+// presetConfig resolves a -size capacity preset into a device configuration.
+func presetConfig(size string) (sim.Config, error) {
+	preset, err := nand.PresetByName(size)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	cfg := sim.DefaultConfig()
+	cfg.FTL.Geometry = preset.Geo
+	// Million-page presets drop payload integrity: they exist for
+	// performance and memory studies, where the 8 bytes/page of tokens
+	// would dominate the footprint being measured.
+	cfg.FTL.DisableIntegrity = preset.Geo.TotalPages() >= 1<<20
+	return cfg, nil
+}
+
+// withTimeline returns opt with per-interval timeline capture switched on,
+// on top of whatever device configuration opt already carries (a -size
+// preset) rather than in place of it.
+func withTimeline(opt jitgc.Options) jitgc.Options {
+	cfg := sim.DefaultConfig()
+	if opt.Config != nil {
+		cfg = *opt.Config
+	}
+	cfg.RecordTimeline = true
+	opt.Config = &cfg
+	return opt
+}
+
 // runMultiTenant runs the open-loop multi-tenant engine and prints the
 // merged record plus the per-class SLO scoreboard.
 func runMultiTenant(tenants int, arrival string, slo time.Duration, rate float64, spec jitgc.PolicySpec, opt jitgc.Options) {
@@ -276,9 +298,7 @@ func runMultiTenant(tenants int, arrival string, slo time.Duration, rate float64
 // timeline next to it as <base>.devN<ext>.
 func runArray(bench string, spec jitgc.PolicySpec, acfg jitgc.ArrayConfig, opt jitgc.Options, timelinePath string) {
 	if timelinePath != "" {
-		cfg := sim.DefaultConfig()
-		cfg.RecordTimeline = true
-		opt.Config = &cfg
+		opt = withTimeline(opt)
 	}
 	res, err := jitgc.RunArray(bench, spec, acfg, opt)
 	if err != nil {
@@ -300,6 +320,9 @@ func runArray(bench string, spec jitgc.PolicySpec, acfg jitgc.ArrayConfig, opt j
 	fmt.Printf("background GC        %d collections\n", a.BGCCollections)
 	fmt.Printf("latency mean/p99/p99.9/max %v / %v / %v / %v\n",
 		a.MeanLatency.Round(1e3), a.P99Latency.Round(1e3), res.P999Latency.Round(1e3), a.MaxLatency.Round(1e3))
+	if a.StreamingLatency {
+		fmt.Printf("latency recorder     streaming histogram (percentiles bucket-accurate)\n")
+	}
 	fmt.Printf("write utilization    %.2f..%.2f of even-striping ideal\n", res.UtilMin, res.UtilMax)
 	if res.Mode == "coordinated" {
 		fmt.Printf("GC token             %d granted / %d denied / %d boosted / %d bypassed (cap %d)\n",

@@ -227,10 +227,9 @@ type Array struct {
 	degradedReads  int64 // extents served from redundancy instead of a dead primary
 	degradedWrites int64 // write extents that mutated redundancy in a dead primary's stead
 
-	lat            metrics.LatencyRecorder
-	requests       int64
-	opsEnd         time.Duration
-	lastCompletion time.Duration
+	lat      metrics.LatencyRecorder
+	requests int64
+	opsEnd   time.Duration
 
 	intervalReqs                       int64   // arrivals since the last write-back tick
 	lastFree                           []int64 // per-device free bytes at the previous tick (-1 before the first)
@@ -361,10 +360,7 @@ func (a *Array) locate(alpn int64) (int, int64) {
 
 // Run executes the request stream open-loop (absolute arrival times).
 func (a *Array) Run(reqs []trace.Request) (Results, error) {
-	if err := trace.ValidateAll(reqs); err != nil {
-		return Results{}, err
-	}
-	return a.run(reqs, false)
+	return a.replay(reqs, false)
 }
 
 // RunClosedLoop executes the request stream closed-loop: each request's
@@ -373,65 +369,52 @@ func (a *Array) Run(reqs []trace.Request) (Results, error) {
 // whole stream — exactly the amplification coordination is measured
 // against.
 func (a *Array) RunClosedLoop(reqs []trace.Request) (Results, error) {
-	for i, r := range reqs {
-		if err := r.Validate(); err != nil {
-			return Results{}, fmt.Errorf("request %d: %w", i, err)
-		}
-	}
-	return a.run(reqs, true)
+	return a.replay(reqs, true)
 }
 
-// run mirrors the single-device event loop: requests interleave with
-// write-back ticks on one clock, and after the last request the ticks keep
-// firing until every device's cache has drained.
-func (a *Array) run(reqs []trace.Request, closed bool) (Results, error) {
+func (a *Array) replay(reqs []trace.Request, closed bool) (Results, error) {
+	dev := a.cfg.Device
+	if err := sim.Replay(a, reqs, closed, dev.Cache.FlusherPeriod, dev.DrainCache); err != nil {
+		return Results{}, err
+	}
+	return a.Results(), nil
+}
+
+// Begin preconditions every member; with StepRequest, Tick, DeviceFreeAt
+// and Pending it makes the array a sim.Device.
+func (a *Array) Begin() error {
 	for i, d := range a.devs {
 		if err := d.Begin(); err != nil {
-			return Results{}, fmt.Errorf("array: device %d: %w", i, err)
+			return fmt.Errorf("array: device %d: %w", i, err)
 		}
 	}
+	return nil
+}
 
-	period := a.cfg.Device.Cache.FlusherPeriod
-	nextTick := period
-	ri := 0
-	for {
-		var arrival time.Duration
-		if ri < len(reqs) {
-			if closed {
-				arrival = a.lastCompletion + reqs[ri].Time
-			} else {
-				arrival = reqs[ri].Time
-			}
-		}
-		var t time.Duration
-		tick := false
-		switch {
-		case ri < len(reqs) && arrival <= nextTick:
-			t = arrival
-		case ri < len(reqs):
-			t, tick = nextTick, true
-		case a.cfg.Device.DrainCache && (a.anyDirty() || a.maintenancePending()):
-			// Ticks keep firing past the last request until the caches
-			// drain AND pending rebuild/rebalance work runs to completion —
-			// a run does not end with a spare half-migrated.
-			t, tick = nextTick, true
-		default:
-			return a.results(), nil
-		}
-		if tick {
-			if err := a.tick(t); err != nil {
-				return Results{}, err
-			}
-			nextTick += period
-		} else {
-			r := reqs[ri]
-			r.Time = arrival
-			if err := a.handleRequest(r); err != nil {
-				return Results{}, err
-			}
-			ri++
+// DeviceFreeAt returns the time the last healthy member falls idle: an
+// open-loop source dispatching at this instant finds the whole array free.
+func (a *Array) DeviceFreeAt() time.Duration {
+	var t time.Duration
+	for i, d := range a.devs {
+		if a.degraded[i] == nil {
+			t = max(t, d.DeviceFreeAt())
 		}
 	}
+	return t
+}
+
+// Pending reports whether ticks must keep firing past the last request: a
+// healthy member's cache still holds dirty pages, or rebuild/rebalance work
+// has not run to completion — a run does not end with a spare
+// half-migrated. Degraded members are excluded: their caches can never
+// drain, and waiting on them would spin the drain loop forever.
+func (a *Array) Pending() bool {
+	for i, d := range a.devs {
+		if a.degraded[i] == nil && d.Pending() {
+			return true
+		}
+	}
+	return a.maintenancePending()
 }
 
 // Degraded returns the device failure that degraded member i, or nil while
@@ -454,20 +437,10 @@ func (a *Array) degrade(t time.Duration, dev int, err error) {
 	a.startRebuild(t, dev)
 }
 
-// anyDirty reports whether any healthy device's page cache still holds
-// dirty pages. Degraded members are excluded: their caches can never drain,
-// and waiting on them would spin the drain loop forever.
-func (a *Array) anyDirty() bool {
-	for i, d := range a.devs {
-		if a.degraded[i] == nil && d.DirtyPages() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// handleRequest splits one array request into per-device segments, services
-// them, and records the array-level completion (the slowest segment).
+// StepRequest splits one array request into per-device segments, services
+// them, and records the array-level completion (the slowest segment). It
+// returns the closed-loop anchor: that completion, or for a request that
+// could not be served its own issue time.
 //
 // A request touching a degraded member that redundancy cannot stand in for
 // fails fast BEFORE any segment is issued — no partial stripe write lands
@@ -480,16 +453,15 @@ func (a *Array) anyDirty() bool {
 // Torn stripes are counted and traced; a later rewrite of the stripe (or,
 // in salvage rebuilds, the swapped-in spare's pre-failure copy of the dead
 // segment) is what reconciles them.
-func (a *Array) handleRequest(r trace.Request) error {
+func (a *Array) StepRequest(r trace.Request) (time.Duration, error) {
 	if r.End() > a.userPages {
-		return fmt.Errorf("%w: lpn %d..%d, array capacity %d",
+		return 0, fmt.Errorf("%w: lpn %d..%d, array capacity %d",
 			sim.ErrTraceBeyondCapacity, r.LPN, r.End(), a.userPages)
 	}
 	a.split(r.LPN, r.Pages)
 	for i, exts := range a.ext {
 		if len(exts) > 0 && a.degraded[i] != nil && !a.canServeDegraded(i) {
-			a.failRequest(r)
-			return nil
+			return a.failRequest(r), nil
 		}
 	}
 	var completion time.Duration
@@ -502,8 +474,7 @@ func (a *Array) handleRequest(r trace.Request) error {
 					a.torn++
 					a.tr.StripeTorn(r.Time, i, r.LPN, r.Pages)
 				}
-				a.failRequest(r)
-				return nil
+				return a.failRequest(r), nil
 			}
 			landed = true
 			if c > completion {
@@ -514,22 +485,19 @@ func (a *Array) handleRequest(r trace.Request) error {
 	a.requests++
 	a.intervalReqs++
 	a.lat.Add(completion - r.Time)
-	a.lastCompletion = completion
 	if completion > a.opsEnd {
 		a.opsEnd = completion
 	}
-	return nil
+	return completion, nil
 }
 
 // failRequest counts one array request that could not be served, and
 // anchors the closed-loop clock at the request's own issue time: the next
 // arrival's think time must not be measured from an older successful
 // completion, which would schedule it in the past.
-func (a *Array) failRequest(r trace.Request) {
+func (a *Array) failRequest(r trace.Request) time.Duration {
 	a.failed++
-	if r.Time > a.lastCompletion {
-		a.lastCompletion = r.Time
-	}
+	return r.Time
 }
 
 // split decomposes the array extent [lpn, lpn+pages) into per-device local
@@ -555,14 +523,14 @@ func (a *Array) split(lpn int64, pages int) {
 	}
 }
 
-// tick runs one write-back boundary across the array in three phases —
+// Tick runs one write-back boundary across the array in three phases —
 // every device flushes, every device's policy decides, the coordinator
 // adjusts the decisions, every device applies — so the coordinator sees
 // all demands before any collection is committed.
 // Degraded members are skipped throughout — their caches cannot flush and
 // their policies must not be consulted — and a flush failure on a healthy
 // member degrades it rather than aborting the array run.
-func (a *Array) tick(t time.Duration) error {
+func (a *Array) Tick(t time.Duration) error {
 	if err := a.maybeGrow(t); err != nil {
 		return err
 	}

@@ -322,3 +322,28 @@ func TestModesRunDeterministically(t *testing.T) {
 		t.Error("coordinated run is not deterministic")
 	}
 }
+
+// TestResultsReportLatencyRecorder pins that the merged record says which
+// recorder produced its percentiles: an array whose members stream streams
+// its own whole-request latencies too, and must not pass the bucketed
+// percentiles off as exact order statistics.
+func TestResultsReportLatencyRecorder(t *testing.T) {
+	for _, streaming := range []bool{false, true} {
+		dev := tinyDevice()
+		dev.PreconditionPages = 256
+		dev.StreamingLatency = streaming
+		a := newArray(t, Config{Devices: 2, StripePages: 4, Device: dev})
+		res, err := a.RunClosedLoop(stream(400, a.UserPages()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Array.StreamingLatency != streaming {
+			t.Errorf("members streaming=%v: Array.StreamingLatency = %v", streaming, res.Array.StreamingLatency)
+		}
+		for i, d := range res.PerDevice {
+			if d.StreamingLatency != streaming {
+				t.Errorf("members streaming=%v: device %d reports %v", streaming, i, d.StreamingLatency)
+			}
+		}
+	}
+}

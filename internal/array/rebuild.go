@@ -101,11 +101,9 @@ func (a *Array) stepRebuilds(t time.Duration) {
 			a.finishRebuild(t, rb)
 			continue
 		}
-		if err := rb.spare.TickFlush(t); err != nil {
+		if err := rb.spare.Tick(t); err != nil {
 			a.abortRebuild(t, rb)
-			continue
 		}
-		rb.spare.TickApply(t, rb.spare.TickDecide(t))
 	}
 }
 

@@ -109,8 +109,9 @@ type Results struct {
 // WAFSpread returns WAFMax − WAFMin.
 func (r Results) WAFSpread() float64 { return r.WAFMax - r.WAFMin }
 
-// results assembles the merged record after the run.
-func (a *Array) results() Results {
+// Results assembles the merged record of the run so far; an external
+// sim.Drive caller collects it after the final event.
+func (a *Array) Results() Results {
 	n := len(a.devs)
 	res := Results{
 		PerDevice:   make([]metrics.Results, n),
@@ -156,6 +157,8 @@ func (a *Array) results() Results {
 		MeanLatency: a.lat.Mean(),
 		P99Latency:  a.lat.Percentile(99),
 		MaxLatency:  a.lat.Max(),
+		// The array recorder, not the members', produced the percentiles.
+		StreamingLatency: a.lat.Streaming(),
 	}
 	var selections, filtered int64
 	var accuracy float64

@@ -157,13 +157,12 @@ type Simulator struct {
 	predictive     bool
 	preconditioned bool
 
-	lat            metrics.LatencyRecorder
-	requests       int64
-	opsEnd         time.Duration
-	lastCompletion time.Duration
-	bufferedPages  int64
-	directPages    int64
-	cacheReadHits  int64
+	lat           metrics.LatencyRecorder
+	requests      int64
+	opsEnd        time.Duration
+	bufferedPages int64
+	directPages   int64
+	cacheReadHits int64
 
 	timeline []metrics.TimelinePoint
 }
@@ -248,10 +247,7 @@ func (v view) IdleFraction() float64   { return v.s.idleFrac }
 // Run executes the request stream open-loop: each request's Time field is
 // its absolute arrival time (trace replay).
 func (s *Simulator) Run(reqs []trace.Request) (metrics.Results, error) {
-	if err := trace.ValidateAll(reqs); err != nil {
-		return metrics.Results{}, err
-	}
-	return s.run(reqs, false)
+	return s.replay(reqs, false)
 }
 
 // RunClosedLoop executes the request stream closed-loop, the way the
@@ -261,64 +257,21 @@ func (s *Simulator) Run(reqs []trace.Request) (metrics.Results, error) {
 // subsequent work later and directly reduce IOPS, while think-time gaps
 // provide the idle periods background GC exploits.
 func (s *Simulator) RunClosedLoop(reqs []trace.Request) (metrics.Results, error) {
-	for i, r := range reqs {
-		if err := r.Validate(); err != nil {
-			return metrics.Results{}, fmt.Errorf("request %d: %w", i, err)
-		}
-	}
-	return s.run(reqs, true)
+	return s.replay(reqs, true)
 }
 
-func (s *Simulator) run(reqs []trace.Request, closed bool) (metrics.Results, error) {
-	if err := s.precondition(); err != nil {
+func (s *Simulator) replay(reqs []trace.Request, closed bool) (metrics.Results, error) {
+	if err := Replay(s, reqs, closed, s.cfg.Cache.FlusherPeriod, s.cfg.DrainCache); err != nil {
 		return metrics.Results{}, err
 	}
-
-	period := s.cfg.Cache.FlusherPeriod
-	nextTick := period
-	ri := 0
-	for {
-		var arrival time.Duration
-		if ri < len(reqs) {
-			if closed {
-				arrival = s.lastCompletion + reqs[ri].Time
-			} else {
-				arrival = reqs[ri].Time
-			}
-		}
-		var t time.Duration
-		tick := false
-		switch {
-		case ri < len(reqs) && arrival <= nextTick:
-			t = arrival
-		case ri < len(reqs):
-			t, tick = nextTick, true
-		case s.cfg.DrainCache && s.cache.DirtyPageCount() > 0:
-			t, tick = nextTick, true
-		default:
-			return s.results(), nil
-		}
-		s.runBGCUntil(t)
-		if tick {
-			if err := s.handleTick(t); err != nil {
-				return metrics.Results{}, err
-			}
-			nextTick += period
-		} else {
-			r := reqs[ri]
-			r.Time = arrival
-			if err := s.handleRequest(r); err != nil {
-				return metrics.Results{}, err
-			}
-			ri++
-		}
-	}
+	return s.Results(), nil
 }
 
-// precondition sequentially fills the configured working set and resets the
-// counters so measurement starts from a realistic steady occupancy. It runs
-// at most once per simulator, so Begin and run compose.
-func (s *Simulator) precondition() error {
+// Begin preconditions the device: it sequentially fills the configured
+// working set and resets the counters so measurement starts from a realistic
+// steady occupancy. It runs at most once per simulator, so an explicit Begin
+// and a later Run compose.
+func (s *Simulator) Begin() error {
 	n := s.cfg.PreconditionPages
 	if n == 0 || s.preconditioned {
 		return nil
@@ -384,117 +337,166 @@ func (s *Simulator) runBGCUntil(t time.Duration) {
 	}
 }
 
-// handleRequest services one host request.
-func (s *Simulator) handleRequest(r trace.Request) error {
-	s.now = r.Time
-	s.ftl.SetNow(r.Time)
-	if r.End() > s.ftl.UserPages() {
-		return fmt.Errorf("%w: lpn %d..%d, capacity %d", ErrTraceBeyondCapacity, r.LPN, r.End(), s.ftl.UserPages())
+// StepRequest services one host request at its absolute arrival time
+// r.Time, first running pending background GC in the idle gap before it,
+// and returns the request's completion time.
+func (s *Simulator) StepRequest(r trace.Request) (time.Duration, error) {
+	if err := r.Validate(); err != nil {
+		return 0, err
 	}
-	switch r.Kind {
+	s.runBGCUntil(r.Time)
+	if err := s.admit(r.Time, r.LPN, r.Pages); err != nil {
+		return 0, err
+	}
+	var done time.Duration
+	if r.Kind == trace.BufferedWrite {
+		reclaimed, err := s.cache.Write(r.Time, r.LPN, r.Pages)
+		if err != nil {
+			return 0, err
+		}
+		done = r.Time + ramLatency
+		if len(reclaimed) > 0 {
+			// Cache pressure: the writer stalls until the synchronous
+			// write-out of the oldest dirty pages completes.
+			if err := s.writeBack(reclaimed); err != nil {
+				return 0, err
+			}
+			done = s.deviceFreeAt
+		}
+	} else {
+		var err error
+		if done, err = s.serve(r.Time, r.Kind, r.LPN, r.Pages, true); err != nil {
+			return 0, err
+		}
+	}
+	s.requests++
+	s.lat.Add(done - r.Time)
+	if done > s.opsEnd {
+		s.opsEnd = done
+	}
+	s.tr.Request(r.Time, r.Kind.String(), r.LPN, r.Pages, done-r.Time)
+	return done, nil
+}
+
+// admit advances the clock to t and bounds-checks the page run of the I/O
+// arriving then.
+func (s *Simulator) admit(t time.Duration, lpn int64, pages int) error {
+	s.now = t
+	s.ftl.SetNow(t)
+	if end := lpn + int64(pages); lpn < 0 || end > s.ftl.UserPages() {
+		return fmt.Errorf("%w: lpn %d..%d, capacity %d", ErrTraceBeyondCapacity, lpn, end, s.ftl.UserPages())
+	}
+	return nil
+}
+
+// serve runs the page loop of one Read, DirectWrite or Trim arriving at t
+// and returns its completion time. Host requests and maintenance I/O share
+// it: both book the same device time and feed device-level policy observers
+// (a rebuild target's GC policy must see rebuild traffic to keep up with
+// it); host selects the host-side accounting on top — cache-hit and
+// direct-page counters, the direct-write and TRIM observers.
+func (s *Simulator) serve(t time.Duration, kind trace.Kind, lpn int64, pages int, host bool) (time.Duration, error) {
+	var d time.Duration // device occupancy; zero means served at RAM speed
+	switch kind {
 	case trace.Read:
-		var d time.Duration
 		hits := 0
-		for i := 0; i < r.Pages; i++ {
-			lpn := r.LPN + int64(i)
+		for i := 0; i < pages; i++ {
 			// A dirty page is served from the page cache at RAM speed;
 			// only cache misses touch the device.
-			if s.cache.IsDirty(lpn) {
+			if s.cache.IsDirty(lpn + int64(i)) {
 				hits++
 				continue
 			}
-			rd, err := s.ftl.Read(lpn)
+			rd, err := s.ftl.Read(lpn + int64(i))
 			if err != nil {
-				return err
+				return 0, err
 			}
 			d += rd
 		}
-		s.cacheReadHits += int64(hits)
-		if d == 0 {
-			s.complete(r.Time, r.Time+ramLatency)
-			break
+		if host {
+			s.cacheReadHits += int64(hits)
 		}
-		s.completeOnDevice(r.Time, s.scale(d))
+		d = s.scale(d)
 
 	case trace.DirectWrite:
-		var d, fgc time.Duration
-		for i := 0; i < r.Pages; i++ {
-			wd, wf, err := s.ftl.Write(r.LPN + int64(i))
+		var fgc time.Duration
+		for i := 0; i < pages; i++ {
+			wd, wf, err := s.ftl.Write(lpn + int64(i))
 			if err != nil {
-				return err
+				return 0, err
 			}
 			d += wd
 			fgc += wf
 		}
-		bytes := int64(r.Pages) * int64(s.ftl.PageSize())
-		s.directPages += int64(r.Pages)
-		s.observeWrite(bytes, true)
-		s.completeOnDevice(r.Time, s.scale(d)+fgc)
+		if host {
+			s.directPages += int64(pages)
+		}
+		s.observeWrite(int64(pages)*int64(s.ftl.PageSize()), host)
+		d = s.scale(d) + fgc
 
 	case trace.Trim:
 		// Discards are metadata-only: drop any dirty copies and clear the
-		// FTL mapping; the request completes at RAM speed.
-		for i := 0; i < r.Pages; i++ {
-			lpn := r.LPN + int64(i)
-			s.cache.Drop(lpn)
-			if err := s.ftl.Trim(lpn); err != nil {
-				return err
+		// FTL mapping.
+		for i := 0; i < pages; i++ {
+			s.cache.Drop(lpn + int64(i))
+			if err := s.ftl.Trim(lpn + int64(i)); err != nil {
+				return 0, err
 			}
 		}
-		if o, ok := s.policy.(trimObserver); ok {
-			o.ObserveTrim(int64(r.Pages) * int64(s.ftl.PageSize()))
+		if o, ok := s.policy.(trimObserver); host && ok {
+			o.ObserveTrim(int64(pages) * int64(s.ftl.PageSize()))
 		}
-		s.complete(r.Time, r.Time+ramLatency)
-
-	case trace.BufferedWrite:
-		reclaimed, err := s.cache.Write(r.Time, r.LPN, r.Pages)
-		if err != nil {
-			return err
-		}
-		if len(reclaimed) == 0 {
-			s.complete(r.Time, r.Time+ramLatency)
-			break
-		}
-		// Cache pressure: the writer stalls until the synchronous
-		// write-out of the oldest dirty pages completes. writeBack
-		// advances the device timeline itself.
-		if _, err := s.writeBack(reclaimed); err != nil {
-			return err
-		}
-		s.complete(r.Time, s.deviceFreeAt)
 	}
-	s.tr.Request(r.Time, r.Kind.String(), r.LPN, r.Pages, s.lastCompletion-r.Time)
-	return nil
+	if d == 0 {
+		return t + ramLatency, nil
+	}
+	return s.book(t, d), nil
 }
 
-// handleTick runs the flusher and the BGC policy at a write-back interval
-// boundary.
-func (s *Simulator) handleTick(t time.Duration) error {
-	if err := s.tickFlush(t); err != nil {
+// book queues device work of (already occupancy-scaled) duration d behind
+// whatever the device timeline holds at arrival and returns its completion.
+func (s *Simulator) book(arrival, d time.Duration) time.Duration {
+	s.deviceFreeAt = max(arrival, s.deviceFreeAt) + d
+	s.hostBusy += d
+	return s.deviceFreeAt
+}
+
+// Tick runs the whole write-back boundary at t: flusher, then the policy's
+// decision installed unadjusted. Its three phases are public too, so that an
+// external driver — the array — can advance several simulators on one clock
+// and adjust their GC decisions between TickDecide and TickApply.
+func (s *Simulator) Tick(t time.Duration) error {
+	if err := s.TickFlush(t); err != nil {
 		return err
 	}
-	s.tickApply(t, s.policy.OnInterval(t, s.pview))
+	s.TickApply(t, s.TickDecide(t))
 	return nil
 }
 
-// tickFlush is the first tick phase: advance the clock, score the previous
-// interval, and run the cache flusher.
-func (s *Simulator) tickFlush(t time.Duration) error {
+// TickFlush runs the first phase of the write-back boundary at t: pending
+// background GC executes in the idle gap before t, the previous interval is
+// scored, and the cache flusher writes expired pages back.
+func (s *Simulator) TickFlush(t time.Duration) error {
+	s.runBGCUntil(t)
 	s.now = t
 	s.ftl.SetNow(t)
 	s.acc.Tick()
 	s.updateIdleFraction()
-
 	if lpns := s.cache.Flush(t); len(lpns) > 0 {
-		if _, err := s.writeBack(lpns); err != nil {
-			return err
-		}
+		return s.writeBack(lpns)
 	}
 	return nil
 }
 
-// tickApply is the final tick phase: install the interval decision.
-func (s *Simulator) tickApply(t time.Duration, dec core.Decision) {
+// TickDecide runs the second phase: the installed policy's decision for
+// the interval starting at t.
+func (s *Simulator) TickDecide(t time.Duration) core.Decision {
+	return s.policy.OnInterval(t, s.pview)
+}
+
+// TickApply runs the final phase: install dec (possibly adjusted by the
+// driver) as this interval's background GC program.
+func (s *Simulator) TickApply(t time.Duration, dec core.Decision) {
 	free := s.ftl.WritableBytes()
 	if dec.HasSIP {
 		s.ftl.SetSIPList(dec.SIP)
@@ -534,166 +536,56 @@ func (s *Simulator) Timeline() []metrics.TimelinePoint { return s.timeline }
 // write-back interval of the run — the series an Oracle policy replays.
 func (s *Simulator) IntervalActuals() []int64 { return s.acc.Actuals() }
 
-// The stepping API below lets an external driver — the multi-device array
-// backend — advance several simulators on one shared clock, interleaving
-// their events and intercepting their per-interval GC decisions. Run and
-// RunClosedLoop remain the single-device entry points; a stepped simulator
-// is driven open-loop (absolute request times), with any closed-loop
-// arrival computation done by the driver at the array level.
-
-// Begin prepares the simulator for externally driven stepping: the device
-// is preconditioned exactly as a full run would before its first event.
-func (s *Simulator) Begin() error { return s.precondition() }
-
-// StepRequest services one host request at its absolute arrival time
-// r.Time, first running pending background GC in the idle gap before it,
-// and returns the request's completion time.
-func (s *Simulator) StepRequest(r trace.Request) (time.Duration, error) {
-	if err := r.Validate(); err != nil {
-		return 0, err
-	}
-	s.runBGCUntil(r.Time)
-	if err := s.handleRequest(r); err != nil {
-		return 0, err
-	}
-	return s.lastCompletion, nil
-}
-
-// TickFlush runs the first phase of the write-back boundary at t: pending
-// background GC executes in the idle gap before t, then the cache flusher
-// writes expired pages back.
-func (s *Simulator) TickFlush(t time.Duration) error {
-	s.runBGCUntil(t)
-	return s.tickFlush(t)
-}
-
-// TickDecide runs the second phase: the installed policy's decision for
-// the interval starting at t. The driver may adjust the decision — that is
-// where an array GC coordinator intervenes — before handing it back to
-// TickApply.
-func (s *Simulator) TickDecide(t time.Duration) core.Decision {
-	return s.policy.OnInterval(t, s.pview)
-}
-
-// TickApply runs the final phase: install dec (possibly adjusted by the
-// driver) as this interval's background GC program.
-func (s *Simulator) TickApply(t time.Duration, dec core.Decision) {
-	s.tickApply(t, dec)
-}
-
 // DirtyPages returns the number of dirty pages still held by the page
-// cache, the driver's drain condition.
+// cache; Pending is the drain condition it implies.
 func (s *Simulator) DirtyPages() int { return s.cache.DirtyPageCount() }
+
+// Pending reports whether buffered writes still await a flusher tick.
+func (s *Simulator) Pending() bool { return s.cache.DirtyPageCount() > 0 }
 
 // DeviceFreeAt returns the time the device timeline is booked through —
 // when the device next falls idle. It is the decoupling point an open-loop
-// driver needs: Run's closed-loop host issues a request and implicitly
-// blocks on its completion, whereas an open-loop front end (the
-// multi-tenant engine) lets arrivals accumulate in its own queues while the
-// device is stalled and dispatches the next scheduled request exactly at
-// this instant, so queue wait — not think-time suppression — absorbs a
-// mistimed collection.
+// source needs: a closed-loop host issues a request and implicitly blocks on
+// its completion, whereas an open-loop front end (the multi-tenant engine)
+// lets arrivals accumulate in its own queues while the device is stalled and
+// dispatches the next scheduled request exactly at this instant, so queue
+// wait — not think-time suppression — absorbs a mistimed collection.
 func (s *Simulator) DeviceFreeAt() time.Duration { return s.deviceFreeAt }
 
-// Results assembles the run results accumulated so far. For stepped
-// simulators the driver calls it once after the final event.
-func (s *Simulator) Results() metrics.Results { return s.results() }
-
-// The maintenance I/O hooks below serve the array driver's rebuild and
-// rebalancing paths: shard migration reads/writes share the device timeline
-// with host traffic (pending background GC runs first, the device books the
-// transfer like any other I/O, idle-fraction accounting sees the busy
-// time), but they are excluded from the request count and the latency
-// recorder — maintenance traffic must not dilute the host tail.
+// The maintenance I/O hooks below serve the array's rebuild and rebalancing
+// paths: shard migration shares the device timeline with host traffic
+// (pending background GC runs first, the transfer is booked like any other
+// I/O, idle-fraction accounting sees the busy time) but is excluded from
+// the request count and the latency recorder — maintenance traffic must not
+// dilute the host tail.
 
 // RebuildRead services a maintenance read of pages logical pages starting
-// at lpn and returns its completion time. Dirty pages still sitting in the
-// page cache are served from RAM; only misses touch the device.
+// at lpn and returns its completion time.
 func (s *Simulator) RebuildRead(t time.Duration, lpn int64, pages int) (time.Duration, error) {
-	if lpn < 0 || lpn+int64(pages) > s.ftl.UserPages() {
-		return 0, fmt.Errorf("%w: rebuild read lpn %d..%d, capacity %d",
-			ErrTraceBeyondCapacity, lpn, lpn+int64(pages), s.ftl.UserPages())
-	}
 	s.runBGCUntil(t)
-	s.now = t
-	s.ftl.SetNow(t)
-	var d time.Duration
-	for i := 0; i < pages; i++ {
-		lp := lpn + int64(i)
-		if s.cache.IsDirty(lp) {
-			continue
-		}
-		rd, err := s.ftl.Read(lp)
-		if err != nil {
-			return 0, err
-		}
-		d += rd
-	}
-	if d == 0 {
-		return t + ramLatency, nil
-	}
-	d = s.scale(d)
-	start := t
-	if s.deviceFreeAt > start {
-		start = s.deviceFreeAt
-	}
-	s.deviceFreeAt = start + d
-	s.hostBusy += d
-	return s.deviceFreeAt, nil
+	return s.maintain(t, trace.Read, lpn, pages)
 }
 
-// RebuildWrite services a maintenance write of pages logical pages starting
-// at lpn (direct to the FTL, bypassing the page cache) and returns its
-// completion time. The write feeds device-level policy observers like any
-// other device write — the target's GC policy must see rebuild traffic to
-// keep up with it.
+// RebuildWrite services a maintenance write (direct to the FTL, bypassing
+// the page cache) and returns its completion time.
 func (s *Simulator) RebuildWrite(t time.Duration, lpn int64, pages int) (time.Duration, error) {
-	if lpn < 0 || lpn+int64(pages) > s.ftl.UserPages() {
-		return 0, fmt.Errorf("%w: rebuild write lpn %d..%d, capacity %d",
-			ErrTraceBeyondCapacity, lpn, lpn+int64(pages), s.ftl.UserPages())
-	}
 	s.runBGCUntil(t)
-	s.now = t
-	s.ftl.SetNow(t)
-	var d, fgc time.Duration
-	for i := 0; i < pages; i++ {
-		wd, wf, err := s.ftl.Write(lpn + int64(i))
-		if err != nil {
-			return 0, err
-		}
-		d += wd
-		fgc += wf
-	}
-	s.observeWrite(int64(pages)*int64(s.ftl.PageSize()), false)
-	d = s.scale(d) + fgc
-	start := t
-	if s.deviceFreeAt > start {
-		start = s.deviceFreeAt
-	}
-	s.deviceFreeAt = start + d
-	s.hostBusy += d
-	return s.deviceFreeAt, nil
+	return s.maintain(t, trace.DirectWrite, lpn, pages)
 }
 
-// RebuildTrim drops pages logical pages starting at lpn — any dirty cached
-// copies are discarded and the FTL mappings cleared. Metadata only: the
-// device timeline does not advance. Rebalancing uses it to release a
-// migrated stripe's old location.
+// RebuildTrim drops the pages' dirty cached copies and FTL mappings.
+// Metadata only: the device timeline does not advance. Rebalancing uses it
+// to release a migrated stripe's old location.
 func (s *Simulator) RebuildTrim(t time.Duration, lpn int64, pages int) error {
-	if lpn < 0 || lpn+int64(pages) > s.ftl.UserPages() {
-		return fmt.Errorf("%w: rebuild trim lpn %d..%d, capacity %d",
-			ErrTraceBeyondCapacity, lpn, lpn+int64(pages), s.ftl.UserPages())
+	_, err := s.maintain(t, trace.Trim, lpn, pages)
+	return err
+}
+
+func (s *Simulator) maintain(t time.Duration, kind trace.Kind, lpn int64, pages int) (time.Duration, error) {
+	if err := s.admit(t, lpn, pages); err != nil {
+		return 0, err
 	}
-	s.now = t
-	s.ftl.SetNow(t)
-	for i := 0; i < pages; i++ {
-		lp := lpn + int64(i)
-		s.cache.Drop(lp)
-		if err := s.ftl.Trim(lp); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.serve(t, kind, lpn, pages, false)
 }
 
 // updateIdleFraction folds the last interval's host-driven device
@@ -713,52 +605,23 @@ func (s *Simulator) updateIdleFraction() {
 	s.idleFrac = alpha*frac + (1-alpha)*s.idleFrac
 }
 
-// writeBack issues flushed cache pages to the FTL, advancing the device
-// timeline, and returns the device time consumed (striped programs plus
-// serial foreground-GC stalls).
-func (s *Simulator) writeBack(lpns []int64) (time.Duration, error) {
+// writeBack issues flushed cache pages to the FTL at the current time,
+// booking the device for the striped programs plus serial foreground-GC
+// stalls.
+func (s *Simulator) writeBack(lpns []int64) error {
 	var d, fgc time.Duration
 	for _, lpn := range lpns {
 		wd, wf, err := s.ftl.Write(lpn)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		d += wd
 		fgc += wf
 	}
-	d = s.scale(d) + fgc
-	start := s.deviceFreeAt
-	if start < s.now {
-		start = s.now
-	}
-	s.deviceFreeAt = start + d
-	s.hostBusy += d
-	bytes := int64(len(lpns)) * int64(s.ftl.PageSize())
+	s.book(s.now, s.scale(d)+fgc)
 	s.bufferedPages += int64(len(lpns))
-	s.observeWrite(bytes, false)
-	return d, nil
-}
-
-// completeOnDevice queues device work of (already occupancy-scaled)
-// duration d for a request arriving at arrival and records its completion.
-func (s *Simulator) completeOnDevice(arrival time.Duration, d time.Duration) {
-	start := arrival
-	if s.deviceFreeAt > start {
-		start = s.deviceFreeAt
-	}
-	s.deviceFreeAt = start + d
-	s.hostBusy += d
-	s.complete(arrival, start+d)
-}
-
-// complete records a host request completion.
-func (s *Simulator) complete(arrival, completion time.Duration) {
-	s.requests++
-	s.lat.Add(completion - arrival)
-	s.lastCompletion = completion
-	if completion > s.opsEnd {
-		s.opsEnd = completion
-	}
+	s.observeWrite(int64(len(lpns))*int64(s.ftl.PageSize()), false)
+	return nil
 }
 
 // observeWrite feeds policy predictors and accuracy accounting with device
@@ -775,8 +638,9 @@ func (s *Simulator) observeWrite(bytes int64, direct bool) {
 	s.acc.AddActual(bytes)
 }
 
-// results assembles the run results.
-func (s *Simulator) results() metrics.Results {
+// Results assembles the run results accumulated so far. A stepped
+// simulator's driver calls it once after the final event.
+func (s *Simulator) Results() metrics.Results {
 	st := s.ftl.Stats()
 	simTime := s.opsEnd
 	if s.deviceFreeAt > simTime {

@@ -2,7 +2,6 @@ package tenant
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"jitgc/internal/metrics"
@@ -66,23 +65,26 @@ type Results struct {
 	Span time.Duration
 }
 
-// Engine drives one open-loop multi-tenant run: per-tenant arrival
-// processes feed bounded queues, the DRR scheduler dispatches the backlog
-// to a stepped device simulator, and per-tenant streaming histograms score
-// completions against class SLOs.
-//
-// The event loop is the open-loop decoupling the closed-loop simulator
-// cannot express: arrivals are pure queue insertions that never touch the
-// device, so they keep accumulating while the device is stalled behind a
-// non-preemptible collection; dispatches happen when the device frees up,
-// at the scheduler's choosing, and a request's latency spans queue wait
-// plus device service. Everything runs on one simulated clock in one
-// goroutine — determinism is by construction.
+// Engine is one open-loop multi-tenant run: a tenant source (arrival
+// processes, bounded queues, DRR dispatch, per-tenant SLO scoring) driven
+// over one shared device simulator by sim.Drive. Everything runs on one
+// simulated clock in one goroutine — determinism is by construction.
 type Engine struct {
+	sim *sim.Simulator
+	src *source
+}
+
+// source is the open-loop sim.Source the closed-loop slice replay cannot
+// express. Its events are arrivals and dispatches: an arrival is a pure
+// queue insertion that never touches the device, so load keeps accumulating
+// while the device is stalled behind a non-preemptible collection; a
+// dispatch issues the scheduler's DRR pick at the instant the device frees
+// up, and the request's latency spans queue wait plus device service. Ties
+// resolve arrival → dispatch (→ tick, by Drive's source-first rule).
+type source struct {
 	cfg   Config
-	sim   *sim.Simulator
 	sched *scheduler
-	tr    *telemetry.Tracer
+	now   time.Duration // time of the latest arrival or dispatch
 
 	streams [][]trace.Request // per-tenant, absolute arrival times, sorted
 	nextIdx []int             // next unoffered request per tenant
@@ -111,12 +113,19 @@ func New(cfg Config, factory sim.PolicyFactory) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	src, err := newSource(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Engine{sim: s, src: src}, nil
+}
 
+// newSource synthesizes the tenant streams and scheduler for a validated,
+// defaults-filled cfg.
+func newSource(cfg Config) (*source, error) {
 	n := cfg.Tenants
-	e := &Engine{
+	e := &source{
 		cfg:        cfg,
-		sim:        s,
-		tr:         cfg.Device.Tracer,
 		streams:    make([][]trace.Request, n),
 		nextIdx:    make([]int, n),
 		heap:       make([]int32, 0, n),
@@ -170,11 +179,11 @@ func New(cfg Config, factory sim.PolicyFactory) (*Engine, error) {
 func (e *Engine) Sim() *sim.Simulator { return e.sim }
 
 // nextArrival is the heap key: tenant t's next unoffered arrival time.
-func (e *Engine) nextArrival(t int32) time.Duration {
+func (e *source) nextArrival(t int32) time.Duration {
 	return e.streams[t][e.nextIdx[t]].Time
 }
 
-func (e *Engine) heapLess(a, b int32) bool {
+func (e *source) heapLess(a, b int32) bool {
 	ta, tb := e.nextArrival(a), e.nextArrival(b)
 	if ta != tb {
 		return ta < tb
@@ -182,7 +191,7 @@ func (e *Engine) heapLess(a, b int32) bool {
 	return a < b
 }
 
-func (e *Engine) heapPush(t int32) {
+func (e *source) heapPush(t int32) {
 	e.heap = append(e.heap, t)
 	i := len(e.heap) - 1
 	for i > 0 {
@@ -195,7 +204,7 @@ func (e *Engine) heapPush(t int32) {
 	}
 }
 
-func (e *Engine) heapPop() int32 {
+func (e *source) heapPop() int32 {
 	top := e.heap[0]
 	last := len(e.heap) - 1
 	e.heap[0] = e.heap[last]
@@ -223,87 +232,64 @@ func (e *Engine) heapPop() int32 {
 // queue drained, and — when the device config drains its cache — every
 // buffered write flushed.
 func (e *Engine) Run() (Results, error) {
-	if err := e.sim.Begin(); err != nil {
+	dev := e.src.cfg.Device
+	if err := sim.Drive(e.sim, e.src, dev.Cache.FlusherPeriod, dev.DrainCache); err != nil {
 		return Results{}, err
 	}
-	const never = time.Duration(math.MaxInt64)
-	period := e.cfg.Device.Cache.FlusherPeriod
-	nextTick := period
-	var now time.Duration
-
-	for {
-		// The three candidate events. Ties resolve arrival → dispatch →
-		// tick, matching the closed-loop simulator's request-before-tick
-		// convention.
-		tArr := never
-		if len(e.heap) > 0 {
-			tArr = e.nextArrival(e.heap[0])
-		}
-		tDisp := never
-		if e.sched.backlogged() {
-			tDisp = e.sim.DeviceFreeAt()
-			if tDisp < now {
-				tDisp = now
-			}
-		}
-		if tArr == never && tDisp == never {
-			if !e.cfg.Device.DrainCache || e.sim.DirtyPages() == 0 {
-				break
-			}
-		}
-
-		switch {
-		case tArr <= tDisp && tArr <= nextTick:
-			// Arrival: a pure queue insertion — the device is untouched,
-			// so load keeps arriving while it is stalled.
-			t := e.heapPop()
-			r := e.streams[t][e.nextIdx[t]]
-			e.nextIdx[t]++
-			e.arrivalsBy[t]++
-			if !e.sched.admit(int(t), pending{arrival: r.Time, req: r}) {
-				e.dropsBy[t]++
-			}
-			if e.nextIdx[t] < len(e.streams[t]) {
-				e.heapPush(t)
-			}
-			now = r.Time
-
-		case tDisp <= nextTick:
-			// Dispatch: the scheduler's DRR pick is issued at the instant
-			// the device frees up; latency runs from queue arrival.
-			t, p, _ := e.sched.dispatch()
-			req := p.req
-			req.Time = tDisp
-			comp, err := e.sim.StepRequest(req)
-			if err != nil {
-				return Results{}, fmt.Errorf("tenant %d: %w", t, err)
-			}
-			lat := comp - p.arrival
-			e.hists[t].Add(int64(lat))
-			e.doneBy[t]++
-			if lat > e.cfg.Classes[e.class[t]].SLO {
-				e.violBy[t]++
-			}
-			now = tDisp
-
-		default:
-			// Write-back tick: flusher, then the BGC policy's interval
-			// decision.
-			if err := e.sim.TickFlush(nextTick); err != nil {
-				return Results{}, err
-			}
-			e.sim.TickApply(nextTick, e.sim.TickDecide(nextTick))
-			now = nextTick
-			nextTick += period
-		}
-	}
-	return e.results(), nil
+	return e.src.results(e.sim.Results()), nil
 }
 
-// results assembles the run verdicts.
-func (e *Engine) results() Results {
+// NextAt returns the earlier of the next arrival and, when a backlog is
+// queued, the next dispatch — the instant dev frees up.
+func (e *source) NextAt(dev sim.Device) (t time.Duration, ok bool) {
+	if e.sched.backlogged() {
+		t, ok = max(dev.DeviceFreeAt(), e.now), true
+	}
+	if len(e.heap) > 0 {
+		if tArr := e.nextArrival(e.heap[0]); !ok || tArr <= t {
+			return tArr, true
+		}
+	}
+	return t, ok
+}
+
+// Fire executes the event NextAt announced for t: the arrival due then, or
+// else the dispatch.
+func (e *source) Fire(now time.Duration, dev sim.Device) error {
+	e.now = now
+	if len(e.heap) > 0 && e.nextArrival(e.heap[0]) <= now {
+		t := e.heapPop()
+		r := e.streams[t][e.nextIdx[t]]
+		e.nextIdx[t]++
+		e.arrivalsBy[t]++
+		if !e.sched.admit(int(t), pending{arrival: r.Time, req: r}) {
+			e.dropsBy[t]++
+		}
+		if e.nextIdx[t] < len(e.streams[t]) {
+			e.heapPush(t)
+		}
+		return nil
+	}
+	t, p, _ := e.sched.dispatch()
+	req := p.req
+	req.Time = now
+	comp, err := dev.StepRequest(req)
+	if err != nil {
+		return fmt.Errorf("tenant %d: %w", t, err)
+	}
+	lat := comp - p.arrival // runs from queue arrival
+	e.hists[t].Add(int64(lat))
+	e.doneBy[t]++
+	if lat > e.cfg.Classes[e.class[t]].SLO {
+		e.violBy[t]++
+	}
+	return nil
+}
+
+// results assembles the run verdicts around the device's own record.
+func (e *source) results(device metrics.Results) Results {
 	res := Results{
-		Device:         e.sim.Results(),
+		Device:         device,
 		Tenants:        e.cfg.Tenants,
 		PerTenant:      make([]TenantResult, e.cfg.Tenants),
 		PerClass:       make([]ClassResult, len(e.cfg.Classes)),
@@ -353,7 +339,7 @@ func (e *Engine) results() Results {
 		}
 		c.Hist.Merge(e.hists[t])
 
-		e.tr.TenantSummary(res.Device.SimTime, t, cl.Name,
+		e.cfg.Device.Tracer.TenantSummary(res.Device.SimTime, t, cl.Name,
 			tr.Completed, tr.Dropped, tr.Violations, p999)
 	}
 	res.Span = res.Device.SimTime

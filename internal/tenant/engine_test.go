@@ -1,9 +1,11 @@
 package tenant
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"jitgc/internal/array"
 	"jitgc/internal/core"
 	"jitgc/internal/ftl"
 	"jitgc/internal/nand"
@@ -158,5 +160,68 @@ func TestEngineLatencyIncludesQueueWait(t *testing.T) {
 	device := res.Device.P99Latency
 	if open <= device {
 		t.Errorf("open-loop p99.9 %v ≤ device-observed p99 %v: queue wait not counted", open, device)
+	}
+}
+
+// TestTenantsOnParityArray drives the tenant source over a 4-device
+// parity-protected array instead of the engine's single simulator: the
+// source only sees a sim.Device, so tenants on an array is a choice of
+// device, not a second event loop. Flow is conserved, the array serves every
+// dispatch, and a repeat run reproduces the records bit for bit.
+func TestTenantsOnParityArray(t *testing.T) {
+	run := func() (Results, array.Results) {
+		t.Helper()
+		dev := tinyDevice()
+		dev.PreconditionPages = 256 // members start three-quarters full, so GC runs
+		arr, err := array.New(array.Config{
+			Devices:     4,
+			StripePages: 4,
+			Mode:        array.Coordinated,
+			Redundancy:  array.RedundancyParity,
+			Device:      dev,
+		}, lazyFactory)
+		if err != nil {
+			t.Fatalf("array.New: %v", err)
+		}
+		cfg := tinyEngineConfig().withDefaults()
+		cfg.OpsPerTenant = 120
+		cfg.WorkingSetPages = arr.UserPages() / 2
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		src, err := newSource(cfg)
+		if err != nil {
+			t.Fatalf("newSource: %v", err)
+		}
+		if err := sim.Drive(arr, src, cfg.Device.Cache.FlusherPeriod, cfg.Device.DrainCache); err != nil {
+			t.Fatalf("Drive: %v", err)
+		}
+		ares := arr.Results()
+		return src.results(ares.Array), ares
+	}
+	res, ares := run()
+
+	if want := int64(12 * 120); res.Arrivals != want {
+		t.Errorf("arrivals %d, want %d", res.Arrivals, want)
+	}
+	if res.Arrivals != res.Completed+res.Dropped {
+		t.Errorf("arrivals %d ≠ completed %d + dropped %d", res.Arrivals, res.Completed, res.Dropped)
+	}
+	if res.Completed == 0 || ares.Array.Requests != res.Completed {
+		t.Errorf("array served %d requests, tenants completed %d", ares.Array.Requests, res.Completed)
+	}
+	if ares.FailedRequests != 0 {
+		t.Errorf("array failed %d requests fast", ares.FailedRequests)
+	}
+	if int64(res.Hist.Count()) != res.Completed {
+		t.Errorf("latency histogram holds %d samples, want %d", res.Hist.Count(), res.Completed)
+	}
+
+	res2, ares2 := run()
+	if !reflect.DeepEqual(ares, ares2) {
+		t.Error("array record differs on a repeat run")
+	}
+	if !reflect.DeepEqual(res, res2) {
+		t.Error("tenant record differs on a repeat run")
 	}
 }

@@ -249,17 +249,7 @@ func (o Options) simConfig() (sim.Config, int64) {
 // Run generates the named benchmark's request stream and executes it
 // closed-loop under the given policy.
 func Run(benchmark string, policy PolicySpec, opt Options) (Results, error) {
-	opt = opt.withDefaults()
-	gen, err := opt.generator(benchmark)
-	if err != nil {
-		return Results{}, err
-	}
-	cfg, ws := opt.simConfig()
-	reqs, err := gen.Generate(workload.Params{
-		Seed:            opt.Seed,
-		Ops:             opt.Ops,
-		WorkingSetPages: ws,
-	})
+	reqs, cfg, err := GenerateStream(benchmark, opt)
 	if err != nil {
 		return Results{}, err
 	}
@@ -317,17 +307,7 @@ func RunTrace(reqs []trace.Request, name string, policy PolicySpec, cfg sim.Conf
 // timing. The result is the upper-bound anchor against which JIT-GC's
 // practical predictors can be judged.
 func RunOracle(benchmark string, opt Options) (Results, error) {
-	opt = opt.withDefaults()
-	gen, err := opt.generator(benchmark)
-	if err != nil {
-		return Results{}, err
-	}
-	cfg, ws := opt.simConfig()
-	reqs, err := gen.Generate(workload.Params{
-		Seed:            opt.Seed,
-		Ops:             opt.Ops,
-		WorkingSetPages: ws,
-	})
+	reqs, cfg, err := GenerateStream(benchmark, opt)
 	if err != nil {
 		return Results{}, err
 	}
