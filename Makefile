@@ -1,9 +1,10 @@
 # Development targets for the jitgc reproduction.
 #
 # `make ci` is the gate every change must pass: it builds everything, vets
-# it, and runs the full test suite under the race detector — the experiment
-# grids execute simulation cells concurrently (Options.Workers), so
-# race-cleanliness is a correctness requirement, not a style preference.
+# it, checks gofmt, and runs the full test suite under the race detector —
+# the experiment grids execute simulation cells concurrently
+# (Options.Workers), so race-cleanliness is a correctness requirement, not a
+# style preference.
 # That run includes the committed fuzz seed corpora and the fault, array and
 # multi-tenant sweeps. It also tests the nested bench/ module and fails if
 # statement coverage of internal/... drops below the recorded baseline.
@@ -13,13 +14,13 @@ COVERAGE_BASELINE := $(shell cat ci/coverage-baseline.txt)
 
 # PR number stamped into archived benchmark artifacts (BENCH_pr$(PR).json).
 # Bump per PR instead of editing the bench targets.
-PR ?= 12
+PR ?= 14
 
 # Benchmark repeats per run. 1 for the smoke run and gate; bench-compare
 # raises it so the Mann–Whitney U test has samples to work with.
 COUNT ?= 1
 
-.PHONY: ci build vet test test-race bench-test coverage-gate fuzz bench-run bench bench-gate bench-baseline bench-compare bench-full bench-scale
+.PHONY: ci build vet fmt-check test test-race bench-test coverage-gate fuzz bench-run bench bench-gate bench-baseline bench-compare bench-full bench-scale
 
 # Tolerance band for the bytes-per-logical-page memory gate: the FTL's
 # metadata footprint (heap delta around construction, measured by
@@ -33,13 +34,17 @@ BYTES_PER_LPAGE_BAND := bytes/lpage=1.10,1.0
 # baseline-relative bands — the format's reason to exist is quantified.
 BINLOG_FLOORS := -min-metric size-x=10 -min-metric speed-x=5
 
-ci: build vet test-race bench-test coverage-gate bench-gate
+ci: build vet fmt-check test-race bench-test coverage-gate bench-gate
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt -l prints the files it would rewrite; any output fails the build.
+fmt-check:
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -71,13 +76,13 @@ fuzz:
 
 # Benchmark smoke run: one iteration of the telemetry-overhead benchmarks
 # plus the latency-recorder and hot-path (victim selection, steady-state
-# write) microbenchmarks, collected into bench.out. The paper benchmarks
-# run at full scale via bench-full.
+# write, write-back tick) microbenchmarks, collected into bench.out. The
+# paper benchmarks run at full scale via bench-full.
 bench-run:
 	$(GO) test -bench='Telemetry|StreamingLatency' -benchmem -benchtime=1x -count=$(COUNT) -run '^$$' . | tee bench.out
 	$(GO) test -bench='LogHist|Percentile' -benchmem -benchtime=100x -count=$(COUNT) -run '^$$' \
 		./internal/telemetry/ ./internal/metrics/ | tee -a bench.out
-	$(GO) test -bench='VictimSelect|SteadyStateWrite' -benchmem -benchtime=10000x -count=$(COUNT) -run '^$$' \
+	$(GO) test -bench='VictimSelect|SteadyStateWrite|WriteBackTick' -benchmem -benchtime=10000x -count=$(COUNT) -run '^$$' \
 		./internal/ftl/ | tee -a bench.out
 	$(GO) test -bench='FTLMemoryFootprint' -benchmem -benchtime=1x -count=$(COUNT) -run '^$$' \
 		./internal/ftl/ | tee -a bench.out

@@ -374,7 +374,7 @@ func Fig4Demands() (map[time.Duration]predictor.Demand, error) {
 		if st.snap {
 			cache.Flush(st.at) // the predictor runs right after the flusher
 			demand, _ := buf.Predict(st.at)
-			out[st.at] = demand
+			out[st.at] = demand.Clone() // Predict reuses its buffer
 		}
 	}
 	return out, nil

@@ -32,6 +32,8 @@ type JITGC struct {
 	// DisableSIP suppresses SIP-list forwarding (ablation knob: JIT timing
 	// without victim filtering).
 	DisableSIP bool
+
+	demand []int64 // OnInterval's combined sequence, reused every tick
 }
 
 // JITOptions tunes the JIT-GC manager.
@@ -88,7 +90,8 @@ func (j *JITGC) Name() string { return "JIT-GC" }
 func (j *JITGC) ObserveDirect(bytes int64) { j.direct.Observe(bytes) }
 
 // Predict exposes the combined prediction at time now (used by tests and
-// by OnInterval).
+// by OnInterval). It shares the predictors' buffers: valid only until the
+// next Predict or OnInterval call.
 func (j *JITGC) Predict(now time.Duration) predictor.Prediction {
 	dbuf, sip := j.buffered.Predict(now)
 	return predictor.Prediction{Buffered: dbuf, Direct: j.direct.Predict(), SIP: sip}
@@ -99,13 +102,14 @@ func (j *JITGC) OnInterval(now time.Duration, view DeviceView) Decision {
 	j.direct.Tick()
 	p := j.Predict(now)
 
-	demand := make([]int64, len(p.Buffered))
-	for i := range demand {
-		demand[i] = p.Buffered[i]
+	demand := j.demand[:0]
+	for i, d := range p.Buffered {
 		if i < len(p.Direct) {
-			demand[i] += p.Direct[i]
+			d += p.Direct[i]
 		}
+		demand = append(demand, d)
 	}
+	j.demand = demand
 	d := Decision{PredictedBytes: p.Total()}
 	if !j.DisableSIP {
 		d.SIP = p.SIP

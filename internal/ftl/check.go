@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"jitgc/internal/nand"
 )
@@ -146,12 +147,23 @@ func (f *FTL) CheckConsistency() error {
 		}
 	}
 
-	// SIP bookkeeping: the per-block counters must recount exactly.
+	// SIP bookkeeping: the bitset holds exactly the listed LPNs, and the
+	// per-block counters must recount exactly.
 	sipCount := make([]int, geo.TotalBlocks())
-	for lpn := range f.sip {
+	for _, lpn := range f.sipList {
+		if !f.onSIPList(lpn) {
+			return fmt.Errorf("ftl: lpn %d is on the SIP list but not in the SIP bitset", lpn)
+		}
 		if ppn := f.l2p.at(lpn); ppn != unmapped {
 			sipCount[int(ppn)/ppb]++
 		}
+	}
+	sipBits := 0
+	for _, w := range f.sipBits {
+		sipBits += bits.OnesCount64(w)
+	}
+	if sipBits != len(f.sipList) {
+		return fmt.Errorf("ftl: SIP bitset holds %d pages, SIP list %d", sipBits, len(f.sipList))
 	}
 	for b := range sipCount {
 		if f.sipPerBlock[b] != sipCount[b] {

@@ -82,6 +82,8 @@ func TestCheckConsistencyViolations(t *testing.T) {
 		{"free pool out of range", func(f *FTL) { f.freeBlocks = append(f.freeBlocks, -1) }, "out-of-range block"},
 		{"active block pooled", func(f *FTL) { f.freeBlocks = append(f.freeBlocks, f.hostActive) }, "active block"},
 		{"sip counter drift", func(f *FTL) { f.sipPerBlock[int(f.l2p.at(1))/f.cfg.Geometry.PagesPerBlock]++ }, "SIP pages"},
+		{"sip bit lost", func(f *FTL) { f.sipBits[0] &^= 1 << 2 }, "not in the SIP bitset"},
+		{"sip bit stray", func(f *FTL) { f.sipBits[0] |= 1 << 30 }, "SIP bitset holds 4 pages, SIP list 3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -185,8 +185,9 @@ type FTL struct {
 	candScratch []BlockInfo  // reused candidate buffer for custom selectors
 
 	lastInvalidate []time.Duration // per block, for cost-benefit selection
-	sip            map[int64]struct{}
-	sipPerBlock    []int // count of valid SIP pages per block
+	sipBits        []uint64        // the installed SIP set, one bit per user LPN
+	sipList        []int64         // the LPNs whose bits are set, each once
+	sipPerBlock    []int           // count of valid SIP pages per block
 
 	now             time.Duration // advanced by callers via SetNow for age bookkeeping
 	stats           Stats
@@ -249,7 +250,7 @@ func New(cfg Config) (*FTL, error) {
 		hostActive:     -1,
 		gcActive:       -1,
 		lastInvalidate: make([]time.Duration, geo.TotalBlocks()),
-		sip:            make(map[int64]struct{}),
+		sipBits:        make([]uint64, (user+63)/64),
 		sipPerBlock:    make([]int, geo.TotalBlocks()),
 		progFails:      make([]int, geo.TotalBlocks()),
 		recovery:       cfg.Recovery.withDefaults(),
@@ -358,6 +359,7 @@ func (f *FTL) MetadataBytes() int64 {
 	n := f.l2p.bytes() + f.p2l.bytes() + f.dev.MetadataBytes()
 	blocks := int64(f.cfg.Geometry.TotalBlocks())
 	n += blocks * (8 + 8 + 8 + 1) // lastInvalidate, sipPerBlock, progFails, inFreePool
+	n += int64(len(f.sipBits)) * 8
 	n += int64(len(f.freeBlocks)) * 8
 	n += f.idx.bytes()
 	return n
@@ -445,7 +447,7 @@ func (f *FTL) Write(lpn int64) (service, fgc time.Duration, err error) {
 	f.l2p.set(lpn, ppn)
 	f.p2l.set(ppn, lpn)
 	f.mappedPages++
-	if _, ok := f.sip[lpn]; ok {
+	if f.onSIPList(lpn) {
 		f.sipPerBlock[addr.Block]++
 	}
 	f.stats.HostPrograms++
@@ -483,7 +485,7 @@ func (f *FTL) invalidateMapping(lpn int64) {
 	f.l2p.set(lpn, unmapped)
 	f.mappedPages--
 	f.lastInvalidate[addr.Block] = f.now
-	if _, ok := f.sip[lpn]; ok {
+	if f.onSIPList(lpn) {
 		if f.sipPerBlock[addr.Block] > 0 {
 			f.sipPerBlock[addr.Block]--
 		}

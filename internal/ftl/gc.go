@@ -146,27 +146,41 @@ func (s SIPGreedy) Select(cands []BlockInfo) int {
 // per-block SIP counters used by SIP-aware victim selection and the
 // wasted-migration metric.
 func (f *FTL) SetSIPList(lpns []int64) {
-	for i := range f.sipPerBlock {
-		f.sipPerBlock[i] = 0
-	}
-	clear(f.sip) // reuse the map: SetSIPList runs once per flush decision
+	f.clearSIPList()
 	ppb := f.cfg.Geometry.PagesPerBlock
 	for _, lpn := range lpns {
 		if lpn < 0 || lpn >= f.userPages {
 			continue
 		}
-		if _, dup := f.sip[lpn]; dup {
+		if f.onSIPList(lpn) {
 			continue // count each page once, however often it is listed
 		}
-		f.sip[lpn] = struct{}{}
+		f.sipBits[lpn>>6] |= 1 << (lpn & 63)
+		f.sipList = append(f.sipList, lpn)
 		if ppn := f.l2p.at(lpn); ppn != unmapped {
 			f.sipPerBlock[int(ppn)/ppb]++
 		}
 	}
 }
 
+// clearSIPList empties the SIP set. It clears the bits the last install
+// set, one by one: the bitset spans every user page, the list is as long as
+// the host's dirty set.
+func (f *FTL) clearSIPList() {
+	for i := range f.sipPerBlock {
+		f.sipPerBlock[i] = 0
+	}
+	for _, lpn := range f.sipList {
+		f.sipBits[lpn>>6] &^= 1 << (lpn & 63)
+	}
+	f.sipList = f.sipList[:0]
+}
+
+// onSIPList reports whether lpn, a valid user LPN, is on the SIP list.
+func (f *FTL) onSIPList(lpn int64) bool { return f.sipBits[lpn>>6]&(1<<(lpn&63)) != 0 }
+
 // SIPListSize returns the number of LPNs on the current SIP list.
-func (f *FTL) SIPListSize() int { return len(f.sip) }
+func (f *FTL) SIPListSize() int { return len(f.sipList) }
 
 // appendCandidates appends the blocks eligible for collection — fully
 // written, not free, not active, not retired, with something to reclaim —
@@ -523,7 +537,7 @@ func (f *FTL) migratePage(src nand.PageAddr) (time.Duration, error) {
 	f.syncIndex(src.Block)
 
 	f.stats.GCMigrations++
-	if _, ok := f.sip[lpn]; ok {
+	if f.onSIPList(lpn) {
 		f.stats.WastedMigrations++
 		// SIP counter moves with the page: decrement source block,
 		// increment destination block.

@@ -423,7 +423,7 @@ func benchGeometry(blocks int) Config {
 // benchSteadyFTL preconditions a device of the given size into GC steady
 // state with a skewed overwrite pass, so candidate blocks spread over many
 // valid-count buckets.
-func benchSteadyFTL(b *testing.B, blocks int, sel VictimSelector) *FTL {
+func benchSteadyFTL(b testing.TB, blocks int, sel VictimSelector) *FTL {
 	b.Helper()
 	cfg := benchGeometry(blocks)
 	cfg.Selector = sel

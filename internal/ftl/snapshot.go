@@ -190,10 +190,7 @@ func (f *FTL) Restore(r io.Reader) error {
 	f.gcActive = gcActive
 	f.writeSeq = writeSeq
 	// Host-side hint state does not survive a power cycle.
-	f.sip = make(map[int64]struct{})
-	for i := range f.sipPerBlock {
-		f.sipPerBlock[i] = 0
-	}
+	f.clearSIPList()
 	// The free-pool bitmap and victim index are derived state, rebuilt from
 	// the restored pool and the device image.
 	for i := range f.inFreePool {

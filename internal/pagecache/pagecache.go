@@ -7,9 +7,11 @@
 package pagecache
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"time"
 )
 
@@ -64,6 +66,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// FlushLimit returns τ_flush in pages: the dirty-set size above which the
+// flusher writes back the oldest pages regardless of age.
+func (c Config) FlushLimit() int { return int(c.FlushRatio * float64(c.CapacityPages)) }
+
 // Nwb returns τ_expire / p, the number of write-back intervals the
 // buffered-write predictor looks ahead.
 func (c Config) Nwb() int { return int(c.Expire / c.FlusherPeriod) }
@@ -94,23 +100,58 @@ type Stats struct {
 }
 
 // Cache is the write-back cache model. It is not safe for concurrent use.
+//
+// Dirty pages live in a slab of fixed-size entries, found through an LPN
+// index and threaded as a doubly linked list in age order, oldest at the
+// head. Simulated time does not run backwards, so a write is unlink +
+// push-back and the flusher pops a prefix: nothing is sorted per tick.
+// Pages sharing a timestamp sit in arrival order; the (LastUpdate, LPN)
+// order the cache promises is restored where it is consumed, by LPN-sorting
+// each run of equal timestamps as it is emitted. A write older than the
+// tail (nothing but tests and probes issues one) only sets reorder, and the
+// next reader re-threads the whole list once.
 type Cache struct {
 	cfg   Config
-	dirty map[int64]time.Duration // LPN → last update time
 	stats Stats
 
-	// Steady-state scratch, reused so the flusher tick and direct reclaim
-	// stop allocating: flushBuf backs the slices Write and Flush return,
-	// scanBuf backs the eviction age scan.
+	slab       []entry
+	index      map[int64]int32 // LPN → slab slot
+	head, tail int32           // age list ends, noSlot when empty
+	free       int32           // free slots, chained through entry.next
+	reorder    bool            // a backdated write broke age order
+
+	// firstSeen (parallel to slab, allocated by the first tracking
+	// ScanDirty) holds each page's LastUpdate as of the first scan of its
+	// current run of scans that found it dirty, unseen before any. carried
+	// keeps that value for pages removed since the last scan: one written
+	// again before the next scan takes it back and resumes its run.
+	firstSeen []time.Duration
+	carried   map[int64]time.Duration
+
+	// Steady-state scratch: flushBuf backs the slices Write and Flush
+	// return, runBuf holds one run of equal timestamps while it is sorted.
 	flushBuf []int64
-	scanBuf  []scanEntry
+	runBuf   []tie
 }
 
-// scanEntry pairs a dirty page with its age for eviction sorting.
-type scanEntry struct {
-	lpn  int64
-	last time.Duration
+// entry is one dirty page; free slots use only next.
+type entry struct {
+	lpn        int64
+	last       time.Duration
+	prev, next int32
 }
+
+// tie is one member of a run of pages sharing a timestamp.
+type tie struct {
+	lpn  int64
+	slot int32
+}
+
+const (
+	noSlot  int32         = -1
+	unseen  time.Duration = math.MinInt64
+	allAges time.Duration = math.MaxInt64
+)
 
 // ErrBadLPN is returned for negative logical page numbers.
 var ErrBadLPN = errors.New("pagecache: negative LPN")
@@ -120,7 +161,7 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Cache{cfg: cfg, dirty: make(map[int64]time.Duration)}, nil
+	return &Cache{cfg: cfg, index: make(map[int64]int32), head: noSlot, tail: noSlot, free: noSlot}, nil
 }
 
 // Config returns the cache configuration.
@@ -130,7 +171,7 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // DirtyPageCount returns the current number of dirty pages.
-func (c *Cache) DirtyPageCount() int { return len(c.dirty) }
+func (c *Cache) DirtyPageCount() int { return len(c.index) }
 
 // Write records a buffered write of n consecutive pages starting at lpn at
 // time now. If the cache would exceed its capacity, the oldest dirty pages
@@ -142,19 +183,24 @@ func (c *Cache) Write(now time.Duration, lpn int64, n int) (reclaimed []int64, e
 	if lpn < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadLPN, lpn)
 	}
-	if n <= 0 {
+	if n <= 0 || n > math.MaxInt32-len(c.slab) { // slots are int32
 		return nil, fmt.Errorf("pagecache: write of %d pages", n)
 	}
 	for i := 0; i < n; i++ {
 		p := lpn + int64(i)
-		if _, ok := c.dirty[p]; ok {
+		s, ok := c.index[p]
+		if ok {
 			c.stats.Overwrites++
+			c.unlink(s)
+		} else {
+			s = c.alloc(p)
 		}
-		c.dirty[p] = now
+		c.slab[s].last = now
+		c.pushBack(s)
 		c.stats.WrittenPages++
 	}
-	if over := len(c.dirty) - c.cfg.CapacityPages; over > 0 {
-		reclaimed = c.evictOldestInto(c.flushBuf[:0], over)
+	if over := len(c.index) - c.cfg.CapacityPages; over > 0 {
+		reclaimed = c.popOldest(c.flushBuf[:0], allAges, over)
 		c.flushBuf = reclaimed
 		c.stats.PressureFlushes += int64(len(reclaimed))
 		c.stats.FlushedPages += int64(len(reclaimed))
@@ -163,98 +209,242 @@ func (c *Cache) Write(now time.Duration, lpn int64, n int) (reclaimed []int64, e
 }
 
 // Flush runs the flusher thread at time now (a multiple of FlusherPeriod in
-// normal operation) and returns the LPNs written back, oldest first:
-// every page older than τ_expire, plus — if the dirty set still exceeds
-// τ_flush — the oldest remaining pages down to the threshold. The returned
-// slice shares the cache's scratch buffer and is valid only until the next
-// Write or Flush call.
+// normal operation) and returns the LPNs written back, oldest first (ties
+// by LPN): every page older than τ_expire, plus — if the dirty set still
+// exceeds τ_flush — the oldest remaining pages down to the threshold. The
+// returned slice shares the cache's scratch buffer and is valid only until
+// the next Write or Flush call.
 func (c *Cache) Flush(now time.Duration) []int64 {
-	expired := c.flushBuf[:0]
-	for lpn, last := range c.dirty {
-		if now-last >= c.cfg.Expire {
-			expired = append(expired, lpn)
-		}
-	}
-	// Deterministic order: oldest first, ties by LPN.
-	sort.Slice(expired, func(i, j int) bool {
-		ti, tj := c.dirty[expired[i]], c.dirty[expired[j]]
-		if ti != tj {
-			return ti < tj
-		}
-		return expired[i] < expired[j]
-	})
-	for _, lpn := range expired {
-		delete(c.dirty, lpn)
-	}
-	c.stats.ExpiredFlushes += int64(len(expired))
-	out := expired
-
-	limit := int(c.cfg.FlushRatio * float64(c.cfg.CapacityPages))
-	if len(c.dirty) > limit {
-		before := len(out)
-		out = c.evictOldestInto(out, len(c.dirty)-limit)
-		c.stats.PressureFlushes += int64(len(out) - before)
+	out := c.popOldest(c.flushBuf[:0], now-c.cfg.Expire, math.MaxInt)
+	c.stats.ExpiredFlushes += int64(len(out))
+	if over := len(c.index) - c.cfg.FlushLimit(); over > 0 {
+		out = c.popOldest(out, allAges, over)
+		c.stats.PressureFlushes += int64(over)
 	}
 	c.stats.FlushedPages += int64(len(out))
 	c.flushBuf = out
 	return out
 }
 
-// evictOldestInto removes the n oldest dirty pages and appends them to dst.
-func (c *Cache) evictOldestInto(dst []int64, n int) []int64 {
-	if n <= 0 {
-		return dst
-	}
-	all := c.scanBuf[:0]
-	for lpn, last := range c.dirty {
-		all = append(all, scanEntry{lpn, last})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].last != all[j].last {
-			return all[i].last < all[j].last
+// popOldest removes up to max dirty pages last written at or before cutoff
+// from the head of the age list and appends their LPNs to dst in
+// (LastUpdate, LPN) order. It works one run of equal timestamps at a time,
+// LPN-sorting each; a run cut short by max gives up its lowest LPNs.
+func (c *Cache) popOldest(dst []int64, cutoff time.Duration, max int) []int64 {
+	c.rethread()
+	for max > 0 && c.head != noSlot && c.slab[c.head].last <= cutoff {
+		run := c.runBuf[:0]
+		for s, t := c.head, c.slab[c.head].last; s != noSlot && c.slab[s].last == t; s = c.slab[s].next {
+			run = append(run, tie{c.slab[s].lpn, s})
 		}
-		return all[i].lpn < all[j].lpn
-	})
-	c.scanBuf = all
-	if n > len(all) {
-		n = len(all)
-	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, all[i].lpn)
-		delete(c.dirty, all[i].lpn)
+		c.runBuf = run
+		slices.SortFunc(run, func(a, b tie) int { return cmp.Compare(a.lpn, b.lpn) })
+		if len(run) > max {
+			run = run[:max]
+		}
+		for _, e := range run {
+			dst = append(dst, e.lpn)
+			c.remove(e.slot)
+		}
+		max -= len(run)
 	}
 	return dst
 }
 
 // DirtyPages returns a snapshot of all dirty pages, sorted oldest first
-// (ties by LPN) — the scan the buffered-write predictor performs.
+// (ties by LPN).
 func (c *Cache) DirtyPages() []DirtyPage {
-	out := make([]DirtyPage, 0, len(c.dirty))
-	for lpn, last := range c.dirty {
-		out = append(out, DirtyPage{LPN: lpn, LastUpdate: last})
+	c.rethread()
+	out := make([]DirtyPage, 0, len(c.index))
+	for s := c.head; s != noSlot; s = c.slab[s].next {
+		out = append(out, DirtyPage{LPN: c.slab[s].lpn, LastUpdate: c.slab[s].last})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].LastUpdate != out[j].LastUpdate {
-			return out[i].LastUpdate < out[j].LastUpdate
+	for start, end := 0, 0; start < len(out); start = end {
+		for end = start + 1; end < len(out) && out[end].LastUpdate == out[start].LastUpdate; end++ {
 		}
-		return out[i].LPN < out[j].LPN
-	})
+		slices.SortFunc(out[start:end], func(a, b DirtyPage) int { return cmp.Compare(a.LPN, b.LPN) })
+	}
 	return out
+}
+
+// ScanDirty calls visit once for every dirty page, in no particular order —
+// the scan the buffered-write predictor performs, without DirtyPages'
+// snapshot or its ordering. With track set it also maintains first-seen
+// times for the predictor's hot-page filter: firstSeen is the LastUpdate the
+// page had at the first scan of its current run of consecutive tracking
+// scans that found it dirty, and seen reports whether an earlier scan of
+// that run exists. What happens between two scans does not break a run: a
+// page flushed, reclaimed or dropped and written again before the next scan
+// keeps its first-seen time. The cache keeps one such track, so one
+// tracking scanner per cache. visit must not modify the cache.
+func (c *Cache) ScanDirty(track bool, visit func(pg DirtyPage, firstSeen time.Duration, seen bool)) {
+	if track && c.firstSeen == nil {
+		c.firstSeen = make([]time.Duration, len(c.slab), cap(c.slab))
+		for i := range c.firstSeen {
+			c.firstSeen[i] = unseen
+		}
+		c.carried = make(map[int64]time.Duration)
+	}
+	for s := c.head; s != noSlot; s = c.slab[s].next {
+		e := &c.slab[s]
+		first, seen := e.last, false
+		if track {
+			if c.firstSeen[s] == unseen {
+				c.firstSeen[s] = e.last
+			} else {
+				first, seen = c.firstSeen[s], true
+			}
+		}
+		visit(DirtyPage{LPN: e.lpn, LastUpdate: e.last}, first, seen)
+	}
+	if track {
+		clear(c.carried)
+	}
 }
 
 // IsDirty reports whether lpn currently has a dirty copy in the cache —
 // reads of such pages are served from RAM without touching the device.
 func (c *Cache) IsDirty(lpn int64) bool {
-	_, ok := c.dirty[lpn]
+	_, ok := c.index[lpn]
 	return ok
 }
 
 // Drop discards a dirty page without writing it back (e.g. the file was
 // deleted). It reports whether the page was dirty.
 func (c *Cache) Drop(lpn int64) bool {
-	if _, ok := c.dirty[lpn]; !ok {
-		return false
+	s, ok := c.index[lpn]
+	if ok {
+		c.remove(s)
 	}
-	delete(c.dirty, lpn)
-	return true
+	return ok
+}
+
+// alloc takes a slot for a newly dirty lpn; the caller links it.
+func (c *Cache) alloc(lpn int64) int32 {
+	s := c.free
+	if s != noSlot {
+		c.free = c.slab[s].next
+	} else {
+		s = int32(len(c.slab))
+		c.slab = append(c.slab, entry{})
+		if c.firstSeen != nil {
+			c.firstSeen = append(c.firstSeen, unseen)
+		}
+	}
+	c.slab[s].lpn = lpn
+	c.index[lpn] = s
+	if len(c.carried) > 0 {
+		if first, ok := c.carried[lpn]; ok {
+			c.firstSeen[s] = first
+		}
+	}
+	return s
+}
+
+// remove takes the page in slot s out of the cache and frees the slot.
+func (c *Cache) remove(s int32) {
+	c.unlink(s)
+	lpn := c.slab[s].lpn
+	delete(c.index, lpn)
+	if c.firstSeen != nil {
+		if c.firstSeen[s] != unseen {
+			c.carried[lpn] = c.firstSeen[s]
+		}
+		c.firstSeen[s] = unseen
+	}
+	c.slab[s].next = c.free
+	c.free = s
+}
+
+func (c *Cache) unlink(s int32) {
+	e := &c.slab[s]
+	if e.prev != noSlot {
+		c.slab[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next != noSlot {
+		c.slab[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+}
+
+func (c *Cache) pushBack(s int32) {
+	e := &c.slab[s]
+	e.prev, e.next = c.tail, noSlot
+	if c.tail != noSlot {
+		c.reorder = c.reorder || c.slab[c.tail].last > e.last
+		c.slab[c.tail].next = s
+	} else {
+		c.head = s
+	}
+	c.tail = s
+}
+
+// rethread restores age order after a backdated write by sorting the whole
+// list by (LastUpdate, LPN) once.
+func (c *Cache) rethread() {
+	if !c.reorder {
+		return
+	}
+	slots := make([]int32, 0, len(c.index))
+	for s := c.head; s != noSlot; s = c.slab[s].next {
+		slots = append(slots, s)
+	}
+	slices.SortFunc(slots, func(a, b int32) int {
+		ea, eb := &c.slab[a], &c.slab[b]
+		return cmp.Or(cmp.Compare(ea.last, eb.last), cmp.Compare(ea.lpn, eb.lpn))
+	})
+	c.head, c.tail = noSlot, noSlot
+	for _, s := range slots {
+		c.pushBack(s)
+	}
+	c.reorder = false
+}
+
+// CheckConsistency audits the cache's internal structure: the index and the
+// age list describe the same set of slots, list links agree in both
+// directions, ages never decrease along the list unless a re-thread is
+// pending, and the free list holds exactly the slots the list does not.
+func (c *Cache) CheckConsistency() error {
+	visited := make([]bool, len(c.slab))
+	n, prev := 0, noSlot
+	for s := c.head; s != noSlot; prev, s = s, c.slab[s].next {
+		if s < 0 || int(s) >= len(c.slab) || visited[s] {
+			return fmt.Errorf("pagecache: age list revisits or leaves the slab at slot %d", s)
+		}
+		visited[s] = true
+		n++
+		e := c.slab[s]
+		if e.prev != prev {
+			return fmt.Errorf("pagecache: slot %d prev = %d, want %d", s, e.prev, prev)
+		}
+		if got, ok := c.index[e.lpn]; !ok || got != s {
+			return fmt.Errorf("pagecache: slot %d holds lpn %d, index says slot %d (present %v)", s, e.lpn, got, ok)
+		}
+		if prev != noSlot && !c.reorder && c.slab[prev].last > e.last {
+			return fmt.Errorf("pagecache: age order broken at slot %d (%v after %v) with no re-thread pending", s, e.last, c.slab[prev].last)
+		}
+	}
+	if c.tail != prev {
+		return fmt.Errorf("pagecache: tail = %d, list ends at %d", c.tail, prev)
+	}
+	if n != len(c.index) {
+		return fmt.Errorf("pagecache: age list holds %d pages, index %d", n, len(c.index))
+	}
+	for s := c.free; s != noSlot; s = c.slab[s].next {
+		if s < 0 || int(s) >= len(c.slab) || visited[s] {
+			return fmt.Errorf("pagecache: free list reaches live or foreign slot %d", s)
+		}
+		visited[s] = true
+		n++
+	}
+	if n != len(c.slab) {
+		return fmt.Errorf("pagecache: %d of %d slots are neither dirty nor free", len(c.slab)-n, len(c.slab))
+	}
+	if c.firstSeen != nil && len(c.firstSeen) != len(c.slab) {
+		return fmt.Errorf("pagecache: first-seen track covers %d of %d slots", len(c.firstSeen), len(c.slab))
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package pagecache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -254,5 +255,49 @@ func TestFlushTimingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckConsistencyViolations breaks one structural invariant at a time
+// and expects the audit to name it.
+func TestCheckConsistencyViolations(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(c *Cache)
+		want    string
+	}{
+		{"list cycle", func(c *Cache) { c.slab[c.tail].next = c.head }, "revisits"},
+		{"list leaves slab", func(c *Cache) { c.slab[c.tail].next = 99 }, "leaves the slab"},
+		{"back link", func(c *Cache) { c.slab[c.tail].prev = c.head }, "prev ="},
+		{"index points elsewhere", func(c *Cache) { c.index[c.slab[c.head].lpn] = c.tail }, "index says"},
+		{"age order", func(c *Cache) { c.slab[c.head].last = time.Hour }, "age order broken"},
+		{"tail", func(c *Cache) { c.tail = c.head }, "tail ="},
+		{"index entry with no slot", func(c *Cache) { c.index[1000] = 0 }, "index 5"},
+		{"free list reaches live slot", func(c *Cache) { c.slab[c.free].next = c.head }, "free list reaches"},
+		{"leaked slot", func(c *Cache) { c.free = noSlot }, "neither dirty nor free"},
+		{"first-seen track short", func(c *Cache) { c.firstSeen = c.firstSeen[:1] }, "first-seen track"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCache(t, testConfig())
+			for i := int64(0); i < 5; i++ {
+				if _, err := c.Write(time.Duration(i)*time.Second, i, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.ScanDirty(true, func(DirtyPage, time.Duration, bool) {})
+			c.Drop(2) // one free slot
+			if err := c.CheckConsistency(); err != nil {
+				t.Fatalf("fresh cache inconsistent: %v", err)
+			}
+			tc.corrupt(c)
+			err := c.CheckConsistency()
+			if err == nil {
+				t.Fatal("corruption not detected")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 }

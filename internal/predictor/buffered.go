@@ -29,99 +29,61 @@ type Buffered struct {
 	// DisableHotFilter turns off hot-page exclusion (ablation knob).
 	DisableHotFilter bool
 
-	// firstDirty tracks when each page was first seen dirty in its current
-	// dirty episode. A page continuously dirty for longer than τ_expire
-	// must be getting rewritten faster than it can expire — it will not
-	// flush within the horizon, so counting it in Dbuf every window would
-	// chronically over-predict. Such hot pages are excluded from demand
-	// but kept on the SIP list (their stale flash copies are the surest
-	// soon-to-be-invalidated pages of all).
-	firstDirty map[int64]time.Duration
+	// demand and sip back Predict's results, so a steady-state tick
+	// allocates nothing.
+	demand Demand
+	sip    []int64
 }
 
 // NewBuffered builds a buffered-write predictor over a page cache. The
 // write-back parameters are taken from the cache configuration.
 func NewBuffered(cache *pagecache.Cache) *Buffered {
 	cfg := cache.Config()
-	return &Buffered{
-		cache:      cache,
-		wb:         WriteBack{Period: cfg.FlusherPeriod, Expire: cfg.Expire},
-		firstDirty: make(map[int64]time.Duration),
-	}
+	wb := WriteBack{Period: cfg.FlusherPeriod, Expire: cfg.Expire}
+	return &Buffered{cache: cache, wb: wb, demand: make(Demand, wb.Nwb())}
 }
 
 // WriteBack returns the predictor's timing parameters.
 func (b *Buffered) WriteBack() WriteBack { return b.wb }
 
 // Predict computes Dbuf(now) and the SIP list. now must be a flusher
-// wake-up instant (the predictor runs right after the flusher).
+// wake-up instant (the predictor runs right after the flusher). Both
+// results share the predictor's buffers and are valid only until the next
+// Predict call.
+//
+// It is one pass over the dirty pages in whatever order the cache holds
+// them: a page's flush interval is monotone in its age, so counting pages
+// per interval keeps all the age order the prediction needs.
+//
+// Hot pages: a page the cache has found dirty at every scan for longer than
+// τ_expire must be getting rewritten faster than it can expire — it will not
+// flush within the horizon, so counting it in Dbuf every window would
+// chronically over-predict. Such pages are excluded from demand but kept on
+// the SIP list (their stale flash copies are the surest
+// soon-to-be-invalidated pages of all). The cache's first-seen track only
+// looks at scan instants: a page flushed, reclaimed or trimmed and dirtied
+// again between two Predict calls is still on its first episode, and only
+// one found clean at a Predict starts fresh.
 func (b *Buffered) Predict(now time.Duration) (Demand, []int64) {
-	pages := b.cache.DirtyPages()
-	hot := b.updateHotSet(pages, now)
-	return predictFromDirty(pages, now, b.wb, b.cache.Config(), b.Strict, hot)
-}
-
-// updateHotSet refreshes the first-dirty tracking and returns the set of
-// pages continuously dirty for longer than τ_expire.
-func (b *Buffered) updateHotSet(pages []pagecache.DirtyPage, now time.Duration) map[int64]bool {
-	if b.DisableHotFilter {
-		return nil
-	}
-	seen := make(map[int64]bool, len(pages))
-	var hot map[int64]bool
-	for _, pg := range pages {
-		seen[pg.LPN] = true
-		first, ok := b.firstDirty[pg.LPN]
-		if !ok {
-			b.firstDirty[pg.LPN] = pg.LastUpdate
-			continue
-		}
-		if now-first > b.wb.Expire {
-			if hot == nil {
-				hot = make(map[int64]bool)
-			}
-			hot[pg.LPN] = true
-		}
-	}
-	for lpn := range b.firstDirty {
-		if !seen[lpn] {
-			delete(b.firstDirty, lpn) // flushed: next dirtying starts fresh
-		}
-	}
-	return hot
-}
-
-// predictFromDirty is the pure computation behind Predict, shared with
-// tests that construct dirty snapshots directly.
-func predictFromDirty(pages []pagecache.DirtyPage, now time.Duration, wb WriteBack, cfg pagecache.Config, strict bool, hot map[int64]bool) (Demand, []int64) {
-	nwb := wb.Nwb()
-	demand := make(Demand, nwb)
-	sip := make([]int64, 0, len(pages))
-
-	limit := int(cfg.FlushRatio * float64(cfg.CapacityPages))
-	if strict && len(pages) <= limit {
-		return demand, sip
-	}
-
-	pageBytes := int64(cfg.PageSize)
-	// First pass: expiry-based intervals. Pages due at the next wake-up go
-	// to D¹; the rest are kept (in age order — DirtyPages sorts oldest
-	// first) for the pressure check below.
-	laterIntervals := make([]int, 0, len(pages))
-	for _, pg := range pages {
+	cfg := b.cache.Config()
+	nwb := len(b.demand)
+	pages := b.demand // page counts per interval until the end
+	clear(pages)
+	sip := b.sip[:0]
+	b.cache.ScanDirty(!b.DisableHotFilter, func(pg pagecache.DirtyPage, firstSeen time.Duration, seen bool) {
 		sip = append(sip, pg.LPN)
-		if hot[pg.LPN] {
-			continue // rewritten faster than it can expire: no flush soon
+		if seen && now-firstSeen > b.wb.Expire {
+			return // rewritten faster than it can expire: no flush soon
 		}
-		i := flushInterval(pg.LastUpdate, now, wb)
-		if i <= 1 {
-			demand[0] += pageBytes
-			continue
-		}
-		if i > nwb {
-			i = nwb // cannot happen when ages ≤ expire, kept for safety
-		}
-		laterIntervals = append(laterIntervals, i)
+		// Beyond Nwb cannot happen when ages ≤ expire, kept for safety.
+		pages[min(flushInterval(pg.LastUpdate, now, b.wb), nwb)-1]++
+	})
+	b.sip = sip
+
+	limit := cfg.FlushLimit()
+	if b.Strict && len(sip) <= limit {
+		clear(pages)
+		return pages, sip[:0]
 	}
 
 	// The flusher's τ_flush condition is equally visible to the host: if
@@ -129,18 +91,22 @@ func predictFromDirty(pages []pagecache.DirtyPage, now time.Duration, wb WriteBa
 	// expirations, the flusher pressure-writes the oldest remainder then.
 	// Predict those pages as next-interval demand instead of at their
 	// (never reached) expiry intervals, so they don't arrive unannounced.
-	over := 0
-	if !strict {
-		over = len(laterIntervals) - limit
-	}
-	for idx, i := range laterIntervals {
-		if idx < over {
-			demand[0] += pageBytes
-		} else {
-			demand[i-1] += pageBytes
+	if !b.Strict {
+		over := -int64(limit)
+		for _, n := range pages[1:] {
+			over += n
+		}
+		for i := 1; i < nwb && over > 0; i++ {
+			n := min(pages[i], over) // the oldest: lowest intervals first
+			pages[0] += n
+			pages[i] -= n
+			over -= n
 		}
 	}
-	return demand, sip
+	for i := range pages {
+		pages[i] *= int64(cfg.PageSize)
+	}
+	return pages, sip
 }
 
 // flushInterval returns the index i ≥ 1 of the future write-back interval

@@ -17,6 +17,7 @@ type CDHTracker struct {
 	wb         WriteBack
 	ticks      int   // intervals elapsed in the current window
 	window     int64 // bytes observed in the current window
+	demand     Demand
 }
 
 // DefaultPercentile is the paper's empirically chosen CDH percentile:
@@ -44,7 +45,7 @@ func NewCDHTracker(wb WriteBack, percentile, binWidth float64, bins, recentWindo
 	if err != nil {
 		return nil, err
 	}
-	return &CDHTracker{hist: h, percentile: percentile, wb: wb}, nil
+	return &CDHTracker{hist: h, percentile: percentile, wb: wb, demand: make(Demand, wb.Nwb())}, nil
 }
 
 // Observe records bytes written during the current interval.
@@ -79,15 +80,14 @@ func (c *CDHTracker) Reserve() int64 {
 }
 
 // Predict returns the demand sequence: δ(t)/Nwb for each future interval
-// (the paper's D^i_dir).
+// (the paper's D^i_dir). The result shares the tracker's buffer and is valid
+// only until the next Predict call.
 func (c *CDHTracker) Predict() Demand {
-	nwb := c.wb.Nwb()
-	demand := make(Demand, nwb)
-	per := c.Reserve() / int64(nwb)
-	for i := range demand {
-		demand[i] = per
+	per := c.Reserve() / int64(len(c.demand))
+	for i := range c.demand {
+		c.demand[i] = per
 	}
-	return demand
+	return c.demand
 }
 
 // Histogram exposes the underlying histogram for reporting (Fig. 5).

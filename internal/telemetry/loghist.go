@@ -15,8 +15,8 @@ import (
 // property that lets a recorder survive arbitrarily long runs.
 const (
 	subBits   = 6
-	subCount  = 1 << subBits       // values below this are exact
-	halfCount = subCount / 2       // sub-buckets per power-of-two range
+	subCount  = 1 << subBits                      // values below this are exact
+	halfCount = subCount / 2                      // sub-buckets per power-of-two range
 	numIdx    = (64-subBits)*halfCount + subCount // index space for all int64 values
 )
 
