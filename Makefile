@@ -14,7 +14,7 @@ COVERAGE_BASELINE := $(shell cat ci/coverage-baseline.txt)
 
 # PR number stamped into archived benchmark artifacts (BENCH_pr$(PR).json).
 # Bump per PR instead of editing the bench targets.
-PR ?= 14
+PR ?= 15
 
 # Benchmark repeats per run. 1 for the smoke run and gate; bench-compare
 # raises it so the Mann–Whitney U test has samples to work with.
@@ -76,13 +76,14 @@ fuzz:
 
 # Benchmark smoke run: one iteration of the telemetry-overhead benchmarks
 # plus the latency-recorder and hot-path (victim selection, steady-state
-# write, write-back tick) microbenchmarks, collected into bench.out. The
-# paper benchmarks run at full scale via bench-full.
+# write and sequential fill at 512/8,192/131,072 blocks, write-back tick)
+# microbenchmarks, collected into bench.out. The paper benchmarks run at
+# full scale via bench-full.
 bench-run:
 	$(GO) test -bench='Telemetry|StreamingLatency' -benchmem -benchtime=1x -count=$(COUNT) -run '^$$' . | tee bench.out
 	$(GO) test -bench='LogHist|Percentile' -benchmem -benchtime=100x -count=$(COUNT) -run '^$$' \
 		./internal/telemetry/ ./internal/metrics/ | tee -a bench.out
-	$(GO) test -bench='VictimSelect|SteadyStateWrite|WriteBackTick' -benchmem -benchtime=10000x -count=$(COUNT) -run '^$$' \
+	$(GO) test -bench='VictimSelect|SteadyStateWrite|SequentialFill|WriteBackTick' -benchmem -benchtime=10000x -count=$(COUNT) -run '^$$' \
 		./internal/ftl/ | tee -a bench.out
 	$(GO) test -bench='FTLMemoryFootprint' -benchmem -benchtime=1x -count=$(COUNT) -run '^$$' \
 		./internal/ftl/ | tee -a bench.out
@@ -102,7 +103,7 @@ bench: bench-run
 bench-scale:
 	$(GO) test -bench='FTLMemoryFootprint' -benchmem -benchtime=1x -run '^$$' \
 		./internal/ftl/ | tee bench-scale.out
-	$(GO) test -bench='VictimSelect|SteadyStateWrite' -benchmem -benchtime=10000x -run '^$$' \
+	$(GO) test -bench='VictimSelect|SteadyStateWrite|SequentialFill' -benchmem -benchtime=10000x -count=$(COUNT) -run '^$$' \
 		./internal/ftl/ | tee -a bench-scale.out
 	$(GO) run ./ci/benchjson -in bench-scale.out -out BENCH_pr$(PR)-scale.json
 

@@ -21,7 +21,11 @@ import (
 //   - every mapped page's stored payload token carries the logical page
 //     number it is mapped from (no aliasing or stale copies),
 //   - the free pool holds distinct in-range blocks, none of them an active
-//     block, and every pooled block is fully erased,
+//     block, every pooled block is fully erased, and none has fewer erases
+//     than the floor takeFreeBlock's early exit trusts,
+//   - no block is marked as being collected (the mark lives only inside
+//     collectOnce), and the NAND array's incrementally kept wear figures
+//     equal a recount,
 //   - no retired block is in the free pool or serving as an active block,
 //     and the recovery bookkeeping is sane: consecutive-program-failure
 //     counters stay below the retirement threshold (reaching it retires
@@ -130,6 +134,19 @@ func (f *FTL) CheckConsistency() error {
 		if f.progFails[b] != 0 {
 			return fmt.Errorf("ftl: pooled block %d carries %d program failures", b, f.progFails[b])
 		}
+		// The floor is what lets takeFreeBlock stop early; one above a
+		// pooled block's count would make it pass that block over.
+		if f.dev.EraseCount(b) < f.poolFloor {
+			return fmt.Errorf("ftl: free pool floor %d above pooled block %d at %d erases",
+				f.poolFloor, b, f.dev.EraseCount(b))
+		}
+	}
+
+	if f.collecting != -1 {
+		return fmt.Errorf("ftl: block %d marked as being collected outside a collection", f.collecting)
+	}
+	if err := f.dev.CheckWear(); err != nil {
+		return err
 	}
 
 	// Retirement and recovery bookkeeping.
@@ -177,9 +194,11 @@ func (f *FTL) CheckConsistency() error {
 // checkVictimIndex verifies the incremental victim index against ground
 // truth: the free-pool bitmap mirrors the pool, index membership equals
 // the eligibility predicate (in particular, retired and pooled blocks are
-// absent), every bucket holds exactly the members of its valid count with
-// intact links and an exact champion, the size/valid-sum aggregates
-// balance, and the tournament tree's root is the reference greedy victim.
+// absent), every member's leaf key names its own block and the device's
+// valid count, every bucket holds exactly the members of its valid count
+// with intact links and an exact champion, the size/valid-sum aggregates
+// balance, every internal tournament node is the minimum of its children,
+// and the root is the reference greedy victim.
 func (f *FTL) checkVictimIndex() error {
 	geo := f.cfg.Geometry
 	ix := f.idx
@@ -208,7 +227,11 @@ func (f *FTL) checkVictimIndex() error {
 		if !want {
 			continue
 		}
-		if got := int(ix.vcnt[b]); got != f.dev.ValidCount(b) {
+		if leaf := ix.tree[ix.leafBase+b]; int(uint32(leaf)) != b {
+			return fmt.Errorf("ftl: tournament leaf for block %d holds key %#x, which names block %d",
+				b, leaf, uint32(leaf))
+		}
+		if got := ix.valid(b); got != f.dev.ValidCount(b) {
 			return fmt.Errorf("ftl: index caches %d valid pages for block %d, device says %d",
 				got, b, f.dev.ValidCount(b))
 		}
@@ -223,9 +246,9 @@ func (f *FTL) checkVictimIndex() error {
 		prev := int32(-1)
 		for m := ix.bhead[v]; m >= 0; m = ix.next[m] {
 			b := int(m)
-			if !ix.contains(b) || int(ix.vcnt[b]) != v {
+			if !ix.contains(b) || ix.valid(b) != v {
 				return fmt.Errorf("ftl: block %d threaded on bucket %d (member %v, valid %d)",
-					b, v, ix.contains(b), ix.vcnt[b])
+					b, v, ix.contains(b), ix.valid(b))
 			}
 			if ix.prev[b] != prev {
 				return fmt.Errorf("ftl: bucket %d member %d has prev %d, want %d",
@@ -252,19 +275,17 @@ func (f *FTL) checkVictimIndex() error {
 		return fmt.Errorf("ftl: index valid-page sum %d, recount says %d", ix.sumValid, sumValid)
 	}
 
-	for b := 0; b < geo.TotalBlocks(); b++ {
-		want := int32(-1)
-		if ix.contains(b) {
-			want = int32(b)
-		}
-		if ix.tree[ix.leafBase+b] != want {
-			return fmt.Errorf("ftl: tournament leaf for block %d holds %d, want %d",
-				b, ix.tree[ix.leafBase+b], want)
+	// Member leaves were checked above; the padding leaves past the last
+	// block must stay empty, and every internal node must hold the winner of
+	// its two children — the invariant setLeaf's early exit relies on.
+	for i := ix.leafBase + geo.TotalBlocks(); i < len(ix.tree); i++ {
+		if ix.tree[i] != emptyKey {
+			return fmt.Errorf("ftl: tournament leaf %d past the last block holds key %#x", i, ix.tree[i])
 		}
 	}
 	for i := 1; i < ix.leafBase; i++ {
-		if want := ix.better(ix.tree[2*i], ix.tree[2*i+1]); ix.tree[i] != want {
-			return fmt.Errorf("ftl: tournament node %d holds %d, children give %d", i, ix.tree[i], want)
+		if want := min(ix.tree[2*i], ix.tree[2*i+1]); ix.tree[i] != want {
+			return fmt.Errorf("ftl: tournament node %d holds key %#x, children give %#x", i, ix.tree[i], want)
 		}
 	}
 	if got := ix.greedyVictim(); got != refGreedy && !(got < 0 && refGreedy < 0) {

@@ -81,6 +81,10 @@ func TestCheckConsistencyViolations(t *testing.T) {
 		{"free pool duplicate", func(f *FTL) { f.freeBlocks = append(f.freeBlocks, f.freeBlocks[0]) }, "twice"},
 		{"free pool out of range", func(f *FTL) { f.freeBlocks = append(f.freeBlocks, -1) }, "out-of-range block"},
 		{"active block pooled", func(f *FTL) { f.freeBlocks = append(f.freeBlocks, f.hostActive) }, "active block"},
+		{"pool floor above a pooled block", func(f *FTL) {
+			f.poolFloor = f.dev.EraseCount(f.freeBlocks[0]) + 1
+		}, "free pool floor"},
+		{"collection mark leaked", func(f *FTL) { f.collecting = f.freeBlocks[0] }, "being collected"},
 		{"sip counter drift", func(f *FTL) { f.sipPerBlock[int(f.l2p.at(1))/f.cfg.Geometry.PagesPerBlock]++ }, "SIP pages"},
 		{"sip bit lost", func(f *FTL) { f.sipBits[0] &^= 1 << 2 }, "not in the SIP bitset"},
 		{"sip bit stray", func(f *FTL) { f.sipBits[0] |= 1 << 30 }, "SIP bitset holds 4 pages, SIP list 3"},

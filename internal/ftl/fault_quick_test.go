@@ -37,7 +37,10 @@ func (s *shadowSink) Close() error { return nil }
 // low background fault rates on every op class. The shadow sink keeps the
 // expected mapping honest across recovered faults.
 func newFaultModelFTL(t *testing.T, seed int64) (*ftlModel, *shadowSink) {
-	cfg := quickGeometry()
+	return newFaultModelFTLOn(t, seed, quickGeometry())
+}
+
+func newFaultModelFTLOn(t *testing.T, seed int64, cfg Config) (*ftlModel, *shadowSink) {
 	cfg.Fault = nand.FaultConfig{
 		Seed:        seed,
 		ReadRate:    0.002,

@@ -178,8 +178,10 @@ type FTL struct {
 
 	freeBlocks []int  // pool of erased blocks
 	inFreePool []bool // mirrors freeBlocks membership for O(1) lookups
+	poolFloor  int64  // ≤ the erase count of every pooled, non-retired block
 	hostActive int    // block receiving host writes, -1 if none
 	gcActive   int    // block receiving GC migrations, -1 if none
+	collecting int    // block collectOnce is emptying, -1 outside a collection
 
 	idx         *victimIndex // incremental GC victim index (index.go)
 	candScratch []BlockInfo  // reused candidate buffer for custom selectors
@@ -249,6 +251,7 @@ func New(cfg Config) (*FTL, error) {
 		p2l:            newPageMap(total, total),
 		hostActive:     -1,
 		gcActive:       -1,
+		collecting:     -1,
 		lastInvalidate: make([]time.Duration, geo.TotalBlocks()),
 		sipBits:        make([]uint64, (user+63)/64),
 		sipPerBlock:    make([]int, geo.TotalBlocks()),
@@ -530,8 +533,16 @@ func (f *FTL) allocPage(gc bool) (nand.PageAddr, error) {
 }
 
 // takeFreeBlock removes and returns a block from the free pool, choosing
-// the least-erased block (wear-aware allocation). GC destinations may dig
-// into the reserve; host allocations may not.
+// the least-erased block (wear-aware allocation; the first such block in
+// pool order). GC destinations may dig into the reserve; host allocations
+// may not.
+//
+// The scan stops at the first block whose erase count meets poolFloor: no
+// pooled block is below the floor, so none after it can be strictly better
+// and none before it was as good. The floor is exact after every take and
+// only ever lowered by poolBlock, so the scan runs the whole pool only when
+// the last block at the floor has left — and never while a fresh device
+// fills, where every pooled block sits at zero erases.
 func (f *FTL) takeFreeBlock(gc bool) (int, error) {
 	if len(f.freeBlocks) == 0 {
 		return 0, ErrNoFreeBlocks
@@ -539,21 +550,34 @@ func (f *FTL) takeFreeBlock(gc bool) (int, error) {
 	if !gc && len(f.freeBlocks) <= f.cfg.FreeBlockReserve {
 		return 0, fmt.Errorf("%w: pool at reserve (%d)", ErrNoFreeBlocks, len(f.freeBlocks))
 	}
-	best := -1
+	best, bestErases := -1, int64(0)
 	for i, b := range f.freeBlocks {
 		if f.dev.Retired(b) {
 			continue
 		}
-		if best < 0 || f.dev.EraseCount(b) < f.dev.EraseCount(f.freeBlocks[best]) {
-			best = i
+		if e := f.dev.EraseCount(b); best < 0 || e < bestErases {
+			best, bestErases = i, e
+			if e <= f.poolFloor {
+				break
+			}
 		}
 	}
 	if best < 0 {
 		return 0, fmt.Errorf("%w: all pooled blocks retired", ErrNoFreeBlocks)
 	}
+	f.poolFloor = bestErases
 	blk := f.freeBlocks[best]
 	f.freeBlocks[best] = f.freeBlocks[len(f.freeBlocks)-1]
 	f.freeBlocks = f.freeBlocks[:len(f.freeBlocks)-1]
 	f.inFreePool[blk] = false
 	return blk, nil
+}
+
+// poolBlock returns a freshly erased block to the free pool.
+func (f *FTL) poolBlock(b int) {
+	f.freeBlocks = append(f.freeBlocks, b)
+	f.inFreePool[b] = true
+	if e := f.dev.EraseCount(b); e < f.poolFloor {
+		f.poolFloor = e
+	}
 }

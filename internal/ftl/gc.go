@@ -252,7 +252,7 @@ func (f *FTL) pickVictim(foreground bool) (victim int, ok bool) {
 	// avoid a tainted block — the same predicate selectVictim applies.
 	if greedy != choice &&
 		f.sipPerBlock[greedy] > f.sipPerBlock[choice] &&
-		f.idx.vcnt[choice] > f.idx.vcnt[greedy] {
+		f.idx.valid(choice) > f.idx.valid(greedy) {
 		f.stats.FilteredSelections++
 	}
 	return choice, true
@@ -267,7 +267,7 @@ func (f *FTL) pickVictim(foreground bool) (victim int, ok bool) {
 func (f *FTL) costBenefitVictim() int {
 	ix := f.idx
 	root := ix.greedyVictim()
-	if ix.vcnt[root] == 0 {
+	if ix.valid(root) == 0 {
 		return root
 	}
 	ppb := float64(f.cfg.Geometry.PagesPerBlock)
@@ -301,7 +301,7 @@ func (f *FTL) sipGreedyVictim(s SIPGreedy, greedy int) int {
 		slack = 8
 	}
 	ix := f.idx
-	gv := int(ix.vcnt[greedy])
+	gv := ix.valid(greedy)
 	gs := f.sipPerBlock[greedy]
 	if gv == 0 || float64(gs)/float64(gv) <= s.MaxSIPFraction {
 		return greedy // not tainted enough to pay anything for
@@ -346,10 +346,19 @@ func (f *FTL) collectOnce(foreground bool) (time.Duration, error) {
 		freeBefore = f.FreePages()
 		f.tr.GCStart(f.now, foreground, victim, f.dev.ValidCount(victim), f.sipPerBlock[victim])
 	}
-	// Every exit below must pass through finish exactly once, so trace
-	// streams pair gc_start/gc_end 1:1 even when a migration or erase
-	// fails mid-collection.
+	// The victim leaves the index while it is emptied: one removal here
+	// instead of a tree update per migrated page (it would be the root, so
+	// each would replay the full height).
+	f.collecting = victim
+	f.syncIndex(victim)
+	// Every exit below must pass through finish exactly once: it puts the
+	// victim back in the index at its true valid count if it is still
+	// collectible (an aborted collection) and leaves it out if it was
+	// pooled or retired, and it pairs gc_start/gc_end 1:1 in trace streams
+	// even when a migration or erase fails mid-collection.
 	finish := func(total time.Duration) {
+		f.collecting = -1
+		f.syncIndex(victim)
 		if traced {
 			f.tr.GCEnd(f.now, foreground, victim, f.FreePages()-freeBefore, total)
 		}
@@ -383,7 +392,6 @@ func (f *FTL) collectOnce(foreground bool) (time.Duration, error) {
 			// already migrated, so it simply drops out of circulation and
 			// the device shrinks. Collection achieved no free space, but
 			// the migration work was real — account it.
-			f.syncIndex(victim) // retired blocks leave the victim index
 			f.accountCollection(foreground, total)
 			finish(total)
 			return total, nil
@@ -403,9 +411,7 @@ func (f *FTL) collectOnce(foreground bool) (time.Duration, error) {
 	}
 	total += d
 	f.stats.Erases++
-	f.freeBlocks = append(f.freeBlocks, victim)
-	f.inFreePool[victim] = true
-	f.syncIndex(victim) // pooled blocks leave the victim index
+	f.poolBlock(victim)
 	f.progFails[victim] = 0
 
 	f.accountCollection(foreground, total)
@@ -523,6 +529,10 @@ func (f *FTL) migratePage(src nand.PageAddr) (time.Duration, error) {
 		return total, err
 	}
 
+	// Migration invalidates without touching lastInvalidate (the data is
+	// not newly cold, it just moved), and without an index update: the
+	// source is the block being collected, which collectOnce holds out of
+	// the index until it knows the block's fate.
 	if err := f.dev.InvalidatePage(src); err != nil {
 		return total, err
 	}
@@ -530,11 +540,6 @@ func (f *FTL) migratePage(src nand.PageAddr) (time.Duration, error) {
 	f.l2p.set(lpn, dstPPN)
 	f.p2l.set(dstPPN, lpn)
 	f.p2l.set(srcPPN, unmapped)
-	// Migration invalidates without touching lastInvalidate (the data is
-	// not newly cold, it just moved); the source's valid count still shrank
-	// — keep its index bucket current. Wear-leveling victims enter the
-	// index here the moment they first drop below fully-valid.
-	f.syncIndex(src.Block)
 
 	f.stats.GCMigrations++
 	if f.onSIPList(lpn) {
@@ -619,7 +624,7 @@ func (f *FTL) GCBandwidth() float64 {
 	if f.idx.size > 0 {
 		// Greedy collects near the cheap end; weight the minimum and the
 		// mean to approximate what the selector will actually pick.
-		best := float64(f.idx.vcnt[f.idx.greedyVictim()])
+		best := float64(f.idx.valid(f.idx.greedyVictim()))
 		mean := float64(f.idx.sumValid) / float64(f.idx.size) / ppb
 		u = (best/ppb + mean) / 2
 	}

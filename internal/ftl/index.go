@@ -11,9 +11,10 @@ import (
 // three built-in selection policies without materializing a candidate
 // slice:
 //
-//   - Greedy: a tournament tree over all blocks, keyed by (valid pages,
-//     block index) lexicographically, holds the greedy winner at its root.
-//     Reads are O(1); membership or valid-count changes are O(log B).
+//   - Greedy: a tournament tree over all blocks holds the greedy winner at
+//     its root. A node is a packed valid<<32|block key (emptyKey for a
+//     non-member), so the lexicographic (valid pages, block index) order is
+//     one integer comparison and a match is one min. Reads are O(1).
 //   - Cost-Benefit: blocks are threaded onto doubly-linked buckets keyed
 //     by valid-page count. Each bucket caches its champion — the member
 //     minimizing (lastInvalidate, index), which is the bucket's maximum
@@ -23,10 +24,19 @@ import (
 //     greedy choice is walked directly; blocks outside it are never
 //     touched.
 //
-// Updates are O(1) for the bucket links and O(log B) for the tree. The one
-// amortized operation is re-scanning a bucket when its cached champion
-// leaves; the champion is the bucket's oldest member, so under random
-// traffic the rescan triggers on ~1/len(bucket) of removals.
+// Updates are O(1) for the bucket links. A tree update replays matches from
+// the leaf only as far as they change a node: log2(B) levels at worst, but
+// a block that is not its subtree's minimum stops at the first node its
+// sibling subtree already wins, so the mean is a small constant
+// independent of B (TestInvalidationRewritesFewNodes). The other amortized
+// operation is re-scanning a bucket when its cached champion leaves; the
+// champion is the bucket's oldest member, so under random traffic the
+// rescan triggers on ~1/len(bucket) of removals.
+//
+// The leaf key is also the index's only record of membership and of a
+// member's valid count. The block a collection is emptying is not a member:
+// collectOnce takes it out for the duration, so its per-page invalidations
+// never reach the tree.
 //
 // The index's answers are bit-for-bit identical to the retired full-scan
 // selectors, including every deterministic tie-break — the golden
@@ -36,8 +46,6 @@ type victimIndex struct {
 	ppb     int
 	lastInv []time.Duration // shared with the owning FTL; never reallocated
 
-	inIdx []bool  // membership
-	vcnt  []int32 // cached valid-page count per member (stale when !inIdx)
 	next  []int32 // bucket forward links, -1 terminated
 	prev  []int32 // bucket backward links, -1 at head
 	bhead []int32 // bucket heads per valid count v in [0, ppb-1], -1 empty
@@ -46,9 +54,16 @@ type victimIndex struct {
 	size     int   // number of member blocks
 	sumValid int64 // sum of members' valid counts, for GC bandwidth estimation
 
-	leafBase int     // tree slot of block 0; power of two ≥ block count
-	tree     []int32 // 1-indexed tournament tree of block ids, -1 empty
+	leafBase int      // tree slot of block 0; power of two ≥ block count
+	tree     []uint64 // 1-indexed tournament tree of packed keys
 }
+
+// emptyKey is the tree value of a non-member leaf and of a subtree with no
+// members. It compares above every real key.
+const emptyKey = ^uint64(0)
+
+// packKey builds the tournament key of block b holding valid valid pages.
+func packKey(b, valid int) uint64 { return uint64(valid)<<32 | uint64(uint32(b)) }
 
 // newVictimIndex builds an empty index over nblocks blocks of ppb pages,
 // sharing the FTL's lastInvalidate slice for champion ordering.
@@ -60,14 +75,12 @@ func newVictimIndex(nblocks, ppb int, lastInv []time.Duration) *victimIndex {
 	ix := &victimIndex{
 		ppb:      ppb,
 		lastInv:  lastInv,
-		inIdx:    make([]bool, nblocks),
-		vcnt:     make([]int32, nblocks),
 		next:     make([]int32, nblocks),
 		prev:     make([]int32, nblocks),
 		bhead:    make([]int32, ppb),
 		champ:    make([]int32, ppb),
 		leafBase: leafBase,
-		tree:     make([]int32, 2*leafBase),
+		tree:     make([]uint64, 2*leafBase),
 	}
 	ix.reset()
 	return ix
@@ -75,15 +88,12 @@ func newVictimIndex(nblocks, ppb int, lastInv []time.Duration) *victimIndex {
 
 // reset empties the index in place (snapshot restore rebuilds from scratch).
 func (ix *victimIndex) reset() {
-	for i := range ix.inIdx {
-		ix.inIdx[i] = false
-	}
 	for i := range ix.bhead {
 		ix.bhead[i] = -1
 		ix.champ[i] = -1
 	}
 	for i := range ix.tree {
-		ix.tree[i] = -1
+		ix.tree[i] = emptyKey
 	}
 	ix.size = 0
 	ix.sumValid = 0
@@ -92,60 +102,65 @@ func (ix *victimIndex) reset() {
 // bytes returns the heap footprint of the index's arrays (the shared
 // lastInvalidate slice is charged to the FTL, not here).
 func (ix *victimIndex) bytes() int64 {
-	n := int64(len(ix.inIdx)) * (1 + 4 + 4 + 4) // inIdx, vcnt, next, prev
-	n += int64(len(ix.bhead)) * (4 + 4)         // bhead, champ
-	n += int64(len(ix.tree)) * 4
+	n := int64(len(ix.next)) * (4 + 4)  // next, prev
+	n += int64(len(ix.bhead)) * (4 + 4) // bhead, champ
+	n += int64(len(ix.tree)) * 8
 	return n
 }
 
 // greedyVictim returns the member minimizing (valid, index) — the exact
 // greedy choice — or -1 when the index is empty. O(1).
-func (ix *victimIndex) greedyVictim() int { return int(ix.tree[1]) }
+func (ix *victimIndex) greedyVictim() int {
+	if ix.tree[1] == emptyKey {
+		return -1
+	}
+	return int(uint32(ix.tree[1]))
+}
 
 // contains reports membership.
-func (ix *victimIndex) contains(b int) bool { return ix.inIdx[b] }
+func (ix *victimIndex) contains(b int) bool { return ix.tree[ix.leafBase+b] != emptyKey }
+
+// valid returns member b's valid-page count as the index last saw it.
+func (ix *victimIndex) valid(b int) int { return int(ix.tree[ix.leafBase+b] >> 32) }
 
 // insert adds block b with the given valid count.
 func (ix *victimIndex) insert(b, valid int) {
-	if ix.inIdx[b] {
+	if ix.contains(b) {
 		panic(fmt.Sprintf("ftl: victim index double-insert of block %d", b))
 	}
 	if valid < 0 || valid >= ix.ppb {
 		panic(fmt.Sprintf("ftl: victim index insert of block %d with valid %d", b, valid))
 	}
-	ix.inIdx[b] = true
-	ix.vcnt[b] = int32(valid)
 	ix.bucketInsert(b, valid)
 	ix.size++
 	ix.sumValid += int64(valid)
-	ix.fix(b)
+	ix.setLeaf(b, packKey(b, valid))
 }
 
 // remove deletes block b from the index.
 func (ix *victimIndex) remove(b int) {
-	if !ix.inIdx[b] {
+	if !ix.contains(b) {
 		panic(fmt.Sprintf("ftl: victim index remove of absent block %d", b))
 	}
-	ix.bucketRemove(b, int(ix.vcnt[b]))
-	ix.inIdx[b] = false
+	old := ix.valid(b)
+	ix.bucketRemove(b, old)
 	ix.size--
-	ix.sumValid -= int64(ix.vcnt[b])
-	ix.fix(b)
+	ix.sumValid -= int64(old)
+	ix.setLeaf(b, emptyKey)
 }
 
 // updateValid moves member b to the bucket of its new valid count. A
 // no-op when the count is unchanged: lastInvalidate only moves together
 // with a valid-count change, so an equal count means an identical key.
 func (ix *victimIndex) updateValid(b, valid int) {
-	old := int(ix.vcnt[b])
+	old := ix.valid(b)
 	if old == valid {
 		return
 	}
 	ix.bucketRemove(b, old)
-	ix.vcnt[b] = int32(valid)
 	ix.bucketInsert(b, valid)
 	ix.sumValid += int64(valid - old)
-	ix.fix(b)
+	ix.setLeaf(b, packKey(b, valid))
 }
 
 // older reports whether a precedes c in champion order: ascending
@@ -194,49 +209,30 @@ func (ix *victimIndex) bucketRemove(b, v int) {
 	}
 }
 
-// fix rewrites b's tree leaf from its membership state and replays the
-// matches up to the root. O(log B).
-func (ix *victimIndex) fix(b int) {
+// setLeaf writes b's tree leaf and replays its matches toward the root,
+// stopping at the first node whose winner does not change: every node
+// above that one already holds the minimum of an unchanged pair.
+func (ix *victimIndex) setLeaf(b int, key uint64) {
 	i := ix.leafBase + b
-	if ix.inIdx[b] {
-		ix.tree[i] = int32(b)
-	} else {
-		ix.tree[i] = -1
-	}
-	for i >>= 1; i >= 1; i >>= 1 {
-		ix.tree[i] = ix.better(ix.tree[2*i], ix.tree[2*i+1])
-	}
-}
-
-// better returns the tournament winner among two block ids (-1 = bye):
-// the lexicographic minimum of (valid count, block index).
-func (ix *victimIndex) better(a, c int32) int32 {
-	if a < 0 {
-		return c
-	}
-	if c < 0 {
-		return a
-	}
-	if va, vc := ix.vcnt[a], ix.vcnt[c]; va != vc {
-		if va < vc {
-			return a
+	ix.tree[i] = key
+	for i > 1 {
+		m := min(ix.tree[i], ix.tree[i^1])
+		i >>= 1
+		if ix.tree[i] == m {
+			return
 		}
-		return c
+		ix.tree[i] = m
 	}
-	if a < c {
-		return a
-	}
-	return c
 }
 
 // indexEligible reports whether block b belongs in the victim index: fully
-// written, not pooled, not an active stream, not retired, and holding at
-// least one reclaimable page. This is the membership predicate the
-// incremental hooks and CheckConsistency both evaluate; it must match what
-// appendCandidates enumerates.
+// written, not pooled, not an active stream, not being collected, not
+// retired, and holding at least one reclaimable page. This is the
+// membership predicate the incremental hooks and CheckConsistency both
+// evaluate; it must match what appendCandidates enumerates.
 func (f *FTL) indexEligible(b int) bool {
 	ppb := f.cfg.Geometry.PagesPerBlock
-	return !f.inFreePool[b] && b != f.hostActive && b != f.gcActive &&
+	return !f.inFreePool[b] && b != f.hostActive && b != f.gcActive && b != f.collecting &&
 		!f.dev.Retired(b) && f.dev.WritePtr(b) >= ppb && f.dev.ValidCount(b) < ppb
 }
 

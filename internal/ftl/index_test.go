@@ -86,10 +86,32 @@ func checkIndexAgainstReference(t *testing.T, f *FTL) {
 	}
 }
 
+// sweepGeometry alternates the index sweeps between 32 blocks and a block
+// count that is not a power of two.
+func sweepGeometry(seed int64) Config {
+	if seed&1 != 0 {
+		return oddGeometry()
+	}
+	return quickGeometry()
+}
+
+// checkAfterStep is what the index sweeps assert after every operation: the
+// index's choices equal the reference scan's, and the full audit — leaf
+// keys, every internal tournament node the minimum of its children, the
+// root equal to a greedy scan — finds nothing.
+func checkAfterStep(t *testing.T, f *FTL) {
+	t.Helper()
+	checkIndexAgainstReference(t, f)
+	if err := f.CheckConsistency(); err != nil {
+		t.Fatalf("CheckConsistency: %v", err)
+	}
+}
+
 // TestQuickVictimIndexMatchesReference is the differential property sweep:
 // random interleavings of writes, TRIMs, reads, background collections,
 // SIP updates and power cycles, with the index's victim choice compared
-// against the from-scratch reference scan after every single step.
+// against the from-scratch reference scan, and the whole tree audited,
+// after every single step.
 func TestQuickVictimIndexMatchesReference(t *testing.T) {
 	steps := 250
 	maxCount := 12
@@ -98,10 +120,10 @@ func TestQuickVictimIndexMatchesReference(t *testing.T) {
 		maxCount = 4
 	}
 	prop := func(seed int64) bool {
-		m := newFTLModel(t, seed)
+		m := newFTLModelOn(t, seed, sweepGeometry(seed))
 		for i := 0; i < steps; i++ {
 			m.step()
-			checkIndexAgainstReference(t, m.f)
+			checkAfterStep(t, m.f)
 		}
 		m.verify()
 		return true
@@ -123,14 +145,14 @@ func TestQuickVictimIndexUnderFaults(t *testing.T) {
 		maxCount = 4
 	}
 	prop := func(seed int64) bool {
-		m, _ := newFaultModelFTL(t, seed)
+		m, _ := newFaultModelFTLOn(t, seed, sweepGeometry(seed))
 		burst := m.f.recovery.ReadRetryLimit + 1
 		for i := 0; i < steps; i++ {
 			if i%60 == 59 {
 				m.f.FaultModel().FailNext(nand.OpRead, burst)
 			}
 			m.step()
-			checkIndexAgainstReference(t, m.f)
+			checkAfterStep(t, m.f)
 		}
 		m.verify()
 		if m.f.FaultModel().InjectedTotal() == 0 {
@@ -274,16 +296,21 @@ func TestCheckConsistencyVictimIndexViolations(t *testing.T) {
 			f.idx.remove(anyIndexed(t, f))
 		}, "index membership"},
 		{"stale cached valid count", func(t *testing.T, f *FTL) {
-			f.idx.vcnt[anyIndexed(t, f)]++
+			f.idx.tree[f.idx.leafBase+anyIndexed(t, f)] += 1 << 32
 		}, "index caches"},
 		{"champion corrupted", func(t *testing.T, f *FTL) {
 			b := anyIndexed(t, f)
-			f.idx.champ[f.idx.vcnt[b]] = -1
+			f.idx.champ[f.idx.valid(b)] = -1
 		}, "champion"},
 		{"tournament leaf corrupted", func(t *testing.T, f *FTL) {
-			b := anyIndexed(t, f)
-			f.idx.tree[f.idx.leafBase+b] = -1
+			// The key's low half names another block.
+			f.idx.tree[f.idx.leafBase+anyIndexed(t, f)] ^= 1
 		}, "tournament leaf"},
+		{"tournament node stale", func(t *testing.T, f *FTL) {
+			// A leaf changes without its matches being replayed.
+			b := f.idx.greedyVictim()
+			f.idx.tree[(f.idx.leafBase+b)/2] = emptyKey
+		}, "tournament node"},
 		{"size drifted", func(t *testing.T, f *FTL) {
 			f.idx.size++
 		}, "index size"},
@@ -479,19 +506,77 @@ func BenchmarkVictimSelect(b *testing.B) {
 	}
 }
 
+// scaleBlockCounts are the device sizes the write-path benchmarks run at:
+// the 256 MiB default, the 4 GiB preset `single_direct` uses, and the 64 GiB
+// preset's block count. As with BenchmarkVictimSelect the criterion is
+// scaling: ns/op may grow with cache misses on the page maps, not with any
+// per-block scan or full-height tree replay.
+var scaleBlockCounts = []int{512, 8192, 131072}
+
+// steadyFTLs keeps one preconditioned device per size for the benchmark
+// process: preconditioning 131,072 blocks costs far more than the measured
+// writes, and the harness calls each benchmark at least twice. Each device
+// carries its own generator, and uniform random overwrites are what it was
+// preconditioned with, so every call measures the same stationary regime
+// (a call that started a fixed LPN walk over would overwrite exactly the
+// pages the previous call had just written).
+var steadyFTLs = map[int]*steadyDevice{}
+
+type steadyDevice struct {
+	f   *FTL
+	rng *rand.Rand
+}
+
 // BenchmarkSteadyStateWrite measures the full host write path — allocate,
 // program, invalidate, index maintenance, and any foreground GC the
 // reserve forces — in steady state. The allocs/op column is the
 // zero-allocation claim, enforced in addition by TestWritePathZeroAlloc.
 func BenchmarkSteadyStateWrite(b *testing.B) {
-	f := benchSteadyFTL(b, 512, Greedy{})
-	lpn := int64(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := f.Write(lpn); err != nil {
-			b.Fatalf("Write: %v", err)
-		}
-		lpn = (lpn + 7) % f.UserPages()
+	for _, blocks := range scaleBlockCounts {
+		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
+			d := steadyFTLs[blocks]
+			if d == nil {
+				d = &steadyDevice{f: benchSteadyFTL(b, blocks, Greedy{}), rng: rand.New(rand.NewSource(2))}
+				steadyFTLs[blocks] = d
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := d.f.Write(d.rng.Int63n(d.f.UserPages())); err != nil {
+					b.Fatalf("Write: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSequentialFill measures one page of a first sequential fill of a
+// fresh device — the preconditioning every run starts with, whose cost per
+// page is the program plus 1/PagesPerBlock of a free-block pick from a pool
+// that still holds almost every block. A device that fills up is replaced
+// off the clock.
+func BenchmarkSequentialFill(b *testing.B) {
+	for _, blocks := range scaleBlockCounts {
+		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
+			cfg := benchGeometry(blocks)
+			var f *FTL
+			lpn := int64(0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if f == nil || lpn == f.UserPages() {
+					b.StopTimer()
+					var err error
+					if f, err = New(cfg); err != nil {
+						b.Fatal(err)
+					}
+					lpn = 0
+					b.StartTimer()
+				}
+				if _, _, err := f.Write(lpn); err != nil {
+					b.Fatalf("Write: %v", err)
+				}
+				lpn++
+			}
+		})
 	}
 }

@@ -41,7 +41,19 @@ type ftlModel struct {
 }
 
 func newFTLModel(t *testing.T, seed int64) *ftlModel {
-	f, err := New(quickGeometry())
+	return newFTLModelOn(t, seed, quickGeometry())
+}
+
+// oddGeometry is quickGeometry at 26 blocks: not a power of two, so the
+// victim tournament has padding leaves and a ragged last level.
+func oddGeometry() Config {
+	cfg := quickGeometry()
+	cfg.Geometry.BlocksPerChip = 13
+	return cfg
+}
+
+func newFTLModelOn(t *testing.T, seed int64, cfg Config) *ftlModel {
+	f, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -199,6 +199,7 @@ func (f *FTL) Restore(r io.Reader) error {
 	for _, b := range freeBlocks {
 		f.inFreePool[b] = true
 	}
+	f.poolFloor = 0 // a valid bound for any pool; the next take tightens it
 	f.rebuildVictimIndex()
 	return nil
 }

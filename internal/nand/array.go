@@ -70,6 +70,24 @@ func (s stateBits) set(i int64, st PageState) {
 	s[word] = s[word]&^(stateMask<<shift) | uint64(st)<<shift
 }
 
+// free resets pages [start, start+n) to PageFree a word at a time: whole
+// words are zeroed, and only a range's first and last word need a mask.
+func (s stateBits) free(start, n int64) {
+	for end := start + n; start < end; {
+		lo := start % statePagesPerWord
+		cnt := statePagesPerWord - lo
+		if rest := end - start; rest < cnt {
+			cnt = rest
+		}
+		mask := ^uint64(0)
+		if cnt < statePagesPerWord {
+			mask = 1<<(uint(cnt)*stateBitsPerPage) - 1
+		}
+		s[start/statePagesPerWord] &^= mask << (uint(lo) * stateBitsPerPage)
+		start += cnt
+	}
+}
+
 // PageAddr identifies a physical page by flat block index and in-block page
 // index.
 type PageAddr struct {
@@ -153,6 +171,15 @@ type Array struct {
 	eraseCount []int64  // per block
 	retired    []bool   // per block
 
+	// Wear aggregates, kept current by EraseBlock so WearStats never scans:
+	// wearHist[c] is the number of blocks (retired ones included) erased
+	// exactly c times. Its last bin is always occupied — it grows by one bin
+	// when a block first reaches a new maximum — so the maximum is its
+	// length less one; wearMin is its first occupied bin.
+	wearHist   []int32
+	wearMin    int64
+	wearErases int64
+
 	stats     Stats
 	injector  FaultInjector
 	endurance int64 // erase limit per block; 0 = unlimited
@@ -173,6 +200,11 @@ func NewBareArray(geo Geometry, timing Timing) (*Array, error) {
 	return newArray(geo, timing, false)
 }
 
+// wearHistInitCap is the erase-count histogram's starting capacity. Past it
+// the histogram doubles, so a run whose hottest block reaches E erases
+// reallocates it log2(E/wearHistInitCap) times in total.
+const wearHistInitCap = 256
+
 func newArray(geo Geometry, timing Timing, payloads bool) (*Array, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
@@ -191,7 +223,9 @@ func newArray(geo Geometry, timing Timing, payloads bool) (*Array, error) {
 		valid:      make([]int32, nblocks),
 		eraseCount: make([]int64, nblocks),
 		retired:    make([]bool, nblocks),
+		wearHist:   make([]int32, 1, wearHistInitCap),
 	}
+	a.wearHist[0] = int32(nblocks)
 	if payloads {
 		a.data = make([]uint64, geo.TotalPages())
 	}
@@ -206,6 +240,7 @@ func (a *Array) PayloadTracking() bool { return a.data != nil }
 func (a *Array) MetadataBytes() int64 {
 	n := int64(len(a.states))*8 + int64(len(a.data))*8
 	n += int64(a.nblocks) * (4 + 4 + 8 + 1) // writePtr, valid, eraseCount, retired
+	n += int64(len(a.wearHist)) * 4
 	return n
 }
 
@@ -394,13 +429,10 @@ func (a *Array) EraseBlock(blockIdx int) (time.Duration, error) {
 		a.retired[blockIdx] = true
 		return 0, fmt.Errorf("%w: block %d at %d erases", ErrWornOut, blockIdx, a.eraseCount[blockIdx])
 	}
-	base := int64(blockIdx) * a.ppb
-	for p := int64(0); p < a.ppb; p++ {
-		a.states.set(base+p, PageFree)
-	}
+	a.states.free(int64(blockIdx)*a.ppb, a.ppb)
 	a.writePtr[blockIdx] = 0
 	a.valid[blockIdx] = 0
-	a.eraseCount[blockIdx]++
+	a.countErase(blockIdx)
 	a.stats.Erases++
 	d := a.timing.EraseBlock
 	a.stats.BusyTime += d
@@ -425,15 +457,41 @@ func (a *Array) WritePtr(blockIdx int) int { return int(a.writePtr[blockIdx]) }
 // EraseCount returns how many times a block has been erased.
 func (a *Array) EraseCount(blockIdx int) int64 { return a.eraseCount[blockIdx] }
 
+// countErase bumps a block's erase count and moves it one bin up the wear
+// histogram. This is the only place an erase count changes.
+func (a *Array) countErase(blockIdx int) {
+	c := a.eraseCount[blockIdx]
+	a.eraseCount[blockIdx] = c + 1
+	a.wearErases++
+	if c+1 == int64(len(a.wearHist)) {
+		a.wearHist = append(a.wearHist, 0)
+	}
+	a.wearHist[c]--
+	a.wearHist[c+1]++
+	if c == a.wearMin && a.wearHist[c] == 0 {
+		a.wearMin = c + 1 // the block just moved there, so the bin is occupied
+	}
+}
+
 // WearStats returns the minimum, maximum and total erase counts across all
 // blocks — the inputs to wear-leveling decisions and lifetime accounting.
+// Retired blocks keep counting at the erase count they retired with. O(1).
 func (a *Array) WearStats() (minErase, maxErase, total int64) {
-	if a.nblocks == 0 {
-		return 0, 0, 0
-	}
-	minErase = a.eraseCount[0]
-	for _, c := range a.eraseCount {
-		if c < minErase {
+	return a.wearMin, int64(len(a.wearHist)) - 1, a.wearErases
+}
+
+// CheckWear verifies the incrementally kept wear aggregates against a scan
+// of every block's erase count. It is an audit for tests and consistency
+// sweeps, not part of the device datapath.
+func (a *Array) CheckWear() error {
+	hist := make([]int32, len(a.wearHist))
+	var minErase, maxErase, total int64
+	for b, c := range a.eraseCount {
+		if c < 0 || c >= int64(len(hist)) {
+			return fmt.Errorf("nand: block %d erase count %d outside the wear histogram (%d bins)", b, c, len(hist))
+		}
+		hist[c]++
+		if b == 0 || c < minErase {
 			minErase = c
 		}
 		if c > maxErase {
@@ -441,5 +499,15 @@ func (a *Array) WearStats() (minErase, maxErase, total int64) {
 		}
 		total += c
 	}
-	return minErase, maxErase, total
+	if gotMin, gotMax, gotTotal := a.WearStats(); minErase != gotMin || maxErase != gotMax || total != gotTotal {
+		return fmt.Errorf("nand: wear aggregates min/max/total %d/%d/%d, recount says %d/%d/%d",
+			gotMin, gotMax, gotTotal, minErase, maxErase, total)
+	}
+	for c := range hist {
+		if hist[c] != a.wearHist[c] {
+			return fmt.Errorf("nand: wear histogram counts %d blocks at %d erases, recount says %d",
+				a.wearHist[c], c, hist[c])
+		}
+	}
+	return nil
 }
