@@ -17,6 +17,8 @@
 //
 // merge k-way merges time-ordered binlog streams (one per array member,
 // say) into a single time-ordered binlog stream.
+//
+// convert and merge stream: OUT must not be one of the inputs.
 package main
 
 import (
@@ -68,7 +70,7 @@ func runConvert(args []string) {
 	}
 
 	src := bufio.NewReaderSize(openInput(fs.Arg(0)), 1<<16)
-	dst, closeDst := openOutput(*out)
+	dst, closeDst := openOutput(*out, fs.Arg(0))
 
 	prefix, err := src.Peek(len(binlog.Magic))
 	if err != nil && err != io.EOF {
@@ -145,7 +147,7 @@ func runMerge(args []string) {
 		}
 		srcs = append(srcs, r)
 	}
-	dst, closeDst := openOutput(*out)
+	dst, closeDst := openOutput(*out, fs.Args()...)
 	w := binlog.NewWriter(dst, binlog.Options{Level: *level})
 	m := binlog.NewMerger(srcs...)
 	for {
@@ -179,13 +181,25 @@ func openInput(path string) io.Reader {
 }
 
 // openOutput returns the destination writer and a close func that must run
-// on success (buffered output is flushed there, so errors surface).
-func openOutput(path string) (io.Writer, func()) {
+// on success (buffered output is flushed there, so errors surface). Inputs
+// are streamed, so a path that is also one of inputs (by any name) is
+// refused before it is created: creating it would truncate the input.
+func openOutput(path string, inputs ...string) (io.Writer, func()) {
 	if path == "" || path == "-" {
 		bw := bufio.NewWriter(os.Stdout)
 		return bw, func() {
 			if err := bw.Flush(); err != nil {
 				log.Fatal(err)
+			}
+		}
+	}
+	if outInfo, err := os.Stat(path); err == nil {
+		for _, in := range inputs {
+			if in == "-" {
+				continue
+			}
+			if inInfo, err := os.Stat(in); err == nil && os.SameFile(outInfo, inInfo) {
+				log.Fatalf("output %s is also an input", path)
 			}
 		}
 	}

@@ -219,20 +219,35 @@ func TestSelectVictimZeroAlloc(t *testing.T) {
 }
 
 // TestWritePathZeroAlloc enforces the satellite claim on the host write
-// path: in steady state — foreground GC, erases and victim selections
-// included — FTL.Write performs zero heap allocations per op.
+// path: FTL.Write performs zero heap allocations per op, both during the
+// first sequential fill of a fresh device (the preconditioning every run
+// starts with: program plus free-block picks) and in steady state —
+// foreground GC, erases and victim selections included.
 func TestWritePathZeroAlloc(t *testing.T) {
 	cfg := quickGeometry()
 	cfg.Selector = SIPGreedy{MaxSIPFraction: 0.1, SlackPages: 4}
-	f := steadyFTL(t, cfg)
-	lpn := int64(0)
-	if avg := testing.AllocsPerRun(400, func() {
-		if _, _, err := f.Write(lpn); err != nil {
-			t.Fatalf("Write(%d): %v", lpn, err)
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		f      *FTL
+		writes int   // AllocsPerRun calls its function writes+1 times
+		stride int64 // LPN step between writes
+	}{
+		{"fill", fresh, int(fresh.UserPages()) - 1, 1},
+		{"steady", steadyFTL(t, cfg), 400, 7},
+	} {
+		lpn := int64(0)
+		if avg := testing.AllocsPerRun(tc.writes, func() {
+			if _, _, err := tc.f.Write(lpn); err != nil {
+				t.Fatalf("%s: Write(%d): %v", tc.name, lpn, err)
+			}
+			lpn = (lpn + tc.stride) % tc.f.UserPages()
+		}); avg != 0 {
+			t.Errorf("%s: Write allocates %.2f times per op, want 0", tc.name, avg)
 		}
-		lpn = (lpn + 7) % f.UserPages()
-	}); avg != 0 {
-		t.Errorf("steady-state Write allocates %.2f times per op, want 0", avg)
 	}
 }
 

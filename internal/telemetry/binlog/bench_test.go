@@ -15,8 +15,8 @@ type countWriter struct{ n int64 }
 func (w *countWriter) Write(p []byte) (int, error) { w.n += int64(len(p)); return len(p), nil }
 
 // BenchmarkBinlogEncode measures the steady-state per-event encode cost of
-// the binary format (blocks flushing at the default cadence). The alloc
-// figure is gated at zero in CI.
+// the binary format (blocks flushing at the default cadence); the path's
+// allocations are held at zero by TestWriterSteadyStateAllocs.
 func BenchmarkBinlogEncode(b *testing.B) {
 	mix := recordedMix(4096, 1)
 	var cw countWriter
@@ -89,33 +89,52 @@ func BenchmarkBinlogDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkBinlogVsJSONL measures the two formats head to head on the same
-// recorded mix and reports the ratios the format promises — `size-x` (JSONL
-// bytes per binlog byte) and `speed-x` (JSONL encode ns per binlog encode
-// ns). CI gates size-x ≥ 10 and speed-x ≥ 5; the per-iteration ns/op is the
-// binlog encode cost for one full 4096-event mix.
-func BenchmarkBinlogVsJSONL(b *testing.B) {
-	mix := recordedMix(4096, 1)
-
-	// Sizes: one finalized stream each.
-	var bin, jl bytes.Buffer
-	w := NewWriter(&bin, Options{})
+// encodedSizes returns the bytes one finalized stream of each format takes
+// for the same events: binlog under opts, and JSONLSink.
+func encodedSizes(tb testing.TB, mix []telemetry.Event, opts Options) (bin, jsonl int) {
+	tb.Helper()
+	var bb, jb bytes.Buffer
+	w := NewWriter(&bb, opts)
 	for _, ev := range mix {
 		if err := w.WriteEvent(ev); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := w.Close(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	sink := telemetry.NewJSONLSink(&jl)
+	sink := telemetry.NewJSONLSink(&jb)
 	for _, ev := range mix {
 		sink.Emit(ev)
 	}
 	if err := sink.Close(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	sizeX := float64(jl.Len()) / float64(bin.Len())
+	return bb.Len(), jb.Len()
+}
+
+// TestBinlogTenTimesSmallerThanJSONL holds the size half of the format's
+// reason to exist: on the recorded event mix the default codec's stream is
+// at least 10× smaller than the JSONL one. Both sizes are deterministic.
+func TestBinlogTenTimesSmallerThanJSONL(t *testing.T) {
+	mix := recordedMix(4096, 1)
+	bin, jsonl := encodedSizes(t, mix, Options{})
+	if ratio := float64(jsonl) / float64(bin); ratio < 10 {
+		t.Errorf("binlog %d B (%.2f B/ev) vs JSONL %d B: %.2f× smaller, want ≥ 10×",
+			bin, float64(bin)/float64(len(mix)), jsonl, ratio)
+	}
+}
+
+// BenchmarkBinlogVsJSONL measures the two formats head to head on the same
+// recorded mix and reports the ratios the format promises — `size-x` (JSONL
+// bytes per binlog byte, held ≥ 10 by TestBinlogTenTimesSmallerThanJSONL)
+// and `speed-x` (JSONL encode ns per binlog encode ns, a wall-clock ratio no
+// test asserts); the per-iteration ns/op is the binlog encode cost for one
+// full 4096-event mix.
+func BenchmarkBinlogVsJSONL(b *testing.B) {
+	mix := recordedMix(4096, 1)
+	bin, jl := encodedSizes(b, mix, Options{})
+	sizeX := float64(jl) / float64(bin)
 
 	// Speeds are best-of-pass on both sides: each pass encodes the full
 	// mix, and the fastest pass stands for the format. The minimum is the
@@ -164,5 +183,5 @@ func BenchmarkBinlogVsJSONL(b *testing.B) {
 
 	b.ReportMetric(sizeX, "size-x")
 	b.ReportMetric(jsonlPerEv/binPerEv, "speed-x")
-	b.ReportMetric(float64(bin.Len())/float64(len(mix)), "B/ev")
+	b.ReportMetric(float64(bin)/float64(len(mix)), "B/ev")
 }

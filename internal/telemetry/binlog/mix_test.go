@@ -17,9 +17,9 @@ import (
 // 1–8 page transfers, exponential arrival gaps with a ~300µs median — plus
 // a 0.3% sprinkle of fault/retry/retirement/tenant events (the mix of a
 // fault-injection run) so every column sees traffic. The same mix feeds
-// the round-trip tests and the JSONL-vs-binlog benchmarks that gate the
-// format's size and speed claims, so the gate measures a realistic field
-// population, not a best case.
+// the round-trip tests, the 10×-smaller-than-JSONL test and the
+// JSONL-vs-binlog benchmarks, so the format's size and speed are measured
+// on a realistic field population, not a best case.
 func recordedMix(n int, seed int64) []telemetry.Event {
 	rng := rand.New(rand.NewSource(seed))
 	evs := make([]telemetry.Event, 0, n)

@@ -180,8 +180,22 @@ func TestLogHistConstantMemory(t *testing.T) {
 	}
 }
 
-// BenchmarkLogHistAdd must show zero allocations per sample — the benchmark
-// form of the constant-memory acceptance criterion.
+// TestLogHistZeroAlloc is the per-call side of the constant-memory claim:
+// neither recording a sample nor reading a quantile allocates.
+func TestLogHistZeroAlloc(t *testing.T) {
+	h := NewLogHist()
+	i := int64(0)
+	if avg := testing.AllocsPerRun(1000, func() {
+		h.Add(i*2654435761 + 12345)
+		i++
+	}); avg != 0 {
+		t.Errorf("Add allocates %.2f times per sample, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { h.Quantile(0.99) }); avg != 0 {
+		t.Errorf("Quantile allocates %.2f times per call, want 0", avg)
+	}
+}
+
 func BenchmarkLogHistAdd(b *testing.B) {
 	h := NewLogHist()
 	b.ReportAllocs()

@@ -9,12 +9,11 @@ import (
 
 var benchSink time.Duration
 
-// BenchmarkDispatch measures the steady-state DRR hot path: one dispatch
-// plus one re-admission against 64 backlogged tenants across the three
-// default weight tiers. The scheduler is ring-buffer based and must not
-// allocate per operation — the allocs/op pin lives in ci/bench-baseline.json
-// and the bench-gate fails on any regression.
-func BenchmarkDispatch(b *testing.B) {
+// backloggedScheduler is the steady-state DRR set-up the dispatch test and
+// benchmark share: 64 tenants across the three default weight tiers, every
+// queue full, so a dispatch followed by a re-admission of the same request
+// never drains the backlog and never grows a queue.
+func backloggedScheduler() *scheduler {
 	const (
 		tenants = 64
 		depth   = 16
@@ -29,6 +28,43 @@ func BenchmarkDispatch(b *testing.B) {
 			s.admit(t, pending{req: trace.Request{Pages: 1 + i%4}})
 		}
 	}
+	return s
+}
+
+// arrivalKinds are the processes the arrival test and benchmark draw from.
+var arrivalKinds = []ArrivalKind{Poisson, MMPP, Diurnal}
+
+// TestDispatchZeroAlloc: the scheduler is ring-buffer based, and one
+// dispatch plus one re-admission must not allocate.
+func TestDispatchZeroAlloc(t *testing.T) {
+	s := backloggedScheduler()
+	if avg := testing.AllocsPerRun(1000, func() {
+		tn, p, _ := s.dispatch()
+		s.admit(tn, p)
+	}); avg != 0 {
+		t.Errorf("dispatch + re-admit allocates %.2f times per op, want 0", avg)
+	}
+}
+
+// TestArrivalZeroAlloc: the processes run once per synthesized request
+// across potentially millions of requests per experiment cell, so one
+// inter-arrival draw must not allocate for any kind.
+func TestArrivalZeroAlloc(t *testing.T) {
+	for _, kind := range arrivalKinds {
+		p, err := newProcess(kind, 100, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(1000, func() { benchSink = p.Next() }); avg != 0 {
+			t.Errorf("%s: Next allocates %.2f times per draw, want 0", kind, avg)
+		}
+	}
+}
+
+// BenchmarkDispatch measures the steady-state DRR hot path: one dispatch
+// plus one re-admission against the backlogged scheduler.
+func BenchmarkDispatch(b *testing.B) {
+	s := backloggedScheduler()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -37,11 +73,9 @@ func BenchmarkDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkArrival measures one inter-arrival draw per process kind. The
-// processes run once per synthesized request across potentially millions of
-// requests per experiment cell, so they too are pinned allocation-free.
+// BenchmarkArrival measures one inter-arrival draw per process kind.
 func BenchmarkArrival(b *testing.B) {
-	for _, kind := range []ArrivalKind{Poisson, MMPP, Diurnal} {
+	for _, kind := range arrivalKinds {
 		b.Run(string(kind), func(b *testing.B) {
 			p, err := newProcess(kind, 100, 1)
 			if err != nil {
