@@ -13,6 +13,8 @@ import (
 	"math"
 	"slices"
 	"time"
+
+	"jitgc/internal/lpnmap"
 )
 
 // Config parameterizes the cache model.
@@ -115,10 +117,10 @@ type Cache struct {
 	stats Stats
 
 	slab       []entry
-	index      map[int64]int32 // LPN → slab slot
-	head, tail int32           // age list ends, noSlot when empty
-	free       int32           // free slots, chained through entry.next
-	reorder    bool            // a backdated write broke age order
+	index      lpnmap.Map[int32] // LPN → slab slot
+	head, tail int32             // age list ends, noSlot when empty
+	free       int32             // free slots, chained through entry.next
+	reorder    bool              // a backdated write broke age order
 
 	// firstSeen (parallel to slab, allocated by the first tracking
 	// ScanDirty) holds each page's LastUpdate as of the first scan of its
@@ -126,7 +128,7 @@ type Cache struct {
 	// keeps that value for pages removed since the last scan: one written
 	// again before the next scan takes it back and resumes its run.
 	firstSeen []time.Duration
-	carried   map[int64]time.Duration
+	carried   lpnmap.Map[time.Duration]
 
 	// Steady-state scratch: flushBuf backs the slices Write and Flush
 	// return, runBuf holds one run of equal timestamps while it is sorted.
@@ -153,7 +155,8 @@ const (
 	allAges time.Duration = math.MaxInt64
 )
 
-// ErrBadLPN is returned for negative logical page numbers.
+// ErrBadLPN is returned for logical page numbers that are negative or run
+// past the end of the int64 range.
 var ErrBadLPN = errors.New("pagecache: negative LPN")
 
 // New creates a cache from cfg.
@@ -161,7 +164,7 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Cache{cfg: cfg, index: make(map[int64]int32), head: noSlot, tail: noSlot, free: noSlot}, nil
+	return &Cache{cfg: cfg, head: noSlot, tail: noSlot, free: noSlot}, nil
 }
 
 // Config returns the cache configuration.
@@ -171,7 +174,7 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // DirtyPageCount returns the current number of dirty pages.
-func (c *Cache) DirtyPageCount() int { return len(c.index) }
+func (c *Cache) DirtyPageCount() int { return c.index.Len() }
 
 // Write records a buffered write of n consecutive pages starting at lpn at
 // time now. If the cache would exceed its capacity, the oldest dirty pages
@@ -186,9 +189,12 @@ func (c *Cache) Write(now time.Duration, lpn int64, n int) (reclaimed []int64, e
 	if n <= 0 || n > math.MaxInt32-len(c.slab) { // slots are int32
 		return nil, fmt.Errorf("pagecache: write of %d pages", n)
 	}
+	if lpn > math.MaxInt64-int64(n) {
+		return nil, fmt.Errorf("%w: %d+%d overflows", ErrBadLPN, lpn, n)
+	}
 	for i := 0; i < n; i++ {
 		p := lpn + int64(i)
-		s, ok := c.index[p]
+		s, ok := c.index.Get(p)
 		if ok {
 			c.stats.Overwrites++
 			c.unlink(s)
@@ -199,7 +205,7 @@ func (c *Cache) Write(now time.Duration, lpn int64, n int) (reclaimed []int64, e
 		c.pushBack(s)
 		c.stats.WrittenPages++
 	}
-	if over := len(c.index) - c.cfg.CapacityPages; over > 0 {
+	if over := c.index.Len() - c.cfg.CapacityPages; over > 0 {
 		reclaimed = c.popOldest(c.flushBuf[:0], allAges, over)
 		c.flushBuf = reclaimed
 		c.stats.PressureFlushes += int64(len(reclaimed))
@@ -217,7 +223,7 @@ func (c *Cache) Write(now time.Duration, lpn int64, n int) (reclaimed []int64, e
 func (c *Cache) Flush(now time.Duration) []int64 {
 	out := c.popOldest(c.flushBuf[:0], now-c.cfg.Expire, math.MaxInt)
 	c.stats.ExpiredFlushes += int64(len(out))
-	if over := len(c.index) - c.cfg.FlushLimit(); over > 0 {
+	if over := c.index.Len() - c.cfg.FlushLimit(); over > 0 {
 		out = c.popOldest(out, allAges, over)
 		c.stats.PressureFlushes += int64(over)
 	}
@@ -255,7 +261,7 @@ func (c *Cache) popOldest(dst []int64, cutoff time.Duration, max int) []int64 {
 // (ties by LPN).
 func (c *Cache) DirtyPages() []DirtyPage {
 	c.rethread()
-	out := make([]DirtyPage, 0, len(c.index))
+	out := make([]DirtyPage, 0, c.index.Len())
 	for s := c.head; s != noSlot; s = c.slab[s].next {
 		out = append(out, DirtyPage{LPN: c.slab[s].lpn, LastUpdate: c.slab[s].last})
 	}
@@ -283,7 +289,6 @@ func (c *Cache) ScanDirty(track bool, visit func(pg DirtyPage, firstSeen time.Du
 		for i := range c.firstSeen {
 			c.firstSeen[i] = unseen
 		}
-		c.carried = make(map[int64]time.Duration)
 	}
 	for s := c.head; s != noSlot; s = c.slab[s].next {
 		e := &c.slab[s]
@@ -298,21 +303,21 @@ func (c *Cache) ScanDirty(track bool, visit func(pg DirtyPage, firstSeen time.Du
 		visit(DirtyPage{LPN: e.lpn, LastUpdate: e.last}, first, seen)
 	}
 	if track {
-		clear(c.carried)
+		c.carried.Clear()
 	}
 }
 
 // IsDirty reports whether lpn currently has a dirty copy in the cache —
 // reads of such pages are served from RAM without touching the device.
 func (c *Cache) IsDirty(lpn int64) bool {
-	_, ok := c.index[lpn]
+	_, ok := c.index.Get(lpn)
 	return ok
 }
 
 // Drop discards a dirty page without writing it back (e.g. the file was
 // deleted). It reports whether the page was dirty.
 func (c *Cache) Drop(lpn int64) bool {
-	s, ok := c.index[lpn]
+	s, ok := c.index.Get(lpn)
 	if ok {
 		c.remove(s)
 	}
@@ -332,11 +337,9 @@ func (c *Cache) alloc(lpn int64) int32 {
 		}
 	}
 	c.slab[s].lpn = lpn
-	c.index[lpn] = s
-	if len(c.carried) > 0 {
-		if first, ok := c.carried[lpn]; ok {
-			c.firstSeen[s] = first
-		}
+	c.index.Set(lpn, s)
+	if first, ok := c.carried.Get(lpn); ok {
+		c.firstSeen[s] = first
 	}
 	return s
 }
@@ -345,10 +348,10 @@ func (c *Cache) alloc(lpn int64) int32 {
 func (c *Cache) remove(s int32) {
 	c.unlink(s)
 	lpn := c.slab[s].lpn
-	delete(c.index, lpn)
+	c.index.Delete(lpn)
 	if c.firstSeen != nil {
 		if c.firstSeen[s] != unseen {
-			c.carried[lpn] = c.firstSeen[s]
+			c.carried.Set(lpn, c.firstSeen[s])
 		}
 		c.firstSeen[s] = unseen
 	}
@@ -388,7 +391,7 @@ func (c *Cache) rethread() {
 	if !c.reorder {
 		return
 	}
-	slots := make([]int32, 0, len(c.index))
+	slots := make([]int32, 0, c.index.Len())
 	for s := c.head; s != noSlot; s = c.slab[s].next {
 		slots = append(slots, s)
 	}
@@ -420,7 +423,7 @@ func (c *Cache) CheckConsistency() error {
 		if e.prev != prev {
 			return fmt.Errorf("pagecache: slot %d prev = %d, want %d", s, e.prev, prev)
 		}
-		if got, ok := c.index[e.lpn]; !ok || got != s {
+		if got, ok := c.index.Get(e.lpn); !ok || got != s {
 			return fmt.Errorf("pagecache: slot %d holds lpn %d, index says slot %d (present %v)", s, e.lpn, got, ok)
 		}
 		if prev != noSlot && !c.reorder && c.slab[prev].last > e.last {
@@ -430,8 +433,8 @@ func (c *Cache) CheckConsistency() error {
 	if c.tail != prev {
 		return fmt.Errorf("pagecache: tail = %d, list ends at %d", c.tail, prev)
 	}
-	if n != len(c.index) {
-		return fmt.Errorf("pagecache: age list holds %d pages, index %d", n, len(c.index))
+	if n != c.index.Len() {
+		return fmt.Errorf("pagecache: age list holds %d pages, index %d", n, c.index.Len())
 	}
 	for s := c.free; s != noSlot; s = c.slab[s].next {
 		if s < 0 || int(s) >= len(c.slab) || visited[s] {

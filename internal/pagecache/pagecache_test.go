@@ -1,6 +1,8 @@
 package pagecache
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -56,8 +58,21 @@ func TestNwb(t *testing.T) {
 
 func TestWriteValidatesArguments(t *testing.T) {
 	c := newCache(t, testConfig())
-	if _, err := c.Write(0, -1, 1); err == nil {
-		t.Error("negative LPN accepted")
+	// The index stores only non-negative LPNs (lpnmap panics on others), so
+	// Write has to turn these away itself, by name.
+	for _, w := range []struct {
+		lpn int64
+		n   int
+	}{{-1, 1}, {math.MinInt64, 1}, {math.MaxInt64, 2}, {math.MaxInt64 - 2, 3}} {
+		if _, err := c.Write(0, w.lpn, w.n); !errors.Is(err, ErrBadLPN) {
+			t.Errorf("Write(lpn %d, %d pages) = %v, want ErrBadLPN", w.lpn, w.n, err)
+		}
+	}
+	if c.IsDirty(-1) || c.Drop(-1) || c.DirtyPageCount() != 0 {
+		t.Error("a negative LPN is dirty, or a rejected write left pages behind")
+	}
+	if _, err := c.Write(0, math.MaxInt64-2, 2); err != nil {
+		t.Errorf("write ending at the last LPN: %v", err)
 	}
 	if _, err := c.Write(0, 0, 0); err == nil {
 		t.Error("zero-length write accepted")
@@ -269,10 +284,10 @@ func TestCheckConsistencyViolations(t *testing.T) {
 		{"list cycle", func(c *Cache) { c.slab[c.tail].next = c.head }, "revisits"},
 		{"list leaves slab", func(c *Cache) { c.slab[c.tail].next = 99 }, "leaves the slab"},
 		{"back link", func(c *Cache) { c.slab[c.tail].prev = c.head }, "prev ="},
-		{"index points elsewhere", func(c *Cache) { c.index[c.slab[c.head].lpn] = c.tail }, "index says"},
+		{"index points elsewhere", func(c *Cache) { c.index.Set(c.slab[c.head].lpn, c.tail) }, "index says"},
 		{"age order", func(c *Cache) { c.slab[c.head].last = time.Hour }, "age order broken"},
 		{"tail", func(c *Cache) { c.tail = c.head }, "tail ="},
-		{"index entry with no slot", func(c *Cache) { c.index[1000] = 0 }, "index 5"},
+		{"index entry with no slot", func(c *Cache) { c.index.Set(1000, 0) }, "index 5"},
 		{"free list reaches live slot", func(c *Cache) { c.slab[c.free].next = c.head }, "free list reaches"},
 		{"leaked slot", func(c *Cache) { c.free = noSlot }, "neither dirty nor free"},
 		{"first-seen track short", func(c *Cache) { c.firstSeen = c.firstSeen[:1] }, "first-seen track"},
@@ -299,5 +314,43 @@ func TestCheckConsistencyViolations(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestCacheSteadyStateZeroAlloc: once the slab and the index have reached
+// their working size, the per-page operations of a request allocate nothing —
+// an overwrite, a dirty check that hits and one that misses, and a page
+// dropped and written again (an index delete and insert at constant size).
+func TestCacheSteadyStateZeroAlloc(t *testing.T) {
+	c := newCache(t, testConfig())
+	const n = 600
+	for lpn := int64(0); lpn < n; lpn++ {
+		if _, err := c.Write(0, lpn*3, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.ScanDirty(true, func(DirtyPage, time.Duration, bool) {}) // with the first-seen carry live
+	now, lpn := time.Duration(0), int64(0)
+	cycle := func() {
+		now += time.Millisecond
+		p := lpn % n * 3
+		c.Write(now, p, 1)
+		if !c.IsDirty(p) || c.IsDirty(p+1) {
+			t.Fatal("IsDirty wrong")
+		}
+		if !c.Drop(p) {
+			t.Fatal("Drop missed a dirty page")
+		}
+		c.Write(now, p, 1)
+		lpn++
+	}
+	for i := 0; i < n; i++ { // every page through the carry once: it too is at size
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
+		t.Errorf("overwrite + IsDirty + Drop/Write allocates %.2f times per run, want 0", avg)
+	}
+	if err := c.CheckConsistency(); err != nil {
+		t.Error(err)
 	}
 }

@@ -98,5 +98,5 @@ func (Postmark) Generate(p Params) ([]trace.Request, error) {
 			e.emitWrite(f.lpn, f.pages)
 		}
 	}
-	return e.reqs[:p.Ops], nil
+	return e.reqs, nil
 }

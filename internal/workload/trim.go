@@ -116,6 +116,12 @@ type churnExtent struct {
 
 // Generate implements Generator.
 func (c FileChurn) Generate(p Params) ([]trace.Request, error) {
+	return c.generate(p, &holeList{})
+}
+
+// generate runs the churn over free, the (empty) pool its unlinked extents go
+// to; tests pass the linear-scan oracle.
+func (c FileChurn) generate(p Params, free holePool) ([]trace.Request, error) {
 	if err := c.validate(p); err != nil {
 		return nil, err
 	}
@@ -128,7 +134,6 @@ func (c FileChurn) Generate(p Params) ([]trace.Request, error) {
 
 	var (
 		live       []churnExtent
-		free       []churnExtent // trimmed extents awaiting reuse
 		livePages  int64
 		freePages  int64 // pages currently trimmed (or reclaimed, when ChurnRate = 0)
 		cursor     = churnJournalPages
@@ -151,16 +156,7 @@ func (c FileChurn) Generate(p Params) ([]trace.Request, error) {
 	// a last resort it evicts a random live file and reuses its slot (the
 	// no-discard overwrite path that keeps ChurnRate = 0 meaningful).
 	allocate := func(pages int) (churnExtent, bool) {
-		for i, f := range free {
-			if f.pages < pages {
-				continue
-			}
-			ext := churnExtent{lpn: f.lpn, pages: pages}
-			if f.pages == pages {
-				free = append(free[:i], free[i+1:]...)
-			} else {
-				free[i] = churnExtent{lpn: f.lpn + int64(pages), pages: f.pages - pages}
-			}
+		if ext, ok := free.alloc(pages); ok {
 			freePages -= int64(pages)
 			return ext, true
 		}
@@ -169,15 +165,7 @@ func (c FileChurn) Generate(p Params) ([]trace.Request, error) {
 			cursor += int64(pages)
 			return ext, true
 		}
-		if len(free) > 0 { // shrink into the largest hole
-			best := 0
-			for i, f := range free {
-				if f.pages > free[best].pages {
-					best = i
-				}
-			}
-			ext := free[best]
-			free = append(free[:best], free[best+1:]...)
+		if ext, ok := free.allocLargest(); ok { // shrink into the largest hole
 			freePages -= int64(ext.pages)
 			return ext, true
 		}
@@ -208,7 +196,7 @@ func (c FileChurn) Generate(p Params) ([]trace.Request, error) {
 		live[j] = live[len(live)-1]
 		live = live[:len(live)-1]
 		livePages -= int64(ext.pages)
-		free = append(free, ext)
+		free.push(ext)
 		freePages += int64(ext.pages)
 		if c.ChurnRate > 0 {
 			// discard-on-unlink: the whole extent reaches the device as TRIM.
@@ -236,7 +224,7 @@ func (c FileChurn) Generate(p Params) ([]trace.Request, error) {
 			create()
 		}
 	}
-	return e.reqs[:p.Ops], nil
+	return e.reqs, nil
 }
 
 // LogStructured is the SSDFS-style append-only log host profile.
@@ -362,5 +350,5 @@ func (l LogStructured) Generate(p Params) ([]trace.Request, error) {
 			fill = 0
 		}
 	}
-	return e.reqs[:p.Ops], nil
+	return e.reqs, nil
 }

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"time"
 
+	"jitgc/internal/lpnmap"
 	"jitgc/internal/trace"
 )
 
@@ -85,21 +86,26 @@ const coalesceExpire = 30 * time.Second
 type engine struct {
 	r            *rand.Rand
 	reqs         []trace.Request
+	ops          int   // stream length; 0 for unlimited
 	writtenPages int64 // effective device-bound volume
 	directPages  int64
 	directTarget float64
 	pendingThink time.Duration
 
-	clock time.Duration           // approximate stream time (sum of thinks)
-	dirty map[int64]time.Duration // lpn → last buffered write, for coalescing
+	clock time.Duration             // approximate stream time (sum of thinks)
+	dirty lpnmap.Map[time.Duration] // lpn → last buffered write, for coalescing
 }
 
-func newEngine(seed int64, directTarget float64, capacity int) *engine {
+// newEngine returns an engine for a stream of ops requests. A generator whose
+// loop turn emits several requests would otherwise run past ops on its last
+// turn and grow the slice for requests it then cuts off, so emit drops
+// anything beyond ops; 0 (tests driving the engine by hand) means no limit.
+func newEngine(seed int64, directTarget float64, ops int) *engine {
 	return &engine{
 		r:            rand.New(rand.NewSource(seed)),
-		reqs:         make([]trace.Request, 0, capacity),
+		reqs:         make([]trace.Request, 0, ops),
+		ops:          ops,
 		directTarget: directTarget,
-		dirty:        make(map[int64]time.Duration),
 	}
 }
 
@@ -119,6 +125,9 @@ const (
 )
 
 func (e *engine) emit(kind trace.Kind, lpn int64, pages int) {
+	if e.ops > 0 && len(e.reqs) == e.ops {
+		return
+	}
 	e.reqs = append(e.reqs, trace.Request{
 		Time:  e.pendingThink,
 		Kind:  kind,
@@ -141,7 +150,7 @@ func (e *engine) emit(kind trace.Kind, lpn int64, pages int) {
 func (e *engine) effectiveBuffered(lpn int64, pages int) int {
 	eff := 0
 	for i := 0; i < pages; i++ {
-		last, ok := e.dirty[lpn+int64(i)]
+		last, ok := e.dirty.Get(lpn + int64(i))
 		if !ok || e.clock-last >= coalesceExpire {
 			eff++
 		}
@@ -152,7 +161,7 @@ func (e *engine) effectiveBuffered(lpn int64, pages int) int {
 // markDirty records buffered pages in the coalescing model.
 func (e *engine) markDirty(lpn int64, pages int) {
 	for i := 0; i < pages; i++ {
-		e.dirty[lpn+int64(i)] = e.clock
+		e.dirty.Set(lpn+int64(i), e.clock)
 	}
 }
 
@@ -191,7 +200,7 @@ func (e *engine) emitRead(lpn int64, pages int) { e.emit(trace.Read, lpn, pages)
 // volume.
 func (e *engine) emitTrim(lpn int64, pages int) {
 	for i := 0; i < pages; i++ {
-		delete(e.dirty, lpn+int64(i))
+		e.dirty.Delete(lpn + int64(i))
 	}
 	e.emit(trace.Trim, lpn, pages)
 }

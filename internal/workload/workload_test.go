@@ -83,6 +83,26 @@ func TestGeneratorsProduceValidBoundedStreams(t *testing.T) {
 	}
 }
 
+// TestGeneratorsFillExactlyTheSliceTheySized: a generator that emits several
+// requests per loop turn (a TRIM plus its journal write) used to run past
+// Ops on its last turn, which doubled the request slice — a full copy, for
+// requests that were then cut off.
+func TestGeneratorsFillExactlyTheSliceTheySized(t *testing.T) {
+	gens := append(All(), DefaultCustom(), NewFileChurn(0.25), NewLogStructured(0.25))
+	for _, g := range gens {
+		for seed := int64(1); seed <= 5; seed++ {
+			p := Params{Seed: seed, Ops: 3001, WorkingSetPages: 4096}
+			reqs, err := g.Generate(p)
+			if err != nil {
+				t.Fatalf("%s: %v", g.Name(), err)
+			}
+			if len(reqs) != p.Ops || cap(reqs) != p.Ops {
+				t.Errorf("%s seed %d: len %d, cap %d, want both %d", g.Name(), seed, len(reqs), cap(reqs), p.Ops)
+			}
+		}
+	}
+}
+
 func TestGeneratorsDeterministic(t *testing.T) {
 	p := testParams()
 	for _, g := range All() {
