@@ -2,6 +2,7 @@ package jitgc
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"jitgc/internal/telemetry"
@@ -76,12 +77,61 @@ func TestExperimentEventStreamsRoundTrip(t *testing.T) {
 	}
 }
 
+// lifetimeEventTypes is the event vocabulary of one full wear-out replay
+// (YCSB × JIT-GC to death, 1.48 M events), recorded here once. Wear-out is
+// an FTL error, not an event, so the run's last event types — the GC
+// bracket and its erase — have all appeared by event 14,639.
+var lifetimeEventTypes = []telemetry.EventType{
+	telemetry.EvRequest, telemetry.EvFlushDecision, telemetry.EvSnapshot,
+	telemetry.EvGCStart, telemetry.EvErase, telemetry.EvGCEnd,
+}
+
+// coveringSink forwards events to next until every one of want types has
+// passed through and a whole binlog block has been written after the block
+// the last of them fell in; from then on it drops them, only noting their
+// types, so the test can tell that the prefix it round-trips covers
+// everything the full run emits. One goroutine emits (Workers: 1).
+type coveringSink struct {
+	next      telemetry.Sink
+	want      int
+	forwarded int64
+	stopAt    int64 // forwarded count to stop at; 0 until covered
+	covered   map[telemetry.EventType]bool
+	all       map[telemetry.EventType]bool
+}
+
+func (c *coveringSink) Emit(ev telemetry.Event) {
+	c.all[ev.Type] = true
+	if c.stopAt > 0 && c.forwarded == c.stopAt {
+		return
+	}
+	c.next.Emit(ev)
+	c.forwarded++
+	c.covered[ev.Type] = true
+	if c.stopAt == 0 && len(c.covered) == c.want {
+		c.stopAt = (c.forwarded/binlog.DefaultBlockEvents + 2) * binlog.DefaultBlockEvents
+	}
+}
+
+func (c *coveringSink) Close() error { return c.next.Close() }
+
+func sortedTypes(set map[telemetry.EventType]bool) []telemetry.EventType {
+	types := make([]telemetry.EventType, 0, len(set))
+	for ty := range set {
+		types = append(types, ty)
+	}
+	slices.Sort(types)
+	return types
+}
+
 // TestLifetimeEventStreamRoundTrip round-trips the wear-out event stream
-// (erase-budget exhaustion, block retirement, the full GC cadence of a
-// device driven to death) through the binary converter. One grid cell
-// stands in for the lifetime experiment's nine: the cells differ only in
-// benchmark and policy, not event vocabulary, and a single wear-out
-// replay already emits a multi-million-event stream.
+// (the full GC cadence of a device driven to death) through the binary
+// converter. One grid cell stands in for the lifetime experiment's nine:
+// the cells differ only in benchmark and policy, not event vocabulary. The
+// replay runs to wear-out, but only the stream's head is recorded — through
+// the first appearance of every event type plus one whole binlog block —
+// because the million requests after that exercise no field combination
+// the head does not; the type sets are compared to prove it.
 func TestLifetimeEventStreamRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wear-out replay; skipped in -short")
@@ -91,15 +141,32 @@ func TestLifetimeEventStreamRoundTrip(t *testing.T) {
 	}
 	var jsonl bytes.Buffer
 	sink := telemetry.NewJSONLSink(&jsonl)
-	opt := Options{Seed: 1, Ops: 30000, Workers: 1, Tracer: telemetry.New(sink)}
+	cover := &coveringSink{
+		next:    sink,
+		want:    len(lifetimeEventTypes),
+		covered: map[telemetry.EventType]bool{},
+		all:     map[telemetry.EventType]bool{},
+	}
+	opt := Options{Seed: 1, Ops: 30000, Workers: 1, Tracer: telemetry.New(cover)}
 	if _, err := RunUntilWearOut("YCSB", JIT(), 25, opt); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if err := sink.Close(); err != nil {
+	if err := cover.Close(); err != nil {
 		t.Fatalf("close sink: %v", err)
 	}
 	if sink.Count() == 0 {
 		t.Fatal("wear-out replay emitted no events")
+	}
+	want := slices.Clone(lifetimeEventTypes)
+	slices.Sort(want)
+	if all := sortedTypes(cover.all); !slices.Equal(all, want) {
+		t.Fatalf("full run emitted types %v, recorded %v: update lifetimeEventTypes", all, want)
+	}
+	if got := sortedTypes(cover.covered); !slices.Equal(got, want) {
+		t.Fatalf("recorded prefix covers types %v of %v", got, want)
+	}
+	if cover.stopAt == 0 || sink.Count() != cover.stopAt {
+		t.Fatalf("recorded %d events, want the stream stopped at %d", sink.Count(), cover.stopAt)
 	}
 	roundTripStream(t, jsonl.Bytes(), sink.Count())
 }

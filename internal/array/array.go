@@ -236,6 +236,11 @@ type Array struct {
 	burnEMA                            []int64 // per-device free-space burn per interval, decaying peak
 	granted, denied, boosted, bypassed int64
 	capNow                             int // token width resolved at the latest interval
+
+	// Per-tick scratch, one slot per device, cleared at the start of every
+	// tick instead of allocated by it.
+	decs []core.Decision // this interval's decisions, as coordinate adjusted them
+	free []int64         // coordinate's per-device writable bytes
 }
 
 // extent is a run of contiguous device-local pages within one request.
@@ -314,6 +319,8 @@ func New(cfg Config, factory sim.PolicyFactory) (*Array, error) {
 		nextTag:     cfg.Devices + cfg.Spares,
 		lastFree:    lastFree,
 		burnEMA:     make([]int64, cfg.Devices),
+		decs:        make([]core.Decision, cfg.Devices),
+		free:        make([]int64, cfg.Devices),
 		capNow:      capNow,
 		perDevPages: perDev,
 		userPages:   perDev * dataDevs,
@@ -373,6 +380,7 @@ func (a *Array) RunClosedLoop(reqs []trace.Request) (Results, error) {
 }
 
 func (a *Array) replay(reqs []trace.Request, closed bool) (Results, error) {
+	a.lat.Reserve(len(reqs))
 	dev := a.cfg.Device
 	if err := sim.Replay(a, reqs, closed, dev.Cache.FlusherPeriod, dev.DrainCache); err != nil {
 		return Results{}, err
@@ -542,7 +550,8 @@ func (a *Array) Tick(t time.Duration) error {
 			a.degrade(t, i, err)
 		}
 	}
-	decs := make([]core.Decision, len(a.devs))
+	decs := a.decs
+	clear(decs)
 	for i, d := range a.devs {
 		if a.degraded[i] != nil {
 			continue
@@ -595,7 +604,8 @@ func (a *Array) coordinate(t time.Duration, decs []core.Decision) {
 	busy := a.intervalReqs > 0
 
 	healthy := 0
-	free := make([]int64, n)
+	free := a.free
+	clear(free)
 	var freeTotal, demandTotal int64
 	var bwTotal, bgcMean float64
 	for i, d := range a.devs {

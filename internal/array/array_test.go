@@ -347,3 +347,22 @@ func TestResultsReportLatencyRecorder(t *testing.T) {
 		}
 	}
 }
+
+// TestTickZeroAlloc: a coordinated write-back tick reuses the array's
+// per-device decision and free-space scratch instead of allocating them.
+func TestTickZeroAlloc(t *testing.T) {
+	dev := tinyDevice()
+	a := newArray(t, Config{Devices: 4, StripePages: 4, Mode: Coordinated, Device: dev})
+	if _, err := a.RunClosedLoop(stream(300, a.UserPages())); err != nil {
+		t.Fatal(err)
+	}
+	now := a.DeviceFreeAt()
+	if avg := testing.AllocsPerRun(100, func() {
+		now += dev.Cache.FlusherPeriod
+		if err := a.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("Tick allocates %.2f times, want 0", avg)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"jitgc/internal/core"
 	"jitgc/internal/sim"
 	"jitgc/internal/telemetry"
 	"jitgc/internal/trace"
@@ -294,6 +295,8 @@ func (a *Array) maybeGrow(t time.Duration) error {
 		a.degraded = append(a.degraded, nil)
 		a.lastFree = append(a.lastFree, -1)
 		a.burnEMA = append(a.burnEMA, 0)
+		a.decs = append(a.decs, core.Decision{})
+		a.free = append(a.free, 0)
 	}
 	a.reshape = &reshapeState{
 		oldN:  oldN,

@@ -169,6 +169,16 @@ func (l *LatencyRecorder) Streaming() bool { return l.hist != nil }
 // merging across array members.
 func (l *LatencyRecorder) Hist() *telemetry.LogHist { return l.hist }
 
+// Reserve makes room for n more samples in one allocation, so a run of
+// known length does not pay for append's doubling (every sample copied
+// about once more, and a backing array up to twice the run). It is a no-op
+// in streaming mode, which retains no samples.
+func (l *LatencyRecorder) Reserve(n int) {
+	if l.hist == nil {
+		l.samples = slices.Grow(l.samples, n)
+	}
+}
+
 // Add records one latency sample.
 func (l *LatencyRecorder) Add(d time.Duration) {
 	if l.hist != nil {

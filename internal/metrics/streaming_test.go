@@ -212,3 +212,32 @@ func TestMergeTimelines(t *testing.T) {
 		t.Error("empty input should merge to nil")
 	}
 }
+
+// TestReserve: after Reserve(n) an exact recorder takes n samples without
+// allocating and keeps the ones it had; a streaming recorder retains no
+// samples, so Reserve leaves it as it was.
+func TestReserve(t *testing.T) {
+	var l LatencyRecorder
+	l.Add(7 * time.Millisecond)
+	const n = 1000
+	l.Reserve(n)
+	if avg := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n/2; i++ { // AllocsPerRun calls this twice
+			l.Add(time.Duration(i))
+		}
+	}); avg != 0 {
+		t.Errorf("Add after Reserve allocates %.0f times over the reserved samples, want 0", avg)
+	}
+	if s := l.Samples(); len(s) != n+1 || s[0] != 7*time.Millisecond || l.Count() != n+1 {
+		t.Errorf("%d samples (count %d), first %v; want %d starting with 7ms", len(s), l.Count(), s[0], n+1)
+	}
+
+	s := NewStreamingLatencyRecorder()
+	s.Add(7 * time.Millisecond)
+	before := s.Hist().FootprintBytes()
+	s.Reserve(1 << 20)
+	if s.Samples() != nil || s.Hist().FootprintBytes() != before || s.Count() != 1 {
+		t.Errorf("Reserve changed a streaming recorder: %d samples, footprint %d → %d",
+			len(s.Samples()), before, s.Hist().FootprintBytes())
+	}
+}

@@ -261,6 +261,7 @@ func (s *Simulator) RunClosedLoop(reqs []trace.Request) (metrics.Results, error)
 }
 
 func (s *Simulator) replay(reqs []trace.Request, closed bool) (metrics.Results, error) {
+	s.lat.Reserve(len(reqs))
 	if err := Replay(s, reqs, closed, s.cfg.Cache.FlusherPeriod, s.cfg.DrainCache); err != nil {
 		return metrics.Results{}, err
 	}

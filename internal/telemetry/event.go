@@ -2,8 +2,8 @@
 // trace events emitted through pluggable sinks (JSONL writer, bounded
 // in-memory ring), a nil-check-cheap Tracer front end the hot paths call
 // unconditionally, a log-bucketed streaming latency histogram whose memory
-// is constant in sample count, and a debug HTTP server exposing pprof and
-// runtime metrics for long-running experiment grids.
+// is bounded whatever the sample count, and a debug HTTP server exposing
+// pprof and runtime metrics for long-running experiment grids.
 //
 // The design constraint is that a disabled tracer costs nothing measurable:
 // every emit helper is a method on a possibly-nil *Tracer and returns after

@@ -86,19 +86,38 @@ type source struct {
 	sched *scheduler
 	now   time.Duration // time of the latest arrival or dispatch
 
-	streams [][]trace.Request // per-tenant, absolute arrival times, sorted
-	nextIdx []int             // next unoffered request per tenant
+	tenants []tenantState
 
 	// Min-heap of tenants with arrivals left, keyed by next arrival time
 	// (ties broken by tenant index, so interleavings are deterministic).
-	heap []int32
+	// Each entry carries its key, so ordering the heap never reads a stream.
+	heap []arrival
+}
 
-	class      []int // tenant → class index
-	hists      []*telemetry.LogHist
-	arrivalsBy []int64
-	dropsBy    []int64
-	doneBy     []int64
-	violBy     []int64
+// tenantState is everything the source keeps for one tenant besides its
+// queue: the request stream, the verdict ledger, and the latency histogram,
+// which holds no sample storage until the tenant completes a request.
+type tenantState struct {
+	stream []trace.Request // absolute arrival times, sorted
+	next   int             // index of the next unoffered request
+	class  int             // index into cfg.Classes
+	hist   *telemetry.LogHist
+
+	arrivals, drops, done, viol int64
+}
+
+// arrival is one heap entry: a tenant and the time of its next unoffered
+// request.
+type arrival struct {
+	at     time.Duration
+	tenant int32
+}
+
+func (a arrival) before(b arrival) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.tenant < b.tenant
 }
 
 // New builds an engine: it validates the configuration, synthesizes every
@@ -125,16 +144,9 @@ func New(cfg Config, factory sim.PolicyFactory) (*Engine, error) {
 func newSource(cfg Config) (*source, error) {
 	n := cfg.Tenants
 	e := &source{
-		cfg:        cfg,
-		streams:    make([][]trace.Request, n),
-		nextIdx:    make([]int, n),
-		heap:       make([]int32, 0, n),
-		class:      make([]int, n),
-		hists:      make([]*telemetry.LogHist, n),
-		arrivalsBy: make([]int64, n),
-		dropsBy:    make([]int64, n),
-		doneBy:     make([]int64, n),
-		violBy:     make([]int64, n),
+		cfg:     cfg,
+		tenants: make([]tenantState, n),
+		heap:    make([]arrival, 0, n),
 	}
 
 	// Each tenant owns a disjoint slice of the logical space, runs one of
@@ -144,9 +156,8 @@ func newSource(cfg Config) (*source, error) {
 	gens := workload.All()
 	weights := make([]int64, n)
 	for t := 0; t < n; t++ {
-		e.class[t] = t % len(cfg.Classes)
-		weights[t] = cfg.Classes[e.class[t]].Weight
-		e.hists[t] = telemetry.NewLogHist()
+		class := t % len(cfg.Classes)
+		weights[t] = cfg.Classes[class].Weight
 
 		gen := gens[t%len(gens)]
 		reqs, err := gen.Generate(workload.Params{
@@ -168,8 +179,8 @@ func newSource(cfg Config) (*source, error) {
 			reqs[i].Time = at
 			reqs[i].LPN += base
 		}
-		e.streams[t] = reqs
-		e.heapPush(int32(t))
+		e.tenants[t] = tenantState{stream: reqs, class: class, hist: telemetry.NewLogHist()}
+		e.heapPush(arrival{at: reqs[0].Time, tenant: int32(t)})
 	}
 	e.sched = newScheduler(weights, cfg.Quantum, cfg.QueueDepth)
 	return e, nil
@@ -178,25 +189,12 @@ func newSource(cfg Config) (*source, error) {
 // Sim returns the shared device simulator, for inspection in tests.
 func (e *Engine) Sim() *sim.Simulator { return e.sim }
 
-// nextArrival is the heap key: tenant t's next unoffered arrival time.
-func (e *source) nextArrival(t int32) time.Duration {
-	return e.streams[t][e.nextIdx[t]].Time
-}
-
-func (e *source) heapLess(a, b int32) bool {
-	ta, tb := e.nextArrival(a), e.nextArrival(b)
-	if ta != tb {
-		return ta < tb
-	}
-	return a < b
-}
-
-func (e *source) heapPush(t int32) {
-	e.heap = append(e.heap, t)
+func (e *source) heapPush(a arrival) {
+	e.heap = append(e.heap, a)
 	i := len(e.heap) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.heapLess(e.heap[i], e.heap[parent]) {
+		if !e.heap[i].before(e.heap[parent]) {
 			break
 		}
 		e.heap[i], e.heap[parent] = e.heap[parent], e.heap[i]
@@ -204,28 +202,41 @@ func (e *source) heapPush(t int32) {
 	}
 }
 
-func (e *source) heapPop() int32 {
-	top := e.heap[0]
-	last := len(e.heap) - 1
-	e.heap[0] = e.heap[last]
-	e.heap = e.heap[:last]
-	i := 0
-	for {
+// takeArrival removes the earliest pending arrival, counts it, and returns
+// its tenant and request. The tenant's following request, if it has one,
+// replaces the top in place — otherwise the last entry does — and one
+// sift-down restores heap order: the same sequence a pop followed by a push
+// yields, at half the moves.
+func (e *source) takeArrival() (int32, trace.Request) {
+	t := e.heap[0].tenant
+	ts := &e.tenants[t]
+	req := ts.stream[ts.next]
+	ts.next++
+	ts.arrivals++
+	h := e.heap
+	if ts.next < len(ts.stream) {
+		h[0].at = ts.stream[ts.next].Time
+	} else {
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		e.heap = h
+	}
+	for i := 0; ; {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < last && e.heapLess(e.heap[l], e.heap[min]) {
+		if l < len(h) && h[l].before(h[min]) {
 			min = l
 		}
-		if r < last && e.heapLess(e.heap[r], e.heap[min]) {
+		if r < len(h) && h[r].before(h[min]) {
 			min = r
 		}
 		if min == i {
 			break
 		}
-		e.heap[i], e.heap[min] = e.heap[min], e.heap[i]
+		h[i], h[min] = h[min], h[i]
 		i = min
 	}
-	return top
+	return t, req
 }
 
 // Run executes the engine to completion: every arrival offered, every
@@ -246,7 +257,7 @@ func (e *source) NextAt(dev sim.Device) (t time.Duration, ok bool) {
 		t, ok = max(dev.DeviceFreeAt(), e.now), true
 	}
 	if len(e.heap) > 0 {
-		if tArr := e.nextArrival(e.heap[0]); !ok || tArr <= t {
+		if tArr := e.heap[0].at; !ok || tArr <= t {
 			return tArr, true
 		}
 	}
@@ -257,16 +268,10 @@ func (e *source) NextAt(dev sim.Device) (t time.Duration, ok bool) {
 // else the dispatch.
 func (e *source) Fire(now time.Duration, dev sim.Device) error {
 	e.now = now
-	if len(e.heap) > 0 && e.nextArrival(e.heap[0]) <= now {
-		t := e.heapPop()
-		r := e.streams[t][e.nextIdx[t]]
-		e.nextIdx[t]++
-		e.arrivalsBy[t]++
+	if len(e.heap) > 0 && e.heap[0].at <= now {
+		t, r := e.takeArrival()
 		if !e.sched.admit(int(t), pending{arrival: r.Time, req: r}) {
-			e.dropsBy[t]++
-		}
-		if e.nextIdx[t] < len(e.streams[t]) {
-			e.heapPush(t)
+			e.tenants[t].drops++
 		}
 		return nil
 	}
@@ -278,10 +283,11 @@ func (e *source) Fire(now time.Duration, dev sim.Device) error {
 		return fmt.Errorf("tenant %d: %w", t, err)
 	}
 	lat := comp - p.arrival // runs from queue arrival
-	e.hists[t].Add(int64(lat))
-	e.doneBy[t]++
-	if lat > e.cfg.Classes[e.class[t]].SLO {
-		e.violBy[t]++
+	ts := &e.tenants[t]
+	ts.hist.Add(int64(lat))
+	ts.done++
+	if lat > e.cfg.Classes[ts.class].SLO {
+		ts.viol++
 	}
 	return nil
 }
@@ -306,17 +312,18 @@ func (e *source) results(device metrics.Results) Results {
 			Hist:  telemetry.NewLogHist(),
 		}
 	}
-	for t := 0; t < e.cfg.Tenants; t++ {
-		ci := e.class[t]
+	for t := range e.tenants {
+		ts := &e.tenants[t]
+		ci := ts.class
 		cl := e.cfg.Classes[ci]
-		p999 := time.Duration(e.hists[t].Quantile(0.999))
+		p999 := time.Duration(ts.hist.Quantile(0.999))
 		tr := TenantResult{
 			Tenant:     t,
 			Class:      cl,
-			Arrivals:   e.arrivalsBy[t],
-			Dropped:    e.dropsBy[t],
-			Completed:  e.doneBy[t],
-			Violations: e.violBy[t],
+			Arrivals:   ts.arrivals,
+			Dropped:    ts.drops,
+			Completed:  ts.done,
+			Violations: ts.viol,
 			P999:       p999,
 			SLOMet:     p999 <= cl.SLO,
 		}
@@ -326,7 +333,7 @@ func (e *source) results(device metrics.Results) Results {
 		if tr.SLOMet {
 			res.SLOMet++
 		}
-		res.Hist.Merge(e.hists[t])
+		res.Hist.Merge(ts.hist)
 
 		c := &res.PerClass[ci]
 		c.Tenants++
@@ -337,7 +344,7 @@ func (e *source) results(device metrics.Results) Results {
 		if tr.SLOMet {
 			c.SLOMet++
 		}
-		c.Hist.Merge(e.hists[t])
+		c.Hist.Merge(ts.hist)
 
 		e.cfg.Device.Tracer.TenantSummary(res.Device.SimTime, t, cl.Name,
 			tr.Completed, tr.Dropped, tr.Violations, p999)

@@ -1,8 +1,11 @@
 package tenant
 
 import (
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"jitgc/internal/array"
@@ -11,6 +14,7 @@ import (
 	"jitgc/internal/nand"
 	"jitgc/internal/pagecache"
 	"jitgc/internal/sim"
+	"jitgc/internal/trace"
 )
 
 // tinyDevice builds a small but GC-capable shared device: 32 blocks × 16
@@ -223,5 +227,159 @@ func TestTenantsOnParityArray(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, res2) {
 		t.Error("tenant record differs on a repeat run")
+	}
+}
+
+// indexHeap is the arrival heap as it was before entries carried their
+// keys — tenant indices ordered through streams[t][nextIdx[t]].Time, an
+// arrival popped and the tenant pushed back — kept as the oracle for
+// takeArrival's replace-the-top-and-sift-once.
+type indexHeap struct {
+	streams [][]trace.Request
+	nextIdx []int
+	heap    []int32
+}
+
+func (e *indexHeap) less(a, b int32) bool {
+	ta, tb := e.streams[a][e.nextIdx[a]].Time, e.streams[b][e.nextIdx[b]].Time
+	if ta != tb {
+		return ta < tb
+	}
+	return a < b
+}
+
+func (e *indexHeap) heapPush(t int32) {
+	e.heap = append(e.heap, t)
+	i := len(e.heap) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.less(e.heap[i], e.heap[parent]) {
+			break
+		}
+		e.heap[i], e.heap[parent] = e.heap[parent], e.heap[i]
+		i = parent
+	}
+}
+
+func (e *indexHeap) heapPop() int32 {
+	top := e.heap[0]
+	last := len(e.heap) - 1
+	e.heap[0] = e.heap[last]
+	e.heap = e.heap[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < last && e.less(e.heap[l], e.heap[min]) {
+			min = l
+		}
+		if r < last && e.less(e.heap[r], e.heap[min]) {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		e.heap[i], e.heap[min] = e.heap[min], e.heap[i]
+		i = min
+	}
+	return top
+}
+
+// TestTakeArrivalMatchesPopPush: on random streams whose arrival times
+// collide within and across tenants, takeArrival offers the same (tenant,
+// request) sequence as pop-then-push — earliest first, ties to the lower
+// tenant index — down to the last request.
+func TestTakeArrivalMatchesPopPush(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		streams := make([][]trace.Request, n)
+		total := 0
+		for tn := range streams {
+			streams[tn] = make([]trace.Request, 1+rng.Intn(12))
+			var at time.Duration
+			for i := range streams[tn] {
+				at += time.Duration(rng.Intn(3)) // 0 often: ties everywhere
+				streams[tn][i] = trace.Request{Time: at, LPN: int64(total), Pages: 1}
+				total++
+			}
+		}
+		src := &source{tenants: make([]tenantState, n)}
+		ref := &indexHeap{streams: streams, nextIdx: make([]int, n)}
+		for tn := range streams {
+			src.tenants[tn].stream = streams[tn]
+			src.heapPush(arrival{at: streams[tn][0].Time, tenant: int32(tn)})
+			ref.heapPush(int32(tn))
+		}
+		for i := 0; i < total; i++ {
+			wt := ref.heapPop()
+			wr := streams[wt][ref.nextIdx[wt]]
+			if ref.nextIdx[wt]++; ref.nextIdx[wt] < len(streams[wt]) {
+				ref.heapPush(wt)
+			}
+			if at := src.heap[0].at; at != wr.Time {
+				t.Logf("seed %d arrival %d: top key %v, want %v", seed, i, at, wr.Time)
+				return false
+			}
+			if gt, gr := src.takeArrival(); gt != wt || gr != wr {
+				t.Logf("seed %d arrival %d: took tenant %d %+v, pop+push tenant %d %+v", seed, i, gt, gr, wt, wr)
+				return false
+			}
+		}
+		if len(src.heap) != 0 {
+			t.Logf("seed %d: %d entries left after the last arrival", seed, len(src.heap))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTenantFootprint is the guard on "a tenant costs what it uses": a
+// 10,000-tenant engine that has run its 16 requests per tenant holds under
+// 4 KiB of live heap per tenant — streams, queue, histogram and ledgers; the
+// shared device is set aside before measuring. With a bucket array and a
+// QueueDepth-slot ring per tenant from birth it held over 18 KiB.
+func TestTenantFootprint(t *testing.T) {
+	const tenants = 10000
+	dev := tinyDevice()
+	dev.FTL.Geometry.BlocksPerChip = 10240 // 327,680 pages: twenty per tenant fit in user space
+	cfg := Config{
+		Tenants:         tenants,
+		OpsPerTenant:    16,
+		Arrival:         MMPP,
+		Rate:            0.01,
+		WorkingSetPages: 20 * tenants, // tinyEngineConfig's slice: small, and every workload profile accepts it
+		Seed:            1,
+		Device:          dev,
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := liveHeap()
+	eng, err := New(cfg, lazyFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.sim = nil
+	after := liveHeap()
+	runtime.KeepAlive(eng)
+	if res.Completed+res.Dropped != tenants*16 {
+		t.Fatalf("completed %d + dropped %d of %d requests", res.Completed, res.Dropped, tenants*16)
+	}
+	perTenant := float64(after-before) / tenants
+	t.Logf("%.0f B live per tenant (%d completed, %d dropped, peak queue depth %d)",
+		perTenant, res.Completed, res.Dropped, res.PeakQueueDepth)
+	if perTenant > 4096 {
+		t.Errorf("%.0f B live heap per tenant, want ≤ 4096", perTenant)
 	}
 }

@@ -14,23 +14,42 @@ type pending struct {
 	req     trace.Request
 }
 
-// ring is a fixed-capacity FIFO of pending requests — one bounded tenant
-// queue. Admission past capacity is the caller's drop decision; the ring
-// itself never grows, so the steady-state dispatch path allocates nothing.
+// ring is a bounded FIFO of pending requests — one tenant queue. Admission
+// past the bound is the caller's drop decision. Storage follows use: nothing
+// until the first push, then ringMinSlots, doubling (never past the bound)
+// when a push finds it full — measured peak depth is 2 against a default
+// bound of 64 — so the dispatch path allocates only while a queue is
+// reaching a depth it has not held before.
 type ring struct {
-	buf  []pending
-	head int
-	n    int
+	buf   []pending
+	head  int
+	n     int
+	limit int // the bound: QueueDepth
 }
 
-func newRing(capacity int) ring { return ring{buf: make([]pending, capacity)} }
+// ringMinSlots is a ring's first allocation (or its bound, if smaller).
+const ringMinSlots = 4
+
+func newRing(limit int) ring { return ring{limit: limit} }
 
 func (q *ring) len() int   { return q.n }
-func (q *ring) full() bool { return q.n == len(q.buf) }
+func (q *ring) full() bool { return q.n == q.limit }
 
 func (q *ring) push(p pending) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
 	q.buf[(q.head+q.n)%len(q.buf)] = p
 	q.n++
+}
+
+// grow doubles the full storage, up to limit, unwrapping the queue to the
+// front.
+func (q *ring) grow() {
+	buf := make([]pending, min(max(2*len(q.buf), ringMinSlots), q.limit))
+	n := copy(buf, q.buf[q.head:])
+	copy(buf[n:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
 func (q *ring) peek() pending { return q.buf[q.head] }

@@ -99,6 +99,7 @@ func TestSchedulerMatchesReference(t *testing.T) {
 		ref := newRefScheduler(weights, quantum, depth)
 
 		var offered int64
+		everAdmitted := make([]bool, n)
 		for op := 0; op < 400; op++ {
 			if rng.Intn(3) != 0 { // 2/3 admits, 1/3 dispatches
 				tn := rng.Intn(n)
@@ -107,10 +108,12 @@ func TestSchedulerMatchesReference(t *testing.T) {
 					req:     trace.Request{LPN: int64(op), Pages: 1 + rng.Intn(4)},
 				}
 				offered++
-				if got, want := s.admit(tn, p), ref.admit(tn, p); got != want {
+				got, want := s.admit(tn, p), ref.admit(tn, p)
+				if got != want {
 					t.Logf("seed %d op %d: admit(%d) = %v, reference %v", seed, op, tn, got, want)
 					return false
 				}
+				everAdmitted[tn] = everAdmitted[tn] || got
 			} else {
 				gt, gp, gok := s.dispatch()
 				wt, wp, wok := ref.dispatch()
@@ -138,6 +141,12 @@ func TestSchedulerMatchesReference(t *testing.T) {
 				if s.queuedAt(tn) > depth {
 					t.Logf("seed %d op %d: tenant %d depth %d exceeds bound %d",
 						seed, op, tn, s.queuedAt(tn), depth)
+					return false
+				}
+				// Storage follows use: none before the first admission,
+				// never past the bound.
+				if slots := len(s.queues[tn].buf); slots > depth || (slots > 0) != everAdmitted[tn] {
+					t.Logf("seed %d op %d: tenant %d holds %d slots (bound %d)", seed, op, tn, slots, depth)
 					return false
 				}
 			}
