@@ -35,9 +35,9 @@ test-race:
 # The benchmark harness under bench/ is a nested module (its own go.mod), so
 # ./... above never reaches it; its tests check the harness against the
 # simulator's public API, including that the stepped driver reproduces
-# RunClosedLoop.
+# RunClosedLoop. vet above stops at the module boundary too.
 bench-test:
-	cd bench && $(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fail if total statement coverage of internal/... falls below the
 # baseline recorded in ci/coverage-baseline.txt. Raise the baseline when

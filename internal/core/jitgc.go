@@ -91,7 +91,8 @@ func (j *JITGC) ObserveDirect(bytes int64) { j.direct.Observe(bytes) }
 
 // Predict exposes the combined prediction at time now (used by tests and
 // by OnInterval). It shares the predictors' buffers: valid only until the
-// next Predict or OnInterval call.
+// next Predict or OnInterval call. Its SIP change is relative to the
+// previous call's, so a caller feeding an FTL must not skip one.
 func (j *JITGC) Predict(now time.Duration) predictor.Prediction {
 	dbuf, sip := j.buffered.Predict(now)
 	return predictor.Prediction{Buffered: dbuf, Direct: j.direct.Predict(), SIP: sip}
@@ -113,7 +114,6 @@ func (j *JITGC) OnInterval(now time.Duration, view DeviceView) Decision {
 	d := Decision{PredictedBytes: p.Total()}
 	if !j.DisableSIP {
 		d.SIP = p.SIP
-		d.HasSIP = true
 	}
 
 	d.ReclaimBytes = Schedule(demand, view.FreeBytes(), j.interval,

@@ -145,13 +145,19 @@ func TestJITGCReservesForFlushWave(t *testing.T) {
 	for at := 5 * time.Second; at <= 30*time.Second; at += 5 * time.Second {
 		cache.Flush(at)
 		dec = j.OnInterval(at, fakeView{free: mb, bw: 8 * mb, bgc: 2 * mb, idleFrac: 1})
+		// The 2000 dirty pages are installed once, by the first decision;
+		// nothing changes in the cache afterwards, so nothing is sent.
+		wantAdd := 0
+		if at == 5*time.Second {
+			wantAdd = 2000
+		}
+		if dec.SIP.Reset != (wantAdd > 0) || len(dec.SIP.Add) != wantAdd || len(dec.SIP.Drop) != 0 {
+			t.Errorf("SIP change at %v: reset=%v add=%d drop=%d", at, dec.SIP.Reset, len(dec.SIP.Add), len(dec.SIP.Drop))
+		}
 	}
 	want := int64(2000*4096) - mb
 	if dec.ReclaimBytes < want {
 		t.Errorf("reclaim at t=30s = %d, want ≥ %d (the flush wave shortfall)", dec.ReclaimBytes, want)
-	}
-	if !dec.HasSIP || len(dec.SIP) != 2000 {
-		t.Errorf("SIP list: has=%v len=%d, want 2000 dirty pages", dec.HasSIP, len(dec.SIP))
 	}
 	if dec.PredictedBytes < int64(2000*4096) {
 		t.Errorf("predicted = %d, want ≥ the dirty volume", dec.PredictedBytes)
@@ -164,8 +170,8 @@ func TestJITGCNoDemandNoReclaim(t *testing.T) {
 	if dec.ReclaimBytes != 0 {
 		t.Errorf("reclaim with empty cache = %d", dec.ReclaimBytes)
 	}
-	if !dec.HasSIP || len(dec.SIP) != 0 {
-		t.Errorf("SIP: has=%v len=%d, want empty list present", dec.HasSIP, len(dec.SIP))
+	if !dec.SIP.Reset || len(dec.SIP.Add) != 0 {
+		t.Errorf("SIP change %+v, want the empty set installed", dec.SIP)
 	}
 }
 
@@ -176,7 +182,7 @@ func TestJITGCDisableSIP(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec := j.OnInterval(5*time.Second, fakeView{free: 100 * mb, bw: 8 * mb, bgc: 2 * mb, idleFrac: 1})
-	if dec.HasSIP || dec.SIP != nil {
+	if dec.SIP.Reset || dec.SIP.Add != nil {
 		t.Error("SIP forwarded despite DisableSIP")
 	}
 }
@@ -223,7 +229,7 @@ func TestADPGCPredictsFromDeviceTraffic(t *testing.T) {
 	if dec.ReclaimBytes <= 0 {
 		t.Error("ADP-GC with zero free space reclaims nothing")
 	}
-	if dec.HasSIP {
+	if dec.SIP.Reset || dec.SIP.Add != nil || dec.SIP.Drop != nil {
 		t.Error("ADP-GC must not have SIP information")
 	}
 }

@@ -8,6 +8,8 @@ package core
 import (
 	"fmt"
 	"time"
+
+	"jitgc/internal/predictor"
 )
 
 // DeviceView is the policy-facing view of the SSD at a write-back interval
@@ -35,11 +37,10 @@ type Decision struct {
 	// τ_expire horizon, used for Table 2 accuracy accounting (0 for
 	// non-predictive policies).
 	PredictedBytes int64
-	// SIP is the soon-to-be-invalidated page list to install in the FTL's
-	// victim selector; nil leaves the previous list in place.
-	SIP []int64
-	// HasSIP distinguishes "install empty list" from "no list support".
-	HasSIP bool
+	// SIP is the change to apply to the soon-to-be-invalidated page set in
+	// the FTL's victim selector; the zero value, which is all a policy
+	// without SIP support returns, leaves the set as it is.
+	SIP predictor.SIPChange
 }
 
 // Policy decides, at each write-back interval boundary, whether and how

@@ -27,7 +27,7 @@ func TestFixedReserveReclaimsShortfall(t *testing.T) {
 	if d.ReclaimBytes != 0 {
 		t.Errorf("reclaim above reserve = %d, want 0", d.ReclaimBytes)
 	}
-	if d.HasSIP || d.PredictedBytes != 0 {
+	if d.SIP.Reset || d.SIP.Add != nil || d.PredictedBytes != 0 {
 		t.Error("fixed policy must not predict or forward SIP lists")
 	}
 }

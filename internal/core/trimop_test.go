@@ -108,7 +108,7 @@ func TestTrimOPPredictsFromDeviceWrites(t *testing.T) {
 	if d.PredictedBytes == 0 {
 		t.Error("no write demand predicted from observed device writes")
 	}
-	if d.HasSIP {
+	if d.SIP.Reset || d.SIP.Add != nil || d.SIP.Drop != nil {
 		t.Error("TRIM-OP has no host interface and must not install SIP lists")
 	}
 }

@@ -164,23 +164,24 @@ func (f *FTL) CheckConsistency() error {
 		}
 	}
 
-	// SIP bookkeeping: the bitset holds exactly the listed LPNs, and the
-	// per-block counters must recount exactly.
-	sipCount := make([]int, geo.TotalBlocks())
-	for _, lpn := range f.sipList {
-		if !f.onSIPList(lpn) {
-			return fmt.Errorf("ftl: lpn %d is on the SIP list but not in the SIP bitset", lpn)
-		}
-		if ppn := f.l2p.at(lpn); ppn != unmapped {
-			sipCount[int(ppn)/ppb]++
+	// SIP bookkeeping: the bitset names user pages only, as many as the
+	// installed count says, and the per-block counters must recount exactly
+	// from it.
+	sipPages, sipCount := 0, make([]int, geo.TotalBlocks())
+	for w, word := range f.sipBits {
+		for ; word != 0; word &= word - 1 {
+			lpn := int64(w)<<6 | int64(bits.TrailingZeros64(word))
+			if lpn >= f.userPages {
+				return fmt.Errorf("ftl: SIP bitset holds lpn %d beyond the %d user pages", lpn, f.userPages)
+			}
+			sipPages++
+			if ppn := f.l2p.at(lpn); ppn != unmapped {
+				sipCount[int(ppn)/ppb]++
+			}
 		}
 	}
-	sipBits := 0
-	for _, w := range f.sipBits {
-		sipBits += bits.OnesCount64(w)
-	}
-	if sipBits != len(f.sipList) {
-		return fmt.Errorf("ftl: SIP bitset holds %d pages, SIP list %d", sipBits, len(f.sipList))
+	if sipPages != f.sipPages {
+		return fmt.Errorf("ftl: SIP bitset holds %d pages, installed count says %d", sipPages, f.sipPages)
 	}
 	for b := range sipCount {
 		if f.sipPerBlock[b] != sipCount[b] {

@@ -25,7 +25,7 @@ func checkedFTL(t *testing.T) *FTL {
 			t.Fatalf("rewrite(%d): %v", lpn, err)
 		}
 	}
-	f.SetSIPList([]int64{1, 2, 3})
+	f.UpdateSIP(true, []int64{1, 2, 3}, nil)
 	if err := f.CheckConsistency(); err != nil {
 		t.Fatalf("fresh FTL inconsistent: %v", err)
 	}
@@ -86,8 +86,18 @@ func TestCheckConsistencyViolations(t *testing.T) {
 		}, "free pool floor"},
 		{"collection mark leaked", func(f *FTL) { f.collecting = f.freeBlocks[0] }, "being collected"},
 		{"sip counter drift", func(f *FTL) { f.sipPerBlock[int(f.l2p.at(1))/f.cfg.Geometry.PagesPerBlock]++ }, "SIP pages"},
-		{"sip bit lost", func(f *FTL) { f.sipBits[0] &^= 1 << 2 }, "not in the SIP bitset"},
-		{"sip bit stray", func(f *FTL) { f.sipBits[0] |= 1 << 30 }, "SIP bitset holds 4 pages, SIP list 3"},
+		{"sip bit lost", func(f *FTL) { f.sipBits[0] &^= 1 << 2 }, "SIP bitset holds 2 pages, installed count says 3"},
+		{"sip bit stray", func(f *FTL) { f.sipBits[0] |= 1 << 50 }, "SIP bitset holds 4 pages, installed count says 3"},
+		{"sip bit past the user pages", func(f *FTL) {
+			f.sipBits[len(f.sipBits)-1] |= 1 << 63
+			f.sipPages++
+		}, "beyond the"},
+		{"sip installed count drift", func(f *FTL) { f.sipPages-- }, "installed count says 2"},
+		{"sip counter of an unlisted block", func(f *FTL) {
+			// Every SIP page sits in one block; another block's counter is
+			// one no install or clear walks over any more.
+			f.sipPerBlock[(int(f.l2p.at(1))/f.cfg.Geometry.PagesPerBlock+1)%f.cfg.Geometry.TotalBlocks()] = 1
+		}, "SIP pages"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -188,7 +188,7 @@ type FTL struct {
 
 	lastInvalidate []time.Duration // per block, for cost-benefit selection
 	sipBits        []uint64        // the installed SIP set, one bit per user LPN
-	sipList        []int64         // the LPNs whose bits are set, each once
+	sipPages       int             // how many bits are set
 	sipPerBlock    []int           // count of valid SIP pages per block
 
 	now             time.Duration // advanced by callers via SetNow for age bookkeeping

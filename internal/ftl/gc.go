@@ -141,46 +141,47 @@ func (s SIPGreedy) Select(cands []BlockInfo) int {
 	return best
 }
 
-// SetSIPList installs the current soon-to-be-invalidated page list from the
-// host (paper §3.1/§3.3). It replaces any previous list and recomputes the
-// per-block SIP counters used by SIP-aware victim selection and the
-// wasted-migration metric.
-func (f *FTL) SetSIPList(lpns []int64) {
-	f.clearSIPList()
+// UpdateSIP applies the host's change to the soon-to-be-invalidated page
+// set (paper §3.1/§3.3): with reset the set is emptied first, then the pages
+// in add join it and those in drop leave it. Only the pages named are
+// touched — their bits, and for the mapped ones the per-block SIP counters
+// used by SIP-aware victim selection and the wasted-migration metric. LPNs
+// outside the user capacity, additions already present and removals already
+// absent are ignored.
+func (f *FTL) UpdateSIP(reset bool, add, drop []int64) {
+	if reset && f.sipPages > 0 {
+		clear(f.sipBits)
+		clear(f.sipPerBlock)
+		f.sipPages = 0
+	}
 	ppb := f.cfg.Geometry.PagesPerBlock
-	for _, lpn := range lpns {
-		if lpn < 0 || lpn >= f.userPages {
+	for _, lpn := range add {
+		if lpn < 0 || lpn >= f.userPages || f.onSIPList(lpn) {
 			continue
 		}
-		if f.onSIPList(lpn) {
-			continue // count each page once, however often it is listed
-		}
 		f.sipBits[lpn>>6] |= 1 << (lpn & 63)
-		f.sipList = append(f.sipList, lpn)
+		f.sipPages++
 		if ppn := f.l2p.at(lpn); ppn != unmapped {
 			f.sipPerBlock[int(ppn)/ppb]++
 		}
 	}
-}
-
-// clearSIPList empties the SIP set. It clears the bits the last install
-// set, one by one: the bitset spans every user page, the list is as long as
-// the host's dirty set.
-func (f *FTL) clearSIPList() {
-	for i := range f.sipPerBlock {
-		f.sipPerBlock[i] = 0
-	}
-	for _, lpn := range f.sipList {
+	for _, lpn := range drop {
+		if lpn < 0 || lpn >= f.userPages || !f.onSIPList(lpn) {
+			continue
+		}
 		f.sipBits[lpn>>6] &^= 1 << (lpn & 63)
+		f.sipPages--
+		if ppn := f.l2p.at(lpn); ppn != unmapped {
+			f.sipPerBlock[int(ppn)/ppb]--
+		}
 	}
-	f.sipList = f.sipList[:0]
 }
 
 // onSIPList reports whether lpn, a valid user LPN, is on the SIP list.
 func (f *FTL) onSIPList(lpn int64) bool { return f.sipBits[lpn>>6]&(1<<(lpn&63)) != 0 }
 
 // SIPListSize returns the number of LPNs on the current SIP list.
-func (f *FTL) SIPListSize() int { return len(f.sipList) }
+func (f *FTL) SIPListSize() int { return f.sipPages }
 
 // appendCandidates appends the blocks eligible for collection — fully
 // written, not free, not active, not retired, with something to reclaim —

@@ -115,7 +115,7 @@ func TestSetSIPListCountsPerBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f.SetSIPList([]int64{0, 1, 2, -5, f.UserPages() + 3}) // out-of-range ignored
+	f.UpdateSIP(true, []int64{0, 1, 2, -5, f.UserPages() + 3}, nil) // out-of-range ignored
 	if got := f.SIPListSize(); got != 3 {
 		t.Errorf("SIP list size = %d, want 3", got)
 	}
@@ -125,13 +125,24 @@ func TestSetSIPListCountsPerBlock(t *testing.T) {
 		t.Errorf("sipPerBlock[%d] = %d, want 3", blk0, got)
 	}
 	// Replacing the list resets the counters.
-	f.SetSIPList([]int64{20})
+	f.UpdateSIP(true, []int64{20}, nil)
 	if got := f.sipPerBlock[blk0]; got != 0 {
 		t.Errorf("sipPerBlock[%d] after replace = %d, want 0", blk0, got)
 	}
 	blk20 := int(f.MappedPPN(20)) / 16
 	if got := f.sipPerBlock[blk20]; got != 1 {
 		t.Errorf("sipPerBlock[%d] = %d, want 1", blk20, got)
+	}
+	// A change without reset touches the pages it names and no others; an
+	// addition already present and a removal already absent count nothing.
+	f.UpdateSIP(false, []int64{0, 20}, []int64{1})
+	if f.SIPListSize() != 2 || f.sipPerBlock[blk0] != 1 || f.sipPerBlock[blk20] != 1 {
+		t.Errorf("after +{0,20} −{1}: size %d, blocks %d and %d; want 2, 1 and 1",
+			f.SIPListSize(), f.sipPerBlock[blk0], f.sipPerBlock[blk20])
+	}
+	f.UpdateSIP(false, nil, []int64{20, 20})
+	if f.SIPListSize() != 1 || f.sipPerBlock[blk20] != 0 {
+		t.Errorf("after −{20,20}: size %d, block %d; want 1 and 0", f.SIPListSize(), f.sipPerBlock[blk20])
 	}
 }
 
@@ -142,7 +153,7 @@ func TestSIPCountersFollowOverwrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f.SetSIPList([]int64{5})
+	f.UpdateSIP(true, []int64{5}, nil)
 	if f.sipPerBlock[int(f.MappedPPN(5))/16] != 1 {
 		t.Fatal("setup: SIP page not counted in its block")
 	}
@@ -176,7 +187,7 @@ func TestWastedMigrationAccounting(t *testing.T) {
 	for lpn := int64(0); lpn < f.UserPages(); lpn += 2 {
 		sip = append(sip, lpn)
 	}
-	f.SetSIPList(sip)
+	f.UpdateSIP(true, sip, nil)
 	if _, err := f.ReclaimBackground(64, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +212,7 @@ func TestFilteredSelectionsMetric(t *testing.T) {
 	for lpn := int64(0); lpn < f.UserPages(); lpn += 16 {
 		sip = append(sip, lpn)
 	}
-	f.SetSIPList(sip)
+	f.UpdateSIP(true, sip, nil)
 	// Reclaim until the pool is dry so selection has to dig into blocks
 	// with moderate valid counts, where SIP taint matters.
 	if _, err := f.ReclaimBackground(10000, 0); err != nil {

@@ -204,7 +204,7 @@ func TestSelectVictimZeroAlloc(t *testing.T) {
 			cfg := quickGeometry()
 			cfg.Selector = tc.sel
 			f := steadyFTL(t, cfg)
-			f.SetSIPList([]int64{1, 5, 9, 13}) // give SIP filtering something to chew
+			f.UpdateSIP(true, []int64{1, 5, 9, 13}, nil) // give SIP filtering something to chew
 			for _, fg := range []bool{false, true} {
 				if avg := testing.AllocsPerRun(200, func() {
 					if _, ok := f.pickVictim(fg); !ok {

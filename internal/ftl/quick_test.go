@@ -101,12 +101,13 @@ func (m *ftlModel) step() {
 			!errors.Is(err, ErrNoFreeBlocks) {
 			m.t.Fatalf("CollectBackgroundOnce: %v", err)
 		}
-	case 8: // SIP list replacement (random subset, some LPNs out of range)
+	case 8: // SIP set replaced or changed (random subsets, some LPNs out of range)
 		lpns := make([]int64, m.rng.Intn(16))
 		for i := range lpns {
 			lpns[i] = m.rng.Int63n(m.f.UserPages() + 10)
 		}
-		m.f.SetSIPList(lpns)
+		cut := m.rng.Intn(len(lpns) + 1)
+		m.f.UpdateSIP(m.rng.Intn(2) == 0, lpns[:cut], lpns[cut:])
 	case 9: // power cycle: checkpoint the mapping and reload it
 		var buf bytes.Buffer
 		if err := m.f.Snapshot(&buf); err != nil {

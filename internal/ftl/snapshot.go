@@ -189,8 +189,9 @@ func (f *FTL) Restore(r io.Reader) error {
 	f.hostActive = hostActive
 	f.gcActive = gcActive
 	f.writeSeq = writeSeq
-	// Host-side hint state does not survive a power cycle.
-	f.clearSIPList()
+	// Host-side hint state does not survive a power cycle: the set starts
+	// empty, and a host that sends changes has to start over with a reset.
+	f.UpdateSIP(true, nil, nil)
 	// The free-pool bitmap and victim index are derived state, rebuilt from
 	// the restored pool and the device image.
 	for i := range f.inFreePool {

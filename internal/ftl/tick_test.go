@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -31,7 +32,8 @@ const (
 // simulator runs it at the default cache configuration: the host dirties
 // the wave of pages the previous boundary flushed and rewrites its hot
 // pages, then the flusher pops the wave that has expired, JIT-GC predicts
-// from the dirty set, and the FTL installs the SIP list. Each wave is
+// from the dirty set, and the FTL applies the SIP change — one wave out, one
+// wave in. Each wave is
 // written highest LPN first, so every flush has a run of equal timestamps
 // to put back into LPN order.
 func newWriteBackTick(tb testing.TB) (tick func()) {
@@ -64,7 +66,7 @@ func newWriteBackTick(tb testing.TB) (tick func()) {
 		now += ccfg.FlusherPeriod
 		wave = append(wave[:0], cache.Flush(now)...)
 		dec := jit.OnInterval(now, tickView{})
-		f.SetSIPList(dec.SIP)
+		f.UpdateSIP(dec.SIP.Reset, dec.SIP.Add, dec.SIP.Drop)
 	}
 	// A page written mid-interval is found dirty by six scans and flushed at
 	// the seventh boundary, so seven waves keep six in the cache. Start one
@@ -91,12 +93,54 @@ func newWriteBackTick(tb testing.TB) (tick func()) {
 
 // TestWriteBackTickZeroAlloc pins the host side of the write-back boundary
 // next to the write path: in steady state the flusher, the buffered
-// predictor's dirty scan, JIT-GC's decision and the SIP install allocate
+// predictor's dirty scan, JIT-GC's decision and the SIP update allocate
 // nothing, at the dirty-set size the default simulator holds.
 func TestWriteBackTickZeroAlloc(t *testing.T) {
 	tick := newWriteBackTick(t)
 	if avg := testing.AllocsPerRun(14, tick); avg != 0 {
 		t.Errorf("steady-state write-back tick allocates %.2f times, want 0", avg)
+	}
+}
+
+// TestIdleIntervalSendsNoSIPChange: across an interval in which the cache
+// saw no write and the flusher found nothing expired, the prediction still
+// moves — every page is one interval closer to its flush — but the FTL is
+// handed an empty change and keeps the set it has.
+func TestIdleIntervalSendsNoSIPChange(t *testing.T) {
+	cache, err := pagecache.New(pagecache.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jit, err := core.NewJITGC(cache, core.JITOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newSmall(t)
+	if _, err := cache.Write(time.Second, 0, 100); err != nil {
+		t.Fatal(err)
+	}
+	period := cache.Config().FlusherPeriod
+	cache.Flush(period)
+	p := jit.Predict(period)
+	f.UpdateSIP(p.SIP.Reset, p.SIP.Add, p.SIP.Drop)
+	if !p.SIP.Reset || f.SIPListSize() != 100 {
+		t.Fatalf("first prediction: reset %v, FTL holds %d SIP pages; want a reset installing 100", p.SIP.Reset, f.SIPListSize())
+	}
+	before := p.Buffered.Clone()
+
+	if flushed := cache.Flush(2 * period); len(flushed) != 0 {
+		t.Fatalf("setup: %d pages expired in the idle interval", len(flushed))
+	}
+	p = jit.Predict(2 * period)
+	if p.SIP.Reset || len(p.SIP.Add)+len(p.SIP.Drop) != 0 {
+		t.Errorf("idle interval: SIP change %+v, want none", p.SIP)
+	}
+	f.UpdateSIP(p.SIP.Reset, p.SIP.Add, p.SIP.Drop)
+	if f.SIPListSize() != 100 {
+		t.Errorf("FTL holds %d SIP pages after the empty change, want 100", f.SIPListSize())
+	}
+	if before.Total() == 0 || !slices.Equal(p.Buffered[:len(before)-1], before[1:]) || p.Buffered[len(before)-1] != 0 {
+		t.Errorf("demand %v did not shift one interval from %v", p.Buffered, before)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package lpnmap is the hash table the simulator keys by logical page number
-// on its per-page paths: the page cache's LPN → slot index and first-seen
-// carry, and the workload generators' coalescing model. Those paths look a
+// on its per-page paths: the page cache's LPN → slot index and the workload
+// generators' coalescing model. Those paths look a
 // page up for every page of every request, and a Go map pays a hash call and
 // a group walk each time. An LPN is already a small integer, so one multiply
 // and one shift place it, and a lookup is a short linear scan of adjacent
@@ -122,12 +122,4 @@ func (m *Map[V]) Delete(lpn int64) bool {
 	m.slots[i] = slot[V]{}
 	m.n--
 	return true
-}
-
-// Clear removes every entry and keeps the table.
-func (m *Map[V]) Clear() {
-	if m.n != 0 {
-		clear(m.slots)
-		m.n = 0
-	}
 }

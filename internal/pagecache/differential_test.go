@@ -16,7 +16,8 @@ type pair struct {
 	c *Cache
 	r *refCache
 	// firstDirty is the first-seen rule written the obvious way: the map
-	// the predictor used to keep, swept at every tracking scan.
+	// the predictor used to keep, swept at every scan. Its keys are the
+	// reference's dirty set as of the last scan.
 	firstDirty map[int64]time.Duration
 }
 
@@ -38,6 +39,12 @@ func (p *pair) check(op string) {
 	}
 	if got, want := p.c.DirtyPageCount(), len(p.r.dirty); got != want {
 		p.t.Fatalf("%s: DirtyPageCount %d, reference %d", op, got, want)
+	}
+	// Until a scan has run nothing may linger behind a removal: the index
+	// is the dirty set, and no slot is logged for a sweep that never comes.
+	if p.c.firstSeen == nil && (p.c.index.Len() != len(p.r.dirty) || len(p.c.ghostLog) != 0) {
+		p.t.Fatalf("%s: never scanned, yet the index holds %d entries for %d dirty pages and %d slots are logged as ghosts",
+			op, p.c.index.Len(), len(p.r.dirty), len(p.c.ghostLog))
 	}
 }
 
@@ -69,50 +76,69 @@ func (p *pair) drop(lpn int64) {
 	p.check("Drop")
 }
 
-// scan runs a tracking ScanDirty and holds it to the reference dirty set
-// and to the map-based first-seen rule.
-func (p *pair) scan() {
+// scan runs ScanDirty at now and holds it to the reference: joined and left
+// are the set differences of the reference's dirty set now and at the last
+// scan, whatever flushes, drops, reclaims and rewrites came between; every
+// dirty page's first-seen time follows the map-based rule; and due counts,
+// per interval, the pages the division-based flush-interval formula puts
+// there, less the hot ones when the filter is on.
+func (p *pair) scan(now time.Duration, hotFilter bool) {
 	p.t.Helper()
-	type seenAt struct {
-		first time.Duration
-		seen  bool
-	}
-	got := map[int64]seenAt{}
-	p.c.ScanDirty(true, func(pg DirtyPage, first time.Duration, seen bool) {
-		if last, ok := p.r.dirty[pg.LPN]; !ok || last != pg.LastUpdate {
-			p.t.Fatalf("scan visited %+v, reference holds (%v, %v)", pg, last, ok)
-		}
-		if _, dup := got[pg.LPN]; dup {
-			p.t.Fatalf("scan visited lpn %d twice", pg.LPN)
-		}
-		got[pg.LPN] = seenAt{first, seen}
-	})
-	if len(got) != len(p.r.dirty) {
-		p.t.Fatalf("scan visited %d pages, reference holds %d", len(got), len(p.r.dirty))
-	}
+	cfg := p.c.cfg
+	due := make([]int64, cfg.Nwb())
+	joined, left := p.c.ScanDirty(now, hotFilter, due)
+
+	var wantJoined, wantLeft []int64
+	wantDue := make([]int64, len(due))
 	for lpn, last := range p.r.dirty {
 		first, seen := p.firstDirty[lpn]
 		if !seen {
 			first = last
 			p.firstDirty[lpn] = last
+			wantJoined = append(wantJoined, lpn)
 		}
-		if got[lpn] != (seenAt{first, seen}) {
-			p.t.Fatalf("scan: lpn %d first seen %+v, want %+v", lpn, got[lpn], seenAt{first, seen})
+		s, ok := p.c.index.Get(lpn)
+		if !ok || p.c.firstSeen[s] != first {
+			p.t.Fatalf("scan: lpn %d (indexed %v) first seen %v, want %v", lpn, ok, p.c.firstSeen[s], first)
 		}
+		if hotFilter && seen && now-first > cfg.Expire {
+			continue
+		}
+		i := 1
+		if wait := last + cfg.Expire - now; wait > 0 {
+			i = int((wait + cfg.FlusherPeriod - 1) / cfg.FlusherPeriod)
+		}
+		wantDue[min(i, len(due))-1]++
 	}
 	for lpn := range p.firstDirty {
 		if _, dirty := p.r.dirty[lpn]; !dirty {
+			wantLeft = append(wantLeft, lpn)
 			delete(p.firstDirty, lpn)
 		}
+	}
+	slices.Sort(wantJoined)
+	slices.Sort(wantLeft)
+	if got := sorted(joined); !slices.Equal(got, wantJoined) {
+		p.t.Fatalf("scan at %v: joined\n got %v\nwant %v", now, got, wantJoined)
+	}
+	if got := sorted(left); !slices.Equal(got, wantLeft) {
+		p.t.Fatalf("scan at %v: left\n got %v\nwant %v", now, got, wantLeft)
+	}
+	if !slices.Equal(due, wantDue) {
+		p.t.Fatalf("scan at %v (hot filter %v): due %v, want %v", now, hotFilter, due, wantDue)
+	}
+	if p.c.index.Len() != len(p.r.dirty) {
+		p.t.Fatalf("scan left %d index entries for %d dirty pages", p.c.index.Len(), len(p.r.dirty))
 	}
 	p.check("ScanDirty")
 }
 
 // TestCacheMatchesReference sweeps random Write/Flush/Drop/scan
 // interleavings over a small LPN range and a small cache, so overwrites,
-// equal timestamps, capacity reclaim and slot reuse all occur — once with
-// the clock moving forward only, once with timestamps that also run
-// backwards (the re-thread path).
+// equal timestamps, capacity reclaim, slot reuse and pages that leave and
+// come back between two scans all occur — with the clock moving forward
+// only, with timestamps that also run backwards (the re-thread path), and
+// with no scan at all, as under every policy but JIT-GC.
 func TestCacheMatchesReference(t *testing.T) {
 	cfg := Config{
 		PageSize:      4096,
@@ -121,7 +147,15 @@ func TestCacheMatchesReference(t *testing.T) {
 		Expire:        4 * time.Second,
 		FlushRatio:    0.5,
 	}
-	for _, backwards := range []bool{false, true} {
+	modes := []struct {
+		name             string
+		backwards, scans bool
+	}{
+		{"forward", false, true},
+		{"backwards", true, true},
+		{"never scanned", false, false},
+	}
+	for _, m := range modes {
 		prop := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			p := newPair(t, cfg)
@@ -131,7 +165,7 @@ func TestCacheMatchesReference(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					clock += time.Duration(rng.Intn(700)) * time.Millisecond
 				}
-				if backwards && rng.Intn(8) == 0 {
+				if m.backwards && rng.Intn(8) == 0 {
 					clock = time.Duration(rng.Int63n(int64(clock) + 1))
 				}
 				switch k := rng.Intn(20); {
@@ -139,18 +173,73 @@ func TestCacheMatchesReference(t *testing.T) {
 					p.write(clock, rng.Int63n(96), 1+rng.Intn(6))
 				case k < 15:
 					p.flush(clock)
-				case k < 18:
+				case k < 18 || !m.scans:
 					p.drop(rng.Int63n(96))
 				default:
-					p.scan()
+					p.scan(clock, rng.Intn(2) == 0)
 				}
 			}
 			return true
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-			t.Errorf("backwards=%v: %v", backwards, err)
+			t.Errorf("%s: %v", m.name, err)
 		}
 	}
+}
+
+// TestScanTurnoverAcrossRemovalAndRewrite: a page a scan has seen that is
+// flushed, trimmed or reclaimed and then written again before the next scan
+// neither left nor joined and is still on its first episode, one not written
+// again left, and until that scan both keep their slots.
+func TestScanTurnoverAcrossRemovalAndRewrite(t *testing.T) {
+	cfg := testConfig()
+	cfg.CapacityPages = 8
+	cfg.FlushRatio = 1
+	removals := map[string]func(p *pair){
+		"flush": func(p *pair) { p.flush(sec(35)) },
+		"trim": func(p *pair) {
+			p.drop(0)
+			p.drop(1)
+		},
+		"reclaim": func(p *pair) {
+			p.write(sec(35), 100, cfg.CapacityPages) // pushes lpns 0 and 1 out
+			for i := 0; i < cfg.CapacityPages; i++ {
+				p.drop(100 + int64(i))
+			}
+		},
+	}
+	for name, remove := range removals {
+		t.Run(name, func(t *testing.T) {
+			p := newPair(t, cfg)
+			p.write(sec(1), 0, 2)
+			p.scan(sec(5), true) // both joined
+			remove(p)
+			if p.c.IsDirty(0) || p.c.IsDirty(1) || p.c.Drop(0) {
+				t.Fatal("a removed page is still dirty or can be dropped again")
+			}
+			if p.c.DirtyPageCount() != 0 || p.c.index.Len() != 2 {
+				t.Fatalf("%d dirty, %d indexed; want 0 and the 2 ghosts", p.c.DirtyPageCount(), p.c.index.Len())
+			}
+			overwrites := p.c.Stats().Overwrites
+			p.write(sec(36), 0, 1) // lpn 0 comes back, lpn 1 does not
+			p.write(sec(36), 2, 1) // a new page: not into lpn 1's slot
+			if got := p.c.Stats().Overwrites; got != overwrites {
+				t.Errorf("reviving a ghost counted %d overwrites", got-overwrites)
+			}
+			// The reference wants joined {2}, left {1}, and lpn 0 — first
+			// seen at 1 s, 39 s ago — left out of due as hot.
+			p.scan(sec(40), true)
+		})
+	}
+}
+
+func sec(n int) time.Duration { return time.Duration(n) * time.Second }
+
+// sorted returns an ascending copy of xs, which may be the cache's scratch.
+func sorted(xs []int64) []int64 {
+	out := slices.Clone(xs)
+	slices.Sort(out)
+	return out
 }
 
 // TestTieRunWrittenInRandomOrder: 10k pages at one timestamp, written one

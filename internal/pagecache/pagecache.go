@@ -112,31 +112,39 @@ type Stats struct {
 // each run of equal timestamps as it is emitted. A write older than the
 // tail (nothing but tests and probes issues one) only sets reorder, and the
 // next reader re-threads the whole list once.
+//
+// Once a ScanDirty has run, a page it has seen does not give its slot up
+// when it leaves the cache: it becomes a ghost — off the age list, still in
+// the index, its first-seen time intact — until the next scan. A write
+// before then revives it in place; the scan frees the ones still gone.
 type Cache struct {
 	cfg   Config
 	stats Stats
 
 	slab       []entry
-	index      lpnmap.Map[int32] // LPN → slab slot
+	index      lpnmap.Map[int32] // LPN → slab slot, dirty pages and ghosts
 	head, tail int32             // age list ends, noSlot when empty
 	free       int32             // free slots, chained through entry.next
 	reorder    bool              // a backdated write broke age order
 
-	// firstSeen (parallel to slab, allocated by the first tracking
-	// ScanDirty) holds each page's LastUpdate as of the first scan of its
-	// current run of scans that found it dirty, unseen before any. carried
-	// keeps that value for pages removed since the last scan: one written
-	// again before the next scan takes it back and resumes its run.
+	// firstSeen (parallel to slab, allocated by the first ScanDirty) holds
+	// each page's LastUpdate as of the first scan of its current run of
+	// scans that found it dirty, unseen before any.
 	firstSeen []time.Duration
-	carried   lpnmap.Map[time.Duration]
+	// ghosts counts the ghost slots; ghostLog lists every slot that became
+	// one since the last scan, revived ones and repeats included.
+	ghosts   int
+	ghostLog []int32
 
 	// Steady-state scratch: flushBuf backs the slices Write and Flush
-	// return, runBuf holds one run of equal timestamps while it is sorted.
-	flushBuf []int64
-	runBuf   []tie
+	// return, runBuf holds one run of equal timestamps while it is sorted,
+	// joinBuf and leftBuf back the slices ScanDirty returns.
+	flushBuf, joinBuf, leftBuf []int64
+	runBuf                     []tie
 }
 
-// entry is one dirty page; free slots use only next.
+// entry is one dirty page. Free slots use only next; a ghost keeps lpn and
+// has prev == ghostSlot.
 type entry struct {
 	lpn        int64
 	last       time.Duration
@@ -150,9 +158,10 @@ type tie struct {
 }
 
 const (
-	noSlot  int32         = -1
-	unseen  time.Duration = math.MinInt64
-	allAges time.Duration = math.MaxInt64
+	noSlot    int32         = -1
+	ghostSlot int32         = -2
+	unseen    time.Duration = math.MinInt64
+	allAges   time.Duration = math.MaxInt64
 )
 
 // ErrBadLPN is returned for logical page numbers that are negative or run
@@ -174,7 +183,11 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // DirtyPageCount returns the current number of dirty pages.
-func (c *Cache) DirtyPageCount() int { return c.index.Len() }
+func (c *Cache) DirtyPageCount() int { return c.index.Len() - c.ghosts }
+
+// isGhost reports whether the indexed slot s holds a ghost. A cache without
+// ghosts answers without loading the entry.
+func (c *Cache) isGhost(s int32) bool { return c.ghosts != 0 && c.slab[s].prev == ghostSlot }
 
 // Write records a buffered write of n consecutive pages starting at lpn at
 // time now. If the cache would exceed its capacity, the oldest dirty pages
@@ -195,17 +208,20 @@ func (c *Cache) Write(now time.Duration, lpn int64, n int) (reclaimed []int64, e
 	for i := 0; i < n; i++ {
 		p := lpn + int64(i)
 		s, ok := c.index.Get(p)
-		if ok {
+		switch {
+		case !ok:
+			s = c.alloc(p)
+		case c.isGhost(s):
+			c.ghosts-- // back in its old slot: not an overwrite
+		default:
 			c.stats.Overwrites++
 			c.unlink(s)
-		} else {
-			s = c.alloc(p)
 		}
 		c.slab[s].last = now
 		c.pushBack(s)
 		c.stats.WrittenPages++
 	}
-	if over := c.index.Len() - c.cfg.CapacityPages; over > 0 {
+	if over := c.DirtyPageCount() - c.cfg.CapacityPages; over > 0 {
 		reclaimed = c.popOldest(c.flushBuf[:0], allAges, over)
 		c.flushBuf = reclaimed
 		c.stats.PressureFlushes += int64(len(reclaimed))
@@ -223,7 +239,7 @@ func (c *Cache) Write(now time.Duration, lpn int64, n int) (reclaimed []int64, e
 func (c *Cache) Flush(now time.Duration) []int64 {
 	out := c.popOldest(c.flushBuf[:0], now-c.cfg.Expire, math.MaxInt)
 	c.stats.ExpiredFlushes += int64(len(out))
-	if over := c.index.Len() - c.cfg.FlushLimit(); over > 0 {
+	if over := c.DirtyPageCount() - c.cfg.FlushLimit(); over > 0 {
 		out = c.popOldest(out, allAges, over)
 		c.stats.PressureFlushes += int64(over)
 	}
@@ -261,7 +277,7 @@ func (c *Cache) popOldest(dst []int64, cutoff time.Duration, max int) []int64 {
 // (ties by LPN).
 func (c *Cache) DirtyPages() []DirtyPage {
 	c.rethread()
-	out := make([]DirtyPage, 0, c.index.Len())
+	out := make([]DirtyPage, 0, c.DirtyPageCount())
 	for s := c.head; s != noSlot; s = c.slab[s].next {
 		out = append(out, DirtyPage{LPN: c.slab[s].lpn, LastUpdate: c.slab[s].last})
 	}
@@ -273,55 +289,89 @@ func (c *Cache) DirtyPages() []DirtyPage {
 	return out
 }
 
-// ScanDirty calls visit once for every dirty page, in no particular order —
-// the scan the buffered-write predictor performs, without DirtyPages'
-// snapshot or its ordering. With track set it also maintains first-seen
-// times for the predictor's hot-page filter: firstSeen is the LastUpdate the
-// page had at the first scan of its current run of consecutive tracking
-// scans that found it dirty, and seen reports whether an earlier scan of
-// that run exists. What happens between two scans does not break a run: a
-// page flushed, reclaimed or dropped and written again before the next scan
-// keeps its first-seen time. The cache keeps one such track, so one
-// tracking scanner per cache. visit must not modify the cache.
-func (c *Cache) ScanDirty(track bool, visit func(pg DirtyPage, firstSeen time.Duration, seen bool)) {
-	if track && c.firstSeen == nil {
+// ScanDirty is the pass the buffered-write predictor makes right after the
+// flusher ran at now. It counts into due, one entry per future flusher
+// wake-up, the dirty pages that wake-up will find expired — due[i] those last
+// written in (now−τ_expire+i·p, now−τ_expire+(i+1)·p], the first entry open
+// below and the last above — and returns the cache's turnover since the
+// previous scan: joined, the pages dirty now that were not then, and left,
+// the pages dirty then that are not now. A page that left and came back in
+// between is in neither. Both slices share the cache's scratch buffers and
+// are valid only until the next scan.
+//
+// The walk is oldest first, so the interval a page falls due in only ever
+// advances: one comparison per page, against a threshold that moves up
+// len(due)−1 times in the whole pass.
+//
+// The scan also keeps the first-seen times behind the hot-page filter: a
+// page's first-seen time is the LastUpdate it had at the first scan of its
+// current run of consecutive scans that found it dirty. What happens between
+// two scans does not break a run — a page flushed, reclaimed or dropped and
+// written again before the next scan keeps its first-seen time. With
+// hotFilter set, a page first seen more than τ_expire ago is left out of
+// due: it is being rewritten faster than it can expire. The cache keeps one
+// such track, so one scanner per cache.
+func (c *Cache) ScanDirty(now time.Duration, hotFilter bool, due []int64) (joined, left []int64) {
+	if c.firstSeen == nil {
 		c.firstSeen = make([]time.Duration, len(c.slab), cap(c.slab))
 		for i := range c.firstSeen {
 			c.firstSeen[i] = unseen
 		}
 	}
+	c.rethread()
+	clear(due)
+	joined = c.joinBuf[:0]
+	expire, period := c.cfg.Expire, c.cfg.FlusherPeriod
+	i, limit := 0, now-expire+period
 	for s := c.head; s != noSlot; s = c.slab[s].next {
 		e := &c.slab[s]
-		first, seen := e.last, false
-		if track {
-			if c.firstSeen[s] == unseen {
-				c.firstSeen[s] = e.last
-			} else {
-				first, seen = c.firstSeen[s], true
-			}
+		for i < len(due)-1 && e.last > limit {
+			i++
+			limit += period
 		}
-		visit(DirtyPage{LPN: e.lpn, LastUpdate: e.last}, first, seen)
+		if first := c.firstSeen[s]; first == unseen {
+			c.firstSeen[s] = e.last
+			joined = append(joined, e.lpn)
+		} else if hotFilter && now-first > expire {
+			continue
+		}
+		due[i]++
 	}
-	if track {
-		c.carried.Clear()
+	c.joinBuf = joined
+
+	left = c.leftBuf[:0]
+	for _, s := range c.ghostLog {
+		e := &c.slab[s]
+		if e.prev != ghostSlot {
+			continue // revived, or logged twice and freed just now
+		}
+		left = append(left, e.lpn)
+		c.index.Delete(e.lpn)
+		c.firstSeen[s] = unseen
+		e.prev, e.next = noSlot, c.free
+		c.free = s
 	}
+	c.leftBuf = left
+	c.ghostLog, c.ghosts = c.ghostLog[:0], 0
+	return joined, left
 }
 
 // IsDirty reports whether lpn currently has a dirty copy in the cache —
 // reads of such pages are served from RAM without touching the device.
 func (c *Cache) IsDirty(lpn int64) bool {
-	_, ok := c.index.Get(lpn)
-	return ok
+	s, ok := c.index.Get(lpn)
+	return ok && !c.isGhost(s)
 }
 
 // Drop discards a dirty page without writing it back (e.g. the file was
 // deleted). It reports whether the page was dirty.
 func (c *Cache) Drop(lpn int64) bool {
 	s, ok := c.index.Get(lpn)
-	if ok {
-		c.remove(s)
+	if !ok || c.isGhost(s) {
+		return false
 	}
-	return ok
+	c.remove(s)
+	return true
 }
 
 // alloc takes a slot for a newly dirty lpn; the caller links it.
@@ -338,23 +388,20 @@ func (c *Cache) alloc(lpn int64) int32 {
 	}
 	c.slab[s].lpn = lpn
 	c.index.Set(lpn, s)
-	if first, ok := c.carried.Get(lpn); ok {
-		c.firstSeen[s] = first
-	}
 	return s
 }
 
-// remove takes the page in slot s out of the cache and frees the slot.
+// remove takes the page in slot s out of the cache. A page no scan has seen
+// gives up its slot and its index entry; one a scan has seen becomes a ghost.
 func (c *Cache) remove(s int32) {
 	c.unlink(s)
-	lpn := c.slab[s].lpn
-	c.index.Delete(lpn)
-	if c.firstSeen != nil {
-		if c.firstSeen[s] != unseen {
-			c.carried.Set(lpn, c.firstSeen[s])
-		}
-		c.firstSeen[s] = unseen
+	if c.firstSeen != nil && c.firstSeen[s] != unseen {
+		c.slab[s].prev = ghostSlot
+		c.ghostLog = append(c.ghostLog, s)
+		c.ghosts++
+		return
 	}
+	c.index.Delete(c.slab[s].lpn)
 	c.slab[s].next = c.free
 	c.free = s
 }
@@ -391,7 +438,7 @@ func (c *Cache) rethread() {
 	if !c.reorder {
 		return
 	}
-	slots := make([]int32, 0, c.index.Len())
+	slots := make([]int32, 0, c.DirtyPageCount())
 	for s := c.head; s != noSlot; s = c.slab[s].next {
 		slots = append(slots, s)
 	}
@@ -406,10 +453,12 @@ func (c *Cache) rethread() {
 	c.reorder = false
 }
 
-// CheckConsistency audits the cache's internal structure: the index and the
-// age list describe the same set of slots, list links agree in both
-// directions, ages never decrease along the list unless a re-thread is
-// pending, and the free list holds exactly the slots the list does not.
+// CheckConsistency audits the cache's internal structure: the index
+// describes exactly the slots on the age list plus the ghosts, list links
+// agree in both directions, ages never decrease along the list unless a
+// re-thread is pending, every ghost is a page a scan has seen that the next
+// scan will find in the log, and the free list holds exactly the slots that
+// are neither.
 func (c *Cache) CheckConsistency() error {
 	visited := make([]bool, len(c.slab))
 	n, prev := 0, noSlot
@@ -433,21 +482,43 @@ func (c *Cache) CheckConsistency() error {
 	if c.tail != prev {
 		return fmt.Errorf("pagecache: tail = %d, list ends at %d", c.tail, prev)
 	}
-	if n != c.index.Len() {
-		return fmt.Errorf("pagecache: age list holds %d pages, index %d", n, c.index.Len())
+	if c.firstSeen != nil && len(c.firstSeen) != len(c.slab) {
+		return fmt.Errorf("pagecache: first-seen track covers %d of %d slots", len(c.firstSeen), len(c.slab))
 	}
+	ghosts := 0
+	for i, e := range c.slab {
+		s := int32(i)
+		if visited[s] || e.prev != ghostSlot {
+			continue
+		}
+		visited[s] = true
+		ghosts++
+		if got, ok := c.index.Get(e.lpn); !ok || got != s {
+			return fmt.Errorf("pagecache: ghost slot %d holds lpn %d, index says slot %d (present %v)", s, e.lpn, got, ok)
+		}
+		if c.firstSeen == nil || c.firstSeen[s] == unseen {
+			return fmt.Errorf("pagecache: ghost slot %d (lpn %d) has no first-seen time to keep", s, e.lpn)
+		}
+		if !slices.Contains(c.ghostLog, s) {
+			return fmt.Errorf("pagecache: ghost slot %d (lpn %d) is not in the log the next scan sweeps", s, e.lpn)
+		}
+	}
+	if ghosts != c.ghosts {
+		return fmt.Errorf("pagecache: %d ghost slots, counter says %d", ghosts, c.ghosts)
+	}
+	if n+ghosts != c.index.Len() {
+		return fmt.Errorf("pagecache: age list holds %d pages and %d are ghosts, index %d", n, ghosts, c.index.Len())
+	}
+	n += ghosts
 	for s := c.free; s != noSlot; s = c.slab[s].next {
 		if s < 0 || int(s) >= len(c.slab) || visited[s] {
-			return fmt.Errorf("pagecache: free list reaches live or foreign slot %d", s)
+			return fmt.Errorf("pagecache: free list reaches live, ghost or foreign slot %d", s)
 		}
 		visited[s] = true
 		n++
 	}
 	if n != len(c.slab) {
-		return fmt.Errorf("pagecache: %d of %d slots are neither dirty nor free", len(c.slab)-n, len(c.slab))
-	}
-	if c.firstSeen != nil && len(c.firstSeen) != len(c.slab) {
-		return fmt.Errorf("pagecache: first-seen track covers %d of %d slots", len(c.firstSeen), len(c.slab))
+		return fmt.Errorf("pagecache: %d of %d slots are neither dirty, ghost nor free", len(c.slab)-n, len(c.slab))
 	}
 	return nil
 }

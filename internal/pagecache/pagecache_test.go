@@ -287,21 +287,34 @@ func TestCheckConsistencyViolations(t *testing.T) {
 		{"index points elsewhere", func(c *Cache) { c.index.Set(c.slab[c.head].lpn, c.tail) }, "index says"},
 		{"age order", func(c *Cache) { c.slab[c.head].last = time.Hour }, "age order broken"},
 		{"tail", func(c *Cache) { c.tail = c.head }, "tail ="},
-		{"index entry with no slot", func(c *Cache) { c.index.Set(1000, 0) }, "index 5"},
+		{"index entry with no slot", func(c *Cache) { c.index.Set(1000, 0) }, "index 6"},
 		{"free list reaches live slot", func(c *Cache) { c.slab[c.free].next = c.head }, "free list reaches"},
-		{"leaked slot", func(c *Cache) { c.free = noSlot }, "neither dirty nor free"},
+		{"free list reaches ghost", func(c *Cache) { c.slab[c.free].next = ghost(c) }, "free list reaches"},
+		{"leaked slot", func(c *Cache) { c.free = noSlot }, "neither dirty, ghost nor free"},
 		{"first-seen track short", func(c *Cache) { c.firstSeen = c.firstSeen[:1] }, "first-seen track"},
+		{"ghost on the age list", func(c *Cache) {
+			g := ghost(c)
+			c.slab[g].next = c.head
+			c.slab[c.head].prev = g
+			c.head = g
+		}, "prev ="},
+		{"ghost not indexed", func(c *Cache) { c.index.Delete(c.slab[ghost(c)].lpn) }, "ghost slot"},
+		{"ghost never seen", func(c *Cache) { c.firstSeen[ghost(c)] = unseen }, "no first-seen time"},
+		{"ghost the sweep will miss", func(c *Cache) { c.ghostLog = c.ghostLog[:0] }, "not in the log"},
+		{"ghost miscounted", func(c *Cache) { c.ghosts++ }, "counter says"},
+		{"ghost flag lost", func(c *Cache) { c.slab[ghost(c)].prev = noSlot }, "0 ghost slots, counter says 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCache(t, testConfig())
-			for i := int64(0); i < 5; i++ {
+			for i := int64(0); i < 6; i++ {
 				if _, err := c.Write(time.Duration(i)*time.Second, i, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
-			c.ScanDirty(true, func(DirtyPage, time.Duration, bool) {})
-			c.Drop(2) // one free slot
+			c.Drop(5) // never scanned: a free slot
+			c.ScanDirty(5*time.Second, true, make([]int64, c.cfg.Nwb()))
+			c.Drop(2) // scanned: a ghost
 			if err := c.CheckConsistency(); err != nil {
 				t.Fatalf("fresh cache inconsistent: %v", err)
 			}
@@ -317,10 +330,14 @@ func TestCheckConsistencyViolations(t *testing.T) {
 	}
 }
 
+// ghost returns the slot of the one ghost TestCheckConsistencyViolations sets
+// up.
+func ghost(c *Cache) int32 { return c.ghostLog[0] }
+
 // TestCacheSteadyStateZeroAlloc: once the slab and the index have reached
 // their working size, the per-page operations of a request allocate nothing —
 // an overwrite, a dirty check that hits and one that misses, and a page
-// dropped and written again (an index delete and insert at constant size).
+// dropped and written again (a ghost made and revived in its slot).
 func TestCacheSteadyStateZeroAlloc(t *testing.T) {
 	c := newCache(t, testConfig())
 	const n = 600
@@ -329,7 +346,8 @@ func TestCacheSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.ScanDirty(true, func(DirtyPage, time.Duration, bool) {}) // with the first-seen carry live
+	due := make([]int64, c.cfg.Nwb())
+	c.ScanDirty(0, true, due) // every page seen: removals leave ghosts
 	now, lpn := time.Duration(0), int64(0)
 	cycle := func() {
 		now += time.Millisecond
@@ -344,9 +362,10 @@ func TestCacheSteadyStateZeroAlloc(t *testing.T) {
 		c.Write(now, p, 1)
 		lpn++
 	}
-	for i := 0; i < n; i++ { // every page through the carry once: it too is at size
+	for i := 0; i < 2001; i++ { // as many ghosts logged as the measured cycles will
 		cycle()
 	}
+	c.ScanDirty(now, true, due)
 	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
 		t.Errorf("overwrite + IsDirty + Drop/Write allocates %.2f times per run, want 0", avg)
 	}

@@ -29,10 +29,11 @@ type Buffered struct {
 	// DisableHotFilter turns off hot-page exclusion (ablation knob).
 	DisableHotFilter bool
 
-	// demand and sip back Predict's results, so a steady-state tick
-	// allocates nothing.
-	demand Demand
-	sip    []int64
+	// demand backs Predict's result, so a steady-state tick allocates
+	// nothing. installed records that the last change Predict returned left
+	// the receiver's SIP set equal to the dirty set.
+	demand    Demand
+	installed bool
 }
 
 // NewBuffered builds a buffered-write predictor over a page cache. The
@@ -46,44 +47,50 @@ func NewBuffered(cache *pagecache.Cache) *Buffered {
 // WriteBack returns the predictor's timing parameters.
 func (b *Buffered) WriteBack() WriteBack { return b.wb }
 
-// Predict computes Dbuf(now) and the SIP list. now must be a flusher
+// Predict computes Dbuf(now) and what has changed in the SIP set — the pages
+// dirty in the cache — since the previous call. now must be a flusher
 // wake-up instant (the predictor runs right after the flusher). Both
-// results share the predictor's buffers and are valid only until the next
-// Predict call.
+// results share buffers with the predictor and the cache and are valid only
+// until the next Predict call. Whoever keeps a SIP set must apply every
+// call's change, in order.
 //
-// It is one pass over the dirty pages in whatever order the cache holds
-// them: a page's flush interval is monotone in its age, so counting pages
-// per interval keeps all the age order the prediction needs.
+// The work is the cache's: one pass over the dirty pages, oldest first,
+// counting them per interval (a page's flush interval is monotone in its
+// age) and noting the ones it had not seen before, then a sweep of the
+// pages that left since the last pass.
 //
 // Hot pages: a page the cache has found dirty at every scan for longer than
 // τ_expire must be getting rewritten faster than it can expire — it will not
 // flush within the horizon, so counting it in Dbuf every window would
-// chronically over-predict. Such pages are excluded from demand but kept on
-// the SIP list (their stale flash copies are the surest
+// chronically over-predict. Such pages are excluded from demand but stay in
+// the SIP set (their stale flash copies are the surest
 // soon-to-be-invalidated pages of all). The cache's first-seen track only
 // looks at scan instants: a page flushed, reclaimed or trimmed and dirtied
 // again between two Predict calls is still on its first episode, and only
 // one found clean at a Predict starts fresh.
-func (b *Buffered) Predict(now time.Duration) (Demand, []int64) {
+func (b *Buffered) Predict(now time.Duration) (Demand, SIPChange) {
 	cfg := b.cache.Config()
 	nwb := len(b.demand)
 	pages := b.demand // page counts per interval until the end
-	clear(pages)
-	sip := b.sip[:0]
-	b.cache.ScanDirty(!b.DisableHotFilter, func(pg pagecache.DirtyPage, firstSeen time.Duration, seen bool) {
-		sip = append(sip, pg.LPN)
-		if seen && now-firstSeen > b.wb.Expire {
-			return // rewritten faster than it can expire: no flush soon
-		}
-		// Beyond Nwb cannot happen when ages ≤ expire, kept for safety.
-		pages[min(flushInterval(pg.LastUpdate, now, b.wb), nwb)-1]++
-	})
-	b.sip = sip
-
 	limit := cfg.FlushLimit()
-	if b.Strict && len(sip) <= limit {
+	empty := b.Strict && b.cache.DirtyPageCount() <= limit
+	joined, left := b.cache.ScanDirty(now, !b.DisableHotFilter, pages)
+	if empty {
 		clear(pages)
-		return pages, sip[:0]
+		change := SIPChange{Reset: b.installed}
+		b.installed = false
+		return pages, change
+	}
+	change := SIPChange{Add: joined, Drop: left}
+	if !b.installed {
+		// The receiver holds nothing, or a set this predictor did not
+		// build: replace it with every dirty page.
+		dirty := b.cache.DirtyPages()
+		change = SIPChange{Reset: true, Add: make([]int64, len(dirty))}
+		for i, pg := range dirty {
+			change.Add[i] = pg.LPN
+		}
+		b.installed = true
 	}
 
 	// The flusher's τ_flush condition is equally visible to the host: if
@@ -106,19 +113,5 @@ func (b *Buffered) Predict(now time.Duration) (Demand, []int64) {
 	for i := range pages {
 		pages[i] *= int64(cfg.PageSize)
 	}
-	return pages, sip
-}
-
-// flushInterval returns the index i ≥ 1 of the future write-back interval
-// I^i_wb(now) during which a page last updated at u will be flushed: the
-// flusher wakes at now+p, now+2p, …, and flushes the page at the first
-// wake-up ≥ u + τ_expire.
-func flushInterval(u, now time.Duration, wb WriteBack) int {
-	due := u + wb.Expire
-	if due <= now {
-		return 1
-	}
-	// First wake-up at or after due, counted in periods from now.
-	k := (due - now + wb.Period - 1) / wb.Period
-	return int(k)
+	return pages, change
 }

@@ -28,7 +28,7 @@ func TestPaperFig4Sequences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBuffered(cache)
+	b, sip := NewBuffered(cache), sipSet{}
 	// "20 MB" units modelled as exactly 5000 pages so comparisons are exact.
 	const unit = 5000
 
@@ -41,7 +41,8 @@ func TestPaperFig4Sequences(t *testing.T) {
 	checkShape := func(at time.Duration, wantUnits [6]int) {
 		t.Helper()
 		cache.Flush(at)
-		d, sip := b.Predict(at)
+		d, change := b.Predict(at)
+		sip.apply(t, change)
 		if len(d) != 6 {
 			t.Fatalf("demand length %d", len(d))
 		}
@@ -123,12 +124,29 @@ func TestStrictModePredictsNothingBelowThreshold(t *testing.T) {
 	if _, err := cache.Write(sec(1), 0, 100); err != nil { // under the 500 limit
 		t.Fatal(err)
 	}
-	d, sip := b.Predict(sec(5))
+	d, change := b.Predict(sec(5))
 	if d.Total() != 0 {
 		t.Errorf("strict mode predicted %d bytes below τ_flush", d.Total())
 	}
-	if len(sip) != 0 {
-		t.Errorf("strict mode below threshold produced SIP list of %d", len(sip))
+	if change.Reset || len(change.Add) != 0 {
+		t.Errorf("strict mode below threshold changed the empty SIP set: %+v", change)
+	}
+	// Above the threshold the whole dirty set is installed; back below it,
+	// one reset empties the receiver and then nothing more is sent.
+	if _, err := cache.Write(sec(6), 100, 500); err != nil {
+		t.Fatal(err)
+	}
+	if _, change = b.Predict(sec(10)); !change.Reset || len(change.Add) != 600 {
+		t.Errorf("crossing τ_flush: reset %v with %d pages, want a reset with all 600", change.Reset, len(change.Add))
+	}
+	for lpn := int64(100); lpn < 600; lpn++ {
+		cache.Drop(lpn)
+	}
+	if _, change = b.Predict(sec(15)); !change.Reset || len(change.Add)+len(change.Drop) != 0 {
+		t.Errorf("back below τ_flush: %+v, want a bare reset", change)
+	}
+	if _, change = b.Predict(sec(20)); change.Reset || len(change.Add)+len(change.Drop) != 0 {
+		t.Errorf("still below τ_flush: %+v, want no change", change)
 	}
 }
 
@@ -138,11 +156,10 @@ func TestHotPageFiltering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBuffered(cache)
+	b, sip := NewBuffered(cache), sipSet{}
 	// Rewrite lpn 0 every 10 s; it stays continuously dirty past τ_expire
 	// and must drop out of the demand while staying on the SIP list.
 	var lastDemand Demand
-	var lastSIP []int64
 	for at := sec(0); at <= sec(60); at += sec(5) {
 		if at%sec(10) == 0 {
 			if _, err := cache.Write(at, 0, 1); err != nil {
@@ -150,13 +167,15 @@ func TestHotPageFiltering(t *testing.T) {
 			}
 		}
 		cache.Flush(at)
-		lastDemand, lastSIP = b.Predict(at)
+		var change SIPChange
+		lastDemand, change = b.Predict(at)
+		sip.apply(t, change)
 	}
 	if lastDemand.Total() != 0 {
 		t.Errorf("hot page still in demand: %v", lastDemand)
 	}
-	if len(lastSIP) != 1 || lastSIP[0] != 0 {
-		t.Errorf("hot page missing from SIP list: %v", lastSIP)
+	if len(sip) != 1 || !sip[0] {
+		t.Errorf("hot page missing from SIP list: %v", sip)
 	}
 
 	// With the filter disabled the page counts as demand every window.
@@ -222,7 +241,7 @@ func TestDemandBoundsProperty(t *testing.T) {
 		}
 		now := clock + cfg.FlusherPeriod
 		cache.Flush(now)
-		d, sip := b.Predict(now)
+		d, change := b.Predict(now)
 		if len(d) != cfg.Nwb() {
 			return false
 		}
@@ -234,7 +253,7 @@ func TestDemandBoundsProperty(t *testing.T) {
 			total += v
 		}
 		dirty := int64(cache.DirtyPageCount()) * int64(cfg.PageSize)
-		return total <= dirty && len(sip) == cache.DirtyPageCount()
+		return total <= dirty && change.Reset && len(change.Add) == cache.DirtyPageCount()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -10,19 +10,53 @@ import (
 	"jitgc/internal/pagecache"
 )
 
+// sipSet is the receiving end of Predict's SIP changes: the set an FTL fed
+// every change would hold.
+type sipSet map[int64]bool
+
+// apply installs ch. A change must be exact: it never adds a page the set
+// holds or drops one it does not.
+func (s sipSet) apply(t *testing.T, ch SIPChange) {
+	t.Helper()
+	if ch.Reset {
+		clear(s)
+	}
+	for _, lpn := range ch.Add {
+		if s[lpn] {
+			t.Fatalf("change adds lpn %d, already in the set", lpn)
+		}
+		s[lpn] = true
+	}
+	for _, lpn := range ch.Drop {
+		if !s[lpn] {
+			t.Fatalf("change drops lpn %d, not in the set", lpn)
+		}
+		delete(s, lpn)
+	}
+}
+
+func (s sipSet) sorted() []int64 {
+	out := make([]int64, 0, len(s))
+	for lpn := range s {
+		out = append(out, lpn)
+	}
+	slices.Sort(out)
+	return out
+}
+
 // predictBoth runs Predict and the reference at now and fails unless they
-// return the same demand sequence and the same SIP set.
-func predictBoth(t *testing.T, b *Buffered, ref *refBuffered, now time.Duration) Demand {
+// return the same demand sequence and sip, having accumulated every change
+// Predict returned so far, is the reference's SIP set.
+func predictBoth(t *testing.T, b *Buffered, ref *refBuffered, sip sipSet, now time.Duration) Demand {
 	t.Helper()
 	want, wantSIP := ref.Predict(now) // first: it reads the cache only
-	got, gotSIP := b.Predict(now)
+	got, change := b.Predict(now)
 	if !slices.Equal(got, want) {
 		t.Fatalf("Predict(%v) demand %v, reference %v", now, got, want)
 	}
-	gotSIP = slices.Clone(gotSIP)
-	slices.Sort(gotSIP)
+	sip.apply(t, change)
 	slices.Sort(wantSIP)
-	if !slices.Equal(gotSIP, wantSIP) {
+	if gotSIP := sip.sorted(); !slices.Equal(gotSIP, wantSIP) {
 		t.Fatalf("Predict(%v) SIP set\n got %v\nwant %v", now, gotSIP, wantSIP)
 	}
 	return got
@@ -56,7 +90,7 @@ func TestPredictMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, ref := NewBuffered(cache), newRefBuffered(cache)
+				b, ref, sip := NewBuffered(cache), newRefBuffered(cache), sipSet{}
 				b.Strict, ref.strict = m.strict, m.strict
 				b.DisableHotFilter, ref.disableHotFilter = m.disableHot, m.disableHot
 				var clock time.Duration
@@ -81,7 +115,7 @@ func TestPredictMatchesReference(t *testing.T) {
 					if rng.Intn(5) != 0 {
 						cache.Flush(clock)
 					}
-					predictBoth(t, b, ref, clock)
+					predictBoth(t, b, ref, sip, clock)
 				}
 				return true
 			}
@@ -127,7 +161,7 @@ func TestHotFilterSurvivesTrimAndRedirtyBetweenTicks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, ref := NewBuffered(cache), newRefBuffered(cache)
+			b, ref, sip := NewBuffered(cache), newRefBuffered(cache), sipSet{}
 			rewrite := func(at time.Duration) {
 				t.Helper()
 				if _, err := cache.Write(at, 0, 1); err != nil {
@@ -141,7 +175,7 @@ func TestHotFilterSurvivesTrimAndRedirtyBetweenTicks(t *testing.T) {
 					rewrite(at)
 				}
 				cache.Flush(at)
-				d = predictBoth(t, b, ref, at)
+				d = predictBoth(t, b, ref, sip, at)
 			}
 			if d.Total() != 0 {
 				t.Fatalf("setup: lpn 0 not hot at 40 s: %v", d)
@@ -153,16 +187,16 @@ func TestHotFilterSurvivesTrimAndRedirtyBetweenTicks(t *testing.T) {
 			}
 			rewrite(sec(43))
 			cache.Flush(sec(45))
-			if d = predictBoth(t, b, ref, sec(45)); d.Total() != 0 {
+			if d = predictBoth(t, b, ref, sip, sec(45)); d.Total() != 0 {
 				t.Errorf("re-dirtied between ticks, lpn 0 lost its first-seen time: %v", d)
 			}
 			// Clean at a Predict: the episode ends there.
 			remove(t, cache, sec(47))
 			cache.Flush(sec(50))
-			predictBoth(t, b, ref, sec(50))
+			predictBoth(t, b, ref, sip, sec(50))
 			rewrite(sec(52))
 			cache.Flush(sec(55))
-			if d = predictBoth(t, b, ref, sec(55)); d.Total() == 0 {
+			if d = predictBoth(t, b, ref, sip, sec(55)); d.Total() == 0 {
 				t.Error("lpn 0 found clean at a Predict is still treated as hot")
 			}
 		})

@@ -51,9 +51,18 @@ type Prediction struct {
 	// Direct is Ddir(t): the CDH-derived direct-write reserve, spread
 	// evenly over the horizon.
 	Direct Demand
-	// SIP lists the logical pages currently dirty in the page cache whose
-	// on-SSD copies are soon to be invalidated.
-	SIP []int64
+	// SIP is the change, since the previous prediction, in the set of
+	// logical pages dirty in the page cache — the pages whose on-SSD copies
+	// are soon to be invalidated.
+	SIP SIPChange
+}
+
+// SIPChange turns the SIP set as of the previous prediction into the current
+// one: with Reset, empty the set first; then add Add and remove Drop. The
+// zero value changes nothing.
+type SIPChange struct {
+	Reset     bool
+	Add, Drop []int64
 }
 
 // Total returns Creq(t) = Σ(D^i_buf + D^i_dir).

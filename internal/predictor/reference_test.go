@@ -110,3 +110,18 @@ func predictFromDirty(pages []pagecache.DirtyPage, now time.Duration, wb WriteBa
 	}
 	return demand, sip
 }
+
+// flushInterval returns the index i ≥ 1 of the future write-back interval
+// I^i_wb(now) during which a page last updated at u will be flushed: the
+// flusher wakes at now+p, now+2p, …, and flushes the page at the first
+// wake-up ≥ u + τ_expire. Predict gets the same answer from the cache's
+// threshold walk.
+func flushInterval(u, now time.Duration, wb WriteBack) int {
+	due := u + wb.Expire
+	if due <= now {
+		return 1
+	}
+	// First wake-up at or after due, counted in periods from now.
+	k := (due - now + wb.Period - 1) / wb.Period
+	return int(k)
+}

@@ -496,12 +496,12 @@ func (s *Simulator) TickDecide(t time.Duration) core.Decision {
 }
 
 // TickApply runs the final phase: install dec (possibly adjusted by the
-// driver) as this interval's background GC program.
+// driver) as this interval's background GC program. dec.SIP is a change
+// against what the previous tick installed, so every TickDecide's has to
+// arrive here as decided.
 func (s *Simulator) TickApply(t time.Duration, dec core.Decision) {
 	free := s.ftl.WritableBytes()
-	if dec.HasSIP {
-		s.ftl.SetSIPList(dec.SIP)
-	}
+	s.ftl.UpdateSIP(dec.SIP.Reset, dec.SIP.Add, dec.SIP.Drop)
 	s.pendingBGC = dec.ReclaimBytes
 	s.bgcReadyAt = t
 	if s.predictive {
