@@ -49,7 +49,11 @@ coverage-gate:
 	awk -v t="$$total" -v b="$(COVERAGE_BASELINE)" 'BEGIN { exit (t+0 >= b+0) ? 0 : 1 }' || \
 		{ echo "coverage $$total% below baseline $(COVERAGE_BASELINE)%"; exit 1; }
 
-# Open-ended fuzzing session for the trace parsers (not part of ci).
+# Open-ended fuzzing session for the trace parsers and the binlog reader
+# (not part of ci; ci runs their committed seed corpora). -fuzz takes a
+# regexp, so each name is anchored.
 fuzz:
-	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/trace/
-	$(GO) test -fuzz FuzzDecodeMSR -fuzztime 30s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMSR$$' -fuzztime 30s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 30s ./internal/telemetry/binlog/
+	$(GO) test -run '^$$' -fuzz '^FuzzSeekReader$$' -fuzztime 30s ./internal/telemetry/binlog/

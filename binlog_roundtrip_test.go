@@ -2,8 +2,11 @@ package jitgc
 
 import (
 	"bytes"
+	"errors"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"jitgc/internal/telemetry"
 	"jitgc/internal/telemetry/binlog"
@@ -11,8 +14,8 @@ import (
 
 // roundTripStream pushes a recorded JSONL event stream through the binary
 // converter both ways and fails unless the round trip reproduces the
-// original bytes exactly.
-func roundTripStream(t *testing.T, jsonl []byte, events int64) {
+// original bytes exactly. It returns the converted binary stream.
+func roundTripStream(t *testing.T, jsonl []byte, events int64) []byte {
 	t.Helper()
 	var bin bytes.Buffer
 	n, err := binlog.ToBinary(&bin, bytes.NewReader(jsonl), binlog.Options{})
@@ -33,14 +36,44 @@ func roundTripStream(t *testing.T, jsonl []byte, events int64) {
 	if bin.Len() >= len(jsonl) {
 		t.Errorf("binary stream (%d bytes) not smaller than JSONL (%d bytes)", bin.Len(), len(jsonl))
 	}
+	return bin.Bytes()
 }
+
+// teeSink records one run as JSONL and as a live binlog at once, emitting
+// to both under one lock so the two streams keep one order. It forwards
+// request completions through the binlog's fast path, as a tracer over a
+// bare BinSink would.
+type teeSink struct {
+	mu    sync.Mutex
+	jsonl *telemetry.JSONLSink
+	bin   *binlog.BinSink
+}
+
+func (s *teeSink) Emit(ev telemetry.Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.jsonl.Emit(ev)
+	s.bin.Emit(ev)
+}
+
+func (s *teeSink) EmitRequest(now time.Duration, dev int, kind string, lpn int64, pages int, latency time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.jsonl.Emit(telemetry.Event{Type: telemetry.EvRequest, T: now, Dev: dev,
+		Kind: kind, LPN: lpn, Pages: pages, Latency: latency})
+	s.bin.EmitRequest(now, dev, kind, lpn, pages, latency)
+}
+
+func (s *teeSink) Close() error { return errors.Join(s.jsonl.Close(), s.bin.Close()) }
 
 // TestExperimentEventStreamsRoundTrip drives every golden experiment with
 // a live tracer and round-trips the resulting JSONL event stream through
 // the binary converter. The golden sweep locks down the tables; this
 // locks down the event streams — every event type and field combination
 // the experiments actually emit must survive the columnar format without
-// loss. Scale is excluded exactly as in the golden sweep (it has no
+// loss. The same run also writes a live binlog (requests through
+// BinSink.EmitRequest), which must be byte-identical to the JSONL's
+// conversion. Scale is excluded exactly as in the golden sweep (it has no
 // golden), and lifetime — whose nine wear-out cells would dominate the
 // whole suite — is covered by TestLifetimeEventStreamRoundTrip instead.
 func TestExperimentEventStreamsRoundTrip(t *testing.T) {
@@ -59,20 +92,24 @@ func TestExperimentEventStreamsRoundTrip(t *testing.T) {
 			case "lifetime":
 				t.Skip("covered by TestLifetimeEventStreamRoundTrip (one wear-out cell instead of nine)")
 			}
-			var jsonl bytes.Buffer
+			var jsonl, live bytes.Buffer
 			sink := telemetry.NewJSONLSink(&jsonl)
+			tee := &teeSink{jsonl: sink, bin: binlog.NewBinSink(&live, binlog.Options{})}
 			expOpt := opt
-			expOpt.Tracer = telemetry.New(sink)
+			expOpt.Tracer = telemetry.New(tee)
 			if _, err := e.Run(expOpt); err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			if err := sink.Close(); err != nil {
+			if err := tee.Close(); err != nil {
 				t.Fatalf("close sink: %v", err)
 			}
 			if sink.Count() == 0 {
 				t.Skipf("%s emits no events at this scale", e.ID)
 			}
-			roundTripStream(t, jsonl.Bytes(), sink.Count())
+			converted := roundTripStream(t, jsonl.Bytes(), sink.Count())
+			if !bytes.Equal(live.Bytes(), converted) {
+				t.Fatalf("live binlog (%d bytes) differs from the JSONL's conversion (%d bytes)", live.Len(), len(converted))
+			}
 		})
 	}
 }

@@ -40,6 +40,32 @@ func BenchmarkBinlogEncode(b *testing.B) {
 	b.ReportMetric(float64(cw.n)/float64(w.Count()), "B/ev")
 }
 
+// BenchmarkTracerRequest measures a traced request completion end to end:
+// Tracer.Request into a BinSink (the EmitRequest fast path), blocks
+// flushing at the default cadence, on the request events of the recorded
+// mix.
+func BenchmarkTracerRequest(b *testing.B) {
+	var reqs []telemetry.Event
+	for _, ev := range recordedMix(4096, 1) {
+		if ev.Type == telemetry.EvRequest {
+			reqs = append(reqs, ev)
+		}
+	}
+	var cw countWriter
+	sink := NewBinSink(&cw, Options{})
+	tr := telemetry.New(sink)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := &reqs[i%len(reqs)]
+		tr.Request(r.T, r.Kind, r.LPN, r.Pages, r.Latency)
+	}
+	b.StopTimer()
+	if err := sink.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkJSONLEncode is the reference cost: the same mix through the
 // JSONL sink the experiment harness has always used.
 func BenchmarkJSONLEncode(b *testing.B) {

@@ -502,6 +502,10 @@ func TestBinSinkConcurrentAndClose(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
+				if w%2 == 0 { // half the workers take the request fast path
+					s.EmitRequest(time.Duration(w*per+i), 0, "R", 0, 1, 0)
+					continue
+				}
 				s.Emit(telemetry.Event{Type: telemetry.EvRequest, T: time.Duration(w*per + i), Kind: "R", Pages: 1})
 			}
 		}(w)
@@ -537,6 +541,102 @@ func TestBinSinkEmitZeroAllocs(t *testing.T) {
 	ev := telemetry.Event{Type: telemetry.EvRequest, T: 1, Kind: "W", LPN: 42, Pages: 8, Latency: 100}
 	if allocs := testing.AllocsPerRun(1000, func() { s.Emit(ev) }); allocs != 0 {
 		t.Errorf("Emit allocates %.1f/op in steady state, want 0", allocs)
+	}
+}
+
+// TestTracerRequestZeroAllocs pins the traced request path — Tracer.Request
+// into a BinSink through EmitRequest, blocks flushing every 64 events — at
+// zero allocations per request.
+func TestTracerRequestZeroAllocs(t *testing.T) {
+	tr := telemetry.New(NewBinSink(io.Discard, Options{BlockEvents: 64})).WithDevice(2)
+	now := time.Duration(0)
+	request := func() {
+		now += 3 * time.Microsecond
+		tr.Request(now, "W", int64(now)%4096, 8, 2*time.Microsecond)
+	}
+	for i := 0; i < 1<<16; i++ { // warm the column buffers and the block index
+		request()
+	}
+	if allocs := testing.AllocsPerRun(4096, request); allocs != 0 {
+		t.Errorf("Tracer.Request into a BinSink allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// emitOnly hides every method of the wrapped sink but the Sink interface,
+// as a wrapper sink without a request fast path does.
+type emitOnly struct{ telemetry.Sink }
+
+// TestRequestFastPathMatchesEmit: a tracer over a BinSink sends requests
+// through EmitRequest, a tracer over a wrapper without it through Emit, and
+// the two streams — device tags, other event types and block flushes
+// included — are the same bytes.
+func TestRequestFastPathMatchesEmit(t *testing.T) {
+	drive := func(sink telemetry.Sink) {
+		tr := telemetry.New(sink)
+		member := tr.WithDevice(3)
+		for i := 0; i < 500; i++ {
+			now := time.Duration(i) * time.Microsecond
+			tr.Request(now, "R", int64(i), 1+i%8, time.Duration(i%7)*time.Microsecond)
+			member.Request(now, "W", int64(-i), i%3, 0)
+			if i%50 == 0 {
+				member.GCStart(now, i%100 == 0, i, 3, 1)
+				tr.Snapshot(now, 1<<20, i, 1.25, 1, 2, int64(i))
+			}
+		}
+	}
+	var fast, slow bytes.Buffer
+	fastSink := NewBinSink(&fast, Options{BlockEvents: 37})
+	slowSink := NewBinSink(&slow, Options{BlockEvents: 37})
+	drive(fastSink)
+	drive(emitOnly{slowSink})
+	if fastSink.Count() != slowSink.Count() || fastSink.Count() != 1020 {
+		t.Fatalf("counts: fast path %d, Emit path %d, want 1020 each", fastSink.Count(), slowSink.Count())
+	}
+	if err := fastSink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := slowSink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fast.Bytes(), slow.Bytes()) {
+		t.Fatalf("EmitRequest stream differs from the Emit stream at byte %d of %d", firstDiff(fast.Bytes(), slow.Bytes()), slow.Len())
+	}
+	evs, err := Decode(bytes.NewReader(fast.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Event 5 is the member's second request (i=0 also emits a GC start and
+	// a snapshot).
+	if m := evs[5]; m.Type != telemetry.EvRequest || m.Dev != 3 || m.Kind != "W" || m.LPN != -1 || m.Pages != 1 {
+		t.Errorf("member request decoded as %+v", m)
+	}
+}
+
+// TestEmitRequestAfterClose: the fast path keeps Emit's closed-sink
+// contract — the lost event surfaces as ErrClosedSink — and its first error
+// sticks.
+func TestEmitRequestAfterClose(t *testing.T) {
+	s := NewBinSink(io.Discard, Options{})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s.EmitRequest(1, 0, "R", 0, 1, 0)
+	if err := s.Close(); !errors.Is(err, telemetry.ErrClosedSink) {
+		t.Errorf("EmitRequest after Close: %v, want ErrClosedSink", err)
+	}
+	if s.Count() != 0 {
+		t.Errorf("Count = %d after a rejected request", s.Count())
+	}
+
+	w := NewWriter(io.Discard, Options{})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteRequest(1, 0, "R", 0, 1, 0); !errors.Is(err, telemetry.ErrClosedSink) {
+		t.Errorf("WriteRequest after Close: %v, want ErrClosedSink", err)
+	}
+	if err := w.WriteEvent(telemetry.Event{Type: telemetry.EvErase}); !errors.Is(err, telemetry.ErrClosedSink) {
+		t.Errorf("sticky error after WriteRequest: %v", err)
 	}
 }
 

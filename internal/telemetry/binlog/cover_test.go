@@ -107,11 +107,9 @@ func TestZLECodec(t *testing.T) {
 	}
 	for _, src := range roundTrips {
 		comp := zleCompress(nil, src)
-		dst := make([]byte, len(src))
-		for i := range dst {
-			dst[i] = 0xAA // decompress must overwrite every byte
-		}
-		if err := zleDecompress(dst, comp); err != nil {
+		dst := bytes.Repeat([]byte{0xAA}, len(src)) // decompress must overwrite every byte
+		dst, err := zleDecompress(dst, comp, len(src), crc32.ChecksumIEEE(src))
+		if err != nil {
 			t.Errorf("decompress(%v): %v", src, err)
 			continue
 		}
@@ -140,9 +138,15 @@ func TestZLECodec(t *testing.T) {
 		{"missing zero-run varint", 4, append(uv(2), 1, 2)},
 		{"trailing bytes", 2, append(append(uv(2), 1, 2), 0xFF)},
 	}
+	// The token checks alone must reject each case, in both walks: a forged
+	// CRC gets past zleDecompress's checksum, and then only these checks keep
+	// the materializing walk inside dst.
 	for _, tc := range malformed {
-		if err := zleDecompress(make([]byte, tc.dstLen), tc.payload); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		if _, err := zleWalk(nil, tc.payload, tc.dstLen); err == nil {
+			t.Errorf("%s: checksum walk accepted", tc.name)
+		}
+		if _, err := zleWalk(make([]byte, tc.dstLen), tc.payload, tc.dstLen); err == nil {
+			t.Errorf("%s: materializing walk accepted", tc.name)
 		}
 	}
 }

@@ -61,6 +61,7 @@ package binlog
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/bits"
 	"time"
 
@@ -81,6 +82,12 @@ const (
 	// maxBlockEvents caps a block's declared event count for the same
 	// reason.
 	maxBlockEvents = 1 << 24
+	// minEventBytes is the fewest raw payload bytes one event occupies: a
+	// type index, a T delta and the four always-stored int columns, at least
+	// one varint byte each. A block declaring more events than its payload
+	// can hold is corrupt, and is rejected before the reader sizes its event
+	// slab by the declared count.
+	minEventBytes = 6
 )
 
 // Block payload codecs (the frame's codec byte).
@@ -109,182 +116,172 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// intCol describes one integer column: its presence bit and accessors into
-// the flat Event union. Dedicated accessor funcs keep the encoder free of
-// reflection on the hot path.
+// Column counts, fixing the sizes of the column tables and of the writer's
+// per-column state.
+const (
+	numIntCols   = 22
+	numStrCols   = 5
+	numBoolCols  = 2
+	numFloatCols = 2
+)
+
+// intCol describes one integer column: its presence bit, its wire name, and
+// the setter the decoder fills an Event through. The encoder reads fields
+// with direct accesses instead (Writer.appendFields).
 type intCol struct {
 	bit  telemetry.FieldSet
 	name string
-	get  func(*telemetry.Event) int64
 	set  func(*telemetry.Event, int64)
 }
 
 // intCols fixes the wire order of the integer columns. The always-present
 // four lead; the rest follow in Event struct order.
-var intCols = []intCol{
+var intCols = [numIntCols]intCol{
 	{telemetry.FDev, "dev",
-		func(e *telemetry.Event) int64 { return int64(e.Dev) },
 		func(e *telemetry.Event, v int64) { e.Dev = int(v) }},
 	{telemetry.FLPN, "lpn",
-		func(e *telemetry.Event) int64 { return e.LPN },
 		func(e *telemetry.Event, v int64) { e.LPN = v }},
 	{telemetry.FVictim, "victim",
-		func(e *telemetry.Event) int64 { return int64(e.Victim) },
 		func(e *telemetry.Event, v int64) { e.Victim = int(v) }},
 	{telemetry.FPage, "page",
-		func(e *telemetry.Event) int64 { return int64(e.Page) },
 		func(e *telemetry.Event, v int64) { e.Page = int(v) }},
 	{telemetry.FPages, "pages",
-		func(e *telemetry.Event) int64 { return int64(e.Pages) },
 		func(e *telemetry.Event, v int64) { e.Pages = int(v) }},
 	{telemetry.FLatency, "latency_ns",
-		func(e *telemetry.Event) int64 { return int64(e.Latency) },
 		func(e *telemetry.Event, v int64) { e.Latency = time.Duration(v) }},
 	{telemetry.FFreeBytes, "free_bytes",
-		func(e *telemetry.Event) int64 { return e.FreeBytes },
 		func(e *telemetry.Event, v int64) { e.FreeBytes = v }},
 	{telemetry.FReclaimBytes, "reclaim_bytes",
-		func(e *telemetry.Event) int64 { return e.ReclaimBytes },
 		func(e *telemetry.Event, v int64) { e.ReclaimBytes = v }},
 	{telemetry.FPredictedBytes, "predicted_bytes",
-		func(e *telemetry.Event) int64 { return e.PredictedBytes },
 		func(e *telemetry.Event, v int64) { e.PredictedBytes = v }},
 	{telemetry.FValidPages, "valid_pages",
-		func(e *telemetry.Event) int64 { return int64(e.ValidPages) },
 		func(e *telemetry.Event, v int64) { e.ValidPages = int(v) }},
 	{telemetry.FSIPPages, "sip_pages",
-		func(e *telemetry.Event) int64 { return int64(e.SIPPages) },
 		func(e *telemetry.Event, v int64) { e.SIPPages = int(v) }},
 	{telemetry.FFreedPages, "freed_pages",
-		func(e *telemetry.Event) int64 { return e.FreedPages },
 		func(e *telemetry.Event, v int64) { e.FreedPages = v }},
 	{telemetry.FElapsed, "elapsed_ns",
-		func(e *telemetry.Event) int64 { return int64(e.Elapsed) },
 		func(e *telemetry.Event, v int64) { e.Elapsed = time.Duration(v) }},
 	{telemetry.FEraseCount, "erase_count",
-		func(e *telemetry.Event) int64 { return e.EraseCount },
 		func(e *telemetry.Event, v int64) { e.EraseCount = v }},
 	{telemetry.FAttempts, "attempts",
-		func(e *telemetry.Event) int64 { return int64(e.Attempts) },
 		func(e *telemetry.Event, v int64) { e.Attempts = int(v) }},
 	{telemetry.FTenant, "tenant",
-		func(e *telemetry.Event) int64 { return int64(e.Tenant) },
 		func(e *telemetry.Event, v int64) { e.Tenant = int(v) }},
 	{telemetry.FDropped, "dropped",
-		func(e *telemetry.Event) int64 { return e.Dropped },
 		func(e *telemetry.Event, v int64) { e.Dropped = v }},
 	{telemetry.FViolations, "violations",
-		func(e *telemetry.Event) int64 { return e.Violations },
 		func(e *telemetry.Event, v int64) { e.Violations = v }},
 	{telemetry.FDirtyPages, "dirty_pages",
-		func(e *telemetry.Event) int64 { return int64(e.DirtyPages) },
 		func(e *telemetry.Event, v int64) { e.DirtyPages = int(v) }},
 	{telemetry.FFGC, "fgc",
-		func(e *telemetry.Event) int64 { return e.FGCInvocations },
 		func(e *telemetry.Event, v int64) { e.FGCInvocations = v }},
 	{telemetry.FBGC, "bgc",
-		func(e *telemetry.Event) int64 { return e.BGCCollections },
 		func(e *telemetry.Event, v int64) { e.BGCCollections = v }},
 	{telemetry.FRequests, "requests",
-		func(e *telemetry.Event) int64 { return e.Requests },
 		func(e *telemetry.Event, v int64) { e.Requests = v }},
 }
+
+// Int column slots, the indexes into intCols the encoder names directly.
+const (
+	slotDev = iota
+	slotLPN
+	slotVictim
+	slotPage
+	slotPages
+	slotLatency
+	slotFreeBytes
+	slotReclaimBytes
+	slotPredictedBytes
+	slotValidPages
+	slotSIPPages
+	slotFreedPages
+	slotElapsed
+	slotEraseCount
+	slotAttempts
+	slotTenant
+	slotDropped
+	slotViolations
+	slotDirtyPages
+	slotFGC
+	slotBGC
+	slotRequests
+)
 
 // strCol describes one dictionary-encoded string column.
 type strCol struct {
 	bit  telemetry.FieldSet
 	name string
-	get  func(*telemetry.Event) string
 	set  func(*telemetry.Event, string)
 }
 
-var strCols = []strCol{
+var strCols = [numStrCols]strCol{
 	{telemetry.FKind, "kind",
-		func(e *telemetry.Event) string { return e.Kind },
 		func(e *telemetry.Event, v string) { e.Kind = v }},
 	{telemetry.FAction, "action",
-		func(e *telemetry.Event) string { return e.Action },
 		func(e *telemetry.Event, v string) { e.Action = v }},
 	{telemetry.FOp, "op",
-		func(e *telemetry.Event) string { return e.Op },
 		func(e *telemetry.Event, v string) { e.Op = v }},
 	{telemetry.FReason, "reason",
-		func(e *telemetry.Event) string { return e.Reason },
 		func(e *telemetry.Event, v string) { e.Reason = v }},
 	{telemetry.FClass, "class",
-		func(e *telemetry.Event) string { return e.Class },
 		func(e *telemetry.Event, v string) { e.Class = v }},
 }
+
+// String column slots.
+const (
+	slotKind = iota
+	slotAction
+	slotOp
+	slotReason
+	slotClass
+)
 
 // boolCol describes one bit-packed bool column.
 type boolCol struct {
 	bit  telemetry.FieldSet
 	name string
-	get  func(*telemetry.Event) bool
 	set  func(*telemetry.Event, bool)
 }
 
-var boolCols = []boolCol{
+var boolCols = [numBoolCols]boolCol{
 	{telemetry.FForeground, "foreground",
-		func(e *telemetry.Event) bool { return e.Foreground },
 		func(e *telemetry.Event, v bool) { e.Foreground = v }},
 	{telemetry.FRecovered, "recovered",
-		func(e *telemetry.Event) bool { return e.Recovered },
 		func(e *telemetry.Event, v bool) { e.Recovered = v }},
 }
+
+// Bool column slots.
+const (
+	slotForeground = iota
+	slotRecovered
+)
 
 // floatCol describes one Gorilla-encoded float column.
 type floatCol struct {
 	bit  telemetry.FieldSet
 	name string
-	get  func(*telemetry.Event) float64
 	set  func(*telemetry.Event, float64)
 }
 
-var floatCols = []floatCol{
+var floatCols = [numFloatCols]floatCol{
 	{telemetry.FIdleFraction, "idle_fraction",
-		func(e *telemetry.Event) float64 { return e.IdleFraction },
 		func(e *telemetry.Event, v float64) { e.IdleFraction = v }},
 	{telemetry.FWAF, "waf",
-		func(e *telemetry.Event) float64 { return e.WAF },
 		func(e *telemetry.Event, v float64) { e.WAF = v }},
 }
 
-// Column dispatch tables: bit position (telemetry.FieldSet trailing zeros)
-// to column kind and slot, so the encoder can iterate an event's set bits
-// instead of scanning every column table per event.
+// Float column slots.
 const (
-	colInt = iota
-	colStr
-	colBool
-	colFloat
+	slotIdleFraction = iota
+	slotWAF
 )
-
-var (
-	colKind [32]uint8
-	colSlot [32]uint8
-)
-
-func init() {
-	idx := func(bit telemetry.FieldSet) int { return bits.TrailingZeros32(uint32(bit)) }
-	for i, c := range intCols {
-		colKind[idx(c.bit)], colSlot[idx(c.bit)] = colInt, uint8(i)
-	}
-	for i, c := range strCols {
-		colKind[idx(c.bit)], colSlot[idx(c.bit)] = colStr, uint8(i)
-	}
-	for i, c := range boolCols {
-		colKind[idx(c.bit)], colSlot[idx(c.bit)] = colBool, uint8(i)
-	}
-	for i, c := range floatCols {
-		colKind[idx(c.bit)], colSlot[idx(c.bit)] = colFloat, uint8(i)
-	}
-}
 
 // populated returns the set of fields holding non-zero values in ev. It is
-// hand-rolled with direct field accesses (not the column closures): it runs
-// once per WriteEvent, and routing &ev through dynamic funcs both costs
-// calls and forces the event to escape.
+// hand-rolled with direct field accesses: it runs once per WriteEvent, and
+// routing ev through dynamic funcs would both cost calls and force the event
+// to escape.
 func populated(ev *telemetry.Event) telemetry.FieldSet {
 	var set telemetry.FieldSet
 	if ev.Dev != 0 {
@@ -387,63 +384,127 @@ func populated(ev *telemetry.Event) telemetry.FieldSet {
 // (uvarint litLen, literal bytes, uvarint zeroLen) tokens, starting with a
 // literal run. Lone zeros stay literal; only runs of ≥2 are encoded, so
 // every zero token advances the decoder and a malformed stream cannot spin.
+// Both scans step a 64-bit word at a time: a literal run ends at the first
+// pair of zero bytes, a zero run at the first non-zero byte.
 func zleCompress(dst, src []byte) []byte {
 	dst = dst[:0]
 	n := len(src)
 	for i := 0; i < n; {
 		start := i
-		for i < n && !(src[i] == 0 && i+1 < n && src[i+1] == 0) {
-			i++
-		}
+		i = zeroPairAt(src, i)
 		dst = binary.AppendUvarint(dst, uint64(i-start))
 		dst = append(dst, src[start:i]...)
 		if i >= n {
 			break
 		}
 		zs := i
-		for i < n && src[i] == 0 {
-			i++
+		for i+8 <= n && binary.LittleEndian.Uint64(src[i:]) == 0 {
+			i += 8
+		}
+		if i+8 <= n {
+			i += bits.TrailingZeros64(binary.LittleEndian.Uint64(src[i:])) / 8
+		} else {
+			for i < n && src[i] == 0 {
+				i++
+			}
 		}
 		dst = binary.AppendUvarint(dst, uint64(i-zs))
 	}
 	return dst
 }
 
-// zleDecompress fills dst exactly from a zero-run payload.
-func zleDecompress(dst, src []byte) error {
+// zeroPairAt returns the first index j ≥ i with src[j] = src[j+1] = 0, or
+// len(src). Each word step tests the seven byte pairs that start in it, so
+// consecutive words overlap by one byte and a pair straddling a word
+// boundary is found by the next step.
+func zeroPairAt(src []byte, i int) int {
+	const lo7, hi = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	for ; i+8 <= len(src); i += 7 {
+		w := binary.LittleEndian.Uint64(src[i:])
+		// The high bit of each byte of z is set iff that byte of w is zero
+		// (exact: the add cannot carry from one byte into the next).
+		z := ^((w&lo7 + lo7) | w | lo7) & hi
+		if pair := z & (z >> 8); pair != 0 {
+			return i + bits.TrailingZeros64(pair)/8
+		}
+	}
+	for ; i+1 < len(src); i++ {
+		if src[i] == 0 && src[i+1] == 0 {
+			return i
+		}
+	}
+	return len(src)
+}
+
+// zleDecompress decodes a zero-run payload that must expand to exactly n
+// bytes with IEEE CRC-32 crc into dst, reusing its storage when large
+// enough. Length and checksum are verified on the token stream before dst
+// is sized: a zero run lets a few payload bytes declare up to maxBlockRaw,
+// and a corrupted block should not make the reader allocate that. CRC-32 is
+// no defence against a forged block, which can still cost maxBlockRaw.
+func zleDecompress(dst, src []byte, n int, crc uint32) ([]byte, error) {
+	got, err := zleWalk(nil, src, n)
+	if err != nil {
+		return dst, err
+	}
+	if got != crc {
+		return dst, fmt.Errorf("binlog: zle block crc mismatch (got %#x, want %#x)", got, crc)
+	}
+	dst = grow(dst, n)
+	_, err = zleWalk(dst, src, n)
+	return dst, err
+}
+
+// zeroChunk feeds zero runs to the checksum.
+var zeroChunk [4096]byte
+
+// zleWalk walks a zero-run payload expanding to exactly n bytes. With dst
+// nil it returns the expansion's IEEE CRC-32 without materializing it;
+// otherwise it writes the expansion into dst.
+func zleWalk(dst, src []byte, n int) (uint32, error) {
 	br := byteReader{b: src}
-	di := 0
-	for di < len(dst) {
+	var crc uint32
+	for di := 0; di < n; {
 		lit, err := br.uvarint()
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if lit > uint64(len(dst)-di) {
-			return fmt.Errorf("binlog: zle literal run of %d overflows %d remaining bytes", lit, len(dst)-di)
+		if lit > uint64(n-di) {
+			return 0, fmt.Errorf("binlog: zle literal run of %d overflows %d remaining bytes", lit, n-di)
 		}
 		b, err := br.take(int(lit))
 		if err != nil {
-			return err
+			return 0, err
 		}
-		copy(dst[di:], b)
+		if dst != nil {
+			copy(dst[di:], b)
+		} else {
+			crc = crc32.Update(crc, crc32.IEEETable, b)
+		}
 		di += int(lit)
-		if di >= len(dst) {
+		if di >= n {
 			break
 		}
 		z, err := br.uvarint()
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if z < 2 || z > uint64(len(dst)-di) {
-			return fmt.Errorf("binlog: zle zero run of %d with %d remaining bytes", z, len(dst)-di)
+		if z < 2 || z > uint64(n-di) {
+			return 0, fmt.Errorf("binlog: zle zero run of %d with %d remaining bytes", z, n-di)
 		}
-		clear(dst[di : di+int(z)])
+		if dst != nil {
+			clear(dst[di : di+int(z)])
+		} else {
+			for left := int(z); left > 0; left -= len(zeroChunk) {
+				crc = crc32.Update(crc, crc32.IEEETable, zeroChunk[:min(left, len(zeroChunk))])
+			}
+		}
 		di += int(z)
 	}
 	if br.off != len(src) {
-		return fmt.Errorf("binlog: %d trailing bytes in zle payload", len(src)-br.off)
+		return 0, fmt.Errorf("binlog: %d trailing bytes in zle payload", len(src)-br.off)
 	}
-	return nil
+	return crc, nil
 }
 
 // unrepresentableError reports an event populating a field outside its

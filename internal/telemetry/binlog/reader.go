@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"jitgc/internal/telemetry"
@@ -166,25 +167,26 @@ func (r *Reader) readBlock() error {
 	}
 	wantCRC := binary.LittleEndian.Uint32(crcBuf[:])
 
-	r.raw = grow(r.raw, int(rawLen))
+	// No buffer is sized by a declared length alone: payloads grow with the
+	// bytes that arrive, and raw with what the payload really expands to (a
+	// zero-run payload's expansion once its checksum holds).
 	switch codec {
 	case codecStore:
 		if payloadLen != rawLen {
 			return fmt.Errorf("binlog: stored block declares payload %d ≠ raw %d", payloadLen, rawLen)
 		}
-		if _, err := io.ReadFull(r.br, r.raw); err != nil {
+		if r.raw, err = readExact(r.br, r.raw, int(rawLen)); err != nil {
 			return fmt.Errorf("binlog: block payload: %w", noEOF(err))
 		}
 	case codecFlate:
-		r.comp = grow(r.comp, int(payloadLen))
-		if _, err := io.ReadFull(r.br, r.comp); err != nil {
+		if r.comp, err = readExact(r.br, r.comp, int(payloadLen)); err != nil {
 			return fmt.Errorf("binlog: block payload: %w", noEOF(err))
 		}
 		r.frSrc.Reset(r.comp)
 		if err := r.fr.(flate.Resetter).Reset(&r.frSrc, nil); err != nil {
 			return fmt.Errorf("binlog: reset inflater: %w", err)
 		}
-		if _, err := io.ReadFull(r.fr, r.raw); err != nil {
+		if r.raw, err = readExact(r.fr, r.raw, int(rawLen)); err != nil {
 			return fmt.Errorf("binlog: inflate block: %w", noEOF(err))
 		}
 		var extra [1]byte
@@ -192,18 +194,19 @@ func (r *Reader) readBlock() error {
 			return fmt.Errorf("binlog: block inflates past its declared %d bytes", rawLen)
 		}
 	case codecZLE:
-		r.comp = grow(r.comp, int(payloadLen))
-		if _, err := io.ReadFull(r.br, r.comp); err != nil {
+		if r.comp, err = readExact(r.br, r.comp, int(payloadLen)); err != nil {
 			return fmt.Errorf("binlog: block payload: %w", noEOF(err))
 		}
-		if err := zleDecompress(r.raw, r.comp); err != nil {
+		if r.raw, err = zleDecompress(r.raw, r.comp, int(rawLen), wantCRC); err != nil {
 			return err
 		}
 	default:
 		return fmt.Errorf("binlog: unknown block codec %d", codec)
 	}
-	if got := crc32.ChecksumIEEE(r.raw); got != wantCRC {
-		return fmt.Errorf("binlog: block %d crc mismatch (got %#x, want %#x)", r.nblocks, got, wantCRC)
+	if codec != codecZLE { // zleDecompress checked the expansion's CRC
+		if got := crc32.ChecksumIEEE(r.raw); got != wantCRC {
+			return fmt.Errorf("binlog: block %d crc mismatch (got %#x, want %#x)", r.nblocks, got, wantCRC)
+		}
 	}
 	if err := r.decodeBlock(r.raw); err != nil {
 		return err
@@ -219,8 +222,8 @@ func (r *Reader) decodeBlock(raw []byte) error {
 	if err != nil {
 		return err
 	}
-	if nU == 0 || nU > maxBlockEvents {
-		return fmt.Errorf("binlog: implausible block event count %d", nU)
+	if nU == 0 || nU > maxBlockEvents || nU > uint64(len(raw)/minEventBytes) {
+		return fmt.Errorf("binlog: implausible block event count %d in %d payload bytes", nU, len(raw))
 	}
 	n := int(nU)
 
@@ -432,8 +435,7 @@ func (r *Reader) readFooter() error {
 	if idxLen > maxBlockRaw {
 		return fmt.Errorf("binlog: implausible footer index size %d", idxLen)
 	}
-	r.raw = grow(r.raw, int(idxLen))
-	if _, err := io.ReadFull(r.br, r.raw); err != nil {
+	if r.raw, err = readExact(r.br, r.raw, int(idxLen)); err != nil {
 		return fmt.Errorf("binlog: footer index: %w", noEOF(err))
 	}
 	var tail [12]byte
@@ -719,6 +721,25 @@ func grow(buf []byte, n int) []byte {
 		return make([]byte, n)
 	}
 	return buf[:n]
+}
+
+// readExact reads exactly n bytes from r into buf, reusing its storage when
+// large enough. Otherwise the buffer grows, doubling from 64 KiB, only as
+// bytes arrive: a corrupt length in a short stream costs about what the
+// stream holds, not what the length declares.
+func readExact(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), 64<<10)))
+		}
+		end := min(n, cap(buf))
+		if _, err := io.ReadFull(r, buf[len(buf):end]); err != nil {
+			return buf, err
+		}
+		buf = buf[:end]
+	}
+	return buf, nil
 }
 
 // noEOF maps io.EOF to io.ErrUnexpectedEOF: inside a record, running out

@@ -23,14 +23,7 @@ func EncodeRequests(w io.Writer, reqs []trace.Request, opts Options) error {
 		if err := r.Validate(); err != nil {
 			return fmt.Errorf("binlog: write request %d: %w", i, err)
 		}
-		ev := telemetry.Event{
-			Type:  telemetry.EvRequest,
-			T:     r.Time,
-			Kind:  r.Kind.String(),
-			LPN:   r.LPN,
-			Pages: r.Pages,
-		}
-		if err := bw.WriteEvent(ev); err != nil {
+		if err := bw.WriteRequest(r.Time, 0, r.Kind.String(), r.LPN, r.Pages, 0); err != nil {
 			return err
 		}
 	}

@@ -59,35 +59,41 @@ type Writer struct {
 	bw   *bufio.Writer
 	opts Options
 
-	block []telemetry.Event
-	off   int64 // bytes emitted so far; block offsets for the index
-	idx   []indexEntry
-	n     int64
+	off int64 // bytes emitted so far; block offsets for the index
+	idx []indexEntry
+	n   int64
 
 	headerDone bool
 	closed     bool
 	err        error
 
-	// Per-block scratch, reused. Each column encodes into its own buffer in
-	// one pass over the block's events (dispatched by the event's field-set
-	// bits, with a straight-line fast path for the dominant request type);
-	// the buffers are then concatenated in wire order.
-	raw      []byte
-	comp     bytes.Buffer // flate output
-	zle      []byte       // zero-run output
-	fw       *flate.Writer
-	typeDict smallDict
-	typeIdx  []byte
-	tbuf     []byte
-	intBufs  [][]byte
-	intPrev  []int64
-	strDicts []smallDict
-	strBufs  [][]byte
-	boolAcc  []byte
-	boolN    []uint
-	boolBufs [][]byte
-	floatWs  []bitWriter
-	floatSt  []gorillaState
+	// The pending block, kept in column form: an accepted event's type id,
+	// T and fields are appended to their columns' buffers on arrival, so a
+	// flush only concatenates the buffers in wire order, compresses and
+	// frames.
+	blockN           int
+	firstT, lastT    time.Duration
+	prevT, prevDelta int64 // T column state: delta-of-delta
+	typeDict         smallDict
+	typeIdx          []byte
+	tbuf             []byte
+	intBufs          [numIntCols][]byte
+	intPrev          [numIntCols]int64
+	strDicts         [numStrCols]smallDict
+	strBufs          [numStrCols][]byte
+	boolAcc          [numBoolCols]byte
+	boolN            [numBoolCols]uint
+	boolBufs         [numBoolCols][]byte
+	floatWs          [numFloatCols]bitWriter
+	floatSt          [numFloatCols]gorillaState
+
+	// Flush scratch, reused (a frame header on the stack would escape
+	// through the bufio write).
+	hdr  [2 + 2*binary.MaxVarintLen64 + 4]byte
+	raw  []byte
+	comp bytes.Buffer // flate output
+	zle  []byte       // zero-run output
+	fw   *flate.Writer
 
 	// Field-set cache for the last event type seen (streams cluster by
 	// type, and telemetry.Fields is a map lookup).
@@ -102,10 +108,6 @@ type gorillaState struct {
 	lead, trail uint
 	first       bool
 }
-
-// requestSet is the stored field set of the dominant event type; events
-// matching it take the straight-line encode path.
-var requestSet = fieldsOf(telemetry.EvRequest)
 
 // fieldsOfCached is fieldsOf through a one-entry cache: streams cluster by
 // type, and the underlying telemetry.Fields map lookup is measurable at
@@ -124,19 +126,10 @@ func (w *Writer) fieldsOfCached(t telemetry.EventType) telemetry.FieldSet {
 func NewWriter(w io.Writer, opts Options) *Writer {
 	opts = opts.withDefaults()
 	wr := &Writer{
-		bw:       bufio.NewWriterSize(w, 1<<16),
-		opts:     opts,
-		block:    make([]telemetry.Event, 0, opts.BlockEvents),
-		intBufs:  make([][]byte, len(intCols)),
-		intPrev:  make([]int64, len(intCols)),
-		strDicts: make([]smallDict, len(strCols)),
-		strBufs:  make([][]byte, len(strCols)),
-		boolAcc:  make([]byte, len(boolCols)),
-		boolN:    make([]uint, len(boolCols)),
-		boolBufs: make([][]byte, len(boolCols)),
-		floatWs:  make([]bitWriter, len(floatCols)),
-		floatSt:  make([]gorillaState, len(floatCols)),
+		bw:   bufio.NewWriterSize(w, 1<<16),
+		opts: opts,
 	}
+	wr.resetBlock()
 	if opts.Level > 0 {
 		fw, err := flate.NewWriter(io.Discard, opts.Level)
 		if err != nil {
@@ -191,26 +184,155 @@ func (d *smallDict) id(s string) uint64 {
 }
 
 // WriteEvent appends one event to the stream. The first error is sticky.
-func (w *Writer) WriteEvent(ev telemetry.Event) error {
-	if w.err != nil {
+func (w *Writer) WriteEvent(ev telemetry.Event) error { return w.writeEvent(&ev) }
+
+// writeEvent is WriteEvent without the copy; ev does not escape.
+func (w *Writer) writeEvent(ev *telemetry.Event) error {
+	if err := w.ready(); err != nil {
+		return err
+	}
+	// Validate before touching the block: a rejected event leaves no trace.
+	set := w.fieldsOfCached(ev.Type)
+	if extra := populated(ev) &^ set; extra != 0 {
+		w.err = unrepresentableError(ev.Type, extra)
 		return w.err
 	}
-	if w.closed {
+	if ev.Type == telemetry.EvRequest {
+		w.appendRequest(ev.T, ev.Dev, ev.Kind, ev.LPN, ev.Victim, ev.Page, ev.Pages, ev.Latency)
+	} else {
+		w.appendHead(ev.Type, ev.T)
+		w.appendFields(ev, set)
+	}
+	return w.endEvent()
+}
+
+// WriteRequest appends a request completion — the event WriteEvent would
+// write for telemetry.Event{Type: EvRequest, T: now, Dev: dev, Kind: kind,
+// LPN: lpn, Pages: pages, Latency: latency}, byte for byte — without
+// building the Event. The first error is sticky.
+func (w *Writer) WriteRequest(now time.Duration, dev int, kind string, lpn int64, pages int, latency time.Duration) error {
+	if err := w.ready(); err != nil {
+		return err
+	}
+	w.appendRequest(now, dev, kind, lpn, 0, 0, pages, latency)
+	return w.endEvent()
+}
+
+// ready reports the sticky error, recording ErrClosedSink for a write after
+// Close.
+func (w *Writer) ready() error {
+	if w.err == nil && w.closed {
 		w.err = telemetry.ErrClosedSink
-		return w.err
 	}
-	// Append before validating and check the heap-resident slot: passing a
-	// stack copy's address through the dynamic column getters would force a
-	// per-event heap escape, and this path must stay allocation-free.
-	w.block = append(w.block, ev)
-	slot := &w.block[len(w.block)-1]
-	if extra := populated(slot) &^ w.fieldsOfCached(slot.Type); extra != 0 {
-		w.block = w.block[:len(w.block)-1]
-		w.err = unrepresentableError(slot.Type, extra)
-		return w.err
+	return w.err
+}
+
+// appendRequest appends a request event's columns: the one encoder of
+// request events, whether they arrive as an Event or as WriteRequest's
+// arguments. Victim and page are always-stored columns, zero unless a
+// hand-built Event sets them.
+func (w *Writer) appendRequest(now time.Duration, dev int, kind string, lpn int64, victim, page, pages int, latency time.Duration) {
+	w.appendHead(telemetry.EvRequest, now)
+	w.putInt(slotDev, int64(dev))
+	w.putInt(slotLPN, lpn)
+	w.putInt(slotVictim, int64(victim))
+	w.putInt(slotPage, int64(page))
+	w.putInt(slotPages, int64(pages))
+	w.putInt(slotLatency, int64(latency))
+	w.putStr(slotKind, kind)
+}
+
+// appendHead appends an event's type id and T: zigzag(T₀) for a block's
+// first event, zigzag delta-of-delta after.
+func (w *Writer) appendHead(ty telemetry.EventType, t time.Duration) {
+	w.typeIdx = binary.AppendUvarint(w.typeIdx, w.typeDict.id(string(ty)))
+	v := int64(t)
+	if w.blockN == 0 {
+		w.firstT = t
+		w.tbuf = binary.AppendUvarint(w.tbuf, zigzag(v))
+	} else {
+		delta := v - w.prevT
+		w.tbuf = binary.AppendUvarint(w.tbuf, zigzag(delta-w.prevDelta))
+		w.prevDelta = delta
 	}
+	w.prevT, w.lastT = v, t
+}
+
+// appendFields appends the fields in set, ev's stored field set, to their
+// columns. Order across columns is immaterial (each has its own buffer).
+func (w *Writer) appendFields(ev *telemetry.Event, set telemetry.FieldSet) {
+	for s := set; s != 0; s &= s - 1 {
+		switch s & -s {
+		case telemetry.FDev:
+			w.putInt(slotDev, int64(ev.Dev))
+		case telemetry.FKind:
+			w.putStr(slotKind, ev.Kind)
+		case telemetry.FLPN:
+			w.putInt(slotLPN, ev.LPN)
+		case telemetry.FPages:
+			w.putInt(slotPages, int64(ev.Pages))
+		case telemetry.FLatency:
+			w.putInt(slotLatency, int64(ev.Latency))
+		case telemetry.FFreeBytes:
+			w.putInt(slotFreeBytes, ev.FreeBytes)
+		case telemetry.FReclaimBytes:
+			w.putInt(slotReclaimBytes, ev.ReclaimBytes)
+		case telemetry.FPredictedBytes:
+			w.putInt(slotPredictedBytes, ev.PredictedBytes)
+		case telemetry.FIdleFraction:
+			w.putFloat(slotIdleFraction, ev.IdleFraction)
+		case telemetry.FForeground:
+			w.putBool(slotForeground, ev.Foreground)
+		case telemetry.FVictim:
+			w.putInt(slotVictim, int64(ev.Victim))
+		case telemetry.FValidPages:
+			w.putInt(slotValidPages, int64(ev.ValidPages))
+		case telemetry.FSIPPages:
+			w.putInt(slotSIPPages, int64(ev.SIPPages))
+		case telemetry.FFreedPages:
+			w.putInt(slotFreedPages, ev.FreedPages)
+		case telemetry.FElapsed:
+			w.putInt(slotElapsed, int64(ev.Elapsed))
+		case telemetry.FEraseCount:
+			w.putInt(slotEraseCount, ev.EraseCount)
+		case telemetry.FAction:
+			w.putStr(slotAction, ev.Action)
+		case telemetry.FOp:
+			w.putStr(slotOp, ev.Op)
+		case telemetry.FPage:
+			w.putInt(slotPage, int64(ev.Page))
+		case telemetry.FAttempts:
+			w.putInt(slotAttempts, int64(ev.Attempts))
+		case telemetry.FRecovered:
+			w.putBool(slotRecovered, ev.Recovered)
+		case telemetry.FReason:
+			w.putStr(slotReason, ev.Reason)
+		case telemetry.FTenant:
+			w.putInt(slotTenant, int64(ev.Tenant))
+		case telemetry.FClass:
+			w.putStr(slotClass, ev.Class)
+		case telemetry.FDropped:
+			w.putInt(slotDropped, ev.Dropped)
+		case telemetry.FViolations:
+			w.putInt(slotViolations, ev.Violations)
+		case telemetry.FDirtyPages:
+			w.putInt(slotDirtyPages, int64(ev.DirtyPages))
+		case telemetry.FWAF:
+			w.putFloat(slotWAF, ev.WAF)
+		case telemetry.FFGC:
+			w.putInt(slotFGC, ev.FGCInvocations)
+		case telemetry.FBGC:
+			w.putInt(slotBGC, ev.BGCCollections)
+		case telemetry.FRequests:
+			w.putInt(slotRequests, ev.Requests)
+		}
+	}
+}
+
+// endEvent counts the event just appended and flushes a full block.
+func (w *Writer) endEvent() error {
 	w.n++
-	if len(w.block) >= w.opts.BlockEvents {
+	if w.blockN++; w.blockN >= w.opts.BlockEvents {
 		w.err = w.flushBlock()
 	}
 	return w.err
@@ -255,15 +377,15 @@ func (w *Writer) ensureHeader() error {
 	return nil
 }
 
-// flushBlock encodes and frames the buffered events.
+// flushBlock compresses and frames the pending block.
 func (w *Writer) flushBlock() error {
-	if len(w.block) == 0 {
+	if w.blockN == 0 {
 		return nil
 	}
 	if err := w.ensureHeader(); err != nil {
 		return err
 	}
-	raw := w.encodeBlock()
+	raw := w.concatBlock()
 	crc := crc32.ChecksumIEEE(raw)
 
 	payload := raw
@@ -291,10 +413,9 @@ func (w *Writer) flushBlock() error {
 		}
 	}
 
-	entry := indexEntry{off: w.off, events: int64(len(w.block)),
-		firstT: w.block[0].T, lastT: w.block[len(w.block)-1].T}
+	entry := indexEntry{off: w.off, events: int64(w.blockN), firstT: w.firstT, lastT: w.lastT}
 
-	var hdr [2 + 2*binary.MaxVarintLen64 + 4]byte
+	hdr := &w.hdr
 	hdr[0] = tagBlock
 	p := 1
 	p += binary.PutUvarint(hdr[p:], uint64(len(raw)))
@@ -311,16 +432,45 @@ func (w *Writer) flushBlock() error {
 	}
 	w.off += int64(p) + int64(len(payload))
 	w.idx = append(w.idx, entry)
-	w.block = w.block[:0]
+	w.resetBlock()
 	return nil
 }
 
-// encodeBlock serializes w.block into the reused raw buffer: one pass over
-// the events appending each field to its column's scratch buffer, then a
-// concatenation in wire order.
-func (w *Writer) encodeBlock() []byte {
-	evs := w.block
+// concatBlock joins the pending block's columns into the reused raw buffer
+// in wire order: count, type column, T, ints, strings, bools, floats.
+func (w *Writer) concatBlock() []byte {
+	buf := w.raw[:0]
+	buf = binary.AppendUvarint(buf, uint64(w.blockN))
+	buf = appendDict(buf, w.typeDict.strs)
+	buf = append(buf, w.typeIdx...)
+	buf = append(buf, w.tbuf...)
+	for i := range w.intBufs {
+		buf = append(buf, w.intBufs[i]...)
+	}
+	for c := range w.strBufs {
+		buf = appendDict(buf, w.strDicts[c].strs)
+		buf = append(buf, w.strBufs[c]...)
+	}
+	for c := range w.boolBufs {
+		buf = append(buf, w.boolBufs[c]...)
+		if w.boolN[c] > 0 {
+			buf = append(buf, w.boolAcc[c]<<(8-w.boolN[c]))
+		}
+	}
+	for c := range w.floatWs {
+		fb := w.floatWs[c].finish()
+		buf = binary.AppendUvarint(buf, uint64(len(fb)))
+		buf = append(buf, fb...)
+	}
+	w.raw = buf
+	return buf
+}
 
+// resetBlock empties the column state for the next block, keeping every
+// buffer's storage.
+func (w *Writer) resetBlock() {
+	w.blockN = 0
+	w.prevT, w.prevDelta = 0, 0
 	w.typeDict.reset()
 	w.typeIdx = w.typeIdx[:0]
 	w.tbuf = w.tbuf[:0]
@@ -340,80 +490,6 @@ func (w *Writer) encodeBlock() []byte {
 		w.floatWs[i].reset(w.floatWs[i].buf)
 		w.floatSt[i] = gorillaState{first: true, lead: ^uint(0), trail: ^uint(0)}
 	}
-
-	prevT, prevDelta := int64(0), int64(0)
-	for i := range evs {
-		ev := &evs[i]
-		w.typeIdx = binary.AppendUvarint(w.typeIdx, w.typeDict.id(string(ev.Type)))
-
-		// T column: zigzag(T₀), then delta-of-delta.
-		t := int64(ev.T)
-		if i == 0 {
-			w.tbuf = binary.AppendUvarint(w.tbuf, zigzag(t))
-		} else {
-			delta := t - prevT
-			w.tbuf = binary.AppendUvarint(w.tbuf, zigzag(delta-prevDelta))
-			prevDelta = delta
-		}
-		prevT = t
-
-		fset := w.fieldsOfCached(ev.Type)
-		if fset == requestSet {
-			// Straight-line path for the dominant type; slots follow the
-			// intCols wire order (dev, lpn, victim, page, pages, latency).
-			w.putInt(0, int64(ev.Dev))
-			w.putInt(1, ev.LPN)
-			w.putInt(2, int64(ev.Victim))
-			w.putInt(3, int64(ev.Page))
-			w.putInt(4, int64(ev.Pages))
-			w.putInt(5, int64(ev.Latency))
-			w.putStr(0, ev.Kind)
-			continue
-		}
-		for s := uint32(fset); s != 0; s &= s - 1 {
-			pos := bits.TrailingZeros32(s)
-			slot := int(colSlot[pos])
-			switch colKind[pos] {
-			case colInt:
-				w.putInt(slot, intCols[slot].get(ev))
-			case colStr:
-				w.putStr(slot, strCols[slot].get(ev))
-			case colBool:
-				w.putBool(slot, boolCols[slot].get(ev))
-			default:
-				w.putFloat(slot, floatCols[slot].get(ev))
-			}
-		}
-	}
-
-	// Concatenate in wire order: count, type column, T, ints, strings,
-	// bools, floats.
-	buf := w.raw[:0]
-	buf = binary.AppendUvarint(buf, uint64(len(evs)))
-	buf = appendDict(buf, w.typeDict.strs)
-	buf = append(buf, w.typeIdx...)
-	buf = append(buf, w.tbuf...)
-	for i := range w.intBufs {
-		buf = append(buf, w.intBufs[i]...)
-	}
-	for c := range w.strBufs {
-		buf = appendDict(buf, w.strDicts[c].strs)
-		buf = append(buf, w.strBufs[c]...)
-	}
-	for c := range w.boolBufs {
-		if w.boolN[c] > 0 {
-			w.boolBufs[c] = append(w.boolBufs[c], w.boolAcc[c]<<(8-w.boolN[c]))
-		}
-		buf = append(buf, w.boolBufs[c]...)
-	}
-	for c := range w.floatWs {
-		fb := w.floatWs[c].finish()
-		buf = binary.AppendUvarint(buf, uint64(len(fb)))
-		buf = append(buf, fb...)
-	}
-
-	w.raw = buf
-	return buf
 }
 
 // putInt appends v to int column slot: zigzag delta against the previous
@@ -533,6 +609,7 @@ func appendDict(buf []byte, strs []string) []byte {
 // emits, sticky first error, idempotent Close that also closes the
 // underlying writer when it is an io.Closer — the same contract as
 // telemetry.JSONLSink, at zero allocations per event in steady state.
+// EmitRequest is the request-completion fast path telemetry.Tracer detects.
 type BinSink struct {
 	mu     sync.Mutex
 	w      *Writer
@@ -556,16 +633,28 @@ func NewBinSink(w io.Writer, opts Options) *BinSink {
 func (s *BinSink) Emit(ev telemetry.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		if s.err == nil {
-			s.err = telemetry.ErrClosedSink
-		}
-		return
+	if s.accepting() {
+		s.err = s.w.writeEvent(&ev)
 	}
-	if s.err != nil {
-		return
+}
+
+// EmitRequest records a request completion exactly as Emit would record
+// the equivalent EvRequest Event, without building one.
+func (s *BinSink) EmitRequest(now time.Duration, dev int, kind string, lpn int64, pages int, latency time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.accepting() {
+		s.err = s.w.WriteRequest(now, dev, kind, lpn, pages, latency)
 	}
-	s.err = s.w.WriteEvent(ev)
+}
+
+// accepting reports whether an emit may reach the writer; an emit after
+// Close records ErrClosedSink instead.
+func (s *BinSink) accepting() bool {
+	if s.closed && s.err == nil {
+		s.err = telemetry.ErrClosedSink
+	}
+	return s.err == nil
 }
 
 // Count returns the number of events accepted so far.

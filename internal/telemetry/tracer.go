@@ -12,7 +12,16 @@ import "time"
 // members that share the parent's sink.
 type Tracer struct {
 	sink Sink
+	req  requestSink // sink's request fast path; nil when it has none
 	dev  int
+}
+
+// requestSink is the optional fast path a Sink may offer for request
+// completions, the one event a run emits per host request: the sink takes
+// the fields as arguments instead of a whole Event. It must record exactly
+// what Emit would for the equivalent EvRequest Event.
+type requestSink interface {
+	EmitRequest(now time.Duration, dev int, kind string, lpn int64, pages int, latency time.Duration)
 }
 
 // New builds a tracer emitting to sink. A nil sink yields a nil (disabled)
@@ -21,7 +30,8 @@ func New(sink Sink) *Tracer {
 	if sink == nil {
 		return nil
 	}
-	return &Tracer{sink: sink, dev: 0}
+	req, _ := sink.(requestSink)
+	return &Tracer{sink: sink, req: req}
 }
 
 // Enabled reports whether the tracer emits events.
@@ -33,7 +43,7 @@ func (t *Tracer) WithDevice(dev int) *Tracer {
 	if t == nil {
 		return nil
 	}
-	return &Tracer{sink: t.sink, dev: dev}
+	return &Tracer{sink: t.sink, req: t.req, dev: dev}
 }
 
 // Sink returns the underlying sink (nil for a disabled tracer), so the
@@ -48,6 +58,10 @@ func (t *Tracer) Sink() Sink {
 // Request emits a host request completion.
 func (t *Tracer) Request(now time.Duration, kind string, lpn int64, pages int, latency time.Duration) {
 	if t == nil {
+		return
+	}
+	if t.req != nil {
+		t.req.EmitRequest(now, t.dev, kind, lpn, pages, latency)
 		return
 	}
 	t.sink.Emit(Event{Type: EvRequest, T: now, Dev: t.dev,

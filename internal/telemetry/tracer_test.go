@@ -72,6 +72,51 @@ func TestTracerEmitHelpers(t *testing.T) {
 	}
 }
 
+// fastSink is a ring that also offers the request fast path, logging what
+// arrived through it.
+type fastSink struct {
+	*RingSink
+	requests []Event
+}
+
+func (s *fastSink) EmitRequest(now time.Duration, dev int, kind string, lpn int64, pages int, latency time.Duration) {
+	s.requests = append(s.requests, Event{Type: EvRequest, T: now, Dev: dev,
+		Kind: kind, LPN: lpn, Pages: pages, Latency: latency})
+}
+
+// TestTracerRequestFastPath: a sink with EmitRequest gets request
+// completions there — device tag included, on tracers derived by WithDevice
+// too — and every other event through Emit; a sink without it (here the
+// same ring behind a wrapper) gets the identical Event through Emit.
+func TestTracerRequestFastPath(t *testing.T) {
+	ring, err := NewRingSink(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := &fastSink{RingSink: ring}
+	emitAll(New(fast).WithDevice(3))
+	if len(fast.requests) != 1 {
+		t.Fatalf("%d requests reached EmitRequest, want 1", len(fast.requests))
+	}
+	for _, ev := range ring.Events() {
+		if ev.Type == EvRequest {
+			t.Errorf("request reached Emit despite the fast path: %+v", ev)
+		}
+	}
+	if ring.Total() != 14 {
+		t.Errorf("Emit saw %d events, want the 14 non-request helpers", ring.Total())
+	}
+
+	slow, err := NewRingSink(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emitAll(New(struct{ Sink }{slow}).WithDevice(3))
+	if got := slow.Events()[0]; got != fast.requests[0] {
+		t.Errorf("Emit path recorded %+v, fast path %+v", got, fast.requests[0])
+	}
+}
+
 // TestTracerNilSafe drives every helper through the nil tracer: each must
 // be a no-op, and the constructors must collapse to nil.
 func TestTracerNilSafe(t *testing.T) {
