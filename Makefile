@@ -12,7 +12,7 @@
 GO ?= go
 COVERAGE_BASELINE := $(shell cat ci/coverage-baseline.txt)
 
-.PHONY: ci build vet fmt-check test test-race bench-test coverage-gate fuzz
+.PHONY: ci build vet fmt-check test test-race bench-test coverage-gate fuzz loc
 
 ci: build vet fmt-check test-race bench-test coverage-gate
 
@@ -57,3 +57,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMSR$$' -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 30s ./internal/telemetry/binlog/
 	$(GO) test -run '^$$' -fuzz '^FuzzSeekReader$$' -fuzztime 30s ./internal/telemetry/binlog/
+
+# Non-test Go lines per package, for the main module and for the nested
+# bench/ module, each with its total: the net-LOC figure a change reports.
+loc:
+	@for m in . bench; do \
+		(cd $$m && $(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./...) | \
+		while read -r pkg files; do \
+			[ -n "$$files" ] && printf '%6d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
+		done | awk -v m="$$m" '{ print; t += $$1 } END { printf "%6d  total (%s)\n", t, m == "." ? "main module" : m "/" }'; \
+	done

@@ -42,14 +42,6 @@ type ArrayConfig struct {
 	// Spares is the number of standby devices: when a member degrades, a
 	// spare is attached and the shard rebuilt onto it in the background.
 	Spares int
-	// RebuildPagesPerTick bounds background rebuild/reshape traffic per
-	// write-back tick (default 1024 pages).
-	RebuildPagesPerTick int64
-	// GrowDevices adds this many fresh devices at GrowAfter and reshapes
-	// existing stripes into the widened layout ("none" redundancy only).
-	GrowDevices int
-	// GrowAfter is the simulation time at which GrowDevices join.
-	GrowAfter time.Duration
 }
 
 // withDefaults fills zero fields.
@@ -84,16 +76,13 @@ func RunArray(benchmark string, policy PolicySpec, acfg ArrayConfig, opt Options
 	cfg, _ := devOpt.simConfig()
 
 	arr, err := array.New(array.Config{
-		Devices:             acfg.Devices,
-		StripePages:         acfg.StripePages,
-		Mode:                array.Mode(acfg.Coordination),
-		MaxConcurrentGC:     acfg.MaxConcurrentGC,
-		Redundancy:          array.Redundancy(acfg.Redundancy),
-		Spares:              acfg.Spares,
-		RebuildPagesPerTick: acfg.RebuildPagesPerTick,
-		GrowDevices:         acfg.GrowDevices,
-		GrowAfter:           acfg.GrowAfter,
-		Device:              cfg,
+		Devices:         acfg.Devices,
+		StripePages:     acfg.StripePages,
+		Mode:            array.Mode(acfg.Coordination),
+		MaxConcurrentGC: acfg.MaxConcurrentGC,
+		Redundancy:      array.Redundancy(acfg.Redundancy),
+		Spares:          acfg.Spares,
+		Device:          cfg,
 	}, policy.Factory())
 	if err != nil {
 		return ArrayResults{}, err

@@ -2,7 +2,8 @@
 // trace file that jitgcsim-compatible tools (and examples/tracereplay) can
 // replay: the human-readable text format by default, or the columnar
 // binlog format with -binary (an order of magnitude smaller, and the only
-// practical choice once traces reach 10⁸ requests).
+// practical choice once traces reach 10⁸ requests). The stream is the one
+// jitgc.Run simulates for the same benchmark, seed, ops and working set.
 //
 // Usage:
 //
@@ -12,12 +13,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
+	"jitgc"
 	"jitgc/internal/telemetry/binlog"
 	"jitgc/internal/trace"
-	"jitgc/internal/workload"
 )
 
 func main() {
@@ -29,42 +31,41 @@ func main() {
 		out   = flag.String("out", "", "output file (default stdout)")
 		ops   = flag.Int("ops", 100000, "number of requests")
 		seed  = flag.Int64("seed", 1, "generation seed")
-		ws    = flag.Int64("ws", 28621, "working set in pages (default: half the default user capacity)")
+		ws    = flag.Int64("ws", 0, "working set in pages (0: half the default device's user capacity, as jitgc.Run uses)")
 		bin   = flag.Bool("binary", false, "write the columnar binlog format instead of text")
 	)
 	flag.Parse()
 
-	gen, err := workload.ByName(*bench)
+	reqs, _, err := jitgc.GenerateStream(*bench, jitgc.Options{Seed: *seed, Ops: *ops, WorkingSetPages: *ws})
 	if err != nil {
 		log.Fatal(err)
 	}
-	reqs, err := gen.Generate(workload.Params{Seed: *seed, Ops: *ops, WorkingSetPages: *ws})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}()
-		w = f
-	}
-	if *bin {
-		err = binlog.EncodeRequests(w, reqs, binlog.Options{})
-	} else {
-		err = trace.Encode(w, reqs)
-	}
-	if err != nil {
+	if err := write(*out, *bin, reqs); err != nil {
 		log.Fatal(err)
 	}
 	st := trace.Summarize(reqs)
 	fmt.Fprintf(os.Stderr, "wrote %d requests: %d read / %d buffered / %d direct pages (buffered share of issued writes %.1f%%)\n",
 		st.Requests, st.ReadPages, st.BufferedPages, st.DirectPages, 100*st.BufferedRatio)
+}
+
+// write encodes reqs into the file at path (stdout when path is empty) and
+// closes the file, returning the first error of either.
+func write(path string, binary bool, reqs []trace.Request) (err error) {
+	w := io.Writer(os.Stdout)
+	if path != "" {
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		w = f
+	}
+	if binary {
+		return binlog.EncodeRequests(w, reqs, binlog.Options{})
+	}
+	return trace.Encode(w, reqs)
 }

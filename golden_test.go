@@ -131,8 +131,8 @@ func TestArrayExpWorkersDeterministic(t *testing.T) {
 }
 
 // TestArrayScaleExpWorkersDeterministic does the same for the wide-array
-// study: its cells carry rebuild and reshape state on top of coordination,
-// all of which must stay confined to the cell's own array.
+// study: its cells carry rebuild state on top of coordination, all of
+// which must stay confined to the cell's own array.
 func TestArrayScaleExpWorkersDeterministic(t *testing.T) {
 	e, err := ExperimentByID("arrayscale")
 	if err != nil {

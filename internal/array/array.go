@@ -30,10 +30,8 @@
 //
 // The array also survives its members: optional mirror or parity stripe
 // protection serves requests that touch a degraded member from redundancy
-// (redundancy.go), standby spares are rebuilt into dead slots in the
-// background while survivors keep serving (rebuild.go), and adding devices
-// triggers an online reshape that rebalances existing stripes into the
-// widened layout.
+// (redundancy.go), and standby spares are rebuilt into dead slots in the
+// background while survivors keep serving (rebuild.go).
 package array
 
 import (
@@ -107,17 +105,10 @@ type Config struct {
 	// takes over the slot.
 	Spares int
 	// RebuildPagesPerTick budgets background shard migration: each active
-	// rebuild (and the rebalancing reshape) moves at most this many pages
-	// per write-back tick, bounding the maintenance traffic's intrusion on
-	// foreground latency. Default 1024.
+	// rebuild moves at most this many pages per write-back tick, bounding
+	// the maintenance traffic's intrusion on foreground latency. Default
+	// 1024.
 	RebuildPagesPerTick int64
-	// GrowDevices adds this many fresh devices once the run reaches
-	// GrowAfter, triggering an online reshape that rebalances existing
-	// stripes into the widened layout (RedundancyNone only). The array's
-	// logical capacity grows when the reshape completes.
-	GrowDevices int
-	// GrowAfter is the simulation time at which GrowDevices join.
-	GrowAfter time.Duration
 	// Device configures each member device. PreconditionPages is
 	// per-device. NonPreemptiveBGC is forced on: array tail latency is
 	// about striped requests colliding with per-device collections, which
@@ -185,20 +176,12 @@ func (c Config) Validate() error {
 	if c.RebuildPagesPerTick < 1 {
 		return fmt.Errorf("array: non-positive rebuild budget %d pages/tick", c.RebuildPagesPerTick)
 	}
-	if c.GrowDevices < 0 {
-		return fmt.Errorf("array: negative growth %d devices", c.GrowDevices)
-	}
-	if c.GrowDevices > 0 && c.Redundancy != RedundancyNone {
-		return fmt.Errorf("array: online rebalancing requires redundancy %q, got %q",
-			RedundancyNone, c.Redundancy)
-	}
 	return c.Device.Validate()
 }
 
 // Array drives N per-device simulators on one shared clock.
 type Array struct {
 	cfg      Config
-	factory  sim.PolicyFactory // retained to build devices added by growth
 	devs     []*sim.Simulator
 	ext      [][]extent // per-device split scratch, reused across requests
 	token    int        // next device the rotation token visits
@@ -211,18 +194,12 @@ type Array struct {
 	userPages   int64 // array logical capacity
 
 	spares        []*sim.Simulator // standby pool, attached to slots as members degrade
-	nextTag       int              // telemetry device index for the next constructed device
 	rebuilds      []*rebuildState  // active spare migrations
 	rebuilt       []int            // slots whose spare took over
 	rebuildPages  int64
 	rebuildTime   time.Duration
 	replaced      []metrics.Results // records of members swapped out after rebuild
 	replacedSlots []int
-
-	reshape       *reshapeState // active (or aborted) rebalancing
-	grown         bool
-	rebalanced    int64
-	rebalanceTime time.Duration
 
 	degradedReads  int64 // extents served from redundancy instead of a dead primary
 	degradedWrites int64 // write extents that mutated redundancy in a dead primary's stead
@@ -310,13 +287,11 @@ func New(cfg Config, factory sim.PolicyFactory) (*Array, error) {
 	}
 	a := &Array{
 		cfg:         cfg,
-		factory:     factory,
 		devs:        devs,
 		ext:         make([][]extent, cfg.Devices),
 		tr:          cfg.Device.Tracer,
 		degraded:    make([]error, cfg.Devices),
 		spares:      spares,
-		nextTag:     cfg.Devices + cfg.Spares,
 		lastFree:    lastFree,
 		burnEMA:     make([]int64, cfg.Devices),
 		decs:        make([]core.Decision, cfg.Devices),
@@ -342,25 +317,19 @@ func (a *Array) Device(i int) *sim.Simulator { return a.devs[i] }
 
 // locate maps an array LPN to its primary device index and device-local
 // LPN. Without parity, stripe s lands on device s mod N at local stripe
-// s div N; during an online reshape, stripes the migration cursor has
-// passed use the grown layout while the rest keep the old one. Under
-// rotated parity, row r = s div (N-1) skips the row's parity member and
-// every member holds exactly one unit per row at local r·stripe.
+// s div N. Under rotated parity, row r = s div (N-1) skips the row's parity
+// member and every member holds exactly one unit per row at local r·stripe.
 func (a *Array) locate(alpn int64) (int, int64) {
 	stripe := a.cfg.StripePages
 	s, off := alpn/stripe, alpn%stripe
+	n := int64(a.cfg.Devices)
 	if a.cfg.Redundancy == RedundancyParity {
-		n := int64(a.cfg.Devices)
 		row := s / (n - 1)
 		d := s % (n - 1)
 		if d >= row%n {
 			d++
 		}
 		return int(d), row*stripe + off
-	}
-	n := int64(len(a.devs))
-	if r := a.reshape; r != nil && s >= r.cursor {
-		n = int64(r.oldN)
 	}
 	return int(s % n), (s/n)*stripe + off
 }
@@ -412,17 +381,17 @@ func (a *Array) DeviceFreeAt() time.Duration {
 }
 
 // Pending reports whether ticks must keep firing past the last request: a
-// healthy member's cache still holds dirty pages, or rebuild/rebalance work
-// has not run to completion — a run does not end with a spare
-// half-migrated. Degraded members are excluded: their caches can never
-// drain, and waiting on them would spin the drain loop forever.
+// healthy member's cache still holds dirty pages, or a spare is still
+// rebuilding — a run does not end with a spare half-migrated. Degraded
+// members are excluded: their caches can never drain, and waiting on them
+// would spin the drain loop forever.
 func (a *Array) Pending() bool {
 	for i, d := range a.devs {
 		if a.degraded[i] == nil && d.Pending() {
 			return true
 		}
 	}
-	return a.maintenancePending()
+	return len(a.rebuilds) > 0
 }
 
 // Degraded returns the device failure that degraded member i, or nil while
@@ -539,9 +508,6 @@ func (a *Array) split(lpn int64, pages int) {
 // their policies must not be consulted — and a flush failure on a healthy
 // member degrades it rather than aborting the array run.
 func (a *Array) Tick(t time.Duration) error {
-	if err := a.maybeGrow(t); err != nil {
-		return err
-	}
 	for i, d := range a.devs {
 		if a.degraded[i] != nil {
 			continue
@@ -568,11 +534,10 @@ func (a *Array) Tick(t time.Duration) error {
 		}
 		d.TickApply(t, decs[i])
 	}
-	// Maintenance runs after the interval's GC program is installed, so
-	// rebuild and reshape I/O interleaves with the collections the
-	// coordinator just committed on the shared device timelines.
+	// Rebuilds run after the interval's GC program is installed, so their
+	// I/O interleaves with the collections the coordinator just committed
+	// on the shared device timelines.
 	a.stepRebuilds(t)
-	a.stepReshape(t)
 	return nil
 }
 

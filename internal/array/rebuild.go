@@ -1,10 +1,8 @@
 package array
 
 import (
-	"fmt"
 	"time"
 
-	"jitgc/internal/core"
 	"jitgc/internal/sim"
 	"jitgc/internal/telemetry"
 	"jitgc/internal/trace"
@@ -21,22 +19,6 @@ type rebuildState struct {
 	limit  int64          // device-local pages the shard spans
 	pages  int64          // pages actually migrated (copies + write-throughs)
 	start  time.Duration  // tick the spare was attached
-}
-
-// reshapeState tracks the online rebalancing triggered by device addition:
-// stripes are relocated in order from the oldN-device layout to the grown
-// layout, and locate() routes each stripe by whether the migration cursor
-// has passed it. In-order relocation is collision-free: the old occupant
-// of stripe s's new location is stripe s - (s/newN)*(newN-oldN) ≤ s, which
-// has already been moved (or is s itself, in which case the location does
-// not change).
-type reshapeState struct {
-	oldN    int           // devices before growth
-	cursor  int64         // next array stripe to relocate
-	total   int64         // stripes in the pre-growth layout
-	moved   int64         // stripes that required a copy
-	start   time.Duration // tick growth was triggered
-	aborted bool          // a source or target died; layout stays split
 }
 
 // rebuildFor returns the active rebuild replacing slot, or nil.
@@ -267,130 +249,4 @@ func (a *Array) mutateThrough(r trace.Request, slot int, local int64, pages int)
 	}
 	rb.pages += int64(pages)
 	a.rebuildPages += int64(pages)
-}
-
-// maybeGrow triggers online rebalancing once the growth point is reached:
-// the configured number of fresh devices joins the array and a reshape
-// begins relocating stripes into the widened layout.
-func (a *Array) maybeGrow(t time.Duration) error {
-	if a.grown || a.cfg.GrowDevices == 0 || t < a.cfg.GrowAfter {
-		return nil
-	}
-	a.grown = true
-	oldN := len(a.devs)
-	for i := 0; i < a.cfg.GrowDevices; i++ {
-		devCfg := a.cfg.Device
-		devCfg.Tracer = a.tr.WithDevice(a.nextTag)
-		devCfg.PreconditionPages = 0 // added devices start empty
-		s, err := sim.New(devCfg, a.factory)
-		if err != nil {
-			return fmt.Errorf("array: grown device %d: %w", a.nextTag, err)
-		}
-		if err := s.Begin(); err != nil {
-			return fmt.Errorf("array: grown device %d: %w", a.nextTag, err)
-		}
-		a.nextTag++
-		a.devs = append(a.devs, s)
-		a.ext = append(a.ext, nil)
-		a.degraded = append(a.degraded, nil)
-		a.lastFree = append(a.lastFree, -1)
-		a.burnEMA = append(a.burnEMA, 0)
-		a.decs = append(a.decs, core.Decision{})
-		a.free = append(a.free, 0)
-	}
-	a.reshape = &reshapeState{
-		oldN:  oldN,
-		total: a.userPages / a.cfg.StripePages,
-		start: t,
-	}
-	a.tr.Rebalance(t, oldN, telemetry.ActionStart, 0, 0)
-	return nil
-}
-
-// stepReshape relocates stripes into the grown layout under the per-tick
-// page budget, stripe-atomically: locate() switches a stripe to the new
-// layout only once all its pages have moved. On completion the array's
-// logical capacity grows to cover the added devices.
-func (a *Array) stepReshape(t time.Duration) {
-	r := a.reshape
-	if r == nil || r.aborted || r.cursor >= r.total {
-		return
-	}
-	stripe := a.cfg.StripePages
-	oldN, newN := int64(r.oldN), int64(len(a.devs))
-	budget := a.cfg.RebuildPagesPerTick
-	for r.cursor < r.total {
-		if budget <= 0 {
-			return
-		}
-		s := r.cursor
-		dOld, lOld := int(s%oldN), (s/oldN)*stripe
-		dNew, lNew := int(s%newN), (s/newN)*stripe
-		if dOld == dNew && lOld == lNew {
-			r.cursor++
-			continue
-		}
-		if a.degraded[dOld] != nil || a.degraded[dNew] != nil {
-			a.abortReshape(t)
-			return
-		}
-		moved := false
-		for k := int64(0); k < stripe; k++ {
-			src := a.devs[dOld]
-			if !pageHeld(src, lOld+k) {
-				continue
-			}
-			c, err := src.RebuildRead(t, lOld+k, 1)
-			if err != nil {
-				a.degrade(t, dOld, err)
-				a.abortReshape(t)
-				return
-			}
-			if _, err := a.devs[dNew].RebuildWrite(c, lNew+k, 1); err != nil {
-				a.degrade(t, dNew, err)
-				a.abortReshape(t)
-				return
-			}
-			if err := src.RebuildTrim(c, lOld+k, 1); err != nil {
-				a.degrade(t, dOld, err)
-				a.abortReshape(t)
-				return
-			}
-			budget--
-			moved = true
-		}
-		r.cursor++
-		if moved {
-			r.moved++
-		}
-	}
-	a.userPages = a.perDevPages * int64(len(a.devs))
-	a.rebalanced = r.moved
-	a.rebalanceTime = t - r.start
-	a.tr.Rebalance(t, r.oldN, telemetry.ActionEnd, r.moved, t-r.start)
-	a.reshape = nil
-}
-
-// abortReshape freezes the reshape where it stands: relocated stripes keep
-// the new layout, the rest the old, and capacity never grows.
-func (a *Array) abortReshape(t time.Duration) {
-	r := a.reshape
-	r.aborted = true
-	a.rebalanced = r.moved
-	a.rebalanceTime = t - r.start
-	a.tr.Rebalance(t, r.oldN, telemetry.ActionAbort, r.moved, t-r.start)
-}
-
-// maintenancePending reports whether rebuild or rebalancing work must keep
-// the tick loop alive after the last request: an attached spare is still
-// migrating, a reshape is still relocating, or growth has not yet reached
-// its trigger point.
-func (a *Array) maintenancePending() bool {
-	if len(a.rebuilds) > 0 {
-		return true
-	}
-	if r := a.reshape; r != nil && !r.aborted && r.cursor < r.total {
-		return true
-	}
-	return a.cfg.GrowDevices > 0 && !a.grown
 }

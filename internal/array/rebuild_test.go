@@ -309,46 +309,6 @@ func TestSpreadExcludesDegradedMembers(t *testing.T) {
 	}
 }
 
-// TestOnlineGrowth adds a device mid-run and checks the reshape contract:
-// the widened layout absorbs existing stripes in the background, capacity
-// grows on completion, and the striping stays a bijection.
-func TestOnlineGrowth(t *testing.T) {
-	a := newArray(t, Config{
-		Devices: 2, StripePages: 8, GrowDevices: 1, GrowAfter: 2 * time.Second,
-		Device: tinyDevice(),
-	})
-	before := a.UserPages()
-	res, err := a.RunClosedLoop(stripedWrites(a, 6))
-	if err != nil {
-		t.Fatalf("RunClosedLoop: %v", err)
-	}
-	if res.GrownDevices != 1 {
-		t.Fatalf("GrownDevices = %d, want 1", res.GrownDevices)
-	}
-	if res.RebalancedStripes == 0 {
-		t.Error("reshape relocated no stripes")
-	}
-	if len(res.PerDevice) != 3 {
-		t.Errorf("%d per-device records, want 3", len(res.PerDevice))
-	}
-	if a.UserPages() <= before {
-		t.Errorf("capacity %d did not grow past %d", a.UserPages(), before)
-	}
-	// The widened striping must still be a bijection onto device locals.
-	seen := make(map[[2]int64]bool)
-	for lpn := int64(0); lpn < a.UserPages(); lpn++ {
-		dev, dlpn := a.locate(lpn)
-		if dev < 0 || dev >= 3 || dlpn < 0 || dlpn >= a.perDevPages {
-			t.Fatalf("lpn %d maps outside the array: dev %d local %d", lpn, dev, dlpn)
-		}
-		key := [2]int64{int64(dev), dlpn}
-		if seen[key] {
-			t.Fatalf("device %d local %d mapped twice", dev, dlpn)
-		}
-		seen[key] = true
-	}
-}
-
 // TestAdaptiveCapDefaults pins the width-dependent default: the static
 // N/2 token up to 8 devices (the regime it was tuned in), the adaptive cap
 // beyond.
@@ -438,8 +398,6 @@ func TestRedundancyValidation(t *testing.T) {
 		"parity needs trio":   func(c *Config) { c.Devices = 2; c.Redundancy = RedundancyParity },
 		"negative spares":     func(c *Config) { c.Spares = -1 },
 		"zero rebuild budget": func(c *Config) { c.RebuildPagesPerTick = -5 },
-		"grow under mirror":   func(c *Config) { c.Redundancy = RedundancyMirror; c.GrowDevices = 1 },
-		"negative growth":     func(c *Config) { c.GrowDevices = -1 },
 	} {
 		cfg := base()
 		mutate(&cfg)
@@ -535,55 +493,6 @@ func TestMirrorRebuildAbortsOnDoubleFailure(t *testing.T) {
 	}
 	if aborts != 1 {
 		t.Errorf("%d rebuild abort events, want 1", aborts)
-	}
-}
-
-// TestReshapeAbortsOnMemberFailure kills a member while the online reshape
-// is still relocating stripes: the reshape freezes where it stands, the
-// capacity never grows, and the split layout stays a bijection.
-func TestReshapeAbortsOnMemberFailure(t *testing.T) {
-	ring, err := telemetry.NewRingSink(1 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := tinyDevice()
-	dev.Tracer = telemetry.New(ring)
-	a := newArray(t, Config{
-		Devices: 2, StripePages: 8, GrowDevices: 1, GrowAfter: time.Second,
-		RebuildPagesPerTick: 1, // crawl so the failure lands mid-reshape
-		Device:              dev,
-	})
-	before := a.UserPages()
-	killMember(a, 0, 600)
-
-	res, err := a.RunClosedLoop(stripedWrites(a, 6))
-	if err != nil {
-		t.Fatalf("RunClosedLoop: %v", err)
-	}
-	if res.GrownDevices != 1 {
-		t.Fatalf("GrownDevices = %d, want 1", res.GrownDevices)
-	}
-	if a.UserPages() != before {
-		t.Errorf("aborted reshape grew capacity %d -> %d", before, a.UserPages())
-	}
-	aborts := 0
-	for _, ev := range ring.Events() {
-		if ev.Type == telemetry.EvRebalance && ev.Action == telemetry.ActionAbort {
-			aborts++
-		}
-	}
-	if aborts != 1 {
-		t.Errorf("%d rebalance abort events, want 1", aborts)
-	}
-	// The frozen split layout must still be a bijection onto device locals.
-	seen := make(map[[2]int64]bool)
-	for lpn := int64(0); lpn < a.UserPages(); lpn++ {
-		d, dlpn := a.locate(lpn)
-		key := [2]int64{int64(d), dlpn}
-		if seen[key] {
-			t.Fatalf("device %d local %d mapped twice in the split layout", d, dlpn)
-		}
-		seen[key] = true
 	}
 }
 

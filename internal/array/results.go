@@ -31,15 +31,14 @@ type Results struct {
 
 	// WAFMin and WAFMax bound per-device write amplification; their gap is
 	// the spread uncoordinated GC lets develop between members. Degraded
-	// members and devices added mid-run are excluded — a dead member's
-	// partial record trending toward zero is failure, not imbalance — but
-	// stay visible in PerDevice.
+	// members are excluded — a dead member's partial record trending
+	// toward zero is failure, not imbalance — but stay visible in
+	// PerDevice.
 	WAFMin, WAFMax float64
 	// UtilMin and UtilMax bound per-device write utilization: each
-	// healthy original member's share of host programs normalized to the
+	// healthy member's share of host programs normalized to the
 	// even-striping ideal, so 1.0 on every device means perfectly
-	// balanced load. Excludes degraded and mid-run-added members like the
-	// WAF spread.
+	// balanced load. Excludes degraded members like the WAF spread.
 	UtilMin, UtilMax float64
 
 	// Degraded lists the members that failed a device operation mid-run
@@ -77,13 +76,6 @@ type Results struct {
 	RebuildPages    int64
 	RebuildTime     time.Duration
 	ReplacedDevices []metrics.Results
-
-	// GrownDevices counts devices added by online rebalancing;
-	// RebalancedStripes the stripes the reshape relocated into the
-	// widened layout, over RebalanceTime.
-	GrownDevices      int
-	RebalancedStripes int64
-	RebalanceTime     time.Duration
 
 	// GCGranted, GCDenied, GCBoosted and GCBypassed count the
 	// coordinator's token decisions (all zero in independent mode):
@@ -137,12 +129,6 @@ func (a *Array) Results() Results {
 		RebuildPages:    a.rebuildPages,
 		RebuildTime:     a.rebuildTime,
 		ReplacedDevices: append([]metrics.Results(nil), a.replaced...),
-
-		RebalancedStripes: a.rebalanced,
-		RebalanceTime:     a.rebalanceTime,
-	}
-	if a.grown {
-		res.GrownDevices = n - a.cfg.Devices
 	}
 	for i, err := range a.degraded {
 		if err != nil {
@@ -163,9 +149,8 @@ func (a *Array) Results() Results {
 	var selections, filtered int64
 	var accuracy float64
 	predictive := 0
-	// Spread statistics cover only healthy original members: a degraded
-	// member's partial record trending toward zero is failure, not load
-	// imbalance, and a device added mid-run has not seen the whole stream.
+	// Spread statistics cover only healthy members: a degraded member's
+	// partial record trending toward zero is failure, not load imbalance.
 	included := 0
 	var includedPrograms int64
 	first := true
@@ -189,7 +174,7 @@ func (a *Array) Results() Results {
 		if r.MaxErase > agg.MaxErase {
 			agg.MaxErase = r.MaxErase
 		}
-		if a.degraded[i] != nil || i >= a.cfg.Devices {
+		if a.degraded[i] != nil {
 			continue
 		}
 		included++
@@ -236,7 +221,7 @@ func (a *Array) Results() Results {
 	if includedPrograms > 0 {
 		firstU := true
 		for i, r := range res.PerDevice {
-			if a.degraded[i] != nil || i >= a.cfg.Devices {
+			if a.degraded[i] != nil {
 				continue
 			}
 			u := float64(r.HostPrograms) * float64(included) / float64(includedPrograms)

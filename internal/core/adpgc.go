@@ -18,10 +18,9 @@ type ADPGC struct {
 }
 
 // NewADPGC builds the ADP-GC baseline. wb must match the simulator's
-// write-back interval configuration; opts reuses the CDH knobs of JIT-GC.
+// write-back interval configuration; opts supplies the CDH percentile.
 func NewADPGC(wb predictor.WriteBack, opts JITOptions) (*ADPGC, error) {
-	opts.setDefaults()
-	tr, err := predictor.NewCDHTracker(wb, opts.Percentile, opts.CDHBinWidth, opts.CDHBins, opts.RecentWindows)
+	tr, err := opts.newCDH(wb)
 	if err != nil {
 		return nil, err
 	}

@@ -40,30 +40,27 @@ type JITGC struct {
 type JITOptions struct {
 	// Percentile is the direct-write CDH percentile (default 0.80).
 	Percentile float64
-	// CDHBinWidth is the histogram bin width in bytes (default 1 MiB).
-	CDHBinWidth float64
-	// CDHBins is the histogram bin count (default 512).
-	CDHBins int
-	// RecentWindows bounds CDH history (default 64; 0 = unbounded).
-	RecentWindows int
 	// StrictFlushPrediction applies the un-relaxed τ_flush condition in
 	// the buffered predictor (ablation knob).
 	StrictFlushPrediction bool
 }
 
-func (o *JITOptions) setDefaults() {
-	if o.Percentile == 0 {
-		o.Percentile = predictor.DefaultPercentile
+// The CDH shape every policy's tracker uses: 512 bins of 1 MiB, with
+// history bounded to the 64 most recent windows.
+const (
+	cdhBinBytes = 1 << 20
+	cdhBinCount = 512
+	cdhHistory  = 64
+)
+
+// newCDH builds a CDH tracker at o's percentile (default
+// predictor.DefaultPercentile) in the fixed CDH shape.
+func (o JITOptions) newCDH(wb predictor.WriteBack) (*predictor.CDHTracker, error) {
+	pct := o.Percentile
+	if pct == 0 {
+		pct = predictor.DefaultPercentile
 	}
-	if o.CDHBinWidth == 0 {
-		o.CDHBinWidth = 1 << 20
-	}
-	if o.CDHBins == 0 {
-		o.CDHBins = 512
-	}
-	if o.RecentWindows == 0 {
-		o.RecentWindows = 64
-	}
+	return predictor.NewCDHTracker(wb, pct, cdhBinBytes, cdhBinCount, cdhHistory)
 }
 
 // NewJITGC builds a JIT-GC manager over the host page cache. The returned
@@ -71,11 +68,10 @@ func (o *JITOptions) setDefaults() {
 // the simulator's interval loop (OnInterval does both prediction and
 // scheduling).
 func NewJITGC(cache *pagecache.Cache, opts JITOptions) (*JITGC, error) {
-	opts.setDefaults()
 	buf := predictor.NewBuffered(cache)
 	buf.Strict = opts.StrictFlushPrediction
 	wb := buf.WriteBack()
-	dir, err := predictor.NewCDHTracker(wb, opts.Percentile, opts.CDHBinWidth, opts.CDHBins, opts.RecentWindows)
+	dir, err := opts.newCDH(wb)
 	if err != nil {
 		return nil, err
 	}

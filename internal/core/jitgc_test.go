@@ -234,10 +234,19 @@ func TestADPGCPredictsFromDeviceTraffic(t *testing.T) {
 	}
 }
 
+// TestJITOptionsDefaults: a zero Percentile builds the CDH at
+// predictor.DefaultPercentile, and an explicit one is kept.
 func TestJITOptionsDefaults(t *testing.T) {
-	var o JITOptions
-	o.setDefaults()
-	if o.Percentile != predictor.DefaultPercentile || o.CDHBins == 0 || o.CDHBinWidth == 0 || o.RecentWindows == 0 {
-		t.Errorf("defaults not applied: %+v", o)
+	for _, tc := range []struct{ pct, want float64 }{
+		{0, predictor.DefaultPercentile},
+		{0.95, 0.95},
+	} {
+		c, err := JITOptions{Percentile: tc.pct}.newCDH(testWB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Percentile(); got != tc.want {
+			t.Errorf("Percentile %v: CDH at %v, want %v", tc.pct, got, tc.want)
+		}
 	}
 }

@@ -18,32 +18,29 @@ import (
 // behaves exactly like A-BGC; on a discard-heavy host it relaxes toward
 // L-BGC, letting TRIM-created invalid pages stand in for reserved space.
 type TrimOP struct {
-	writes   *predictor.CDHTracker // device write demand, for accuracy accounting
-	trims    *predictor.CDHTracker // host TRIM volume per τ_expire window
-	base     int64                 // aggressive reserve: 1.5 × C_OP
-	floor    int64                 // lazy reserve: 0.5 × C_OP
-	binWidth int64                 // trim CDH bin width, for credit de-quantization
+	writes *predictor.CDHTracker // device write demand, for accuracy accounting
+	trims  *predictor.CDHTracker // host TRIM volume per τ_expire window
+	base   int64                 // aggressive reserve: 1.5 × C_OP
+	floor  int64                 // lazy reserve: 0.5 × C_OP
 }
 
 // NewTrimOP builds the adaptive-OP policy. wb must match the simulator's
 // write-back interval configuration; opBytes is the device's C_OP; opts
-// reuses the CDH knobs of JIT-GC for both trackers.
+// supplies the CDH percentile of both trackers.
 func NewTrimOP(wb predictor.WriteBack, opBytes int64, opts JITOptions) (*TrimOP, error) {
-	opts.setDefaults()
-	writes, err := predictor.NewCDHTracker(wb, opts.Percentile, opts.CDHBinWidth, opts.CDHBins, opts.RecentWindows)
+	writes, err := opts.newCDH(wb)
 	if err != nil {
 		return nil, err
 	}
-	trims, err := predictor.NewCDHTracker(wb, opts.Percentile, opts.CDHBinWidth, opts.CDHBins, opts.RecentWindows)
+	trims, err := opts.newCDH(wb)
 	if err != nil {
 		return nil, err
 	}
 	return &TrimOP{
-		writes:   writes,
-		trims:    trims,
-		base:     opBytes + opBytes/2,
-		floor:    opBytes / 2,
-		binWidth: int64(opts.CDHBinWidth),
+		writes: writes,
+		trims:  trims,
+		base:   opBytes + opBytes/2,
+		floor:  opBytes / 2,
 	}, nil
 }
 
@@ -64,7 +61,7 @@ func (p *TrimOP) ObserveTrim(bytes int64) { p.trims.Observe(bytes) }
 // edge instead keeps the discount conservative: zero for an idle TRIM
 // stream, never more than the observed volume for a busy one.
 func (p *TrimOP) trimCredit() int64 {
-	credit := p.trims.Reserve() - p.binWidth
+	credit := p.trims.Reserve() - cdhBinBytes
 	if credit < 0 {
 		return 0
 	}

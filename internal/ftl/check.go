@@ -157,9 +157,9 @@ func (f *FTL) CheckConsistency() error {
 	}
 	if f.recoveryOn {
 		for b := 0; b < geo.TotalBlocks(); b++ {
-			if f.progFails[b] >= f.recovery.ProgramRetireThreshold {
+			if f.progFails[b] >= retireAfterProgramFails {
 				return fmt.Errorf("ftl: block %d at %d consecutive program failures, threshold %d",
-					b, f.progFails[b], f.recovery.ProgramRetireThreshold)
+					b, f.progFails[b], retireAfterProgramFails)
 			}
 		}
 	}

@@ -85,7 +85,7 @@ func TestQuickFaultInterleavings(t *testing.T) {
 	}
 	prop := func(seed int64) bool {
 		m, sink := newFaultModelFTL(t, seed)
-		burst := m.f.recovery.ReadRetryLimit + 1
+		burst := maxReadRetries + 1
 		for i := 0; i < steps; i++ {
 			if i%60 == 59 {
 				m.f.FaultModel().FailNext(nand.OpRead, burst)

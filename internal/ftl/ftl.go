@@ -20,6 +20,9 @@ var (
 	ErrBadLPN       = errors.New("ftl: LPN out of user capacity")
 	ErrNoFreeBlocks = errors.New("ftl: no free blocks and no reclaimable victim")
 	ErrCorruption   = errors.New("ftl: stored payload does not match its logical page")
+	// ErrUnknownSelector rejects a victim selector the victim index cannot
+	// serve: only Greedy, CostBenefit and SIPGreedy are supported.
+	ErrUnknownSelector = errors.New("ftl: victim selector is not Greedy, CostBenefit or SIPGreedy")
 )
 
 const unmapped = int64(-1)
@@ -37,7 +40,8 @@ type Config struct {
 	// triggers foreground GC. At least 2 (one host active block, one GC
 	// destination block must always be allocatable).
 	FreeBlockReserve int
-	// Selector chooses GC victim blocks. Defaults to Greedy.
+	// Selector chooses GC victim blocks: Greedy (the default when nil),
+	// CostBenefit or SIPGreedy; anything else is ErrUnknownSelector.
 	Selector VictimSelector
 	// WearThreshold is the max-min erase-count gap that triggers static
 	// wear leveling (forcing the least-erased full block to be recycled).
@@ -52,7 +56,7 @@ type Config struct {
 	// rates) injects nothing; setting any rate builds a per-FTL
 	// nand.FaultModel and switches the recovery policies on.
 	Fault nand.FaultConfig
-	// Recovery parameterizes the FTL's fault-recovery policies (read
+	// Recovery switches on the FTL's fault-recovery policies (read
 	// retries, program-failure page skipping, block retirement). Recovery
 	// is active when Fault is enabled or Recovery.Enabled is set; raw
 	// injectors installed via Device().SetFaultInjector stay fatal, which
@@ -96,13 +100,20 @@ func (c Config) Validate() error {
 	if c.WearThreshold < 0 {
 		return fmt.Errorf("ftl: negative wear threshold %d", c.WearThreshold)
 	}
-	if err := c.Fault.Validate(); err != nil {
+	if err := checkSelector(c.Selector); err != nil {
 		return err
 	}
-	if err := c.Recovery.Validate(); err != nil {
-		return err
+	return c.Fault.Validate()
+}
+
+// checkSelector accepts nil (Greedy) and the three built-in selectors,
+// whose choices the victim index computes without a candidate scan.
+func checkSelector(s VictimSelector) error {
+	switch s.(type) {
+	case nil, Greedy, CostBenefit, SIPGreedy:
+		return nil
 	}
-	return nil
+	return fmt.Errorf("%w: %T", ErrUnknownSelector, s)
 }
 
 // Stats counts FTL activity. Page counts are in physical pages.
@@ -183,8 +194,7 @@ type FTL struct {
 	gcActive   int    // block receiving GC migrations, -1 if none
 	collecting int    // block collectOnce is emptying, -1 outside a collection
 
-	idx         *victimIndex // incremental GC victim index (index.go)
-	candScratch []BlockInfo  // reused candidate buffer for custom selectors
+	idx *victimIndex // incremental GC victim index (index.go)
 
 	lastInvalidate []time.Duration // per block, for cost-benefit selection
 	sipBits        []uint64        // the installed SIP set, one bit per user LPN
@@ -197,7 +207,6 @@ type FTL struct {
 	writeSeq        uint64 // monotone version counter for payload tokens
 
 	fault      *nand.FaultModel // owned injector, nil unless configured
-	recovery   RecoveryConfig   // defaults applied
 	recoveryOn bool             // absorb ErrInjected instead of propagating
 	progFails  []int            // consecutive program failures per block
 
@@ -256,7 +265,6 @@ func New(cfg Config) (*FTL, error) {
 		sipBits:        make([]uint64, (user+63)/64),
 		sipPerBlock:    make([]int, geo.TotalBlocks()),
 		progFails:      make([]int, geo.TotalBlocks()),
-		recovery:       cfg.Recovery.withDefaults(),
 		recoveryOn:     cfg.Recovery.Enabled || cfg.Fault.Enabled(),
 	}
 	if f.recoveryOn {
@@ -301,11 +309,17 @@ func (f *FTL) OPBytes() int64 { return f.OPPages() * int64(f.cfg.Geometry.PageSi
 func (f *FTL) PageSize() int { return f.cfg.Geometry.PageSize }
 
 // SetSelector replaces the GC victim selector (e.g. to enable SIP-aware
-// filtering once a JIT-GC policy is attached).
-func (f *FTL) SetSelector(s VictimSelector) {
+// filtering once a JIT-GC policy is attached). nil keeps the current one;
+// a selector other than the three built-ins is ErrUnknownSelector and
+// changes nothing.
+func (f *FTL) SetSelector(s VictimSelector) error {
+	if err := checkSelector(s); err != nil {
+		return err
+	}
 	if s != nil {
 		f.cfg.Selector = s
 	}
+	return nil
 }
 
 // SetNow advances the FTL's notion of time, used only for victim-age

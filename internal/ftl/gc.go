@@ -37,7 +37,9 @@ func (b BlockInfo) Utilization() float64 {
 }
 
 // VictimSelector picks a GC victim among candidate blocks. Selectors must
-// be deterministic: the simulator relies on reproducible runs.
+// be deterministic: the simulator relies on reproducible runs. The FTL
+// accepts only the three built-ins below; their Select over a full scan of
+// the eligible blocks defines the choice the victim index reproduces.
 type VictimSelector interface {
 	// Name identifies the selector in reports.
 	Name() string
@@ -183,74 +185,31 @@ func (f *FTL) onSIPList(lpn int64) bool { return f.sipBits[lpn>>6]&(1<<(lpn&63))
 // SIPListSize returns the number of LPNs on the current SIP list.
 func (f *FTL) SIPListSize() int { return f.sipPages }
 
-// appendCandidates appends the blocks eligible for collection — fully
-// written, not free, not active, not retired, with something to reclaim —
-// to dst in ascending index order and returns it, so steady-state callers
-// can reuse one buffer. The built-in selectors no longer materialize this
-// view (they read the victim index); it remains the candidate interface
-// handed to custom selectors.
-func (f *FTL) appendCandidates(dst []BlockInfo) []BlockInfo {
-	geo := f.cfg.Geometry
-	ppb := geo.PagesPerBlock
-	for b := 0; b < geo.TotalBlocks(); b++ {
-		if f.inFreePool[b] || b == f.hostActive || b == f.gcActive || f.dev.Retired(b) {
-			continue
-		}
-		if f.dev.WritePtr(b) < ppb {
-			continue
-		}
-		if f.dev.ValidCount(b) >= ppb {
-			continue // nothing reclaimable
-		}
-		age := f.now - f.lastInvalidate[b]
-		if age < 0 {
-			age = 0
-		}
-		dst = append(dst, BlockInfo{
-			Index:          b,
-			Valid:          f.dev.ValidCount(b),
-			SIPValid:       f.sipPerBlock[b],
-			EraseCount:     f.dev.EraseCount(b),
-			LastInvalidate: f.lastInvalidate[b],
-			Age:            age,
-			PagesPerBlock:  ppb,
-		})
-	}
-	return dst
-}
-
 // pickVictim chooses the next GC victim from the incremental index without
-// allocating, replicating the retired full-scan behaviour exactly: the
-// same victim, the same VictimSelections/FilteredSelections accounting.
-// Custom selectors (anything beyond the three built-ins) still get the
-// materialized candidate slice, built into a reused scratch buffer. ok is
+// allocating: the same victim the configured selector's Select would pick
+// over a full scan of the eligible blocks, with the same
+// VictimSelections/FilteredSelections accounting. Foreground collections
+// always use plain greedy: a stalled host write needs space at minimum
+// cost, and the paper's SIP filtering applies to background GC only. ok is
 // false when no block is collectible.
 func (f *FTL) pickVictim(foreground bool) (victim int, ok bool) {
 	if f.idx.size == 0 {
 		return 0, false
 	}
 	greedy := f.idx.greedyVictim()
+	f.stats.VictimSelections++
 	if foreground {
-		// Foreground collections always use plain greedy: a stalled host
-		// write needs space at minimum cost (see selectVictim).
-		f.stats.VictimSelections++
 		return greedy, true
 	}
-	var choice int
+	choice := greedy
 	switch s := f.cfg.Selector.(type) {
-	case Greedy:
-		choice = greedy
 	case CostBenefit:
 		choice = f.costBenefitVictim()
 	case SIPGreedy:
 		choice = f.sipGreedyVictim(s, greedy)
-	default:
-		f.candScratch = f.appendCandidates(f.candScratch[:0])
-		return f.candScratch[f.selectVictim(f.candScratch, false)].Index, true
 	}
-	f.stats.VictimSelections++
 	// Table 3 counts selections where SIP filtering paid migration cost to
-	// avoid a tainted block — the same predicate selectVictim applies.
+	// avoid a tainted block (cost-free tie swaps are not "filtering").
 	if greedy != choice &&
 		f.sipPerBlock[greedy] > f.sipPerBlock[choice] &&
 		f.idx.valid(choice) > f.idx.valid(greedy) {
@@ -473,31 +432,6 @@ func (f *FTL) wearVictim() (int, bool) {
 		f.lastWLSelection = f.stats.VictimSelections
 	}
 	return best, found
-}
-
-// selectVictim applies the configured selector, tracking the Table 3
-// filtered-selection metric. Foreground collections always use plain
-// greedy: a stalled host write needs space at minimum cost, and the
-// paper's SIP filtering applies to background GC only.
-func (f *FTL) selectVictim(cands []BlockInfo, foreground bool) int {
-	f.stats.VictimSelections++
-	if foreground {
-		return Greedy{}.Select(cands)
-	}
-
-	choice := f.cfg.Selector.Select(cands)
-	if choice < 0 || choice >= len(cands) {
-		choice = Greedy{}.Select(cands)
-	}
-	// Table 3 counts selections where SIP filtering paid migration cost to
-	// avoid a tainted block (cost-free tie swaps are not "filtering").
-	greedy := (Greedy{}).Select(cands)
-	if greedy != choice &&
-		cands[greedy].SIPValid > cands[choice].SIPValid &&
-		cands[choice].Valid > cands[greedy].Valid {
-		f.stats.FilteredSelections++
-	}
-	return choice
 }
 
 // migratePage copies one valid page (payload included) to the GC

@@ -198,7 +198,9 @@ func TestWastedMigrationAccounting(t *testing.T) {
 
 func TestFilteredSelectionsMetric(t *testing.T) {
 	f := newSmall(t)
-	f.SetSelector(SIPGreedy{MaxSIPFraction: 0, SlackPages: 16})
+	if err := f.SetSelector(SIPGreedy{MaxSIPFraction: 0, SlackPages: 16}); err != nil {
+		t.Fatal(err)
+	}
 	fillUser(t, f)
 	r := rand.New(rand.NewSource(13))
 	for i := 0; i < 400; i++ {
@@ -258,7 +260,9 @@ func TestWearLevelingRecyclesColdBlocks(t *testing.T) {
 
 func TestSetSelectorNilKeepsCurrent(t *testing.T) {
 	f := newSmall(t)
-	f.SetSelector(nil)
+	if err := f.SetSelector(nil); err != nil {
+		t.Fatalf("SetSelector(nil): %v", err)
+	}
 	if f.cfg.Selector == nil {
 		t.Error("nil selector installed")
 	}

@@ -6,8 +6,8 @@ import (
 )
 
 // victimIndex incrementally maintains the set of GC-eligible blocks — the
-// exact set appendCandidates would enumerate with a full scan — so victim
-// selection never walks cold blocks and never allocates. It answers the
+// exact set a full scan would enumerate — so victim selection never walks
+// cold blocks and never allocates. It answers the
 // three built-in selection policies without materializing a candidate
 // slice:
 //
@@ -229,7 +229,7 @@ func (ix *victimIndex) setLeaf(b int, key uint64) {
 // written, not pooled, not an active stream, not being collected, not
 // retired, and holding at least one reclaimable page. This is the
 // membership predicate the incremental hooks and CheckConsistency both
-// evaluate; it must match what appendCandidates enumerates.
+// evaluate.
 func (f *FTL) indexEligible(b int) bool {
 	ppb := f.cfg.Geometry.PagesPerBlock
 	return !f.inFreePool[b] && b != f.hostActive && b != f.gcActive && b != f.collecting &&

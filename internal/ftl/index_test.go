@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -146,7 +147,7 @@ func TestQuickVictimIndexUnderFaults(t *testing.T) {
 	}
 	prop := func(seed int64) bool {
 		m, _ := newFaultModelFTLOn(t, seed, sweepGeometry(seed))
-		burst := m.f.recovery.ReadRetryLimit + 1
+		burst := maxReadRetries + 1
 		for i := 0; i < steps; i++ {
 			if i%60 == 59 {
 				m.f.FaultModel().FailNext(nand.OpRead, burst)
@@ -361,68 +362,45 @@ func TestVictimIndexRebuildAfterRestore(t *testing.T) {
 	}
 }
 
-// mostErased picks the candidate with the highest erase count (first wins
-// on ties) — a wear-hostile policy no built-in implements, exercising the
-// custom-selector fallback that materializes the candidate slice.
-type mostErased struct{}
+// customSelector is a selector outside the three built-ins.
+type customSelector struct{}
 
-func (mostErased) Name() string { return "most-erased" }
+func (customSelector) Name() string { return "custom" }
 
-func (mostErased) Select(cands []BlockInfo) int {
-	best := 0
-	for i, c := range cands {
-		if c.EraseCount > cands[best].EraseCount {
-			best = i
-		}
-	}
-	return best
-}
+func (customSelector) Select([]BlockInfo) int { return 0 }
 
-// outOfRange returns an index past the slice end; selectVictim must fall
-// back to greedy rather than crash on a misbehaving selector.
-type outOfRange struct{}
-
-func (outOfRange) Name() string { return "out-of-range" }
-
-func (outOfRange) Select(cands []BlockInfo) int { return len(cands) + 5 }
-
-// TestCustomSelectorFallback drives pickVictim's non-built-in path: the
-// choice must match the selector applied to a from-scratch candidate scan,
-// selection stats must advance, and the reused scratch slice must keep the
-// path allocation-free after warm-up.
-func TestCustomSelectorFallback(t *testing.T) {
+// TestCustomSelectorRejected: the victim index answers only the three
+// built-in selectors, so New and SetSelector refuse any other — a pointer
+// to a built-in included — with ErrUnknownSelector, and a refused
+// SetSelector leaves the installed selector in place. Foreground
+// selection ignores the selector: a stalled host write always takes the
+// greedy victim straight from the index root.
+func TestCustomSelectorRejected(t *testing.T) {
 	cfg := quickGeometry()
-	cfg.Selector = mostErased{}
-	f := steadyFTL(t, cfg)
-
-	cands := referenceCandidates(f)
-	want := cands[mostErased{}.Select(cands)].Index
-	before := f.Stats().VictimSelections
-	got, ok := f.pickVictim(false)
-	if !ok || got != want {
-		t.Fatalf("custom selector picked %d (ok=%v), reference scan says %d", got, ok, want)
-	}
-	if f.Stats().VictimSelections != before+1 {
-		t.Error("custom-selector selection not counted")
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		if _, ok := f.pickVictim(false); !ok {
-			t.Fatal("no victim")
+	for _, sel := range []VictimSelector{customSelector{}, &Greedy{}} {
+		cfg.Selector = sel
+		if _, err := New(cfg); !errors.Is(err, ErrUnknownSelector) {
+			t.Errorf("New with selector %T: err = %v, want ErrUnknownSelector", sel, err)
 		}
-	}); avg != 0 {
-		t.Errorf("custom-selector pickVictim allocates %.2f times per op after warm-up, want 0", avg)
 	}
 
-	// Foreground selection ignores the custom selector: a stalled host
-	// write always takes the greedy victim straight from the index root.
+	installed := SIPGreedy{MaxSIPFraction: 0, SlackPages: 4}
+	cfg.Selector = installed
+	f := steadyFTL(t, cfg)
+	if err := f.SetSelector(customSelector{}); !errors.Is(err, ErrUnknownSelector) {
+		t.Errorf("SetSelector(customSelector): err = %v, want ErrUnknownSelector", err)
+	}
+	if f.Config().Selector != installed {
+		t.Errorf("refused SetSelector replaced the selector with %v", f.Config().Selector)
+	}
+
+	f.UpdateSIP(true, []int64{1, 5, 9, 13}, nil)
+	before := f.Stats().VictimSelections
 	if got, ok := f.pickVictim(true); !ok || got != f.idx.greedyVictim() {
 		t.Errorf("foreground pick %d (ok=%v), want index greedy %d", got, ok, f.idx.greedyVictim())
 	}
-
-	f.cfg.Selector = outOfRange{}
-	greedy := cands[Greedy{}.Select(cands)].Index
-	if got, ok := f.pickVictim(false); !ok || got != greedy {
-		t.Errorf("out-of-range selector picked %d (ok=%v), want greedy fallback %d", got, ok, greedy)
+	if f.Stats().VictimSelections != before+1 {
+		t.Error("foreground selection not counted")
 	}
 }
 

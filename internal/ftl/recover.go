@@ -2,13 +2,12 @@ package ftl
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"jitgc/internal/nand"
 )
 
-// RecoveryConfig parameterizes the FTL's fault-recovery policies. The
+// RecoveryConfig switches the FTL's fault-recovery policies on. The
 // policies activate when Config.Fault is enabled or Enabled is set; with
 // recovery off, any NAND operation failure propagates to the caller
 // unchanged (the pre-recovery behaviour, and what raw injectors installed
@@ -17,38 +16,19 @@ type RecoveryConfig struct {
 	// Enabled switches recovery on even without configured fault rates, so
 	// tests can arm targeted one-shot faults against a recovering FTL.
 	Enabled bool
-	// ReadRetryLimit is the number of re-read attempts after a failed page
+}
+
+// The recovery policies' limits.
+const (
+	// maxReadRetries is the number of re-read attempts after a failed page
 	// read before the page is declared unrecoverable and its mapping
-	// dropped. 0 means the default of 3.
-	ReadRetryLimit int
-	// ProgramRetireThreshold is the number of consecutive program failures
-	// on one block that retire it. Below the threshold a failed program
-	// just skips the bad page and retries on the next one. 0 means the
-	// default of 3.
-	ProgramRetireThreshold int
-}
-
-// withDefaults fills zero fields with the documented defaults.
-func (c RecoveryConfig) withDefaults() RecoveryConfig {
-	if c.ReadRetryLimit == 0 {
-		c.ReadRetryLimit = 3
-	}
-	if c.ProgramRetireThreshold == 0 {
-		c.ProgramRetireThreshold = 3
-	}
-	return c
-}
-
-// Validate rejects negative limits.
-func (c RecoveryConfig) Validate() error {
-	if c.ReadRetryLimit < 0 {
-		return fmt.Errorf("ftl: negative read retry limit %d", c.ReadRetryLimit)
-	}
-	if c.ProgramRetireThreshold < 0 {
-		return fmt.Errorf("ftl: negative program retire threshold %d", c.ProgramRetireThreshold)
-	}
-	return nil
-}
+	// dropped.
+	maxReadRetries = 3
+	// retireAfterProgramFails is the number of consecutive program failures
+	// on one block that retire it. Below it a failed program just skips
+	// the bad page and retries on the next one.
+	retireAfterProgramFails = 3
+)
 
 // FaultModel returns the FTL-owned fault model, or nil when Config.Fault
 // and Config.Recovery were both left zero. Experiments use it to arm
@@ -59,7 +39,7 @@ func (f *FTL) FaultModel() *nand.FaultModel { return f.fault }
 // payload into it, absorbing injected program failures when recovery is
 // on: a failed page is skipped (consumed unprogrammed — the sequential
 // program constraint forbids leaving it behind) and the program retried on
-// the next page; after ProgramRetireThreshold consecutive failures on one
+// the next page; after retireAfterProgramFails consecutive failures on one
 // block the block is retired and allocation moves on. Injected failures
 // consume no device time, so the returned duration is that of the
 // successful program alone.
@@ -82,7 +62,7 @@ func (f *FTL) programRecovered(payload uint64, gc bool) (nand.PageAddr, time.Dur
 		f.stats.ProgramFaults++
 		f.tr.FaultInjected(f.now, "program", addr.Block, addr.Page, tokenLPN(payload))
 		f.progFails[addr.Block]++
-		if f.progFails[addr.Block] >= f.recovery.ProgramRetireThreshold {
+		if f.progFails[addr.Block] >= retireAfterProgramFails {
 			f.retireBlock(addr.Block, "program")
 			continue
 		}
@@ -94,7 +74,7 @@ func (f *FTL) programRecovered(payload uint64, gc bool) (nand.PageAddr, time.Dur
 }
 
 // readRecovered reads a page, retrying injected failures up to
-// ReadRetryLimit times when recovery is on. When the budget is exhausted
+// maxReadRetries times when recovery is on. When the budget is exhausted
 // the last ErrInjected is returned — the caller decides whether the lost
 // page aborts the operation (it never does on the host and GC paths; see
 // dropLostPage).
@@ -113,7 +93,7 @@ func (f *FTL) readRecovered(addr nand.PageAddr, lpn int64) (uint64, time.Duratio
 			return 0, total, err
 		}
 		f.tr.FaultInjected(f.now, "read", addr.Block, addr.Page, lpn)
-		if attempt >= f.recovery.ReadRetryLimit {
+		if attempt >= maxReadRetries {
 			f.stats.UnrecoverableReads++
 			f.tr.ReadRetry(f.now, addr.Block, addr.Page, lpn, attempt, false)
 			return 0, total, err

@@ -9,7 +9,7 @@ import (
 )
 
 // TestRebuildHooksLifecycle exercises the maintenance I/O surface the array
-// rebuild/rebalance paths drive: writes land in the FTL map and book the
+// rebuild path drives: writes land in the FTL map and book the
 // device timeline, reads queue behind in-flight work (or come from RAM when
 // the page is still dirty in the cache), trims are metadata-only, and none
 // of it is counted as host requests.

@@ -553,11 +553,11 @@ func (s *Simulator) Pending() bool { return s.cache.DirtyPageCount() > 0 }
 // wait — not think-time suppression — absorbs a mistimed collection.
 func (s *Simulator) DeviceFreeAt() time.Duration { return s.deviceFreeAt }
 
-// The maintenance I/O hooks below serve the array's rebuild and rebalancing
-// paths: shard migration shares the device timeline with host traffic
-// (pending background GC runs first, the transfer is booked like any other
-// I/O, idle-fraction accounting sees the busy time) but is excluded from
-// the request count and the latency recorder — maintenance traffic must not
+// The maintenance I/O hooks below serve the array's spare rebuilds: shard
+// migration shares the device timeline with host traffic (pending
+// background GC runs first, the transfer is booked like any other I/O,
+// idle-fraction accounting sees the busy time) but is excluded from the
+// request count and the latency recorder — maintenance traffic must not
 // dilute the host tail.
 
 // RebuildRead services a maintenance read of pages logical pages starting

@@ -10,7 +10,9 @@ import (
 )
 
 func jitFactory(env *Env) (core.Policy, error) {
-	env.FTL.SetSelector(ftl.SIPGreedy{MaxSIPFraction: 0.3, SlackPages: 4})
+	if err := env.FTL.SetSelector(ftl.SIPGreedy{MaxSIPFraction: 0.3, SlackPages: 4}); err != nil {
+		return nil, err
+	}
 	return core.NewJITGC(env.Cache, core.JITOptions{})
 }
 

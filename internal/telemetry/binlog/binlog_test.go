@@ -124,7 +124,7 @@ var quickTypes = []telemetry.EventType{
 	telemetry.EvRequest, telemetry.EvFlushDecision, telemetry.EvGCStart, telemetry.EvGCEnd,
 	telemetry.EvErase, telemetry.EvToken, telemetry.EvSnapshot, telemetry.EvFault,
 	telemetry.EvBlockRetired, telemetry.EvReadRetry, telemetry.EvDeviceDegraded, telemetry.EvTenantSummary,
-	telemetry.EvStripeTorn, telemetry.EvRebuild, telemetry.EvRebalance,
+	telemetry.EvStripeTorn, telemetry.EvRebuild,
 }
 
 var quickStrings = []string{"", "R", "grant", "read-retry", "a\"b\\c\n", "µs/θ", strings.Repeat("x", 300)}

@@ -372,6 +372,52 @@ func TestNewWriterBadLevel(t *testing.T) {
 	}
 }
 
+// TestWriterRefusesBlocksTheReaderRejects: a block the reader would call
+// implausible is refused with the sticky ErrBlockTooLarge before anything
+// of it is written. BlockEvents past 2²⁴ fails at the first write; a
+// BlockEvents at the limit is accepted and reads back. The raw payload
+// limit (256 MiB) is checked at its boundary through the same predicate
+// the flush applies, since a block that size is too large for a test.
+func TestWriterRefusesBlocksTheReaderRejects(t *testing.T) {
+	ev := telemetry.Event{Type: telemetry.EvErase, T: 1, Victim: 3}
+	var buf bytes.Buffer
+	w := NewWriter(&buf, Options{BlockEvents: maxBlockEvents + 1})
+	if err := w.WriteEvent(ev); !errors.Is(err, ErrBlockTooLarge) {
+		t.Errorf("WriteEvent with %d events per block: err = %v, want ErrBlockTooLarge", maxBlockEvents+1, err)
+	}
+	if err := w.Close(); !errors.Is(err, ErrBlockTooLarge) {
+		t.Errorf("Close: err = %v, want the sticky ErrBlockTooLarge", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("refused writer wrote %d bytes", buf.Len())
+	}
+
+	buf.Reset()
+	w = NewWriter(&buf, Options{BlockEvents: maxBlockEvents})
+	if err := w.WriteEvent(ev); err != nil {
+		t.Fatalf("WriteEvent at the block-size limit: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close at the block-size limit: %v", err)
+	}
+	if got, err := Decode(bytes.NewReader(buf.Bytes())); err != nil || len(got) != 1 || got[0] != ev {
+		t.Errorf("stream at the block-size limit decodes to %v, %v; want [%+v]", got, err, ev)
+	}
+
+	for _, tc := range []struct {
+		events, raw int
+		refused     bool
+	}{
+		{maxBlockEvents, maxBlockRaw, false},
+		{maxBlockEvents + 1, 1, true},
+		{1, maxBlockRaw + 1, true},
+	} {
+		if err := blockTooLarge(tc.events, tc.raw); errors.Is(err, ErrBlockTooLarge) != tc.refused {
+			t.Errorf("blockTooLarge(%d, %d) = %v, refused want %v", tc.events, tc.raw, err, tc.refused)
+		}
+	}
+}
+
 // TestBinSinkErrorPaths covers the sink facade's sticky-error and
 // underlying-closer contracts.
 func TestBinSinkErrorPaths(t *testing.T) {

@@ -676,12 +676,52 @@ func sameRun(logf func(string, ...any), name string, got, want oracleRun) bool {
 	return true
 }
 
+// decodesBack is the round-trip half of the sweep: a stream the writer
+// closed cleanly must decode to exactly the events it was given. A stream
+// the writer refused has no footer and is not a stream to read back.
+func decodesBack(logf func(string, ...any), c oracleCase, run oracleRun) bool {
+	if run.err != nil {
+		return true
+	}
+	got, err := Decode(bytes.NewReader(run.out))
+	if err != nil {
+		logf("Decode of an accepted stream: %v", err)
+		return false
+	}
+	if len(got) != len(c.ops) {
+		logf("accepted %d events, decoded %d", len(c.ops), len(got))
+		return false
+	}
+	for i, op := range c.ops {
+		if !sameEvent(got[i], op.ev) {
+			logf("event %d decoded as %+v, written as %+v", i, got[i], op.ev)
+			return false
+		}
+	}
+	return true
+}
+
+// sameEvent is event equality with the float fields compared bit for bit,
+// so a NaN that round-trips counts as equal to itself.
+func sameEvent(a, b telemetry.Event) bool {
+	if math.Float64bits(a.IdleFraction) != math.Float64bits(b.IdleFraction) ||
+		math.Float64bits(a.WAF) != math.Float64bits(b.WAF) {
+		return false
+	}
+	a.IdleFraction, a.WAF = 0, 0
+	b.IdleFraction, b.WAF = 0, 0
+	return a == b
+}
+
 // oracleProperty holds Writer (through both entry points) and BinSink to
-// the reference's bytes on one case.
+// the reference's bytes on one case, and requires what the writer accepted
+// to decode back.
 func oracleProperty(logf func(string, ...any), fault bool) func(oracleCase) bool {
 	return func(c oracleCase) bool {
 		want := runReference(c, fault)
-		return sameRun(logf, "Writer", runWriter(c), want) && sameRun(logf, "BinSink", runSink(c), want)
+		got := runWriter(c)
+		return sameRun(logf, "Writer", got, want) && sameRun(logf, "BinSink", runSink(c), want) &&
+			decodesBack(logf, c, got)
 	}
 }
 
@@ -690,7 +730,8 @@ func oracleProperty(logf func(string, ...any), fault bool) func(oracleCase) bool
 // one) with random populated subsets, block sizes 1–300, all three codecs,
 // requests mixed in through WriteRequest/EmitRequest, and now and then an
 // unrepresentable event mid-block must produce exactly the reference's
-// bytes, error and count.
+// bytes, error and count; and every stream the writer accepts whole must
+// decode back to the events written.
 func TestWriterMatchesTwoPassReference(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
 	if testing.Short() {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -16,11 +17,18 @@ import (
 	"jitgc/internal/telemetry"
 )
 
+// ErrBlockTooLarge is the writer's sticky error for a block the reader
+// would reject as implausible: more than 2²⁴ events (Options.BlockEvents
+// past that limit fails before any block is written), or a raw payload
+// past 256 MiB. The writer refuses it before writing it, so a stream the
+// writer closes cleanly is one Decode reads back.
+var ErrBlockTooLarge = errors.New("binlog: block exceeds the reader's size limits")
+
 // Options tunes a Writer. The zero value is ready to use.
 type Options struct {
 	// BlockEvents is the number of events per compressed block (default
-	// 4096). Larger blocks compress better and amortize framing; smaller
-	// blocks seek at finer granularity.
+	// 4096, at most 2²⁴). Larger blocks compress better and amortize
+	// framing; smaller blocks seek at finer granularity.
 	BlockEvents int
 	// Level selects the block codec: 0 (the default) is the zero-run
 	// encoder — nearly free and good enough on columnar deltas that the
@@ -139,7 +147,22 @@ func NewWriter(w io.Writer, opts Options) *Writer {
 	} else if opts.Level != 0 && opts.Level != StoreUncompressed {
 		wr.err = fmt.Errorf("binlog: invalid level %d", opts.Level)
 	}
+	if wr.err == nil {
+		wr.err = blockTooLarge(opts.BlockEvents, 0)
+	}
 	return wr
+}
+
+// blockTooLarge reports ErrBlockTooLarge for a block of events events and
+// raw payload bytes that the reader would reject as implausible.
+func blockTooLarge(events, raw int) error {
+	switch {
+	case events > maxBlockEvents:
+		return fmt.Errorf("%w: %d events, limit %d", ErrBlockTooLarge, events, maxBlockEvents)
+	case raw > maxBlockRaw:
+		return fmt.Errorf("%w: %d raw payload bytes, limit %d", ErrBlockTooLarge, raw, maxBlockRaw)
+	}
+	return nil
 }
 
 // smallDict interns strings to dense ids. Real columns hold a handful of
@@ -382,10 +405,13 @@ func (w *Writer) flushBlock() error {
 	if w.blockN == 0 {
 		return nil
 	}
+	raw := w.concatBlock()
+	if err := blockTooLarge(w.blockN, len(raw)); err != nil {
+		return err
+	}
 	if err := w.ensureHeader(); err != nil {
 		return err
 	}
-	raw := w.concatBlock()
 	crc := crc32.ChecksumIEEE(raw)
 
 	payload := raw

@@ -67,10 +67,6 @@ const (
 	// dies. FreedPages carries pages copied so far, Elapsed the rebuild's
 	// running time. Dev is the slot being rebuilt.
 	EvRebuild EventType = "rebuild"
-	// EvRebalance brackets one online reshape after device addition:
-	// Action "start"/"end"/"abort"; FreedPages carries stripes relocated,
-	// Elapsed the reshape's running time. Dev is the first added device.
-	EvRebalance EventType = "rebalance"
 )
 
 // Event is one trace record. It is a flat union over all event types: only
@@ -202,7 +198,6 @@ var typeFields = map[EventType]FieldSet{
 	EvTenantSummary:  FDev | FTenant | FClass | FRequests | FDropped | FViolations | FLatency,
 	EvStripeTorn:     FDev | FLPN | FPages,
 	EvRebuild:        FDev | FAction | FFreedPages | FElapsed,
-	EvRebalance:      FDev | FAction | FFreedPages | FElapsed,
 }
 
 // Fields returns the payload fields populated by events of type t. Unknown
@@ -231,13 +226,13 @@ const (
 	ActionBypass = "bypass"
 )
 
-// Maintenance lifecycle actions (Event.Action for EvRebuild, EvRebalance).
+// Rebuild lifecycle actions (Event.Action for EvRebuild).
 const (
-	// ActionStart: the rebuild/reshape began.
+	// ActionStart: the rebuild began.
 	ActionStart = "start"
-	// ActionEnd: the rebuild/reshape ran to completion.
+	// ActionEnd: the rebuild ran to completion.
 	ActionEnd = "end"
-	// ActionAbort: the rebuild/reshape died mid-way (e.g. the salvage
-	// source failed) and will not resume.
+	// ActionAbort: the rebuild died mid-way (e.g. the salvage source
+	// failed) and will not resume.
 	ActionAbort = "abort"
 )

@@ -163,17 +163,6 @@ func (t *Tracer) Rebuild(now time.Duration, dev int, action string, pages int64,
 		Action: action, FreedPages: pages, Elapsed: elapsed})
 }
 
-// Rebalance emits one online-reshape lifecycle edge after device addition:
-// dev is the first added device, stripes the stripes relocated so far,
-// elapsed the reshape's running time.
-func (t *Tracer) Rebalance(now time.Duration, dev int, action string, stripes int64, elapsed time.Duration) {
-	if t == nil {
-		return
-	}
-	t.sink.Emit(Event{Type: EvRebalance, T: now, Dev: dev,
-		Action: action, FreedPages: stripes, Elapsed: elapsed})
-}
-
 // Token emits one array GC-coordination hand-off decision for member dev.
 func (t *Tracer) Token(now time.Duration, dev int, action string, reclaimBytes, freeBytes int64) {
 	if t == nil {

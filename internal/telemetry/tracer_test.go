@@ -21,7 +21,6 @@ func emitAll(tr *Tracer) {
 	tr.DeviceDegraded(now, 1, "program fault")
 	tr.StripeTorn(now, 1, 64, 16)
 	tr.Rebuild(now, 1, ActionStart, 128, time.Second)
-	tr.Rebalance(now, 2, ActionEnd, 12, time.Second)
 	tr.Token(now, 0, "grant", 1, 2)
 	tr.TenantSummary(now, 9, "gold", 100, 1, 2, time.Millisecond)
 	tr.Snapshot(now, 1, 2, 1.5, 3, 4, 5)
@@ -47,7 +46,7 @@ func TestTracerEmitHelpers(t *testing.T) {
 	want := []EventType{
 		EvRequest, EvFlushDecision, EvGCStart, EvGCEnd, EvErase,
 		EvFault, EvBlockRetired, EvReadRetry, EvDeviceDegraded,
-		EvStripeTorn, EvRebuild, EvRebalance, EvToken,
+		EvStripeTorn, EvRebuild, EvToken,
 		EvTenantSummary, EvSnapshot,
 	}
 	if len(events) != len(want) {
@@ -59,7 +58,7 @@ func TestTracerEmitHelpers(t *testing.T) {
 		}
 	}
 	// Device-scoped helpers carry the tracer's tag; array-level helpers
-	// (degraded, torn, rebuild, rebalance, token) carry the member they
+	// (degraded, torn, rebuild, token) carry the member they
 	// name instead.
 	if events[0].Dev != 3 {
 		t.Errorf("request event tagged dev %d, want tracer's 3", events[0].Dev)
@@ -103,8 +102,8 @@ func TestTracerRequestFastPath(t *testing.T) {
 			t.Errorf("request reached Emit despite the fast path: %+v", ev)
 		}
 	}
-	if ring.Total() != 14 {
-		t.Errorf("Emit saw %d events, want the 14 non-request helpers", ring.Total())
+	if ring.Total() != 13 {
+		t.Errorf("Emit saw %d events, want the 13 non-request helpers", ring.Total())
 	}
 
 	slow, err := NewRingSink(64)

@@ -88,7 +88,7 @@ func TestGeneratorsProduceValidBoundedStreams(t *testing.T) {
 // Ops on its last turn, which doubled the request slice — a full copy, for
 // requests that were then cut off.
 func TestGeneratorsFillExactlyTheSliceTheySized(t *testing.T) {
-	gens := append(All(), DefaultCustom(), NewFileChurn(0.25), NewLogStructured(0.25))
+	gens := append(All(), NewFileChurn(0.25), NewLogStructured(0.25))
 	for _, g := range gens {
 		for seed := int64(1); seed <= 5; seed++ {
 			p := Params{Seed: seed, Ops: 3001, WorkingSetPages: 4096}

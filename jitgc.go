@@ -47,10 +47,6 @@ type PolicySpec struct {
 	// DisableSIP turns off SIP-list forwarding and SIP-aware victim
 	// selection for Kind "JIT-GC" (ablation).
 	DisableSIP bool
-	// MaxSIPFraction is the SIP-greedy victim filter threshold: a victim
-	// candidate is avoided when more than this fraction of its valid pages
-	// is on the SIP list (default 0.30).
-	MaxSIPFraction float64
 }
 
 // Lazy returns the paper's L-BGC baseline (C_resv = 0.5 × C_OP).
@@ -99,11 +95,11 @@ func (p PolicySpec) Factory() sim.PolicyFactory {
 			}
 			j.DisableSIP = p.DisableSIP
 			if !p.DisableSIP {
-				frac := p.MaxSIPFraction
-				if frac == 0 {
-					frac = 0.30
+				// A victim candidate is avoided when more than 30% of its
+				// valid pages are on the SIP list.
+				if err := env.FTL.SetSelector(ftl.SIPGreedy{MaxSIPFraction: 0.30, SlackPages: 4}); err != nil {
+					return nil, err
 				}
-				env.FTL.SetSelector(ftl.SIPGreedy{MaxSIPFraction: frac, SlackPages: 4})
 			}
 			return j, nil
 		case "no-BGC":

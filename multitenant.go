@@ -27,10 +27,6 @@ type TenantConfig struct {
 	// SLO is the silver-class p99.9 latency target (default 100 ms); gold
 	// tightens it 4×, bronze relaxes it 5×.
 	SLO time.Duration
-	// QueueDepth bounds each tenant's admission queue (default 64).
-	QueueDepth int
-	// Quantum is the DRR base quantum in pages (default 8).
-	Quantum int64
 }
 
 // withDefaults fills zero fields.
@@ -95,8 +91,6 @@ func RunMultiTenant(policy PolicySpec, tcfg TenantConfig, opt Options) (MultiTen
 		OpsPerTenant:    ops,
 		Arrival:         kind,
 		Rate:            tcfg.Rate,
-		QueueDepth:      tcfg.QueueDepth,
-		Quantum:         tcfg.Quantum,
 		Classes:         qosClasses(tcfg.SLO),
 		Seed:            opt.Seed,
 		WorkingSetPages: ws,
