@@ -17,7 +17,7 @@ package tenant
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"time"
 )
 
@@ -70,6 +70,33 @@ const (
 	diurnalPeriod = 60 * time.Second
 )
 
+// Each tenant draws from two PCG streams (math/rand/v2, 16 B of state each),
+// one per purpose: its workload profile and its arrival process.
+const (
+	workloadStream uint64 = iota
+	arrivalStream
+)
+
+// streamSeed returns the seed of one purpose stream of one tenant: SplitMix64
+// chained over (run seed, tenant, purpose), so every stream is a pure
+// function of that triple. Adjacent seeds or tenants land on unrelated
+// streams — with plain sums, seed s+1's tenant t would replay seed s's
+// tenant t+1.
+func streamSeed(seed int64, tenant int, purpose uint64) uint64 {
+	return splitMix(splitMix(splitMix(uint64(seed))^uint64(tenant)) ^ purpose)
+}
+
+// splitMix is the SplitMix64 output function: a bijective 64-bit mix.
+func splitMix(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// newPCG returns the PCG generator a stream seed names.
+func newPCG(seed uint64) *rand.PCG { return rand.NewPCG(seed, splitMix(seed)) }
+
 // process generates one tenant's inter-arrival gaps. Implementations are
 // deterministic functions of their seed and are not safe for concurrent use
 // — each tenant owns one.
@@ -78,13 +105,14 @@ type process interface {
 	Next() time.Duration
 }
 
-// newProcess builds the seeded arrival process for one tenant. rate is the
-// tenant's mean arrival rate in requests per second.
-func newProcess(kind ArrivalKind, rate float64, seed int64) (process, error) {
+// newProcess builds the arrival process for one tenant, drawing from the PCG
+// stream seed names. rate is the tenant's mean arrival rate in requests per
+// second.
+func newProcess(kind ArrivalKind, rate float64, seed uint64) (process, error) {
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return nil, fmt.Errorf("tenant: non-positive arrival rate %v", rate)
 	}
-	r := rand.New(rand.NewSource(seed))
+	r := *rand.New(newPCG(seed)) // held by value, so the Rand is no allocation of its own
 	switch kind {
 	case Poisson:
 		return &poisson{r: r, rate: rate}, nil
@@ -108,7 +136,7 @@ func newProcess(kind ArrivalKind, rate float64, seed int64) (process, error) {
 
 // poisson draws exponential gaps at a constant rate.
 type poisson struct {
-	r    *rand.Rand
+	r    rand.Rand
 	rate float64
 }
 
@@ -121,7 +149,7 @@ func (p *poisson) Next() time.Duration {
 // competes with the time left in the current sojourn, and by memorylessness
 // the candidate arrival is simply redrawn at the new state's rate.
 type mmpp struct {
-	r         *rand.Rand
+	r         rand.Rand
 	rates     [2]float64
 	sojourns  [2]time.Duration
 	state     int
@@ -150,7 +178,7 @@ func (m *mmpp) Next() time.Duration {
 // arrive at the peak rate and are accepted with probability rate(t)/peak, so
 // accepted arrivals follow the sinusoidal day curve exactly.
 type diurnal struct {
-	r    *rand.Rand
+	r    rand.Rand
 	rate float64
 	now  time.Duration // absolute time of the previous arrival
 }

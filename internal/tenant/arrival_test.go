@@ -2,13 +2,14 @@ package tenant
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
 
 // gapStats draws n inter-arrival gaps and returns their sample mean and
 // variance in seconds.
-func gapStats(t *testing.T, kind ArrivalKind, rate float64, seed int64, n int) (mean, variance float64) {
+func gapStats(t *testing.T, kind ArrivalKind, rate float64, seed uint64, n int) (mean, variance float64) {
 	t.Helper()
 	p, err := newProcess(kind, rate, seed)
 	if err != nil {
@@ -112,34 +113,68 @@ func TestDiurnalStatistics(t *testing.T) {
 }
 
 // TestProcessDeterminism locks the seeded reproducibility contract every
-// multi-tenant golden depends on: the same (kind, rate, seed) triple yields
-// the same gap sequence, and different seeds yield different ones.
+// multi-tenant golden depends on: a tenant's arrival process is a pure
+// function of (kind, rate, run seed, tenant) — the same quadruple yields the
+// same gap sequence — while the neighbouring tenant, the next run seed and
+// the tenant's own workload stream each yield a different one.
 func TestProcessDeterminism(t *testing.T) {
+	others := []struct {
+		name string
+		seed uint64
+	}{
+		{"tenant 8", streamSeed(42, 8, arrivalStream)},
+		{"seed 43", streamSeed(43, 7, arrivalStream)},
+		{"the workload stream", streamSeed(42, 7, workloadStream)},
+	}
 	for _, kind := range []ArrivalKind{Poisson, MMPP, Diurnal} {
-		a, err := newProcess(kind, 20, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := newProcess(kind, 20, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := newProcess(kind, 20, 43)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diverged := false
-		for i := 0; i < 1000; i++ {
-			ga, gb, gc := a.Next(), b.Next(), c.Next()
-			if ga != gb {
-				t.Fatalf("%s: same seed diverged at gap %d: %v vs %v", kind, i, ga, gb)
+		gaps := func(seed uint64) []time.Duration {
+			p, err := newProcess(kind, 20, seed)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if ga != gc {
-				diverged = true
+			g := make([]time.Duration, 1000)
+			for i := range g {
+				g[i] = p.Next()
+			}
+			return g
+		}
+		a := gaps(streamSeed(42, 7, arrivalStream))
+		if b := gaps(streamSeed(42, 7, arrivalStream)); !slices.Equal(a, b) {
+			t.Fatalf("%s: seed 42 tenant 7 gave two different gap sequences", kind)
+		}
+		for _, o := range others {
+			if slices.Equal(a, gaps(o.seed)) {
+				t.Errorf("%s: %s replayed seed 42 tenant 7's 1000 arrival gaps", kind, o.name)
 			}
 		}
-		if !diverged {
-			t.Errorf("%s: seeds 42 and 43 produced identical 1000-gap sequences", kind)
+	}
+}
+
+// TestStreamsIndependent: across 1,000 tenants and both purposes, under run
+// seeds 1 and 2 together, no 64-bit draw appears twice among the first 128
+// draws of the 4,000 streams. So no stream's first 64 draws equal any
+// window of another's shifted by up to 64 draws — in particular seed 2's
+// tenant t does not replay seed 1's tenant t+1.
+func TestStreamsIndependent(t *testing.T) {
+	const (
+		tenants = 1000
+		draws   = 128
+	)
+	all := make([]uint64, 0, 2*tenants*2*draws)
+	for seed := int64(1); seed <= 2; seed++ {
+		for tn := 0; tn < tenants; tn++ {
+			for _, purpose := range []uint64{workloadStream, arrivalStream} {
+				r := newPCG(streamSeed(seed, tn, purpose))
+				for i := 0; i < draws; i++ {
+					all = append(all, r.Uint64())
+				}
+			}
+		}
+	}
+	slices.Sort(all)
+	for i := 1; i < len(all); i++ {
+		if all[i] == all[i-1] {
+			t.Fatalf("draw %#x appears twice among the streams' first %d draws", all[i], draws)
 		}
 	}
 }

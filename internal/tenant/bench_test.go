@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"jitgc/internal/sim"
 	"jitgc/internal/trace"
 )
 
@@ -70,6 +71,32 @@ func BenchmarkDispatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t, p, _ := s.dispatch()
 		s.admit(t, p) // refill: the backlog never drains, queues never grow
+	}
+}
+
+// BenchmarkNewSource measures tenant synthesis without the device: 1,000
+// MMPP tenants of 60 requests each, every one generating its workload
+// profile and arrival stream — the set-up tenants1000_open pays in
+// tenant.New.
+func BenchmarkNewSource(b *testing.B) {
+	const tenants = 1000
+	cfg := Config{
+		Tenants:         tenants,
+		OpsPerTenant:    60,
+		Arrival:         MMPP,
+		Rate:            120.0 / tenants,
+		WorkingSetPages: 30 * tenants, // about half the default device's user pages, as there
+		Device:          sim.DefaultConfig(),
+	}.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := newSource(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package tenant
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"jitgc/internal/sim"
@@ -116,8 +117,8 @@ func (c Config) Validate() error {
 	if _, err := ParseArrival(string(c.Arrival)); err != nil {
 		return err
 	}
-	if c.Rate <= 0 {
-		return fmt.Errorf("tenant: non-positive arrival rate %v", c.Rate)
+	if !(c.Rate > 0) || math.IsInf(c.Rate, 1) {
+		return fmt.Errorf("tenant: arrival rate %v is not positive and finite", c.Rate)
 	}
 	if c.QueueDepth < 1 {
 		return fmt.Errorf("%w: got depth %d", ErrUnboundedQueue, c.QueueDepth)

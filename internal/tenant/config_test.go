@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -62,6 +63,8 @@ func TestValidateRejectsOtherHazards(t *testing.T) {
 		{"no ops", func(c *Config) { c.OpsPerTenant = 0 }},
 		{"bad arrival", func(c *Config) { c.Arrival = "weibull" }},
 		{"no rate", func(c *Config) { c.Rate = 0 }},
+		{"NaN rate", func(c *Config) { c.Rate = math.NaN() }},
+		{"infinite rate", func(c *Config) { c.Rate = math.Inf(1) }},
 		{"no quantum", func(c *Config) { c.Quantum = -1 }},
 		{"no classes", func(c *Config) { c.Classes = []Class{} }},
 		{"zero SLO", func(c *Config) { c.Classes = []Class{{Name: "x", Weight: 1}} }},

@@ -161,14 +161,14 @@ func newSource(cfg Config) (*source, error) {
 
 		gen := gens[t%len(gens)]
 		reqs, err := gen.Generate(workload.Params{
-			Seed:            cfg.Seed + 1000003*int64(t+1),
+			Source:          newPCG(streamSeed(cfg.Seed, t, workloadStream)),
 			Ops:             cfg.OpsPerTenant,
 			WorkingSetPages: slice,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("tenant %d (%s): %w", t, gen.Name(), err)
 		}
-		proc, err := newProcess(cfg.Arrival, cfg.Rate, cfg.Seed+2*int64(n)+int64(t))
+		proc, err := newProcess(cfg.Arrival, cfg.Rate, streamSeed(cfg.Seed, t, arrivalStream))
 		if err != nil {
 			return nil, err
 		}

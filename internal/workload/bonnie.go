@@ -25,7 +25,7 @@ func (Bonnie) Generate(p Params) ([]trace.Request, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	e := newEngine(p.Seed, 0.29, p.Ops) // calibrated: device-level direct share lands at Table 1’s 27.6%
+	e := newEngine(p, 0.29) // calibrated: device-level direct share lands at Table 1’s 27.6%
 	clock := &burstClock{
 		lenLo: 2000, lenHi: 4200,
 		intraLo: 200 * time.Microsecond, intraHi: 500 * time.Microsecond,

@@ -24,7 +24,7 @@ func (Filebench) Generate(p Params) ([]trace.Request, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	e := newEngine(p.Seed, 0.10, p.Ops) // calibrated: device-level direct share lands at Table 1’s 14.2%
+	e := newEngine(p, 0.10) // calibrated: device-level direct share lands at Table 1’s 14.2%
 	clock := &burstClock{
 		lenLo: 4500, lenHi: 9000,
 		intraLo: 150 * time.Microsecond, intraHi: 350 * time.Microsecond,

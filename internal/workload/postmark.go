@@ -31,7 +31,7 @@ func (Postmark) Generate(p Params) ([]trace.Request, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	e := newEngine(p.Seed, 0.185, p.Ops) // calibrated: device-level direct share lands at Table 1’s 18.3%
+	e := newEngine(p, 0.185) // calibrated: device-level direct share lands at Table 1’s 18.3%
 	clock := &burstClock{
 		lenLo: 2500, lenHi: 5000,
 		intraLo: 200 * time.Microsecond, intraHi: 400 * time.Microsecond,

@@ -31,7 +31,7 @@ func (t Tiobench) Generate(p Params) ([]trace.Request, error) {
 	if threads <= 0 {
 		threads = 4
 	}
-	e := newEngine(p.Seed, 0.537, p.Ops)
+	e := newEngine(p, 0.537)
 	clock := &burstClock{
 		lenLo: 2400, lenHi: 6000,
 		intraLo: 150 * time.Microsecond, intraHi: 450 * time.Microsecond,

@@ -25,7 +25,7 @@ func (TPCC) Generate(p Params) ([]trace.Request, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	e := newEngine(p.Seed, 0.999, p.Ops)
+	e := newEngine(p, 0.999)
 	clock := &burstClock{
 		lenLo: 1800, lenHi: 4200,
 		intraLo: 200 * time.Microsecond, intraHi: 500 * time.Microsecond,

@@ -125,7 +125,7 @@ func (c FileChurn) generate(p Params, free holePool) ([]trace.Request, error) {
 	if err := c.validate(p); err != nil {
 		return nil, err
 	}
-	e := newEngine(p.Seed, c.DirectTarget, p.Ops)
+	e := newEngine(p, c.DirectTarget)
 	clock := &burstClock{
 		lenLo: 2000, lenHi: 4000,
 		intraLo: 200 * time.Microsecond, intraHi: 500 * time.Microsecond,
@@ -291,7 +291,7 @@ func (l LogStructured) Generate(p Params) ([]trace.Request, error) {
 	if err := l.validate(p); err != nil {
 		return nil, err
 	}
-	e := newEngine(p.Seed, l.DirectTarget, p.Ops)
+	e := newEngine(p, l.DirectTarget)
 	clock := &burstClock{
 		lenLo: 3000, lenHi: 6000,
 		intraLo: 150 * time.Microsecond, intraHi: 350 * time.Microsecond,

@@ -12,6 +12,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"sort"
 	"time"
 
@@ -23,6 +24,12 @@ import (
 type Params struct {
 	// Seed makes generation deterministic.
 	Seed int64
+	// Source, when set, replaces Seed: generation draws from it instead of
+	// from Seed's math/rand stream. That stream pins the goldens of every
+	// single-device run but costs a 4.9 KB table to seed, so a caller that
+	// builds thousands of short streams (the tenant engine) passes a small
+	// generator here.
+	Source randv2.Source
 	// Ops is the number of host requests to generate.
 	Ops int
 	// WorkingSetPages is the logical address space the benchmark touches
@@ -85,6 +92,7 @@ const coalesceExpire = 30 * time.Second
 // absorption.
 type engine struct {
 	r            *rand.Rand
+	v2           v2Source // r's source when Params.Source is set
 	reqs         []trace.Request
 	ops          int   // stream length; 0 for unlimited
 	writtenPages int64 // effective device-bound volume
@@ -96,18 +104,33 @@ type engine struct {
 	dirty lpnmap.Map[time.Duration] // lpn → last buffered write, for coalescing
 }
 
-// newEngine returns an engine for a stream of ops requests. A generator whose
-// loop turn emits several requests would otherwise run past ops on its last
-// turn and grow the slice for requests it then cuts off, so emit drops
-// anything beyond ops; 0 (tests driving the engine by hand) means no limit.
-func newEngine(seed int64, directTarget float64, ops int) *engine {
-	return &engine{
-		r:            rand.New(rand.NewSource(seed)),
-		reqs:         make([]trace.Request, 0, ops),
-		ops:          ops,
+// newEngine returns an engine for a stream of p.Ops requests drawn from p's
+// randomness. A generator whose loop turn emits several requests would
+// otherwise run past Ops on its last turn and grow the slice for requests it
+// then cuts off, so emit drops anything beyond Ops; 0 (tests driving the
+// engine by hand) means no limit.
+func newEngine(p Params, directTarget float64) *engine {
+	e := &engine{
+		reqs:         make([]trace.Request, 0, p.Ops),
+		ops:          p.Ops,
 		directTarget: directTarget,
 	}
+	if p.Source != nil {
+		e.v2.src = p.Source
+		e.r = rand.New(&e.v2) // the adapter lives in e: no allocation of its own
+	} else {
+		e.r = rand.New(rand.NewSource(p.Seed))
+	}
+	return e
 }
+
+// v2Source lets the generators' math/rand draws come from a math/rand/v2
+// source.
+type v2Source struct{ src randv2.Source }
+
+func (s *v2Source) Uint64() uint64 { return s.src.Uint64() }
+func (s *v2Source) Int63() int64   { return int64(s.src.Uint64() >> 1) }
+func (*v2Source) Seed(int64)       { panic("workload: a Params.Source cannot be reseeded") }
 
 // think schedules d as the think time before the next emitted request.
 func (e *engine) think(d time.Duration) {

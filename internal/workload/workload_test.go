@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math"
+	randv2 "math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -145,6 +147,32 @@ func TestGeneratorsSeedSensitivity(t *testing.T) {
 	}
 }
 
+// TestParamsSourceOverridesSeed: with a Source set, Seed no longer matters —
+// two runs from the same source state under different seeds give the same
+// stream — while a source in another state gives another stream.
+func TestParamsSourceOverridesSeed(t *testing.T) {
+	gens := append(All(), NewFileChurn(0.25), NewLogStructured(0.25))
+	for _, g := range gens {
+		gen := func(seed int64, src randv2.Source) []trace.Request {
+			reqs, err := g.Generate(Params{Seed: seed, Source: src, Ops: 3000, WorkingSetPages: 4096})
+			if err != nil {
+				t.Fatalf("%s: %v", g.Name(), err)
+			}
+			return reqs
+		}
+		a := gen(1, randv2.NewPCG(5, 6))
+		if b := gen(2, randv2.NewPCG(5, 6)); !slices.Equal(a, b) {
+			t.Errorf("%s: same source state, different seeds gave different streams", g.Name())
+		}
+		if c := gen(1, randv2.NewPCG(5, 7)); slices.Equal(a, c) {
+			t.Errorf("%s: different source states gave the same stream", g.Name())
+		}
+		if d := gen(1, nil); slices.Equal(a, d) {
+			t.Errorf("%s: the source stream equals seed 1's math/rand stream", g.Name())
+		}
+	}
+}
+
 func TestGeneratorsRejectBadParams(t *testing.T) {
 	for _, g := range All() {
 		if _, err := g.Generate(Params{}); err == nil {
@@ -204,7 +232,7 @@ func TestThinkTimesIncludeIdleGaps(t *testing.T) {
 func TestZipfLPNStaysInRange(t *testing.T) {
 	f := func(seed int64, wsRaw uint16) bool {
 		ws := int64(wsRaw%5000) + 10
-		e := newEngine(seed, 0.1, 0)
+		e := newEngine(Params{Seed: seed}, 0.1)
 		z := newZipfLPN(e.r, ws, 1.05)
 		for i := 0; i < 200; i++ {
 			lpn := z.next(ws)
@@ -220,7 +248,7 @@ func TestZipfLPNStaysInRange(t *testing.T) {
 }
 
 func TestZipfIsSkewed(t *testing.T) {
-	e := newEngine(1, 0.1, 0)
+	e := newEngine(Params{Seed: 1}, 0.1)
 	const ws = 10000
 	z := newZipfLPN(e.r, ws, 1.2)
 	counts := map[int64]int{}
@@ -267,7 +295,7 @@ func TestClampExtent(t *testing.T) {
 func TestBalancerConvergesOnEffectiveVolume(t *testing.T) {
 	// Uniform non-overlapping writes (no coalescing) must hit the direct
 	// target exactly at issue level.
-	e := newEngine(1, 0.30, 0)
+	e := newEngine(Params{Seed: 1}, 0.30)
 	var lpn int64
 	for i := 0; i < 5000; i++ {
 		e.think(time.Millisecond)
@@ -281,7 +309,7 @@ func TestBalancerConvergesOnEffectiveVolume(t *testing.T) {
 }
 
 func TestCoalescingAccounting(t *testing.T) {
-	e := newEngine(1, 0.5, 0)
+	e := newEngine(Params{Seed: 1}, 0.5)
 	// Two writes of the same page within τ_expire: the second must not
 	// count as effective volume.
 	e.think(time.Second)
@@ -303,7 +331,7 @@ func TestCoalescingAccounting(t *testing.T) {
 }
 
 func TestBurstClockShape(t *testing.T) {
-	e := newEngine(1, 0.1, 0)
+	e := newEngine(Params{Seed: 1}, 0.1)
 	b := &burstClock{
 		lenLo: 10, lenHi: 10,
 		intraLo: time.Millisecond, intraHi: time.Millisecond,

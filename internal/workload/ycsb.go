@@ -26,7 +26,7 @@ func (YCSB) Generate(p Params) ([]trace.Request, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	e := newEngine(p.Seed, 0.25, p.Ops) // calibrated: device-level direct share lands at Table 1’s 11.8%
+	e := newEngine(p, 0.25) // calibrated: device-level direct share lands at Table 1’s 11.8%
 	zip := newZipfLPN(e.r, p.WorkingSetPages, 1.02)
 	clock := &burstClock{
 		lenLo: 4000, lenHi: 8000,
