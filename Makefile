@@ -12,7 +12,7 @@
 GO ?= go
 COVERAGE_BASELINE := $(shell cat ci/coverage-baseline.txt)
 
-.PHONY: ci build vet fmt-check test test-race bench-test coverage-gate fuzz loc
+.PHONY: ci build vet fmt-check test test-race bench-test coverage-gate fuzz loc test-times
 
 ci: build vet fmt-check test-race bench-test coverage-gate
 
@@ -67,3 +67,11 @@ loc:
 			[ -n "$$files" ] && printf '%6d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
 		done | awk -v m="$$m" '{ print; t += $$1 } END { printf "%6d  total (%s)\n", t, m == "." ? "main module" : m "/" }'; \
 	done
+
+# The 20 slowest tests of one uncached run of the suite, with package and
+# seconds, slowest first (subtests included): the per-test time table a
+# change to the tests reports. Needs jq.
+test-times:
+	@$(GO) test -count=1 -json ./... | \
+		jq -r 'select(.Action == "pass" or .Action == "fail") | select(.Test != null) | [.Elapsed, .Package, .Test] | @tsv' | \
+		sort -rn | head -20 | awk -F'\t' '{ printf "%7.2f  %-40s %s\n", $$1, $$2, $$3 }'

@@ -57,11 +57,12 @@ func (c ArrayConfig) withDefaults() ArrayConfig {
 // Think times and working-set sizing mirror Run: the working set defaults
 // to half the array's addressable capacity, and each member device is
 // preconditioned like a single-device run so per-device GC pressure matches
-// the paper's setup regardless of array width.
+// the paper's setup regardless of array width. A set opt.HostProfile
+// replaces the benchmark, whose name then only labels the run, as in Run.
 func RunArray(benchmark string, policy PolicySpec, acfg ArrayConfig, opt Options) (ArrayResults, error) {
 	opt = opt.withDefaults()
 	acfg = acfg.withDefaults()
-	gen, err := workload.ByName(benchmark)
+	gen, err := opt.generator(benchmark)
 	if err != nil {
 		return ArrayResults{}, err
 	}
@@ -138,8 +139,7 @@ func arrayDeviceConfig() sim.Config {
 func arrayExp(opt Options) ([]Table, error) {
 	benches := Benchmarks()
 	perBench := len(arrayDeviceCounts) * len(arrayModes)
-	slots := make([]ArrayResults, len(benches)*perBench)
-	err := runGrid(opt, len(slots), func(i int) error {
+	slots, err := gridCells(opt, len(benches)*perBench, func(i int) (ArrayResults, error) {
 		b := benches[i/perBench]
 		d := arrayDeviceCounts[(i%perBench)/len(arrayModes)]
 		m := arrayModes[i%len(arrayModes)]
@@ -153,10 +153,9 @@ func arrayExp(opt Options) ([]Table, error) {
 		cellOpt.Config = &cfg
 		res, err := RunArray(b, JIT(), ArrayConfig{Devices: d, Coordination: m}, cellOpt)
 		if err != nil {
-			return fmt.Errorf("array %s ×%d %s: %w", b, d, m, err)
+			return res, fmt.Errorf("array %s ×%d %s: %w", b, d, m, err)
 		}
-		slots[i] = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err

@@ -81,8 +81,7 @@ func arrayscaleExp(opt Options) ([]Table, error) {
 // arrayscaleWidths is part 1: the 16/32/64-device coordination sweep.
 func arrayscaleWidths(opt Options) (Table, error) {
 	nModes := len(arrayscaleModes)
-	slots := make([]ArrayResults, len(arrayscaleDeviceCounts)*nModes)
-	err := runGrid(opt, len(slots), func(i int) error {
+	slots, err := gridCells(opt, len(arrayscaleDeviceCounts)*nModes, func(i int) (ArrayResults, error) {
 		d := arrayscaleDeviceCounts[i/nModes]
 		m := arrayscaleModes[i%nModes]
 		// Offered load scales with width (ops × d/4) so per-device GC
@@ -98,10 +97,9 @@ func arrayscaleWidths(opt Options) (Table, error) {
 			MaxConcurrentGC: m.cap(d),
 		}, cellOpt)
 		if err != nil {
-			return fmt.Errorf("arrayscale ×%d %s: %w", d, m.name, err)
+			return res, fmt.Errorf("arrayscale ×%d %s: %w", d, m.name, err)
 		}
-		slots[i] = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return Table{}, err
@@ -162,14 +160,12 @@ func arrayscaleRebuild(opt Options) (Table, error) {
 			"degraded rd/wr", "rebuilt", "rebuild pages", "rebuild time"},
 	}
 	schemes := []array.Redundancy{array.RedundancyMirror, array.RedundancyParity, array.RedundancyNone}
-	slots := make([]ArrayResults, len(schemes))
-	err := runGrid(opt, len(schemes), func(i int) error {
+	slots, err := gridCells(opt, len(schemes), func(i int) (ArrayResults, error) {
 		res, err := runRebuildUnderFire(schemes[i], opt)
 		if err != nil {
-			return fmt.Errorf("arrayscale rebuild %s: %w", schemes[i], err)
+			return res, fmt.Errorf("arrayscale rebuild %s: %w", schemes[i], err)
 		}
-		slots[i] = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return Table{}, err

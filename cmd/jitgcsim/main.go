@@ -102,8 +102,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *profile != "" && (*traceIn != "" || *tenants > 0 || *devices > 1) {
-		fmt.Fprintf(os.Stderr, "jitgcsim: -host-profile drives a single synthetic device (no -trace, -tenants, or -devices)\n")
+	if *profile != "" && (*traceIn != "" || *tenants > 0) {
+		fmt.Fprintf(os.Stderr, "jitgcsim: -host-profile replaces the synthetic benchmark (no -trace or -tenants)\n")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -161,11 +161,17 @@ func main() {
 		closeSink()
 		return
 	}
+	// A host profile replaces the synthetic benchmark, so label the run
+	// after it rather than the unused -bench default.
+	label := *bench
+	if *profile != "" {
+		label = *profile
+	}
 	if *devices > 1 {
 		if *traceIn != "" {
 			log.Fatal("-devices > 1 supports synthetic benchmarks only (no -trace)")
 		}
-		runArray(*bench, spec, jitgc.ArrayConfig{
+		runArray(label, spec, jitgc.ArrayConfig{
 			Devices:      *devices,
 			StripePages:  *stripe,
 			Coordination: *coord,
@@ -174,12 +180,6 @@ func main() {
 		}, opt, *timeline)
 		closeSink()
 		return
-	}
-	// A host profile replaces the synthetic benchmark, so label the run
-	// after it rather than the unused -bench default.
-	label := *bench
-	if *profile != "" {
-		label = *profile
 	}
 	var (
 		res jitgc.Results

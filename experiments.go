@@ -81,21 +81,21 @@ var fig2Factors = []float64{0.5, 0.75, 1.0, 1.25, 1.5}
 // independent simulations, so they fan out over opt.Workers.
 func runFig2(opt Options) (map[string][]Results, error) {
 	benches := Benchmarks()
-	grid := make(map[string][]Results, len(benches))
-	for _, b := range benches {
-		grid[b] = make([]Results, len(fig2Factors))
-	}
-	err := runGrid(opt, len(benches)*len(fig2Factors), func(i int) error {
-		b, fi := benches[i/len(fig2Factors)], i%len(fig2Factors)
-		res, err := Run(b, Fixed(fig2Factors[fi]), opt)
+	nf := len(fig2Factors)
+	cells, err := gridCells(opt, len(benches)*nf, func(i int) (Results, error) {
+		b, f := benches[i/nf], fig2Factors[i%nf]
+		res, err := Run(b, Fixed(f), opt)
 		if err != nil {
-			return fmt.Errorf("fig2 %s ×%.2f: %w", b, fig2Factors[fi], err)
+			return res, fmt.Errorf("fig2 %s ×%.2f: %w", b, f, err)
 		}
-		grid[b][fi] = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	grid := make(map[string][]Results, len(benches))
+	for bi, b := range benches {
+		grid[b] = cells[bi*nf : (bi+1)*nf]
 	}
 	return grid, nil
 }
@@ -155,14 +155,8 @@ func table1(opt Options) ([]Table, error) {
 		Columns: []string{"benchmark", "buffered %", "direct %"},
 	}
 	benches := Benchmarks()
-	rows := make([]Results, len(benches))
-	err := runGrid(opt, len(benches), func(i int) error {
-		res, err := Run(benches[i], Lazy(), opt)
-		if err != nil {
-			return err
-		}
-		rows[i] = res
-		return nil
+	rows, err := gridCells(opt, len(benches), func(i int) (Results, error) {
+		return Run(benches[i], Lazy(), opt)
 	})
 	if err != nil {
 		return nil, err
@@ -181,15 +175,13 @@ func table1(opt Options) ([]Table, error) {
 func evaluation(opt Options) (map[string]map[string]Results, error) {
 	policies := []PolicySpec{Lazy(), Aggressive(), ADP(), JIT()}
 	benches := Benchmarks()
-	slots := make([]Results, len(benches)*len(policies))
-	err := runGrid(opt, len(slots), func(i int) error {
+	slots, err := gridCells(opt, len(benches)*len(policies), func(i int) (Results, error) {
 		b, p := benches[i/len(policies)], policies[i%len(policies)]
 		res, err := Run(b, p, opt)
 		if err != nil {
-			return fmt.Errorf("evaluation %s/%s: %w", b, p.Kind, err)
+			return res, fmt.Errorf("evaluation %s/%s: %w", b, p.Kind, err)
 		}
-		slots[i] = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
@@ -248,14 +240,8 @@ func table2(opt Options) ([]Table, error) {
 	}
 	benches := Benchmarks()
 	specs := []PolicySpec{JIT(), ADP()}
-	slots := make([]Results, len(benches)*len(specs))
-	err := runGrid(opt, len(slots), func(i int) error {
-		res, err := Run(benches[i/len(specs)], specs[i%len(specs)], opt)
-		if err != nil {
-			return err
-		}
-		slots[i] = res
-		return nil
+	slots, err := gridCells(opt, len(benches)*len(specs), func(i int) (Results, error) {
+		return Run(benches[i/len(specs)], specs[i%len(specs)], opt)
 	})
 	if err != nil {
 		return nil, err
@@ -274,14 +260,8 @@ func table3(opt Options) ([]Table, error) {
 		Columns: []string{"benchmark", "filtered %", "wasted migrations avoided"},
 	}
 	benches := Benchmarks()
-	rows := make([]Results, len(benches))
-	err := runGrid(opt, len(benches), func(i int) error {
-		res, err := Run(benches[i], JIT(), opt)
-		if err != nil {
-			return err
-		}
-		rows[i] = res
-		return nil
+	rows, err := gridCells(opt, len(benches), func(i int) (Results, error) {
+		return Run(benches[i], JIT(), opt)
 	})
 	if err != nil {
 		return nil, err
@@ -453,11 +433,8 @@ func oracleAnchor(opt Options) ([]Table, error) {
 	}
 	benches := Benchmarks()
 	const perBench = 3 // A-BGC baseline, JIT-GC, oracle
-	slots := make([]Results, len(benches)*perBench)
-	err := runGrid(opt, len(slots), func(i int) error {
+	slots, err := gridCells(opt, len(benches)*perBench, func(i int) (res Results, err error) {
 		b := benches[i/perBench]
-		var res Results
-		var err error
 		switch i % perBench {
 		case 0:
 			res, err = Run(b, Aggressive(), opt)
@@ -467,10 +444,9 @@ func oracleAnchor(opt Options) ([]Table, error) {
 			res, err = RunOracle(b, opt)
 		}
 		if err != nil {
-			return fmt.Errorf("oracle anchor %s: %w", b, err)
+			err = fmt.Errorf("oracle anchor %s: %w", b, err)
 		}
-		slots[i] = res
-		return nil
+		return res, err
 	})
 	if err != nil {
 		return nil, err
@@ -503,15 +479,13 @@ func lifetime(opt Options) ([]Table, error) {
 	}
 	benches := []string{"YCSB", "Postmark", "TPC-C"}
 	policies := []PolicySpec{Lazy(), Aggressive(), JIT()}
-	slots := make([]LifetimeResult, len(benches)*len(policies))
-	err := runGrid(opt, len(slots), func(i int) error {
+	slots, err := gridCells(opt, len(benches)*len(policies), func(i int) (LifetimeResult, error) {
 		b, p := benches[i/len(policies)], policies[i%len(policies)]
 		res, err := RunUntilWearOut(b, p, enduranceLimit, opt)
 		if err != nil {
-			return fmt.Errorf("lifetime %s/%s: %w", b, p.Kind, err)
+			return res, fmt.Errorf("lifetime %s/%s: %w", b, p.Kind, err)
 		}
-		slots[i] = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
@@ -557,14 +531,8 @@ func ablationSIP(opt Options) ([]Table, error) {
 	noSIP := JIT()
 	noSIP.DisableSIP = true
 	specs := []PolicySpec{JIT(), noSIP}
-	slots := make([]Results, len(benches)*len(specs))
-	err := runGrid(opt, len(slots), func(i int) error {
-		res, err := Run(benches[i/len(specs)], specs[i%len(specs)], opt)
-		if err != nil {
-			return err
-		}
-		slots[i] = res
-		return nil
+	slots, err := gridCells(opt, len(benches)*len(specs), func(i int) (Results, error) {
+		return Run(benches[i/len(specs)], specs[i%len(specs)], opt)
 	})
 	if err != nil {
 		return nil, err
@@ -587,16 +555,10 @@ func ablationPercentile(opt Options) ([]Table, error) {
 	}
 	benches := []string{"Tiobench", "TPC-C"} // the direct-write-heavy pair
 	pcts := []float64{0.5, 0.8, 0.95}
-	slots := make([]Results, len(benches)*len(pcts))
-	err := runGrid(opt, len(slots), func(i int) error {
+	slots, err := gridCells(opt, len(benches)*len(pcts), func(i int) (Results, error) {
 		spec := JIT()
 		spec.JIT = core.JITOptions{Percentile: pcts[i%len(pcts)]}
-		res, err := Run(benches[i/len(pcts)], spec, opt)
-		if err != nil {
-			return err
-		}
-		slots[i] = res
-		return nil
+		return Run(benches[i/len(pcts)], spec, opt)
 	})
 	if err != nil {
 		return nil, err
@@ -623,14 +585,8 @@ func ablationFlush(opt Options) ([]Table, error) {
 	strictSpec := JIT()
 	strictSpec.JIT = core.JITOptions{StrictFlushPrediction: true}
 	specs := []PolicySpec{JIT(), strictSpec}
-	slots := make([]Results, len(benches)*len(specs))
-	err := runGrid(opt, len(slots), func(i int) error {
-		res, err := Run(benches[i/len(specs)], specs[i%len(specs)], opt)
-		if err != nil {
-			return err
-		}
-		slots[i] = res
-		return nil
+	slots, err := gridCells(opt, len(benches)*len(specs), func(i int) (Results, error) {
+		return Run(benches[i/len(specs)], specs[i%len(specs)], opt)
 	})
 	if err != nil {
 		return nil, err
@@ -653,21 +609,14 @@ func ablationVictim(opt Options) ([]Table, error) {
 	}
 	benches := []string{"YCSB", "Postmark", "TPC-C"}
 	selectors := []string{"greedy", "cost-benefit"}
-	slots := make([]Results, len(benches)*len(selectors))
-	err := runGrid(opt, len(slots), func(i int) error {
-		sel := selectors[i%len(selectors)]
+	slots, err := gridCells(opt, len(benches)*len(selectors), func(i int) (Results, error) {
 		opt2 := opt
 		cfg, _ := opt.withDefaults().simConfig()
-		if sel == "cost-benefit" {
+		if selectors[i%len(selectors)] == "cost-benefit" {
 			cfg.FTL.Selector = ftl.CostBenefit{}
 		}
 		opt2.Config = &cfg
-		res, err := Run(benches[i/len(selectors)], Lazy(), opt2)
-		if err != nil {
-			return err
-		}
-		slots[i] = res
-		return nil
+		return Run(benches[i/len(selectors)], Lazy(), opt2)
 	})
 	if err != nil {
 		return nil, err

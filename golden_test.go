@@ -1,17 +1,23 @@
 package jitgc
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"jitgc/internal/telemetry"
+	"jitgc/internal/telemetry/binlog"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
 
-// goldenOps keeps the full serial sweep in the tens of seconds while still
+// goldenOptions keeps the full serial sweep in the tens of seconds while still
 // driving every device through preconditioning and real GC pressure. The
 // committed golden files are rendered at exactly these options; regenerate
 // with `go test -run TestExperimentGoldens -update .` after an intentional
@@ -19,6 +25,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 func goldenOptions() Options {
 	return Options{Seed: 1, Ops: 4000, Workers: 1}
 }
+
+// shortOps is the request count the experiments run at under -short.
+const shortOps = 500
 
 // renderExperiment formats an experiment the way cmd/paperbench prints it,
 // minus the wall-clock timing in the header.
@@ -32,44 +41,302 @@ func renderExperiment(e Experiment, tables []Table) string {
 	return sb.String()
 }
 
+// experimentRun is what one experiment's two runs leave behind: a serial
+// run at golden options (shortOps under -short) and the same run over
+// eight workers. Every experiment runs this way once per test binary, and
+// the tests in this file each check their part of the same two runs.
+//
+// Outside -race and -short the serial run traces into a JSONL sink and a
+// live binlog at once (teeSink), and its JSONL is round-tripped against
+// the live binlog as it is written. Under -race the serial run is
+// untraced (the binlog package tests cover the codec under race), and the
+// Workers=8 run traces into one BinSink shared by all its cells, so the
+// race detector sees a tracer shared across grid workers. lifetime, which
+// pins Ops to 30000 and replays to wear-out, makes the untraced serial run
+// only.
+type experimentRun struct {
+	serial, parallel       []Table
+	serialErr, parallelErr error
+	events                 int64 // events the traced serial run emitted
+	streamErr              error // the serial run's event stream failed its round trip
+	sharedErr              error // the Workers=8 run's shared BinSink failed to decode to Count() events
+}
+
+// experimentRuns makes each experiment's runs for the first test that asks.
+var experimentRuns = func() map[string]func() *experimentRun {
+	runs := make(map[string]func() *experimentRun)
+	for _, e := range Experiments() {
+		runs[e.ID] = sync.OnceValue(func() *experimentRun { return runTwice(e) })
+	}
+	return runs
+}()
+
+// runTwice makes e's serial and Workers=8 runs.
+func runTwice(e Experiment) *experimentRun {
+	r := &experimentRun{}
+	opt := goldenOptions()
+	if testing.Short() {
+		opt.Ops = shortOps
+	}
+	if raceEnabled || testing.Short() || e.ID == "lifetime" {
+		r.serial, r.serialErr = e.Run(opt)
+	} else {
+		r.runTeed(e, opt)
+	}
+	if e.ID == "lifetime" {
+		return r
+	}
+
+	var bin bytes.Buffer
+	sink := binlog.NewBinSink(&bin, binlog.Options{})
+	opt.Workers = 8
+	if raceEnabled { // left untraced otherwise: the serial run covers the stream
+		opt.Tracer = telemetry.New(sink)
+	}
+	r.parallel, r.parallelErr = e.Run(opt)
+	if err := sink.Close(); err != nil {
+		r.sharedErr = fmt.Errorf("close shared sink: %w", err)
+	} else if n, err := countEvents(&bin); err != nil {
+		r.sharedErr = err
+	} else if n != sink.Count() {
+		r.sharedErr = fmt.Errorf("shared BinSink decodes to %d events, Count() = %d", n, sink.Count())
+	}
+	return r
+}
+
+// runTeed makes the serial run traced through a teeSink and round-trips
+// the recorded JSONL stream against the live binlog the same run wrote.
+func (r *experimentRun) runTeed(e Experiment, opt Options) {
+	rt := newRoundTrip()
+	defer rt.pw.Close()
+	var live bytes.Buffer
+	tee := &teeSink{jsonl: telemetry.NewJSONLSink(rt), bin: binlog.NewBinSink(&live, binlog.Options{})}
+	opt.Tracer = telemetry.New(tee)
+	if r.serial, r.serialErr = e.Run(opt); r.serialErr != nil {
+		return
+	}
+	if err := tee.Close(); err != nil {
+		r.streamErr = fmt.Errorf("close sink: %w", err)
+		return
+	}
+	if r.events = tee.jsonl.Count(); r.events == 0 { // the worked examples emit nothing
+		return
+	}
+	r.streamErr = rt.check(r.events)
+	if r.streamErr == nil && !bytes.Equal(live.Bytes(), rt.bin.Bytes()) {
+		r.streamErr = fmt.Errorf("live binlog (%d bytes) differs from the JSONL's conversion (%d bytes)", live.Len(), rt.bin.Len())
+	}
+}
+
+// countEvents decodes a binlog stream, returning how many events it holds.
+func countEvents(r io.Reader) (int64, error) {
+	rd, err := binlog.NewReader(r)
+	if err != nil {
+		return 0, fmt.Errorf("open binlog: %w", err)
+	}
+	var n int64
+	for {
+		if _, err := rd.Next(); err == io.EOF {
+			return n, nil
+		} else if err != nil {
+			return n, fmt.Errorf("decode event %d: %w", n, err)
+		}
+		n++
+	}
+}
+
+// eachExperiment calls check with every experiment's runs, one parallel
+// subtest each. scale is always left out: its ns/write column is
+// wall-clock, so two runs never render alike and it has no golden (its
+// deterministic columns are pinned by TestScaleExperimentSmallPreset).
+// skip names why any other experiment is left out, or returns "".
+func eachExperiment(t *testing.T, skip func(id string) string, check func(t *testing.T, e Experiment, r *experimentRun)) {
+	for _, e := range Experiments() {
+		t.Run(e.ID, func(t *testing.T) {
+			if e.ID == "scale" {
+				t.Skip("scale grid reports wall-clock ns/write, which cannot be golden; covered by TestScaleExperimentSmallPreset")
+			}
+			if why := skip(e.ID); why != "" {
+				t.Skip(why)
+			}
+			t.Parallel()
+			check(t, e, experimentRuns[e.ID]())
+		})
+	}
+}
+
 // TestExperimentGoldens locks down the rendering of every paperbench
 // experiment: any change to a simulator, policy, workload generator, or
 // table formatter that shifts a single cell shows up as a golden diff.
 func TestExperimentGoldens(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden sweep runs every experiment serially; skipped in -short")
+		t.Skip("golden sweep runs every experiment at golden scale; skipped in -short")
 	}
-	for _, e := range Experiments() {
-		t.Run(e.ID, func(t *testing.T) {
-			if raceEnabled && e.ID == "lifetime" {
-				t.Skip("wear-out replay takes minutes under the race detector")
+	eachExperiment(t, func(id string) string {
+		if raceEnabled && id == "lifetime" {
+			return "wear-out replay takes minutes under the race detector"
+		}
+		return ""
+	}, func(t *testing.T, e Experiment, r *experimentRun) {
+		if r.serialErr != nil {
+			t.Fatalf("run: %v", r.serialErr)
+		}
+		got := renderExperiment(e, r.serial)
+		path := filepath.Join("testdata", "golden", e.ID+".txt")
+		if *updateGolden {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
 			}
-			if e.ID == "scale" {
-				t.Skip("scale grid reports wall-clock ns/write, which cannot be golden; covered by TestScaleExperimentSmallPreset")
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			tables, err := e.Run(goldenOptions())
-			if err != nil {
-				t.Fatalf("run: %v", err)
+			return
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (generate with -update): %v", err)
+		}
+		if got != string(want) {
+			t.Errorf("output differs from %s:\n%s", path, diffLines(string(want), got))
+		}
+	})
+}
+
+// TestExperimentEventStreamsRoundTrip locks down the event streams of the
+// golden runs: every event type and field combination the experiments
+// actually emit must survive JSONL → binlog → JSONL byte for byte, with a
+// smaller binlog. The same run also writes a live binlog (requests
+// through BinSink.EmitRequest), which must be byte-identical to the
+// JSONL's conversion. lifetime, whose nine wear-out cells would dominate
+// the whole suite, is covered by TestLifetimeEventStreamRoundTrip instead.
+func TestExperimentEventStreamsRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the golden runs are traced only at golden scale; skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("single-goroutine fidelity sweep; the binlog package tests already run under race")
+	}
+	eachExperiment(t, func(id string) string {
+		if id == "lifetime" {
+			return "covered by TestLifetimeEventStreamRoundTrip (one wear-out cell instead of nine)"
+		}
+		return ""
+	}, func(t *testing.T, e Experiment, r *experimentRun) {
+		if r.serialErr != nil {
+			t.Fatalf("run: %v", r.serialErr)
+		}
+		if r.events == 0 {
+			t.Skipf("%s emits no events at this scale", e.ID)
+		}
+		if r.streamErr != nil {
+			t.Fatal(r.streamErr)
+		}
+	})
+}
+
+// TestExperimentsRunAtReducedScale checks that every registered experiment
+// (sweeps, evaluations, ablations, oracle) returns tables with rows, on
+// both of its runs, so the full harness is exercised in CI.
+func TestExperimentsRunAtReducedScale(t *testing.T) {
+	eachExperiment(t, func(id string) string {
+		if id == "lifetime" {
+			return "wear-out replay; covered by TestExperimentGoldens/lifetime and TestRunUntilWearOut"
+		}
+		return ""
+	}, func(t *testing.T, e Experiment, r *experimentRun) {
+		for _, run := range []struct {
+			workers int
+			tables  []Table
+			err     error
+		}{{1, r.serial, r.serialErr}, {8, r.parallel, r.parallelErr}} {
+			if run.err != nil {
+				t.Fatalf("workers=%d: %v", run.workers, run.err)
 			}
-			got := renderExperiment(e, tables)
-			path := filepath.Join("testdata", "golden", e.ID+".txt")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
+			if len(run.tables) == 0 {
+				t.Fatalf("workers=%d: no tables", run.workers)
+			}
+			for _, tb := range run.tables {
+				if len(tb.Rows) == 0 || tb.String() == "" {
+					t.Errorf("workers=%d: empty table %q", run.workers, tb.Title)
 				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (generate with -update): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("output differs from %s:\n%s", path, diffLines(string(want), got))
-			}
-		})
+		}
+	})
+}
+
+// TestGridDeterministicAcrossWorkerCounts is the parallel runner's
+// load-bearing guarantee: the full experiment grid renders byte-identical
+// reports for the same seed whether cells run serially (Workers=1) or fan
+// out (Workers=8), because every cell writes a pre-indexed slot. Under
+// -race the Workers=8 run also shares one BinSink across all its cells,
+// whose stream must decode to exactly Count() events. lifetime is
+// excluded only for wall-clock; it assembles its grid with the same
+// gridCells helper the covered experiments exercise.
+func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
+	eachExperiment(t, func(id string) string {
+		if id == "lifetime" {
+			return "wear-out replay runs serially only"
+		}
+		return ""
+	}, checkWorkersDeterministic)
+}
+
+// TestArrayExpWorkersDeterministic asserts the array experiment renders
+// byte-identically whether its grid cells run serially or fan out over
+// eight workers: the coordination state must live entirely inside each
+// cell's array, never shared across goroutines.
+func TestArrayExpWorkersDeterministic(t *testing.T) {
+	checkExperimentDeterministic(t, "array")
+}
+
+// TestArrayScaleExpWorkersDeterministic does the same for the wide-array
+// study: its cells carry rebuild state on top of coordination, all of
+// which must stay confined to the cell's own array.
+func TestArrayScaleExpWorkersDeterministic(t *testing.T) {
+	checkExperimentDeterministic(t, "arrayscale")
+}
+
+// TestMultiTenantExpDeterministic does the same for the multi-tenant
+// experiment. The engine superposes thousands of seeded arrival and
+// workload streams over one stepped simulator; any hidden shared state — a
+// global RNG, map-iteration ordering, cross-cell aliasing — shows up here
+// as a one-cell diff between the two runs at one seed.
+func TestMultiTenantExpDeterministic(t *testing.T) {
+	checkExperimentDeterministic(t, "multitenant")
+}
+
+// TestTrimExpWorkersDeterministic does the same for the trim experiment.
+// Its grid mixes two kinds of cells — direct-driven steady-state sweeps and
+// full simulator runs over the TRIM-rich host profiles — and both must
+// derive every random choice from the cell's own seeded RNG.
+func TestTrimExpWorkersDeterministic(t *testing.T) {
+	checkExperimentDeterministic(t, "trim")
+}
+
+func checkExperimentDeterministic(t *testing.T, id string) {
+	e, err := ExperimentByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWorkersDeterministic(t, e, experimentRuns[id]())
+}
+
+// checkWorkersDeterministic fails unless e's Workers=8 run rendered the
+// bytes of its serial run, and any tracer it shared decoded whole.
+func checkWorkersDeterministic(t *testing.T, e Experiment, r *experimentRun) {
+	t.Helper()
+	if r.serialErr != nil {
+		t.Fatalf("workers=1: %v", r.serialErr)
+	}
+	if r.parallelErr != nil {
+		t.Fatalf("workers=8: %v", r.parallelErr)
+	}
+	serial, parallel := renderExperiment(e, r.serial), renderExperiment(e, r.parallel)
+	if parallel != serial {
+		t.Errorf("%s experiment differs between Workers=1 and Workers=8:\n%s", e.ID, diffLines(serial, parallel))
+	}
+	if r.sharedErr != nil {
+		t.Error(r.sharedErr)
 	}
 }
 
@@ -100,126 +367,4 @@ func diffLines(want, got string) string {
 		sb.WriteString("(renderings differ only in length)\n")
 	}
 	return sb.String()
-}
-
-// TestArrayExpWorkersDeterministic asserts the array experiment renders
-// byte-identically whether its grid cells run serially or fan out over
-// eight workers: the coordination state must live entirely inside each
-// cell's array, never shared across goroutines.
-func TestArrayExpWorkersDeterministic(t *testing.T) {
-	e, err := ExperimentByID("array")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := 1000
-	if testing.Short() {
-		ops = 250
-	}
-	render := func(workers int) string {
-		tables, err := e.Run(Options{Seed: 1, Ops: ops, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return renderExperiment(e, tables)
-	}
-	serial := render(1)
-	parallel := render(8)
-	if serial != parallel {
-		t.Errorf("array experiment differs between Workers=1 and Workers=8:\n%s",
-			diffLines(serial, parallel))
-	}
-}
-
-// TestArrayScaleExpWorkersDeterministic does the same for the wide-array
-// study: its cells carry rebuild state on top of coordination, all of
-// which must stay confined to the cell's own array.
-func TestArrayScaleExpWorkersDeterministic(t *testing.T) {
-	e, err := ExperimentByID("arrayscale")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := 1000
-	if testing.Short() {
-		ops = 250
-	}
-	render := func(workers int) string {
-		tables, err := e.Run(Options{Seed: 1, Ops: ops, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return renderExperiment(e, tables)
-	}
-	serial := render(1)
-	parallel := render(8)
-	if serial != parallel {
-		t.Errorf("arrayscale experiment differs between Workers=1 and Workers=8:\n%s",
-			diffLines(serial, parallel))
-	}
-}
-
-// TestMultiTenantExpDeterministic asserts the multi-tenant experiment
-// renders byte-identically across worker counts and across repeated runs at
-// a fixed seed. The engine superposes thousands of seeded arrival and
-// workload streams over one stepped simulator; any hidden shared state — a
-// global RNG, map-iteration ordering, cross-cell aliasing — shows up here
-// as a one-cell diff.
-func TestMultiTenantExpDeterministic(t *testing.T) {
-	e, err := ExperimentByID("multitenant")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := 2000
-	if testing.Short() {
-		ops = 500
-	}
-	render := func(workers int) string {
-		tables, err := e.Run(Options{Seed: 1, Ops: ops, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return renderExperiment(e, tables)
-	}
-	serial := render(1)
-	parallel := render(8)
-	if serial != parallel {
-		t.Errorf("multitenant experiment differs between Workers=1 and Workers=8:\n%s",
-			diffLines(serial, parallel))
-	}
-	if again := render(8); again != parallel {
-		t.Errorf("multitenant experiment differs between repeated Workers=8 runs:\n%s",
-			diffLines(parallel, again))
-	}
-}
-
-// TestTrimExpWorkersDeterministic asserts the trim experiment renders
-// byte-identically across worker counts and across repeated runs at a fixed
-// seed. Its grid mixes two kinds of cells — direct-driven steady-state
-// sweeps and full simulator runs over the TRIM-rich host profiles — and
-// both must derive every random choice from the cell's own seeded RNG.
-func TestTrimExpWorkersDeterministic(t *testing.T) {
-	e, err := ExperimentByID("trim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := 2000
-	if testing.Short() {
-		ops = 500
-	}
-	render := func(workers int) string {
-		tables, err := e.Run(Options{Seed: 1, Ops: ops, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return renderExperiment(e, tables)
-	}
-	serial := render(1)
-	parallel := render(8)
-	if serial != parallel {
-		t.Errorf("trim experiment differs between Workers=1 and Workers=8:\n%s",
-			diffLines(serial, parallel))
-	}
-	if again := render(8); again != parallel {
-		t.Errorf("trim experiment differs between repeated Workers=8 runs:\n%s",
-			diffLines(parallel, again))
-	}
 }

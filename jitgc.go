@@ -138,7 +138,8 @@ type Options struct {
 	// completions, flush-tick decisions, GC episodes, erases) through the
 	// telemetry layer. It is copied into the simulator configuration; grid
 	// runners share one tracer across cells, so its sink must be
-	// concurrent-safe (telemetry.JSONLSink and RingSink both are).
+	// concurrent-safe (telemetry.JSONLSink, RingSink and binlog.BinSink
+	// all are).
 	Tracer *telemetry.Tracer
 	// FaultRate, when positive, arms the NAND fault model with this
 	// per-operation failure probability on reads, programs and erases

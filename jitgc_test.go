@@ -7,6 +7,7 @@ import (
 
 	"jitgc/internal/ftl"
 	"jitgc/internal/sim"
+	"jitgc/internal/telemetry"
 	"jitgc/internal/trace"
 )
 
@@ -334,16 +335,33 @@ func TestCacheReadHitsCounted(t *testing.T) {
 	}
 }
 
+// requestCounter is a sink counting request completions.
+type requestCounter struct{ n int64 }
+
+func (c *requestCounter) Emit(ev telemetry.Event) {
+	if ev.Type == telemetry.EvRequest {
+		c.n++
+	}
+}
+
+func (c *requestCounter) Close() error { return nil }
+
+// TestRunUntilWearOut pins a wear-out replay to the host writes the device
+// served before death and checks that the replay is one pass: the trace
+// holds the requests of the rounds up to the one the device died in, and
+// nothing else.
 func TestRunUntilWearOut(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long lifetime run")
 	}
-	res, err := RunUntilWearOut("TPC-C", Lazy(), 10, Options{Seed: 1, Ops: 15000})
+	const ops = 15000
+	reqs := &requestCounter{}
+	res, err := RunUntilWearOut("TPC-C", Lazy(), 10, Options{Seed: 1, Ops: ops, Tracer: telemetry.New(reqs)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.HostPagesWritten == 0 || res.RetiredBlocks == 0 {
-		t.Errorf("lifetime result = %+v", res)
+	if res.HostPagesWritten != 149293 || res.Rounds != 11 || res.RetiredBlocks == 0 {
+		t.Errorf("lifetime result = %+v, want 149293 host pages written in round 11", res)
 	}
 	if res.WAF < 1 {
 		t.Errorf("WAF at death = %v", res.WAF)
@@ -351,8 +369,16 @@ func TestRunUntilWearOut(t *testing.T) {
 	if res.Policy != "L-BGC" || res.Workload != "TPC-C" {
 		t.Errorf("labels = %q/%q", res.Policy, res.Workload)
 	}
+	if lo, hi := int64(res.Rounds-1)*ops, int64(res.Rounds)*ops; reqs.n <= lo || reqs.n > hi {
+		t.Errorf("traced %d request events, want (%d, %d]", reqs.n, lo, hi)
+	}
+
 	if _, err := RunUntilWearOut("TPC-C", Lazy(), 0, Options{}); err == nil {
 		t.Error("zero endurance limit accepted")
+	}
+	_, err = RunUntilWearOut("YCSB", Lazy(), 1<<40, Options{Seed: 1, Ops: 20})
+	if err == nil || !strings.Contains(err.Error(), "survived 64 rounds") {
+		t.Errorf("device that cannot wear out: err = %v, want the survived-64-rounds error", err)
 	}
 }
 
@@ -398,42 +424,6 @@ func TestTimelineRecording(t *testing.T) {
 		if p.FreeBytes < 0 || p.WAF < 1 || p.IdleFraction < 0 || p.IdleFraction > 1 {
 			t.Errorf("sample %d out of range: %+v", i, p)
 		}
-	}
-}
-
-// TestExperimentsRunAtReducedScale executes every registered experiment at
-// a small scale so the full harness (sweeps, evaluations, ablations,
-// oracle, lifetime) is exercised in CI.
-func TestExperimentsRunAtReducedScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs dozens of simulations")
-	}
-	opt := Options{Seed: 1, Ops: 6000}
-	for _, e := range Experiments() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			if e.ID == "lifetime" {
-				t.Skip("wear-out replay takes ~30s; covered by TestRunUntilWearOut and paperbench")
-			}
-			if e.ID == "scale" {
-				t.Skip("capacity grid derives op counts from device size (minutes at 64 GiB); covered by TestScaleExperiment* and TestScaleTableRendering")
-			}
-			tables, err := e.Run(opt)
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			if len(tables) == 0 {
-				t.Fatalf("%s: no tables", e.ID)
-			}
-			for _, tb := range tables {
-				if len(tb.Rows) == 0 {
-					t.Errorf("%s: empty table %q", e.ID, tb.Title)
-				}
-				if out := tb.String(); out == "" {
-					t.Errorf("%s: empty rendering", e.ID)
-				}
-			}
-		})
 	}
 }
 

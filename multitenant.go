@@ -128,8 +128,7 @@ var (
 // backlog. Cells fan out over opt.Workers into pre-indexed slots.
 func multitenantExp(opt Options) ([]Table, error) {
 	perCount := len(mtLoads) * len(mtPolicies)
-	slots := make([]MultiTenantResults, len(mtTenantCounts)*perCount)
-	err := runGrid(opt, len(slots), func(i int) error {
+	slots, err := gridCells(opt, len(mtTenantCounts)*perCount, func(i int) (MultiTenantResults, error) {
 		n := mtTenantCounts[i/perCount]
 		load := mtLoads[(i%perCount)/len(mtPolicies)]
 		pol := mtPolicies[i%len(mtPolicies)]
@@ -142,10 +141,9 @@ func multitenantExp(opt Options) ([]Table, error) {
 			Rate:    load.aggregate / float64(n),
 		}, cellOpt)
 		if err != nil {
-			return fmt.Errorf("multitenant %d×%s/%s: %w", n, load.name, pol.Kind, err)
+			return res, fmt.Errorf("multitenant %d×%s/%s: %w", n, load.name, pol.Kind, err)
 		}
-		slots[i] = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err

@@ -1,93 +1,71 @@
 package jitgc
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 )
-
-// cellError carries the failing cell's index so concurrent failures resolve
-// to the same error the serial runner would have reported.
-type cellError struct {
-	idx int
-	err error
-}
 
 // runIndexed executes fn(0), fn(1), …, fn(n-1) on up to workers goroutines.
 // Every cell is independent and writes its result into a pre-indexed slot
 // owned by the caller, so the assembled output is identical to a serial run
 // regardless of scheduling. The first error — ties broken by lowest cell
-// index, matching serial order — cancels the context handed to the workers
-// and stops un-started cells; cells already running finish their current
-// simulation before observing the cancellation.
-func runIndexed(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
+// index, matching serial order — stops un-started cells; cells already
+// running finish their current simulation first.
+func runIndexed(workers, n int, fn func(i int) error) error {
+	workers = min(max(workers, 1), n)
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(ctx, i); err != nil {
+			if err := fn(i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	var (
-		next  atomic.Int64 // next cell to claim
-		mu    sync.Mutex
-		first *cellError
-		wg    sync.WaitGroup
+		next     atomic.Int64 // next cell to claim
+		failed   atomic.Bool
+		mu       sync.Mutex
+		firstIdx = n   // lowest failing cell, so concurrent failures resolve
+		firstErr error // to the error a serial run would have reported
+		wg       sync.WaitGroup
 	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if first == nil || i < first.idx {
-			first = &cellError{idx: i, err: err}
-		}
-		mu.Unlock()
-		cancel()
-	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
+			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				if err := ctx.Err(); err != nil {
-					return
-				}
-				if err := fn(ctx, i); err != nil {
-					fail(i, err)
+				if err := fn(i); err != nil {
+					mu.Lock()
+					if i < firstIdx {
+						firstIdx, firstErr = i, err
+					}
+					mu.Unlock()
+					failed.Store(true)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if first != nil {
-		return first.err
-	}
-	return ctx.Err()
+	return firstErr
 }
 
-// runGrid fans the n independent cells of an experiment grid out over
-// opt.Workers simulation runners (see Options.Workers).
-func runGrid(opt Options, n int, fn func(i int) error) error {
-	return runIndexed(context.Background(), opt.workers(), n,
-		func(_ context.Context, i int) error { return fn(i) })
+// gridCells fans the n independent cells of an experiment grid out over
+// opt.Workers simulation runners (see Options.Workers) and returns their
+// results in cell order.
+func gridCells[T any](opt Options, n int, cell func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := runIndexed(opt.workers(), n, func(i int) (err error) {
+		out[i], err = cell(i)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -1,7 +1,6 @@
 package jitgc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -33,7 +32,7 @@ func TestRunIndexedVisitsEveryCellOnce(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		const n = 37
 		visits := make([]int32, n)
-		err := runIndexed(context.Background(), workers, n, func(_ context.Context, i int) error {
+		err := runIndexed(workers, n, func(i int) error {
 			atomic.AddInt32(&visits[i], 1)
 			return nil
 		})
@@ -49,12 +48,12 @@ func TestRunIndexedVisitsEveryCellOnce(t *testing.T) {
 }
 
 func TestRunIndexedEmptyAndClampedWorkers(t *testing.T) {
-	if err := runIndexed(context.Background(), 4, 0, nil); err != nil {
+	if err := runIndexed(4, 0, nil); err != nil {
 		t.Errorf("n=0: %v", err)
 	}
 	// workers below 1 clamp to a serial run rather than deadlocking.
 	ran := 0
-	err := runIndexed(context.Background(), -2, 3, func(_ context.Context, _ int) error {
+	err := runIndexed(-2, 3, func(int) error {
 		ran++
 		return nil
 	})
@@ -66,7 +65,7 @@ func TestRunIndexedEmptyAndClampedWorkers(t *testing.T) {
 func TestRunIndexedReturnsLowestIndexError(t *testing.T) {
 	boom := func(i int) error { return fmt.Errorf("cell %d failed", i) }
 	for _, workers := range []int{1, 4} {
-		err := runIndexed(context.Background(), workers, 8, func(_ context.Context, i int) error {
+		err := runIndexed(workers, 8, func(i int) error {
 			if i == 2 || i == 5 {
 				return boom(i)
 			}
@@ -86,7 +85,7 @@ func TestRunIndexedReturnsLowestIndexError(t *testing.T) {
 func TestRunIndexedCancelsRemainingCells(t *testing.T) {
 	var ran int32
 	sentinel := errors.New("stop")
-	err := runIndexed(context.Background(), 2, 1000, func(_ context.Context, i int) error {
+	err := runIndexed(2, 1000, func(i int) error {
 		atomic.AddInt32(&ran, 1)
 		if i == 0 {
 			return sentinel
@@ -98,55 +97,5 @@ func TestRunIndexedCancelsRemainingCells(t *testing.T) {
 	}
 	if n := atomic.LoadInt32(&ran); n == 1000 {
 		t.Error("error did not cancel un-started cells")
-	}
-}
-
-func TestRunIndexedHonoursParentContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := runIndexed(ctx, 4, 10, func(context.Context, int) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestGridDeterministicAcrossWorkerCounts is the parallel runner's
-// load-bearing guarantee: the full experiment grid renders byte-identical
-// reports for the same seed whether cells run serially (Workers=1) or fan
-// out (Workers=8), because every cell writes a pre-indexed slot. The
-// lifetime experiment is excluded only for wall-clock (it pins Ops to
-// 30000 and replays to wear-out); it assembles its grid with the same
-// runGrid helper the covered experiments exercise. The scale experiment
-// is excluded because its ns/write column *is* wall-clock, so two runs
-// never render identically (its deterministic columns are pinned by
-// TestScaleExperimentSmallPreset); it too fans out through runGrid.
-func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs most of the experiment grid twice")
-	}
-	render := func(workers int) map[string]string {
-		out := make(map[string]string)
-		for _, e := range Experiments() {
-			if e.ID == "lifetime" || e.ID == "scale" {
-				continue
-			}
-			tables, err := e.Run(Options{Seed: 1, Ops: 2000, Workers: workers})
-			if err != nil {
-				t.Fatalf("workers=%d %s: %v", workers, e.ID, err)
-			}
-			var s string
-			for _, tb := range tables {
-				s += tb.String() + "\n"
-			}
-			out[e.ID] = s
-		}
-		return out
-	}
-	serial := render(1)
-	parallel := render(8)
-	for id, want := range serial {
-		if got := parallel[id]; got != want {
-			t.Errorf("%s: Workers=8 output differs from Workers=1:\n--- serial ---\n%s\n--- parallel ---\n%s", id, want, got)
-		}
 	}
 }

@@ -39,17 +39,15 @@ func reliability(opt Options) ([]Table, error) {
 			"injected", "retired", "read retries", "unrecoverable"},
 	}
 	nRates, nPols := len(reliabilityRates), len(reliabilityPolicies)
-	slots := make([]Results, nRates*nPols)
-	err := runGrid(opt, len(slots), func(i int) error {
+	slots, err := gridCells(opt, nRates*nPols, func(i int) (Results, error) {
 		rate, pol := reliabilityRates[i/nPols], reliabilityPolicies[i%nPols]
 		cellOpt := opt
 		cellOpt.FaultRate = rate
 		res, err := Run("YCSB", pol, cellOpt)
 		if err != nil {
-			return fmt.Errorf("reliability %.0e/%s: %w", rate, pol.Kind, err)
+			return res, fmt.Errorf("reliability %.0e/%s: %w", rate, pol.Kind, err)
 		}
-		slots[i] = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err

@@ -114,14 +114,8 @@ func RunScalePreset(preset nand.ScalePreset, seed int64) (ScaleResult, error) {
 func scaleExp(opt Options) ([]Table, error) {
 	opt = opt.withDefaults()
 	presets := nand.ScalePresets()
-	rows := make([]ScaleResult, len(presets))
-	err := runGrid(opt, len(presets), func(i int) error {
-		res, err := RunScalePreset(presets[i], opt.Seed+int64(i))
-		if err != nil {
-			return err
-		}
-		rows[i] = res
-		return nil
+	rows, err := gridCells(opt, len(presets), func(i int) (ScaleResult, error) {
+		return RunScalePreset(presets[i], opt.Seed+int64(i))
 	})
 	if err != nil {
 		return nil, err

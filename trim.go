@@ -178,32 +178,24 @@ type trimCell struct {
 func trimExp(opt Options) ([]Table, error) {
 	opt = opt.withDefaults()
 
-	valRows := make([]TrimPointResult, len(trimIntensities))
-	cells := make([]trimCell, len(trimGridProfiles)*len(trimIntensities)*len(trimGridPolicies))
-	nVal := len(valRows)
-	err := runGrid(opt, nVal+len(cells), func(i int) error {
-		if i < nVal {
-			res, err := RunTrimPoint(trimIntensities[i], opt.Seed+int64(i))
-			if err != nil {
-				return err
-			}
-			valRows[i] = res
-			return nil
-		}
-		c := i - nVal
-		pi := c / (len(trimIntensities) * len(trimGridPolicies))
-		qi := c / len(trimGridPolicies) % len(trimIntensities)
-		ci := c % len(trimGridPolicies)
+	valRows, err := gridCells(opt, len(trimIntensities), func(i int) (TrimPointResult, error) {
+		return RunTrimPoint(trimIntensities[i], opt.Seed+int64(i))
+	})
+	if err != nil {
+		return nil, err
+	}
+	nq, np := len(trimIntensities), len(trimGridPolicies)
+	cells, err := gridCells(opt, len(trimGridProfiles)*nq*np, func(i int) (trimCell, error) {
 		cellOpt := opt
-		cellOpt.HostProfile = trimGridProfiles[pi]
-		cellOpt.TrimRate = trimIntensities[qi]
-		res, err := Run(cellOpt.HostProfile, trimGridPolicies[ci], cellOpt)
+		cellOpt.HostProfile = trimGridProfiles[i/(nq*np)]
+		cellOpt.TrimRate = trimIntensities[i/np%nq]
+		pol := trimGridPolicies[i%np]
+		res, err := Run(cellOpt.HostProfile, pol, cellOpt)
 		if err != nil {
-			return fmt.Errorf("trim grid %s q=%.2f %s: %w",
-				cellOpt.HostProfile, cellOpt.TrimRate, trimGridPolicies[ci].Kind, err)
+			return trimCell{}, fmt.Errorf("trim grid %s q=%.2f %s: %w",
+				cellOpt.HostProfile, cellOpt.TrimRate, pol.Kind, err)
 		}
-		cells[c] = trimCell{profile: cellOpt.HostProfile, q: cellOpt.TrimRate, res: res}
-		return nil
+		return trimCell{profile: cellOpt.HostProfile, q: cellOpt.TrimRate, res: res}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -82,6 +82,20 @@ func TestTrimProfileRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunArrayHonoursHostProfile checks that a host profile replaces the
+// named benchmark on an array as it does on one device: the churn profile
+// discards, YCSB never does.
+func TestRunArrayHonoursHostProfile(t *testing.T) {
+	res, err := RunArray("YCSB", JIT(), ArrayConfig{Devices: 2},
+		Options{HostProfile: "churn", TrimRate: 0.25, Ops: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Array.TrimmedPages == 0 {
+		t.Error("churn profile on a 2-device array produced no device TRIMs")
+	}
+}
+
 // TestTrimGridTableShapes pins the grid renderer against hand-built cells,
 // including the degenerate no-erase case.
 func TestTrimGridTableShapes(t *testing.T) {
