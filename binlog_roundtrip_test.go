@@ -3,14 +3,11 @@ package jitgc
 import (
 	"bytes"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"hash"
 	"io"
 	"slices"
-	"sync"
 	"testing"
-	"time"
 
 	"jitgc/internal/telemetry"
 	"jitgc/internal/telemetry/binlog"
@@ -84,33 +81,6 @@ func (d *digest) Write(p []byte) (int, error) {
 	d.n += int64(len(p))
 	return d.Hash.Write(p)
 }
-
-// teeSink records one run as JSONL and as a live binlog at once, emitting
-// to both under one lock so the two streams keep one order. It forwards
-// request completions through the binlog's fast path, as a tracer over a
-// bare BinSink would.
-type teeSink struct {
-	mu    sync.Mutex
-	jsonl *telemetry.JSONLSink
-	bin   *binlog.BinSink
-}
-
-func (s *teeSink) Emit(ev telemetry.Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.jsonl.Emit(ev)
-	s.bin.Emit(ev)
-}
-
-func (s *teeSink) EmitRequest(now time.Duration, dev int, kind string, lpn int64, pages int, latency time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.jsonl.Emit(telemetry.Event{Type: telemetry.EvRequest, T: now, Dev: dev,
-		Kind: kind, LPN: lpn, Pages: pages, Latency: latency})
-	s.bin.EmitRequest(now, dev, kind, lpn, pages, latency)
-}
-
-func (s *teeSink) Close() error { return errors.Join(s.jsonl.Close(), s.bin.Close()) }
 
 // lifetimeEventTypes is the event vocabulary of one full wear-out replay
 // (YCSB × JIT-GC to death, 540,555 events), recorded here once. Wear-out is

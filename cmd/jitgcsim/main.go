@@ -26,9 +26,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -76,36 +78,23 @@ func main() {
 	)
 	flag.Parse()
 
-	if *faultR < 0 || *faultR > 1 {
-		fmt.Fprintf(os.Stderr, "jitgcsim: -fault-rate must be in [0,1], got %v\n", *faultR)
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	if *workers < 1 {
-		fmt.Fprintf(os.Stderr, "jitgcsim: -workers must be at least 1, got %d\n", *workers)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *devices < 1 {
-		fmt.Fprintf(os.Stderr, "jitgcsim: -devices must be at least 1, got %d\n", *devices)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *devices == 1 && (*spares > 0 || *redun != "none") {
-		fmt.Fprintf(os.Stderr, "jitgcsim: -spares and -redundancy need a multi-device array (-devices > 1)\n")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *trimRate < 0 || *trimRate >= 1 {
-		fmt.Fprintf(os.Stderr, "jitgcsim: -trim-rate must be in [0,1), got %v\n", *trimRate)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *profile != "" && (*traceIn != "" || *tenants > 0) {
-		fmt.Fprintf(os.Stderr, "jitgcsim: -host-profile replaces the synthetic benchmark (no -trace or -tenants)\n")
-		flag.Usage()
-		os.Exit(2)
+	switch {
+	case *faultR < 0 || *faultR > 1:
+		usageError("-fault-rate must be in [0,1], got %v", *faultR)
+	case *workers < 1:
+		usageError("-workers must be at least 1, got %d", *workers)
+	case *devices < 1:
+		usageError("-devices must be at least 1, got %d", *devices)
+	case *devices == 1 && (*spares > 0 || *redun != "none"):
+		usageError("-spares and -redundancy need a multi-device array (-devices > 1)")
+	case *trimRate < 0 || *trimRate >= 1:
+		usageError("-trim-rate must be in [0,1), got %v", *trimRate)
+	case *profile != "" && (*traceIn != "" || *tenants > 0):
+		usageError("-host-profile replaces the synthetic benchmark (no -trace or -tenants)")
+	case *tenants > 0 && (*traceIn != "" || *devices > 1):
+		usageError("-tenants drives the single shared device with synthetic tenant workloads (no -trace, no -devices)")
+	case *devices > 1 && *traceIn != "":
+		usageError("-devices > 1 supports synthetic benchmarks only (no -trace)")
 	}
 
 	if *pprofA != "" {
@@ -115,87 +104,97 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "debug: pprof and expvar at http://%s/debug/pprof/\n", addr)
 	}
-	var sink interface {
+	// The event file and the timeline are two sinks on one tracer: the
+	// timeline is rebuilt from the flush_decision and snapshot events.
+	var sinks []telemetry.Sink
+	var eventSink interface {
 		telemetry.Sink
 		Count() int64
 	}
-	var tracer *telemetry.Tracer
 	if *events != "" {
 		f, err := os.Create(*events)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if strings.HasSuffix(*events, ".jgb") {
-			sink = binlog.NewBinSink(f, binlog.Options{})
+			eventSink = binlog.NewBinSink(f, binlog.Options{})
 		} else {
-			sink = telemetry.NewJSONLSink(f)
+			eventSink = telemetry.NewJSONLSink(f)
 		}
-		tracer = telemetry.New(sink)
+		sinks = append(sinks, eventSink)
 	}
-	closeSink := func() {
-		if sink == nil {
-			return
-		}
-		if err := sink.Close(); err != nil {
-			log.Fatalf("trace-events: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "trace-events: %d events written to %s\n", sink.Count(), *events)
+	timelineSink := &metrics.TimelineSink{}
+	if *timeline != "" {
+		sinks = append(sinks, timelineSink)
+	}
+	var tracer *telemetry.Tracer
+	if len(sinks) > 0 {
+		tracer = telemetry.New(telemetry.Tee(sinks...))
 	}
 
-	spec := jitgc.PolicySpec{Kind: *policy, Factor: *factor, DisableSIP: *noSIP}
-	opt := jitgc.Options{Seed: *seed, Ops: *ops, Workers: *workers, Tracer: tracer,
-		FaultRate: *faultR, FaultSeed: *faultS,
-		HostProfile: *profile, TrimRate: *trimRate}
+	cfg := sim.DefaultConfig()
 	if *size != "" {
-		cfg, err := presetConfig(*size)
-		if err != nil {
+		var err error
+		if cfg, err = presetConfig(*size); err != nil {
 			log.Fatal(err)
 		}
-		opt.Config = &cfg
 	}
-	if *tenants > 0 {
-		if *traceIn != "" || *devices > 1 {
-			log.Fatal("-tenants drives the single shared device with synthetic tenant workloads (no -trace, no -devices)")
-		}
-		runMultiTenant(*tenants, *arrival, *slo, *rate, spec, opt)
-		closeSink()
-		return
+	if *faultR > 0 {
+		cfg.FTL.Fault = nand.FaultConfig{Seed: *faultS, ReadRate: *faultR, ProgramRate: *faultR, EraseRate: *faultR}
 	}
+	spec := jitgc.PolicySpec{Kind: *policy, Factor: *factor, DisableSIP: *noSIP}
+	opt := jitgc.Options{Seed: *seed, Ops: *ops, Workers: *workers, Tracer: tracer, Config: &cfg,
+		HostProfile: *profile, TrimRate: *trimRate}
 	// A host profile replaces the synthetic benchmark, so label the run
 	// after it rather than the unused -bench default.
 	label := *bench
 	if *profile != "" {
 		label = *profile
 	}
-	if *devices > 1 {
-		if *traceIn != "" {
-			log.Fatal("-devices > 1 supports synthetic benchmarks only (no -trace)")
-		}
+	switch {
+	case *tenants > 0:
+		runMultiTenant(*tenants, *arrival, *slo, *rate, spec, opt)
+	case *devices > 1:
 		runArray(label, spec, jitgc.ArrayConfig{
 			Devices:      *devices,
 			StripePages:  *stripe,
 			Coordination: *coord,
 			Spares:       *spares,
 			Redundancy:   *redun,
-		}, opt, *timeline)
-		closeSink()
-		return
-	}
-	var (
-		res jitgc.Results
-		err error
-	)
-	switch {
+		}, opt)
 	case *traceIn != "":
-		res, err = replayTraceFile(*traceIn, *msr, spec, *timeline, tracer)
+		printResults(replayTraceFile(*traceIn, *msr, spec, opt))
 	default:
-		res, err = runBenchmark(label, spec, opt, *timeline)
+		printResults(jitgc.Run(label, spec, opt))
 	}
+
+	if tracer != nil {
+		if err := tracer.Sink().Close(); err != nil {
+			log.Fatalf("trace-events: %v", err)
+		}
+	}
+	if eventSink != nil {
+		fmt.Fprintf(os.Stderr, "trace-events: %d events written to %s\n", eventSink.Count(), *events)
+	}
+	if *timeline != "" {
+		if err := writeTimelines(*timeline, timelineSink, *devices > 1); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
+
+// usageError reports a bad flag combination and exits with status 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "jitgcsim: %s\n", fmt.Sprintf(format, args...))
+	flag.Usage()
+	os.Exit(2)
+}
+
+// printResults prints a single-device run's record, or exits on its error.
+func printResults(res jitgc.Results, err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	closeSink()
-
 	fmt.Printf("benchmark            %s\n", res.Workload)
 	fmt.Printf("policy               %s\n", res.Policy)
 	fmt.Printf("requests             %d\n", res.Requests)
@@ -245,19 +244,6 @@ func presetConfig(size string) (sim.Config, error) {
 	return cfg, nil
 }
 
-// withTimeline returns opt with per-interval timeline capture switched on,
-// on top of whatever device configuration opt already carries (a -size
-// preset) rather than in place of it.
-func withTimeline(opt jitgc.Options) jitgc.Options {
-	cfg := sim.DefaultConfig()
-	if opt.Config != nil {
-		cfg = *opt.Config
-	}
-	cfg.RecordTimeline = true
-	opt.Config = &cfg
-	return opt
-}
-
 // runMultiTenant runs the open-loop multi-tenant engine and prints the
 // merged record plus the per-class SLO scoreboard.
 func runMultiTenant(tenants int, arrival string, slo time.Duration, rate float64, spec jitgc.PolicySpec, opt jitgc.Options) {
@@ -293,13 +279,8 @@ func runMultiTenant(tenants int, arrival string, slo time.Duration, rate float64
 }
 
 // runArray runs a benchmark over the striped multi-device array and prints
-// the merged record plus the per-device spread. With a timeline path it
-// writes the merged array-level timeline there and each member's own
-// timeline next to it as <base>.devN<ext>.
-func runArray(bench string, spec jitgc.PolicySpec, acfg jitgc.ArrayConfig, opt jitgc.Options, timelinePath string) {
-	if timelinePath != "" {
-		opt = withTimeline(opt)
-	}
+// the merged record plus the per-device spread.
+func runArray(bench string, spec jitgc.PolicySpec, acfg jitgc.ArrayConfig, opt jitgc.Options) {
 	res, err := jitgc.RunArray(bench, spec, acfg, opt)
 	if err != nil {
 		log.Fatal(err)
@@ -339,64 +320,55 @@ func runArray(bench string, spec jitgc.PolicySpec, acfg jitgc.ArrayConfig, opt j
 	if a.Predictive {
 		fmt.Printf("prediction accuracy  %.1f%%\n", 100*a.PredictionAccuracy)
 	}
-	if timelinePath != "" {
-		if err := writeArrayTimelines(timelinePath, res); err != nil {
-			log.Fatal(err)
-		}
-	}
 }
 
-// writeArrayTimelines writes the merged array timeline to path and every
-// member device's timeline to <base>.devN<ext>.
-func writeArrayTimelines(path string, res jitgc.ArrayResults) error {
-	writeCSV := func(p string, points []metrics.TimelinePoint) error {
-		f, err := os.Create(p)
-		if err != nil {
-			return err
-		}
-		if err := metrics.WriteTimelineCSV(f, points); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := writeCSV(path, res.MergedTimeline); err != nil {
+// writeTimelines writes the timeline the sink rebuilt to path. With perDevice
+// the merged array timeline goes there and every device tag that reported,
+// spares included, gets its own file <base>.devN<ext>.
+func writeTimelines(path string, sink *metrics.TimelineSink, perDevice bool) error {
+	merged := sink.Merged()
+	if err := writeTimelineCSV(path, merged); err != nil {
 		return err
+	}
+	if !perDevice {
+		fmt.Fprintf(os.Stderr, "timeline: %d samples written to %s\n", len(merged), path)
+		return nil
 	}
 	ext := filepath.Ext(path)
 	base := strings.TrimSuffix(path, ext)
-	for i, tl := range res.Timelines {
-		if err := writeCSV(fmt.Sprintf("%s.dev%d%s", base, i, ext), tl); err != nil {
+	devs := sink.PerDevice()
+	for _, d := range slices.Sorted(maps.Keys(devs)) {
+		if err := writeTimelineCSV(fmt.Sprintf("%s.dev%d%s", base, d, ext), devs[d]); err != nil {
 			return err
 		}
 	}
 	fmt.Fprintf(os.Stderr, "timeline: %d merged samples written to %s (+%d per-device files)\n",
-		len(res.MergedTimeline), path, len(res.Timelines))
+		len(merged), path, len(devs))
 	return nil
 }
 
-// runBenchmark runs a synthetic benchmark, optionally capturing a timeline.
-func runBenchmark(bench string, spec jitgc.PolicySpec, opt jitgc.Options, timelinePath string) (jitgc.Results, error) {
-	if timelinePath == "" {
-		return jitgc.Run(bench, spec, opt)
-	}
-	reqs, cfg, err := jitgc.GenerateStream(bench, opt)
+func writeTimelineCSV(path string, points []metrics.TimelinePoint) error {
+	f, err := os.Create(path)
 	if err != nil {
-		return jitgc.Results{}, err
+		return err
 	}
-	cfg.RecordTimeline = true
-	return runWithTimeline(reqs, bench, spec, cfg, true, timelinePath)
+	if err := metrics.WriteTimelineCSV(f, points); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-// replayTraceFile replays a recorded trace open-loop.
-func replayTraceFile(path string, msr bool, spec jitgc.PolicySpec, timelinePath string, tracer *telemetry.Tracer) (jitgc.Results, error) {
+// replayTraceFile replays a recorded trace on the device opt configures,
+// preconditioned to half its user capacity.
+func replayTraceFile(path string, msr bool, spec jitgc.PolicySpec, opt jitgc.Options) (jitgc.Results, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return jitgc.Results{}, err
 	}
 	defer f.Close()
 
-	cfg := sim.DefaultConfig()
+	cfg := *opt.Config
 	user := ftl.UserPagesFor(cfg.FTL.Geometry.TotalPages(), cfg.FTL.OPRatio)
 	var reqs []trace.Request
 	if msr {
@@ -414,41 +386,8 @@ func replayTraceFile(path string, msr bool, spec jitgc.PolicySpec, timelinePath 
 		return jitgc.Results{}, err
 	}
 	cfg.PreconditionPages = user / 2
-	cfg.RecordTimeline = timelinePath != ""
-	cfg.Tracer = tracer
+	cfg.Tracer = opt.Tracer
 	// jitgc text traces carry think times (closed loop); MSR traces carry
 	// absolute arrival timestamps (open loop).
-	return runWithTimeline(reqs, path, spec, cfg, !msr, timelinePath)
-}
-
-func runWithTimeline(reqs []trace.Request, name string, spec jitgc.PolicySpec, cfg sim.Config, closed bool, timelinePath string) (jitgc.Results, error) {
-	s, err := sim.New(cfg, spec.Factory())
-	if err != nil {
-		return jitgc.Results{}, err
-	}
-	var res jitgc.Results
-	if closed {
-		res, err = s.RunClosedLoop(reqs)
-	} else {
-		res, err = s.Run(reqs)
-	}
-	if err != nil {
-		return jitgc.Results{}, err
-	}
-	res.Workload = name
-	if timelinePath != "" {
-		out, err := os.Create(timelinePath)
-		if err != nil {
-			return res, err
-		}
-		if err := metrics.WriteTimelineCSV(out, s.Timeline()); err != nil {
-			out.Close()
-			return res, err
-		}
-		if err := out.Close(); err != nil {
-			return res, err
-		}
-		fmt.Fprintf(os.Stderr, "timeline: %d samples written to %s\n", len(s.Timeline()), timelinePath)
-	}
-	return res, nil
+	return jitgc.RunTrace(reqs, path, spec, cfg, !msr)
 }

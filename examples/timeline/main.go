@@ -12,7 +12,7 @@ import (
 
 	"jitgc"
 	"jitgc/internal/metrics"
-	"jitgc/internal/sim"
+	"jitgc/internal/telemetry"
 )
 
 func main() {
@@ -21,23 +21,15 @@ func main() {
 		benchmark = os.Args[1]
 	}
 
-	reqs, cfg, err := jitgc.GenerateStream(benchmark, jitgc.Options{Ops: 40000})
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg.RecordTimeline = true
-
 	fmt.Printf("free-space trajectories for %s:\n\n", benchmark)
 	for _, spec := range []jitgc.PolicySpec{jitgc.Lazy(), jitgc.Aggressive(), jitgc.JIT()} {
-		s, err := sim.New(cfg, spec.Factory())
+		// The timeline is rebuilt from the run's per-tick events.
+		sink := &metrics.TimelineSink{}
+		res, err := jitgc.Run(benchmark, spec, jitgc.Options{Ops: 40000, Tracer: telemetry.New(sink)})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := s.RunClosedLoop(reqs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tl := s.Timeline()
+		tl := sink.Merged()
 
 		var minFree, maxFree, sum int64
 		if len(tl) > 0 {

@@ -47,7 +47,7 @@ func renderExperiment(e Experiment, tables []Table) string {
 // the tests in this file each check their part of the same two runs.
 //
 // Outside -race and -short the serial run traces into a JSONL sink and a
-// live binlog at once (teeSink), and its JSONL is round-tripped against
+// live binlog at once (telemetry.Tee), and its JSONL is round-tripped against
 // the live binlog as it is written. Under -race the serial run is
 // untraced (the binlog package tests cover the codec under race), and the
 // Workers=8 run traces into one BinSink shared by all its cells, so the
@@ -104,13 +104,14 @@ func runTwice(e Experiment) *experimentRun {
 	return r
 }
 
-// runTeed makes the serial run traced through a teeSink and round-trips
+// runTeed makes the serial run traced through a tee and round-trips
 // the recorded JSONL stream against the live binlog the same run wrote.
 func (r *experimentRun) runTeed(e Experiment, opt Options) {
 	rt := newRoundTrip()
 	defer rt.pw.Close()
 	var live bytes.Buffer
-	tee := &teeSink{jsonl: telemetry.NewJSONLSink(rt), bin: binlog.NewBinSink(&live, binlog.Options{})}
+	jsonl := telemetry.NewJSONLSink(rt)
+	tee := telemetry.Tee(jsonl, binlog.NewBinSink(&live, binlog.Options{}))
 	opt.Tracer = telemetry.New(tee)
 	if r.serial, r.serialErr = e.Run(opt); r.serialErr != nil {
 		return
@@ -119,7 +120,7 @@ func (r *experimentRun) runTeed(e Experiment, opt Options) {
 		r.streamErr = fmt.Errorf("close sink: %w", err)
 		return
 	}
-	if r.events = tee.jsonl.Count(); r.events == 0 { // the worked examples emit nothing
+	if r.events = jsonl.Count(); r.events == 0 { // the worked examples emit nothing
 		return
 	}
 	r.streamErr = rt.check(r.events)

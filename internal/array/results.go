@@ -89,13 +89,6 @@ type Results struct {
 	// interval: the configured MaxConcurrentGC, or the burn-driven width
 	// when the cap is adaptive.
 	ResolvedCap int
-
-	// Timelines holds each member device's per-interval state samples when
-	// Config.Device.RecordTimeline is set (nil otherwise), indexed by
-	// device; MergedTimeline is the per-tick array-level aggregate (see
-	// metrics.MergeTimelines for the merge semantics).
-	Timelines      [][]metrics.TimelinePoint
-	MergedTimeline []metrics.TimelinePoint
 }
 
 // WAFSpread returns WAFMax − WAFMin.
@@ -201,13 +194,6 @@ func (a *Array) Results() Results {
 	}
 	if agg.SimTime > 0 {
 		agg.SustainedIOPS = float64(a.requests) / agg.SimTime.Seconds()
-	}
-	if a.cfg.Device.RecordTimeline {
-		res.Timelines = make([][]metrics.TimelinePoint, n)
-		for i, d := range a.devs {
-			res.Timelines[i] = d.Timeline()
-		}
-		res.MergedTimeline = metrics.MergeTimelines(res.Timelines)
 	}
 	if selections > 0 {
 		agg.FilteredVictimPct = 100 * float64(filtered) / float64(selections)

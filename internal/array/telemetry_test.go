@@ -1,9 +1,15 @@
 package array
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
+	"time"
 
+	"jitgc/internal/metrics"
 	"jitgc/internal/telemetry"
+	"jitgc/internal/trace"
 )
 
 // TestArrayTraceEvents is the acceptance check for the 2-device coordinated
@@ -61,55 +67,109 @@ func TestArrayTraceEvents(t *testing.T) {
 	}
 }
 
-// TestArrayTimelines checks the per-member and merged array timelines a
-// 2-device run exposes through Results.
+// TestArrayTimelines checks the per-member and merged timelines a 2-device
+// run's events rebuild: both members report every array tick, and each
+// merged point sums their capacities and averages their WAF.
 func TestArrayTimelines(t *testing.T) {
+	sink := &metrics.TimelineSink{}
 	dev := tinyDevice()
 	dev.PreconditionPages = 256
-	dev.RecordTimeline = true
+	dev.Tracer = telemetry.New(sink)
 	a := newArray(t, Config{Devices: 2, StripePages: 4, Device: dev})
-	res, err := a.RunClosedLoop(stream(1200, a.UserPages()))
-	if err != nil {
+	if _, err := a.RunClosedLoop(stream(1200, a.UserPages())); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Timelines) != 2 {
-		t.Fatalf("Timelines for %d members, want 2", len(res.Timelines))
+	per := sink.PerDevice()
+	if len(per) != 2 || len(per[0]) == 0 || len(per[0]) != len(per[1]) {
+		t.Fatalf("members reported %d and %d ticks (%d devices), want the same non-zero count from both",
+			len(per[0]), len(per[1]), len(per))
 	}
-	for i, tl := range res.Timelines {
-		if len(tl) == 0 {
-			t.Fatalf("device %d timeline empty", i)
+	m := sink.Merged()
+	if len(m) != len(per[0]) {
+		t.Fatalf("merged length %d, want %d", len(m), len(per[0]))
+	}
+	for i, p := range m {
+		p0, p1 := per[0][i], per[1][i]
+		if p.T != p0.T || p.T != p1.T || p.FreeBytes != p0.FreeBytes+p1.FreeBytes || p.WAF != (p0.WAF+p1.WAF)/2 {
+			t.Fatalf("merged tick %d = %+v from members %+v and %+v", i, p, p0, p1)
 		}
 	}
-	m := res.MergedTimeline
-	if len(m) == 0 {
-		t.Fatal("merged timeline empty")
-	}
-	shortest := len(res.Timelines[0])
-	if n := len(res.Timelines[1]); n < shortest {
-		shortest = n
-	}
-	if len(m) != shortest {
-		t.Errorf("merged length %d, want shortest member %d", len(m), shortest)
-	}
-	// Spot-check the merge at tick 0: free bytes sum, WAF averages.
-	wantFree := res.Timelines[0][0].FreeBytes + res.Timelines[1][0].FreeBytes
-	if m[0].FreeBytes != wantFree {
-		t.Errorf("merged FreeBytes[0] = %d, want %d", m[0].FreeBytes, wantFree)
-	}
-	wantWAF := (res.Timelines[0][0].WAF + res.Timelines[1][0].WAF) / 2
-	if m[0].WAF != wantWAF {
-		t.Errorf("merged WAF[0] = %v, want %v", m[0].WAF, wantWAF)
-	}
+}
 
-	// Without RecordTimeline the fields stay nil.
-	dev.RecordTimeline = false
-	a2 := newArray(t, Config{Devices: 2, StripePages: 4, Device: dev})
-	res2, err := a2.RunClosedLoop(stream(100, a2.UserPages()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Timelines != nil || res2.MergedTimeline != nil {
-		t.Error("timelines recorded without RecordTimeline")
+// TestArrayTimelinesSurviveMemberDeath kills member 1 of a mirrored pair
+// after preconditioning, with and without a spare to rebuild onto. The
+// merged timeline must still hold one point per array tick through the
+// last, in time order. Each point sums the devices that reported at its
+// tick (the survivor, the dead member until it died, the spare once
+// attached) and averages their WAF and idle fraction.
+func TestArrayTimelinesSurviveMemberDeath(t *testing.T) {
+	for _, spares := range []int{0, 1} {
+		t.Run(fmt.Sprintf("spares=%d", spares), func(t *testing.T) {
+			sink := &metrics.TimelineSink{}
+			dev := tinyDevice()
+			dev.PreconditionPages = 128
+			dev.Tracer = telemetry.New(sink)
+			a := newArray(t, Config{
+				Devices: 2, StripePages: 8, Redundancy: RedundancyMirror, Spares: spares,
+				Device: dev,
+			})
+			if err := a.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			killMember(a, 1, 656)
+			reqs := make([]trace.Request, 3000)
+			for i := range reqs {
+				reqs[i] = trace.Request{Time: 15 * time.Millisecond, Kind: trace.DirectWrite,
+					LPN: int64(i*7) % a.UserPages(), Pages: 1}
+			}
+			res, err := a.RunClosedLoop(reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			per := sink.PerDevice()
+			if res.FailedRequests != 0 || len(res.Rebuilt) != spares || len(per[1]) >= len(per[0]) || (len(per[2]) > 0) != (spares > 0) {
+				t.Fatalf("%d failed requests, slots %v rebuilt, ticks from devices 0/1/2 %d/%d/%d: want member 1 to die, the mirror to absorb it, and the spare to report",
+					res.FailedRequests, res.Rebuilt, len(per[0]), len(per[1]), len(per[2]))
+			}
+
+			var last time.Duration
+			for _, tl := range per {
+				last = max(last, tl[len(tl)-1].T)
+			}
+			period := dev.Cache.FlusherPeriod
+			m := sink.Merged()
+			if want := int(last / period); len(m) != want {
+				t.Fatalf("merged timeline has %d points, want one per tick through %v: %d", len(m), last, want)
+			}
+			for i, p := range m {
+				if p.T != time.Duration(i+1)*period {
+					t.Fatalf("merged point %d at %v, want %v", i, p.T, time.Duration(i+1)*period)
+				}
+				want := metrics.TimelinePoint{T: p.T}
+				n := 0
+				for _, d := range slices.Sorted(maps.Keys(per)) {
+					for _, q := range per[d] {
+						if q.T != p.T {
+							continue
+						}
+						n++
+						want.FreeBytes += q.FreeBytes
+						want.DirtyPages += q.DirtyPages
+						want.WAF += q.WAF
+						want.FGCInvocations += q.FGCInvocations
+						want.BGCCollections += q.BGCCollections
+						want.ReclaimBytes += q.ReclaimBytes
+						want.PredictedBytes += q.PredictedBytes
+						want.IdleFraction += q.IdleFraction
+					}
+				}
+				want.WAF /= float64(n)
+				want.IdleFraction /= float64(n)
+				if p != want {
+					t.Fatalf("merged point %d = %+v, want the %d reporting devices' sum %+v", i, p, n, want)
+				}
+			}
+		})
 	}
 }
 

@@ -2,9 +2,13 @@ package metrics
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"jitgc/internal/telemetry"
 )
 
 // TestTableAlignsMultibyteCells is the regression test for the byte-vs-rune
@@ -183,21 +187,56 @@ func TestStreamingLatencyRecorder(t *testing.T) {
 	}
 }
 
+// tick emits what a simulator emits at one write-back tick: the policy's
+// decision, then the stats snapshot.
+func tick(tr *telemetry.Tracer, p TimelinePoint) {
+	tr.FlushDecision(p.T, p.FreeBytes, p.ReclaimBytes, p.PredictedBytes, p.IdleFraction)
+	tr.Snapshot(p.T, p.FreeBytes, p.DirtyPages, p.WAF, p.FGCInvocations, p.BGCCollections, 0)
+}
+
+// TestMergeTimelines feeds a TimelineSink the per-tick events of two
+// devices, one of which reports a tick the other does not, and checks the
+// per-device timelines and the merge keyed by tick.
 func TestMergeTimelines(t *testing.T) {
-	per := [][]TimelinePoint{
-		{
-			{T: time.Second, FreeBytes: 100, DirtyPages: 1, WAF: 1.0, FGCInvocations: 1, ReclaimBytes: 10, IdleFraction: 0.2},
-			{T: 2 * time.Second, FreeBytes: 90, DirtyPages: 2, WAF: 1.2},
-		},
-		{
-			{T: time.Second, FreeBytes: 200, DirtyPages: 3, WAF: 2.0, BGCCollections: 4, PredictedBytes: 20, IdleFraction: 0.6},
-			{T: 2 * time.Second, FreeBytes: 80, DirtyPages: 4, WAF: 1.4},
-			{T: 3 * time.Second}, // extra trailing tick is dropped
-		},
+	dev0 := []TimelinePoint{
+		{T: time.Second, FreeBytes: 100, DirtyPages: 1, WAF: 1.0, FGCInvocations: 1, ReclaimBytes: 10, IdleFraction: 0.2},
+		{T: 2 * time.Second, FreeBytes: 90, DirtyPages: 2, WAF: 1.2},
 	}
-	m := MergeTimelines(per)
-	if len(m) != 2 {
-		t.Fatalf("merged length = %d, want 2 (shortest member)", len(m))
+	dev1 := []TimelinePoint{
+		{T: time.Second, FreeBytes: 200, DirtyPages: 3, WAF: 2.0, BGCCollections: 4, PredictedBytes: 20, IdleFraction: 0.6},
+		{T: 2 * time.Second, FreeBytes: 80, DirtyPages: 4, WAF: 1.4},
+		{T: 3 * time.Second, FreeBytes: 70, WAF: 1.6, IdleFraction: 0.5}, // dev0 is gone by now
+	}
+	sink := &TimelineSink{}
+	if got := sink.Merged(); got != nil {
+		t.Fatalf("empty sink merged to %v, want nil", got)
+	}
+	tr := telemetry.New(sink)
+	// Device 1 reports first at every tick; the merge must not care.
+	for i := range dev1 {
+		tick(tr.WithDevice(1), dev1[i])
+		tr.Request(dev1[i].T, "W", 0, 1, time.Millisecond)
+		tr.GCStart(dev1[i].T, false, 3, 1, 0)
+		if i < len(dev0) {
+			tick(tr.WithDevice(0), dev0[i])
+		}
+	}
+	if err := tr.Sink().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	per := sink.PerDevice()
+	if len(per) != 2 || !slices.Equal(per[0], dev0) || !slices.Equal(per[1], dev1) {
+		t.Fatalf("per-device timelines = %+v, want dev0 %+v and dev1 %+v", per, dev0, dev1)
+	}
+	per[0][0].FreeBytes = -1
+	if sink.PerDevice()[0][0].FreeBytes != 100 {
+		t.Error("PerDevice returned the sink's own storage")
+	}
+
+	m := sink.Merged()
+	if len(m) != 3 {
+		t.Fatalf("merged length = %d, want 3 (one per reported tick)", len(m))
 	}
 	p := m[0]
 	if p.T != time.Second || p.FreeBytes != 300 || p.DirtyPages != 4 ||
@@ -208,8 +247,36 @@ func TestMergeTimelines(t *testing.T) {
 	if p.WAF != 1.5 || p.IdleFraction != 0.4 {
 		t.Errorf("averaged fields wrong: WAF=%v idle=%v", p.WAF, p.IdleFraction)
 	}
-	if MergeTimelines(nil) != nil {
-		t.Error("empty input should merge to nil")
+	if m[2] != dev1[2] {
+		t.Errorf("tick only device 1 reported merged to %+v, want its own %+v", m[2], dev1[2])
+	}
+}
+
+// TestTimelineSinkConcurrent has devices emit their ticks from their own
+// goroutines, as grid cells sharing one sink do; run it under -race.
+func TestTimelineSinkConcurrent(t *testing.T) {
+	const devs, ticks = 4, 200
+	sink := &TimelineSink{}
+	tr := telemetry.New(sink)
+	var wg sync.WaitGroup
+	for d := 0; d < devs; d++ {
+		wg.Add(1)
+		go func(tr *telemetry.Tracer) {
+			defer wg.Done()
+			for k := 1; k <= ticks; k++ {
+				tick(tr, TimelinePoint{T: time.Duration(k) * time.Second, FreeBytes: 1, WAF: 1})
+			}
+		}(tr.WithDevice(d))
+	}
+	wg.Wait()
+	m := sink.Merged()
+	if len(m) != ticks {
+		t.Fatalf("merged %d ticks, want %d", len(m), ticks)
+	}
+	for i, p := range m {
+		if p.T != time.Duration(i+1)*time.Second || p.FreeBytes != devs || p.WAF != 1 {
+			t.Fatalf("merged tick %d = %+v, want T %ds, FreeBytes %d, WAF 1", i, p, i+1, devs)
+		}
 	}
 }
 

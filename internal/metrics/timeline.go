@@ -2,15 +2,21 @@ package metrics
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
+	"sync"
 	"time"
+
+	"jitgc/internal/telemetry"
 )
 
 // TimelinePoint is one per-write-back-interval sample of simulator state,
-// recorded when timeline capture is enabled. A run's timeline is the data
-// behind time-series plots: free-space trajectories under different BGC
-// policies, WAF growth, foreground-GC bursts.
+// rebuilt from the event stream by TimelineSink. A run's timeline is the
+// data behind time-series plots: free-space trajectories under different
+// BGC policies, WAF growth, foreground-GC bursts.
 type TimelinePoint struct {
 	// T is the simulation instant of the sample (a flusher tick).
 	T time.Duration
@@ -32,27 +38,80 @@ type TimelinePoint struct {
 	IdleFraction float64
 }
 
-// MergeTimelines folds per-device timelines (array members ticking on one
-// shared clock, so point i of every member carries the same T) into one
-// array-level timeline: capacities, dirty sets, and GC counters are summed;
-// WAF and IdleFraction — per-device ratios with no per-point weights — are
-// averaged. The merged length is the shortest member's (members may record
-// one tick less when their cache drains first).
-func MergeTimelines(per [][]TimelinePoint) []TimelinePoint {
-	if len(per) == 0 {
-		return nil
+// TimelineSink is a telemetry.Sink that rebuilds per-device timelines from
+// the event stream: the flush_decision and snapshot a device emits at one
+// write-back tick become one TimelinePoint for that (Dev, T). A device's
+// events arrive in time order, so a tick's two events meet at the device's
+// latest point. Every other event is dropped, and request completions cost
+// a no-op call. The zero value is ready to use and safe for concurrent use.
+type TimelineSink struct {
+	mu  sync.Mutex
+	dev map[int][]TimelinePoint
+}
+
+// Emit implements telemetry.Sink.
+func (s *TimelineSink) Emit(ev telemetry.Event) {
+	if ev.Type != telemetry.EvFlushDecision && ev.Type != telemetry.EvSnapshot {
+		return
 	}
-	n := len(per[0])
-	for _, tl := range per[1:] {
-		if len(tl) < n {
-			n = len(tl)
-		}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dev == nil {
+		s.dev = make(map[int][]TimelinePoint)
 	}
-	merged := make([]TimelinePoint, n)
-	for i := range merged {
-		m := TimelinePoint{T: per[0][i].T}
-		for _, tl := range per {
-			p := tl[i]
+	tl := s.dev[ev.Dev]
+	if n := len(tl); n == 0 || tl[n-1].T != ev.T {
+		tl = append(tl, TimelinePoint{T: ev.T})
+	}
+	p := &tl[len(tl)-1]
+	p.FreeBytes = ev.FreeBytes
+	if ev.Type == telemetry.EvFlushDecision {
+		p.ReclaimBytes, p.PredictedBytes, p.IdleFraction = ev.ReclaimBytes, ev.PredictedBytes, ev.IdleFraction
+	} else {
+		p.DirtyPages, p.WAF = ev.DirtyPages, ev.WAF
+		p.FGCInvocations, p.BGCCollections = ev.FGCInvocations, ev.BGCCollections
+	}
+	s.dev[ev.Dev] = tl
+}
+
+// EmitRequest is the request fast path telemetry.New looks for: a timeline
+// has no use for request completions.
+func (s *TimelineSink) EmitRequest(time.Duration, int, string, int64, int, time.Duration) {}
+
+// Close implements telemetry.Sink; the sink holds no external resources.
+func (s *TimelineSink) Close() error { return nil }
+
+// PerDevice returns a copy of every reporting device's timeline, keyed by
+// the device tag its events carried (array spares included).
+func (s *TimelineSink) PerDevice() map[int][]TimelinePoint {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[int][]TimelinePoint, len(s.dev))
+	for d, tl := range s.dev {
+		out[d] = slices.Clone(tl)
+	}
+	return out
+}
+
+// Merged folds the device timelines into one with a point per tick at which
+// any device reported, in time order. Capacities, dirty sets, GC counters,
+// reclaim requests and forecasts are summed over the devices that reported
+// at that tick; WAF and IdleFraction, per-device ratios with no weights, are
+// averaged over them. Devices are added in tag order, so a single device's
+// merged timeline is its own.
+func (s *TimelineSink) Merged() []TimelinePoint {
+	per := s.PerDevice()
+	var all []TimelinePoint
+	for _, d := range slices.Sorted(maps.Keys(per)) {
+		all = append(all, per[d]...)
+	}
+	// A stable sort keeps each tick's points in tag order.
+	slices.SortStableFunc(all, func(a, b TimelinePoint) int { return cmp.Compare(a.T, b.T) })
+	var merged []TimelinePoint
+	for i := 0; i < len(all); {
+		m, n := TimelinePoint{T: all[i].T}, 0
+		for ; i < len(all) && all[i].T == m.T; i, n = i+1, n+1 {
+			p := all[i]
 			m.FreeBytes += p.FreeBytes
 			m.DirtyPages += p.DirtyPages
 			m.WAF += p.WAF
@@ -62,9 +121,9 @@ func MergeTimelines(per [][]TimelinePoint) []TimelinePoint {
 			m.PredictedBytes += p.PredictedBytes
 			m.IdleFraction += p.IdleFraction
 		}
-		m.WAF /= float64(len(per))
-		m.IdleFraction /= float64(len(per))
-		merged[i] = m
+		m.WAF /= float64(n)
+		m.IdleFraction /= float64(n)
+		merged = append(merged, m)
 	}
 	return merged
 }

@@ -41,15 +41,11 @@ type Config struct {
 	// the device and WAF accounting is complete. Enabled by default
 	// configurations.
 	DrainCache bool
-	// RecordTimeline captures one metrics.TimelinePoint per write-back
-	// interval (free space, dirty set, WAF, GC counters, the policy's
-	// decision), retrievable via Simulator.Timeline after the run.
-	RecordTimeline bool
 	// Tracer, when non-nil, receives streaming telemetry events: one per
 	// host request completion, per flush-tick policy decision (plus a stats
-	// snapshot), and — forwarded to the FTL — per GC collection and block
-	// erase. A nil Tracer costs one pointer check per hook and emits
-	// nothing.
+	// snapshot, the two together one metrics.TimelinePoint), and —
+	// forwarded to the FTL — per GC collection and block erase. A nil
+	// Tracer costs one pointer check per hook and emits nothing.
 	Tracer *telemetry.Tracer
 	// StreamingLatency switches the latency recorder to the log-bucketed
 	// streaming histogram: memory constant in request count, percentiles
@@ -163,8 +159,6 @@ type Simulator struct {
 	bufferedPages int64
 	directPages   int64
 	cacheReadHits int64
-
-	timeline []metrics.TimelinePoint
 }
 
 // ErrTraceBeyondCapacity is returned when a request addresses pages outside
@@ -513,25 +507,7 @@ func (s *Simulator) TickApply(t time.Duration, dec core.Decision) {
 		s.tr.Snapshot(t, free, s.cache.DirtyPageCount(), st.WAF(),
 			st.FGCInvocations, st.BGCCollections, s.requests)
 	}
-	if s.cfg.RecordTimeline {
-		st := s.ftl.Stats()
-		s.timeline = append(s.timeline, metrics.TimelinePoint{
-			T:              t,
-			FreeBytes:      free,
-			DirtyPages:     s.cache.DirtyPageCount(),
-			WAF:            st.WAF(),
-			FGCInvocations: st.FGCInvocations,
-			BGCCollections: st.BGCCollections,
-			ReclaimBytes:   dec.ReclaimBytes,
-			PredictedBytes: dec.PredictedBytes,
-			IdleFraction:   s.idleFrac,
-		})
-	}
 }
-
-// Timeline returns the per-interval samples captured during the run when
-// Config.RecordTimeline is set.
-func (s *Simulator) Timeline() []metrics.TimelinePoint { return s.timeline }
 
 // IntervalActuals returns the device write volume (bytes) of each closed
 // write-back interval of the run — the series an Oracle policy replays.

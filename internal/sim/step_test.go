@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"jitgc/internal/metrics"
+	"jitgc/internal/telemetry"
 	"jitgc/internal/trace"
 )
 
@@ -12,7 +14,8 @@ import (
 // phases on a driver-owned clock, drain, and collect results.
 func TestSteppingAPIDrivesDevice(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.RecordTimeline = true
+	timeline := &metrics.TimelineSink{}
+	cfg.Tracer = telemetry.New(timeline)
 	cfg.PreconditionPages = 100
 	s := newSim(t, cfg, lazyFactory)
 	if err := s.Begin(); err != nil {
@@ -50,7 +53,7 @@ func TestSteppingAPIDrivesDevice(t *testing.T) {
 	if res.BufferedPages != 8 || res.DirectPages != 4 {
 		t.Errorf("buffered/direct = %d/%d, want 8/4", res.BufferedPages, res.DirectPages)
 	}
-	if got := len(s.Timeline()); got != ticks {
+	if got := len(timeline.Merged()); got != ticks {
 		t.Errorf("timeline samples = %d, want %d", got, ticks)
 	}
 	if got := len(s.IntervalActuals()); got != ticks {

@@ -62,6 +62,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/bits"
 	"time"
 
@@ -278,7 +279,8 @@ const (
 	slotWAF
 )
 
-// populated returns the set of fields holding non-zero values in ev. It is
+// populated returns the set of fields holding non-zero values in ev, floats
+// by their bits (a -0 outside its type's set must not decode as +0). It is
 // hand-rolled with direct field accesses: it runs once per WriteEvent, and
 // routing ev through dynamic funcs would both cost calls and force the event
 // to escape.
@@ -308,7 +310,7 @@ func populated(ev *telemetry.Event) telemetry.FieldSet {
 	if ev.PredictedBytes != 0 {
 		set |= telemetry.FPredictedBytes
 	}
-	if ev.IdleFraction != 0 {
+	if math.Float64bits(ev.IdleFraction) != 0 {
 		set |= telemetry.FIdleFraction
 	}
 	if ev.Foreground {
@@ -365,7 +367,7 @@ func populated(ev *telemetry.Event) telemetry.FieldSet {
 	if ev.DirtyPages != 0 {
 		set |= telemetry.FDirtyPages
 	}
-	if ev.WAF != 0 {
+	if math.Float64bits(ev.WAF) != 0 {
 		set |= telemetry.FWAF
 	}
 	if ev.FGCInvocations != 0 {

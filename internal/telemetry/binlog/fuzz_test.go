@@ -3,6 +3,7 @@ package binlog
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"io"
 	"math"
@@ -259,6 +260,48 @@ func FuzzSeekReader(f *testing.F) {
 			}
 			if total != int64(len(want)) {
 				t.Fatalf("index counts %d events, the seed holds %d", total, len(want))
+			}
+		}
+	})
+}
+
+// FuzzToBinary feeds arbitrary bytes to the JSONL converter. Whenever it
+// accepts an input, the binlog it wrote must decode to the events a
+// json.Decoder reads from that input, floats compared bit for bit.
+func FuzzToBinary(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var bin bytes.Buffer
+		n, err := ToBinary(&bin, bytes.NewReader(data), Options{BlockEvents: 7})
+		if err != nil {
+			return
+		}
+		var want []telemetry.Event
+		dec := json.NewDecoder(bytes.NewReader(data))
+		for {
+			var ev telemetry.Event
+			if err := dec.Decode(&ev); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatalf("ToBinary accepted input the JSON decoder rejects: %v", err)
+			}
+			want = append(want, ev)
+		}
+		got, err := Decode(&bin)
+		if err != nil || int64(len(got)) != n || !sameEvents(got, want) {
+			t.Fatalf("converted %d events; they decode to %d (err %v), the JSONL holds %d", n, len(got), err, len(want))
+		}
+	})
+}
+
+// FuzzDecodeRequests feeds arbitrary bytes to the binlog request-trace
+// decoder: no panic, and every request it returns, with or without an
+// error, passes Validate.
+func FuzzDecodeRequests(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reqs, _ := DecodeRequests(bytes.NewReader(data))
+		for i, r := range reqs {
+			if err := r.Validate(); err != nil {
+				t.Fatalf("request %d %+v is invalid: %v", i, r, err)
 			}
 		}
 	})

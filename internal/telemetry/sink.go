@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 )
 
 // Sink consumes trace events. Implementations must be safe for concurrent
@@ -19,6 +20,49 @@ type Sink interface {
 	// Close flushes buffered events and releases resources. It reports the
 	// first delivery error encountered over the sink's lifetime.
 	Close() error
+}
+
+// Tee returns a sink that forwards every event to each of sinks, in order,
+// under one lock, so all of them record one stream in one order. A request
+// completion reaches each sink as a tracer over that sink alone delivers it:
+// through its fast path where it has one. Close closes every sink and joins
+// their errors.
+func Tee(sinks ...Sink) Sink {
+	t := &tee{out: make([]Tracer, len(sinks))}
+	for i, s := range sinks {
+		t.out[i] = *New(s)
+	}
+	return t
+}
+
+type tee struct {
+	mu  sync.Mutex
+	out []Tracer // one per sink, retagged for each request
+}
+
+func (t *tee) Emit(ev Event) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, o := range t.out {
+		o.sink.Emit(ev)
+	}
+}
+
+func (t *tee) EmitRequest(now time.Duration, dev int, kind string, lpn int64, pages int, latency time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.out {
+		t.out[i].dev = dev
+		t.out[i].Request(now, kind, lpn, pages, latency)
+	}
+}
+
+func (t *tee) Close() error {
+	var errs []error
+	for _, o := range t.out {
+		errs = append(errs, o.sink.Close())
+	}
+	return errors.Join(errs...)
 }
 
 // JSONLSink streams events as JSON Lines — one object per event, in emit

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -113,6 +115,95 @@ func TestTracerRequestFastPath(t *testing.T) {
 	emitAll(New(struct{ Sink }{slow}).WithDevice(3))
 	if got := slow.Events()[0]; got != fast.requests[0] {
 		t.Errorf("Emit path recorded %+v, fast path %+v", got, fast.requests[0])
+	}
+}
+
+// failCloser is a sink whose Close fails.
+type failCloser struct{ Sink }
+
+func (failCloser) Close() error { return errors.New("close failed") }
+
+// TestTee: every sink behind a tee records the whole stream in one order,
+// a sink with the request fast path gets completions there and one without
+// gets the identical Event, and Close closes every sink, joining errors.
+func TestTee(t *testing.T) {
+	fastRing, err := NewRingSink(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := NewRingSink(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := &fastSink{RingSink: fastRing}
+	tee := Tee(fast, failCloser{slow})
+	emitAll(New(tee).WithDevice(3))
+
+	if len(fast.requests) != 1 || fastRing.Total() != 13 {
+		t.Fatalf("fast sink: %d requests by EmitRequest, %d events by Emit; want 1 and 13",
+			len(fast.requests), fastRing.Total())
+	}
+	got := slow.Events()
+	if len(got) != 14 || got[0] != fast.requests[0] {
+		t.Fatalf("slow sink recorded %d events starting %+v; want 14 starting with the fast path's %+v",
+			len(got), got[0], fast.requests[0])
+	}
+	for i, ev := range fastRing.Events() {
+		if ev != got[i+1] {
+			t.Errorf("event %d: %+v behind one sink, %+v behind the other", i+1, ev, got[i+1])
+		}
+	}
+	if err := tee.Close(); err == nil || err.Error() != "close failed" {
+		t.Errorf("Close = %v, want the failing sink's error", err)
+	}
+}
+
+// lockedFast is a concurrency-safe sink with the request fast path.
+type lockedFast struct {
+	mu   sync.Mutex
+	reqs []Event
+}
+
+func (s *lockedFast) Emit(Event)   {}
+func (s *lockedFast) Close() error { return nil }
+func (s *lockedFast) EmitRequest(now time.Duration, dev int, kind string, lpn int64, pages int, latency time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reqs = append(s.reqs, Event{Type: EvRequest, T: now, Dev: dev, LPN: lpn})
+}
+
+// TestTeeConcurrentDeviceTags has device tracers over one tee emit requests
+// from their own goroutines, as array members in concurrent grid cells do;
+// every request must keep its device tag behind both sinks. Run it under
+// -race.
+func TestTeeConcurrentDeviceTags(t *testing.T) {
+	const devs, reqs = 4, 500
+	fast := &lockedFast{}
+	ring, err := NewRingSink(devs * reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := New(Tee(fast, struct{ Sink }{ring}))
+	var wg sync.WaitGroup
+	for d := 0; d < devs; d++ {
+		wg.Add(1)
+		go func(tr *Tracer, d int) {
+			defer wg.Done()
+			for i := 0; i < reqs; i++ {
+				tr.Request(time.Duration(i), "W", int64(d), 1, 0)
+			}
+		}(tr.WithDevice(d), d)
+	}
+	wg.Wait()
+	for name, evs := range map[string][]Event{"fast path": fast.reqs, "Emit": ring.Events()} {
+		if len(evs) != devs*reqs {
+			t.Fatalf("%s sink recorded %d requests, want %d", name, len(evs), devs*reqs)
+		}
+		for _, ev := range evs {
+			if int64(ev.Dev) != ev.LPN {
+				t.Fatalf("%s sink: request from device %d tagged %d", name, ev.LPN, ev.Dev)
+			}
+		}
 	}
 }
 

@@ -255,7 +255,7 @@ func Run(benchmark string, policy PolicySpec, opt Options) (Results, error) {
 
 // GenerateStream produces the named benchmark's closed-loop request stream
 // and the simulator configuration Run would use for it, for callers that
-// want to drive the simulator directly (timeline capture, custom policies).
+// want to drive the simulator directly (custom policies, trace export).
 func GenerateStream(benchmark string, opt Options) ([]trace.Request, sim.Config, error) {
 	opt = opt.withDefaults()
 	gen, err := opt.generator(benchmark)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"jitgc/internal/ftl"
+	"jitgc/internal/metrics"
 	"jitgc/internal/sim"
 	"jitgc/internal/telemetry"
 	"jitgc/internal/trace"
@@ -398,20 +399,14 @@ func TestGenerateStream(t *testing.T) {
 	}
 }
 
+// TestTimelineRecording checks the timeline a run's events rebuild: one
+// point per write-back tick, in time order, every value in range.
 func TestTimelineRecording(t *testing.T) {
-	reqs, cfg, err := GenerateStream("Postmark", Options{Seed: 1, Ops: 8000})
-	if err != nil {
+	sink := &metrics.TimelineSink{}
+	if _, err := Run("Postmark", JIT(), Options{Seed: 1, Ops: 8000, Tracer: telemetry.New(sink)}); err != nil {
 		t.Fatal(err)
 	}
-	cfg.RecordTimeline = true
-	s, err := sim.New(cfg, JIT().Factory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunClosedLoop(reqs); err != nil {
-		t.Fatal(err)
-	}
-	tl := s.Timeline()
+	tl := sink.Merged()
 	if len(tl) == 0 {
 		t.Fatal("no timeline samples")
 	}
