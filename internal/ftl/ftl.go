@@ -471,6 +471,70 @@ func (f *FTL) Write(lpn int64) (service, fgc time.Duration, err error) {
 	return service, fgc, nil
 }
 
+// Fill writes logical pages [0, n) in order and leaves exactly the state n
+// Write calls leave: the same blocks taken from the pool in the same order,
+// the same payload-token sequence, mappings, counters and victim index. It
+// programs the host stream a block run at a time (nand.Array.ProgramRun)
+// and hands a page to Write wherever Write could do something a run cannot:
+// a fault injector is installed (it answers once per program), the page is
+// already mapped (its old copy must be invalidated), or no host page is
+// allocatable without foreground GC. On a fresh device — preconditioning,
+// the case it exists for — every page goes through a run.
+//
+// n outside [0, UserPages] is ErrBadLPN and changes nothing. An error from
+// a later page names it; the pages before it stay written.
+func (f *FTL) Fill(n int64) error {
+	if n < 0 || n > f.userPages {
+		return fmt.Errorf("%w: fill of %d pages (capacity %d)", ErrBadLPN, n, f.userPages)
+	}
+	ppb := f.cfg.Geometry.PagesPerBlock
+	toks := make([]uint64, ppb)
+	for lpn := int64(0); lpn < n; {
+		if f.dev.FaultInjector() != nil || f.l2p.at(lpn) != unmapped || !f.canAllocateHostPage() {
+			if _, _, err := f.Write(lpn); err != nil {
+				return fmt.Errorf("ftl: fill lpn %d: %w", lpn, err)
+			}
+			lpn++
+			continue
+		}
+		addr, err := f.allocPage(false)
+		if err != nil {
+			return fmt.Errorf("ftl: fill lpn %d: %w", lpn, err)
+		}
+		// The run stops at the block's end, at n, or before the first page
+		// that is already mapped.
+		run := min(int64(ppb-addr.Page), n-lpn)
+		for i := int64(1); i < run; i++ {
+			if f.l2p.at(lpn+i) != unmapped {
+				run = i
+				break
+			}
+		}
+		for i := range toks[:run] {
+			toks[i] = token(lpn+int64(i), f.writeSeq+1+uint64(i))
+		}
+		if _, err := f.dev.ProgramRun(addr, toks[:run]); err != nil {
+			return fmt.Errorf("ftl: fill lpn %d: %w", lpn, err)
+		}
+		f.progFails[addr.Block] = 0
+		f.writeSeq += uint64(run)
+		ppn := addr.PPN(ppb)
+		f.l2p.setSeq(lpn, ppn, run)
+		f.p2l.setSeq(ppn, lpn, run)
+		f.mappedPages += run
+		f.stats.HostPrograms += run
+		if f.sipPages > 0 {
+			for l := lpn; l < lpn+run; l++ {
+				if f.onSIPList(l) {
+					f.sipPerBlock[addr.Block]++
+				}
+			}
+		}
+		lpn += run
+	}
+	return nil
+}
+
 // Trim discards a logical page (host TRIM/UNMAP): the mapping is cleared
 // and the physical copy invalidated without any new write, so subsequent
 // GC of its block is cheaper. Trimming an unmapped page is a no-op. Trim

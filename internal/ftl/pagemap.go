@@ -51,6 +51,22 @@ func (m pageMap) set(i, v int64) {
 	m.e64[i] = v
 }
 
+// setSeq writes entries i, i+1, …, i+n-1 with v, v+1, …, v+n-1: a run of
+// consecutive pages mapped to consecutive pages, in either direction.
+func (m pageMap) setSeq(i, v, n int64) {
+	if m.e32 != nil {
+		s := m.e32[i : i+n]
+		for k := range s {
+			s[k] = int32(v + int64(k))
+		}
+		return
+	}
+	s := m.e64[i : i+n]
+	for k := range s {
+		s[k] = v + int64(k)
+	}
+}
+
 // len returns the entry count.
 func (m pageMap) len() int64 {
 	if m.e32 != nil {

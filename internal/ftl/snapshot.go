@@ -82,8 +82,13 @@ const snapshotChunk = 4096
 // Restore loads a snapshot written by Snapshot into f, which must be an FTL
 // over a NAND array with the same geometry and page states (typically the
 // very array the snapshot was taken from, after a simulated power cycle).
-// The rebuilt reverse mapping is cross-checked against the device's
-// valid-page states; any inconsistency fails the restore.
+// The snapshot is checked against the device before anything is replaced:
+// active blocks must lie in [-1, TotalBlocks), be distinct and not retired;
+// pooled blocks must be distinct, in range, not active, erased and not
+// retired; the mapping must be injective onto exactly the device's valid
+// pages, each holding its logical page's payload when integrity is on. Any
+// inconsistency fails the restore and leaves f as it was, so a restore that
+// succeeds leaves an FTL that passes CheckConsistency.
 func (f *FTL) Restore(r io.Reader) error {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian
@@ -120,24 +125,47 @@ func (f *FTL) Restore(r io.Reader) error {
 		return fmt.Errorf("ftl: snapshot geometry %d/%d/%d does not match device %d/%d/%d",
 			vals[0], vals[1], vals[2], geo.TotalBlocks(), geo.PagesPerBlock, f.userPages)
 	}
+	nblocks := int64(geo.TotalBlocks())
+	for _, b := range vals[3:5] {
+		if b < -1 || b >= nblocks {
+			return fmt.Errorf("ftl: snapshot active block %d outside [-1, %d)", b, nblocks)
+		}
+		if b >= 0 && f.dev.Retired(int(b)) {
+			return fmt.Errorf("ftl: snapshot active block %d is retired", b)
+		}
+	}
 	hostActive, gcActive := int(vals[3]), int(vals[4])
+	if hostActive >= 0 && hostActive == gcActive {
+		return fmt.Errorf("ftl: snapshot block %d is both host and GC active block", hostActive)
+	}
 	writeSeq := uint64(vals[5])
 	nFree := vals[6]
-	if nFree < 0 || nFree > int64(geo.TotalBlocks()) {
+	if nFree < 0 || nFree > nblocks {
 		return fmt.Errorf("ftl: snapshot free pool size %d", nFree)
 	}
 	// Full capacity is reserved up front so steady-state erase/takeFreeBlock
 	// cycles after the restore append in place instead of growing the slice.
-	freeBlocks := make([]int, nFree, geo.TotalBlocks())
+	freeBlocks := make([]int, nFree, nblocks)
+	pooled := make([]bool, nblocks)
 	for i := range freeBlocks {
 		v, err := readI64()
 		if err != nil {
 			return err
 		}
-		if v < 0 || v >= int64(geo.TotalBlocks()) {
+		if v < 0 || v >= nblocks {
 			return fmt.Errorf("ftl: snapshot free block %d out of range", v)
 		}
-		freeBlocks[i] = int(v)
+		b := int(v)
+		switch {
+		case pooled[b]:
+			return fmt.Errorf("ftl: snapshot free pool holds block %d twice", b)
+		case b == hostActive || b == gcActive:
+			return fmt.Errorf("ftl: snapshot free pool holds active block %d", b)
+		case f.dev.WritePtr(b) != 0 || f.dev.Retired(b):
+			return fmt.Errorf("ftl: snapshot free pool holds block %d, which is programmed or retired", b)
+		}
+		pooled[b] = true
+		freeBlocks[i] = b
 	}
 	// Read the mapping stream (int64 entries, see Snapshot) into a fresh
 	// pageMap, rebuilding the reverse mapping and cross-checking against
@@ -168,18 +196,30 @@ func (f *FTL) Restore(r io.Reader) error {
 			if prev := p2l.at(ppn); prev != unmapped {
 				return fmt.Errorf("ftl: snapshot maps lpns %d and %d to ppn %d", prev, lpn, ppn)
 			}
-			st, err := f.dev.PageStateAt(nand.AddrOfPPN(ppn, ppb))
+			tok, st, err := f.dev.PeekPage(nand.AddrOfPPN(ppn, ppb))
 			if err != nil {
 				return err
 			}
 			if st != nand.PageValid {
 				return fmt.Errorf("ftl: snapshot maps lpn %d to non-valid page %d (%v)", lpn, ppn, st)
 			}
+			if f.integrity && tokenLPN(tok) != lpn {
+				return fmt.Errorf("ftl: snapshot maps lpn %d to page %d, which holds lpn %d", lpn, ppn, tokenLPN(tok))
+			}
 			l2p.set(lpn, ppn)
 			p2l.set(ppn, lpn)
 			mapped++
 			lpn++
 		}
+	}
+	// The mapping is injective onto valid pages, so it covers every one of
+	// them exactly when the counts agree.
+	valid := int64(0)
+	for b := 0; b < geo.TotalBlocks(); b++ {
+		valid += int64(f.dev.ValidCount(b))
+	}
+	if mapped != valid {
+		return fmt.Errorf("ftl: snapshot maps %d pages, the device holds %d valid ones", mapped, valid)
 	}
 
 	f.l2p = l2p
@@ -194,12 +234,7 @@ func (f *FTL) Restore(r io.Reader) error {
 	f.UpdateSIP(true, nil, nil)
 	// The free-pool bitmap and victim index are derived state, rebuilt from
 	// the restored pool and the device image.
-	for i := range f.inFreePool {
-		f.inFreePool[i] = false
-	}
-	for _, b := range freeBlocks {
-		f.inFreePool[b] = true
-	}
+	f.inFreePool = pooled
 	f.poolFloor = 0 // a valid bound for any pool; the next take tightens it
 	f.rebuildVictimIndex()
 	return nil

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"strings"
@@ -165,4 +166,105 @@ func TestSnapshotPropagatesWriteErrors(t *testing.T) {
 			t.Errorf("Snapshot with writer failing after %d bytes returned nil error", cut)
 		}
 	}
+}
+
+// preconditionedFTL is the small device filled to 90% of its user capacity,
+// the state a simulator starts from.
+func preconditionedFTL(tb testing.TB) *FTL {
+	tb.Helper()
+	f, err := New(smallConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.Fill(f.UserPages() * 9 / 10); err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
+// Offsets into a snapshot: the 8-byte header, seven int64 fields, the free
+// pool, then one int64 per logical page.
+const (
+	snapHostActive = 8 + 3*8
+	snapGCActive   = 8 + 4*8
+	snapPool       = 8 + 7*8
+)
+
+func snapshotBytes(t *testing.T, f *FTL) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := f.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRestoreRejectsBrokenSnapshots feeds Restore snapshots that decode
+// but describe an FTL that cannot exist on the device: each must fail, and
+// leave the FTL it was loaded onto as it was.
+func TestRestoreRejectsBrokenSnapshots(t *testing.T) {
+	f := preconditionedFTL(t)
+	valid := snapshotBytes(t, f)
+	le := binary.LittleEndian
+	mapAt := func(lpn int) int { return snapPool + 8*len(f.freeBlocks) + 8*lpn }
+	put := func(off int, v int64) func([]byte) {
+		return func(b []byte) { le.PutUint64(b[off:], uint64(v)) }
+	}
+	cases := map[string]func([]byte){
+		"host active block 2^40":       put(snapHostActive, 1<<40),
+		"GC active block -2":           put(snapGCActive, -2),
+		"one block active twice":       put(snapGCActive, int64(f.hostActive)),
+		"free pool entry duplicated":   put(snapPool+8, int64(f.freeBlocks[0])),
+		"free pool holds the active":   put(snapPool, int64(f.hostActive)),
+		"free pool holds a full block": put(snapPool, 0), // the fill's first block
+		"two lpns swap pages": func(b []byte) {
+			var x [8]byte
+			copy(x[:], b[mapAt(0):])
+			copy(b[mapAt(0):mapAt(1)], b[mapAt(1):mapAt(2)])
+			copy(b[mapAt(1):], x[:])
+		},
+		"a valid page left unmapped": put(mapAt(0), unmapped),
+	}
+	for name, corrupt := range cases {
+		raw := append([]byte(nil), valid...)
+		corrupt(raw)
+		if err := f.Restore(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: restored", name)
+		}
+		if got := snapshotBytes(t, f); !bytes.Equal(got, valid) {
+			t.Errorf("%s: a failed restore changed the FTL", name)
+		}
+	}
+	if err := f.Restore(bytes.NewReader(valid)); err != nil {
+		t.Fatalf("the uncorrupted snapshot: %v", err)
+	}
+	if err := f.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzRestore: Restore of arbitrary bytes onto a preconditioned device never
+// panics, and a restore that succeeds leaves an FTL that passes
+// CheckConsistency and keeps serving writes and collections without
+// panicking.
+func FuzzRestore(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := preconditionedFTL(t)
+		if err := d.Restore(bytes.NewReader(data)); err != nil {
+			return
+		}
+		if err := d.CheckConsistency(); err != nil {
+			t.Fatalf("restored FTL inconsistent: %v", err)
+		}
+		_ = d.FreePages()
+		for lpn := int64(0); lpn < d.UserPages(); lpn += 7 {
+			if _, _, err := d.Write(lpn); err != nil {
+				break
+			}
+		}
+		_, _ = d.ReclaimBackground(int64(d.cfg.Geometry.PagesPerBlock), 0)
+		if err := d.CheckConsistency(); err != nil {
+			t.Fatalf("FTL inconsistent after serving a restored snapshot: %v", err)
+		}
+	})
 }

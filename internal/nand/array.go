@@ -70,9 +70,11 @@ func (s stateBits) set(i int64, st PageState) {
 	s[word] = s[word]&^(stateMask<<shift) | uint64(st)<<shift
 }
 
-// free resets pages [start, start+n) to PageFree a word at a time: whole
-// words are zeroed, and only a range's first and last word need a mask.
-func (s stateBits) free(start, n int64) {
+// setRange writes state st to pages [start, start+n) a word at a time:
+// whole words are stored outright, and only a range's first and last word
+// need a mask.
+func (s stateBits) setRange(start, n int64, st PageState) {
+	pattern := uint64(st) * 0x5555_5555_5555_5555 // st in every 2-bit lane
 	for end := start + n; start < end; {
 		lo := start % statePagesPerWord
 		cnt := statePagesPerWord - lo
@@ -83,7 +85,9 @@ func (s stateBits) free(start, n int64) {
 		if cnt < statePagesPerWord {
 			mask = 1<<(uint(cnt)*stateBitsPerPage) - 1
 		}
-		s[start/statePagesPerWord] &^= mask << (uint(lo) * stateBitsPerPage)
+		mask <<= uint(lo) * stateBitsPerPage
+		w := &s[start/statePagesPerWord]
+		*w = *w&^mask | pattern&mask
 		start += cnt
 	}
 }
@@ -361,6 +365,52 @@ func (a *Array) ProgramPage(addr PageAddr, data uint64) (time.Duration, error) {
 	return d, nil
 }
 
+// ProgramRun programs len(data) consecutive pages of one block, starting at
+// addr, with data's payload tokens in order, and returns the device time
+// consumed. It leaves exactly the state len(data) ProgramPage calls leave —
+// states, tokens, write pointer, valid count and Stats — but checks the run
+// once and writes the page states a word at a time. addr must be the
+// block's next free page and the run must end inside the block. It does not
+// consult a fault injector, so an array with one installed refuses it: the
+// injector's answer is defined per page.
+func (a *Array) ProgramRun(addr PageAddr, data []uint64) (time.Duration, error) {
+	n := len(data)
+	if n == 0 {
+		return 0, nil
+	}
+	if err := a.checkAddr(addr); err != nil {
+		return 0, err
+	}
+	if addr.Page+n > a.geo.PagesPerBlock {
+		return 0, fmt.Errorf("%w: run of %d pages from block %d page %d", ErrBadAddress, n, addr.Block, addr.Page)
+	}
+	if a.injector != nil {
+		return 0, fmt.Errorf("nand: program run on block %d with a fault injector installed", addr.Block)
+	}
+	if a.retired[addr.Block] {
+		return 0, fmt.Errorf("%w: program on retired block %d", ErrWornOut, addr.Block)
+	}
+	if addr.Page != int(a.writePtr[addr.Block]) {
+		return 0, fmt.Errorf("%w: block %d expects page %d, got %d", ErrOutOfOrderProgram, addr.Block, a.writePtr[addr.Block], addr.Page)
+	}
+	// Every page from the write pointer to the end of the block is free: only
+	// an erase rewinds the pointer, and it frees the whole block.
+	pi := a.pageIndex(addr)
+	a.states.setRange(pi, int64(n), PageValid)
+	if a.data != nil {
+		copy(a.data[pi:], data)
+	}
+	a.writePtr[addr.Block] += int32(n)
+	a.valid[addr.Block] += int32(n)
+	a.stats.Programs += int64(n)
+	d := time.Duration(n) * a.timing.ProgramCost()
+	a.stats.BusyTime += d
+	return d, nil
+}
+
+// FaultInjector returns the installed fault injector, or nil.
+func (a *Array) FaultInjector() FaultInjector { return a.injector }
+
 // SkipPage consumes the next programmable page of a block without writing
 // it: the page goes straight to PageInvalid and the write pointer advances.
 // This is how an FTL models a page whose program operation failed — the
@@ -429,7 +479,7 @@ func (a *Array) EraseBlock(blockIdx int) (time.Duration, error) {
 		a.retired[blockIdx] = true
 		return 0, fmt.Errorf("%w: block %d at %d erases", ErrWornOut, blockIdx, a.eraseCount[blockIdx])
 	}
-	a.states.free(int64(blockIdx)*a.ppb, a.ppb)
+	a.states.setRange(int64(blockIdx)*a.ppb, a.ppb, PageFree)
 	a.writePtr[blockIdx] = 0
 	a.valid[blockIdx] = 0
 	a.countErase(blockIdx)

@@ -34,7 +34,10 @@ type Config struct {
 	// PreconditionPages, when positive, sequentially writes this many
 	// logical pages before the measured run (filling the working set the
 	// way the paper's benchmarks run against a half-full SSD) and then
-	// resets the activity counters.
+	// resets the activity counters. At most the FTL's user capacity. The
+	// fill (ftl.FTL.Fill) programs a block per run; it writes page by page
+	// only where a write could do more: with a fault model installed, over
+	// already-mapped pages, or once the host stream needs foreground GC.
 	PreconditionPages int64
 	// DrainCache, when set, keeps running flusher ticks after the last
 	// request until the cache is empty, so every buffered write reaches
@@ -95,6 +98,9 @@ func (c Config) Validate() error {
 	if c.PreconditionPages < 0 {
 		return fmt.Errorf("sim: negative precondition %d", c.PreconditionPages)
 	}
+	if user := ftl.UserPagesFor(c.FTL.Geometry.TotalPages(), c.FTL.OPRatio); c.PreconditionPages > user {
+		return fmt.Errorf("sim: precondition %d pages > user capacity %d", c.PreconditionPages, user)
+	}
 	return nil
 }
 
@@ -152,6 +158,7 @@ type Simulator struct {
 	acc            *predictor.AccuracyTracker
 	predictive     bool
 	preconditioned bool
+	beginErr       error // what the one precondition attempt returned
 
 	lat           metrics.LatencyRecorder
 	requests      int64
@@ -264,21 +271,27 @@ func (s *Simulator) replay(reqs []trace.Request, closed bool) (metrics.Results, 
 
 // Begin preconditions the device: it sequentially fills the configured
 // working set and resets the counters so measurement starts from a realistic
-// steady occupancy. It runs at most once per simulator, so an explicit Begin
-// and a later Run compose.
+// steady occupancy. The fill leaves the state one FTL write per page would,
+// a block run at a time; it falls back to per-page writes with a fault model
+// installed (faults are drawn per program), over pages already mapped, and
+// wherever the host stream would need foreground GC (see ftl.FTL.Fill). It
+// runs at most once per simulator, so an explicit Begin and a later Run
+// compose, and its error is sticky: every later Begin, and so every run,
+// returns it.
 func (s *Simulator) Begin() error {
-	n := s.cfg.PreconditionPages
-	if n == 0 || s.preconditioned {
+	if !s.preconditioned {
+		s.preconditioned = true
+		s.beginErr = s.precondition()
+	}
+	return s.beginErr
+}
+
+func (s *Simulator) precondition() error {
+	if s.cfg.PreconditionPages == 0 {
 		return nil
 	}
-	s.preconditioned = true
-	if n > s.ftl.UserPages() {
-		return fmt.Errorf("sim: precondition %d pages > user capacity %d", n, s.ftl.UserPages())
-	}
-	for lpn := int64(0); lpn < n; lpn++ {
-		if _, _, err := s.ftl.Write(lpn); err != nil {
-			return fmt.Errorf("sim: precondition write lpn %d: %w", lpn, err)
-		}
+	if err := s.ftl.Fill(s.cfg.PreconditionPages); err != nil {
+		return fmt.Errorf("sim: precondition: %w", err)
 	}
 	s.ftl.ResetStats()
 	return nil

@@ -156,13 +156,13 @@ func TestPreconditionFillsAndResets(t *testing.T) {
 	if got := s.FTL().FreePages(); got >= int64(cfg.FTL.Geometry.TotalPages()) {
 		t.Error("precondition did not consume space")
 	}
-	cfg.PreconditionPages = 1 << 30
+	cfg.PreconditionPages = s.FTL().UserPages()
+	if _, err := New(cfg, lazyFactory); err != nil {
+		t.Errorf("precondition of the whole user capacity rejected: %v", err)
+	}
+	cfg.PreconditionPages++
 	if _, err := New(cfg, lazyFactory); err == nil {
-		// New succeeds; Run must fail.
-		s2, _ := New(cfg, lazyFactory)
-		if _, err := s2.Run(nil); err == nil {
-			t.Error("oversized precondition accepted")
-		}
+		t.Error("precondition one page past the user capacity accepted")
 	}
 }
 
