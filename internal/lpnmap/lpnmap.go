@@ -1,10 +1,9 @@
-// Package lpnmap is the hash table the simulator keys by logical page number
-// on its per-page paths: the page cache's LPN → slot index and the workload
-// generators' coalescing model. Those paths look a
-// page up for every page of every request, and a Go map pays a hash call and
-// a group walk each time. An LPN is already a small integer, so one multiply
-// and one shift place it, and a lookup is a short linear scan of adjacent
-// 16-byte slots.
+// Package lpnmap is the hash table the page cache keys by logical page
+// number: its LPN → slot index, whose live set the cache's capacity bounds,
+// not the LPN range. The cache looks a page up for every page of every
+// request, and a Go map pays a hash call and a group walk each time. An LPN
+// is already a small integer, so one multiply and one shift place it, and a
+// lookup is a short linear scan of adjacent 16-byte slots.
 package lpnmap
 
 import "math/bits"

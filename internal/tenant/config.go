@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"jitgc/internal/sim"
+	"jitgc/internal/workload"
 )
 
 // Named validation errors. Both reject configurations that would not crash
@@ -74,8 +75,9 @@ type Config struct {
 	// Seed drives workload generation and every arrival process (default 1).
 	Seed int64
 	// WorkingSetPages is the total logical space shared by the tenants;
-	// each tenant owns a disjoint 1/Tenants slice of it. Must allow at
-	// least one page per tenant.
+	// each tenant owns a disjoint 1/Tenants slice of it. Each slice must
+	// meet the MinWorkingSetPages of every profile the tenants run (17
+	// pages, TPC-C's, from the sixth tenant on).
 	WorkingSetPages int64
 	// Device configures the shared device simulator. NonPreemptiveBGC is
 	// forced on: open-loop backpressure is about arrivals piling up behind
@@ -106,7 +108,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Validate reports configuration errors, including the two liveness
-// hazards as named errors (ErrNonPositiveWeight, ErrUnboundedQueue).
+// hazards as named errors (ErrNonPositiveWeight, ErrUnboundedQueue) and a
+// slice too small for a tenant's profile (workload.ErrWorkingSetTooSmall).
 func (c Config) Validate() error {
 	if c.Tenants < 1 {
 		return fmt.Errorf("tenant: need at least 1 tenant, got %d", c.Tenants)
@@ -137,9 +140,13 @@ func (c Config) Validate() error {
 			return fmt.Errorf("tenant: class %d (%s) non-positive SLO %v", i, cl.Name, cl.SLO)
 		}
 	}
-	if c.WorkingSetPages < int64(c.Tenants) {
-		return fmt.Errorf("tenant: working set %d pages < %d tenants (need ≥ 1 page per tenant)",
-			c.WorkingSetPages, c.Tenants)
+	slice := c.WorkingSetPages / int64(c.Tenants)
+	gens := workload.All()
+	for _, g := range gens[:min(c.Tenants, len(gens))] { // the profiles newSource assigns
+		if need := g.MinWorkingSetPages(); slice < need {
+			return fmt.Errorf("%w: %d pages over %d tenants leaves %d-page slices, %s needs %d",
+				workload.ErrWorkingSetTooSmall, c.WorkingSetPages, c.Tenants, slice, g.Name(), need)
+		}
 	}
 	return c.Device.Validate()
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"jitgc/internal/sim"
+	"jitgc/internal/workload"
 )
 
 // validConfig returns a configuration that passes Validate after defaults.
@@ -96,5 +97,40 @@ func TestWithDefaultsForcesNonPreemptiveBGC(t *testing.T) {
 	cfg.Device.NonPreemptiveBGC = false
 	if !cfg.withDefaults().Device.NonPreemptiveBGC {
 		t.Error("withDefaults left NonPreemptiveBGC off")
+	}
+}
+
+// TestValidateRejectsSlicesTooSmallForAProfile: 100 tenants on 1,000 pages
+// leave 10-page slices, below TPC-C's 17-page minimum, and tenant.New used
+// to panic generating TPC-C's stream. Validate now names the error, and a
+// slice that only the profiles in use need to fit is still accepted.
+func TestValidateRejectsSlicesTooSmallForAProfile(t *testing.T) {
+	cases := []struct {
+		tenants int
+		pages   int64
+		ok      bool
+	}{
+		{100, 1000, false},
+		{100, 1699, false},
+		{100, 1700, true},
+		{5, 5 * 3, false}, // Tiobench, the fifth profile, needs 4 pages
+		{5, 5 * 10, true}, // no tenant runs TPC-C
+		{1, 1, true},
+	}
+	for _, c := range cases {
+		cfg := validConfig()
+		cfg.Tenants, cfg.WorkingSetPages = c.tenants, c.pages
+		err := cfg.Validate()
+		if c.ok {
+			if err != nil {
+				t.Errorf("%d tenants on %d pages: %v", c.tenants, c.pages, err)
+				continue
+			}
+			if _, err := newSource(cfg); err != nil {
+				t.Errorf("%d tenants on %d pages: newSource: %v", c.tenants, c.pages, err)
+			}
+		} else if !errors.Is(err, workload.ErrWorkingSetTooSmall) {
+			t.Errorf("%d tenants on %d pages: got %v, want ErrWorkingSetTooSmall", c.tenants, c.pages, err)
+		}
 	}
 }

@@ -20,9 +20,12 @@ func NewBonnie() Bonnie { return Bonnie{} }
 // Name implements Generator.
 func (Bonnie) Name() string { return "Bonnie++" }
 
+// MinWorkingSetPages implements Generator.
+func (Bonnie) MinWorkingSetPages() int64 { return 1 }
+
 // Generate implements Generator.
-func (Bonnie) Generate(p Params) ([]trace.Request, error) {
-	if err := p.Validate(); err != nil {
+func (g Bonnie) Generate(p Params) ([]trace.Request, error) {
+	if err := validate(g, p); err != nil {
 		return nil, err
 	}
 	e := newEngine(p, 0.29) // calibrated: device-level direct share lands at Table 1’s 27.6%

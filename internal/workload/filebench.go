@@ -19,9 +19,12 @@ func NewFilebench() Filebench { return Filebench{} }
 // Name implements Generator.
 func (Filebench) Name() string { return "Filebench" }
 
+// MinWorkingSetPages implements Generator.
+func (Filebench) MinWorkingSetPages() int64 { return 1 }
+
 // Generate implements Generator.
-func (Filebench) Generate(p Params) ([]trace.Request, error) {
-	if err := p.Validate(); err != nil {
+func (g Filebench) Generate(p Params) ([]trace.Request, error) {
+	if err := validate(g, p); err != nil {
 		return nil, err
 	}
 	e := newEngine(p, 0.10) // calibrated: device-level direct share lands at Table 1’s 14.2%

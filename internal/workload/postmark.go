@@ -26,9 +26,12 @@ type postmarkFile struct {
 	pages int
 }
 
+// MinWorkingSetPages implements Generator.
+func (Postmark) MinWorkingSetPages() int64 { return 1 }
+
 // Generate implements Generator.
-func (Postmark) Generate(p Params) ([]trace.Request, error) {
-	if err := p.Validate(); err != nil {
+func (g Postmark) Generate(p Params) ([]trace.Request, error) {
+	if err := validate(g, p); err != nil {
 		return nil, err
 	}
 	e := newEngine(p, 0.185) // calibrated: device-level direct share lands at Table 1’s 18.3%

@@ -22,15 +22,24 @@ func NewTiobench() Tiobench { return Tiobench{Threads: 4} }
 // Name implements Generator.
 func (Tiobench) Name() string { return "Tiobench" }
 
+// threads is the worker count, Threads or its default.
+func (t Tiobench) threads() int {
+	if t.Threads <= 0 {
+		return 4
+	}
+	return t.Threads
+}
+
+// MinWorkingSetPages implements Generator: every thread needs a stripe of
+// at least one page.
+func (t Tiobench) MinWorkingSetPages() int64 { return int64(t.threads()) }
+
 // Generate implements Generator.
 func (t Tiobench) Generate(p Params) ([]trace.Request, error) {
-	if err := p.Validate(); err != nil {
+	if err := validate(t, p); err != nil {
 		return nil, err
 	}
-	threads := t.Threads
-	if threads <= 0 {
-		threads = 4
-	}
+	threads := t.threads()
 	e := newEngine(p, 0.537)
 	clock := &burstClock{
 		lenLo: 2400, lenHi: 6000,

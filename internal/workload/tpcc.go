@@ -20,9 +20,16 @@ func NewTPCC() TPCC { return TPCC{} }
 // Name implements Generator.
 func (TPCC) Name() string { return "TPC-C" }
 
+// tpccMinLogPages is the smallest redo log.
+const tpccMinLogPages = 16
+
+// MinWorkingSetPages implements Generator: the redo log plus a data region
+// of at least one page.
+func (TPCC) MinWorkingSetPages() int64 { return tpccMinLogPages + 1 }
+
 // Generate implements Generator.
-func (TPCC) Generate(p Params) ([]trace.Request, error) {
-	if err := p.Validate(); err != nil {
+func (g TPCC) Generate(p Params) ([]trace.Request, error) {
+	if err := validate(g, p); err != nil {
 		return nil, err
 	}
 	e := newEngine(p, 0.999)
@@ -34,8 +41,8 @@ func (TPCC) Generate(p Params) ([]trace.Request, error) {
 
 	// Redo log: first 4% of the working set, sequential with wraparound.
 	logSize := p.WorkingSetPages * 4 / 100
-	if logSize < 16 {
-		logSize = 16
+	if logSize < tpccMinLogPages {
+		logSize = tpccMinLogPages
 	}
 	dataBase := logSize
 	dataSize := p.WorkingSetPages - dataBase

@@ -78,10 +78,13 @@ func NewFileChurn(rate float64) FileChurn {
 // Name implements Generator.
 func (FileChurn) Name() string { return "FileChurn" }
 
+// MinWorkingSetPages implements Generator: the metadata journal plus room
+// for four of the largest files.
+func (c FileChurn) MinWorkingSetPages() int64 {
+	return int64(4*c.MaxFilePages) + churnJournalPages
+}
+
 func (c FileChurn) validate(p Params) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
 	if c.ChurnRate < 0 || c.ChurnRate >= 1 {
 		return fmt.Errorf("workload: churn rate %v outside [0,1)", c.ChurnRate)
 	}
@@ -95,11 +98,7 @@ func (c FileChurn) validate(p Params) error {
 	if c.ReadFraction < 0 || c.ReadFraction >= 1 {
 		return fmt.Errorf("workload: read fraction %v outside [0,1)", c.ReadFraction)
 	}
-	if int64(4*c.MaxFilePages)+churnJournalPages > p.WorkingSetPages {
-		return fmt.Errorf("workload: working set %d pages too small for %d-page files",
-			p.WorkingSetPages, c.MaxFilePages)
-	}
-	return nil
+	return validate(c, p)
 }
 
 // churnJournalPages is the circular metadata-journal region carved from the
@@ -263,10 +262,10 @@ func NewLogStructured(rate float64) LogStructured {
 // Name implements Generator.
 func (LogStructured) Name() string { return "LogStructured" }
 
+// MinWorkingSetPages implements Generator: four segments.
+func (l LogStructured) MinWorkingSetPages() int64 { return 4 * int64(l.SegmentPages) }
+
 func (l LogStructured) validate(p Params) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
 	if l.SegmentPages < 1 {
 		return fmt.Errorf("workload: segment size %d pages", l.SegmentPages)
 	}
@@ -279,11 +278,7 @@ func (l LogStructured) validate(p Params) error {
 	if l.AppendLo < 1 || l.AppendHi < l.AppendLo {
 		return fmt.Errorf("workload: append burst bounds [%d,%d]", l.AppendLo, l.AppendHi)
 	}
-	if p.WorkingSetPages < 4*int64(l.SegmentPages) {
-		return fmt.Errorf("workload: working set %d pages holds fewer than 4 %d-page segments",
-			p.WorkingSetPages, l.SegmentPages)
-	}
-	return nil
+	return validate(l, p)
 }
 
 // Generate implements Generator.

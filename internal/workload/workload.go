@@ -10,13 +10,13 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"sort"
 	"time"
 
-	"jitgc/internal/lpnmap"
 	"jitgc/internal/trace"
 )
 
@@ -48,12 +48,30 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// ErrWorkingSetTooSmall reports a working set with fewer pages than a
+// generator's address layout needs; the error names that minimum.
+var ErrWorkingSetTooSmall = errors.New("workload: working set too small")
+
 // Generator produces a benchmark's request stream.
 type Generator interface {
 	// Name is the benchmark name as the paper spells it.
 	Name() string
+	// MinWorkingSetPages is the smallest working set Generate accepts.
+	MinWorkingSetPages() int64
 	// Generate produces the closed-loop request stream.
 	Generate(p Params) ([]trace.Request, error)
+}
+
+// validate reports p's errors, including a working set below g's minimum.
+func validate(g Generator, p Params) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if need := g.MinWorkingSetPages(); p.WorkingSetPages < need {
+		return fmt.Errorf("%w: %s needs at least %d pages, got %d",
+			ErrWorkingSetTooSmall, g.Name(), need, p.WorkingSetPages)
+	}
+	return nil
 }
 
 // All returns the six paper benchmarks in the paper's column order.
@@ -100,8 +118,11 @@ type engine struct {
 	directTarget float64
 	pendingThink time.Duration
 
-	clock time.Duration             // approximate stream time (sum of thinks)
-	dirty lpnmap.Map[time.Duration] // lpn → last buffered write, for coalescing
+	clock time.Duration // approximate stream time (sum of thinks)
+	// dirty is the coalescing model: per page, the time its last buffered
+	// write expires (last + coalesceExpire), 0 for a clean page. The clock
+	// starts at 0 and an expiry is positive, so a clean page always counts.
+	dirty pageTable
 }
 
 // newEngine returns an engine for a stream of p.Ops requests drawn from p's
@@ -114,6 +135,7 @@ func newEngine(p Params, directTarget float64) *engine {
 		reqs:         make([]trace.Request, 0, p.Ops),
 		ops:          p.Ops,
 		directTarget: directTarget,
+		dirty:        newPageTable(p.WorkingSetPages),
 	}
 	if p.Source != nil {
 		e.v2.src = p.Source
@@ -173,8 +195,7 @@ func (e *engine) emit(kind trace.Kind, lpn int64, pages int) {
 func (e *engine) effectiveBuffered(lpn int64, pages int) int {
 	eff := 0
 	for i := 0; i < pages; i++ {
-		last, ok := e.dirty.Get(lpn + int64(i))
-		if !ok || e.clock-last >= coalesceExpire {
+		if e.clock >= e.dirty.get(lpn+int64(i)) {
 			eff++
 		}
 	}
@@ -184,7 +205,7 @@ func (e *engine) effectiveBuffered(lpn int64, pages int) int {
 // markDirty records buffered pages in the coalescing model.
 func (e *engine) markDirty(lpn int64, pages int) {
 	for i := 0; i < pages; i++ {
-		e.dirty.Set(lpn+int64(i), e.clock)
+		e.dirty.set(lpn+int64(i), e.clock+coalesceExpire)
 	}
 }
 
@@ -223,7 +244,7 @@ func (e *engine) emitRead(lpn int64, pages int) { e.emit(trace.Read, lpn, pages)
 // volume.
 func (e *engine) emitTrim(lpn int64, pages int) {
 	for i := 0; i < pages; i++ {
-		e.dirty.Delete(lpn + int64(i))
+		e.dirty.clear(lpn + int64(i))
 	}
 	e.emit(trace.Trim, lpn, pages)
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"math"
 	randv2 "math/rand/v2"
 	"slices"
@@ -177,6 +178,33 @@ func TestGeneratorsRejectBadParams(t *testing.T) {
 	for _, g := range All() {
 		if _, err := g.Generate(Params{}); err == nil {
 			t.Errorf("%s accepted zero params", g.Name())
+		}
+	}
+}
+
+// TestSmallWorkingSetsReturnError: below its MinWorkingSetPages every
+// generator returns ErrWorkingSetTooSmall; Tiobench used to panic at fewer
+// pages than threads (a zero-page stripe) and TPC-C at 16 pages or fewer (no
+// data region beside the redo log). At the minimum, every generator
+// generates.
+func TestSmallWorkingSetsReturnError(t *testing.T) {
+	for _, g := range append(allGenerators(), Tiobench{Threads: 7}) {
+		need := g.MinWorkingSetPages()
+		for ws := int64(1); ws < need; ws++ {
+			_, err := g.Generate(Params{Seed: 1, Ops: 100, WorkingSetPages: ws})
+			if !errors.Is(err, ErrWorkingSetTooSmall) {
+				t.Fatalf("%s at %d pages: got %v, want ErrWorkingSetTooSmall", g.Name(), ws, err)
+			}
+		}
+		for seed := int64(1); seed <= 5; seed++ {
+			if _, err := g.Generate(Params{Seed: seed, Ops: 3000, WorkingSetPages: need}); err != nil {
+				t.Errorf("%s at its %d-page minimum: %v", g.Name(), need, err)
+			}
+		}
+	}
+	for g, want := range map[Generator]int64{NewTiobench(): 4, NewTPCC(): 17, Tiobench{}: 4} {
+		if got := g.MinWorkingSetPages(); got != want {
+			t.Errorf("%s: MinWorkingSetPages %d, want %d", g.Name(), got, want)
 		}
 	}
 }

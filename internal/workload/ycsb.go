@@ -21,9 +21,12 @@ func NewYCSB() YCSB { return YCSB{} }
 // Name implements Generator.
 func (YCSB) Name() string { return "YCSB" }
 
+// MinWorkingSetPages implements Generator.
+func (YCSB) MinWorkingSetPages() int64 { return 1 }
+
 // Generate implements Generator.
-func (YCSB) Generate(p Params) ([]trace.Request, error) {
-	if err := p.Validate(); err != nil {
+func (g YCSB) Generate(p Params) ([]trace.Request, error) {
+	if err := validate(g, p); err != nil {
 		return nil, err
 	}
 	e := newEngine(p, 0.25) // calibrated: device-level direct share lands at Table 1’s 11.8%
