@@ -49,16 +49,15 @@ coverage-gate:
 	awk -v t="$$total" -v b="$(COVERAGE_BASELINE)" 'BEGIN { exit (t+0 >= b+0) ? 0 : 1 }' || \
 		{ echo "coverage $$total% below baseline $(COVERAGE_BASELINE)%"; exit 1; }
 
-# Open-ended fuzzing session for the trace parsers, the binlog reader, the
-# JSONL-to-binlog converter, the binlog request-trace decoder and the FTL
-# snapshot restore (not part of ci; ci runs their committed seed corpora). -fuzz takes a regexp, so
-# each name is anchored.
+# Open-ended fuzzing session for the trace parsers, the binlog reader and
+# seek reader, the binlog request-trace decoder and the FTL snapshot restore
+# (not part of ci; ci runs their committed seed corpora). -fuzz takes a
+# regexp, so each name is anchored.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMSR$$' -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 30s ./internal/telemetry/binlog/
 	$(GO) test -run '^$$' -fuzz '^FuzzSeekReader$$' -fuzztime 30s ./internal/telemetry/binlog/
-	$(GO) test -run '^$$' -fuzz '^FuzzToBinary$$' -fuzztime 30s ./internal/telemetry/binlog/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequests$$' -fuzztime 30s ./internal/telemetry/binlog/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 30s ./internal/ftl/
 

@@ -3,9 +3,12 @@ package jitgc
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"hash"
 	"io"
+	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -13,73 +16,127 @@ import (
 	"jitgc/internal/telemetry/binlog"
 )
 
-// roundTrip is the destination of a JSONL event stream that checks the
-// stream survives the binary converter both ways. It feeds the stream to
-// binlog.ToBinary as it is written and hashes it, so not even the array
-// grid's 90 MB stream is held in memory.
-type roundTrip struct {
-	pw    *io.PipeWriter
-	jsonl digest
-	bin   bytes.Buffer
-	n     int64 // events converted, valid once done delivers
-	done  chan error
+// eventDigest folds events into one SHA-256, every telemetry.Event field in
+// struct order, and counts them: two streams with equal digests and counts
+// hold the same events in the same order. Strings go in length-prefixed and
+// floats by their bits, so -0 and NaN payloads count. As a telemetry.Sink it
+// folds what a tracer emits (requests arrive through Emit: it has no
+// EmitRequest); it is not locked, so one goroutine, or a Tee, must feed it.
+type eventDigest struct {
+	h   hash.Hash
+	buf []byte
+	n   int64
 }
 
-// newRoundTrip starts the converter. The caller must end the stream with
-// check, or close pw if the run that writes it fails.
-func newRoundTrip() *roundTrip {
-	pr, pw := io.Pipe()
-	rt := &roundTrip{pw: pw, jsonl: digest{Hash: sha256.New()}, done: make(chan error, 1)}
-	go func() {
-		var err error
-		rt.n, err = binlog.ToBinary(&rt.bin, pr, binlog.Options{})
-		pr.CloseWithError(err) // a failed conversion must not block the writer
-		rt.done <- err
-	}()
-	return rt
+func newEventDigest() *eventDigest { return &eventDigest{h: sha256.New()} }
+
+func (d *eventDigest) Emit(ev telemetry.Event) { d.add(&ev) }
+
+func (d *eventDigest) Close() error { return nil }
+
+func (d *eventDigest) add(ev *telemetry.Event) {
+	num := func(b []byte, v int64) []byte { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
+	str := func(b []byte, v string) []byte { return append(num(b, int64(len(v))), v...) }
+	float := func(b []byte, v float64) []byte { return num(b, int64(math.Float64bits(v))) }
+	boolean := func(b []byte, v bool) []byte {
+		if v {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	}
+	b := d.buf[:0]
+	b = str(b, string(ev.Type))
+	b = num(b, int64(ev.T))
+	b = num(b, int64(ev.Dev))
+	b = str(b, ev.Kind)
+	b = num(b, ev.LPN)
+	b = num(b, int64(ev.Pages))
+	b = num(b, int64(ev.Latency))
+	b = num(b, ev.FreeBytes)
+	b = num(b, ev.ReclaimBytes)
+	b = num(b, ev.PredictedBytes)
+	b = float(b, ev.IdleFraction)
+	b = boolean(b, ev.Foreground)
+	b = num(b, int64(ev.Victim))
+	b = num(b, int64(ev.ValidPages))
+	b = num(b, int64(ev.SIPPages))
+	b = num(b, ev.FreedPages)
+	b = num(b, int64(ev.Elapsed))
+	b = num(b, ev.EraseCount)
+	b = str(b, ev.Action)
+	b = str(b, ev.Op)
+	b = num(b, int64(ev.Page))
+	b = num(b, int64(ev.Attempts))
+	b = boolean(b, ev.Recovered)
+	b = str(b, ev.Reason)
+	b = num(b, int64(ev.Tenant))
+	b = str(b, ev.Class)
+	b = num(b, ev.Dropped)
+	b = num(b, ev.Violations)
+	b = num(b, int64(ev.DirtyPages))
+	b = float(b, ev.WAF)
+	b = num(b, ev.FGCInvocations)
+	b = num(b, ev.BGCCollections)
+	b = num(b, ev.Requests)
+	d.h.Write(b)
+	d.buf = b
+	d.n++
 }
 
-func (rt *roundTrip) Write(p []byte) (int, error) {
-	if _, err := rt.pw.Write(p); err != nil {
-		return 0, err
+// matchBinlog decodes a binlog stream and fails unless it holds exactly the
+// events folded into want.
+func matchBinlog(stream io.Reader, want *eventDigest) error {
+	rd, err := binlog.NewReader(stream)
+	if err != nil {
+		return fmt.Errorf("open binlog: %w", err)
 	}
-	return rt.jsonl.Write(p)
-}
-
-// check ends the stream and reports an error unless it converted to
-// exactly events events, converts back to the same bytes, and shrank on
-// the way. The binary stream is left in rt.bin.
-func (rt *roundTrip) check(events int64) error {
-	rt.pw.Close()
-	if err := <-rt.done; err != nil {
-		return fmt.Errorf("JSONL -> binlog: %w", err)
+	got := newEventDigest()
+	for {
+		ev, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("decode event %d: %w", got.n, err)
+		}
+		got.add(&ev)
 	}
-	if rt.n != events {
-		return fmt.Errorf("converted %d events, sink wrote %d", rt.n, events)
-	}
-	back := digest{Hash: sha256.New()}
-	if _, err := binlog.ToJSONL(&back, bytes.NewReader(rt.bin.Bytes())); err != nil {
-		return fmt.Errorf("binlog -> JSONL: %w", err)
-	}
-	if back.n != rt.jsonl.n || !bytes.Equal(back.Sum(nil), rt.jsonl.Sum(nil)) {
-		return fmt.Errorf("round trip not byte-identical for %d events (%d bytes vs %d bytes)",
-			rt.n, rt.jsonl.n, back.n)
-	}
-	if int64(rt.bin.Len()) >= rt.jsonl.n {
-		return fmt.Errorf("binary stream (%d bytes) not smaller than JSONL (%d bytes)", rt.bin.Len(), rt.jsonl.n)
+	if gs, ws := got.h.Sum(nil), want.h.Sum(nil); got.n != want.n || !bytes.Equal(gs, ws) {
+		return fmt.Errorf("binlog decodes to %d events (digest %x), the tracer emitted %d (digest %x)", got.n, gs, want.n, ws)
 	}
 	return nil
 }
 
-// digest hashes what is written to it and counts the bytes.
-type digest struct {
-	hash.Hash
-	n int64
-}
-
-func (d *digest) Write(p []byte) (int, error) {
-	d.n += int64(len(p))
-	return d.Hash.Write(p)
+// TestEventDigestFoldsEveryField: setting any one field of an Event, found
+// by reflection so a field added later is covered too, changes the digest,
+// and so does a -0 where +0 was.
+func TestEventDigestFoldsEveryField(t *testing.T) {
+	sum := func(ev telemetry.Event) string {
+		d := newEventDigest()
+		d.add(&ev)
+		return string(d.h.Sum(nil))
+	}
+	zero := sum(telemetry.Event{})
+	ty := reflect.TypeOf(telemetry.Event{})
+	for k := 0; k < ty.NumField(); k++ {
+		var ev telemetry.Event
+		f := reflect.ValueOf(&ev).Elem().Field(k)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1)
+		case reflect.Float64:
+			f.SetFloat(math.Copysign(0, -1))
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("field %s: kind %s has no fold", ty.Field(k).Name, f.Kind())
+		}
+		if sum(ev) == zero {
+			t.Errorf("field %s does not reach the digest", ty.Field(k).Name)
+		}
+	}
 }
 
 // lifetimeEventTypes is the event vocabulary of one full wear-out replay
@@ -129,14 +186,16 @@ func sortedTypes(set map[telemetry.EventType]bool) []telemetry.EventType {
 	return types
 }
 
-// TestLifetimeEventStreamRoundTrip round-trips the wear-out event stream
-// (the full GC cadence of a device driven to death) through the binary
-// converter. One grid cell stands in for the lifetime experiment's nine:
-// the cells differ only in benchmark and policy, not event vocabulary. The
-// replay runs to wear-out, but only the stream's head is recorded — through
-// the first appearance of every event type plus one whole binlog block —
-// because the half million events after that exercise no field
-// combination the head does not; the type sets are compared to prove it.
+// TestLifetimeEventStreamRoundTrip checks the wear-out event stream (the
+// full GC cadence of a device driven to death) the way
+// TestExperimentEventStreamsRoundTrip checks the golden runs: the live
+// binlog must decode to exactly the events the tracer emitted. One grid
+// cell stands in for the lifetime experiment's nine: the cells differ only
+// in benchmark and policy, not event vocabulary. The replay runs to
+// wear-out, but only the stream's head is recorded — through the first
+// appearance of every event type plus one whole binlog block — because the
+// half million events after that exercise no field combination the head
+// does not; the type sets are compared to prove it.
 func TestLifetimeEventStreamRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wear-out replay; skipped in -short")
@@ -144,11 +203,10 @@ func TestLifetimeEventStreamRoundTrip(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wear-out replay takes minutes under the race detector")
 	}
-	rt := newRoundTrip()
-	defer rt.pw.Close()
-	sink := telemetry.NewJSONLSink(rt)
+	var live bytes.Buffer
+	emitted := newEventDigest()
 	cover := &coveringSink{
-		next:    sink,
+		next:    telemetry.Tee(emitted, binlog.NewBinSink(&live, binlog.Options{})),
 		want:    len(lifetimeEventTypes),
 		covered: map[telemetry.EventType]bool{},
 		all:     map[telemetry.EventType]bool{},
@@ -160,7 +218,7 @@ func TestLifetimeEventStreamRoundTrip(t *testing.T) {
 	if err := cover.Close(); err != nil {
 		t.Fatalf("close sink: %v", err)
 	}
-	if sink.Count() == 0 {
+	if emitted.n == 0 {
 		t.Fatal("wear-out replay emitted no events")
 	}
 	want := slices.Clone(lifetimeEventTypes)
@@ -171,10 +229,10 @@ func TestLifetimeEventStreamRoundTrip(t *testing.T) {
 	if got := sortedTypes(cover.covered); !slices.Equal(got, want) {
 		t.Fatalf("recorded prefix covers types %v of %v", got, want)
 	}
-	if cover.stopAt == 0 || sink.Count() != cover.stopAt {
-		t.Fatalf("recorded %d events, want the stream stopped at %d", sink.Count(), cover.stopAt)
+	if cover.stopAt == 0 || emitted.n != cover.stopAt {
+		t.Fatalf("recorded %d events, want the stream stopped at %d", emitted.n, cover.stopAt)
 	}
-	if err := rt.check(sink.Count()); err != nil {
+	if err := matchBinlog(&live, emitted); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,17 +1,15 @@
-// Command jitgctrace converts, inspects, and merges binlog event streams
-// (the columnar binary format of internal/telemetry/binlog).
+// Command jitgctrace views, inspects, and merges binlog event streams (the
+// columnar binary format of internal/telemetry/binlog).
 //
 // Usage:
 //
-//	jitgctrace convert [-o OUT] [-level L] [IN]
+//	jitgctrace convert [-o OUT] [IN]
 //	jitgctrace info IN
 //	jitgctrace merge -o OUT IN...
 //
-// convert auto-detects the input: a binlog stream becomes JSONL, a JSONL
-// stream becomes binlog (the round trip is byte-identical). IN defaults to
-// stdin and OUT to stdout, so the command pipes. -level picks the block
-// codec for binary output: 0 (default) the zero-run codec, 1–9 DEFLATE,
-// -1 stored.
+// convert writes a binlog stream as JSONL, byte for byte what a JSONL sink
+// on the same tracer writes. IN defaults to stdin and OUT to stdout, so the
+// command pipes; OUT is created only once IN has opened as a binlog stream.
 //
 // info prints a stream's footer index summary without decoding blocks.
 //
@@ -53,9 +51,9 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  jitgctrace convert [-o OUT] [-level L] [IN]   binlog -> JSONL or JSONL -> binlog (sniffed)
-  jitgctrace info IN                            print a stream's footer index summary
-  jitgctrace merge -o OUT IN...                 merge time-ordered binlog streams
+  jitgctrace convert [-o OUT] [IN]   binlog -> JSONL
+  jitgctrace info IN                 print a stream's footer index summary
+  jitgctrace merge -o OUT IN...      merge time-ordered binlog streams
 `)
 	os.Exit(2)
 }
@@ -63,33 +61,22 @@ func usage() {
 func runConvert(args []string) {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	out := fs.String("o", "", "output file (default stdout)")
-	level := fs.Int("level", 0, "binary block codec: 0 zero-run (default), 1-9 DEFLATE, -1 stored")
 	fs.Parse(args)
 	if fs.NArg() > 1 {
 		usage()
 	}
 
-	src := bufio.NewReaderSize(openInput(fs.Arg(0)), 1<<16)
-	dst, closeDst := openOutput(*out, fs.Arg(0))
-
-	prefix, err := src.Peek(len(binlog.Magic))
-	if err != nil && err != io.EOF {
-		log.Fatalf("read input: %v", err)
-	}
-	var n int64
-	var kind string
-	if binlog.IsBinary(prefix) {
-		n, err = binlog.ToJSONL(dst, src)
-		kind = "binlog -> JSONL"
-	} else {
-		n, err = binlog.ToBinary(dst, src, binlog.Options{Level: *level})
-		kind = "JSONL -> binlog"
-	}
+	rd, err := binlog.NewReader(openInput(fs.Arg(0)))
 	if err != nil {
-		log.Fatalf("%s: %v", kind, err)
+		log.Fatal(err)
+	}
+	dst, closeDst := openOutput(*out, fs.Arg(0))
+	n, err := binlog.ToJSONL(dst, rd)
+	if err != nil {
+		log.Fatalf("binlog -> JSONL: %v", err)
 	}
 	closeDst()
-	fmt.Fprintf(os.Stderr, "%s: %d events\n", kind, n)
+	fmt.Fprintf(os.Stderr, "binlog -> JSONL: %d events\n", n)
 }
 
 func runInfo(args []string) {
@@ -128,7 +115,6 @@ func runInfo(args []string) {
 func runMerge(args []string) {
 	fs := flag.NewFlagSet("merge", flag.ExitOnError)
 	out := fs.String("o", "", "output file (required)")
-	level := fs.Int("level", 0, "block codec: 0 zero-run (default), 1-9 DEFLATE, -1 stored")
 	fs.Parse(args)
 	if *out == "" || fs.NArg() == 0 {
 		usage()
@@ -148,7 +134,7 @@ func runMerge(args []string) {
 		srcs = append(srcs, r)
 	}
 	dst, closeDst := openOutput(*out, fs.Args()...)
-	w := binlog.NewWriter(dst, binlog.Options{Level: *level})
+	w := binlog.NewWriter(dst, binlog.Options{})
 	m := binlog.NewMerger(srcs...)
 	for {
 		ev, err := m.Next()

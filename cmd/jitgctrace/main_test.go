@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"jitgc/internal/telemetry"
+	"jitgc/internal/telemetry/binlog"
 )
 
 // TestMain lets the test binary stand in for the command: re-executed with a
@@ -39,11 +40,12 @@ func jitgctrace(t *testing.T, args ...string) (stdout, stderr string, code int) 
 	return out.String(), errb.String(), code
 }
 
-// writeJSONL writes n time-ordered request events starting at t0 as JSONL.
-func writeJSONL(t *testing.T, path string, n int, t0 time.Duration) []byte {
+// writeBinlog writes n time-ordered request events starting at t0 to path
+// as a binlog stream, and returns the JSONL a JSONLSink writes for them.
+func writeBinlog(t *testing.T, path string, n int, t0 time.Duration) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	sink := telemetry.NewJSONLSink(&buf)
+	var bin, jsonl bytes.Buffer
+	sink := telemetry.Tee(binlog.NewBinSink(&bin, binlog.Options{}), telemetry.NewJSONLSink(&jsonl))
 	for i := 0; i < n; i++ {
 		sink.Emit(telemetry.Event{
 			Type: telemetry.EvRequest, T: t0 + time.Duration(i)*time.Microsecond,
@@ -53,10 +55,10 @@ func writeJSONL(t *testing.T, path string, n int, t0 time.Duration) []byte {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, bin.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return jsonl.Bytes()
 }
 
 func mustRun(t *testing.T, args ...string) string {
@@ -68,21 +70,21 @@ func mustRun(t *testing.T, args ...string) string {
 	return stdout
 }
 
-// TestConvertRoundTripAndInfo: JSONL → binlog → JSONL through the command is
-// byte-identical, and info reads the event and block counts of a stream that
-// spans two default-sized blocks off its footer.
+// TestConvertRoundTripAndInfo: events → binlog → convert gives the JSONL a
+// JSONLSink wrote for the same events, byte for byte, and info reads the
+// event and block counts of a stream that spans two default-sized blocks off
+// its footer.
 func TestConvertRoundTripAndInfo(t *testing.T) {
 	dir := t.TempDir()
-	jsonl, bin, back := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "a.jgb"), filepath.Join(dir, "back.jsonl")
-	want := writeJSONL(t, jsonl, 5000, 0)
-	mustRun(t, "convert", "-o", bin, jsonl)
-	mustRun(t, "convert", "-o", back, bin)
-	got, err := os.ReadFile(back)
+	bin, view := filepath.Join(dir, "a.jgb"), filepath.Join(dir, "a.jsonl")
+	want := writeBinlog(t, bin, 5000, 0)
+	mustRun(t, "convert", "-o", view, bin)
+	got, err := os.ReadFile(view)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("convert → convert is not byte-identical: %d B in, %d B back", len(want), len(got))
+		t.Errorf("convert is not byte-identical to JSONLSink: %d B, want %d B", len(got), len(want))
 	}
 	info := mustRun(t, "info", bin)
 	for _, line := range []string{"blocks    2\n", "events    5000\n"} {
@@ -92,18 +94,33 @@ func TestConvertRoundTripAndInfo(t *testing.T) {
 	}
 }
 
+// TestConvertRefusesJSONL: convert reads binlog only. A JSONL input exits 1
+// with the reader's bad-magic error, and -o OUT is never created.
+func TestConvertRefusesJSONL(t *testing.T) {
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "out.jsonl")
+	jsonl := writeBinlog(t, filepath.Join(dir, "a.jgb"), 10, 0)
+	if err := os.WriteFile(in, jsonl, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code := jitgctrace(t, "convert", "-o", out, in)
+	if code != 1 || !strings.Contains(stderr, "bad magic") {
+		t.Errorf("exit %d, stderr %q; want exit 1 with the bad-magic error", code, stderr)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("output %s left behind (stat err %v)", out, err)
+	}
+}
+
 // TestOutputThatIsAnInputIsRefused: inputs are streamed, so an -o naming one
 // of them — under any spelling — must exit 1 before creating (truncating) it.
 func TestOutputThatIsAnInputIsRefused(t *testing.T) {
 	dir := t.TempDir()
-	aj, bj := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl")
 	a, b := filepath.Join(dir, "a.jgb"), filepath.Join(dir, "b.jgb")
 	// 15 blocks: more than a reader buffers before the output is created,
 	// so a truncated input cannot go unnoticed.
-	writeJSONL(t, aj, 60000, 0)
-	writeJSONL(t, bj, 100, time.Hour)
-	mustRun(t, "convert", "-o", a, aj)
-	mustRun(t, "convert", "-o", b, bj)
+	writeBinlog(t, a, 60000, 0)
+	writeBinlog(t, b, 100, time.Hour)
 	before, err := os.ReadFile(a)
 	if err != nil {
 		t.Fatal(err)

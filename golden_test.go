@@ -46,9 +46,9 @@ func renderExperiment(e Experiment, tables []Table) string {
 // eight workers. Every experiment runs this way once per test binary, and
 // the tests in this file each check their part of the same two runs.
 //
-// Outside -race and -short the serial run traces into a JSONL sink and a
-// live binlog at once (telemetry.Tee), and its JSONL is round-tripped against
-// the live binlog as it is written. Under -race the serial run is
+// Outside -race and -short the serial run traces into an event digest and a
+// live binlog at once (telemetry.Tee), and the live binlog must decode to
+// the events the digest folded. Under -race the serial run is
 // untraced (the binlog package tests cover the codec under race), and the
 // Workers=8 run traces into one BinSink shared by all its cells, so the
 // race detector sees a tracer shared across grid workers. lifetime, which
@@ -58,7 +58,7 @@ type experimentRun struct {
 	serial, parallel       []Table
 	serialErr, parallelErr error
 	events                 int64 // events the traced serial run emitted
-	streamErr              error // the serial run's event stream failed its round trip
+	streamErr              error // the serial run's live binlog does not decode to the events it emitted
 	sharedErr              error // the Workers=8 run's shared BinSink failed to decode to Count() events
 }
 
@@ -104,14 +104,13 @@ func runTwice(e Experiment) *experimentRun {
 	return r
 }
 
-// runTeed makes the serial run traced through a tee and round-trips
-// the recorded JSONL stream against the live binlog the same run wrote.
+// runTeed makes the serial run traced through a tee of an event digest and
+// a live BinSink (requests through its EmitRequest fast path), and checks
+// that the live binlog decodes to exactly the events the tracer emitted.
 func (r *experimentRun) runTeed(e Experiment, opt Options) {
-	rt := newRoundTrip()
-	defer rt.pw.Close()
 	var live bytes.Buffer
-	jsonl := telemetry.NewJSONLSink(rt)
-	tee := telemetry.Tee(jsonl, binlog.NewBinSink(&live, binlog.Options{}))
+	emitted := newEventDigest()
+	tee := telemetry.Tee(emitted, binlog.NewBinSink(&live, binlog.Options{}))
 	opt.Tracer = telemetry.New(tee)
 	if r.serial, r.serialErr = e.Run(opt); r.serialErr != nil {
 		return
@@ -120,13 +119,8 @@ func (r *experimentRun) runTeed(e Experiment, opt Options) {
 		r.streamErr = fmt.Errorf("close sink: %w", err)
 		return
 	}
-	if r.events = jsonl.Count(); r.events == 0 { // the worked examples emit nothing
-		return
-	}
-	r.streamErr = rt.check(r.events)
-	if r.streamErr == nil && !bytes.Equal(live.Bytes(), rt.bin.Bytes()) {
-		r.streamErr = fmt.Errorf("live binlog (%d bytes) differs from the JSONL's conversion (%d bytes)", live.Len(), rt.bin.Len())
-	}
+	r.events = emitted.n
+	r.streamErr = matchBinlog(&live, emitted)
 }
 
 // countEvents decodes a binlog stream, returning how many events it holds.
@@ -205,11 +199,10 @@ func TestExperimentGoldens(t *testing.T) {
 
 // TestExperimentEventStreamsRoundTrip locks down the event streams of the
 // golden runs: every event type and field combination the experiments
-// actually emit must survive JSONL → binlog → JSONL byte for byte, with a
-// smaller binlog. The same run also writes a live binlog (requests
-// through BinSink.EmitRequest), which must be byte-identical to the
-// JSONL's conversion. lifetime, whose nine wear-out cells would dominate
-// the whole suite, is covered by TestLifetimeEventStreamRoundTrip instead.
+// actually emit must come back out of the live binlog the same run wrote
+// (requests through BinSink.EmitRequest) — same count, same SHA-256 over
+// every field. lifetime, whose nine wear-out cells would dominate the
+// whole suite, is covered by TestLifetimeEventStreamRoundTrip instead.
 func TestExperimentEventStreamsRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the golden runs are traced only at golden scale; skipped in -short")

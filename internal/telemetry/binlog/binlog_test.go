@@ -34,16 +34,27 @@ func encodeAll(t *testing.T, evs []telemetry.Event, opts Options) []byte {
 	return buf.Bytes()
 }
 
+// TestRoundTripMix decodes the recorded mix at three block sizes, and once
+// with every block reframed as stored.
 func TestRoundTripMix(t *testing.T) {
-	for _, opts := range []Options{
-		{},
-		{BlockEvents: 7},
-		{BlockEvents: 64, Level: 6},
-		{BlockEvents: 64, Level: StoreUncompressed},
-	} {
-		t.Run(fmt.Sprintf("block=%d/level=%d", opts.BlockEvents, opts.Level), func(t *testing.T) {
+	for _, tc := range []struct {
+		blockEvents int
+		stored      bool
+	}{{0, false}, {7, false}, {64, false}, {64, true}} {
+		name := fmt.Sprintf("block=%d", tc.blockEvents)
+		if tc.stored {
+			name += "/stored"
+		}
+		t.Run(name, func(t *testing.T) {
 			want := recordedMix(1000, 42)
-			got, err := Decode(bytes.NewReader(encodeAll(t, want, opts)))
+			stream := encodeAll(t, want, Options{BlockEvents: tc.blockEvents})
+			if tc.stored {
+				var err error
+				if stream, err = storedCopy(stream); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := Decode(bytes.NewReader(stream))
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
@@ -69,38 +80,43 @@ func TestRoundTripEmptyStream(t *testing.T) {
 	}
 }
 
-// TestJSONLByteIdentity is the converter contract: a JSONL stream written
-// by telemetry.JSONLSink, converted to binary and back, reproduces the
-// original bytes exactly.
-func TestJSONLByteIdentity(t *testing.T) {
-	evs := recordedMix(2000, 7)
-	var jsonl bytes.Buffer
-	sink := telemetry.NewJSONLSink(&jsonl)
+// jsonlViews writes evs through a JSONLSink and a BinSink teed on one
+// stream, and returns the JSONLSink's bytes, ToJSONL's view of the binlog,
+// and the binlog.
+func jsonlViews(evs []telemetry.Event, opts Options) (direct, view, bin []byte, err error) {
+	var jb, bb, vb bytes.Buffer
+	sink := telemetry.Tee(telemetry.NewJSONLSink(&jb), NewBinSink(&bb, opts))
 	for _, ev := range evs {
 		sink.Emit(ev)
 	}
 	if err := sink.Close(); err != nil {
+		return nil, nil, nil, err
+	}
+	rd, err := NewReader(bytes.NewReader(bb.Bytes()))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if n, err := ToJSONL(&vb, rd); err != nil {
+		return nil, nil, nil, err
+	} else if n != int64(len(evs)) {
+		return nil, nil, nil, fmt.Errorf("ToJSONL wrote %d events, want %d", n, len(evs))
+	}
+	return jb.Bytes(), vb.Bytes(), bb.Bytes(), nil
+}
+
+// TestJSONLByteIdentity is the view contract: ToJSONL over the binlog a
+// BinSink wrote reproduces, byte for byte, what a JSONLSink wrote for the
+// same events.
+func TestJSONLByteIdentity(t *testing.T) {
+	direct, view, bin, err := jsonlViews(recordedMix(2000, 7), Options{BlockEvents: 256})
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	var bin bytes.Buffer
-	n, err := ToBinary(&bin, bytes.NewReader(jsonl.Bytes()), Options{BlockEvents: 256})
-	if err != nil {
-		t.Fatalf("ToBinary: %v", err)
+	if len(bin)*5 > len(direct) {
+		t.Errorf("binary %d B is not at least 5x smaller than JSONL %d B", len(bin), len(direct))
 	}
-	if n != int64(len(evs)) {
-		t.Fatalf("ToBinary converted %d events, want %d", n, len(evs))
-	}
-	if bin.Len()*5 > jsonl.Len() {
-		t.Errorf("binary %d B is not at least 5x smaller than JSONL %d B", bin.Len(), jsonl.Len())
-	}
-
-	var back bytes.Buffer
-	if _, err := ToJSONL(&back, bytes.NewReader(bin.Bytes())); err != nil {
-		t.Fatalf("ToJSONL: %v", err)
-	}
-	if !bytes.Equal(back.Bytes(), jsonl.Bytes()) {
-		t.Fatalf("JSONL -> binary -> JSONL is not byte-identical:\nfirst divergence near %d", firstDiff(jsonl.Bytes(), back.Bytes()))
+	if !bytes.Equal(view, direct) {
+		t.Fatalf("JSONL view of the binlog differs from JSONLSink's bytes:\nfirst divergence near %d", firstDiff(direct, view))
 	}
 }
 
@@ -177,35 +193,22 @@ func (quickEvents) Generate(rng *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(evs)
 }
 
-// TestQuickJSONLBinaryJSONL drives randomized event batches through
-// JSONL → binary → JSONL and demands byte identity, with small blocks so
-// every batch spans several.
+// TestQuickJSONLBinaryJSONL drives randomized event batches through a
+// BinSink and ToJSONL, with small blocks so every batch spans several, and
+// demands JSONLSink's bytes for the same batch.
 func TestQuickJSONLBinaryJSONL(t *testing.T) {
 	f := func(evs quickEvents) bool {
-		var jsonl bytes.Buffer
-		sink := telemetry.NewJSONLSink(&jsonl)
-		for _, ev := range evs {
-			sink.Emit(ev)
-		}
-		if err := sink.Close(); err != nil {
-			t.Logf("JSONLSink: %v", err)
+		direct, view, bin, err := jsonlViews(evs, Options{BlockEvents: 16})
+		if err != nil {
+			t.Logf("views: %v", err)
 			return false
 		}
-		var bin, back bytes.Buffer
-		if _, err := ToBinary(&bin, bytes.NewReader(jsonl.Bytes()), Options{BlockEvents: 16}); err != nil {
-			t.Logf("ToBinary: %v", err)
-			return false
-		}
-		if _, err := ToJSONL(&back, bytes.NewReader(bin.Bytes())); err != nil {
-			t.Logf("ToJSONL: %v", err)
-			return false
-		}
-		if !bytes.Equal(back.Bytes(), jsonl.Bytes()) {
-			t.Logf("divergence near byte %d of %d", firstDiff(jsonl.Bytes(), back.Bytes()), jsonl.Len())
+		if !bytes.Equal(view, direct) {
+			t.Logf("divergence near byte %d of %d", firstDiff(direct, view), len(direct))
 			return false
 		}
 		// And the decoded events match the in-memory originals.
-		got, err := Decode(bytes.NewReader(bin.Bytes()))
+		got, err := Decode(bytes.NewReader(bin))
 		if err != nil {
 			t.Logf("Decode: %v", err)
 			return false
@@ -224,7 +227,7 @@ func TestQuickJSONLBinaryJSONL(t *testing.T) {
 // TestFloatSpecialValues pushes NaN and infinities through the Gorilla
 // column directly (JSON cannot carry them, the binary format can).
 func TestFloatSpecialValues(t *testing.T) {
-	vals := []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), -0.0, 1.25, 1.25, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	vals := []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1.25, 1.25, math.MaxFloat64, math.SmallestNonzeroFloat64}
 	evs := make([]telemetry.Event, len(vals))
 	for i, v := range vals {
 		evs[i] = telemetry.Event{Type: telemetry.EvSnapshot, T: time.Duration(i), WAF: v, IdleFraction: 0}
@@ -267,8 +270,12 @@ func TestTruncatedStream(t *testing.T) {
 // stored) and requires the damage to be detected, not decoded.
 func TestCorruptBlock(t *testing.T) {
 	evs := recordedMix(300, 5)
-	for _, opts := range []Options{{BlockEvents: 64}, {BlockEvents: 64, Level: StoreUncompressed}} {
-		full := encodeAll(t, evs, opts)
+	zle := encodeAll(t, evs, Options{BlockEvents: 64})
+	stored, err := storedCopy(zle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for codec, full := range map[string][]byte{"zero-run": zle, "stored": stored} {
 		for _, pos := range []int{len(fileMagic) + 12, len(full) / 2, len(full) - 20} {
 			mut := bytes.Clone(full)
 			mut[pos] ^= 0x40
@@ -277,14 +284,14 @@ func TestCorruptBlock(t *testing.T) {
 				// A flip confined to one event's value would be silent only
 				// if CRC were skipped; require detection.
 				if reflect.DeepEqual(got, evs) {
-					t.Errorf("level=%d: flip at %d silently ignored", opts.Level, pos)
+					t.Errorf("%s: flip at %d silently ignored", codec, pos)
 				} else {
-					t.Errorf("level=%d: flip at %d decoded %d garbage events without error", opts.Level, pos, len(got))
+					t.Errorf("%s: flip at %d decoded %d garbage events without error", codec, pos, len(got))
 				}
 			}
 			for i := range got {
 				if i < len(evs) && !reflect.DeepEqual(got[i], evs[i]) {
-					t.Errorf("level=%d: flip at %d returned corrupt event %d before the error", opts.Level, pos, i)
+					t.Errorf("%s: flip at %d returned corrupt event %d before the error", codec, pos, i)
 					break
 				}
 			}
@@ -315,6 +322,13 @@ func TestWriterRejectsUnrepresentable(t *testing.T) {
 	}
 	if werr := w.WriteEvent(telemetry.Event{Type: telemetry.EvErase, T: 2}); werr != err {
 		t.Errorf("sticky error not preserved: %v", werr)
+	}
+	// A flush decision carries no WAF, and a -0 there is a populated
+	// field: it would decode as +0.
+	w = NewWriter(io.Discard, Options{})
+	err = w.WriteEvent(telemetry.Event{Type: telemetry.EvFlushDecision, T: 1, WAF: math.Copysign(0, -1)})
+	if err == nil || !strings.Contains(err.Error(), "waf") {
+		t.Fatalf("flush_decision with WAF -0 accepted (err=%v)", err)
 	}
 }
 

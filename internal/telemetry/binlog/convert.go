@@ -1,66 +1,32 @@
 package binlog
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 
 	"jitgc/internal/telemetry"
 )
 
-// ToBinary converts a JSONL event stream into the binlog format, returning
-// the number of events converted. The conversion is lossless: every field
-// the JSONL carries lands in a column (events populating fields outside
-// their type's set are rejected, not silently shed).
-func ToBinary(dst io.Writer, src io.Reader, opts Options) (int64, error) {
-	w := NewWriter(dst, opts)
-	dec := json.NewDecoder(src)
-	for {
-		var ev telemetry.Event
-		if err := dec.Decode(&ev); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return w.Count(), fmt.Errorf("binlog: decode JSONL event %d: %w", w.Count(), err)
-		}
-		if err := w.WriteEvent(ev); err != nil {
-			return w.Count(), err
-		}
-	}
-	return w.Count(), w.Close()
-}
-
-// ToJSONL converts a binlog stream back to JSON Lines, returning the
-// number of events converted. It emits through the same encoder as
-// telemetry.JSONLSink, so a JSONL → binary → JSONL round trip reproduces
-// the original stream byte for byte — the property that keeps the golden
-// JSONL traces readable while the binary format carries the bulk.
-func ToJSONL(dst io.Writer, src io.Reader) (int64, error) {
-	rd, err := NewReader(src)
-	if err != nil {
-		return 0, err
-	}
-	bw := bufio.NewWriterSize(dst, 1<<16)
-	enc := json.NewEncoder(bw)
-	var n int64
-	for {
-		ev, err := rd.Next()
+// ToJSONL writes the events of src (a Reader, SeekReader or Merger) to dst
+// as JSON Lines, returning the number of events written. It encodes through
+// telemetry.JSONLSink, so the view of a binlog stream is exactly what a
+// JSONLSink on the same tracer would have written. dst is not closed.
+func ToJSONL(dst io.Writer, src EventSource) (int64, error) {
+	sink := telemetry.NewJSONLSink(struct{ io.Writer }{dst}) // hides dst's Close
+	for n := int64(0); ; n++ {
+		ev, err := src.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
+			sink.Close()
 			return n, err
 		}
-		if err := enc.Encode(ev); err != nil {
-			return n, fmt.Errorf("binlog: encode JSONL event %d: %w", n, err)
+		sink.Emit(ev)
+		if sink.Count() == n { // the write failed; Close reports it
+			break
 		}
-		n++
 	}
-	if err := bw.Flush(); err != nil {
-		return n, fmt.Errorf("binlog: flush JSONL: %w", err)
-	}
-	return n, nil
+	return sink.Count(), sink.Close()
 }
 
 // IsBinary reports whether prefix (the first bytes of a stream, at least

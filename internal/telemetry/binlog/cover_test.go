@@ -281,9 +281,8 @@ func TestByteReaderMalformed(t *testing.T) {
 }
 
 // bigKindEvents builds events whose kind strings are large, distinct, and
-// incompressible, so a few of them overflow the writer's 64 KiB buffer —
-// even through DEFLATE — and surface write errors mid-stream rather than
-// only at the final flush.
+// incompressible, so a few of them overflow the writer's 64 KiB buffer and
+// surface write errors mid-stream rather than only at the final flush.
 func bigKindEvents(n int) []telemetry.Event {
 	evs := make([]telemetry.Event, n)
 	state := uint64(0x9E3779B97F4A7C15)
@@ -308,29 +307,27 @@ func bigKindEvents(n int) []telemetry.Event {
 // writer refusing further events.
 func TestWriterWriteErrors(t *testing.T) {
 	evs := bigKindEvents(64)
-	for _, opts := range []Options{{BlockEvents: 8}, {BlockEvents: 8, Level: StoreUncompressed}, {BlockEvents: 8, Level: 1}} {
-		for _, limit := range []int{0, 3, 1 << 16, 1<<16 + 100, 1 << 17, 200_000} {
-			fw := &failWriter{limit: limit}
-			w := NewWriter(fw, opts)
-			var werr error
-			for _, ev := range evs {
-				if werr = w.WriteEvent(ev); werr != nil {
-					break
-				}
+	for _, limit := range []int{0, 3, 1 << 16, 1<<16 + 100, 1 << 17, 200_000} {
+		fw := &failWriter{limit: limit}
+		w := NewWriter(fw, Options{BlockEvents: 8})
+		var werr error
+		for _, ev := range evs {
+			if werr = w.WriteEvent(ev); werr != nil {
+				break
 			}
-			cerr := w.Close()
-			if werr == nil && cerr == nil {
-				if fw.n > limit {
-					t.Fatalf("level=%d limit=%d: no error surfaced", opts.Level, limit)
-				}
-				continue // the whole stream genuinely fit under the limit
+		}
+		cerr := w.Close()
+		if werr == nil && cerr == nil {
+			if fw.n > limit {
+				t.Fatalf("limit=%d: no error surfaced", limit)
 			}
-			if again := w.Close(); again != cerr {
-				t.Errorf("level=%d limit=%d: Close not idempotent: %v vs %v", opts.Level, limit, again, cerr)
-			}
-			if err := w.WriteEvent(evs[0]); err == nil {
-				t.Errorf("level=%d limit=%d: WriteEvent after failed Close accepted", opts.Level, limit)
-			}
+			continue // the whole stream genuinely fit under the limit
+		}
+		if again := w.Close(); again != cerr {
+			t.Errorf("limit=%d: Close not idempotent: %v vs %v", limit, again, cerr)
+		}
+		if err := w.WriteEvent(evs[0]); err == nil {
+			t.Errorf("limit=%d: WriteEvent after failed Close accepted", limit)
 		}
 	}
 }
@@ -358,17 +355,6 @@ func TestWriterCloseStates(t *testing.T) {
 	}
 	if err := w.Close(); err == nil {
 		t.Error("Close over a dead writer succeeded")
-	}
-}
-
-// TestNewWriterBadLevel: invalid compression levels are sticky
-// constructor errors, reported on first use.
-func TestNewWriterBadLevel(t *testing.T) {
-	for _, level := range []int{-2, 42} {
-		w := NewWriter(io.Discard, Options{Level: level})
-		if err := w.WriteEvent(telemetry.Event{Type: telemetry.EvErase, T: 1}); err == nil {
-			t.Errorf("level %d accepted", level)
-		}
 	}
 }
 
@@ -564,6 +550,35 @@ func frameCodec(codec byte, rawLen uint64, payload []byte, crc uint32) []byte {
 	return append(out, payload...)
 }
 
+// storedCopy reframes every block of a writer's stream as a stored block,
+// so its events read back through the store path too. The footer is kept
+// as is: its block offsets go stale, which only a seek would notice (the
+// streaming reader checks just its block count).
+func storedCopy(stream []byte) ([]byte, error) {
+	out := []byte(fileMagic)
+	br := byteReader{b: stream, off: len(fileMagic)}
+	for br.off < len(stream) && stream[br.off] == tagBlock {
+		br.off++
+		rawLen, err1 := br.uvarint()
+		codec, err2 := br.take(1)
+		payloadLen, err3 := br.uvarint()
+		crcBytes, err4 := br.take(4)
+		payload, err5 := br.take(int(payloadLen))
+		if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
+			return nil, err
+		}
+		raw, crc := payload, binary.LittleEndian.Uint32(crcBytes)
+		if codec[0] == codecZLE {
+			var err error
+			if raw, err = zleDecompress(nil, payload, int(rawLen), crc); err != nil {
+				return nil, err
+			}
+		}
+		out = append(out, frameCodec(codecStore, rawLen, raw, crc)[len(fileMagic):]...)
+	}
+	return append(out, stream[br.off:]...), nil
+}
+
 // TestCraftedBlockErrors feeds hand-built frames and columnar payloads
 // through the reader: every malformed shape must produce an error, never
 // garbage events.
@@ -602,7 +617,7 @@ func TestCraftedBlockErrors(t *testing.T) {
 		{"stored payload length mismatch", frameCodec(codecStore, 10, []byte{1, 2}, 0)},
 		{"unknown codec", frameCodec(9, 4, []byte{1, 2, 3, 4}, crc32.ChecksumIEEE([]byte{1, 2, 3, 4}))},
 		{"zle payload malformed", frameCodec(codecZLE, 4, uv(200), 0)},
-		{"flate payload garbage", frameCodec(codecFlate, 4, []byte{0xFF, 0xFF, 0xFF, 0xFF}, 0)},
+		{"retired DEFLATE codec", frameCodec(1, 4, []byte{1, 2, 3, 4}, crc32.ChecksumIEEE([]byte{1, 2, 3, 4}))},
 		{"zero event count", frameStored(uv(0), 1)},
 		{"implausible event count", frameStored(uv(maxBlockEvents+1), uint64(len(uv(maxBlockEvents+1))))},
 		{"type index out of range", func() []byte {
@@ -643,7 +658,10 @@ func TestCraftedBlockErrors(t *testing.T) {
 	ev := telemetry.Event{Type: "future_event", T: 5, Kind: "R", Pages: 3,
 		LPN: 11, Latency: 7, Tenant: 2, Class: "gold", Action: "a", Op: "w",
 		Reason: "r", Foreground: true, Recovered: true, WAF: 1.25, IdleFraction: 0.5}
-	full := encodeAll(t, []telemetry.Event{ev}, Options{Level: StoreUncompressed})
+	full, err := storedCopy(encodeAll(t, []telemetry.Event{ev}, Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Layout after magic: tag, rawLen uvarint, codec, payloadLen uvarint, crc32, payload, footer.
 	br := byteReader{b: full[len(fileMagic)+1:]}
 	rawLen, err := br.uvarint()
@@ -679,31 +697,26 @@ func TestCraftedBlockErrors(t *testing.T) {
 	}
 }
 
-// TestConvertErrors covers the converter entry points' failure modes.
+// TestConvertErrors covers ToJSONL's failure modes and the magic sniff.
 func TestConvertErrors(t *testing.T) {
-	if _, err := ToBinary(io.Discard, strings.NewReader("not json\n"), Options{}); err == nil {
-		t.Error("garbage JSONL accepted")
+	const events = 2000
+	good := encodeAll(t, recordedMix(events, 9), Options{})
+	toJSONL := func(dst io.Writer, stream []byte) (int64, error) {
+		rd, err := NewReader(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ToJSONL(dst, rd)
 	}
-	if _, err := ToBinary(io.Discard, strings.NewReader(`{"type":"erase","t_ns":1,"class":"gold"}`+"\n"), Options{}); err == nil {
-		t.Error("unrepresentable JSONL event accepted")
+	if n, err := toJSONL(&failWriter{limit: 0}, good); err == nil || n >= events {
+		t.Errorf("dead JSONL destination: %d events, err %v; want an error before the end", n, err)
 	}
-	if _, err := ToBinary(&failWriter{limit: 0}, strings.NewReader(`{"type":"erase","t_ns":1}`+"\n"), Options{}); err == nil {
-		t.Error("dead destination writer not reported")
-	}
-
-	if _, err := ToJSONL(io.Discard, strings.NewReader("not a binlog stream")); err == nil {
-		t.Error("garbage binlog source accepted")
-	}
-	good := encodeAll(t, recordedMix(2000, 9), Options{})
-	if _, err := ToJSONL(&failWriter{limit: 0}, bytes.NewReader(good)); err == nil {
-		t.Error("dead JSONL destination not reported")
-	}
-	if _, err := ToJSONL(&failWriter{limit: 1 << 17}, bytes.NewReader(good)); err == nil {
+	if _, err := toJSONL(&failWriter{limit: 1 << 17}, good); err == nil {
 		t.Error("mid-stream JSONL write failure not reported")
 	}
 	mut := bytes.Clone(good)
 	mut[len(mut)/2] ^= 0x40
-	if _, err := ToJSONL(io.Discard, bytes.NewReader(mut)); err == nil {
+	if _, err := toJSONL(io.Discard, mut); err == nil {
 		t.Error("corrupt binlog source accepted")
 	}
 

@@ -1,4 +1,4 @@
-// Package binlog is the compact, seekable, block-compressed columnar
+// Package binlog is the compact, seekable, block-coded columnar
 // encoding for telemetry.Event streams (DESIGN.md §12). JSONL traces parse
 // slower than the simulator produces them once runs reach 10⁸ events; this
 // format borrows the Gorilla/mebo column techniques — delta-of-delta
@@ -13,7 +13,7 @@
 //	repeated block records:
 //	  0x01 tag
 //	  uvarint rawLen              payload size before compression
-//	  byte    codec               0 stored, 1 DEFLATE, 2 zero-run
+//	  byte    codec               0 stored, 2 zero-run (1 is retired)
 //	  uvarint payloadLen          compressed size (= rawLen when stored)
 //	  uint32  crc                 IEEE CRC-32 of the raw payload
 //	  payload
@@ -48,14 +48,14 @@
 // (telemetry.Fields) contains the column's field; Dev, LPN, Victim, and
 // Page are stored for every event because their zeros are explicit in the
 // JSONL encoding too. Presence is therefore a pure function of the type
-// column, which is what makes the format byte-faithfully convertible to
-// and from JSONL.
+// column, which is what makes ToJSONL's view of a stream byte-identical to
+// what telemetry.JSONLSink writes for the same events.
 //
-// The default block codec is the zero-run encoder: columnar deltas leave
-// long runs of zero bytes (idle columns, repeated values), and squeezing
-// just those runs captures most of DEFLATE's win at a tenth of its CPU
-// cost — which is what lets the encoder beat the JSONL marshal by the
-// gated 5×. DEFLATE (levels 1–9) remains available for archival streams.
+// Blocks are zero-run coded: columnar deltas leave long runs of zero bytes
+// (idle columns, repeated values), and squeezing just those runs is nearly
+// free. A block the zero-run codec does not shrink is stored. Codec 1 was
+// DEFLATE (DESIGN.md §12 gives the numbers that retired it) and now reads
+// as an unknown codec.
 package binlog
 
 import (
@@ -91,10 +91,10 @@ const (
 	minEventBytes = 6
 )
 
-// Block payload codecs (the frame's codec byte).
+// Block payload codecs (the frame's codec byte; 1, once DEFLATE, is
+// rejected as unknown).
 const (
 	codecStore = 0 // payload is the raw columnar bytes
-	codecFlate = 1 // DEFLATE
 	codecZLE   = 2 // zero-run encoding (zleCompress)
 )
 

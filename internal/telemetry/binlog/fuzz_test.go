@@ -3,7 +3,6 @@ package binlog
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"hash/crc32"
 	"io"
 	"math"
@@ -20,9 +19,10 @@ type fuzzStream struct {
 	evs  []telemetry.Event
 }
 
-// fuzzStreams are small writer outputs, one per codec, over the recorded
-// event mix plus float specials and an unknown type, in blocks of 16; and
-// the footer-only stream of a writer that saw no events.
+// fuzzStreams are small writer outputs: the recorded event mix plus float
+// specials and an unknown type, in blocks of 16 and in one block (zero-run
+// coded); incompressible events one to a block (stored); and the
+// footer-only stream of a writer that saw no events.
 func fuzzStreams(tb testing.TB) []fuzzStream {
 	tb.Helper()
 	mix := recordedMix(40, 3)
@@ -31,20 +31,23 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 		telemetry.Event{Type: telemetry.EvSnapshot, T: last + 1, WAF: math.Inf(1)},
 		telemetry.Event{Type: telemetry.EvFlushDecision, T: last + 1, IdleFraction: math.NaN()},
 		telemetry.Event{Type: "future_event", T: last + 2, Dev: -1, Kind: "z", Recovered: true, Requests: 9})
+	var stored []telemetry.Event
+	for i := 1; i <= 4; i++ {
+		stored = append(stored, storedEvent(time.Duration(i)))
+	}
 	var out []fuzzStream
-	for _, opts := range []Options{
-		{BlockEvents: 16},
-		{BlockEvents: 16, Level: 6},
-		{BlockEvents: 16, Level: StoreUncompressed},
-		{},
+	for _, s := range []struct {
+		opts Options
+		evs  []telemetry.Event
+	}{
+		{Options{BlockEvents: 16}, mix},
+		{Options{}, mix},
+		{Options{BlockEvents: 1}, stored},
+		{Options{}, nil},
 	} {
-		evs := mix
-		if opts == (Options{}) {
-			evs = nil // footer only
-		}
 		var buf bytes.Buffer
-		w := NewWriter(&buf, opts)
-		for _, ev := range evs {
+		w := NewWriter(&buf, s.opts)
+		for _, ev := range s.evs {
 			if err := w.WriteEvent(ev); err != nil {
 				tb.Fatal(err)
 			}
@@ -52,7 +55,7 @@ func fuzzStreams(tb testing.TB) []fuzzStream {
 		if err := w.Close(); err != nil {
 			tb.Fatal(err)
 		}
-		out = append(out, fuzzStream{buf.Bytes(), evs})
+		out = append(out, fuzzStream{buf.Bytes(), s.evs})
 	}
 	return out
 }
@@ -89,8 +92,8 @@ func storedStream(payload []byte) []byte {
 }
 
 // allocBudget is what reading inputBytes may allocate: 1 MiB of fixed state
-// per reader (bufio, inflater), 4 KiB per input byte (payloads grow with
-// the bytes that arrive, and DEFLATE expands at most ~1032×), and 1 KiB per
+// per reader (bufio and scratch), 4 KiB per input byte (payloads grow with
+// the bytes that arrive), and 1 KiB per
 // raw byte of the largest block whose checksum held (its raw buffer and
 // event slab, one Event per ≥ minEventBytes). The last term is the one
 // maxBlockRaw and maxBlockEvents bound; a size a stream declares without
@@ -261,34 +264,6 @@ func FuzzSeekReader(f *testing.F) {
 			if total != int64(len(want)) {
 				t.Fatalf("index counts %d events, the seed holds %d", total, len(want))
 			}
-		}
-	})
-}
-
-// FuzzToBinary feeds arbitrary bytes to the JSONL converter. Whenever it
-// accepts an input, the binlog it wrote must decode to the events a
-// json.Decoder reads from that input, floats compared bit for bit.
-func FuzzToBinary(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var bin bytes.Buffer
-		n, err := ToBinary(&bin, bytes.NewReader(data), Options{BlockEvents: 7})
-		if err != nil {
-			return
-		}
-		var want []telemetry.Event
-		dec := json.NewDecoder(bytes.NewReader(data))
-		for {
-			var ev telemetry.Event
-			if err := dec.Decode(&ev); err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatalf("ToBinary accepted input the JSON decoder rejects: %v", err)
-			}
-			want = append(want, ev)
-		}
-		got, err := Decode(&bin)
-		if err != nil || int64(len(got)) != n || !sameEvents(got, want) {
-			t.Fatalf("converted %d events; they decode to %d (err %v), the JSONL holds %d", n, len(got), err, len(want))
 		}
 	})
 }

@@ -3,7 +3,6 @@ package binlog
 import (
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -45,9 +44,7 @@ type refWriter struct {
 	err        error
 
 	raw      []byte
-	comp     bytes.Buffer
 	zle      []byte
-	fw       *flate.Writer
 	typeDict smallDict
 	typeIdx  []byte
 	tbuf     []byte
@@ -148,15 +145,6 @@ func newRefWriter(w io.Writer, opts Options) *refWriter {
 		floatWs:  make([]bitWriter, numFloatCols),
 		floatSt:  make([]gorillaState, numFloatCols),
 	}
-	if opts.Level > 0 {
-		fw, err := flate.NewWriter(io.Discard, opts.Level)
-		if err != nil {
-			r.err = fmt.Errorf("binlog: flate level %d: %w", opts.Level, err)
-		}
-		r.fw = fw
-	} else if opts.Level != 0 && opts.Level != StoreUncompressed {
-		r.err = fmt.Errorf("binlog: invalid level %d", opts.Level)
-	}
 	return r
 }
 
@@ -227,27 +215,10 @@ func (w *refWriter) flushBlock() error {
 	crc := crc32.ChecksumIEEE(raw)
 	payload := raw
 	codec := byte(codecStore)
-	switch {
-	case w.opts.Level == StoreUncompressed:
-	case w.opts.Level > 0:
-		w.comp.Reset()
-		w.fw.Reset(&w.comp)
-		if _, err := w.fw.Write(raw); err != nil {
-			return fmt.Errorf("binlog: compress block: %w", err)
-		}
-		if err := w.fw.Close(); err != nil {
-			return fmt.Errorf("binlog: compress block: %w", err)
-		}
-		if w.comp.Len() < len(raw) {
-			payload = w.comp.Bytes()
-			codec = codecFlate
-		}
-	default:
-		w.zle = zleCompressBytewise(w.zle, raw)
-		if len(w.zle) < len(raw) {
-			payload = w.zle
-			codec = codecZLE
-		}
+	w.zle = zleCompressBytewise(w.zle, raw)
+	if len(w.zle) < len(raw) {
+		payload = w.zle
+		codec = codecZLE
 	}
 	entry := indexEntry{off: w.off, events: int64(len(w.block)),
 		firstT: w.block[0].T, lastT: w.block[len(w.block)-1].T}
@@ -494,8 +465,7 @@ type oracleCase struct {
 var oracleTypes = append(append([]telemetry.EventType(nil), quickTypes...), "future_event")
 
 func (oracleCase) Generate(rng *rand.Rand, size int) reflect.Value {
-	levels := []int{0, 0, StoreUncompressed, 1 + rng.Intn(9)}
-	c := oracleCase{opts: Options{BlockEvents: 1 + rng.Intn(300), Level: levels[rng.Intn(len(levels))]}}
+	c := oracleCase{opts: Options{BlockEvents: 1 + rng.Intn(300)}}
 	n := rng.Intn(8*size + 1)
 	t := time.Duration(rng.Int63n(int64(time.Hour)))
 	for i := 0; i < n; i++ {
@@ -677,25 +647,33 @@ func sameRun(logf func(string, ...any), name string, got, want oracleRun) bool {
 }
 
 // decodesBack is the round-trip half of the sweep: a stream the writer
-// closed cleanly must decode to exactly the events it was given. A stream
-// the writer refused has no footer and is not a stream to read back.
+// closed cleanly must decode to exactly the events it was given, as written
+// and with every block reframed as stored. A stream the writer refused has
+// no footer and is not a stream to read back.
 func decodesBack(logf func(string, ...any), c oracleCase, run oracleRun) bool {
 	if run.err != nil {
 		return true
 	}
-	got, err := Decode(bytes.NewReader(run.out))
+	stored, err := storedCopy(run.out)
 	if err != nil {
-		logf("Decode of an accepted stream: %v", err)
+		logf("reframe an accepted stream: %v", err)
 		return false
 	}
-	if len(got) != len(c.ops) {
-		logf("accepted %d events, decoded %d", len(c.ops), len(got))
-		return false
-	}
-	for i, op := range c.ops {
-		if !sameEvent(got[i], op.ev) {
-			logf("event %d decoded as %+v, written as %+v", i, got[i], op.ev)
+	for _, stream := range [][]byte{run.out, stored} {
+		got, err := Decode(bytes.NewReader(stream))
+		if err != nil {
+			logf("Decode of an accepted stream: %v", err)
 			return false
+		}
+		if len(got) != len(c.ops) {
+			logf("accepted %d events, decoded %d", len(c.ops), len(got))
+			return false
+		}
+		for i, op := range c.ops {
+			if !sameEvent(got[i], op.ev) {
+				logf("event %d decoded as %+v, written as %+v", i, got[i], op.ev)
+				return false
+			}
 		}
 	}
 	return true
@@ -725,14 +703,48 @@ func oracleProperty(logf func(string, ...any), fault bool) func(oracleCase) bool
 	}
 }
 
+// storedEvent is an event alone in its block that the zero-run codec cannot
+// shrink: an unknown type, so every column is stored, with every value
+// non-zero and floats free of zero bytes, so its raw payload holds no two
+// adjacent zero bytes.
+func storedEvent(t time.Duration) telemetry.Event {
+	ev := telemetry.Event{Type: "future_event", T: t}
+	for i := range intCols {
+		intCols[i].set(&ev, int64(i+1)<<20+int64(t))
+	}
+	for i := range strCols {
+		strCols[i].set(&ev, "s")
+	}
+	for i := range boolCols {
+		boolCols[i].set(&ev, true)
+	}
+	for i := range floatCols {
+		floatCols[i].set(&ev, math.Float64frombits(0x3FF1111111111111+uint64(t)))
+	}
+	return ev
+}
+
 // TestWriterMatchesTwoPassReference is the differential oracle for the
 // column-form writer: random streams over every event type (plus an unknown
-// one) with random populated subsets, block sizes 1–300, all three codecs,
-// requests mixed in through WriteRequest/EmitRequest, and now and then an
-// unrepresentable event mid-block must produce exactly the reference's
-// bytes, error and count; and every stream the writer accepts whole must
-// decode back to the events written.
+// one) with random populated subsets, block sizes 1–300, requests mixed in
+// through WriteRequest/EmitRequest, and now and then an unrepresentable
+// event mid-block must produce exactly the reference's bytes, error and
+// count; and every stream the writer accepts whole must decode back to the
+// events written, zero-run coded and reframed as stored. One fixed case of
+// incompressible blocks holds the writer's store fallback to the reference.
 func TestWriterMatchesTwoPassReference(t *testing.T) {
+	stored := oracleCase{opts: Options{BlockEvents: 1}}
+	for i := 1; i <= 3; i++ {
+		stored.ops = append(stored.ops, oracleOp{ev: storedEvent(time.Duration(i))})
+	}
+	if !oracleProperty(t.Logf, false)(stored) {
+		t.Fatal("incompressible blocks diverge from the reference")
+	}
+	// A stream whose blocks are all stored is its own stored copy.
+	out := runWriter(stored).out
+	if cp, err := storedCopy(out); err != nil || !bytes.Equal(cp, out) {
+		t.Fatalf("the writer zero-run coded an incompressible block (err %v)", err)
+	}
 	cfg := &quick.Config{MaxCount: 300}
 	if testing.Short() {
 		cfg.MaxCount = 60

@@ -2,8 +2,6 @@ package binlog
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -68,9 +66,7 @@ func (r *byteReader) readDict() ([]string, error) {
 // silently partial data: a missing footer, a CRC mismatch, or trailing
 // bytes all fail loudly, and no event from a damaged block is returned.
 type Reader struct {
-	br    *bufio.Reader
-	fr    io.ReadCloser // flate, reused via flate.Resetter
-	frSrc bytes.Reader
+	br *bufio.Reader
 
 	evs []telemetry.Event
 	pos int
@@ -101,7 +97,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 // newRawReader builds a Reader positioned at a block boundary (header
 // already consumed — also the entry point for index-driven seeks).
 func newRawReader(br *bufio.Reader) *Reader {
-	return &Reader{br: br, fr: flate.NewReader(bytes.NewReader(nil))}
+	return &Reader{br: br}
 }
 
 // Next returns the next event, or io.EOF after the footer of a complete
@@ -178,22 +174,10 @@ func (r *Reader) readBlock() error {
 		if r.raw, err = readExact(r.br, r.raw, int(rawLen)); err != nil {
 			return fmt.Errorf("binlog: block payload: %w", noEOF(err))
 		}
-	case codecFlate:
-		if r.comp, err = readExact(r.br, r.comp, int(payloadLen)); err != nil {
-			return fmt.Errorf("binlog: block payload: %w", noEOF(err))
+		if got := crc32.ChecksumIEEE(r.raw); got != wantCRC {
+			return fmt.Errorf("binlog: block %d crc mismatch (got %#x, want %#x)", r.nblocks, got, wantCRC)
 		}
-		r.frSrc.Reset(r.comp)
-		if err := r.fr.(flate.Resetter).Reset(&r.frSrc, nil); err != nil {
-			return fmt.Errorf("binlog: reset inflater: %w", err)
-		}
-		if r.raw, err = readExact(r.fr, r.raw, int(rawLen)); err != nil {
-			return fmt.Errorf("binlog: inflate block: %w", noEOF(err))
-		}
-		var extra [1]byte
-		if n, _ := r.fr.Read(extra[:]); n != 0 {
-			return fmt.Errorf("binlog: block inflates past its declared %d bytes", rawLen)
-		}
-	case codecZLE:
+	case codecZLE: // zleDecompress checks the expansion's CRC
 		if r.comp, err = readExact(r.br, r.comp, int(payloadLen)); err != nil {
 			return fmt.Errorf("binlog: block payload: %w", noEOF(err))
 		}
@@ -202,11 +186,6 @@ func (r *Reader) readBlock() error {
 		}
 	default:
 		return fmt.Errorf("binlog: unknown block codec %d", codec)
-	}
-	if codec != codecZLE { // zleDecompress checked the expansion's CRC
-		if got := crc32.ChecksumIEEE(r.raw); got != wantCRC {
-			return fmt.Errorf("binlog: block %d crc mismatch (got %#x, want %#x)", r.nblocks, got, wantCRC)
-		}
 	}
 	if err := r.decodeBlock(r.raw); err != nil {
 		return err

@@ -2,8 +2,6 @@ package binlog
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,20 +24,11 @@ var ErrBlockTooLarge = errors.New("binlog: block exceeds the reader's size limit
 
 // Options tunes a Writer. The zero value is ready to use.
 type Options struct {
-	// BlockEvents is the number of events per compressed block (default
-	// 4096, at most 2²⁴). Larger blocks compress better and amortize
-	// framing; smaller blocks seek at finer granularity.
+	// BlockEvents is the number of events per block (default 4096, at
+	// most 2²⁴). Larger blocks compress better and amortize framing;
+	// smaller blocks seek at finer granularity.
 	BlockEvents int
-	// Level selects the block codec: 0 (the default) is the zero-run
-	// encoder — nearly free and good enough on columnar deltas that the
-	// encoder stays 5× ahead of the JSONL marshal; 1–9 are the DEFLATE
-	// levels for archival streams (smaller, several times slower); and
-	// StoreUncompressed disables compression entirely.
-	Level int
 }
-
-// StoreUncompressed as Options.Level stores block payloads raw.
-const StoreUncompressed = -1
 
 // DefaultBlockEvents is the block size used when Options.BlockEvents is 0.
 const DefaultBlockEvents = 4096
@@ -97,11 +86,9 @@ type Writer struct {
 
 	// Flush scratch, reused (a frame header on the stack would escape
 	// through the bufio write).
-	hdr  [2 + 2*binary.MaxVarintLen64 + 4]byte
-	raw  []byte
-	comp bytes.Buffer // flate output
-	zle  []byte       // zero-run output
-	fw   *flate.Writer
+	hdr [2 + 2*binary.MaxVarintLen64 + 4]byte
+	raw []byte
+	zle []byte // zero-run output
 
 	// Field-set cache for the last event type seen (streams cluster by
 	// type, and telemetry.Fields is a map lookup).
@@ -138,18 +125,7 @@ func NewWriter(w io.Writer, opts Options) *Writer {
 		opts: opts,
 	}
 	wr.resetBlock()
-	if opts.Level > 0 {
-		fw, err := flate.NewWriter(io.Discard, opts.Level)
-		if err != nil {
-			wr.err = fmt.Errorf("binlog: flate level %d: %w", opts.Level, err)
-		}
-		wr.fw = fw
-	} else if opts.Level != 0 && opts.Level != StoreUncompressed {
-		wr.err = fmt.Errorf("binlog: invalid level %d", opts.Level)
-	}
-	if wr.err == nil {
-		wr.err = blockTooLarge(opts.BlockEvents, 0)
-	}
+	wr.err = blockTooLarge(opts.BlockEvents, 0)
 	return wr
 }
 
@@ -400,7 +376,8 @@ func (w *Writer) ensureHeader() error {
 	return nil
 }
 
-// flushBlock compresses and frames the pending block.
+// flushBlock compresses and frames the pending block: zero-run coded, or
+// stored when that does not shrink it.
 func (w *Writer) flushBlock() error {
 	if w.blockN == 0 {
 		return nil
@@ -416,27 +393,9 @@ func (w *Writer) flushBlock() error {
 
 	payload := raw
 	codec := byte(codecStore)
-	switch {
-	case w.opts.Level == StoreUncompressed:
-	case w.opts.Level > 0:
-		w.comp.Reset()
-		w.fw.Reset(&w.comp)
-		if _, err := w.fw.Write(raw); err != nil {
-			return fmt.Errorf("binlog: compress block: %w", err)
-		}
-		if err := w.fw.Close(); err != nil {
-			return fmt.Errorf("binlog: compress block: %w", err)
-		}
-		if w.comp.Len() < len(raw) {
-			payload = w.comp.Bytes()
-			codec = codecFlate
-		}
-	default:
-		w.zle = zleCompress(w.zle, raw)
-		if len(w.zle) < len(raw) {
-			payload = w.zle
-			codec = codecZLE
-		}
+	if w.zle = zleCompress(w.zle, raw); len(w.zle) < len(raw) {
+		payload = w.zle
+		codec = codecZLE
 	}
 
 	entry := indexEntry{off: w.off, events: int64(w.blockN), firstT: w.firstT, lastT: w.lastT}
