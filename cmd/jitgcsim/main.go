@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"log"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -52,7 +53,7 @@ func main() {
 		bench    = flag.String("bench", "YCSB", "benchmark name (YCSB, Postmark, Filebench, Bonnie++, Tiobench, TPC-C)")
 		policy   = flag.String("policy", "JIT-GC", "BGC policy (L-BGC, A-BGC, ADP-GC, TRIM-OP, JIT-GC, fixed, no-BGC)")
 		factor   = flag.Float64("factor", 1.0, "C_resv factor for -policy fixed (× C_OP)")
-		ops      = flag.Int("ops", 0, "number of host requests (default 100000)")
+		ops      = flag.Int("ops", 100000, "number of host requests")
 		seed     = flag.Int64("seed", 1, "workload generation seed")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent runs for grid-style callers (a single simulation uses one)")
 		noSIP    = flag.Bool("no-sip", false, "disable SIP victim filtering (JIT-GC only)")
@@ -79,6 +80,12 @@ func main() {
 	flag.Parse()
 
 	switch {
+	case *ops < 1:
+		usageError("-ops must be at least 1, got %d", *ops)
+	case *tenants < 0:
+		usageError("-tenants must not be negative, got %d", *tenants)
+	case !(*rate >= 0 && *rate <= math.MaxFloat64):
+		usageError("-rate must be a finite req/s of at least 0 (0 = 120), got %v", *rate)
 	case *faultR < 0 || *faultR > 1:
 		usageError("-fault-rate must be in [0,1], got %v", *faultR)
 	case *workers < 1:

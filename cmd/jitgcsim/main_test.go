@@ -113,6 +113,8 @@ func TestUsageErrors(t *testing.T) {
 		{"-fault-rate", "2"}, {"-workers", "0"}, {"-devices", "0"}, {"-spares", "1"},
 		{"-trim-rate", "1"}, {"-host-profile", "churn", "-tenants", "5"},
 		{"-tenants", "5", "-devices", "2"}, {"-devices", "2", "-trace", "x.trace"},
+		{"-tenants", "-3"}, {"-tenants", "5", "-rate", "-1"}, {"-tenants", "5", "-rate", "NaN"},
+		{"-ops", "0"}, {"-ops", "-5"},
 	} {
 		out, err := exec.Command(os.Args[0], append([]string{"jitgcsim"}, args...)...).CombinedOutput()
 		var exit *exec.ExitError

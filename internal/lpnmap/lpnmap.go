@@ -1,124 +1,100 @@
-// Package lpnmap is the hash table the page cache keys by logical page
-// number: its LPN → slot index, whose live set the cache's capacity bounds,
-// not the LPN range. The cache looks a page up for every page of every
-// request, and a Go map pays a hash call and a group walk each time. An LPN
-// is already a small integer, so one multiply and one shift place it, and a
-// lookup is a short linear scan of adjacent 16-byte slots.
+// Package lpnmap is the table keyed by logical page number: the page
+// cache's LPN → slot index and the workload generators' per-page coalescing
+// state. Every buffered write, cached read and TRIM looks a page up in it,
+// page by page. An LPN is already a small integer, so no hashing is needed:
+// a page's value sits in a 64-page chunk found through a directory indexed
+// by lpn/64, and an extent's pages sit side by side.
 package lpnmap
 
-import "math/bits"
+import "iter"
 
-// Map maps non-negative LPNs to values of type V. It is an open-addressed
-// table with linear probing: a power-of-two number of slots, the home slot
-// taken from the top bits of a multiplicative hash, deletion by shifting the
-// rest of the probe run back (no tombstones, so lookups never slow down with
-// churn), and doubling when an insert would pass ¾ load. Memory is O(peak
-// entries); nothing is allocated except when the table doubles. The zero
-// Map is empty and ready to use. It is not safe for concurrent use.
-type Map[V any] struct {
-	slots []slot[V] // len is zero or a power of two
-	n     int
-	shift uint // 64 − log2(len(slots))
+// chunkPages is how many consecutive pages share a chunk.
+const chunkPages = 64
+
+// minDirChunks is the smallest directory a Set grows: the zero Table's
+// first Set covers 65,536 LPNs.
+const minDirChunks = 1 << 16 / chunkPages
+
+// minArena is the fewest chunks an arena holds, unless the directory has
+// fewer left to carve.
+const minArena = 64
+
+// Table maps non-negative LPNs to values of type V; the zero V means never
+// set or cleared. A chunk exists only once one of its pages is set, and
+// chunks are carved from arenas: each new arena holds as many chunks as are
+// already carved (at least minArena), capped by the directory's entries not
+// yet carved. Allocations are thus logarithmic in the chunks the table
+// touches, and memory beyond the directory's pointer per 64 pages stays
+// within twice those chunks (or one minimum arena), whatever the LPN range.
+// A directory that is outgrown doubles, to cover at least 65,536 LPNs and
+// the LPN being set. The zero Table is empty and ready to use. It is not
+// safe for concurrent use.
+type Table[V comparable] struct {
+	dir    []*[chunkPages]V
+	arena  [][chunkPages]V // the current arena's chunks not yet handed out
+	carved int
 }
 
-// slot stores lpn+1, so that a zeroed slot is an empty one.
-type slot[V any] struct {
-	key uint64
-	val V
+// NewTable returns a table whose directory covers exactly pages LPNs; it
+// grows on demand past them.
+func NewTable[V comparable](pages int64) Table[V] {
+	return Table[V]{dir: make([]*[chunkPages]V, (pages+chunkPages-1)/chunkPages)}
 }
 
-const minSlots = 8
-
-// home is the slot a key probes from. The golden-ratio multiplier spreads
-// the sequential and strided LPNs extents are made of over the whole table.
-func (m *Map[V]) home(key uint64) int { return int(key * 0x9E3779B97F4A7C15 >> m.shift) }
-
-// find returns the slot holding key, or the empty slot that ends its probe
-// run. The table always has an empty slot, so the scan ends.
-func (m *Map[V]) find(key uint64) (i int, ok bool) {
-	mask := len(m.slots) - 1
-	for i = m.home(key); ; i = (i + 1) & mask {
-		switch m.slots[i].key {
-		case 0:
-			return i, false
-		case key:
-			return i, true
-		}
+// Get returns lpn's value. A negative lpn is never set.
+func (t *Table[V]) Get(lpn int64) (v V) {
+	if c := uint64(lpn) / chunkPages; c < uint64(len(t.dir)) && t.dir[c] != nil {
+		return t.dir[c][uint64(lpn)%chunkPages]
 	}
+	return v
 }
 
-// Len returns the number of entries.
-func (m *Map[V]) Len() int { return m.n }
-
-// Get returns the value stored for lpn. A negative lpn is never present.
-func (m *Map[V]) Get(lpn int64) (v V, ok bool) {
-	if m.n == 0 {
-		return v, false
-	}
-	i, ok := m.find(uint64(lpn) + 1)
-	if !ok {
-		return v, false
-	}
-	return m.slots[i].val, true
-}
-
-// Set stores v for lpn, replacing any earlier value. It panics on a negative
-// lpn: callers validate LPNs where they enter the program.
-func (m *Map[V]) Set(lpn int64, v V) {
+// Set stores v for lpn. It panics on a negative lpn: callers validate LPNs
+// where they enter the program.
+func (t *Table[V]) Set(lpn int64, v V) {
 	if lpn < 0 {
 		panic("lpnmap: negative LPN")
 	}
-	key := uint64(lpn) + 1
-	i := 0
-	if len(m.slots) != 0 {
-		var ok bool
-		if i, ok = m.find(key); ok {
-			m.slots[i].val = v
-			return
+	c := uint64(lpn) / chunkPages
+	if c >= uint64(len(t.dir)) {
+		dir := make([]*[chunkPages]V, max(c+1, 2*uint64(len(t.dir)), minDirChunks))
+		copy(dir, t.dir)
+		t.dir = dir
+	}
+	if t.dir[c] == nil {
+		if len(t.arena) == 0 {
+			t.arena = make([][chunkPages]V, min(max(t.carved, minArena), len(t.dir)-t.carved))
 		}
+		t.dir[c] = &t.arena[0]
+		t.arena = t.arena[1:]
+		t.carved++
 	}
-	if 4*(m.n+1) > 3*len(m.slots) {
-		m.grow()
-		i, _ = m.find(key)
-	}
-	m.slots[i] = slot[V]{key, v}
-	m.n++
+	t.dir[c][uint64(lpn)%chunkPages] = v
 }
 
-// grow doubles the table and re-places every entry.
-func (m *Map[V]) grow() {
-	old := m.slots
-	size := max(minSlots, 2*len(old))
-	m.slots = make([]slot[V], size)
-	m.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	for _, s := range old {
-		if s.key != 0 {
-			i, _ := m.find(s.key)
-			m.slots[i] = s
-		}
+// Clear zeroes lpn's value. A page whose chunk was never carved already
+// reads zero, so clearing it allocates nothing.
+func (t *Table[V]) Clear(lpn int64) {
+	if c := uint64(lpn) / chunkPages; c < uint64(len(t.dir)) && t.dir[c] != nil {
+		var zero V
+		t.dir[c][uint64(lpn)%chunkPages] = zero
 	}
 }
 
-// Delete removes lpn and reports whether it was present.
-func (m *Map[V]) Delete(lpn int64) bool {
-	if m.n == 0 {
-		return false
-	}
-	i, ok := m.find(uint64(lpn) + 1)
-	if !ok {
-		return false
-	}
-	// Close the gap: an entry further along the run moves back into it when
-	// the gap lies on its probe path, that is when it sits at least as far
-	// from its home as from the gap. The run ends at the first empty slot.
-	mask := len(m.slots) - 1
-	for j := (i + 1) & mask; m.slots[j].key != 0; j = (j + 1) & mask {
-		if (j-m.home(m.slots[j].key))&mask >= (j-i)&mask {
-			m.slots[i] = m.slots[j]
-			i = j
+// All yields every LPN whose value is not zero, with that value, in LPN
+// order. It walks the carved chunks: for audits, not the request path.
+func (t *Table[V]) All() iter.Seq2[int64, V] {
+	return func(yield func(int64, V) bool) {
+		var zero V
+		for c, ch := range t.dir {
+			if ch == nil {
+				continue
+			}
+			for i, v := range ch {
+				if v != zero && !yield(int64(c)*chunkPages+int64(i), v) {
+					return
+				}
+			}
 		}
 	}
-	m.slots[i] = slot[V]{}
-	m.n--
-	return true
 }

@@ -2,218 +2,145 @@ package lpnmap
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// pair drives a Map and the Go map it replaces through the same operations
-// and compares every result.
-type pair struct {
-	t   *testing.T
-	m   Map[int64]
-	ref map[int64]int64
-}
-
-func newPair(t *testing.T) *pair { return &pair{t: t, ref: map[int64]int64{}} }
-
-func (p *pair) set(lpn, v int64) {
-	p.t.Helper()
-	p.m.Set(lpn, v)
-	p.ref[lpn] = v
-	p.get(lpn)
-}
-
-func (p *pair) get(lpn int64) {
-	p.t.Helper()
-	got, ok := p.m.Get(lpn)
-	want, wantOK := p.ref[lpn]
-	if got != want || ok != wantOK {
-		p.t.Fatalf("Get(%d) = %d, %v; reference %d, %v", lpn, got, ok, want, wantOK)
-	}
-}
-
-func (p *pair) del(lpn int64) {
-	p.t.Helper()
-	_, want := p.ref[lpn]
-	delete(p.ref, lpn)
-	if got := p.m.Delete(lpn); got != want {
-		p.t.Fatalf("Delete(%d) = %v, reference %v", lpn, got, want)
-	}
-	p.get(lpn)
-}
-
-// check holds the whole table to the reference: the same length, every
-// reference key found with its value, every other key in [0, span) absent,
-// no slot holding a key its probe run cannot reach, and load at most ¾.
-func (p *pair) check(span int64) {
-	p.t.Helper()
-	if p.m.Len() != len(p.ref) {
-		p.t.Fatalf("Len = %d, reference %d", p.m.Len(), len(p.ref))
-	}
-	for lpn := range p.ref {
-		p.get(lpn)
-	}
-	for lpn := int64(0); lpn < span; lpn++ {
-		p.get(lpn)
-	}
-	used := 0
-	for i, s := range p.m.slots {
-		if s.key == 0 {
-			continue
-		}
-		used++
-		if j, ok := p.m.find(s.key); !ok || j != i {
-			p.t.Fatalf("slot %d holds lpn %d, which a lookup resolves to slot %d (found %v)", i, s.key-1, j, ok)
-		}
-	}
-	if used != p.m.Len() {
-		p.t.Fatalf("%d occupied slots, Len %d", used, p.m.Len())
-	}
-	if 4*used > 3*len(p.m.slots) {
-		p.t.Fatalf("%d of %d slots occupied: over ¾ load", used, len(p.m.slots))
-	}
-}
-
-// TestMapMatchesGoMap sweeps random Set/Get/Delete sequences over a
-// key range small enough that overwrites and deletes of present keys are
-// common and large enough that the table doubles several times.
+// TestMapMatchesGoMap holds the table to a Go map under random Set, Get and
+// Clear, on the zero Table and on one NewTable sized for part of the range.
+// Spans run from 16 LPNs, where overwrites and clears of set pages are
+// common, to 2^20, where the directory doubles several times past its size.
+// Clearing a page of a chunk never set carves nothing and leaves the
+// directory alone, one chunk is carved per distinct chunk set, and no arena
+// holds more spare chunks than are carved (or one minimum arena).
 func TestMapMatchesGoMap(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := newPair(t)
-		span := int64(16 << rng.Intn(6))
-		for step := 0; step < 2000; step++ {
+		span := int64(16) << rng.Intn(17)
+		var tbl Table[int64]
+		if seed%2 == 0 {
+			tbl = NewTable[int64](rng.Int63n(span + 1))
+		}
+		ref := map[int64]int64{}
+		touched := map[int64]bool{} // chunks with a page ever set
+		for step := 0; step < 3000; step++ {
 			lpn := rng.Int63n(span)
 			switch k := rng.Intn(100); {
 			case k < 50:
-				p.set(lpn, rng.Int63())
+				v := rng.Int63n(1<<40) + 1
+				tbl.Set(lpn, v)
+				ref[lpn] = v
+				touched[lpn/chunkPages] = true
 			case k < 65:
-				p.get(lpn)
 			default:
-				p.del(lpn)
+				carved, dir := tbl.carved, len(tbl.dir)
+				tbl.Clear(lpn)
+				delete(ref, lpn)
+				if !touched[lpn/chunkPages] && (tbl.carved != carved || len(tbl.dir) != dir) {
+					t.Logf("span %d: clearing never-set lpn %d allocated", span, lpn)
+					return false
+				}
 			}
-			if step%64 == 0 {
-				p.check(span)
+			if got := tbl.Get(lpn); got != ref[lpn] {
+				t.Logf("span %d: Get(%d) = %d, want %d", span, lpn, got, ref[lpn])
+				return false
+			}
+			if tbl.carved != len(touched) || tbl.carved+len(tbl.arena) > len(tbl.dir) ||
+				len(tbl.arena) >= max(tbl.carved, minArena) {
+				t.Logf("span %d: %d chunks carved (%d spare, directory %d) for %d touched",
+					span, tbl.carved, len(tbl.arena), len(tbl.dir), len(touched))
+				return false
 			}
 		}
-		p.check(span)
+		for lpn := int64(0); lpn < span+chunkPages; lpn++ {
+			if tbl.Get(lpn) != ref[lpn] {
+				t.Logf("span %d: final Get(%d) = %d, want %d", span, lpn, tbl.Get(lpn), ref[lpn])
+				return false
+			}
+		}
+		n, prev := 0, int64(-1)
+		for lpn, v := range tbl.All() {
+			if lpn <= prev || v != ref[lpn] {
+				t.Logf("span %d: All yields lpn %d = %d after lpn %d, reference %d", span, lpn, v, prev, ref[lpn])
+				return false
+			}
+			n, prev = n+1, lpn
+		}
+		if n != len(ref) {
+			t.Logf("span %d: All yields %d entries, reference %d", span, n, len(ref))
+			return false
+		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-// keysHomedAt returns n distinct LPNs, ascending, whose home slot in m's
-// current table is home.
-func keysHomedAt(m *Map[int64], home, n int) []int64 {
-	var out []int64
-	for lpn := int64(0); len(out) < n; lpn++ {
-		if m.home(uint64(lpn)+1) == home {
-			out = append(out, lpn)
-		}
-	}
-	return out
-}
-
-// TestProbeRunWrapsPastTableEnd builds one run that starts in the last slot
-// and continues at slot 0, then deletes from its head, middle and tail: the
-// backward shift has to carry entries across the wrap.
-func TestProbeRunWrapsPastTableEnd(t *testing.T) {
-	for _, victim := range []int{0, 1, 2, 3} {
-		p := newPair(t)
-		p.set(0, 0) // allocates the 8-slot table
-		p.del(0)
-		last := len(p.m.slots) - 1
-		keys := keysHomedAt(&p.m, last, 4)
-		for i, lpn := range keys {
-			p.set(lpn, int64(i))
-		}
-		for i, want := range []int{last, 0, 1, 2} {
-			if got, _ := p.m.find(uint64(keys[i]) + 1); got != want {
-				t.Fatalf("key %d of the run sits in slot %d, want %d", i, got, want)
+// TestChunkAllocationsLogarithmic carves n chunks in random order, on the
+// zero Table (whose directory doubles as it goes) and on one sized for them:
+// the arenas and the directory cost O(log n) allocations, not one per chunk.
+func TestChunkAllocationsLogarithmic(t *testing.T) {
+	const n = 1 << 12
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	for _, sized := range []bool{false, true} {
+		var tbl Table[int32]
+		allocs := testing.AllocsPerRun(1, func() {
+			tbl = Table[int32]{}
+			if sized {
+				tbl = NewTable[int32](n * chunkPages)
 			}
+			for _, c := range order {
+				tbl.Set(int64(c)*chunkPages+int64(c%chunkPages), 1)
+			}
+		})
+		if tbl.carved != n {
+			t.Fatalf("sized %v: %d chunks carved, want %d", sized, tbl.carved, n)
 		}
-		p.del(keys[victim])
-		p.check(keys[3] + 1)
-		if p.m.slots[2].key != 0 {
-			t.Errorf("victim %d: the run did not shrink back across the wrap", victim)
+		if limit := float64(2 * bits.Len(n)); allocs > limit {
+			t.Errorf("sized %v: carving %d chunks took %.0f allocations, want at most %.0f", sized, n, allocs, limit)
 		}
 	}
 }
 
-// TestDeleteKeepsEntriesAtTheirHome: closing a gap must not pull an entry in
-// front of its own home slot. Keys homed at slot 2 fill 2 and 3, keys homed
-// at 4 fill 4 and 5 — one unbroken run — and deleting the head of the first
-// pair must split the run at slot 3, not drag the second pair back.
-func TestDeleteKeepsEntriesAtTheirHome(t *testing.T) {
-	p := newPair(t)
-	p.set(0, 0)
-	p.del(0)
-	a := keysHomedAt(&p.m, 2, 2)
-	b := keysHomedAt(&p.m, 4, 2)
-	for _, lpn := range append(a, b...) {
-		p.set(lpn, lpn)
-	}
-	span := max(a[1], b[1]) + 1
-	p.del(a[0])
-	p.check(span)
-	if i, _ := p.m.find(uint64(b[0]) + 1); i != 4 || p.m.slots[3].key != 0 {
-		t.Errorf("key homed at 4 sits in slot %d, slot 3 holds key %d", i, p.m.slots[3].key)
-	}
-	p.set(a[0], 1) // lands in 3 and joins the runs again
-	p.del(b[0])    // middle of the run: b[1] moves back to its home
-	p.check(span)
-	if i, _ := p.m.find(uint64(b[1]) + 1); i != 4 {
-		t.Errorf("second key homed at 4 sits in slot %d after the middle delete", i)
-	}
-}
-
-// TestGrowMidRun fills a single probe run up to the ¾ threshold and inserts
-// once more: the doubled table must hold every entry of the old run.
-func TestGrowMidRun(t *testing.T) {
-	p := newPair(t)
-	p.set(0, 0)
-	p.del(0)
-	keys := keysHomedAt(&p.m, 5, 7)
-	for i, lpn := range keys[:6] {
-		p.set(lpn, int64(i))
-	}
-	if len(p.m.slots) != 8 {
-		t.Fatalf("table grew to %d slots at 6 entries", len(p.m.slots))
-	}
-	p.set(keys[6], 6)
-	if len(p.m.slots) != 16 {
-		t.Fatalf("table has %d slots after the 7th entry, want 16", len(p.m.slots))
-	}
-	p.check(keys[6] + 1)
-}
-
+// TestZeroValue: the zero Table reads zero everywhere, clears without
+// allocating, covers 65,536 LPNs on its first Set, and doubles its
+// directory when outgrown.
 func TestZeroValue(t *testing.T) {
-	var m Map[int32]
-	if _, ok := m.Get(3); ok || m.Len() != 0 || m.Delete(3) {
-		t.Error("zero Map is not empty")
+	var m Table[int32]
+	m.Clear(3)
+	if m.Get(3) != 0 || m.dir != nil || m.carved != 0 {
+		t.Error("zero Table is not empty, or a Clear allocated")
 	}
 	m.Set(3, 7)
-	m.Set(math.MaxInt64, 9) // lpn+1 wraps to the top bit, still not the empty key
-	if v, ok := m.Get(math.MaxInt64); !ok || v != 9 || m.Len() != 2 {
-		t.Errorf("Get(MaxInt64) = %d, %v with Len %d", v, ok, m.Len())
+	m.Set(1<<16-1, 9)
+	if len(m.dir)*chunkPages != 1<<16 {
+		t.Errorf("directory covers %d LPNs after Sets below 65,536", len(m.dir)*chunkPages)
+	}
+	m.Set(1<<16, 5)
+	if len(m.dir)*chunkPages != 1<<17 {
+		t.Errorf("directory covers %d LPNs after outgrowing 65,536, want it doubled", len(m.dir)*chunkPages)
+	}
+	if m.Get(3) != 7 || m.Get(1<<16-1) != 9 || m.Get(1<<16) != 5 || m.Get(1<<17) != 0 || m.Get(math.MaxInt64) != 0 {
+		t.Errorf("Get after growth: %d %d %d %d", m.Get(3), m.Get(1<<16-1), m.Get(1<<16), m.Get(1<<17))
+	}
+	if sized := NewTable[int32](27); len(sized.dir) != 1 {
+		t.Errorf("NewTable(27) directory holds %d chunks, want 1", len(sized.dir))
 	}
 }
 
 // TestNegativeLPN: a negative key is never present, and storing one is a
 // caller bug — the page cache turns it away first (pagecache.ErrBadLPN).
 func TestNegativeLPN(t *testing.T) {
-	var m Map[int32]
+	var m Table[int32]
 	m.Set(0, 1)
-	for _, lpn := range []int64{-1, -2, math.MinInt64} {
-		if _, ok := m.Get(lpn); ok {
+	for _, lpn := range []int64{-1, -2, -chunkPages, math.MinInt64} {
+		if m.Get(lpn) != 0 {
 			t.Errorf("Get(%d) found an entry", lpn)
 		}
-		if m.Delete(lpn) {
-			t.Errorf("Delete(%d) removed an entry", lpn)
-		}
+		m.Clear(lpn)
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -223,32 +150,30 @@ func TestNegativeLPN(t *testing.T) {
 			m.Set(lpn, 1)
 		}()
 	}
-	if m.Len() != 1 {
-		t.Errorf("Len = %d after rejected operations", m.Len())
+	if m.Get(0) != 1 || m.carved != 1 {
+		t.Errorf("Get(0) = %d with %d chunks carved after rejected operations", m.Get(0), m.carved)
 	}
 }
 
-// TestSteadyStateZeroAlloc: at a constant size nothing allocates — not a
-// lookup, not an overwrite, not a delete followed by an insert, however long
-// that churn runs (no tombstones to rebuild away).
+// TestSteadyStateZeroAlloc: once the chunks a working set touches are
+// carved, nothing allocates — not a lookup, not an overwrite, not a clear
+// followed by a set, however long that churn runs.
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	var m Map[int64]
+	var m Table[int64]
 	const n = 3000
 	for lpn := int64(0); lpn < n; lpn++ {
-		m.Set(lpn*7, lpn)
+		m.Set(lpn*7, lpn+1)
 	}
 	lpn := int64(0)
 	if avg := testing.AllocsPerRun(5000, func() {
-		m.Get(lpn * 7)
-		m.Get(lpn*7 + 1)
-		m.Set(lpn*7, -lpn)
-		m.Delete(lpn * 7)
-		m.Set((lpn+n)*7, lpn)
+		p := lpn % n * 7
+		m.Get(p)
+		m.Get(p + 1)
+		m.Set(p, -lpn)
+		m.Clear(p)
+		m.Set(p, lpn+1)
 		lpn++
 	}); avg != 0 {
-		t.Errorf("Get + overwrite + Delete/Set cycle allocates %.2f times per run, want 0", avg)
-	}
-	if m.Len() != n {
-		t.Errorf("Len = %d, want %d", m.Len(), n)
+		t.Errorf("Get + overwrite + Clear/Set cycle allocates %.2f times per run, want 0", avg)
 	}
 }

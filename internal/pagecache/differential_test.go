@@ -42,9 +42,9 @@ func (p *pair) check(op string) {
 	}
 	// Until a scan has run nothing may linger behind a removal: the index
 	// is the dirty set, and no slot is logged for a sweep that never comes.
-	if p.c.firstSeen == nil && (p.c.index.Len() != len(p.r.dirty) || len(p.c.ghostLog) != 0) {
+	if p.c.firstSeen == nil && (p.c.indexed != len(p.r.dirty) || len(p.c.ghostLog) != 0) {
 		p.t.Fatalf("%s: never scanned, yet the index holds %d entries for %d dirty pages and %d slots are logged as ghosts",
-			op, p.c.index.Len(), len(p.r.dirty), len(p.c.ghostLog))
+			op, p.c.indexed, len(p.r.dirty), len(p.c.ghostLog))
 	}
 }
 
@@ -97,9 +97,9 @@ func (p *pair) scan(now time.Duration, hotFilter bool) {
 			p.firstDirty[lpn] = last
 			wantJoined = append(wantJoined, lpn)
 		}
-		s, ok := p.c.index.Get(lpn)
-		if !ok || p.c.firstSeen[s] != first {
-			p.t.Fatalf("scan: lpn %d (indexed %v) first seen %v, want %v", lpn, ok, p.c.firstSeen[s], first)
+		s := p.c.index.Get(lpn) - 1
+		if s == noSlot || p.c.firstSeen[s] != first {
+			p.t.Fatalf("scan: lpn %d (slot %d) not indexed, or first seen at another time than %v", lpn, s, first)
 		}
 		if hotFilter && seen && now-first > cfg.Expire {
 			continue
@@ -127,8 +127,8 @@ func (p *pair) scan(now time.Duration, hotFilter bool) {
 	if !slices.Equal(due, wantDue) {
 		p.t.Fatalf("scan at %v (hot filter %v): due %v, want %v", now, hotFilter, due, wantDue)
 	}
-	if p.c.index.Len() != len(p.r.dirty) {
-		p.t.Fatalf("scan left %d index entries for %d dirty pages", p.c.index.Len(), len(p.r.dirty))
+	if p.c.indexed != len(p.r.dirty) {
+		p.t.Fatalf("scan left %d index entries for %d dirty pages", p.c.indexed, len(p.r.dirty))
 	}
 	p.check("ScanDirty")
 }
@@ -138,7 +138,11 @@ func (p *pair) scan(now time.Duration, hotFilter bool) {
 // equal timestamps, capacity reclaim, slot reuse and pages that leave and
 // come back between two scans all occur — with the clock moving forward
 // only, with timestamps that also run backwards (the re-thread path), and
-// with no scan at all, as under every policy but JIT-GC.
+// with no scan at all, as under every policy but JIT-GC. The sparse mode
+// draws LPNs around a few points spread over [0, 2^20): 64-page chunk
+// edges, the 65,536-LPN edge of the index's first directory and the top of
+// the range, so extents straddle chunks, the directory grows mid-run, and
+// ghosts sit in chunks that were carved and then emptied.
 func TestCacheMatchesReference(t *testing.T) {
 	cfg := Config{
 		PageSize:      4096,
@@ -148,17 +152,23 @@ func TestCacheMatchesReference(t *testing.T) {
 		FlushRatio:    0.5,
 	}
 	modes := []struct {
-		name             string
-		backwards, scans bool
+		name                     string
+		backwards, scans, sparse bool
 	}{
-		{"forward", false, true},
-		{"backwards", true, true},
-		{"never scanned", false, false},
+		{"forward", false, true, false},
+		{"backwards", true, true, false},
+		{"never scanned", false, false, false},
+		{"sparse", false, true, true},
 	}
 	for _, m := range modes {
 		prop := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			p := newPair(t, cfg)
+			lpn := func() int64 { return rng.Int63n(96) }
+			if m.sparse {
+				anchors := []int64{0, rng.Int63n(1<<14) * 64, 1 << 16, 1<<20 - 8}
+				lpn = func() int64 { return max(0, anchors[rng.Intn(len(anchors))]+rng.Int63n(16)-8) }
+			}
 			var clock time.Duration
 			for step := 0; step < 250; step++ {
 				// Half the steps keep the timestamp: runs of ties.
@@ -170,11 +180,11 @@ func TestCacheMatchesReference(t *testing.T) {
 				}
 				switch k := rng.Intn(20); {
 				case k < 13:
-					p.write(clock, rng.Int63n(96), 1+rng.Intn(6))
+					p.write(clock, lpn(), 1+rng.Intn(6))
 				case k < 15:
 					p.flush(clock)
 				case k < 18 || !m.scans:
-					p.drop(rng.Int63n(96))
+					p.drop(lpn())
 				default:
 					p.scan(clock, rng.Intn(2) == 0)
 				}
@@ -217,8 +227,8 @@ func TestScanTurnoverAcrossRemovalAndRewrite(t *testing.T) {
 			if p.c.IsDirty(0) || p.c.IsDirty(1) || p.c.Drop(0) {
 				t.Fatal("a removed page is still dirty or can be dropped again")
 			}
-			if p.c.DirtyPageCount() != 0 || p.c.index.Len() != 2 {
-				t.Fatalf("%d dirty, %d indexed; want 0 and the 2 ghosts", p.c.DirtyPageCount(), p.c.index.Len())
+			if p.c.DirtyPageCount() != 0 || p.c.indexed != 2 {
+				t.Fatalf("%d dirty, %d indexed; want 0 and the 2 ghosts", p.c.DirtyPageCount(), p.c.indexed)
 			}
 			overwrites := p.c.Stats().Overwrites
 			p.write(sec(36), 0, 1) // lpn 0 comes back, lpn 1 does not

@@ -105,8 +105,10 @@ type Stats struct {
 //
 // Dirty pages live in a slab of fixed-size entries, found through an LPN
 // index and threaded as a doubly linked list in age order, oldest at the
-// head. Simulated time does not run backwards, so a write is unlink +
-// push-back and the flusher pops a prefix: nothing is sorted per tick.
+// head. The index is an lpnmap.Table: a page is found by its LPN, with no
+// hashing, in a 64-page chunk that exists once a page of it has been dirty.
+// Simulated time does not run backwards, so a write is unlink + push-back
+// and the flusher pops a prefix: nothing is sorted per tick.
 // Pages sharing a timestamp sit in arrival order; the (LastUpdate, LPN)
 // order the cache promises is restored where it is consumed, by LPN-sorting
 // each run of equal timestamps as it is emitted. A write older than the
@@ -122,10 +124,11 @@ type Cache struct {
 	stats Stats
 
 	slab       []entry
-	index      lpnmap.Map[int32] // LPN → slab slot, dirty pages and ghosts
-	head, tail int32             // age list ends, noSlot when empty
-	free       int32             // free slots, chained through entry.next
-	reorder    bool              // a backdated write broke age order
+	index      lpnmap.Table[int32] // LPN → slab slot+1, dirty pages and ghosts
+	indexed    int                 // pages in the index
+	head, tail int32               // age list ends, noSlot when empty
+	free       int32               // free slots, chained through entry.next
+	reorder    bool                // a backdated write broke age order
 
 	// firstSeen (parallel to slab, allocated by the first ScanDirty) holds
 	// each page's LastUpdate as of the first scan of its current run of
@@ -164,9 +167,14 @@ const (
 	allAges   time.Duration = math.MaxInt64
 )
 
+// MaxLPN bounds the pages the cache holds: a write must end at or below it,
+// which keeps the index's directory finite. It is 8 TiB of 4 KiB pages, the
+// line below which the FTL's page map uses 4-byte entries.
+const MaxLPN = 1 << 31
+
 // ErrBadLPN is returned for logical page numbers that are negative or run
-// past the end of the int64 range.
-var ErrBadLPN = errors.New("pagecache: negative LPN")
+// past MaxLPN.
+var ErrBadLPN = errors.New("pagecache: LPN out of range")
 
 // New creates a cache from cfg.
 func New(cfg Config) (*Cache, error) {
@@ -183,7 +191,7 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // DirtyPageCount returns the current number of dirty pages.
-func (c *Cache) DirtyPageCount() int { return c.index.Len() - c.ghosts }
+func (c *Cache) DirtyPageCount() int { return c.indexed - c.ghosts }
 
 // isGhost reports whether the indexed slot s holds a ghost. A cache without
 // ghosts answers without loading the entry.
@@ -202,14 +210,14 @@ func (c *Cache) Write(now time.Duration, lpn int64, n int) (reclaimed []int64, e
 	if n <= 0 || n > math.MaxInt32-len(c.slab) { // slots are int32
 		return nil, fmt.Errorf("pagecache: write of %d pages", n)
 	}
-	if lpn > math.MaxInt64-int64(n) {
-		return nil, fmt.Errorf("%w: %d+%d overflows", ErrBadLPN, lpn, n)
+	if lpn > MaxLPN-int64(n) {
+		return nil, fmt.Errorf("%w: %d+%d passes %d", ErrBadLPN, lpn, n, MaxLPN)
 	}
 	for i := 0; i < n; i++ {
 		p := lpn + int64(i)
-		s, ok := c.index.Get(p)
+		s := c.index.Get(p) - 1
 		switch {
-		case !ok:
+		case s == noSlot:
 			s = c.alloc(p)
 		case c.isGhost(s):
 			c.ghosts-- // back in its old slot: not an overwrite
@@ -346,7 +354,8 @@ func (c *Cache) ScanDirty(now time.Duration, hotFilter bool, due []int64) (joine
 			continue // revived, or logged twice and freed just now
 		}
 		left = append(left, e.lpn)
-		c.index.Delete(e.lpn)
+		c.index.Clear(e.lpn)
+		c.indexed--
 		c.firstSeen[s] = unseen
 		e.prev, e.next = noSlot, c.free
 		c.free = s
@@ -359,15 +368,15 @@ func (c *Cache) ScanDirty(now time.Duration, hotFilter bool, due []int64) (joine
 // IsDirty reports whether lpn currently has a dirty copy in the cache —
 // reads of such pages are served from RAM without touching the device.
 func (c *Cache) IsDirty(lpn int64) bool {
-	s, ok := c.index.Get(lpn)
-	return ok && !c.isGhost(s)
+	s := c.index.Get(lpn) - 1
+	return s != noSlot && !c.isGhost(s)
 }
 
 // Drop discards a dirty page without writing it back (e.g. the file was
 // deleted). It reports whether the page was dirty.
 func (c *Cache) Drop(lpn int64) bool {
-	s, ok := c.index.Get(lpn)
-	if !ok || c.isGhost(s) {
+	s := c.index.Get(lpn) - 1
+	if s == noSlot || c.isGhost(s) {
 		return false
 	}
 	c.remove(s)
@@ -387,7 +396,8 @@ func (c *Cache) alloc(lpn int64) int32 {
 		}
 	}
 	c.slab[s].lpn = lpn
-	c.index.Set(lpn, s)
+	c.index.Set(lpn, s+1)
+	c.indexed++
 	return s
 }
 
@@ -401,7 +411,8 @@ func (c *Cache) remove(s int32) {
 		c.ghosts++
 		return
 	}
-	c.index.Delete(c.slab[s].lpn)
+	c.index.Clear(c.slab[s].lpn)
+	c.indexed--
 	c.slab[s].next = c.free
 	c.free = s
 }
@@ -454,7 +465,9 @@ func (c *Cache) rethread() {
 }
 
 // CheckConsistency audits the cache's internal structure: the index
-// describes exactly the slots on the age list plus the ghosts, list links
+// describes exactly the slots on the age list plus the ghosts — every entry
+// of its carved chunks names one that holds that LPN, and the entries number
+// as many as those slots and the cache's count of them — list links
 // agree in both directions, ages never decrease along the list unless a
 // re-thread is pending, every ghost is a page a scan has seen that the next
 // scan will find in the log, and the free list holds exactly the slots that
@@ -472,8 +485,8 @@ func (c *Cache) CheckConsistency() error {
 		if e.prev != prev {
 			return fmt.Errorf("pagecache: slot %d prev = %d, want %d", s, e.prev, prev)
 		}
-		if got, ok := c.index.Get(e.lpn); !ok || got != s {
-			return fmt.Errorf("pagecache: slot %d holds lpn %d, index says slot %d (present %v)", s, e.lpn, got, ok)
+		if got := c.index.Get(e.lpn) - 1; got != s {
+			return fmt.Errorf("pagecache: slot %d holds lpn %d, index says slot %d", s, e.lpn, got)
 		}
 		if prev != noSlot && !c.reorder && c.slab[prev].last > e.last {
 			return fmt.Errorf("pagecache: age order broken at slot %d (%v after %v) with no re-thread pending", s, e.last, c.slab[prev].last)
@@ -493,8 +506,8 @@ func (c *Cache) CheckConsistency() error {
 		}
 		visited[s] = true
 		ghosts++
-		if got, ok := c.index.Get(e.lpn); !ok || got != s {
-			return fmt.Errorf("pagecache: ghost slot %d holds lpn %d, index says slot %d (present %v)", s, e.lpn, got, ok)
+		if got := c.index.Get(e.lpn) - 1; got != s {
+			return fmt.Errorf("pagecache: ghost slot %d holds lpn %d, index says slot %d", s, e.lpn, got)
 		}
 		if c.firstSeen == nil || c.firstSeen[s] == unseen {
 			return fmt.Errorf("pagecache: ghost slot %d (lpn %d) has no first-seen time to keep", s, e.lpn)
@@ -506,8 +519,15 @@ func (c *Cache) CheckConsistency() error {
 	if ghosts != c.ghosts {
 		return fmt.Errorf("pagecache: %d ghost slots, counter says %d", ghosts, c.ghosts)
 	}
-	if n+ghosts != c.index.Len() {
-		return fmt.Errorf("pagecache: age list holds %d pages and %d are ghosts, index %d", n, ghosts, c.index.Len())
+	entries := 0
+	for lpn, v := range c.index.All() {
+		entries++
+		if s := v - 1; s < 0 || int(s) >= len(c.slab) || !visited[s] || c.slab[s].lpn != lpn {
+			return fmt.Errorf("pagecache: index maps lpn %d to slot %d, which is neither a dirty page nor a ghost holding it", lpn, s)
+		}
+	}
+	if entries != n+ghosts || entries != c.indexed {
+		return fmt.Errorf("pagecache: age list holds %d pages and %d are ghosts, index %d, its counter says %d", n, ghosts, entries, c.indexed)
 	}
 	n += ghosts
 	for s := c.free; s != noSlot; s = c.slab[s].next {

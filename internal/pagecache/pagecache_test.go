@@ -58,21 +58,28 @@ func TestNwb(t *testing.T) {
 
 func TestWriteValidatesArguments(t *testing.T) {
 	c := newCache(t, testConfig())
-	// The index stores only non-negative LPNs (lpnmap panics on others), so
-	// Write has to turn these away itself, by name.
+	// The index stores only LPNs in [0, MaxLPN) (lpnmap panics on negative
+	// ones, and its directory spans the range), so Write has to turn the
+	// others away itself, by name.
 	for _, w := range []struct {
 		lpn int64
 		n   int
-	}{{-1, 1}, {math.MinInt64, 1}, {math.MaxInt64, 2}, {math.MaxInt64 - 2, 3}} {
+	}{{-1, 1}, {math.MinInt64, 1}, {math.MaxInt64, 2}, {math.MaxInt64 - 2, 3}, {MaxLPN - 1, 2}, {MaxLPN, 1}} {
 		if _, err := c.Write(0, w.lpn, w.n); !errors.Is(err, ErrBadLPN) {
 			t.Errorf("Write(lpn %d, %d pages) = %v, want ErrBadLPN", w.lpn, w.n, err)
 		}
 	}
-	if c.IsDirty(-1) || c.Drop(-1) || c.DirtyPageCount() != 0 {
-		t.Error("a negative LPN is dirty, or a rejected write left pages behind")
+	for _, lpn := range []int64{-1, MaxLPN, math.MaxInt64} {
+		if c.IsDirty(lpn) || c.Drop(lpn) {
+			t.Errorf("lpn %d is dirty or droppable", lpn)
+		}
 	}
-	if _, err := c.Write(0, math.MaxInt64-2, 2); err != nil {
-		t.Errorf("write ending at the last LPN: %v", err)
+	if c.DirtyPageCount() != 0 {
+		t.Error("a rejected write left pages behind")
+	}
+	// Past the 64 GiB preset's 2^24 pages: the index's directory grows.
+	if _, err := c.Write(0, 1<<24-2, 2); err != nil || !c.IsDirty(1<<24-1) {
+		t.Errorf("write ending at LPN 2^24: %v", err)
 	}
 	if _, err := c.Write(0, 0, 0); err == nil {
 		t.Error("zero-length write accepted")
@@ -284,10 +291,12 @@ func TestCheckConsistencyViolations(t *testing.T) {
 		{"list cycle", func(c *Cache) { c.slab[c.tail].next = c.head }, "revisits"},
 		{"list leaves slab", func(c *Cache) { c.slab[c.tail].next = 99 }, "leaves the slab"},
 		{"back link", func(c *Cache) { c.slab[c.tail].prev = c.head }, "prev ="},
-		{"index points elsewhere", func(c *Cache) { c.index.Set(c.slab[c.head].lpn, c.tail) }, "index says"},
+		{"index points elsewhere", func(c *Cache) { c.index.Set(c.slab[c.head].lpn, c.tail+1) }, "index says"},
 		{"age order", func(c *Cache) { c.slab[c.head].last = time.Hour }, "age order broken"},
 		{"tail", func(c *Cache) { c.tail = c.head }, "tail ="},
-		{"index entry with no slot", func(c *Cache) { c.index.Set(1000, 0) }, "index 6"},
+		{"index entry with no slot", func(c *Cache) { c.index.Set(1000, 1) }, "index maps lpn 1000 to slot 0"},
+		{"index entry for a free slot", func(c *Cache) { c.index.Set(1<<20, c.free+1) }, "index maps lpn 1048576"},
+		{"index miscounted", func(c *Cache) { c.indexed++ }, "index 5, its counter says 6"},
 		{"free list reaches live slot", func(c *Cache) { c.slab[c.free].next = c.head }, "free list reaches"},
 		{"free list reaches ghost", func(c *Cache) { c.slab[c.free].next = ghost(c) }, "free list reaches"},
 		{"leaked slot", func(c *Cache) { c.free = noSlot }, "neither dirty, ghost nor free"},
@@ -298,7 +307,7 @@ func TestCheckConsistencyViolations(t *testing.T) {
 			c.slab[c.head].prev = g
 			c.head = g
 		}, "prev ="},
-		{"ghost not indexed", func(c *Cache) { c.index.Delete(c.slab[ghost(c)].lpn) }, "ghost slot"},
+		{"ghost not indexed", func(c *Cache) { c.index.Clear(c.slab[ghost(c)].lpn) }, "ghost slot"},
 		{"ghost never seen", func(c *Cache) { c.firstSeen[ghost(c)] = unseen }, "no first-seen time"},
 		{"ghost the sweep will miss", func(c *Cache) { c.ghostLog = c.ghostLog[:0] }, "not in the log"},
 		{"ghost miscounted", func(c *Cache) { c.ghosts++ }, "counter says"},

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"time"
 
+	"jitgc/internal/lpnmap"
 	"jitgc/internal/trace"
 )
 
@@ -122,7 +123,7 @@ type engine struct {
 	// dirty is the coalescing model: per page, the time its last buffered
 	// write expires (last + coalesceExpire), 0 for a clean page. The clock
 	// starts at 0 and an expiry is positive, so a clean page always counts.
-	dirty pageTable
+	dirty lpnmap.Table[time.Duration]
 }
 
 // newEngine returns an engine for a stream of p.Ops requests drawn from p's
@@ -135,7 +136,7 @@ func newEngine(p Params, directTarget float64) *engine {
 		reqs:         make([]trace.Request, 0, p.Ops),
 		ops:          p.Ops,
 		directTarget: directTarget,
-		dirty:        newPageTable(p.WorkingSetPages),
+		dirty:        lpnmap.NewTable[time.Duration](p.WorkingSetPages),
 	}
 	if p.Source != nil {
 		e.v2.src = p.Source
@@ -195,7 +196,7 @@ func (e *engine) emit(kind trace.Kind, lpn int64, pages int) {
 func (e *engine) effectiveBuffered(lpn int64, pages int) int {
 	eff := 0
 	for i := 0; i < pages; i++ {
-		if e.clock >= e.dirty.get(lpn+int64(i)) {
+		if e.clock >= e.dirty.Get(lpn+int64(i)) {
 			eff++
 		}
 	}
@@ -205,7 +206,7 @@ func (e *engine) effectiveBuffered(lpn int64, pages int) int {
 // markDirty records buffered pages in the coalescing model.
 func (e *engine) markDirty(lpn int64, pages int) {
 	for i := 0; i < pages; i++ {
-		e.dirty.set(lpn+int64(i), e.clock+coalesceExpire)
+		e.dirty.Set(lpn+int64(i), e.clock+coalesceExpire)
 	}
 }
 
@@ -244,7 +245,7 @@ func (e *engine) emitRead(lpn int64, pages int) { e.emit(trace.Read, lpn, pages)
 // volume.
 func (e *engine) emitTrim(lpn int64, pages int) {
 	for i := 0; i < pages; i++ {
-		e.dirty.clear(lpn + int64(i))
+		e.dirty.Clear(lpn + int64(i))
 	}
 	e.emit(trace.Trim, lpn, pages)
 }

@@ -378,3 +378,59 @@ func TestBurstClockShape(t *testing.T) {
 		t.Errorf("next burst gap = %v", got)
 	}
 }
+
+// TestPageTableMatchesMap holds the engine's coalescing page table, as
+// newEngine sizes it, to a Go map under random set, get and clear over LPNs
+// up to 4·ws, so three quarters of them (all, for an engine with no working
+// set, as the engine tests build it) lie past the directory it was sized
+// for. Chunk allocation is lpnmap's own test.
+func TestPageTableMatchesMap(t *testing.T) {
+	f := func(seed uint64, wsRaw uint16) bool {
+		ws := int64(wsRaw%2000) + 1
+		r := randv2.New(randv2.NewPCG(seed, 1))
+		sized := ws
+		if seed%2 == 0 {
+			sized = 0
+		}
+		tbl := &newEngine(Params{Seed: 1, WorkingSetPages: sized}, 0.1).dirty
+		ref := map[int64]time.Duration{}
+		for i := 0; i < 3000; i++ {
+			lpn := r.Int64N(4 * ws)
+			switch r.IntN(3) {
+			case 0:
+				v := time.Duration(r.Int64N(1<<40)) + 1
+				tbl.Set(lpn, v)
+				ref[lpn] = v
+			case 1:
+				tbl.Clear(lpn)
+				delete(ref, lpn)
+			}
+			if got := tbl.Get(lpn); got != ref[lpn] {
+				t.Logf("ws %d: Get(%d) = %v, want %v", ws, lpn, got, ref[lpn])
+				return false
+			}
+		}
+		for lpn := int64(0); lpn < 4*ws+64; lpn++ {
+			if tbl.Get(lpn) != ref[lpn] {
+				t.Logf("ws %d: final Get(%d) = %v, want %v", ws, lpn, tbl.Get(lpn), ref[lpn])
+				return false
+			}
+		}
+		n := 0
+		for lpn, v := range tbl.All() {
+			if ref[lpn] != v {
+				t.Logf("ws %d: All yields %d → %v, want %v", ws, lpn, v, ref[lpn])
+				return false
+			}
+			n++
+		}
+		if n != len(ref) {
+			t.Logf("ws %d: All yields %d pages, want %d", ws, n, len(ref))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
