@@ -50,16 +50,15 @@ coverage-gate:
 		{ echo "coverage $$total% below baseline $(COVERAGE_BASELINE)%"; exit 1; }
 
 # Open-ended fuzzing session for the trace parsers, the binlog reader and
-# seek reader, the binlog request-trace decoder and the FTL snapshot restore
-# (not part of ci; ci runs their committed seed corpora). -fuzz takes a
-# regexp, so each name is anchored.
+# seek reader and the binlog request-trace decoder (not part of ci; ci runs
+# their committed seed corpora). -fuzz takes a regexp, so each name is
+# anchored.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMSR$$' -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 30s ./internal/telemetry/binlog/
 	$(GO) test -run '^$$' -fuzz '^FuzzSeekReader$$' -fuzztime 30s ./internal/telemetry/binlog/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequests$$' -fuzztime 30s ./internal/telemetry/binlog/
-	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 30s ./internal/ftl/
 
 # Non-test Go lines per package, for the main module and for the nested
 # bench/ module, each with its total: the net-LOC figure a change reports.

@@ -22,10 +22,9 @@ func tinyDevice() sim.Config {
 			Channels: 2, ChipsPerChannel: 1, BlocksPerChip: 16,
 			PagesPerBlock: 16, PageSize: 4096,
 		},
-		Timing:           nand.DefaultTimingMLC(),
-		OPRatio:          0.34,
-		FreeBlockReserve: 2,
-		Selector:         ftl.Greedy{},
+		Timing:   nand.DefaultTimingMLC(),
+		OPRatio:  0.34,
+		Selector: ftl.Greedy{},
 	}
 	ccfg := pagecache.Config{
 		PageSize:      4096,

@@ -17,7 +17,7 @@ func TestAccessors(t *testing.T) {
 	if got := f.PageSize(); got != 4096 {
 		t.Errorf("PageSize() = %d", got)
 	}
-	wantWritable := f.FreePages() - int64(cfg.FreeBlockReserve*cfg.Geometry.PagesPerBlock)
+	wantWritable := f.FreePages() - int64(freeBlockReserve*cfg.Geometry.PagesPerBlock)
 	if got := f.WritablePages(); got != wantWritable {
 		t.Errorf("WritablePages() = %d, want %d", got, wantWritable)
 	}

@@ -70,7 +70,7 @@ func TestCheckConsistencyViolations(t *testing.T) {
 			f.p2l.set(ppn, unmapped)
 		}, "reverse mapping"},
 		{"p2l out of range", func(f *FTL) {
-			for ppn := f.p2l.len() - 1; ppn >= 0; ppn-- {
+			for ppn := f.cfg.Geometry.TotalPages() - 1; ppn >= 0; ppn-- {
 				if f.p2l.at(ppn) == unmapped {
 					f.p2l.set(ppn, f.userPages+3)
 					return

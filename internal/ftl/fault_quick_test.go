@@ -65,12 +65,12 @@ func newFaultModelFTLOn(t *testing.T, seed int64, cfg Config) (*ftlModel, *shado
 }
 
 // TestQuickFaultInterleavings is the recovery property sweep: the same
-// random interleaving of writes, TRIMs, reads, collections, SIP updates
-// and power cycles as TestQuickFTLInterleavings, but with a low-rate
-// FaultModel injecting read, program and erase failures throughout. The
-// full invariant set (CheckConsistency plus shadow-model agreement) must
-// hold at every checkpoint: recovered faults may shrink the device or
-// drop unrecoverable pages, but must never corrupt the address map.
+// random interleaving of writes, TRIMs, reads, collections and SIP updates
+// as TestQuickFTLInterleavings, but with a low-rate FaultModel injecting
+// read, program and erase failures throughout. The full invariant set
+// (CheckConsistency plus shadow-model agreement) must hold at every
+// checkpoint: recovered faults may shrink the device or drop unrecoverable
+// pages, but must never corrupt the address map.
 //
 // Read faults at realistic rates essentially never exhaust the retry
 // budget (the unrecoverable probability is rate^4), so the sweep also

@@ -37,7 +37,6 @@ func genFillCase(seed int64) fillCase {
 		},
 		Timing:           nand.DefaultTimingMLC(),
 		OPRatio:          []float64{0.5, 0.7, 0.9}[r.Intn(3)],
-		FreeBlockReserve: 2,
 		WearThreshold:    int64(r.Intn(2) * 4),
 		DisableIntegrity: r.Intn(3) == 0,
 	}

@@ -27,6 +27,12 @@ var (
 
 const unmapped = int64(-1)
 
+// freeBlockReserve is the number of free blocks the FTL refuses to hand to
+// host writes: when the pool shrinks to this level a write triggers
+// foreground GC. Two, so one host active block and one GC destination block
+// are always allocatable.
+const freeBlockReserve = 2
+
 // Config parameterizes an FTL instance.
 type Config struct {
 	// Geometry and Timing describe the underlying NAND array.
@@ -35,11 +41,6 @@ type Config struct {
 	// OPRatio is the over-provisioning capacity C_OP as a fraction of user
 	// capacity. The SM843T in the paper uses 7%.
 	OPRatio float64
-	// FreeBlockReserve is the number of free blocks the FTL refuses to
-	// hand to host writes: when the pool shrinks to this level a write
-	// triggers foreground GC. At least 2 (one host active block, one GC
-	// destination block must always be allocatable).
-	FreeBlockReserve int
 	// Selector chooses GC victim blocks: Greedy (the default when nil),
 	// CostBenefit or SIPGreedy; anything else is ErrUnknownSelector.
 	Selector VictimSelector
@@ -74,12 +75,11 @@ type Config struct {
 // the default scaled geometry.
 func DefaultConfig() Config {
 	return Config{
-		Geometry:         nand.DefaultGeometry(),
-		Timing:           nand.DefaultTimingMLC(),
-		OPRatio:          0.07,
-		FreeBlockReserve: 2,
-		Selector:         Greedy{},
-		WearThreshold:    64,
+		Geometry:      nand.DefaultGeometry(),
+		Timing:        nand.DefaultTimingMLC(),
+		OPRatio:       0.07,
+		Selector:      Greedy{},
+		WearThreshold: 64,
 	}
 }
 
@@ -93,9 +93,6 @@ func (c Config) Validate() error {
 	}
 	if c.OPRatio <= 0 || c.OPRatio >= 1 {
 		return fmt.Errorf("ftl: OP ratio %v outside (0,1)", c.OPRatio)
-	}
-	if c.FreeBlockReserve < 2 {
-		return fmt.Errorf("ftl: free block reserve %d < 2", c.FreeBlockReserve)
 	}
 	if c.WearThreshold < 0 {
 		return fmt.Errorf("ftl: negative wear threshold %d", c.WearThreshold)
@@ -247,7 +244,7 @@ func New(cfg Config) (*FTL, error) {
 	user := UserPagesFor(total, cfg.OPRatio)
 	// The user capacity must leave at least the reserve plus active blocks
 	// worth of OP space.
-	minOP := int64(cfg.FreeBlockReserve+2) * int64(geo.PagesPerBlock)
+	minOP := int64(freeBlockReserve+2) * int64(geo.PagesPerBlock)
 	if total-user < minOP {
 		return nil, fmt.Errorf("ftl: OP ratio %v leaves %d OP pages, need ≥ %d", cfg.OPRatio, total-user, minOP)
 	}
@@ -349,7 +346,7 @@ func (f *FTL) FreePages() int64 {
 // becomes unavoidable: FreePages minus the reserve the FTL keeps for GC to
 // make progress. This is the paper's C_free as seen by BGC policies.
 func (f *FTL) WritablePages() int64 {
-	n := f.FreePages() - int64(f.cfg.FreeBlockReserve)*int64(f.cfg.Geometry.PagesPerBlock)
+	n := f.FreePages() - int64(freeBlockReserve)*int64(f.cfg.Geometry.PagesPerBlock)
 	if n < 0 {
 		return 0
 	}
@@ -583,7 +580,7 @@ func (f *FTL) canAllocateHostPage() bool {
 	if f.hostActive >= 0 && f.dev.WritePtr(f.hostActive) < f.cfg.Geometry.PagesPerBlock {
 		return true
 	}
-	return len(f.freeBlocks) > f.cfg.FreeBlockReserve
+	return len(f.freeBlocks) > freeBlockReserve
 }
 
 // allocPage returns the next physical page to program, opening a new active
@@ -625,7 +622,7 @@ func (f *FTL) takeFreeBlock(gc bool) (int, error) {
 	if len(f.freeBlocks) == 0 {
 		return 0, ErrNoFreeBlocks
 	}
-	if !gc && len(f.freeBlocks) <= f.cfg.FreeBlockReserve {
+	if !gc && len(f.freeBlocks) <= freeBlockReserve {
 		return 0, fmt.Errorf("%w: pool at reserve (%d)", ErrNoFreeBlocks, len(f.freeBlocks))
 	}
 	best, bestErases := -1, int64(0)

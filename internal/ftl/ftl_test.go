@@ -18,10 +18,9 @@ func smallConfig() Config {
 			Channels: 2, ChipsPerChannel: 1, BlocksPerChip: 8,
 			PagesPerBlock: 16, PageSize: 4096,
 		},
-		Timing:           nand.DefaultTimingMLC(),
-		OPRatio:          0.34,
-		FreeBlockReserve: 2,
-		Selector:         Greedy{},
+		Timing:   nand.DefaultTimingMLC(),
+		OPRatio:  0.34,
+		Selector: Greedy{},
 	}
 }
 
@@ -41,7 +40,6 @@ func TestConfigValidation(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.OPRatio = 0 },
 		func(c *Config) { c.OPRatio = 1 },
-		func(c *Config) { c.FreeBlockReserve = 1 },
 		func(c *Config) { c.WearThreshold = -1 },
 		func(c *Config) { c.Geometry.Channels = 0 },
 	}

@@ -86,7 +86,7 @@ func newVictimIndex(nblocks, ppb int, lastInv []time.Duration) *victimIndex {
 	return ix
 }
 
-// reset empties the index in place (snapshot restore rebuilds from scratch).
+// reset empties the index in place; newVictimIndex starts from it.
 func (ix *victimIndex) reset() {
 	for i := range ix.bhead {
 		ix.bhead[i] = -1
@@ -248,17 +248,5 @@ func (f *FTL) syncIndex(b int) {
 		}
 	} else if f.idx.contains(b) {
 		f.idx.remove(b)
-	}
-}
-
-// rebuildVictimIndex repopulates the index from device state, used after a
-// snapshot restore (the index, like the reverse map, is derived state that
-// does not survive a power cycle in serialized form).
-func (f *FTL) rebuildVictimIndex() {
-	f.idx.reset()
-	for b := 0; b < f.cfg.Geometry.TotalBlocks(); b++ {
-		if f.indexEligible(b) {
-			f.idx.insert(b, f.dev.ValidCount(b))
-		}
 	}
 }

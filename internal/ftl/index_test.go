@@ -109,10 +109,10 @@ func checkAfterStep(t *testing.T, f *FTL) {
 }
 
 // TestQuickVictimIndexMatchesReference is the differential property sweep:
-// random interleavings of writes, TRIMs, reads, background collections,
-// SIP updates and power cycles, with the index's victim choice compared
-// against the from-scratch reference scan, and the whole tree audited,
-// after every single step.
+// random interleavings of writes, TRIMs, reads, background collections
+// and SIP updates, with the index's victim choice compared against the
+// from-scratch reference scan, and the whole tree audited, after every
+// single step.
 func TestQuickVictimIndexMatchesReference(t *testing.T) {
 	steps := 250
 	maxCount := 12
@@ -346,19 +346,6 @@ func TestCheckConsistencyVictimIndexViolations(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestVictimIndexRebuildAfterRestore: a snapshot/restore cycle must leave
-// the rebuilt index identical to an incrementally maintained one.
-func TestVictimIndexRebuildAfterRestore(t *testing.T) {
-	m := newFTLModel(t, 42)
-	for i := 0; i < 200; i++ {
-		m.step()
-	}
-	checkIndexAgainstReference(t, m.f)
-	if err := m.f.CheckConsistency(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -9,8 +9,7 @@ import (
 // adapts to the device: devices whose page count fits an int32 — everything
 // up to 8 TiB at 4 KiB pages — store 4-byte entries, halving the dominant
 // metadata plane; larger devices fall back to 8-byte entries. The accessor
-// pair at/set hides the width from the FTL, the consistency checker and the
-// snapshot codec alike.
+// pair at/set hides the width from the FTL and the consistency checker.
 type pageMap struct {
 	e32 []int32
 	e64 []int64
@@ -67,14 +66,6 @@ func (m pageMap) setSeq(i, v, n int64) {
 	}
 }
 
-// len returns the entry count.
-func (m pageMap) len() int64 {
-	if m.e32 != nil {
-		return int64(len(m.e32))
-	}
-	return int64(len(m.e64))
-}
-
 // bytes returns the heap footprint of the entry array.
 func (m pageMap) bytes() int64 {
 	return int64(len(m.e32))*4 + int64(len(m.e64))*8
@@ -86,10 +77,9 @@ func (m pageMap) bytes() int64 {
 //
 // The previous float64 round-trip loses low bits once totalPages approaches
 // 2^53 and can disagree with the exact quotient even earlier, depending on
-// how the ratio rounds; snapshot compatibility requires every component to
-// derive the identical capacity, so the division is exact: opRatio is
-// scaled to parts-per-billion and the quotient taken with 128-bit
-// intermediate precision.
+// how the ratio rounds; every component must derive the identical
+// capacity, so the division is exact: opRatio is scaled to parts-per-billion
+// and the quotient taken with 128-bit intermediate precision.
 func UserPagesFor(totalPages int64, opRatio float64) int64 {
 	if totalPages <= 0 {
 		return 0

@@ -1,7 +1,6 @@
 package ftl
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -29,8 +28,8 @@ func quickGeometry() Config {
 }
 
 // ftlModel drives an FTL with a random interleaving of host writes, TRIMs,
-// background collections, SIP list updates, and power cycles, while keeping
-// a shadow copy of what every logical page must contain.
+// background collections and SIP list updates, while keeping a shadow copy
+// of what every logical page must contain.
 type ftlModel struct {
 	t      *testing.T
 	f      *FTL
@@ -76,7 +75,7 @@ func (m *ftlModel) lpn() int64 {
 }
 
 func (m *ftlModel) step() {
-	switch m.rng.Intn(10) {
+	switch m.rng.Intn(9) {
 	case 0, 1, 2, 3: // single-page write
 		m.write(m.lpn())
 	case 4: // short sequential burst
@@ -108,14 +107,6 @@ func (m *ftlModel) step() {
 		}
 		cut := m.rng.Intn(len(lpns) + 1)
 		m.f.UpdateSIP(m.rng.Intn(2) == 0, lpns[:cut], lpns[cut:])
-	case 9: // power cycle: checkpoint the mapping and reload it
-		var buf bytes.Buffer
-		if err := m.f.Snapshot(&buf); err != nil {
-			m.t.Fatalf("Snapshot: %v", err)
-		}
-		if err := m.f.Restore(&buf); err != nil {
-			m.t.Fatalf("Restore: %v", err)
-		}
 	}
 	// Device time moves forward between operations.
 	m.now += time.Duration(m.rng.Intn(2000)) * time.Microsecond
@@ -195,8 +186,8 @@ func TestQuickFTLInterleavings(t *testing.T) {
 	}
 }
 
-// TestQuickWriteTrimMapping drives write/TRIM-only interleavings (no GC,
-// no power cycles) at higher volume: the mapping alone must stay injective
+// TestQuickWriteTrimMapping drives write/TRIM-only interleavings (no
+// explicit GC) at higher volume: the mapping alone must stay injective
 // and balanced even while foreground GC fires implicitly under pressure.
 func TestQuickWriteTrimMapping(t *testing.T) {
 	prop := func(seed int64) bool {

@@ -1,7 +1,6 @@
 package ftl
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -13,9 +12,9 @@ import (
 // trimStep drives one operation of a trim-heavy mix: multi-page extent
 // TRIMs carry ~30% of the operation budget (the discard-on-unlink regime
 // the FileChurn workload presents), interleaved with single and burst
-// writes, reads, explicit background collections, and power cycles.
+// writes, reads and explicit background collections.
 func (m *ftlModel) trimStep() {
-	switch m.rng.Intn(10) {
+	switch m.rng.Intn(9) {
 	case 0, 1, 2: // single-page write
 		m.write(m.lpn())
 	case 3: // short sequential burst (a small file landing)
@@ -43,21 +42,9 @@ func (m *ftlModel) trimStep() {
 			!errors.Is(err, ErrNoFreeBlocks) {
 			m.t.Fatalf("CollectBackgroundOnce: %v", err)
 		}
-	case 9: // power cycle: the trimmed state must survive snapshot/restore
-		m.powerCycle()
 	}
 	m.now += time.Duration(m.rng.Intn(2000)) * time.Microsecond
 	m.f.SetNow(m.now)
-}
-
-func (m *ftlModel) powerCycle() {
-	var buf bytes.Buffer
-	if err := m.f.Snapshot(&buf); err != nil {
-		m.t.Fatalf("Snapshot: %v", err)
-	}
-	if err := m.f.Restore(&buf); err != nil {
-		m.t.Fatalf("Restore: %v", err)
-	}
 }
 
 // verifyTrimmed layers the live-footprint check on top of verify: the
