@@ -144,16 +144,19 @@ func (r Results) NormalizedWAF(base Results) float64 {
 // rendered under). NewStreamingLatencyRecorder instead folds samples into a
 // log-bucketed histogram with memory constant in sample count, for runs too
 // long to retain — percentiles are then accurate to one histogram bucket
-// (≤ ~3% relative error) and Samples returns nil.
+// (≤ ~3% relative error).
 type LatencyRecorder struct {
-	samples     []time.Duration
-	sorted      []time.Duration // cached ascending copy, see sortedStale
-	sortedStale bool            // sorted must be refilled before use
-	sum         time.Duration
-	max         time.Duration
-	count       int64
-	hist        *telemetry.LogHist // non-nil selects streaming mode
+	samples []time.Duration // exact mode: every sample, ascending while sorted
+	sorted  bool            // samples is in ascending order; Add clears it
+	sum     time.Duration
+	max     time.Duration
+	count   int64
+	hist    *telemetry.LogHist // non-nil selects streaming mode
 }
+
+// minSamples is the capacity an unreserved exact recorder starts at; it
+// doubles from there.
+const minSamples = 256
 
 // NewStreamingLatencyRecorder builds a recorder in streaming mode: constant
 // memory, bucket-accurate percentiles, mergeable via Hist.
@@ -170,9 +173,9 @@ func (l *LatencyRecorder) Streaming() bool { return l.hist != nil }
 func (l *LatencyRecorder) Hist() *telemetry.LogHist { return l.hist }
 
 // Reserve makes room for n more samples in one allocation, so a run of
-// known length does not pay for append's doubling (every sample copied
-// about once more, and a backing array up to twice the run). It is a no-op
-// in streaming mode, which retains no samples.
+// known length neither copies its samples on growth nor holds a backing
+// array up to twice the run. It is a no-op in streaming mode, which retains
+// no samples.
 func (l *LatencyRecorder) Reserve(n int) {
 	if l.hist == nil {
 		l.samples = slices.Grow(l.samples, n)
@@ -184,11 +187,13 @@ func (l *LatencyRecorder) Add(d time.Duration) {
 	if l.hist != nil {
 		l.hist.Add(int64(d))
 	} else {
+		if len(l.samples) == cap(l.samples) {
+			// Double, not append's 1.25× steps: a run of n samples then
+			// allocates about 2n in all, not 4–5n.
+			l.samples = append(make([]time.Duration, 0, max(minSamples, 2*cap(l.samples))), l.samples...)
+		}
 		l.samples = append(l.samples, d)
-		// Invalidate the percentile cache but keep its backing array: the
-		// next Percentile refills it in place instead of reallocating
-		// len(samples) on every cold query.
-		l.sortedStale = true
+		l.sorted = false
 	}
 	l.count++
 	l.sum += d
@@ -211,15 +216,10 @@ func (l *LatencyRecorder) Mean() time.Duration {
 // Max returns the maximum latency.
 func (l *LatencyRecorder) Max() time.Duration { return l.max }
 
-// Samples returns the recorded latencies in arrival order (nil in
-// streaming mode, which does not retain them). The slice is the recorder's
-// own backing store — callers must not modify it.
-func (l *LatencyRecorder) Samples() []time.Duration { return l.samples }
-
 // Percentile returns the p-th percentile latency (p in [0,100]). In exact
-// mode the sorted order is computed once and cached until the next Add, so
-// querying p99 and p99.9 back-to-back sorts once; in streaming mode every
-// query is an O(1)-memory histogram walk.
+// mode the samples are sorted in place on the first query after an Add, so
+// querying p99 and p99.9 back-to-back sorts once and copies nothing; in
+// streaming mode every query is an O(1)-memory histogram walk.
 func (l *LatencyRecorder) Percentile(p float64) time.Duration {
 	if l.count == 0 {
 		return 0
@@ -227,12 +227,11 @@ func (l *LatencyRecorder) Percentile(p float64) time.Duration {
 	if l.hist != nil {
 		return time.Duration(l.hist.Quantile(p / 100))
 	}
-	if l.sortedStale || l.sorted == nil {
-		l.sorted = append(l.sorted[:0], l.samples...)
-		slices.Sort(l.sorted)
-		l.sortedStale = false
+	if !l.sorted {
+		slices.Sort(l.samples)
+		l.sorted = true
 	}
-	sorted := l.sorted
+	sorted := l.samples
 	if p <= 0 {
 		return sorted[0]
 	}

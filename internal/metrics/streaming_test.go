@@ -1,11 +1,15 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"jitgc/internal/telemetry"
@@ -39,66 +43,87 @@ func TestTableAlignsMultibyteCells(t *testing.T) {
 	}
 }
 
-// TestPercentileCache pins the re-sort fix: the sorted order is built on the
-// first query, reused on the next, and invalidated by Add.
-func TestPercentileCache(t *testing.T) {
-	var l LatencyRecorder
-	for i := 100; i > 0; i-- {
-		l.Add(time.Duration(i) * time.Millisecond)
+// TestPercentileOracle checks exact-mode percentiles against a sorted copy
+// of everything added so far, with queries interleaved between Adds so the
+// in-place sort is re-done over samples it has already ordered.
+func TestPercentileOracle(t *testing.T) {
+	ps := []float64{0, 1, 50, 90, 99, 99.9, 99.99, 100}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(20001)
+		var l LatencyRecorder
+		var all []time.Duration
+		for i := 0; i < n; i++ {
+			d := time.Duration(rng.Int63n(int64(10 * time.Millisecond)))
+			if rng.Intn(4) == 0 && i > 0 {
+				d = all[rng.Intn(i)] // repeats
+			}
+			l.Add(d)
+			all = append(all, d)
+			if rng.Intn(n/8+1) != 0 && i != n-1 {
+				continue
+			}
+			want := slices.Clone(all)
+			slices.Sort(want)
+			for _, p := range ps {
+				idx := int(math.Ceil(p/100*float64(len(want)))) - 1
+				idx = max(0, min(idx, len(want)-1))
+				if got := l.Percentile(p); got != want[idx] {
+					t.Logf("seed %d: p%v after %d of %d samples = %v, want %v", seed, p, i+1, n, got, want[idx])
+					return false
+				}
+			}
+		}
+		return l.Count() == n
 	}
-	if l.sorted != nil {
-		t.Fatal("cache populated before any query")
-	}
-	if got := l.Percentile(99); got != 99*time.Millisecond {
-		t.Errorf("p99 = %v", got)
-	}
-	if l.sorted == nil {
-		t.Fatal("cache not populated by query")
-	}
-	first := &l.sorted[0]
-	if got := l.Percentile(50); got != 50*time.Millisecond {
-		t.Errorf("p50 = %v", got)
-	}
-	if &l.sorted[0] != first {
-		t.Error("second query rebuilt the sorted slice")
-	}
-	l.Add(time.Millisecond / 2)
-	if !l.sortedStale {
-		t.Fatal("Add did not invalidate the cache")
-	}
-	if got := l.Percentile(0); got != time.Millisecond/2 {
-		t.Errorf("p0 after invalidation = %v, cache is stale", got)
-	}
-	// Invalidation keeps the backing array: a cold re-query at unchanged
-	// sample count refills the existing buffer instead of reallocating.
-	refill := &l.sorted[0]
-	l.sortedStale = true
-	if got := l.Percentile(0); got != time.Millisecond/2 {
-		t.Errorf("p0 after refill = %v", got)
-	}
-	if &l.sorted[0] != refill {
-		t.Error("cold re-query reallocated the sorted buffer")
-	}
-	// The arrival-order samples are untouched by the cached sort.
-	if s := l.Samples(); s[0] != 100*time.Millisecond {
-		t.Errorf("samples reordered: first = %v", s[0])
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
 	}
 }
 
-// cachedRecorder returns a 200k-sample exact recorder whose sorted cache is
-// already built — the state every repeated percentile query sees.
+// TestLatencyRecorderGrowsByDoubling: an exact recorder that was never
+// reserved takes n samples in at most ⌈log₂(n/256)⌉ + 1 allocations. The
+// count is the least of a few trials, since whatever else the runtime
+// allocates meanwhile only adds to it, and collections are off while it is
+// taken, since each would add a few of its own.
+func TestLatencyRecorderGrowsByDoubling(t *testing.T) {
+	for _, n := range []int{1, 256, 257, 1000, 100_000} {
+		got := math.MaxInt
+		for trial := 0; trial < 5; trial++ {
+			var l LatencyRecorder
+			var before, after runtime.MemStats
+			gc := debug.SetGCPercent(-1)
+			runtime.ReadMemStats(&before)
+			for i := 0; i < n; i++ {
+				l.Add(time.Duration(i))
+			}
+			runtime.ReadMemStats(&after)
+			debug.SetGCPercent(gc)
+			got = min(got, int(after.Mallocs-before.Mallocs))
+			if l.Count() != n || l.Percentile(100) != time.Duration(n-1) {
+				t.Fatalf("%d samples: count %d, max %v", n, l.Count(), l.Percentile(100))
+			}
+		}
+		if want := 1 + max(0, int(math.Ceil(math.Log2(float64(n)/minSamples)))); got > want {
+			t.Errorf("%d samples took %d allocations, want ≤ %d", n, got, want)
+		}
+	}
+}
+
+// cachedRecorder returns a 200k-sample exact recorder whose samples are
+// already sorted — the state every repeated percentile query sees.
 func cachedRecorder() *LatencyRecorder {
 	l := &LatencyRecorder{}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200000; i++ {
 		l.Add(time.Duration(rng.Int63n(int64(10 * time.Millisecond))))
 	}
-	l.Percentile(99) // build the cache once
+	l.Percentile(99) // sort once
 	return l
 }
 
 // TestPercentileCachedZeroAlloc: a repeated percentile query on an unchanged
-// recorder reads the cache — no re-sort, no allocation.
+// recorder reads the sorted samples — no re-sort, no allocation.
 func TestPercentileCachedZeroAlloc(t *testing.T) {
 	l := cachedRecorder()
 	if avg := testing.AllocsPerRun(100, func() {
@@ -152,7 +177,7 @@ func TestStreamingLatencyRecorder(t *testing.T) {
 		exact.Add(d)
 		stream.Add(d)
 	}
-	if stream.Samples() != nil {
+	if stream.samples != nil {
 		t.Error("streaming mode retained samples")
 	}
 	if stream.Count() != exact.Count() || stream.Mean() != exact.Mean() || stream.Max() != exact.Max() {
@@ -295,16 +320,17 @@ func TestReserve(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("Add after Reserve allocates %.0f times over the reserved samples, want 0", avg)
 	}
-	if s := l.Samples(); len(s) != n+1 || s[0] != 7*time.Millisecond || l.Count() != n+1 {
-		t.Errorf("%d samples (count %d), first %v; want %d starting with 7ms", len(s), l.Count(), s[0], n+1)
+	if l.Count() != n+1 || l.Percentile(100) != 7*time.Millisecond || l.Percentile(0) != 0 {
+		t.Errorf("count %d, max %v, min %v; want %d samples from 0 to 7ms",
+			l.Count(), l.Percentile(100), l.Percentile(0), n+1)
 	}
 
 	s := NewStreamingLatencyRecorder()
 	s.Add(7 * time.Millisecond)
 	before := s.Hist().FootprintBytes()
 	s.Reserve(1 << 20)
-	if s.Samples() != nil || s.Hist().FootprintBytes() != before || s.Count() != 1 {
+	if s.samples != nil || s.Hist().FootprintBytes() != before || s.Count() != 1 {
 		t.Errorf("Reserve changed a streaming recorder: %d samples, footprint %d → %d",
-			len(s.Samples()), before, s.Hist().FootprintBytes())
+			len(s.samples), before, s.Hist().FootprintBytes())
 	}
 }

@@ -3,6 +3,8 @@ package pagecache
 import (
 	"errors"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -380,5 +382,55 @@ func TestCacheSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if err := c.CheckConsistency(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSlabGrowsByDoubling: dirtying n distinct pages allocates the slab at
+// most ⌈log₂(n/64)⌉ + 1 times, and once a scan tracks first-seen times that
+// track grows with it, at the same capacity, once per doubling too. The
+// count is the least of a few trials, since whatever else the runtime
+// allocates meanwhile only adds to it, and collections are off while it is
+// taken, since each would add a few of its own.
+func TestSlabGrowsByDoubling(t *testing.T) {
+	for _, n := range []int64{1, 64, 65, 1000, 100_000} {
+		for _, scanned := range []bool{false, true} {
+			got := math.MaxInt
+			for trial := 0; trial < 5; trial++ {
+				cfg := testConfig()
+				cfg.CapacityPages = int(n)
+				c := newCache(t, cfg)
+				if scanned {
+					c.ScanDirty(0, false, make([]int64, cfg.Nwb()))
+				}
+				for lpn := int64(0); lpn < n; lpn++ { // the index at its working size
+					c.index.Set(lpn, 1)
+					c.index.Clear(lpn)
+				}
+				var before, after runtime.MemStats
+				gc := debug.SetGCPercent(-1)
+				runtime.ReadMemStats(&before)
+				for lpn := int64(0); lpn < n; lpn++ {
+					if _, err := c.Write(0, lpn, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&after)
+				debug.SetGCPercent(gc)
+				got = min(got, int(after.Mallocs-before.Mallocs))
+				if scanned && cap(c.firstSeen) != cap(c.slab) {
+					t.Fatalf("n=%d: first-seen capacity %d, slab %d", n, cap(c.firstSeen), cap(c.slab))
+				}
+				if err := c.CheckConsistency(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tracks := 1
+			if scanned {
+				tracks = 2
+			}
+			if want := tracks * (1 + max(0, int(math.Ceil(math.Log2(float64(n)/minSlots))))); got > want {
+				t.Errorf("n=%d scanned=%v: %d allocations, want ≤ %d", n, scanned, got, want)
+			}
+		}
 	}
 }

@@ -16,11 +16,12 @@ import (
 // the property that lets a recorder survive arbitrarily long runs.
 //
 // A histogram costs what it holds. The first smallCap samples are kept raw
-// in one buffer allocated by the first Add; the sample that would overflow
-// it moves the histogram to the bucket array for good. Every answer is a
-// function of the samples' bucket indices (plus the exact min, max and sum),
-// so the two representations are indistinguishable from outside — a
-// thousand 60-sample tenants pay for 60 samples each, not 1,920 buckets.
+// in a buffer that starts at subCount samples and doubles, never past
+// smallCap; the sample that would overflow it moves the histogram to the
+// bucket array for good. Every answer is a function of the samples' bucket
+// indices (plus the exact min, max and sum), so the two representations are
+// indistinguishable from outside — a thousand 60-sample tenants pay for 64
+// samples each, not 1,920 buckets.
 const (
 	subBits   = 6
 	subCount  = 1 << subBits                      // values below this are exact
@@ -91,18 +92,29 @@ func (h *LogHist) Add(v int64) {
 }
 
 // addSmall files v while h has no bucket array: into the raw buffer
-// (allocated here, once, at full size) or, when that is full, into the
-// bucket array the buffer spills to.
+// (grown here) or, when it holds smallCap samples, into the bucket array
+// the buffer spills to.
 func (h *LogHist) addSmall(v int64) {
 	if len(h.small) == smallCap {
 		h.spill()
 		h.counts[indexOf(v)]++
 		return
 	}
-	if h.small == nil {
-		h.small = make([]int64, 0, smallCap)
-	}
+	h.growSmall(len(h.small) + 1)
 	h.small = append(h.small, v)
+}
+
+// growSmall makes room in the raw buffer for n ≤ smallCap samples,
+// doubling its capacity from subCount and capping it at smallCap.
+func (h *LogHist) growSmall(n int) {
+	if n <= cap(h.small) {
+		return
+	}
+	c := max(subCount, cap(h.small))
+	for c < n {
+		c *= 2
+	}
+	h.small = append(make([]int64, 0, min(c, smallCap)), h.small...)
 }
 
 // spill moves h to the bucket representation and releases the raw buffer.
@@ -202,9 +214,7 @@ func (h *LogHist) Merge(o *LogHist) {
 		return
 	}
 	if h.counts == nil && o.counts == nil && len(h.small)+len(o.small) <= smallCap {
-		if h.small == nil {
-			h.small = make([]int64, 0, smallCap)
-		}
+		h.growSmall(len(h.small) + len(o.small))
 		h.small = append(h.small, o.small...)
 	} else {
 		if h.counts == nil {
@@ -242,7 +252,8 @@ func (h *LogHist) Reset() {
 }
 
 // FootprintBytes returns the memory h's samples occupy: nothing before the
-// first Add, the raw buffer up to smallCap samples, the bucket array after.
+// first Add, the raw buffer (64, 128, then smallCap samples) up to smallCap
+// samples, the bucket array after.
 // It never exceeds 8·numIdx + 8·smallCap whatever the sample count — the
 // quantity TestLogHistConstantMemory asserts.
 func (h *LogHist) FootprintBytes() int { return 8 * (cap(h.small) + len(h.counts)) }

@@ -302,8 +302,9 @@ func TestLogHistMergeSpillsAtThreshold(t *testing.T) {
 }
 
 // TestLogHistConstantMemory pins the memory claim: nothing before the first
-// sample, the raw buffer through sample smallCap, the bucket array from the
-// next one on, and never more than 8·numIdx + 8·smallCap whatever the count.
+// sample, a 512-byte raw buffer after it, never more than the 1,920 bytes of
+// smallCap samples through sample smallCap, the bucket array from the next
+// one on, and never more than 8·numIdx + 8·smallCap whatever the count.
 func TestLogHistConstantMemory(t *testing.T) {
 	h := NewLogHist()
 	if got := h.FootprintBytes(); got != 0 {
@@ -316,8 +317,11 @@ func TestLogHistConstantMemory(t *testing.T) {
 		if got > 8*numIdx+8*smallCap {
 			t.Fatalf("footprint %d bytes after %d samples, bound %d", got, i, 8*numIdx+8*smallCap)
 		}
-		if want := 8 * smallCap; i <= smallCap && got != want {
-			t.Fatalf("footprint %d bytes after %d samples, want the %d-byte buffer", got, i, want)
+		if want := 8 * subCount; i == 1 && got != want {
+			t.Fatalf("footprint %d bytes after the first sample, want %d", got, want)
+		}
+		if limit := 8 * smallCap; i <= smallCap && got > limit {
+			t.Fatalf("footprint %d bytes after %d samples, want ≤ %d", got, i, limit)
 		}
 		if want := 8 * numIdx; i > smallCap && got != want {
 			t.Fatalf("footprint %d bytes after %d samples, want the %d-byte bucket array", got, i, want)
@@ -325,8 +329,8 @@ func TestLogHistConstantMemory(t *testing.T) {
 	}
 }
 
-// TestLogHistZeroAlloc is the per-call side of the memory claim: after the
-// first sample (which allocates the buffer) and apart from the one spill,
+// TestLogHistZeroAlloc is the per-call side of the memory claim: once the
+// raw buffer has grown to its full size and apart from the one spill,
 // neither recording a sample, reading a quantile nor merging allocates, in
 // either representation.
 func TestLogHistZeroAlloc(t *testing.T) {
@@ -336,7 +340,9 @@ func TestLogHistZeroAlloc(t *testing.T) {
 		h.Add(i*2654435761 + 12345)
 		i++
 	}
-	add()
+	for cap(h.small) < smallCap {
+		add()
+	}
 	other := histOf([]int64{3, 1 << 20, 1 << 40}, false)
 	for _, rep := range []string{"small", "bucket"} {
 		if rep == "bucket" {
@@ -344,7 +350,8 @@ func TestLogHistZeroAlloc(t *testing.T) {
 				add()
 			}
 		}
-		// 21 calls each: the three together stay under smallCap.
+		// 21 calls each: with the 129 samples that grew the buffer, the
+		// three together stay under smallCap.
 		if avg := testing.AllocsPerRun(20, add); avg != 0 {
 			t.Errorf("%s: Add allocates %.2f times per sample, want 0", rep, avg)
 		}
