@@ -435,7 +435,7 @@ func (a *Array) StepRequest(r trace.Request) (time.Duration, error) {
 		return 0, fmt.Errorf("%w: lpn %d..%d, array capacity %d",
 			sim.ErrTraceBeyondCapacity, r.LPN, r.End(), a.userPages)
 	}
-	a.split(r.LPN, r.Pages)
+	a.split(r.LPN, int(r.Pages))
 	for i, exts := range a.ext {
 		if len(exts) > 0 && a.degraded[i] != nil && !a.canServeDegraded(i) {
 			return a.failRequest(r), nil
@@ -449,7 +449,7 @@ func (a *Array) StepRequest(r trace.Request) (time.Duration, error) {
 			if !ok {
 				if landed && r.Kind != trace.Read {
 					a.torn++
-					a.tr.StripeTorn(r.Time, i, r.LPN, r.Pages)
+					a.tr.StripeTorn(r.Time, i, r.LPN, int(r.Pages))
 				}
 				return a.failRequest(r), nil
 			}

@@ -28,7 +28,7 @@ func stripedWrites(a *Array, rounds int) []trace.Request {
 		for lpn := int64(0); lpn+int64(stripe) <= a.UserPages(); lpn += int64(stripe) {
 			reqs = append(reqs, trace.Request{
 				Time: time.Millisecond, Kind: trace.DirectWrite,
-				LPN: lpn, Pages: stripe,
+				LPN: lpn, Pages: int32(stripe),
 			})
 		}
 	}

@@ -90,10 +90,11 @@ func (a *Array) issueExtent(r trace.Request, i int, e extent) (time.Duration, bo
 }
 
 // step forwards one segment of an array request to member dev at a
-// device-local location.
+// device-local location. A segment is never longer than r, so its length
+// fits Request.Pages.
 func (a *Array) step(r trace.Request, dev int, lpn int64, pages int) (time.Duration, error) {
 	return a.devs[dev].StepRequest(trace.Request{
-		Time: r.Time, Kind: r.Kind, LPN: lpn, Pages: pages,
+		Time: r.Time, Kind: r.Kind, LPN: lpn, Pages: int32(pages),
 	})
 }
 

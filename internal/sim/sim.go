@@ -353,12 +353,13 @@ func (s *Simulator) StepRequest(r trace.Request) (time.Duration, error) {
 		return 0, err
 	}
 	s.runBGCUntil(r.Time)
-	if err := s.admit(r.Time, r.LPN, r.Pages); err != nil {
+	pages := int(r.Pages)
+	if err := s.admit(r.Time, r.LPN, pages); err != nil {
 		return 0, err
 	}
 	var done time.Duration
 	if r.Kind == trace.BufferedWrite {
-		reclaimed, err := s.cache.Write(r.Time, r.LPN, r.Pages)
+		reclaimed, err := s.cache.Write(r.Time, r.LPN, pages)
 		if err != nil {
 			return 0, err
 		}
@@ -373,7 +374,7 @@ func (s *Simulator) StepRequest(r trace.Request) (time.Duration, error) {
 		}
 	} else {
 		var err error
-		if done, err = s.serve(r.Time, r.Kind, r.LPN, r.Pages, true); err != nil {
+		if done, err = s.serve(r.Time, r.Kind, r.LPN, pages, true); err != nil {
 			return 0, err
 		}
 	}
@@ -382,7 +383,7 @@ func (s *Simulator) StepRequest(r trace.Request) (time.Duration, error) {
 	if done > s.opsEnd {
 		s.opsEnd = done
 	}
-	s.tr.Request(r.Time, r.Kind.String(), r.LPN, r.Pages, done-r.Time)
+	s.tr.Request(r.Time, r.Kind.String(), r.LPN, pages, done-r.Time)
 	return done, nil
 }
 

@@ -210,7 +210,7 @@ func TestDeterminism(t *testing.T) {
 				Time:  time.Duration(i%7) * 10 * time.Millisecond,
 				Kind:  kind,
 				LPN:   int64((i * 37) % 300),
-				Pages: i%3 + 1,
+				Pages: int32(i%3 + 1),
 			})
 		}
 		res, err := s.RunClosedLoop(reqs)

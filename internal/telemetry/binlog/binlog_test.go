@@ -506,6 +506,21 @@ func TestRequestsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestsNarrowsPages: the binlog request decoder accepts a
+// request of math.MaxInt32 pages and rejects one page more, naming the
+// request, instead of wrapping the count negative in Request.Pages.
+func TestDecodeRequestsNarrowsPages(t *testing.T) {
+	for _, pages := range []int{math.MaxInt32, math.MaxInt32 + 1} {
+		reqs, err := DecodeRequests(bytes.NewReader(requestStream(t, pages)))
+		switch {
+		case pages <= math.MaxInt32 && (err != nil || len(reqs) != 1 || int(reqs[0].Pages) != pages):
+			t.Errorf("%d pages decoded to %+v, %v; want one request of %d pages", pages, reqs, err, pages)
+		case pages > math.MaxInt32 && (err == nil || !strings.Contains(err.Error(), "request 0")):
+			t.Errorf("%d pages decoded to %+v, %v; want an error naming request 0", pages, reqs, err)
+		}
+	}
+}
+
 func TestBinSinkConcurrentAndClose(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewBinSink(&buf, Options{BlockEvents: 64})

@@ -268,10 +268,26 @@ func FuzzSeekReader(f *testing.F) {
 	})
 }
 
+// requestStream is a binlog stream of one write of the given page count,
+// written as an event so that a count past Request.Pages can be encoded.
+func requestStream(tb testing.TB, pages int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf, Options{})
+	if err := w.WriteRequest(0, 0, "W", 0, pages, 0); err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // FuzzDecodeRequests feeds arbitrary bytes to the binlog request-trace
 // decoder: no panic, and every request it returns, with or without an
 // error, passes Validate.
 func FuzzDecodeRequests(f *testing.F) {
+	f.Add(requestStream(f, 1<<31)) // 2³¹ pages: past Request.Pages
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reqs, _ := DecodeRequests(bytes.NewReader(data))
 		for i, r := range reqs {

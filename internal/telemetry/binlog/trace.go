@@ -23,7 +23,7 @@ func EncodeRequests(w io.Writer, reqs []trace.Request, opts Options) error {
 		if err := r.Validate(); err != nil {
 			return fmt.Errorf("binlog: write request %d: %w", i, err)
 		}
-		if err := bw.WriteRequest(r.Time, 0, r.Kind.String(), r.LPN, r.Pages, 0); err != nil {
+		if err := bw.WriteRequest(r.Time, 0, r.Kind.String(), r.LPN, int(r.Pages), 0); err != nil {
 			return err
 		}
 	}
@@ -71,7 +71,11 @@ func requestFromEvent(ev telemetry.Event) (trace.Request, error) {
 	default:
 		return trace.Request{}, fmt.Errorf("bad kind %q", ev.Kind)
 	}
-	req := trace.Request{Time: time.Duration(ev.T), Kind: kind, LPN: ev.LPN, Pages: ev.Pages}
+	pages, err := trace.NarrowPages(int64(ev.Pages))
+	if err != nil {
+		return trace.Request{}, err
+	}
+	req := trace.Request{Time: time.Duration(ev.T), Kind: kind, LPN: ev.LPN, Pages: pages}
 	if err := req.Validate(); err != nil {
 		return trace.Request{}, err
 	}

@@ -276,7 +276,7 @@ func TestSourceAuditCatchesFaults(t *testing.T) {
 		{"admission past the bound", func(e *source) bool { return queueAt(e, e.cfg.QueueDepth) >= 0 }, func(e *source) {
 			t := queueAt(e, e.cfg.QueueDepth)
 			e.sched.queues[t].limit++
-			e.sched.admit(t, pending{req: trace.Request{Pages: 1}})
+			e.sched.admit(t, trace.Request{Pages: 1})
 			e.tenants[t].arrivals++
 		}, "deeper than QueueDepth"},
 		{"backlogged tenant off the list", func(e *source) bool { return e.sched.actN > 0 },
@@ -321,9 +321,9 @@ func TestSourceAuditCatchesFaults(t *testing.T) {
 // head.
 func TestDRRGapExceedsQuantumPlusLargest(t *testing.T) {
 	s := newScheduler([]int64{1, 1}, 1, 8)
-	admit := func(tn int, pages ...int) {
+	admit := func(tn int, pages ...int32) {
 		for _, p := range pages {
-			s.admit(tn, pending{req: trace.Request{Pages: p}})
+			s.admit(tn, trace.Request{Pages: p})
 		}
 	}
 	admit(0, 4, 1, 1, 1)
@@ -332,12 +332,12 @@ func TestDRRGapExceedsQuantumPlusLargest(t *testing.T) {
 		t.Fatalf("set-up: dispatched tenant %d, tenant 0 deficit %d; want tenant 1, deficit 2", tn, s.deficit[0])
 	}
 	admit(1, 4, 4)
-	var served [2]int
+	var served [2]int32
 	for i := 0; i < 3; i++ {
 		tn, p, _ := s.dispatch()
-		served[tn] += p.req.Pages
+		served[tn] += p.Pages
 	}
-	if served != [2]int{6, 0} || s.queuedAt(0) == 0 || s.queuedAt(1) == 0 {
+	if served != [2]int32{6, 0} || s.queuedAt(0) == 0 || s.queuedAt(1) == 0 {
 		t.Errorf("served %v with queues %d and %d, want [6 0] with both still backlogged",
 			served, s.queuedAt(0), s.queuedAt(1))
 	}

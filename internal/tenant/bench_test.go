@@ -26,7 +26,7 @@ func backloggedScheduler() *scheduler {
 	s := newScheduler(weights, 8, depth)
 	for t := 0; t < tenants; t++ {
 		for i := 0; i < depth; i++ {
-			s.admit(t, pending{req: trace.Request{Pages: 1 + i%4}})
+			s.admit(t, trace.Request{Pages: int32(1 + i%4)})
 		}
 	}
 	return s

@@ -270,19 +270,19 @@ func (e *source) Fire(now time.Duration, dev sim.Device) error {
 	e.now = now
 	if len(e.heap) > 0 && e.heap[0].at <= now {
 		t, r := e.takeArrival()
-		if !e.sched.admit(int(t), pending{arrival: r.Time, req: r}) {
+		if !e.sched.admit(int(t), r) {
 			e.tenants[t].drops++
 		}
 		return nil
 	}
-	t, p, _ := e.sched.dispatch()
-	req := p.req
+	t, req, _ := e.sched.dispatch()
+	arrival := req.Time
 	req.Time = now
 	comp, err := dev.StepRequest(req)
 	if err != nil {
 		return fmt.Errorf("tenant %d: %w", t, err)
 	}
-	lat := comp - p.arrival // runs from queue arrival
+	lat := comp - arrival // runs from queue arrival
 	ts := &e.tenants[t]
 	ts.hist.Add(int64(lat))
 	ts.done++

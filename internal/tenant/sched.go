@@ -1,27 +1,17 @@
 package tenant
 
-import (
-	"time"
+import "jitgc/internal/trace"
 
-	"jitgc/internal/trace"
-)
-
-// pending is one admitted request waiting in a tenant queue: the request
-// plus the open-loop arrival time the tenant's latency is measured from
-// (the dispatched request's Time field carries the later dispatch time).
-type pending struct {
-	arrival time.Duration
-	req     trace.Request
-}
-
-// ring is a bounded FIFO of pending requests — one tenant queue. Admission
+// ring is a bounded FIFO of admitted requests — one tenant queue. A queued
+// request's Time is its open-loop arrival, which the tenant's latency is
+// measured from; dispatch restamps a copy with the dispatch time. Admission
 // past the bound is the caller's drop decision. Storage follows use: nothing
 // until the first push, then ringMinSlots, doubling (never past the bound)
 // when a push finds it full — measured peak depth is 2 against a default
 // bound of 64 — so the dispatch path allocates only while a queue is
 // reaching a depth it has not held before.
 type ring struct {
-	buf   []pending
+	buf   []trace.Request
 	head  int
 	n     int
 	limit int // the bound: QueueDepth
@@ -35,30 +25,30 @@ func newRing(limit int) ring { return ring{limit: limit} }
 func (q *ring) len() int   { return q.n }
 func (q *ring) full() bool { return q.n == q.limit }
 
-func (q *ring) push(p pending) {
+func (q *ring) push(r trace.Request) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = p
+	q.buf[(q.head+q.n)%len(q.buf)] = r
 	q.n++
 }
 
 // grow doubles the full storage, up to limit, unwrapping the queue to the
 // front.
 func (q *ring) grow() {
-	buf := make([]pending, min(max(2*len(q.buf), ringMinSlots), q.limit))
+	buf := make([]trace.Request, min(max(2*len(q.buf), ringMinSlots), q.limit))
 	n := copy(buf, q.buf[q.head:])
 	copy(buf[n:], q.buf[:q.head])
 	q.buf, q.head = buf, 0
 }
 
-func (q *ring) peek() pending { return q.buf[q.head] }
+func (q *ring) peek() trace.Request { return q.buf[q.head] }
 
-func (q *ring) pop() pending {
-	p := q.buf[q.head]
+func (q *ring) pop() trace.Request {
+	r := q.buf[q.head]
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--
-	return p
+	return r
 }
 
 // scheduler is a deficit-round-robin weighted-fair scheduler over bounded
@@ -113,13 +103,13 @@ func newScheduler(weights []int64, quantum int64, depth int) *scheduler {
 // admit offers one arrival to tenant t's queue. It reports false — a
 // drop — when the queue is at capacity: open-loop backpressure sheds load
 // at admission instead of growing an unbounded backlog.
-func (s *scheduler) admit(t int, p pending) bool {
+func (s *scheduler) admit(t int, r trace.Request) bool {
 	q := &s.queues[t]
 	if q.full() {
 		s.dropped++
 		return false
 	}
-	q.push(p)
+	q.push(r)
 	s.admitted++
 	s.queued++
 	if q.len() > s.peakDepth {
@@ -141,14 +131,14 @@ func (s *scheduler) queuedAt(t int) int { return s.queues[t].len() }
 
 // dispatch removes and returns the next request under DRR order. ok is
 // false when nothing is queued.
-func (s *scheduler) dispatch() (tenant int, p pending, ok bool) {
+func (s *scheduler) dispatch() (tenant int, r trace.Request, ok bool) {
 	if s.queued == 0 {
-		return 0, pending{}, false
+		return 0, trace.Request{}, false
 	}
 	for {
 		t := int(s.active[s.actHead])
 		q := &s.queues[t]
-		cost := int64(q.peek().req.Pages)
+		cost := int64(q.peek().Pages)
 		if s.deficit[t] < cost {
 			// Earn this visit's quantum and rotate to the back.
 			s.deficit[t] += s.quantum[t]
@@ -156,7 +146,7 @@ func (s *scheduler) dispatch() (tenant int, p pending, ok bool) {
 			s.actHead = (s.actHead + 1) % len(s.active)
 			continue
 		}
-		p = q.pop()
+		r = q.pop()
 		s.deficit[t] -= cost
 		s.queued--
 		s.served++
@@ -167,6 +157,6 @@ func (s *scheduler) dispatch() (tenant int, p pending, ok bool) {
 			s.actHead = (s.actHead + 1) % len(s.active)
 			s.actN--
 		}
-		return t, p, true
+		return t, r, true
 	}
 }

@@ -17,7 +17,7 @@ import (
 // and require identical dispatch decisions, so the production ring/FIFO
 // micro-optimisations can never drift from the textbook semantics.
 type refScheduler struct {
-	queues  [][]pending
+	queues  [][]trace.Request
 	deficit []int64
 	quantum []int64
 	active  []int // backlogged tenants in FIFO rotation order
@@ -28,7 +28,7 @@ type refScheduler struct {
 
 func newRefScheduler(weights []int64, quantum int64, depth int) *refScheduler {
 	r := &refScheduler{
-		queues:  make([][]pending, len(weights)),
+		queues:  make([][]trace.Request, len(weights)),
 		deficit: make([]int64, len(weights)),
 		quantum: make([]int64, len(weights)),
 		depth:   depth,
@@ -39,7 +39,7 @@ func newRefScheduler(weights []int64, quantum int64, depth int) *refScheduler {
 	return r
 }
 
-func (r *refScheduler) admit(t int, p pending) bool {
+func (r *refScheduler) admit(t int, p trace.Request) bool {
 	if len(r.queues[t]) == r.depth {
 		r.dropped++
 		return false
@@ -55,13 +55,13 @@ func (r *refScheduler) admit(t int, p pending) bool {
 	return true
 }
 
-func (r *refScheduler) dispatch() (int, pending, bool) {
+func (r *refScheduler) dispatch() (int, trace.Request, bool) {
 	if r.admitted-r.served == 0 {
-		return 0, pending{}, false
+		return 0, trace.Request{}, false
 	}
 	for {
 		t := r.active[0]
-		cost := int64(r.queues[t][0].req.Pages)
+		cost := int64(r.queues[t][0].Pages)
 		if r.deficit[t] < cost {
 			r.deficit[t] += r.quantum[t]
 			r.active = append(r.active[1:], t)
@@ -103,9 +103,10 @@ func TestSchedulerMatchesReference(t *testing.T) {
 		for op := 0; op < 400; op++ {
 			if rng.Intn(3) != 0 { // 2/3 admits, 1/3 dispatches
 				tn := rng.Intn(n)
-				p := pending{
-					arrival: time.Duration(op) * time.Millisecond,
-					req:     trace.Request{LPN: int64(op), Pages: 1 + rng.Intn(4)},
+				p := trace.Request{
+					Time:  time.Duration(op) * time.Millisecond,
+					LPN:   int64(op),
+					Pages: 1 + rng.Int31n(4),
 				}
 				offered++
 				got, want := s.admit(tn, p), ref.admit(tn, p)
@@ -175,9 +176,9 @@ func TestSchedulerConservesRequests(t *testing.T) {
 		admittedLPNs := make([][]int64, n)
 		for i := 0; i < n*depth; i++ {
 			tn := rng.Intn(n)
-			p := pending{req: trace.Request{LPN: int64(i), Pages: 1 + rng.Intn(4)}}
+			p := trace.Request{LPN: int64(i), Pages: 1 + rng.Int31n(4)}
 			if s.admit(tn, p) {
-				admittedLPNs[tn] = append(admittedLPNs[tn], p.req.LPN)
+				admittedLPNs[tn] = append(admittedLPNs[tn], p.LPN)
 			}
 		}
 		servedLPNs := make([][]int64, n)
@@ -187,7 +188,7 @@ func TestSchedulerConservesRequests(t *testing.T) {
 				t.Logf("seed %d: backlogged but dispatch returned !ok", seed)
 				return false
 			}
-			servedLPNs[tn] = append(servedLPNs[tn], p.req.LPN)
+			servedLPNs[tn] = append(servedLPNs[tn], p.LPN)
 		}
 		if s.served != s.admitted {
 			t.Logf("seed %d: drained with served %d ≠ admitted %d", seed, s.served, s.admitted)
@@ -223,7 +224,7 @@ func TestSchedulerNoStarvation(t *testing.T) {
 	refill := func() {
 		for tn := range weights {
 			for s.queuedAt(tn) < depth {
-				s.admit(tn, pending{req: trace.Request{Pages: pages}})
+				s.admit(tn, trace.Request{Pages: pages})
 			}
 		}
 	}

@@ -19,6 +19,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add("9223372036854775807 W 0 1\n")          // µs→ns conversion overflow
 	f.Add("-5 W 0 1\n")                           // negative time
 	f.Add("0 W 9223372036854775807 2147483647\n") // LPN+Pages overflow
+	f.Add("0 W 0 2147483648\n")                   // 2³¹ pages: past Request.Pages
 	f.Add("0 W -1 1\n0 W 0 0\n")
 	f.Add("1e3 W 0 1\n")
 	f.Fuzz(func(t *testing.T, data string) {
@@ -63,6 +64,7 @@ func FuzzDecodeMSR(f *testing.F) {
 	f.Add("9223372036854775807,h,0,Write,0,4096,0\n0,h,0,Write,0,4096,0\n")
 	f.Add("100,h,0,Write,0,4096,0\n9223372036854775807,h,0,Read,0,512,0\n") // ×100 tick overflow
 	f.Add("0,h,0,Flush,0,4096,0\n")
+	f.Add("0,h,0,Write,0,8796093022208,0\n") // 8 TiB: 2³¹ pages at 4 KiB
 	f.Fuzz(func(t *testing.T, data string) {
 		for _, opts := range []MSROptions{
 			{Disk: -1},

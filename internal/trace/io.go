@@ -94,9 +94,13 @@ func parseLine(line string) (Request, error) {
 	if err != nil {
 		return Request{}, fmt.Errorf("bad lpn %q: %w", fields[2], err)
 	}
-	pages, err := strconv.Atoi(fields[3])
+	n, err := strconv.ParseInt(fields[3], 10, 64)
 	if err != nil {
 		return Request{}, fmt.Errorf("bad length %q: %w", fields[3], err)
+	}
+	pages, err := NarrowPages(n)
+	if err != nil {
+		return Request{}, err
 	}
 	req := Request{Time: time.Duration(us) * time.Microsecond, Kind: kind, LPN: lpn, Pages: pages}
 	if err := req.Validate(); err != nil {

@@ -142,20 +142,17 @@ func parseMSRLine(line string, opts MSROptions) (Request, int, int64, error) {
 		return Request{}, 0, 0, fmt.Errorf("offset %d + size %d out of range", offset, size)
 	}
 	lpn := offset / ps
-	pages := int((offset+size+ps-1)/ps - lpn)
-	if pages < 1 {
-		pages = 1
+	n := (offset+size+ps-1)/ps - lpn
+	if n < 1 {
+		n = 1
 	}
 	if opts.MaxLPN > 0 {
 		lpn %= opts.MaxLPN
-		if lpn+int64(pages) > opts.MaxLPN {
-			over := lpn + int64(pages) - opts.MaxLPN
-			pages -= int(over)
-			if pages < 1 {
-				pages = 1
-				lpn = opts.MaxLPN - 1
-			}
-		}
+		n = min(n, opts.MaxLPN-lpn)
+	}
+	pages, err := NarrowPages(n)
+	if err != nil {
+		return Request{}, 0, 0, err
 	}
 	return Request{Kind: kind, LPN: lpn, Pages: pages}, disk, ft, nil
 }

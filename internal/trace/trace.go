@@ -50,16 +50,18 @@ func (k Kind) String() string {
 	}
 }
 
-// Request is one host I/O request.
+// Request is one host I/O request. It is 24 bytes: Kind and Pages share
+// one word, so a stream of n requests holds 24n bytes.
 type Request struct {
 	// Time is the arrival time, measured from simulation start.
 	Time time.Duration
-	// Kind classifies the request.
-	Kind Kind
 	// LPN is the first logical page number touched.
 	LPN int64
-	// Pages is the request length in logical pages (≥ 1).
-	Pages int
+	// Kind classifies the request.
+	Kind Kind
+	// Pages is the request length in logical pages (1 ≤ Pages ≤
+	// math.MaxInt32).
+	Pages int32
 }
 
 // Validate reports whether r is well-formed.
@@ -78,6 +80,19 @@ func (r Request) Validate() error {
 		return fmt.Errorf("trace: LPN %d + %d pages overflows", r.LPN, r.Pages)
 	}
 	return nil
+}
+
+// NarrowPages converts a decoded page count to a Request.Pages value. A
+// count above math.MaxInt32 is rejected rather than wrapped, and so is a
+// non-positive one.
+func NarrowPages(n int64) (int32, error) {
+	switch {
+	case n <= 0:
+		return 0, fmt.Errorf("trace: non-positive length %d pages", n)
+	case n > math.MaxInt32:
+		return 0, fmt.Errorf("trace: length %d pages exceeds %d", n, math.MaxInt32)
+	}
+	return int32(n), nil
 }
 
 // IsWrite reports whether the request writes data.

@@ -3,12 +3,59 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
+
+// TestRequestLayout pins the request record at 24 bytes: Kind and Pages
+// share the word after Time and LPN, so a stream of n requests holds 24n
+// bytes.
+func TestRequestLayout(t *testing.T) {
+	var r Request
+	if size := unsafe.Sizeof(r); size != 24 {
+		t.Errorf("Request is %d bytes, want 24", size)
+	}
+	kind, pages := unsafe.Offsetof(r.Kind), unsafe.Offsetof(r.Pages)
+	if kind/8 != pages/8 {
+		t.Errorf("Kind at offset %d and Pages at offset %d lie in different words", kind, pages)
+	}
+}
+
+// TestDecodersNarrowPages: the text and MSR decoders accept a request of
+// math.MaxInt32 pages and reject one page more, naming the line, instead
+// of wrapping the count negative in Request.Pages.
+func TestDecodersNarrowPages(t *testing.T) {
+	decodeText := func(pages int64) ([]Request, error) {
+		return Decode(strings.NewReader(fmt.Sprintf("0 W 0 %d\n", pages)))
+	}
+	decodeMSR := func(pages int64) ([]Request, error) {
+		line := fmt.Sprintf("0,h,0,Write,0,%d,0\n", pages*4096)
+		return DecodeMSR(strings.NewReader(line), MSROptions{Disk: -1})
+	}
+	for _, tc := range []struct {
+		name   string
+		decode func(pages int64) ([]Request, error)
+		line   string
+	}{
+		{"text", decodeText, "line 1"},
+		{"msr", decodeMSR, "msr line 1"},
+	} {
+		for _, pages := range []int64{math.MaxInt32, math.MaxInt32 + 1} {
+			reqs, err := tc.decode(pages)
+			switch {
+			case pages <= math.MaxInt32 && (err != nil || len(reqs) != 1 || int64(reqs[0].Pages) != pages):
+				t.Errorf("%s: %d pages decoded to %+v, %v; want one request of %d pages", tc.name, pages, reqs, err, pages)
+			case pages > math.MaxInt32 && (err == nil || !strings.Contains(err.Error(), tc.line)):
+				t.Errorf("%s: %d pages decoded to %+v, %v; want an error naming %s", tc.name, pages, reqs, err, tc.line)
+			}
+		}
+	}
+}
 
 func TestKindStrings(t *testing.T) {
 	if Read.String() != "R" || BufferedWrite.String() != "W" || DirectWrite.String() != "D" {
@@ -166,7 +213,7 @@ func TestRoundTripProperty(t *testing.T) {
 				Time:  tprev,
 				Kind:  Kind(s % 3),
 				LPN:   int64(s % 100000),
-				Pages: int(s%64) + 1,
+				Pages: int32(s%64) + 1,
 			})
 		}
 		var buf bytes.Buffer

@@ -12,6 +12,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"sort"
@@ -45,6 +46,11 @@ func (p Params) Validate() error {
 	}
 	if p.WorkingSetPages <= 0 {
 		return fmt.Errorf("workload: working set %d pages", p.WorkingSetPages)
+	}
+	if p.WorkingSetPages > math.MaxInt32 {
+		// Every extent lies inside the working set, so this bound keeps
+		// each emitted length within Request.Pages.
+		return fmt.Errorf("workload: working set %d pages exceeds %d", p.WorkingSetPages, math.MaxInt32)
 	}
 	return nil
 }
@@ -178,7 +184,7 @@ func (e *engine) emit(kind trace.Kind, lpn int64, pages int) {
 		Time:  e.pendingThink,
 		Kind:  kind,
 		LPN:   lpn,
-		Pages: pages,
+		Pages: int32(pages),
 	})
 	e.pendingThink = 0
 	switch kind {

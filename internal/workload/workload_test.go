@@ -26,6 +26,14 @@ func TestParamsValidate(t *testing.T) {
 	if err := (Params{Ops: 10, WorkingSetPages: 0}).Validate(); err == nil {
 		t.Error("zero working set accepted")
 	}
+	// An extent may span the whole working set, so the working set is
+	// bounded by what Request.Pages holds.
+	if err := (Params{Ops: 10, WorkingSetPages: math.MaxInt32}).Validate(); err != nil {
+		t.Errorf("working set of math.MaxInt32 pages rejected: %v", err)
+	}
+	if err := (Params{Ops: 10, WorkingSetPages: math.MaxInt32 + 1}).Validate(); err == nil {
+		t.Error("working set past math.MaxInt32 pages accepted")
+	}
 }
 
 func TestAllReturnsSixPaperBenchmarks(t *testing.T) {
