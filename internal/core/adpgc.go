@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"jitgc/internal/predictor"
+	"jitgc/internal/trace"
 )
 
 // ADPGC is the adaptive baseline of the paper's evaluation (§4.2): it
@@ -30,9 +31,13 @@ func NewADPGC(wb predictor.WriteBack, opts JITOptions) (*ADPGC, error) {
 // Name implements Policy.
 func (a *ADPGC) Name() string { return "ADP-GC" }
 
-// ObserveDeviceWrite records bytes of any write reaching the device —
-// the only traffic visible from inside the SSD.
-func (a *ADPGC) ObserveDeviceWrite(bytes int64) { a.tracker.Observe(bytes) }
+// Observe implements Policy: ADP-GC sees every write reaching the device —
+// the only traffic visible from inside the SSD — and no discards.
+func (a *ADPGC) Observe(kind trace.Kind, bytes int64) {
+	if kind != trace.Trim {
+		a.tracker.Observe(bytes)
+	}
+}
 
 // OnInterval implements Policy. ADP-GC reserves the predicted demand lazily
 // with the same scheduling rule as JIT-GC — the difference is purely in
@@ -41,10 +46,6 @@ func (a *ADPGC) ObserveDeviceWrite(bytes int64) { a.tracker.Observe(bytes) }
 func (a *ADPGC) OnInterval(_ time.Duration, view DeviceView) Decision {
 	a.tracker.Tick()
 	demand := a.tracker.Predict()
-	period := a.expire / time.Duration(len(demand))
-	return Decision{
-		PredictedBytes: demand.Total(),
-		ReclaimBytes: Schedule(demand, view.FreeBytes(), period,
-			view.WriteBandwidth(), view.GCBandwidth(), view.IdleFraction()),
-	}
+	return decide(forecast{demand: demand, predicted: demand.Total()},
+		a.expire/time.Duration(len(demand)), view)
 }

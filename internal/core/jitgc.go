@@ -5,6 +5,7 @@ import (
 
 	"jitgc/internal/pagecache"
 	"jitgc/internal/predictor"
+	"jitgc/internal/trace"
 )
 
 // JITGC is the paper's just-in-time BGC manager (§3.3). At the start of
@@ -24,10 +25,10 @@ import (
 //
 // The reclaim amount is additionally capped at the actual shortfall
 // C_req − C_free, since reclaiming more than the deficit cannot be needed.
+// The buffered flush wave due within two ticks is its reserve as well.
 type JITGC struct {
 	buffered *predictor.Buffered
 	direct   *predictor.CDHTracker
-	expire   time.Duration
 	interval time.Duration
 	// DisableSIP suppresses SIP-list forwarding (ablation knob: JIT timing
 	// without victim filtering).
@@ -64,8 +65,8 @@ func (o JITOptions) newCDH(wb predictor.WriteBack) (*predictor.CDHTracker, error
 }
 
 // NewJITGC builds a JIT-GC manager over the host page cache. The returned
-// manager must be fed direct-write traffic via ObserveDirect and ticked by
-// the simulator's interval loop (OnInterval does both prediction and
+// manager must be fed direct-write traffic via Observe and ticked by the
+// simulator's interval loop (OnInterval does both prediction and
 // scheduling).
 func NewJITGC(cache *pagecache.Cache, opts JITOptions) (*JITGC, error) {
 	buf := predictor.NewBuffered(cache)
@@ -75,15 +76,19 @@ func NewJITGC(cache *pagecache.Cache, opts JITOptions) (*JITGC, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &JITGC{buffered: buf, direct: dir, expire: wb.Expire, interval: wb.Period}, nil
+	return &JITGC{buffered: buf, direct: dir, interval: wb.Period}, nil
 }
 
 // Name implements Policy.
 func (j *JITGC) Name() string { return "JIT-GC" }
 
-// ObserveDirect records direct-write traffic (bytes) for the CDH predictor.
-// The simulator calls it as direct writes reach the device.
-func (j *JITGC) ObserveDirect(bytes int64) { j.direct.Observe(bytes) }
+// Observe implements Policy: host direct writes feed the CDH predictor; the
+// buffered demand is read from the page cache instead.
+func (j *JITGC) Observe(kind trace.Kind, bytes int64) {
+	if kind == trace.DirectWrite {
+		j.direct.Observe(bytes)
+	}
+}
 
 // Predict exposes the combined prediction at time now (used by tests and
 // by OnInterval). It shares the predictors' buffers: valid only until the
@@ -107,29 +112,19 @@ func (j *JITGC) OnInterval(now time.Duration, view DeviceView) Decision {
 		demand = append(demand, d)
 	}
 	j.demand = demand
-	d := Decision{PredictedBytes: p.Total()}
+	f := forecast{demand: demand, predicted: p.Total()}
 	if !j.DisableSIP {
-		d.SIP = p.SIP
+		f.sip = p.SIP
 	}
-
-	d.ReclaimBytes = Schedule(demand, view.FreeBytes(), j.interval,
-		view.WriteBandwidth(), view.GCBandwidth(), view.IdleFraction())
-
 	// Buffered flushes are point events whose timing the predictor knows
 	// exactly, and host bursts can occupy the device for most of an
-	// interval — so the flush wave due in two ticks is also treated as a
-	// hard deadline. Direct demand stays rate-based: the next tick's k=0
-	// check covers it.
+	// interval — so the flush wave due in two ticks must already be free:
+	// it is a reserve, not demand to schedule. Direct demand stays
+	// rate-based: the next tick's k=0 check covers it.
 	if len(p.Buffered) >= 2 {
-		hard := p.Buffered[0] + p.Buffered[1]
-		if len(p.Direct) > 0 {
-			hard += p.Direct[0]
-		}
-		if r := hard - view.FreeBytes(); r > d.ReclaimBytes {
-			d.ReclaimBytes = r
-		}
+		f.reserve = demand[0] + p.Buffered[1]
 	}
-	return d
+	return decide(f, j.interval, view)
 }
 
 // Schedule is the pure just-in-time scheduling rule. demand holds the
@@ -152,10 +147,7 @@ func (j *JITGC) OnInterval(now time.Duration, view DeviceView) Decision {
 // paper's D_reclaim. The result is capped at the total deficit
 // C_req − C_free.
 func Schedule(demand []int64, cfree int64, period time.Duration, bw, bgc, idleFrac float64) int64 {
-	var creq int64
-	for _, d := range demand {
-		creq += d
-	}
+	creq := predictor.Demand(demand).Total()
 	if creq <= cfree {
 		return 0
 	}
@@ -163,12 +155,7 @@ func Schedule(demand []int64, cfree int64, period time.Duration, bw, bgc, idleFr
 	if bw <= 0 || bgc <= 0 {
 		return deficit // no bandwidth knowledge: reclaim the deficit now
 	}
-	if idleFrac < 0 {
-		idleFrac = 0
-	}
-	if idleFrac > 1 {
-		idleFrac = 1
-	}
+	idleFrac = min(max(idleFrac, 0), 1)
 
 	var reclaim, cum int64
 	for k, d := range demand {
@@ -199,19 +186,10 @@ func Schedule(demand []int64, cfree int64, period time.Duration, bw, bgc, idleFr
 			frac = 1
 		}
 		horizon := time.Duration(k+1) * period
-		tidle := frac*horizon.Seconds() - float64(cum)/bw
-		if tidle < 0 {
-			tidle = 0
-		}
-		tgc := float64(cum-cfree) / bgc
-		if tgc > tidle {
-			if r := int64((tgc - tidle) * bgc); r > reclaim {
-				reclaim = r
-			}
+		tidle := max(frac*horizon.Seconds()-float64(cum)/bw, 0)
+		if tgc := float64(cum-cfree) / bgc; tgc > tidle {
+			reclaim = max(reclaim, int64((tgc-tidle)*bgc))
 		}
 	}
-	if reclaim > deficit {
-		reclaim = deficit
-	}
-	return reclaim
+	return min(reclaim, deficit)
 }

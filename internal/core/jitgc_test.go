@@ -7,6 +7,7 @@ import (
 
 	"jitgc/internal/pagecache"
 	"jitgc/internal/predictor"
+	"jitgc/internal/trace"
 )
 
 const mb = 1e6
@@ -193,7 +194,7 @@ func TestJITGCTracksDirectWrites(t *testing.T) {
 	// Feed a steady 12 MB per window of direct traffic for several windows.
 	for w := 0; w < 8; w++ {
 		for i := 0; i < 6; i++ {
-			j.ObserveDirect(2 * mb)
+			j.Observe(trace.DirectWrite, 2*mb)
 			j.OnInterval(time.Duration(w*6+i+1)*5*time.Second, view)
 		}
 	}
@@ -219,7 +220,7 @@ func TestADPGCPredictsFromDeviceTraffic(t *testing.T) {
 	var dec Decision
 	for w := 0; w < 8; w++ {
 		for i := 0; i < 6; i++ {
-			a.ObserveDeviceWrite(2 * mb)
+			a.Observe(trace.BufferedWrite, 2*mb)
 			dec = a.OnInterval(time.Duration(w*6+i+1)*5*time.Second, view)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"jitgc/internal/predictor"
+	"jitgc/internal/trace"
 )
 
 // Oracle is the ideal BGC invocation policy the paper's §2 motivates:
@@ -37,33 +38,21 @@ func NewOracle(future []int64, wb predictor.WriteBack) (*Oracle, error) {
 // Name implements Policy.
 func (o *Oracle) Name() string { return "Oracle" }
 
-// ObserveDeviceWrite is a no-op: the oracle already knows the future. It
-// exists so the simulator treats the oracle as a predictive policy and
-// scores its accuracy.
-func (o *Oracle) ObserveDeviceWrite(int64) {}
+// Observe implements Policy: the oracle already knows the future.
+func (o *Oracle) Observe(trace.Kind, int64) {}
 
 // OnInterval implements Policy: the demand sequence is simply the recorded
 // future, scheduled with the same just-in-time rule as JIT-GC.
 func (o *Oracle) OnInterval(_ time.Duration, view DeviceView) Decision {
-	nwb := o.wb.Nwb()
-	demand := make([]int64, nwb)
-	for i := 0; i < nwb; i++ {
+	f := forecast{demand: make([]int64, o.wb.Nwb())}
+	for i := range f.demand {
 		// The forecast at the start of interval k covers intervals
 		// k+1 … k+Nwb of the recording.
-		idx := o.cursor + 1 + i
-		if idx < len(o.future) {
-			demand[i] = o.future[idx]
+		if idx := o.cursor + 1 + i; idx < len(o.future) {
+			f.demand[i] = o.future[idx]
+			f.predicted += o.future[idx]
 		}
 	}
 	o.cursor++
-
-	var total int64
-	for _, d := range demand {
-		total += d
-	}
-	return Decision{
-		PredictedBytes: total,
-		ReclaimBytes: Schedule(demand, view.FreeBytes(), o.wb.Period,
-			view.WriteBandwidth(), view.GCBandwidth(), view.IdleFraction()),
-	}
+	return decide(f, o.wb.Period, view)
 }

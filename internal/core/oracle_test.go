@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"jitgc/internal/predictor"
+	"jitgc/internal/trace"
 )
 
 func oracleWB() predictor.WriteBack {
@@ -63,5 +64,5 @@ func TestOracleForecastsRecordedFuture(t *testing.T) {
 	if o.Name() != "Oracle" {
 		t.Error("name")
 	}
-	o.ObserveDeviceWrite(123) // must be a no-op
+	o.Observe(trace.BufferedWrite, 123) // must be a no-op
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"jitgc/internal/predictor"
+	"jitgc/internal/trace"
 )
 
 // DeviceView is the policy-facing view of the SSD at a write-back interval
@@ -50,6 +51,35 @@ type Policy interface {
 	Name() string
 	// OnInterval runs at the start of each write-back interval.
 	OnInterval(now time.Duration, view DeviceView) Decision
+	// Observe records bytes of traffic reaching the device: a host direct
+	// write (trace.DirectWrite), a host discard (trace.Trim), or any other
+	// device write — cache write-back, rebuild traffic (trace.BufferedWrite).
+	Observe(kind trace.Kind, bytes int64)
+}
+
+// forecast is what a policy knows at an interval boundary: the predicted
+// per-interval write volumes D¹..D^Nwb that Schedule reserves for just in
+// time, the free space that must exist by the next tick, and the
+// PredictedBytes and SIP change it reports.
+type forecast struct {
+	demand    []int64
+	reserve   int64
+	predicted int64
+	sip       predictor.SIPChange
+}
+
+// decide is the one decision rule every policy shares: reclaim what
+// Schedule asks for the demand, or the shortfall against the reserve,
+// whichever is larger. period is the write-back interval p the demand is
+// spaced by.
+func decide(f forecast, period time.Duration, view DeviceView) Decision {
+	cfree := view.FreeBytes()
+	scheduled := Schedule(f.demand, cfree, period, view.WriteBandwidth(), view.GCBandwidth(), view.IdleFraction())
+	return Decision{
+		ReclaimBytes:   max(scheduled, f.reserve-cfree, 0),
+		PredictedBytes: f.predicted,
+		SIP:            f.sip,
+	}
 }
 
 // FixedReserve is the conventional BGC invocation heuristic: keep a fixed
@@ -73,12 +103,11 @@ func (p FixedReserve) Name() string {
 
 // OnInterval implements Policy.
 func (p FixedReserve) OnInterval(_ time.Duration, view DeviceView) Decision {
-	short := p.ReserveBytes - view.FreeBytes()
-	if short < 0 {
-		short = 0
-	}
-	return Decision{ReclaimBytes: short}
+	return decide(forecast{reserve: p.ReserveBytes}, 0, view)
 }
+
+// Observe implements Policy: a fixed reserve ignores traffic.
+func (FixedReserve) Observe(trace.Kind, int64) {}
 
 // NewLazyBGC returns the paper's L-BGC baseline: C_resv = 0.5 × C_OP.
 func NewLazyBGC(opBytes int64) FixedReserve {
@@ -99,12 +128,7 @@ func NewFixedBGC(opBytes int64, factor float64) FixedReserve {
 	}
 }
 
-// NoBGC never invokes background GC: every collection is foreground. It is
-// not in the paper but serves as a worst-case performance anchor in tests.
-type NoBGC struct{}
-
-// Name implements Policy.
-func (NoBGC) Name() string { return "no-BGC" }
-
-// OnInterval implements Policy.
-func (NoBGC) OnInterval(time.Duration, DeviceView) Decision { return Decision{} }
+// NewNoBGC returns a zero reserve: background GC is never invoked and
+// every collection is foreground. It is not in the paper but serves as a
+// worst-case performance anchor in tests.
+func NewNoBGC() FixedReserve { return FixedReserve{PolicyName: "no-BGC"} }

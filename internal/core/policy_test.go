@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"jitgc/internal/predictor"
 )
 
 // fakeView is a scriptable DeviceView.
@@ -52,12 +54,34 @@ func TestBaselineConstructors(t *testing.T) {
 }
 
 func TestNoBGCNeverReclaims(t *testing.T) {
-	var p NoBGC
+	p := NewNoBGC()
 	d := p.OnInterval(time.Hour, fakeView{free: 0})
 	if d.ReclaimBytes != 0 {
 		t.Errorf("no-BGC reclaimed %d", d.ReclaimBytes)
 	}
 	if p.Name() != "no-BGC" {
 		t.Error("name")
+	}
+}
+
+// TestDecideTakesTheLargerClaim: decide reclaims what Schedule asks for the
+// demand or the shortfall against the reserve, whichever is larger, and
+// reports the forecast's PredictedBytes and SIP change as they are.
+func TestDecideTakesTheLargerClaim(t *testing.T) {
+	view := fakeView{free: 50 * mb, bw: 40 * mb, bgc: 10 * mb, idleFrac: 1}
+	demand := paperDemand(0, 0, 20, 40, 0, 200) // Fig. 6(b): Schedule asks 12.5 MB
+	for _, tc := range []struct{ reserve, want int64 }{
+		{0, 12.5 * mb},
+		{55 * mb, 12.5 * mb}, // 5 MB short of the reserve: Schedule's claim is larger
+		{70 * mb, 20 * mb},   // 20 MB short: the reserve's claim is larger
+	} {
+		f := forecast{demand: demand, reserve: tc.reserve, predicted: 7, sip: predictor.SIPChange{Reset: true}}
+		d := decide(f, 5*time.Second, view)
+		if d.ReclaimBytes != tc.want || d.PredictedBytes != 7 || !d.SIP.Reset {
+			t.Errorf("reserve %d: decision %+v, want reclaim %d", tc.reserve, d, tc.want)
+		}
+	}
+	if d := decide(forecast{reserve: 10 * mb}, 0, view); d.ReclaimBytes != 0 {
+		t.Errorf("reserve met without demand: reclaim %d, want 0", d.ReclaimBytes)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"jitgc/internal/predictor"
+	"jitgc/internal/trace"
 )
 
 // TrimOP is the adaptive over-provisioning policy for TRIM-rich hosts
@@ -47,12 +48,15 @@ func NewTrimOP(wb predictor.WriteBack, opBytes int64, opts JITOptions) (*TrimOP,
 // Name implements Policy.
 func (p *TrimOP) Name() string { return "TRIM-OP" }
 
-// ObserveDeviceWrite records bytes of any write reaching the device.
-func (p *TrimOP) ObserveDeviceWrite(bytes int64) { p.writes.Observe(bytes) }
-
-// ObserveTrim records bytes of host-discarded logical space (TRIM/UNMAP
-// reaching the device).
-func (p *TrimOP) ObserveTrim(bytes int64) { p.trims.Observe(bytes) }
+// Observe implements Policy: host discards feed the TRIM credit, every
+// device write the accuracy-scored write forecast.
+func (p *TrimOP) Observe(kind trace.Kind, bytes int64) {
+	if kind == trace.Trim {
+		p.trims.Observe(bytes)
+	} else {
+		p.writes.Observe(bytes)
+	}
+}
 
 // trimCredit returns the per-horizon TRIM volume to credit against the
 // reserve. The CDH percentile quantizes to a bin's UPPER edge — the safe
@@ -61,22 +65,14 @@ func (p *TrimOP) ObserveTrim(bytes int64) { p.trims.Observe(bytes) }
 // edge instead keeps the discount conservative: zero for an idle TRIM
 // stream, never more than the observed volume for a busy one.
 func (p *TrimOP) trimCredit() int64 {
-	credit := p.trims.Reserve() - cdhBinBytes
-	if credit < 0 {
-		return 0
-	}
-	return credit
+	return max(p.trims.Reserve()-cdhBinBytes, 0)
 }
 
 // EffectiveReserve returns the reserve the policy currently targets:
 // the aggressive baseline discounted by the CDH-percentile TRIM credit,
 // floored at the lazy reserve.
 func (p *TrimOP) EffectiveReserve() int64 {
-	reserve := p.base - p.trimCredit()
-	if reserve < p.floor {
-		reserve = p.floor
-	}
-	return reserve
+	return max(p.base-p.trimCredit(), p.floor)
 }
 
 // OnInterval implements Policy: reclaim the shortfall against the
@@ -85,12 +81,5 @@ func (p *TrimOP) EffectiveReserve() int64 {
 func (p *TrimOP) OnInterval(_ time.Duration, view DeviceView) Decision {
 	p.writes.Tick()
 	p.trims.Tick()
-	short := p.EffectiveReserve() - view.FreeBytes()
-	if short < 0 {
-		short = 0
-	}
-	return Decision{
-		ReclaimBytes:   short,
-		PredictedBytes: p.writes.Predict().Total(),
-	}
+	return decide(forecast{reserve: p.EffectiveReserve(), predicted: p.writes.Predict().Total()}, 0, view)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"jitgc/internal/predictor"
+	"jitgc/internal/trace"
 )
 
 func testWB() predictor.WriteBack {
@@ -55,7 +56,7 @@ func TestTrimOPRelaxesTowardLazy(t *testing.T) {
 	// Several closed windows, each discarding 2 × C_OP.
 	for w := 0; w < 6; w++ {
 		for i := 0; i < nwb; i++ {
-			p.ObserveTrim(2 * op / int64(nwb))
+			p.Observe(trace.Trim, 2*op/int64(nwb))
 			p.OnInterval(0, fakeView{free: 2 * op})
 		}
 	}
@@ -78,7 +79,7 @@ func TestTrimOPScalesWithTrimRate(t *testing.T) {
 	const perWindow = op / 2 // TRIM credit of half C_OP per horizon
 	for w := 0; w < 6; w++ {
 		for i := 0; i < nwb; i++ {
-			p.ObserveTrim(perWindow / int64(nwb))
+			p.Observe(trace.Trim, perWindow/int64(nwb))
 			p.OnInterval(0, fakeView{free: 2 * op})
 		}
 	}
@@ -100,7 +101,7 @@ func TestTrimOPPredictsFromDeviceWrites(t *testing.T) {
 	nwb := testWB().Nwb()
 	for w := 0; w < 4; w++ {
 		for i := 0; i < nwb; i++ {
-			p.ObserveDeviceWrite(1 << 16)
+			p.Observe(trace.BufferedWrite, 1<<16)
 			p.OnInterval(0, fakeView{free: 2 * op})
 		}
 	}

@@ -121,18 +121,6 @@ func (e *Env) OPBytes() int64 { return e.FTL.OPBytes() }
 // PolicyFactory builds a BGC policy bound to a simulation environment.
 type PolicyFactory func(env *Env) (core.Policy, error)
 
-// directObserver is implemented by policies that consume host-side
-// direct-write traffic (JIT-GC).
-type directObserver interface{ ObserveDirect(bytes int64) }
-
-// deviceObserver is implemented by policies that consume device-level write
-// traffic (ADP-GC).
-type deviceObserver interface{ ObserveDeviceWrite(bytes int64) }
-
-// trimObserver is implemented by policies that consume host discard
-// traffic (TRIM-OP's adaptive effective-OP reserve).
-type trimObserver interface{ ObserveTrim(bytes int64) }
-
 // Simulator executes one run. Build with New, execute with Run.
 type Simulator struct {
 	cfg    Config
@@ -216,9 +204,10 @@ func New(cfg Config, factory PolicyFactory) (*Simulator, error) {
 	if cfg.StreamingLatency {
 		s.lat = *metrics.NewStreamingLatencyRecorder()
 	}
-	_, isDirect := policy.(directObserver)
-	_, isDevice := policy.(deviceObserver)
-	s.predictive = isDirect || isDevice
+	// Every policy but a fixed reserve forecasts demand, and Table 2 scores
+	// the forecast.
+	_, fixed := policy.(core.FixedReserve)
+	s.predictive = !fixed
 	return s, nil
 }
 
@@ -400,10 +389,10 @@ func (s *Simulator) admit(t time.Duration, lpn int64, pages int) error {
 
 // serve runs the page loop of one Read, DirectWrite or Trim arriving at t
 // and returns its completion time. Host requests and maintenance I/O share
-// it: both book the same device time and feed device-level policy observers
-// (a rebuild target's GC policy must see rebuild traffic to keep up with
-// it); host selects the host-side accounting on top — cache-hit and
-// direct-page counters, the direct-write and TRIM observers.
+// it: both book the same device time and feed the policy their device
+// writes (a rebuild target's GC policy must see rebuild traffic to keep up
+// with it); host selects the host-side accounting on top — cache-hit and
+// direct-page counters, and the policy's direct-write and TRIM kinds.
 func (s *Simulator) serve(t time.Duration, kind trace.Kind, lpn int64, pages int, host bool) (time.Duration, error) {
 	var d time.Duration // device occupancy; zero means served at RAM speed
 	switch kind {
@@ -452,8 +441,8 @@ func (s *Simulator) serve(t time.Duration, kind trace.Kind, lpn int64, pages int
 				return 0, err
 			}
 		}
-		if o, ok := s.policy.(trimObserver); host && ok {
-			o.ObserveTrim(int64(pages) * int64(s.ftl.PageSize()))
+		if host {
+			s.policy.Observe(trace.Trim, int64(pages)*int64(s.ftl.PageSize()))
 		}
 	}
 	if d == 0 {
@@ -565,8 +554,9 @@ func (s *Simulator) RebuildWrite(t time.Duration, lpn int64, pages int) (time.Du
 }
 
 // RebuildTrim drops the pages' dirty cached copies and FTL mappings.
-// Metadata only: the device timeline does not advance. Rebalancing uses it
-// to release a migrated stripe's old location.
+// Metadata only: the device timeline does not advance, and the policy does
+// not see it. The array uses it to apply a discard aimed at a degraded slot
+// to that slot's rebuilding spare.
 func (s *Simulator) RebuildTrim(t time.Duration, lpn int64, pages int) error {
 	_, err := s.maintain(t, trace.Trim, lpn, pages)
 	return err
@@ -615,17 +605,15 @@ func (s *Simulator) writeBack(lpns []int64) error {
 	return nil
 }
 
-// observeWrite feeds policy predictors and accuracy accounting with device
-// write traffic.
+// observeWrite feeds the policy and accuracy accounting with device write
+// traffic: a host direct write as trace.DirectWrite, any other as
+// trace.BufferedWrite.
 func (s *Simulator) observeWrite(bytes int64, direct bool) {
+	kind := trace.BufferedWrite
 	if direct {
-		if o, ok := s.policy.(directObserver); ok {
-			o.ObserveDirect(bytes)
-		}
+		kind = trace.DirectWrite
 	}
-	if o, ok := s.policy.(deviceObserver); ok {
-		o.ObserveDeviceWrite(bytes)
-	}
+	s.policy.Observe(kind, bytes)
 	s.acc.AddActual(bytes)
 }
 

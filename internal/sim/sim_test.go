@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -256,7 +258,7 @@ func TestBGCRunsDuringIdle(t *testing.T) {
 func TestFGCStallsAreCharged(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.PreconditionPages = 330 // nearly full (user ≈ 382 pages… leave room)
-	s := newSim(t, cfg, func(*Env) (core.Policy, error) { return core.NoBGC{}, nil })
+	s := newSim(t, cfg, func(*Env) (core.Policy, error) { return core.NewNoBGC(), nil })
 	var reqs []trace.Request
 	for i := 0; i < 600; i++ {
 		// Strided overwrites scatter invalidations across blocks so GC
@@ -303,27 +305,100 @@ func TestIdleFractionTracksLoad(t *testing.T) {
 	}
 }
 
+// TestAccuracyReportedOnlyForPredictivePolicies: every policy constructor's
+// run reports Predictive exactly when the policy forecasts demand.
 func TestAccuracyReportedOnlyForPredictivePolicies(t *testing.T) {
-	s := newSim(t, tinyConfig(), lazyFactory)
-	res, err := s.Run(nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name       string
+		factory    PolicyFactory
+		predictive bool
+	}{
+		{"L-BGC", lazyFactory, false},
+		{"A-BGC", func(env *Env) (core.Policy, error) { return core.NewAggressiveBGC(env.OPBytes()), nil }, false},
+		{"0.75OP", func(env *Env) (core.Policy, error) { return core.NewFixedBGC(env.OPBytes(), 0.75), nil }, false},
+		{"no-BGC", func(*Env) (core.Policy, error) { return core.NewNoBGC(), nil }, false},
+		{"ADP-GC", func(env *Env) (core.Policy, error) { return core.NewADPGC(env.WriteBack, core.JITOptions{}) }, true},
+		{"TRIM-OP", func(env *Env) (core.Policy, error) {
+			return core.NewTrimOP(env.WriteBack, env.OPBytes(), core.JITOptions{})
+		}, true},
+		{"JIT-GC", jitFactory, true},
+		{"Oracle", func(env *Env) (core.Policy, error) { return core.NewOracle([]int64{1 << 20}, env.WriteBack) }, true},
+	} {
+		s := newSim(t, tinyConfig(), tc.factory)
+		res, err := s.Run([]trace.Request{{Time: 0, Kind: trace.BufferedWrite, LPN: 0, Pages: 4}})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Policy != tc.name || res.Predictive != tc.predictive {
+			t.Errorf("%s: policy %q predictive %v, want %v", tc.name, res.Policy, res.Predictive, tc.predictive)
+		}
 	}
-	if res.Predictive {
-		t.Error("fixed-reserve policy marked predictive")
-	}
+}
 
-	cfg := tinyConfig()
-	factory := func(env *Env) (core.Policy, error) {
-		return core.NewJITGC(env.Cache, core.JITOptions{})
+// observation is one Policy.Observe call.
+type observation struct {
+	kind  trace.Kind
+	bytes int64
+}
+
+func (o observation) String() string { return fmt.Sprintf("%v %d B", o.kind, o.bytes) }
+
+// observeRecorder is a no-BGC policy that logs what it is shown.
+type observeRecorder struct {
+	core.FixedReserve
+	seen []observation
+}
+
+func (r *observeRecorder) Observe(kind trace.Kind, bytes int64) {
+	r.seen = append(r.seen, observation{kind, bytes})
+}
+
+// TestObserveRouting pins which Observe kind each event hands the policy:
+// host direct writes alone are trace.DirectWrite (rebuild traffic must not
+// reach JIT-GC's direct-write CDH), every other device write is
+// trace.BufferedWrite, host discards are trace.Trim, and reads and
+// maintenance discards are not shown at all.
+func TestObserveRouting(t *testing.T) {
+	rec := &observeRecorder{}
+	s := newSim(t, tinyConfig(), func(*Env) (core.Policy, error) { return rec, nil })
+	const page = 4096
+	steps := []struct {
+		name string
+		do   func() error
+		want []observation
+	}{
+		{"host direct write", func() error {
+			_, err := s.StepRequest(trace.Request{Time: 0, Kind: trace.DirectWrite, LPN: 0, Pages: 2})
+			return err
+		}, []observation{{trace.DirectWrite, 2 * page}}},
+		{"host read", func() error {
+			_, err := s.StepRequest(trace.Request{Time: time.Millisecond, Kind: trace.Read, LPN: 0, Pages: 2})
+			return err
+		}, nil},
+		{"buffered write", func() error {
+			_, err := s.StepRequest(trace.Request{Time: 2 * time.Millisecond, Kind: trace.BufferedWrite, LPN: 10, Pages: 3})
+			return err
+		}, nil},
+		{"write-back", func() error { return s.Tick(7 * time.Second) },
+			[]observation{{trace.BufferedWrite, 3 * page}}},
+		{"rebuild write", func() error {
+			_, err := s.RebuildWrite(8*time.Second, 20, 4)
+			return err
+		}, []observation{{trace.BufferedWrite, 4 * page}}},
+		{"host trim", func() error {
+			_, err := s.StepRequest(trace.Request{Time: 9 * time.Second, Kind: trace.Trim, LPN: 0, Pages: 1})
+			return err
+		}, []observation{{trace.Trim, page}}},
+		{"rebuild trim", func() error { return s.RebuildTrim(10*time.Second, 20, 4) }, nil},
 	}
-	s2 := newSim(t, cfg, factory)
-	res2, err := s2.Run([]trace.Request{{Time: 0, Kind: trace.BufferedWrite, LPN: 0, Pages: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res2.Predictive {
-		t.Error("JIT-GC not marked predictive")
+	for _, st := range steps {
+		rec.seen = nil
+		if err := st.do(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if !slices.Equal(rec.seen, st.want) {
+			t.Errorf("%s: observed %v, want %v", st.name, rec.seen, st.want)
+		}
 	}
 }
 

@@ -103,7 +103,7 @@ func (p PolicySpec) Factory() sim.PolicyFactory {
 			}
 			return j, nil
 		case "no-BGC":
-			return core.NoBGC{}, nil
+			return core.NewNoBGC(), nil
 		default:
 			return nil, fmt.Errorf("jitgc: unknown policy kind %q", p.Kind)
 		}
@@ -194,12 +194,13 @@ func (o Options) generator(benchmark string) (workload.Generator, error) {
 	return workload.ByName(benchmark)
 }
 
-// StreamingLatencyThreshold is the request count past which a run's latency
-// recorder defaults to the constant-memory streaming histogram: the exact
-// recorder retains 8 bytes per request, so a multi-million-op run would
-// spend more memory on samples than on the FTL it measures. Runs under the
-// threshold — every golden and default run — keep exact percentiles;
-// callers can still force either mode via Config.StreamingLatency.
+// StreamingLatencyThreshold is the request count from which a run's latency
+// recorder is the constant-memory streaming histogram: the exact recorder
+// retains 8 bytes per request, so a multi-million-op run would spend more
+// memory on samples than on the FTL it measures. Runs under the threshold —
+// every golden and default run — keep exact percentiles unless
+// Config.StreamingLatency asks for streaming; past it streaming is forced,
+// whatever Config.StreamingLatency says.
 const StreamingLatencyThreshold = 1_000_000
 
 // simConfig resolves the simulator configuration and working set.

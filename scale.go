@@ -65,33 +65,10 @@ func RunScalePreset(preset nand.ScalePreset, seed int64) (ScaleResult, error) {
 	}
 	user := f.UserPages()
 	live := int64(scaleFillFraction * float64(user))
-	rng := rand.New(rand.NewSource(seed))
-
-	// Phase 1 — sequential fill to the live footprint.
-	for lpn := int64(0); lpn < live; lpn++ {
-		if _, _, err := f.Write(lpn); err != nil {
-			return ScaleResult{}, fmt.Errorf("scale %s fill lpn %d: %w", preset.Name, lpn, err)
-		}
+	elapsed, err := steadyState(f, live, 0, seed)
+	if err != nil {
+		return ScaleResult{}, fmt.Errorf("scale %s %w", preset.Name, err)
 	}
-	// Phase 2 — mixing: uniform random overwrites until the valid-count
-	// distribution forgets the sequential layout. One full pass over the
-	// live set is not quite enough (the WAF transient overshoots while the
-	// sequential-fill blocks drain); two passes land on the steady state.
-	for i := int64(0); i < 2*live; i++ {
-		if _, _, err := f.Write(rng.Int63n(live)); err != nil {
-			return ScaleResult{}, fmt.Errorf("scale %s mix: %w", preset.Name, err)
-		}
-	}
-	// Phase 3 — measured steady state.
-	f.ResetStats()
-	ops := live / 2
-	start := time.Now()
-	for i := int64(0); i < ops; i++ {
-		if _, _, err := f.Write(rng.Int63n(live)); err != nil {
-			return ScaleResult{}, fmt.Errorf("scale %s measure: %w", preset.Name, err)
-		}
-	}
-	elapsed := time.Since(start)
 
 	total := preset.Geo.TotalPages()
 	return ScaleResult{
@@ -103,8 +80,69 @@ func RunScalePreset(preset nand.ScalePreset, seed int64) (ScaleResult, error) {
 		WAF:              f.Stats().WAF(),
 		GreedyWAF:        metrics.GreedyWAF(total, live),
 		MeanFieldWAF:     metrics.MeanFieldWAF(total, live),
-		NsPerWrite:       float64(elapsed.Nanoseconds()) / float64(ops),
+		NsPerWrite:       float64(elapsed.Nanoseconds()) / float64(live/2),
 	}, nil
+}
+
+// steadyState drives f to steady state with uniform random operations over
+// the working set [0, ws), a steered fraction q of it trimmed at any moment,
+// and returns the wall time of a measured half pass. It fills the working
+// set sequentially and mixes for two passes, until the valid-count
+// distribution forgets the sequential layout — one pass is not quite enough:
+// the WAF transient overshoots while the sequential-fill blocks drain — then
+// resets the stats and measures ws/2 operations. At q = 0 every operation
+// is an overwrite.
+func steadyState(f *ftl.FTL, ws int64, q float64, seed int64) (time.Duration, error) {
+	rng := rand.New(rand.NewSource(seed))
+	for lpn := int64(0); lpn < ws; lpn++ {
+		if _, _, err := f.Write(lpn); err != nil {
+			return 0, fmt.Errorf("fill lpn %d: %w", lpn, err)
+		}
+	}
+
+	// The steering rule keeps exactly ~target pages trimmed while the
+	// trimmed set itself churns: a trimmed page that is picked again is
+	// written back, an untrimmed pick is trimmed while below target and
+	// overwritten otherwise. At steady state the device sees uniform random
+	// writes over the working set with a stationary trimmed fraction q —
+	// the regime Frankie et al.'s substitution models.
+	target := int64(q * float64(ws))
+	var trimmed []bool // allocated only when something is to be trimmed
+	if target > 0 {
+		trimmed = make([]bool, ws)
+	}
+	var trimmedCount int64
+	run := func(n int64) error {
+		for i := int64(0); i < n; i++ {
+			lpn := rng.Int63n(ws)
+			var err error
+			switch {
+			case trimmedCount > 0 && trimmed[lpn]:
+				trimmed[lpn] = false
+				trimmedCount--
+				_, _, err = f.Write(lpn)
+			case trimmedCount < target:
+				trimmed[lpn] = true
+				trimmedCount++
+				err = f.Trim(lpn)
+			default:
+				_, _, err = f.Write(lpn)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := run(2 * ws); err != nil {
+		return 0, fmt.Errorf("mix: %w", err)
+	}
+	f.ResetStats()
+	start := time.Now()
+	if err := run(ws / 2); err != nil {
+		return 0, fmt.Errorf("measure: %w", err)
+	}
+	return time.Since(start), nil
 }
 
 // scaleExp renders the capacity grid. Cells fan out over opt.Workers; each

@@ -2,7 +2,6 @@ package jitgc
 
 import (
 	"fmt"
-	"math/rand"
 
 	"jitgc/internal/ftl"
 	"jitgc/internal/metrics"
@@ -60,55 +59,8 @@ func RunTrimPoint(q float64, seed int64) (TrimPointResult, error) {
 		return TrimPointResult{}, fmt.Errorf("trim q=%.2f: %w", q, err)
 	}
 	ws := int64(trimFillFraction * float64(f.UserPages()))
-	target := int64(q * float64(ws))
-	rng := rand.New(rand.NewSource(seed))
-
-	// Phase 1 — sequential fill of the working set.
-	for lpn := int64(0); lpn < ws; lpn++ {
-		if _, _, err := f.Write(lpn); err != nil {
-			return TrimPointResult{}, fmt.Errorf("trim q=%.2f fill lpn %d: %w", q, lpn, err)
-		}
-	}
-
-	// The steering rule keeps exactly ~target pages trimmed while the
-	// trimmed set itself churns: a trimmed page that is picked again is
-	// written back, an untrimmed pick is trimmed while below target and
-	// overwritten otherwise. At steady state the device sees uniform random
-	// writes over the working set with a stationary trimmed fraction q —
-	// the regime Frankie et al.'s substitution models.
-	trimmed := make([]bool, ws)
-	var trimmedCount int64
-	step := func() error {
-		lpn := rng.Int63n(ws)
-		switch {
-		case trimmed[lpn]:
-			trimmed[lpn] = false
-			trimmedCount--
-			_, _, err := f.Write(lpn)
-			return err
-		case trimmedCount < target:
-			trimmed[lpn] = true
-			trimmedCount++
-			return f.Trim(lpn)
-		default:
-			_, _, err := f.Write(lpn)
-			return err
-		}
-	}
-
-	// Phase 2 — mixing until the valid-count distribution forgets the
-	// sequential layout (two passes, as in the scale sweep).
-	for i := int64(0); i < 2*ws; i++ {
-		if err := step(); err != nil {
-			return TrimPointResult{}, fmt.Errorf("trim q=%.2f mix: %w", q, err)
-		}
-	}
-	// Phase 3 — measured steady state.
-	f.ResetStats()
-	for i := int64(0); i < ws/2; i++ {
-		if err := step(); err != nil {
-			return TrimPointResult{}, fmt.Errorf("trim q=%.2f measure: %w", q, err)
-		}
+	if _, err := steadyState(f, ws, q, seed); err != nil {
+		return TrimPointResult{}, fmt.Errorf("trim q=%.2f %w", q, err)
 	}
 
 	total := cfg.Geometry.TotalPages()
