@@ -349,7 +349,7 @@ func (a *Array) RunClosedLoop(reqs []trace.Request) (Results, error) {
 }
 
 func (a *Array) replay(reqs []trace.Request, closed bool) (Results, error) {
-	a.lat.Reserve(len(reqs))
+	a.lat.Bound(len(reqs))
 	dev := a.cfg.Device
 	if err := sim.Replay(a, reqs, closed, dev.Cache.FlusherPeriod, dev.DrainCache); err != nil {
 		return Results{}, err

@@ -141,20 +141,33 @@ func (r Results) NormalizedWAF(base Results) float64 {
 // LatencyRecorder accumulates request latencies and reports distribution
 // statistics. The zero value records exactly: every sample is retained and
 // percentiles are true order statistics (the mode the golden files are
-// rendered under). NewStreamingLatencyRecorder instead folds samples into a
-// log-bucketed histogram with memory constant in sample count, for runs too
-// long to retain — percentiles are then accurate to one histogram bucket
-// (≤ ~3% relative error).
+// rendered under). Bound(n) promises that at most n more samples arrive;
+// the recorder then retains only the largest ⌊N/100⌋+2 of the N samples it
+// will count, which is every sample a percentile at or above p99 reads, and
+// still answers those exactly. NewStreamingLatencyRecorder instead folds
+// samples into a log-bucketed histogram with memory constant in sample
+// count — percentiles are then accurate to one histogram bucket (≤ ~3%
+// relative error).
 type LatencyRecorder struct {
-	samples []time.Duration // exact mode: every sample, ascending while sorted
-	sorted  bool            // samples is in ascending order; Add clears it
+	// samples holds, in exact mode, the largest len(samples) of the count
+	// samples added, ascending while sorted. Unbounded, that is all of them.
+	samples []time.Duration
+	sorted  bool // samples is in ascending order; Add clears it
 	sum     time.Duration
 	max     time.Duration
 	count   int64
 	hist    *telemetry.LogHist // non-nil selects streaming mode
+
+	// Bounded exact mode (keep > 0): the recorder counts at most limit
+	// samples and cuts samples back to its largest keep whenever it fills
+	// its capacity of 2·keep; floor is then the least sample kept, and an
+	// Add at or below it is counted but not retained.
+	keep  int
+	limit int64
+	floor time.Duration
 }
 
-// minSamples is the capacity an unreserved exact recorder starts at; it
+// minSamples is the capacity an unbounded exact recorder starts at; it
 // doubles from there.
 const minSamples = 256
 
@@ -172,21 +185,67 @@ func (l *LatencyRecorder) Streaming() bool { return l.hist != nil }
 // merging across array members.
 func (l *LatencyRecorder) Hist() *telemetry.LogHist { return l.hist }
 
-// Reserve makes room for n more samples in one allocation, so a run of
-// known length neither copies its samples on growth nor holds a backing
-// array up to twice the run. It is a no-op in streaming mode, which retains
-// no samples.
-func (l *LatencyRecorder) Reserve(n int) {
-	if l.hist == nil {
-		l.samples = slices.Grow(l.samples, n)
+// Bound promises that at most n more samples will be added, and sizes an
+// exact recorder for them in one allocation: of the N samples it may then
+// count in all, it keeps the largest K = ⌊N/100⌋+2, in a buffer of 2K.
+// Percentile answers exactly for every p whose order statistic lies in that
+// tail — p99 and above for any count up to N — and panics below it; Add
+// panics past N. Bounds add up until the recorder first drops a sample;
+// bounding it again after that panics, since the samples a larger tail
+// would need are gone. It is a no-op in streaming mode, which retains no
+// samples.
+func (l *LatencyRecorder) Bound(n int) {
+	if l.hist != nil {
+		return
 	}
+	if l.dropped() {
+		panic(fmt.Sprintf("metrics: LatencyRecorder.Bound(%d) after the recorder cut its samples to the retained tail of %d", n, l.keep))
+	}
+	if l.keep == 0 {
+		l.limit = l.count
+		l.floor = math.MinInt64
+	}
+	l.limit += int64(n)
+	l.keep = int(l.limit/100) + 2
+	size := 2 * l.keep
+	if len(l.samples) >= size {
+		l.cut()
+	}
+	if cap(l.samples) < size {
+		l.samples = append(make([]time.Duration, 0, size), l.samples...)
+	}
+	l.samples = l.samples[:len(l.samples):size]
+}
+
+// dropped reports whether some counted sample is not retained.
+func (l *LatencyRecorder) dropped() bool { return int64(len(l.samples)) < l.count }
+
+// cut sorts the samples and keeps the largest keep of them: all a bounded
+// recorder's percentiles can still read.
+func (l *LatencyRecorder) cut() {
+	slices.Sort(l.samples)
+	l.samples = l.samples[:copy(l.samples, l.samples[len(l.samples)-l.keep:])]
+	l.sorted = true
+	l.floor = l.samples[0]
 }
 
 // Add records one latency sample.
 func (l *LatencyRecorder) Add(d time.Duration) {
-	if l.hist != nil {
+	switch {
+	case l.hist != nil:
 		l.hist.Add(int64(d))
-	} else {
+	case l.keep > 0:
+		if l.count == l.limit {
+			panic(fmt.Sprintf("metrics: LatencyRecorder.Add past its Bound of %d samples", l.limit))
+		}
+		if d > l.floor {
+			if len(l.samples) == cap(l.samples) {
+				l.cut()
+			}
+			l.samples = append(l.samples, d)
+			l.sorted = false
+		}
+	default:
 		if len(l.samples) == cap(l.samples) {
 			// Double, not append's 1.25× steps: a run of n samples then
 			// allocates about 2n in all, not 4–5n.
@@ -216,10 +275,12 @@ func (l *LatencyRecorder) Mean() time.Duration {
 // Max returns the maximum latency.
 func (l *LatencyRecorder) Max() time.Duration { return l.max }
 
-// Percentile returns the p-th percentile latency (p in [0,100]). In exact
-// mode the samples are sorted in place on the first query after an Add, so
+// Percentile returns the p-th percentile latency (p in [0,100]): the
+// ⌈p/100·n⌉-th smallest of the n samples counted. In exact mode the
+// retained samples are sorted in place on the first query after an Add, so
 // querying p99 and p99.9 back-to-back sorts once and copies nothing; in
-// streaming mode every query is an O(1)-memory histogram walk.
+// streaming mode every query is an O(1)-memory histogram walk. A bounded
+// recorder that has dropped samples panics when asked for one of them.
 func (l *LatencyRecorder) Percentile(p float64) time.Duration {
 	if l.count == 0 {
 		return 0
@@ -231,18 +292,21 @@ func (l *LatencyRecorder) Percentile(p float64) time.Duration {
 		slices.Sort(l.samples)
 		l.sorted = true
 	}
-	sorted := l.samples
-	if p <= 0 {
-		return sorted[0]
+	var idx int64 // of the sample wanted, among all counted in ascending order
+	switch {
+	case p >= 100:
+		idx = l.count - 1
+	case p > 0:
+		idx = max(0, int64(math.Ceil(p/100*float64(l.count)))-1)
 	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
+	// The retained samples are the largest of all counted, so the dropped
+	// ones all come before them in that order.
+	i := idx - (l.count - int64(len(l.samples)))
+	if i < 0 {
+		panic(fmt.Sprintf("metrics: LatencyRecorder.Percentile(%v) is below the retained tail of the %d largest of %d samples",
+			p, len(l.samples), l.count))
 	}
-	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
+	return l.samples[i]
 }
 
 // Table renders rows of labelled values as an aligned text table, the

@@ -305,32 +305,201 @@ func TestTimelineSinkConcurrent(t *testing.T) {
 	}
 }
 
-// TestReserve: after Reserve(n) an exact recorder takes n samples without
-// allocating and keeps the ones it had; a streaming recorder retains no
-// samples, so Reserve leaves it as it was.
-func TestReserve(t *testing.T) {
+// TestBound: after Bound(n) an exact recorder takes n samples without
+// allocating, and its tail answers come out as a sort of every sample gives
+// them, the one it had before the bound included; a streaming recorder
+// retains no samples, so Bound leaves it as it was.
+func TestBound(t *testing.T) {
 	var l LatencyRecorder
 	l.Add(7 * time.Millisecond)
 	const n = 1000
-	l.Reserve(n)
+	l.Bound(n)
 	if avg := testing.AllocsPerRun(1, func() {
 		for i := 0; i < n/2; i++ { // AllocsPerRun calls this twice
 			l.Add(time.Duration(i))
 		}
 	}); avg != 0 {
-		t.Errorf("Add after Reserve allocates %.0f times over the reserved samples, want 0", avg)
+		t.Errorf("Add after Bound allocates %.0f times over the bounded samples, want 0", avg)
 	}
-	if l.Count() != n+1 || l.Percentile(100) != 7*time.Millisecond || l.Percentile(0) != 0 {
-		t.Errorf("count %d, max %v, min %v; want %d samples from 0 to 7ms",
-			l.Count(), l.Percentile(100), l.Percentile(0), n+1)
+	// Sorted, the samples are 0…499 ns twice each, then 7 ms.
+	if l.Count() != n+1 || l.Percentile(100) != 7*time.Millisecond ||
+		l.Percentile(99.9) != 499 || l.Percentile(99) != 495 {
+		t.Errorf("count %d, p100 %v, p99.9 %v, p99 %v; want %d, 7ms, 499ns, 495ns",
+			l.Count(), l.Percentile(100), l.Percentile(99.9), l.Percentile(99), n+1)
+	}
+	if len(l.samples) > 2*(n/100+2) {
+		t.Errorf("bounded recorder retains %d samples, want ≤ %d", len(l.samples), 2*(n/100+2))
+	}
+
+	// Bounds add up until a sample is dropped.
+	var two LatencyRecorder
+	two.Bound(n / 2)
+	two.Bound(n / 2)
+	for i := 0; i < n; i++ {
+		two.Add(time.Duration(i))
+	}
+	if cap(two.samples) != 2*(n/100+2) || two.Percentile(99) != 989 {
+		t.Errorf("two bounds of %d: capacity %d, p99 %v; want %d and 989ns", n/2, cap(two.samples), two.Percentile(99), 2*(n/100+2))
 	}
 
 	s := NewStreamingLatencyRecorder()
 	s.Add(7 * time.Millisecond)
 	before := s.Hist().FootprintBytes()
-	s.Reserve(1 << 20)
+	s.Bound(1 << 20)
 	if s.samples != nil || s.Hist().FootprintBytes() != before || s.Count() != 1 {
-		t.Errorf("Reserve changed a streaming recorder: %d samples, footprint %d → %d",
+		t.Errorf("Bound changed a streaming recorder: %d samples, footprint %d → %d",
 			len(s.samples), before, s.Hist().FootprintBytes())
+	}
+	s.Add(time.Millisecond) // streaming recorders count past any bound
+}
+
+// TestBoundContract: a bounded recorder panics rather than answer wrong —
+// on an Add past its bound, on a percentile below the tail it retained, and
+// on a new bound once it has dropped what a larger tail would need.
+func TestBoundContract(t *testing.T) {
+	mustPanic := func(what, want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s: panic %q, want one naming %q", what, msg, want)
+			}
+		}()
+		f()
+	}
+	full := func() *LatencyRecorder {
+		l := &LatencyRecorder{}
+		l.Bound(1000)
+		for i := 0; i < 1000; i++ {
+			l.Add(time.Duration(i))
+		}
+		return l
+	}
+	mustPanic("Add past the bound", "Bound of 1000", func() { full().Add(0) })
+	mustPanic("Percentile(50) after a cut", "retained tail", func() { full().Percentile(50) })
+	mustPanic("Bound after a cut", "retained tail", func() { full().Bound(1) })
+
+	var small LatencyRecorder // no cut yet: every sample is still there
+	small.Bound(1000)
+	for i := 0; i < 2*(1000/100+2); i++ {
+		small.Add(time.Duration(i))
+	}
+	if got := small.Percentile(50); got != 11 {
+		t.Errorf("p50 before any cut = %v, want 11ns", got)
+	}
+}
+
+// TestBoundedPercentileOracle checks a bounded recorder's tail against a
+// sorted copy of everything added so far. Each recorder is bounded at a
+// random N, some after a few unbounded samples, and takes n ≤ N samples
+// drawn from a small pool of values, so the floor sits on long runs of
+// ties; queries come between Adds, as Results may be read mid-run.
+func TestBoundedPercentileOracle(t *testing.T) {
+	ps := []float64{99, 99.9, 99.99, 100}
+	prop := func(seed int64) (ok bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Logf("seed %d: %v", seed, r)
+				ok = false
+			}
+		}()
+		rng := rand.New(rand.NewSource(seed))
+		bound := 1 + rng.Intn(20000)
+		n := bound
+		if rng.Intn(2) == 0 {
+			n = 1 + rng.Intn(bound)
+		}
+		pool := make([]time.Duration, 1+rng.Intn(64))
+		for i := range pool {
+			pool[i] = time.Duration(rng.Int63n(int64(10 * time.Millisecond)))
+		}
+		var l LatencyRecorder
+		var all []time.Duration
+		early := rng.Intn(min(n, 300)) // samples added before the bound
+		peak := 0                      // most samples retained at once
+		for i := 0; i < n; i++ {
+			if i == early {
+				l.Bound(bound - early)
+			}
+			d := pool[rng.Intn(len(pool))]
+			l.Add(d)
+			all = append(all, d)
+			peak = max(peak, len(l.samples))
+			if rng.Intn(n/8+1) != 0 && i != n-1 {
+				continue
+			}
+			want := slices.Clone(all)
+			slices.Sort(want)
+			for _, p := range ps {
+				idx := int(math.Ceil(p/100*float64(len(want)))) - 1
+				idx = max(0, min(idx, len(want)-1))
+				if got := l.Percentile(p); got != want[idx] {
+					t.Logf("seed %d: p%v after %d of %d samples (bound %d) = %v, want %v",
+						seed, p, i+1, n, bound, got, want[idx])
+					return false
+				}
+			}
+		}
+		if keep := bound/100 + 2; peak > max(early, 2*keep) {
+			t.Logf("seed %d: retained %d samples under bound %d, want ≤ %d", seed, peak, bound, max(early, 2*keep))
+			return false
+		}
+		return l.Count() == n
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestBoundedTailCoversP99: for every count n up to 10⁶, the samples at or
+// above the p99 order statistic — n − idx, with idx computed in float64 as
+// Percentile computes it — number at most ⌊n/100⌋+2, the least tail a
+// recorder bounded at N ≥ n keeps after a cut.
+func TestBoundedTailCoversP99(t *testing.T) {
+	for _, p := range []float64{99, 99.9, 99.99} {
+		for n := 1; n <= 1_000_000; n++ {
+			idx := max(0, int(math.Ceil(p/100*float64(n)))-1)
+			if n-idx > n/100+2 {
+				t.Fatalf("p%v of %d samples reads %d from the top, more than ⌊n/100⌋+2 = %d", p, n, n-idx, n/100+2)
+			}
+		}
+	}
+}
+
+// TestBoundedRecorderMemory: a recorder bounded at 10⁶ samples makes one
+// allocation of 2·(10⁴+2) samples, about 160 KiB where retaining all of
+// them takes 8 MB, and none in the 10⁶ Adds after it.
+func TestBoundedRecorderMemory(t *testing.T) {
+	const n = 1_000_000
+	const want = 2 * (n/100 + 2) * 8
+	bound, adds := math.MaxInt, math.MaxInt
+	var bytes uint64
+	for trial := 0; trial < 3; trial++ {
+		var l LatencyRecorder
+		var before, mid, after runtime.MemStats
+		gc := debug.SetGCPercent(-1)
+		runtime.ReadMemStats(&before)
+		l.Bound(n)
+		runtime.ReadMemStats(&mid)
+		x := uint64(trial + 1)
+		for i := 0; i < n; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			l.Add(time.Duration(x >> 44)) // up to ~1 ms, with ties
+		}
+		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(gc)
+		bound = min(bound, int(mid.Mallocs-before.Mallocs))
+		adds = min(adds, int(after.Mallocs-mid.Mallocs))
+		bytes = mid.TotalAlloc - before.TotalAlloc
+		if l.Count() != n || cap(l.samples) != 2*(n/100+2) {
+			t.Fatalf("count %d, capacity %d; want %d and %d", l.Count(), cap(l.samples), n, 2*(n/100+2))
+		}
+	}
+	if bound != 1 || adds != 0 {
+		t.Errorf("Bound made %d allocations and %d Adds %d; want 1 and 0", bound, n, adds)
+	}
+	if bytes > want+8<<10 { // a large allocation rounds up to whole 8 KiB pages
+		t.Errorf("Bound(%d) allocated %d B, want ≤ %d B", n, bytes, want+8<<10)
 	}
 }

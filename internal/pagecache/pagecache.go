@@ -161,7 +161,7 @@ type tie struct {
 }
 
 const (
-	minSlots                = 64 // the slab's first capacity
+	minSlots                = 64 // first capacity of the slab and the scratch buffers
 	noSlot    int32         = -1
 	ghostSlot int32         = -2
 	unseen    time.Duration = math.MinInt64
@@ -274,7 +274,7 @@ func (c *Cache) popOldest(dst []int64, cutoff time.Duration, max int) []int64 {
 			run = run[:max]
 		}
 		for _, e := range run {
-			dst = append(dst, e.lpn)
+			dst = appendDoubling(dst, e.lpn)
 			c.remove(e.slot)
 		}
 		max -= len(run)
@@ -340,7 +340,7 @@ func (c *Cache) ScanDirty(now time.Duration, hotFilter bool, due []int64) (joine
 		}
 		if first := c.firstSeen[s]; first == unseen {
 			c.firstSeen[s] = e.last
-			joined = append(joined, e.lpn)
+			joined = appendDoubling(joined, e.lpn)
 		} else if hotFilter && now-first > expire {
 			continue
 		}
@@ -354,7 +354,7 @@ func (c *Cache) ScanDirty(now time.Duration, hotFilter bool, due []int64) (joine
 		if e.prev != ghostSlot {
 			continue // revived, or logged twice and freed just now
 		}
-		left = append(left, e.lpn)
+		left = appendDoubling(left, e.lpn)
 		c.index.Clear(e.lpn)
 		c.indexed--
 		c.firstSeen[s] = unseen
@@ -417,13 +417,24 @@ func (c *Cache) grow() {
 	}
 }
 
+// appendDoubling appends v to s, doubling a full s's capacity from minSlots
+// as grow does the slab's: the scratch buffers live as long as the cache,
+// and append's 1.25× steps would copy each four or five times its final
+// size on the way up.
+func appendDoubling[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, max(minSlots, 2*cap(s))), s...)
+	}
+	return append(s, v)
+}
+
 // remove takes the page in slot s out of the cache. A page no scan has seen
 // gives up its slot and its index entry; one a scan has seen becomes a ghost.
 func (c *Cache) remove(s int32) {
 	c.unlink(s)
 	if c.firstSeen != nil && c.firstSeen[s] != unseen {
 		c.slab[s].prev = ghostSlot
-		c.ghostLog = append(c.ghostLog, s)
+		c.ghostLog = appendDoubling(c.ghostLog, s)
 		c.ghosts++
 		return
 	}

@@ -434,3 +434,55 @@ func TestSlabGrowsByDoubling(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchGrowsByDoubling: the scratch buffers behind ScanDirty's joined
+// and left slices, Flush's result and the ghost log grow as the slab does,
+// so carrying n pages through each takes at most ⌈log₂(n/64)⌉ + 1
+// allocations per buffer. The n pages are written at distinct times, so the
+// flusher's runs of equal timestamps are one page long and the run buffer
+// is allocated once. Counts are the least of a few trials with collections
+// off, as in TestSlabGrowsByDoubling.
+func TestScratchGrowsByDoubling(t *testing.T) {
+	for _, n := range []int64{1, 64, 65, 1000, 100_000} {
+		join, flush, left := math.MaxInt, math.MaxInt, math.MaxInt
+		for trial := 0; trial < 5; trial++ {
+			cfg := testConfig()
+			cfg.CapacityPages = int(n)
+			c := newCache(t, cfg)
+			due := make([]int64, cfg.Nwb())
+			c.ScanDirty(0, false, due) // track first-seen times, so flushed pages become ghosts
+			for lpn := int64(0); lpn < n; lpn++ {
+				if _, err := c.Write(time.Duration(lpn), lpn, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			end := time.Duration(n) + cfg.Expire
+			var joined, flushed, gone []int64
+			join = min(join, mallocs(func() { joined, _ = c.ScanDirty(time.Duration(n), false, due) }))
+			flush = min(flush, mallocs(func() { flushed = c.Flush(end) }))
+			left = min(left, mallocs(func() { _, gone = c.ScanDirty(end, false, due) }))
+			if len(joined) != int(n) || len(flushed) != int(n) || len(gone) != int(n) {
+				t.Fatalf("n=%d: %d joined, %d flushed, %d left", n, len(joined), len(flushed), len(gone))
+			}
+			if err := c.CheckConsistency(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		steps := 1 + max(0, int(math.Ceil(math.Log2(float64(n)/minSlots))))
+		if join > steps || flush > 2*steps+1 || left > steps {
+			t.Errorf("n=%d: joined %d, flush and ghost log %d, left %d allocations; want ≤ %d, %d, %d",
+				n, join, flush, left, steps, 2*steps+1, steps)
+		}
+	}
+}
+
+// mallocs counts the heap allocations f makes, with collections off.
+func mallocs(f func()) int {
+	var before, after runtime.MemStats
+	gc := debug.SetGCPercent(-1)
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	debug.SetGCPercent(gc)
+	return int(after.Mallocs - before.Mallocs)
+}

@@ -53,8 +53,9 @@ type Config struct {
 	// StreamingLatency switches the latency recorder to the log-bucketed
 	// streaming histogram: memory constant in request count, percentiles
 	// accurate to one histogram bucket (≤ ~3% relative error). The default
-	// exact mode retains every sample and reports true order statistics —
-	// the mode the golden files are rendered under.
+	// exact mode reports true order statistics — the mode the golden files
+	// are rendered under — and over a run of known length retains only the
+	// top 1% of samples that p99 and above read (see ExpectRequests).
 	StreamingLatency bool
 	// NonPreemptiveBGC models devices whose background collections cannot
 	// be aborted once started (a NAND erase is not interruptible): a BGC
@@ -250,8 +251,14 @@ func (s *Simulator) RunClosedLoop(reqs []trace.Request) (metrics.Results, error)
 	return s.replay(reqs, true)
 }
 
+// ExpectRequests promises that at most n more host requests will complete
+// on the simulator, so its latency recorder keeps only the tail its
+// percentiles read (see metrics.LatencyRecorder.Bound). A request past the
+// promise panics.
+func (s *Simulator) ExpectRequests(n int) { s.lat.Bound(n) }
+
 func (s *Simulator) replay(reqs []trace.Request, closed bool) (metrics.Results, error) {
-	s.lat.Reserve(len(reqs))
+	s.ExpectRequests(len(reqs))
 	if err := Replay(s, reqs, closed, s.cfg.Cache.FlusherPeriod, s.cfg.DrainCache); err != nil {
 		return metrics.Results{}, err
 	}

@@ -244,6 +244,7 @@ func (e *source) takeArrival() (int32, trace.Request) {
 // buffered write flushed.
 func (e *Engine) Run() (Results, error) {
 	dev := e.src.cfg.Device
+	e.sim.ExpectRequests(e.src.cfg.Tenants * e.src.cfg.OpsPerTenant)
 	if err := sim.Drive(e.sim, e.src, dev.Cache.FlusherPeriod, dev.DrainCache); err != nil {
 		return Results{}, err
 	}
