@@ -12,7 +12,7 @@
 GO ?= go
 COVERAGE_BASELINE := $(shell cat ci/coverage-baseline.txt)
 
-.PHONY: ci build vet fmt-check test test-race bench-test coverage-gate fuzz loc test-times
+.PHONY: ci build vet fmt-check test test-race bench-test coverage-gate fuzz loc loc-diff test-times
 
 ci: build vet fmt-check test-race bench-test coverage-gate
 
@@ -69,6 +69,26 @@ loc:
 			[ -n "$$files" ] && printf '%6d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
 		done | awk -v m="$$m" '{ print; t += $$1 } END { printf "%6d  total (%s)\n", t, m == "." ? "main module" : m "/" }'; \
 	done
+
+# The loc table at REV beside the working tree's, one row per package with
+# the lines before, after and the delta, and each module's total: the
+# net-LOC table a change reports. REV is anything git archive takes, e.g.
+# `make loc-diff REV=HEAD~1`; the counting is this Makefile's loc target on
+# both trees, so REV need not have one.
+loc-diff:
+	@[ -n "$(REV)" ] || { echo "usage: make loc-diff REV=<rev>"; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir "$$tmp/tree" && git archive "$(REV)" | tar -x -C "$$tmp/tree" && \
+	$(MAKE) -s --no-print-directory -C "$$tmp/tree" -f "$(abspath $(firstword $(MAKEFILE_LIST)))" loc > "$$tmp/before" && \
+	$(MAKE) -s --no-print-directory loc > "$$tmp/after" && \
+	awk -v rev="$(REV)" ' \
+		{ n = $$1; sub(/^ *[0-9]+  /, "") } \
+		NR == FNR { before[$$0] = n; bseg[$$0] = seg; order[++nb] = $$0; if (/^total/) seg++; next } \
+		FNR == 1 { seg = 0; printf "%7s %7s %7s  %s\n", rev, "now", "delta", "package" } \
+		/^total/ { for (i = 1; i <= nb; i++) { k = order[i]; if (bseg[k] == seg && !(k in after) && k !~ /^total/) row(k, before[k], 0) } seg++ } \
+		{ after[$$0] = n; row($$0, $$0 in before ? before[$$0] : 0, n) } \
+		function row(k, b, a) { printf "%7d %7d %+7d  %s\n", b, a, a - b, k } \
+	' "$$tmp/before" "$$tmp/after"
 
 # The 20 slowest tests of one uncached run of the suite, with package and
 # seconds, slowest first (subtests included): the per-test time table a

@@ -613,7 +613,7 @@ func ablationVictim(opt Options) ([]Table, error) {
 		opt2 := opt
 		cfg, _ := opt.withDefaults().simConfig()
 		if selectors[i%len(selectors)] == "cost-benefit" {
-			cfg.FTL.Selector = ftl.CostBenefit{}
+			cfg.FTL.Selector = ftl.CostBenefit
 		}
 		opt2.Config = &cfg
 		return Run(benches[i/len(selectors)], Lazy(), opt2)

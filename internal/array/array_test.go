@@ -24,7 +24,7 @@ func tinyDevice() sim.Config {
 		},
 		Timing:   nand.DefaultTimingMLC(),
 		OPRatio:  0.34,
-		Selector: ftl.Greedy{},
+		Selector: ftl.Greedy,
 	}
 	ccfg := pagecache.Config{
 		PageSize:      4096,

@@ -52,12 +52,3 @@ func TestGCBandwidthTracksOccupancy(t *testing.T) {
 		t.Errorf("WriteBandwidth = %v", wb)
 	}
 }
-
-func TestBlockInfoUtilization(t *testing.T) {
-	if u := (BlockInfo{Valid: 4, PagesPerBlock: 8}).Utilization(); u != 0.5 {
-		t.Errorf("utilization = %v, want 0.5", u)
-	}
-	if u := (BlockInfo{Valid: 4}).Utilization(); u != 0 {
-		t.Errorf("zero-ppb utilization = %v, want 0", u)
-	}
-}

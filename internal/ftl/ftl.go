@@ -1,9 +1,9 @@
 // Package ftl implements a page-mapping flash translation layer over the
 // nand array model: logical-to-physical mapping, out-of-place updates, a
-// free-block pool, foreground and background garbage collection with
-// pluggable victim selection (including the paper's SIP-aware filtering),
-// wear-aware block allocation with threshold wear leveling, and the
-// write-amplification accounting the paper's lifetime results rest on.
+// free-block pool, foreground and background garbage collection with a
+// choice of three victim selection rules (one of them the paper's SIP-aware
+// filtering), wear-aware block allocation with threshold wear leveling, and
+// the write-amplification accounting the paper's lifetime results rest on.
 package ftl
 
 import (
@@ -20,8 +20,7 @@ var (
 	ErrBadLPN       = errors.New("ftl: LPN out of user capacity")
 	ErrNoFreeBlocks = errors.New("ftl: no free blocks and no reclaimable victim")
 	ErrCorruption   = errors.New("ftl: stored payload does not match its logical page")
-	// ErrUnknownSelector rejects a victim selector the victim index cannot
-	// serve: only Greedy, CostBenefit and SIPGreedy are supported.
+	// ErrUnknownSelector rejects a Selector value past the three kinds.
 	ErrUnknownSelector = errors.New("ftl: victim selector is not Greedy, CostBenefit or SIPGreedy")
 )
 
@@ -41,9 +40,9 @@ type Config struct {
 	// OPRatio is the over-provisioning capacity C_OP as a fraction of user
 	// capacity. The SM843T in the paper uses 7%.
 	OPRatio float64
-	// Selector chooses GC victim blocks: Greedy (the default when nil),
-	// CostBenefit or SIPGreedy; anything else is ErrUnknownSelector.
-	Selector VictimSelector
+	// Selector chooses GC victim blocks: Greedy (the zero value),
+	// CostBenefit or SIPGreedy; any other value is ErrUnknownSelector.
+	Selector Selector
 	// WearThreshold is the max-min erase-count gap that triggers static
 	// wear leveling (forcing the least-erased full block to be recycled).
 	// 0 disables it.
@@ -78,7 +77,6 @@ func DefaultConfig() Config {
 		Geometry:      nand.DefaultGeometry(),
 		Timing:        nand.DefaultTimingMLC(),
 		OPRatio:       0.07,
-		Selector:      Greedy{},
 		WearThreshold: 64,
 	}
 }
@@ -97,20 +95,10 @@ func (c Config) Validate() error {
 	if c.WearThreshold < 0 {
 		return fmt.Errorf("ftl: negative wear threshold %d", c.WearThreshold)
 	}
-	if err := checkSelector(c.Selector); err != nil {
-		return err
+	if c.Selector > SIPGreedy {
+		return fmt.Errorf("%w: %d", ErrUnknownSelector, c.Selector)
 	}
 	return c.Fault.Validate()
-}
-
-// checkSelector accepts nil (Greedy) and the three built-in selectors,
-// whose choices the victim index computes without a candidate scan.
-func checkSelector(s VictimSelector) error {
-	switch s.(type) {
-	case nil, Greedy, CostBenefit, SIPGreedy:
-		return nil
-	}
-	return fmt.Errorf("%w: %T", ErrUnknownSelector, s)
 }
 
 // Stats counts FTL activity. Page counts are in physical pages.
@@ -225,9 +213,6 @@ func New(cfg Config) (*FTL, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Selector == nil {
-		cfg.Selector = Greedy{}
-	}
 	newDev := nand.NewArray
 	if cfg.DisableIntegrity {
 		newDev = nand.NewBareArray
@@ -306,16 +291,13 @@ func (f *FTL) OPBytes() int64 { return f.OPPages() * int64(f.cfg.Geometry.PageSi
 func (f *FTL) PageSize() int { return f.cfg.Geometry.PageSize }
 
 // SetSelector replaces the GC victim selector (e.g. to enable SIP-aware
-// filtering once a JIT-GC policy is attached). nil keeps the current one;
-// a selector other than the three built-ins is ErrUnknownSelector and
-// changes nothing.
-func (f *FTL) SetSelector(s VictimSelector) error {
-	if err := checkSelector(s); err != nil {
-		return err
+// filtering once a JIT-GC policy is attached). A value past the three kinds
+// is ErrUnknownSelector and changes nothing.
+func (f *FTL) SetSelector(s Selector) error {
+	if s > SIPGreedy {
+		return fmt.Errorf("%w: %d", ErrUnknownSelector, s)
 	}
-	if s != nil {
-		f.cfg.Selector = s
-	}
+	f.cfg.Selector = s
 	return nil
 }
 

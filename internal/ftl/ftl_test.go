@@ -20,7 +20,7 @@ func smallConfig() Config {
 		},
 		Timing:   nand.DefaultTimingMLC(),
 		OPRatio:  0.34,
-		Selector: Greedy{},
+		Selector: Greedy,
 	}
 }
 

@@ -8,140 +8,41 @@ import (
 	"jitgc/internal/nand"
 )
 
-// BlockInfo describes a GC victim candidate for selectors.
-type BlockInfo struct {
-	// Index is the flat block index.
-	Index int
-	// Valid is the number of valid pages that would need migration.
-	Valid int
-	// SIPValid is how many of those valid pages are on the current SIP
-	// list, i.e. will shortly be invalidated by a page-cache flush.
-	SIPValid int
-	// EraseCount is the block's wear.
-	EraseCount int64
-	// LastInvalidate is when a page of the block last became invalid.
-	LastInvalidate time.Duration
-	// Age is how long ago that was (the "age" input of cost-benefit
-	// selection).
-	Age time.Duration
-	// PagesPerBlock is the block capacity, for utilization math.
-	PagesPerBlock int
-}
+// Selector is the GC victim selection rule. The victim index answers each
+// of the three without a candidate scan; every answer equals a full scan of
+// the eligible blocks under the same rule, tie-breaks included (the
+// reference selectors in gc_test.go).
+type Selector uint8
 
-// Utilization returns the valid-page fraction u of the block.
-func (b BlockInfo) Utilization() float64 {
-	if b.PagesPerBlock == 0 {
-		return 0
-	}
-	return float64(b.Valid) / float64(b.PagesPerBlock)
-}
+const (
+	// Greedy selects the block with the fewest valid pages — the classical
+	// minimum-migration victim policy. Ties break toward the lower block
+	// index for determinism.
+	Greedy Selector = iota
+	// CostBenefit selects by the classical cost-benefit score
+	// age × (1−u)/(2u): prefer old blocks with low utilization u. Fully
+	// invalid blocks (u = 0) are always taken first.
+	CostBenefit
+	// SIPGreedy is the paper's extended victim selection: greedy, modified
+	// to avoid blocks holding soon-to-be-invalidated pages, because
+	// migrating a SIP page is useless work — it is about to be rewritten
+	// by a page-cache flush anyway. With an empty SIP list it chooses what
+	// Greedy chooses; the two stay separate kinds so that a run can keep
+	// the list installed under plain greedy.
+	SIPGreedy
+)
 
-// VictimSelector picks a GC victim among candidate blocks. Selectors must
-// be deterministic: the simulator relies on reproducible runs. The FTL
-// accepts only the three built-ins below; their Select over a full scan of
-// the eligible blocks defines the choice the victim index reproduces.
-type VictimSelector interface {
-	// Name identifies the selector in reports.
-	Name() string
-	// Select returns the position in cands of the chosen victim.
-	// cands is never empty.
-	Select(cands []BlockInfo) int
-}
-
-// Greedy selects the block with the fewest valid pages — the classical
-// minimum-migration victim policy. Ties break toward the lower block index
-// for determinism.
-type Greedy struct{}
-
-// Name implements VictimSelector.
-func (Greedy) Name() string { return "greedy" }
-
-// Select implements VictimSelector.
-func (Greedy) Select(cands []BlockInfo) int {
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		if cands[i].Valid < cands[best].Valid ||
-			(cands[i].Valid == cands[best].Valid && cands[i].Index < cands[best].Index) {
-			best = i
-		}
-	}
-	return best
-}
-
-// CostBenefit selects by the classical cost-benefit score
-// age × (1−u)/(2u): prefer old blocks with low utilization. Fully invalid
-// blocks (u = 0) are always taken first.
-type CostBenefit struct{}
-
-// Name implements VictimSelector.
-func (CostBenefit) Name() string { return "cost-benefit" }
-
-// Select implements VictimSelector.
-func (CostBenefit) Select(cands []BlockInfo) int {
-	best, bestScore := 0, -1.0
-	for i, c := range cands {
-		if c.Valid == 0 {
-			return i
-		}
-		u := c.Utilization()
-		score := float64(c.Age) * (1 - u) / (2 * u)
-		if score > bestScore || (score == bestScore && c.Index < cands[best].Index) {
-			best, bestScore = i, score
-		}
-	}
-	return best
-}
-
-// SIPGreedy is the paper's extended victim selection: greedy, modified to
-// avoid blocks holding soon-to-be-invalidated pages, because migrating a
-// SIP page is useless work — it is about to be rewritten by a page-cache
-// flush anyway.
-//
-// Avoidance is bounded: among candidates within SlackPages extra
-// migrations of the plain greedy choice, the selector picks the one with
-// the fewest SIP pages; unbounded avoidance would itself inflate write
-// amplification past what it saves. MaxSIPFraction sets the taint level at
-// which a block is worth avoiding at all — below it the greedy choice
-// stands untouched.
-type SIPGreedy struct {
-	// MaxSIPFraction is the SIPValid/Valid ratio below which a block is
-	// not considered tainted. 0 treats any block with a SIP page as worth
-	// avoiding.
-	MaxSIPFraction float64
-	// SlackPages bounds how many extra valid-page migrations an
-	// alternative choice may cost relative to plain greedy (default 8
-	// when zero).
-	SlackPages int
-}
-
-// Name implements VictimSelector.
-func (SIPGreedy) Name() string { return "sip-greedy" }
-
-// Select implements VictimSelector.
-func (s SIPGreedy) Select(cands []BlockInfo) int {
-	slack := s.SlackPages
-	if slack == 0 {
-		slack = 8
-	}
-	greedy := Greedy{}.Select(cands)
-	g := cands[greedy]
-	if g.Valid == 0 || float64(g.SIPValid)/float64(g.Valid) <= s.MaxSIPFraction {
-		return greedy // not tainted enough to pay anything for
-	}
-	best := greedy
-	for i, c := range cands {
-		if c.Valid > g.Valid+slack {
-			continue
-		}
-		b := cands[best]
-		if c.SIPValid < b.SIPValid ||
-			(c.SIPValid == b.SIPValid && c.Valid < b.Valid) ||
-			(c.SIPValid == b.SIPValid && c.Valid == b.Valid && c.Index < b.Index) {
-			best = i
-		}
-	}
-	return best
-}
+// The two fixed parameters of SIPGreedy. A victim candidate is worth
+// avoiding only when more than sipMaxFraction (30%) of its valid pages are
+// on the SIP list; below that the greedy choice stands untouched.
+// Avoidance is bounded: among candidates within sipSlackPages extra
+// migrations of the plain greedy choice, the one with the fewest SIP pages
+// is taken, because unbounded avoidance would itself inflate write
+// amplification past what it saves.
+const (
+	sipMaxFraction = 0.30
+	sipSlackPages  = 4
+)
 
 // UpdateSIP applies the host's change to the soon-to-be-invalidated page
 // set (paper §3.1/§3.3): with reset the set is emptied first, then the pages
@@ -186,9 +87,9 @@ func (f *FTL) onSIPList(lpn int64) bool { return f.sipBits[lpn>>6]&(1<<(lpn&63))
 func (f *FTL) SIPListSize() int { return f.sipPages }
 
 // pickVictim chooses the next GC victim from the incremental index without
-// allocating: the same victim the configured selector's Select would pick
-// over a full scan of the eligible blocks, with the same
-// VictimSelections/FilteredSelections accounting. Foreground collections
+// allocating: the same victim the configured selector's full-scan reference
+// (gc_test.go) picks over the eligible blocks, counted in
+// VictimSelections/FilteredSelections. Foreground collections
 // always use plain greedy: a stalled host write needs space at minimum
 // cost, and the paper's SIP filtering applies to background GC only. ok is
 // false when no block is collectible.
@@ -202,11 +103,11 @@ func (f *FTL) pickVictim(foreground bool) (victim int, ok bool) {
 		return greedy, true
 	}
 	choice := greedy
-	switch s := f.cfg.Selector.(type) {
+	switch f.cfg.Selector {
 	case CostBenefit:
 		choice = f.costBenefitVictim()
 	case SIPGreedy:
-		choice = f.sipGreedyVictim(s, greedy)
+		choice = f.sipGreedyVictim(greedy, sipMaxFraction, sipSlackPages)
 	}
 	// Table 3 counts selections where SIP filtering paid migration cost to
 	// avoid a tainted block (cost-free tie swaps are not "filtering").
@@ -222,8 +123,8 @@ func (f *FTL) pickVictim(foreground bool) (victim int, ok bool) {
 // bucket champions. Within a bucket every member shares the utilization
 // term, so the score is maximized by the smallest (lastInvalidate, index)
 // — exactly the cached champion — and the full-scan winner is always some
-// bucket's champion. A fully-invalid block short-circuits, as in
-// CostBenefit.Select; the tree root is the lowest-indexed such block.
+// bucket's champion. A fully-invalid block short-circuits, as in the
+// full-scan reference; the tree root is the lowest-indexed such block.
 func (f *FTL) costBenefitVictim() int {
 	ix := f.idx
 	root := ix.greedyVictim()
@@ -251,19 +152,17 @@ func (f *FTL) costBenefitVictim() int {
 	return best
 }
 
-// sipGreedyVictim evaluates SIP-aware selection over the bounded bucket
-// frontier Valid ≤ greedy+slack, walking only the blocks a migration-cost
-// budget could ever justify — cold buckets beyond the slack are never
-// touched. The comparison chain matches SIPGreedy.Select term for term.
-func (f *FTL) sipGreedyVictim(s SIPGreedy, greedy int) int {
-	slack := s.SlackPages
-	if slack == 0 {
-		slack = 8
-	}
+// sipGreedyVictim evaluates SIP-aware selection with taint threshold
+// maxFraction over the bounded bucket frontier Valid ≤ greedy+slack,
+// walking only the blocks a migration-cost budget could ever justify —
+// cold buckets beyond the slack are never touched. The comparison chain
+// matches the full-scan reference term for term. Production passes
+// sipMaxFraction and sipSlackPages; tests also drive harder settings.
+func (f *FTL) sipGreedyVictim(greedy int, maxFraction float64, slack int) int {
 	ix := f.idx
 	gv := ix.valid(greedy)
 	gs := f.sipPerBlock[greedy]
-	if gv == 0 || float64(gs)/float64(gv) <= s.MaxSIPFraction {
+	if gv == 0 || float64(gs)/float64(gv) <= maxFraction {
 		return greedy // not tainted enough to pay anything for
 	}
 	best, bestSIP, bestValid := greedy, gs, gv

@@ -7,6 +7,104 @@ import (
 	"time"
 )
 
+// BlockInfo describes a GC victim candidate for the full-scan reference
+// selectors.
+type BlockInfo struct {
+	// Index is the flat block index.
+	Index int
+	// Valid is the number of valid pages that would need migration.
+	Valid int
+	// SIPValid is how many of those valid pages are on the current SIP
+	// list, i.e. will shortly be invalidated by a page-cache flush.
+	SIPValid int
+	// EraseCount is the block's wear.
+	EraseCount int64
+	// LastInvalidate is when a page of the block last became invalid.
+	LastInvalidate time.Duration
+	// Age is how long ago that was (the "age" input of cost-benefit
+	// selection).
+	Age time.Duration
+	// PagesPerBlock is the block capacity, for utilization math.
+	PagesPerBlock int
+}
+
+// Utilization returns the valid-page fraction u of the block.
+func (b BlockInfo) Utilization() float64 {
+	if b.PagesPerBlock == 0 {
+		return 0
+	}
+	return float64(b.Valid) / float64(b.PagesPerBlock)
+}
+
+func TestBlockInfoUtilization(t *testing.T) {
+	if u := (BlockInfo{Valid: 4, PagesPerBlock: 8}).Utilization(); u != 0.5 {
+		t.Errorf("utilization = %v, want 0.5", u)
+	}
+	if u := (BlockInfo{Valid: 4}).Utilization(); u != 0 {
+		t.Errorf("zero-ppb utilization = %v, want 0", u)
+	}
+}
+
+// greedySelect, costBenefitSelect and sipGreedySelect are the full-scan
+// reference selectors: each returns the position in cands (never empty) of
+// the victim its Selector kind defines over every eligible block. The
+// victim index must reproduce their choices bit for bit
+// (checkIndexAgainstReference).
+
+// greedySelect takes the fewest valid pages, ties to the lower block index.
+func greedySelect(cands []BlockInfo) int {
+	best := 0
+	for i := 1; i < len(cands); i++ {
+		if cands[i].Valid < cands[best].Valid ||
+			(cands[i].Valid == cands[best].Valid && cands[i].Index < cands[best].Index) {
+			best = i
+		}
+	}
+	return best
+}
+
+// costBenefitSelect takes the highest age × (1−u)/(2u), a fully invalid
+// block first.
+func costBenefitSelect(cands []BlockInfo) int {
+	best, bestScore := 0, -1.0
+	for i, c := range cands {
+		if c.Valid == 0 {
+			return i
+		}
+		u := c.Utilization()
+		score := float64(c.Age) * (1 - u) / (2 * u)
+		if score > bestScore || (score == bestScore && c.Index < cands[best].Index) {
+			best, bestScore = i, score
+		}
+	}
+	return best
+}
+
+// sipGreedySelect keeps the greedy choice unless more than maxFraction of
+// its valid pages are on the SIP list; then it takes, among candidates
+// within slack extra valid pages of it, the fewest SIP pages, then the
+// fewest valid pages, then the lower block index.
+func sipGreedySelect(cands []BlockInfo, maxFraction float64, slack int) int {
+	greedy := greedySelect(cands)
+	g := cands[greedy]
+	if g.Valid == 0 || float64(g.SIPValid)/float64(g.Valid) <= maxFraction {
+		return greedy // not tainted enough to pay anything for
+	}
+	best := greedy
+	for i, c := range cands {
+		if c.Valid > g.Valid+slack {
+			continue
+		}
+		b := cands[best]
+		if c.SIPValid < b.SIPValid ||
+			(c.SIPValid == b.SIPValid && c.Valid < b.Valid) ||
+			(c.SIPValid == b.SIPValid && c.Valid == b.Valid && c.Index < b.Index) {
+			best = i
+		}
+	}
+	return best
+}
+
 func mkCands(valids ...int) []BlockInfo {
 	cands := make([]BlockInfo, len(valids))
 	for i, v := range valids {
@@ -17,11 +115,8 @@ func mkCands(valids ...int) []BlockInfo {
 
 func TestGreedySelectsMinValid(t *testing.T) {
 	cands := mkCands(5, 2, 9, 2)
-	if got := (Greedy{}).Select(cands); got != 1 {
+	if got := greedySelect(cands); got != 1 {
 		t.Errorf("greedy = %d, want 1 (first min-valid)", got)
-	}
-	if (Greedy{}).Name() != "greedy" {
-		t.Error("name")
 	}
 }
 
@@ -30,55 +125,54 @@ func TestCostBenefitPrefersOldSparseBlocks(t *testing.T) {
 		{Index: 0, Valid: 8, Age: time.Second, PagesPerBlock: 16},
 		{Index: 1, Valid: 8, Age: time.Hour, PagesPerBlock: 16}, // much older
 	}
-	if got := (CostBenefit{}).Select(cands); got != 1 {
+	if got := costBenefitSelect(cands); got != 1 {
 		t.Errorf("cost-benefit = %d, want the older block", got)
 	}
 	// A fully invalid block always wins.
 	cands = append(cands, BlockInfo{Index: 2, Valid: 0, PagesPerBlock: 16})
-	if got := (CostBenefit{}).Select(cands); got != 2 {
+	if got := costBenefitSelect(cands); got != 2 {
 		t.Errorf("cost-benefit = %d, want the empty block", got)
-	}
-	if (CostBenefit{}).Name() != "cost-benefit" {
-		t.Error("name")
 	}
 }
 
 func TestSIPGreedyFiltersWithinSlack(t *testing.T) {
-	sel := SIPGreedy{MaxSIPFraction: 0, SlackPages: 4}
+	sel := func(cands []BlockInfo) int { return sipGreedySelect(cands, 0, 4) }
 	cands := []BlockInfo{
 		{Index: 0, Valid: 4, SIPValid: 2, PagesPerBlock: 16}, // greedy pick, has SIP pages
 		{Index: 1, Valid: 6, SIPValid: 0, PagesPerBlock: 16}, // 2 extra migrations: within slack
 	}
-	if got := sel.Select(cands); got != 1 {
+	if got := sel(cands); got != 1 {
 		t.Errorf("SIP-greedy = %d, want the clean block within slack", got)
 	}
 	// Beyond slack the greedy choice must stand.
 	cands[1].Valid = 10
-	if got := sel.Select(cands); got != 0 {
+	if got := sel(cands); got != 0 {
 		t.Errorf("SIP-greedy = %d, want greedy when slack exceeded", got)
 	}
 	// With everything SIP-tainted it falls back to greedy.
 	cands[1].SIPValid = 5
-	if got := sel.Select(cands); got != 0 {
+	if got := sel(cands); got != 0 {
 		t.Errorf("SIP-greedy = %d, want greedy fallback", got)
-	}
-	if sel.Name() != "sip-greedy" {
-		t.Error("name")
 	}
 }
 
 func TestSIPGreedyFractionThreshold(t *testing.T) {
-	sel := SIPGreedy{MaxSIPFraction: 0.5, SlackPages: 8}
 	cands := []BlockInfo{
 		{Index: 0, Valid: 4, SIPValid: 1, PagesPerBlock: 16}, // 25% ≤ 50%: admissible
 		{Index: 1, Valid: 6, SIPValid: 0, PagesPerBlock: 16},
 	}
-	if got := sel.Select(cands); got != 0 {
+	if got := sipGreedySelect(cands, 0.5, 8); got != 0 {
 		t.Errorf("tolerated-SIP block rejected: got %d", got)
 	}
 }
 
 func TestSelectorsDeterministicProperty(t *testing.T) {
+	selectors := []func([]BlockInfo) int{
+		greedySelect,
+		costBenefitSelect,
+		func(c []BlockInfo) int { return sipGreedySelect(c, sipMaxFraction, sipSlackPages) },
+		func(c []BlockInfo) int { return sipGreedySelect(c, 0.1, 8) },
+	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := r.Intn(20) + 1
@@ -95,8 +189,8 @@ func TestSelectorsDeterministicProperty(t *testing.T) {
 				cands[i].SIPValid = cands[i].Valid
 			}
 		}
-		for _, sel := range []VictimSelector{Greedy{}, CostBenefit{}, SIPGreedy{MaxSIPFraction: 0.1}} {
-			a, b := sel.Select(cands), sel.Select(cands)
+		for _, sel := range selectors {
+			a, b := sel(cands), sel(cands)
 			if a != b || a < 0 || a >= n {
 				return false
 			}
@@ -198,7 +292,7 @@ func TestWastedMigrationAccounting(t *testing.T) {
 
 func TestFilteredSelectionsMetric(t *testing.T) {
 	f := newSmall(t)
-	if err := f.SetSelector(SIPGreedy{MaxSIPFraction: 0, SlackPages: 16}); err != nil {
+	if err := f.SetSelector(SIPGreedy); err != nil {
 		t.Fatal(err)
 	}
 	fillUser(t, f)
@@ -208,10 +302,10 @@ func TestFilteredSelectionsMetric(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A sparse SIP list taints some blocks while leaving clean
-	// alternatives for the filter to prefer.
+	// A SIP list of every third page taints blocks past the 30% threshold
+	// while leaving cleaner alternatives for the filter to prefer.
 	var sip []int64
-	for lpn := int64(0); lpn < f.UserPages(); lpn += 16 {
+	for lpn := int64(0); lpn < f.UserPages(); lpn += 3 {
 		sip = append(sip, lpn)
 	}
 	f.UpdateSIP(true, sip, nil)
@@ -255,15 +349,5 @@ func TestWearLevelingRecyclesColdBlocks(t *testing.T) {
 	with, without := spread(3), spread(0)
 	if with >= without {
 		t.Errorf("wear spread with leveling (%d) not better than without (%d)", with, without)
-	}
-}
-
-func TestSetSelectorNilKeepsCurrent(t *testing.T) {
-	f := newSmall(t)
-	if err := f.SetSelector(nil); err != nil {
-		t.Fatalf("SetSelector(nil): %v", err)
-	}
-	if f.cfg.Selector == nil {
-		t.Error("nil selector installed")
 	}
 }

@@ -8,8 +8,7 @@ import (
 // victimIndex incrementally maintains the set of GC-eligible blocks — the
 // exact set a full scan would enumerate — so victim selection never walks
 // cold blocks and never allocates. It answers the
-// three built-in selection policies without materializing a candidate
-// slice:
+// three Selector kinds without materializing a candidate slice:
 //
 //   - Greedy: a tournament tree over all blocks holds the greedy winner at
 //     its root. A node is a packed valid<<32|block key (emptyKey for a
@@ -20,8 +19,8 @@ import (
 //     minimizing (lastInvalidate, index), which is the bucket's maximum
 //     cost-benefit score with the scan tie-break — so a selection compares
 //     at most PagesPerBlock champions instead of every block.
-//   - SIP-Greedy: the bounded frontier of buckets within SlackPages of the
-//     greedy choice is walked directly; blocks outside it are never
+//   - SIP-Greedy: the bounded frontier of buckets within sipSlackPages of
+//     the greedy choice is walked directly; blocks outside it are never
 //     touched.
 //
 // Updates are O(1) for the bucket links. A tree update replays matches from
@@ -38,9 +37,9 @@ import (
 // collectOnce takes it out for the duration, so its per-page invalidations
 // never reach the tree.
 //
-// The index's answers are bit-for-bit identical to the retired full-scan
-// selectors, including every deterministic tie-break — the golden
-// renderings depend on this, and the differential property test in
+// The index's answers are bit-for-bit identical to the full-scan reference
+// selectors in gc_test.go, including every deterministic tie-break — the
+// golden renderings depend on this, and the differential property test in
 // index_test.go plus CheckConsistency's index invariants enforce it.
 type victimIndex struct {
 	ppb     int

@@ -52,9 +52,9 @@ func referenceCandidates(f *FTL) []BlockInfo {
 }
 
 // checkIndexAgainstReference asserts that every index-served victim choice
-// — greedy, cost-benefit, and SIP-greedy at two configurations — equals
-// the corresponding full-scan selection, bit for bit, including the
-// deterministic tie-breaks the goldens depend on.
+// — greedy, cost-benefit, and SIP-greedy at the production configuration
+// and two others — equals the corresponding full-scan selection, bit for
+// bit, including the deterministic tie-breaks the goldens depend on.
 func checkIndexAgainstReference(t *testing.T, f *FTL) {
 	t.Helper()
 	cands := referenceCandidates(f)
@@ -67,22 +67,26 @@ func checkIndexAgainstReference(t *testing.T, f *FTL) {
 		}
 		return
 	}
-	greedy := cands[Greedy{}.Select(cands)].Index
+	greedy := cands[greedySelect(cands)].Index
 	if got := f.idx.greedyVictim(); got != greedy {
 		t.Fatalf("index greedy victim %d, reference scan picks %d", got, greedy)
 	}
-	if want := cands[CostBenefit{}.Select(cands)].Index; f.costBenefitVictim() != want {
+	if want := cands[costBenefitSelect(cands)].Index; f.costBenefitVictim() != want {
 		t.Fatalf("index cost-benefit victim %d, reference scan picks %d",
 			f.costBenefitVictim(), want)
 	}
-	for _, s := range []SIPGreedy{
-		{MaxSIPFraction: 0.1, SlackPages: 4},
-		{MaxSIPFraction: 0}, // default slack, zero tolerance: filters hardest
+	for _, s := range []struct {
+		frac  float64
+		slack int
+	}{
+		{sipMaxFraction, sipSlackPages}, // what SIPGreedy runs
+		{0.1, 4},
+		{0, 8}, // zero tolerance, wide slack: filters hardest
 	} {
-		want := cands[s.Select(cands)].Index
-		if got := f.sipGreedyVictim(s, greedy); got != want {
+		want := cands[sipGreedySelect(cands, s.frac, s.slack)].Index
+		if got := f.sipGreedyVictim(greedy, s.frac, s.slack); got != want {
 			t.Fatalf("index sip-greedy (frac=%v slack=%d) victim %d, reference scan picks %d",
-				s.MaxSIPFraction, s.SlackPages, got, want)
+				s.frac, s.slack, got, want)
 		}
 	}
 }
@@ -188,17 +192,17 @@ func steadyFTL(tb testing.TB, cfg Config) *FTL {
 	return f
 }
 
-// TestSelectVictimZeroAlloc enforces the tentpole claim for every built-in
-// selector, foreground and background: a victim selection in steady state
+// TestSelectVictimZeroAlloc enforces the tentpole claim for every Selector
+// kind, foreground and background: a victim selection in steady state
 // performs zero heap allocations.
 func TestSelectVictimZeroAlloc(t *testing.T) {
 	selectors := []struct {
 		name string
-		sel  VictimSelector
+		sel  Selector
 	}{
-		{"greedy", Greedy{}},
-		{"cost-benefit", CostBenefit{}},
-		{"sip-greedy", SIPGreedy{MaxSIPFraction: 0.1, SlackPages: 4}},
+		{"greedy", Greedy},
+		{"cost-benefit", CostBenefit},
+		{"sip-greedy", SIPGreedy},
 	}
 	for _, tc := range selectors {
 		t.Run(tc.name, func(t *testing.T) {
@@ -226,7 +230,7 @@ func TestSelectVictimZeroAlloc(t *testing.T) {
 // foreground GC, erases and victim selections included.
 func TestWritePathZeroAlloc(t *testing.T) {
 	cfg := quickGeometry()
-	cfg.Selector = SIPGreedy{MaxSIPFraction: 0.1, SlackPages: 4}
+	cfg.Selector = SIPGreedy
 	fresh, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -349,36 +353,25 @@ func TestCheckConsistencyVictimIndexViolations(t *testing.T) {
 	}
 }
 
-// customSelector is a selector outside the three built-ins.
-type customSelector struct{}
-
-func (customSelector) Name() string { return "custom" }
-
-func (customSelector) Select([]BlockInfo) int { return 0 }
-
 // TestCustomSelectorRejected: the victim index answers only the three
-// built-in selectors, so New and SetSelector refuse any other — a pointer
-// to a built-in included — with ErrUnknownSelector, and a refused
-// SetSelector leaves the installed selector in place. Foreground
-// selection ignores the selector: a stalled host write always takes the
-// greedy victim straight from the index root.
+// Selector kinds, so New and SetSelector refuse a value past them with
+// ErrUnknownSelector, and a refused SetSelector leaves the installed kind in
+// place. Foreground selection ignores the selector: a stalled host write
+// always takes the greedy victim straight from the index root.
 func TestCustomSelectorRejected(t *testing.T) {
 	cfg := quickGeometry()
-	for _, sel := range []VictimSelector{customSelector{}, &Greedy{}} {
-		cfg.Selector = sel
-		if _, err := New(cfg); !errors.Is(err, ErrUnknownSelector) {
-			t.Errorf("New with selector %T: err = %v, want ErrUnknownSelector", sel, err)
-		}
+	cfg.Selector = SIPGreedy + 1
+	if _, err := New(cfg); !errors.Is(err, ErrUnknownSelector) {
+		t.Errorf("New with selector %d: err = %v, want ErrUnknownSelector", cfg.Selector, err)
 	}
 
-	installed := SIPGreedy{MaxSIPFraction: 0, SlackPages: 4}
-	cfg.Selector = installed
+	cfg.Selector = SIPGreedy
 	f := steadyFTL(t, cfg)
-	if err := f.SetSelector(customSelector{}); !errors.Is(err, ErrUnknownSelector) {
-		t.Errorf("SetSelector(customSelector): err = %v, want ErrUnknownSelector", err)
+	if err := f.SetSelector(SIPGreedy + 1); !errors.Is(err, ErrUnknownSelector) {
+		t.Errorf("SetSelector(SIPGreedy+1): err = %v, want ErrUnknownSelector", err)
 	}
-	if f.Config().Selector != installed {
-		t.Errorf("refused SetSelector replaced the selector with %v", f.Config().Selector)
+	if got := f.Config().Selector; got != SIPGreedy {
+		t.Errorf("refused SetSelector replaced the selector with %d", got)
 	}
 
 	f.UpdateSIP(true, []int64{1, 5, 9, 13}, nil)
@@ -430,7 +423,7 @@ func benchGeometry(blocks int) Config {
 // benchSteadyFTL preconditions a device of the given size into GC steady
 // state with a skewed overwrite pass, so candidate blocks spread over many
 // valid-count buckets.
-func benchSteadyFTL(b testing.TB, blocks int, sel VictimSelector) *FTL {
+func benchSteadyFTL(b testing.TB, blocks int, sel Selector) *FTL {
 	b.Helper()
 	cfg := benchGeometry(blocks)
 	cfg.Selector = sel
@@ -465,11 +458,11 @@ func benchSteadyFTL(b testing.TB, blocks int, sel VictimSelector) *FTL {
 func BenchmarkVictimSelect(b *testing.B) {
 	for _, tc := range []struct {
 		name string
-		sel  VictimSelector
+		sel  Selector
 	}{
-		{"greedy", Greedy{}},
-		{"costbenefit", CostBenefit{}},
-		{"sipgreedy", SIPGreedy{MaxSIPFraction: 0.1, SlackPages: 4}},
+		{"greedy", Greedy},
+		{"costbenefit", CostBenefit},
+		{"sipgreedy", SIPGreedy},
 	} {
 		for _, blocks := range []int{512, 2048, 8192} {
 			b.Run(fmt.Sprintf("%s/blocks=%d", tc.name, blocks), func(b *testing.B) {
@@ -516,7 +509,7 @@ func BenchmarkSteadyStateWrite(b *testing.B) {
 		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
 			d := steadyFTLs[blocks]
 			if d == nil {
-				d = &steadyDevice{f: benchSteadyFTL(b, blocks, Greedy{}), rng: rand.New(rand.NewSource(2))}
+				d = &steadyDevice{f: benchSteadyFTL(b, blocks, Greedy), rng: rand.New(rand.NewSource(2))}
 				steadyFTLs[blocks] = d
 			}
 			b.ReportAllocs()

@@ -17,7 +17,7 @@ import (
 // counter and on every victim, and both must audit clean.
 func TestQuickSIPChangeMatchesReplaceInstall(t *testing.T) {
 	cfg := quickGeometry()
-	cfg.Selector = SIPGreedy{MaxSIPFraction: 0.1, SlackPages: 4}
+	cfg.Selector = SIPGreedy
 	steps, maxCount := 400, 24
 	if testing.Short() {
 		steps, maxCount = 150, 8

@@ -49,7 +49,7 @@ func newWriteBackTick(tb testing.TB) (tick func()) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	f := benchSteadyFTL(tb, 512, SIPGreedy{MaxSIPFraction: 0.1, SlackPages: 4})
+	f := benchSteadyFTL(tb, 512, SIPGreedy)
 
 	var now time.Duration
 	var wave []int64 // flushed at the last boundary, written before the next

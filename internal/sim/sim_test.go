@@ -25,7 +25,7 @@ func tinyConfig() Config {
 		},
 		Timing:   nand.DefaultTimingMLC(),
 		OPRatio:  0.34,
-		Selector: ftl.Greedy{},
+		Selector: ftl.Greedy,
 	}
 	ccfg := pagecache.Config{
 		PageSize:      4096,

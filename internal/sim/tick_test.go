@@ -10,7 +10,7 @@ import (
 )
 
 func jitFactory(env *Env) (core.Policy, error) {
-	if err := env.FTL.SetSelector(ftl.SIPGreedy{MaxSIPFraction: 0.3, SlackPages: 4}); err != nil {
+	if err := env.FTL.SetSelector(ftl.SIPGreedy); err != nil {
 		return nil, err
 	}
 	return core.NewJITGC(env.Cache, core.JITOptions{})

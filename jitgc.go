@@ -95,9 +95,7 @@ func (p PolicySpec) Factory() sim.PolicyFactory {
 			}
 			j.DisableSIP = p.DisableSIP
 			if !p.DisableSIP {
-				// A victim candidate is avoided when more than 30% of its
-				// valid pages are on the SIP list.
-				if err := env.FTL.SetSelector(ftl.SIPGreedy{MaxSIPFraction: 0.30, SlackPages: 4}); err != nil {
+				if err := env.FTL.SetSelector(ftl.SIPGreedy); err != nil {
 					return nil, err
 				}
 			}
