@@ -49,10 +49,10 @@ coverage-gate:
 	awk -v t="$$total" -v b="$(COVERAGE_BASELINE)" 'BEGIN { exit (t+0 >= b+0) ? 0 : 1 }' || \
 		{ echo "coverage $$total% below baseline $(COVERAGE_BASELINE)%"; exit 1; }
 
-# Open-ended fuzzing session for the trace parsers, the binlog reader and
-# seek reader and the binlog request-trace decoder (not part of ci; ci runs
-# their committed seed corpora). -fuzz takes a regexp, so each name is
-# anchored.
+# Open-ended fuzzing session for the trace parsers, the binlog reader, the
+# binlog footer index walk (ReadIndex, in FuzzSeekReader) and the binlog
+# request-trace decoder (not part of ci; ci runs their committed seed
+# corpora). -fuzz takes a regexp, so each name is anchored.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMSR$$' -fuzztime 30s ./internal/trace/

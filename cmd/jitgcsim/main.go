@@ -30,7 +30,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -55,7 +54,6 @@ func main() {
 		factor   = flag.Float64("factor", 1.0, "C_resv factor for -policy fixed (× C_OP)")
 		ops      = flag.Int("ops", 100000, "number of host requests")
 		seed     = flag.Int64("seed", 1, "workload generation seed")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent runs for grid-style callers (a single simulation uses one)")
 		noSIP    = flag.Bool("no-sip", false, "disable SIP victim filtering (JIT-GC only)")
 		timeline = flag.String("timeline", "", "write per-interval state samples to this CSV file")
 		traceIn  = flag.String("trace", "", "replay this trace file instead of a synthetic benchmark (jitgc text or binlog format, or MSR CSV with -msr)")
@@ -88,8 +86,6 @@ func main() {
 		usageError("-rate must be a finite req/s of at least 0 (0 = 120), got %v", *rate)
 	case *faultR < 0 || *faultR > 1:
 		usageError("-fault-rate must be in [0,1], got %v", *faultR)
-	case *workers < 1:
-		usageError("-workers must be at least 1, got %d", *workers)
 	case *devices < 1:
 		usageError("-devices must be at least 1, got %d", *devices)
 	case *devices == 1 && (*spares > 0 || *redun != "none"):
@@ -150,7 +146,7 @@ func main() {
 		cfg.FTL.Fault = nand.FaultConfig{Seed: *faultS, ReadRate: *faultR, ProgramRate: *faultR, EraseRate: *faultR}
 	}
 	spec := jitgc.PolicySpec{Kind: *policy, Factor: *factor, DisableSIP: *noSIP}
-	opt := jitgc.Options{Seed: *seed, Ops: *ops, Workers: *workers, Tracer: tracer, Config: &cfg,
+	opt := jitgc.Options{Seed: *seed, Ops: *ops, Tracer: tracer, Config: &cfg,
 		HostProfile: *profile, TrimRate: *trimRate}
 	// A host profile replaces the synthetic benchmark, so label the run
 	// after it rather than the unused -bench default.

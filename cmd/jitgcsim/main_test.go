@@ -110,7 +110,7 @@ func TestTenantsTimeline(t *testing.T) {
 // TestUsageErrors: every bad flag combination exits 2 with its reason.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-fault-rate", "2"}, {"-workers", "0"}, {"-devices", "0"}, {"-spares", "1"},
+		{"-fault-rate", "2"}, {"-devices", "0"}, {"-spares", "1"},
 		{"-trim-rate", "1"}, {"-host-profile", "churn", "-tenants", "5"},
 		{"-tenants", "5", "-devices", "2"}, {"-devices", "2", "-trace", "x.trace"},
 		{"-tenants", "-3"}, {"-tenants", "5", "-rate", "-1"}, {"-tenants", "5", "-rate", "NaN"},

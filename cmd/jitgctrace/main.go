@@ -1,22 +1,17 @@
-// Command jitgctrace views, inspects, and merges binlog event streams (the
-// columnar binary format of internal/telemetry/binlog).
+// Command jitgctrace views and inspects binlog event streams (the columnar
+// binary format of internal/telemetry/binlog).
 //
 // Usage:
 //
 //	jitgctrace convert [-o OUT] [IN]
 //	jitgctrace info IN
-//	jitgctrace merge -o OUT IN...
 //
 // convert writes a binlog stream as JSONL, byte for byte what a JSONL sink
 // on the same tracer writes. IN defaults to stdin and OUT to stdout, so the
 // command pipes; OUT is created only once IN has opened as a binlog stream.
+// convert streams, so OUT must not be IN.
 //
 // info prints a stream's footer index summary without decoding blocks.
-//
-// merge k-way merges time-ordered binlog streams (one per array member,
-// say) into a single time-ordered binlog stream.
-//
-// convert and merge stream: OUT must not be one of the inputs.
 package main
 
 import (
@@ -42,8 +37,6 @@ func main() {
 		runConvert(os.Args[2:])
 	case "info":
 		runInfo(os.Args[2:])
-	case "merge":
-		runMerge(os.Args[2:])
 	default:
 		usage()
 	}
@@ -53,7 +46,6 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   jitgctrace convert [-o OUT] [IN]   binlog -> JSONL
   jitgctrace info IN                 print a stream's footer index summary
-  jitgctrace merge -o OUT IN...      merge time-ordered binlog streams
 `)
 	os.Exit(2)
 }
@@ -112,49 +104,6 @@ func runInfo(args []string) {
 	}
 }
 
-func runMerge(args []string) {
-	fs := flag.NewFlagSet("merge", flag.ExitOnError)
-	out := fs.String("o", "", "output file (required)")
-	fs.Parse(args)
-	if *out == "" || fs.NArg() == 0 {
-		usage()
-	}
-
-	var srcs []binlog.EventSource
-	for _, path := range fs.Args() {
-		f, err := os.Open(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		r, err := binlog.NewReader(f)
-		if err != nil {
-			log.Fatalf("%s: %v", path, err)
-		}
-		srcs = append(srcs, r)
-	}
-	dst, closeDst := openOutput(*out, fs.Args()...)
-	w := binlog.NewWriter(dst, binlog.Options{})
-	m := binlog.NewMerger(srcs...)
-	for {
-		ev, err := m.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := w.WriteEvent(ev); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		log.Fatal(err)
-	}
-	closeDst()
-	fmt.Fprintf(os.Stderr, "merged %d streams: %d events\n", len(srcs), w.Count())
-}
-
 func openInput(path string) io.Reader {
 	if path == "" || path == "-" {
 		return os.Stdin
@@ -167,10 +116,10 @@ func openInput(path string) io.Reader {
 }
 
 // openOutput returns the destination writer and a close func that must run
-// on success (buffered output is flushed there, so errors surface). Inputs
-// are streamed, so a path that is also one of inputs (by any name) is
+// on success (buffered output is flushed there, so errors surface). The
+// input is streamed, so a path that is also the input (by any name) is
 // refused before it is created: creating it would truncate the input.
-func openOutput(path string, inputs ...string) (io.Writer, func()) {
+func openOutput(path, input string) (io.Writer, func()) {
 	if path == "" || path == "-" {
 		bw := bufio.NewWriter(os.Stdout)
 		return bw, func() {
@@ -179,14 +128,9 @@ func openOutput(path string, inputs ...string) (io.Writer, func()) {
 			}
 		}
 	}
-	if outInfo, err := os.Stat(path); err == nil {
-		for _, in := range inputs {
-			if in == "-" {
-				continue
-			}
-			if inInfo, err := os.Stat(in); err == nil && os.SameFile(outInfo, inInfo) {
-				log.Fatalf("output %s is also an input", path)
-			}
+	if outInfo, err := os.Stat(path); err == nil && input != "-" {
+		if inInfo, err := os.Stat(input); err == nil && os.SameFile(outInfo, inInfo) {
+			log.Fatalf("output %s is also an input", path)
 		}
 	}
 	f, err := os.Create(path)

@@ -133,7 +133,7 @@ func firstDiff(a, b []byte) int {
 // quickEvents adapts testing/quick to the event union: a batch of random
 // events, each drawn as a random type with every populated-field
 // combination of that type's field set (zeros included), random negative
-// ints, awkward strings, and finite random floats.
+// ints, awkward strings, true bools, and finite random floats.
 type quickEvents []telemetry.Event
 
 var quickTypes = []telemetry.EventType{
@@ -169,23 +169,21 @@ func (quickEvents) Generate(rng *rand.Rand, size int) reflect.Value {
 		rs := func() string { return quickStrings[rng.Intn(len(quickStrings))] }
 		rf := func() float64 { return math.Trunc(rng.NormFloat64()*1e6) / 1e3 }
 		for c := range intCols {
-			if populate(intCols[c].bit) {
+			if !populate(intCols[c].bit) {
+				continue
+			}
+			switch intCols[c].bit {
+			case telemetry.FForeground, telemetry.FRecovered:
+				intCols[c].set(&ev, 1)
+			case telemetry.FIdleFraction, telemetry.FWAF:
+				intCols[c].set(&ev, int64(math.Float64bits(rf())))
+			default:
 				intCols[c].set(&ev, ri())
 			}
 		}
 		for c := range strCols {
 			if populate(strCols[c].bit) {
 				strCols[c].set(&ev, rs())
-			}
-		}
-		for c := range boolCols {
-			if populate(boolCols[c].bit) {
-				boolCols[c].set(&ev, true)
-			}
-		}
-		for c := range floatCols {
-			if populate(floatCols[c].bit) {
-				floatCols[c].set(&ev, rf())
 			}
 		}
 		evs[i] = ev
@@ -224,22 +222,28 @@ func TestQuickJSONLBinaryJSONL(t *testing.T) {
 	}
 }
 
-// TestFloatSpecialValues pushes NaN and infinities through the Gorilla
-// column directly (JSON cannot carry them, the binary format can).
+// TestFloatSpecialValues pushes NaN, infinities and −0 through both float
+// columns (JSON cannot carry them, the binary format can), bit for bit, and
+// alternating values through both bool columns. An unknown type carries all
+// four fields.
 func TestFloatSpecialValues(t *testing.T) {
 	vals := []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1.25, 1.25, math.MaxFloat64, math.SmallestNonzeroFloat64}
 	evs := make([]telemetry.Event, len(vals))
 	for i, v := range vals {
-		evs[i] = telemetry.Event{Type: telemetry.EvSnapshot, T: time.Duration(i), WAF: v, IdleFraction: 0}
+		evs[i] = telemetry.Event{Type: "future_event", T: time.Duration(i), WAF: v, IdleFraction: -v,
+			Foreground: i%2 == 0, Recovered: i%2 == 1}
 	}
 	got, err := Decode(bytes.NewReader(encodeAll(t, evs, Options{BlockEvents: 4})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range vals {
-		g := got[i].WAF
-		if math.IsNaN(v) != math.IsNaN(g) || (!math.IsNaN(v) && math.Float64bits(v) != math.Float64bits(g)) {
-			t.Errorf("value %d: got %v (bits %#x), want %v (bits %#x)", i, g, math.Float64bits(g), v, math.Float64bits(v))
+	if len(got) != len(evs) {
+		t.Fatalf("%d events decoded, want %d", len(got), len(evs))
+	}
+	for i := range evs {
+		if !sameEvent(got[i], evs[i]) {
+			t.Errorf("event %d: got %+v (WAF bits %#x), want %+v (WAF bits %#x)",
+				i, got[i], math.Float64bits(got[i].WAF), evs[i], math.Float64bits(evs[i].WAF))
 		}
 	}
 }
@@ -312,6 +316,20 @@ func TestBadMagicAndTrailingData(t *testing.T) {
 	}
 }
 
+// TestJGB1Rejected: a stream of the previous layout, whose bools and floats
+// had columns of their own, fails at the header as an unsupported version
+// rather than misdecoding under the current one.
+func TestJGB1Rejected(t *testing.T) {
+	stream := encodeAll(t, recordedMix(10, 1), Options{})
+	copy(stream, "JGB1")
+	if _, err := NewReader(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+		t.Fatalf("JGB1 stream: err %v, want the unsupported-version error", err)
+	}
+	if IsBinary(stream) {
+		t.Error("JGB1 stream sniffed as binary")
+	}
+}
+
 func TestWriterRejectsUnrepresentable(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, Options{})
@@ -343,131 +361,6 @@ func TestUnknownTypePreserved(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, []telemetry.Event{ev}) {
 		t.Errorf("unknown type round trip:\n got %+v\nwant %+v", got, ev)
-	}
-}
-
-func TestSeekReader(t *testing.T) {
-	evs := recordedMix(1000, 11)
-	data := encodeAll(t, evs, Options{BlockEvents: 100})
-
-	idx, err := ReadIndex(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("ReadIndex: %v", err)
-	}
-	if len(idx) != 10 {
-		t.Fatalf("%d index entries, want 10", len(idx))
-	}
-	var total int64
-	for i, e := range idx {
-		total += e.Events
-		if e.FirstT > e.LastT {
-			t.Errorf("block %d: firstT %v after lastT %v", i, e.FirstT, e.LastT)
-		}
-		if i > 0 && e.Offset <= idx[i-1].Offset {
-			t.Errorf("block %d: offset %d not after %d", i, e.Offset, idx[i-1].Offset)
-		}
-	}
-	if total != int64(len(evs)) {
-		t.Errorf("index counts %d events, want %d", total, len(evs))
-	}
-
-	sr, err := NewSeekReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("NewSeekReader: %v", err)
-	}
-	for _, target := range []time.Duration{0, evs[1].T, evs[500].T, evs[999].T, evs[999].T + time.Hour} {
-		if err := sr.Seek(target); err != nil {
-			t.Fatalf("Seek(%v): %v", target, err)
-		}
-		// The expected first event: first in file order with T >= target.
-		wantIdx := -1
-		for i, ev := range evs {
-			if ev.T >= target {
-				wantIdx = i
-				break
-			}
-		}
-		ev, err := sr.Next()
-		if wantIdx == -1 {
-			if err != io.EOF {
-				t.Errorf("Seek(%v) past end: Next = %+v, %v; want EOF", target, ev, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("Seek(%v): Next: %v", target, err)
-			continue
-		}
-		if !reflect.DeepEqual(ev, evs[wantIdx]) {
-			t.Errorf("Seek(%v) landed on %+v, want event %d %+v", target, ev, wantIdx, evs[wantIdx])
-		}
-	}
-
-	// A full drain from Seek(0) yields the whole stream.
-	if err := sr.Seek(0); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("drain: %v", err)
-		}
-		n++
-	}
-	if n != len(evs) {
-		t.Errorf("drained %d events, want %d", n, len(evs))
-	}
-}
-
-func TestMergerAcrossMembers(t *testing.T) {
-	// Three members with strictly interleaved clocks, merged by T with
-	// source order breaking ties.
-	var streams [][]byte
-	var all []telemetry.Event
-	for dev := 0; dev < 3; dev++ {
-		var evs []telemetry.Event
-		for i := 0; i < 50; i++ {
-			evs = append(evs, telemetry.Event{Type: telemetry.EvErase, T: time.Duration(i*3 + dev), Dev: dev, Victim: i})
-		}
-		all = append(all, evs...)
-		streams = append(streams, encodeAll(t, evs, Options{BlockEvents: 16}))
-	}
-	var srcs []EventSource
-	for _, s := range streams {
-		r, err := NewReader(bytes.NewReader(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcs = append(srcs, r)
-	}
-	m := NewMerger(srcs...)
-	var got []telemetry.Event
-	for {
-		ev, err := m.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("merge: %v", err)
-		}
-		got = append(got, ev)
-	}
-	if len(got) != len(all) {
-		t.Fatalf("merged %d events, want %d", len(got), len(all))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].T < got[i-1].T {
-			t.Fatalf("merge out of order at %d: %v after %v", i, got[i].T, got[i-1].T)
-		}
-	}
-	for i := range got {
-		if int(got[i].T) != i {
-			t.Fatalf("merged event %d has T=%d, want %d", i, got[i].T, i)
-		}
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 	"jitgc/internal/telemetry"
 )
 
-// ToJSONL writes the events of src (a Reader, SeekReader or Merger) to dst
-// as JSON Lines, returning the number of events written. It encodes through
+// ToJSONL writes the events of src to dst as JSON Lines, returning the
+// number of events written. It encodes through
 // telemetry.JSONLSink, so the view of a binlog stream is exactly what a
 // JSONLSink on the same tracer would have written. dst is not closed.
-func ToJSONL(dst io.Writer, src EventSource) (int64, error) {
+func ToJSONL(dst io.Writer, src *Reader) (int64, error) {
 	sink := telemetry.NewJSONLSink(struct{ io.Writer }{dst}) // hides dst's Close
 	for n := int64(0); ; n++ {
 		ev, err := src.Next()

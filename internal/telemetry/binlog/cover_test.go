@@ -54,7 +54,7 @@ type okCloser struct {
 func (c *okCloser) Close() error { c.closed = true; return nil }
 
 // flakySeeker fails the nth Seek call (1-based) on an otherwise valid
-// stream, for the seek-error branches of ReadIndex and SeekReader.
+// stream, for the seek-error branches of ReadIndex.
 type flakySeeker struct {
 	rs    io.ReadSeeker
 	seeks int
@@ -69,24 +69,6 @@ func (f *flakySeeker) Seek(off int64, whence int) (int64, error) {
 		return 0, errors.New("synthetic seek failure")
 	}
 	return f.rs.Seek(off, whence)
-}
-
-// stubSource is a canned EventSource for Merger error handling.
-type stubSource struct {
-	evs []telemetry.Event
-	err error
-}
-
-func (s *stubSource) Next() (telemetry.Event, error) {
-	if len(s.evs) == 0 {
-		if s.err != nil {
-			return telemetry.Event{}, s.err
-		}
-		return telemetry.Event{}, io.EOF
-	}
-	ev := s.evs[0]
-	s.evs = s.evs[1:]
-	return ev, nil
 }
 
 // TestZLECodec pins the zero-run codec down directly: exact round trips on
@@ -204,48 +186,8 @@ func TestFieldNames(t *testing.T) {
 			t.Errorf("str bit %#x named %q, want %q", uint32(c.bit), got, c.name)
 		}
 	}
-	for _, c := range boolCols {
-		if got := fieldName(c.bit); got != c.name {
-			t.Errorf("bool bit %#x named %q, want %q", uint32(c.bit), got, c.name)
-		}
-	}
-	for _, c := range floatCols {
-		if got := fieldName(c.bit); got != c.name {
-			t.Errorf("float bit %#x named %q, want %q", uint32(c.bit), got, c.name)
-		}
-	}
 	if got := fieldName(1 << 31); !strings.Contains(got, "bit") {
 		t.Errorf("unknown bit named %q", got)
-	}
-}
-
-// TestBitStreamTruncated covers the bit-reader exhaustion branches the
-// Gorilla float decoder depends on.
-func TestBitStreamTruncated(t *testing.T) {
-	var r bitReader
-	r.reset([]byte{0xFF})
-	if v, err := r.readBits(8); err != nil || v != 0xFF {
-		t.Fatalf("readBits(8) = %#x, %v", v, err)
-	}
-	if _, err := r.readBits(1); err == nil {
-		t.Error("read past end accepted")
-	}
-	r.reset([]byte{1, 2, 3})
-	if _, err := r.read64(64); err == nil {
-		t.Error("read64(64) from 3 bytes accepted")
-	}
-	r.reset([]byte{1, 2, 3, 4, 5})
-	if _, err := r.read64(64); err == nil {
-		t.Error("read64(64) low half from 5 bytes accepted")
-	}
-
-	var w bitWriter
-	w.reset(nil)
-	w.write64(0xDEADBEEFCAFEF00D, 64)
-	var back bitReader
-	back.reset(w.finish())
-	if v, err := back.read64(64); err != nil || v != 0xDEADBEEFCAFEF00D {
-		t.Errorf("write64/read64 round trip = %#x, %v", v, err)
 	}
 }
 
@@ -511,19 +453,24 @@ func TestFooterCorruption(t *testing.T) {
 		}
 	}
 
-	if _, err := NewSeekReader(bytes.NewReader(mut)); err == nil {
-		t.Error("NewSeekReader accepted corrupt footer")
-	}
-	// ReadIndex succeeds (3 seeks), then the initial Seek(0) fails.
-	if _, err := NewSeekReader(&flakySeeker{rs: bytes.NewReader(full), failN: 4}); err == nil {
-		t.Error("NewSeekReader accepted a failing initial seek")
-	}
-	sr, err := NewSeekReader(bytes.NewReader(full))
+	// The intact stream's index: one entry per block, in file order, each
+	// within its own time range, counting every event.
+	idx, err := ReadIndex(bytes.NewReader(full))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(sr.Index()); got != 5 {
-		t.Errorf("Index() has %d entries, want 5", got)
+	if len(idx) != 5 {
+		t.Fatalf("index has %d entries, want 5", len(idx))
+	}
+	var total int64
+	for i, e := range idx {
+		total += e.Events
+		if e.FirstT > e.LastT || (i > 0 && e.Offset <= idx[i-1].Offset) {
+			t.Errorf("entry %d %+v out of order after %+v", i, e, idx[max(i-1, 0)])
+		}
+	}
+	if total != 300 {
+		t.Errorf("index counts %d events, want 300", total)
 	}
 }
 
@@ -776,28 +723,5 @@ func TestRequestStreamErrors(t *testing.T) {
 	mut[len(fileMagic)+8] ^= 0x40
 	if _, err := DecodeRequests(bytes.NewReader(mut)); err == nil {
 		t.Error("corrupt request stream accepted")
-	}
-}
-
-// TestMergerSourceErrors: a failing source aborts the merge with its
-// error, whether the failure happens while priming or mid-merge.
-func TestMergerSourceErrors(t *testing.T) {
-	boom := errors.New("boom")
-	m := NewMerger(&stubSource{}, &stubSource{err: boom})
-	if _, err := m.Next(); err == nil || !errors.Is(err, boom) {
-		t.Errorf("priming error = %v, want %v", err, boom)
-	}
-	// The merger prefetches one event ahead, so with two canned events the
-	// failure surfaces on the second Next, after the first succeeds.
-	m = NewMerger(&stubSource{evs: []telemetry.Event{
-		{Type: telemetry.EvErase, T: 1}, {Type: telemetry.EvErase, T: 2}}, err: boom})
-	if _, err := m.Next(); err != nil {
-		t.Fatalf("first event: %v", err)
-	}
-	if _, err := m.Next(); err == nil || !errors.Is(err, boom) {
-		t.Errorf("mid-merge error = %v, want %v", err, boom)
-	}
-	if _, err := NewMerger().Next(); err != io.EOF {
-		t.Error("empty merger should be EOF")
 	}
 }

@@ -1,15 +1,15 @@
-// Package binlog is the compact, seekable, block-coded columnar
-// encoding for telemetry.Event streams (DESIGN.md §12). JSONL traces parse
-// slower than the simulator produces them once runs reach 10⁸ events; this
-// format borrows the Gorilla/mebo column techniques — delta-of-delta
-// timestamps, per-column encoders chosen by field type — so a trace costs a
-// few bytes per event instead of a hundred, and encodes in a fraction of
-// the JSONL marshal time.
+// Package binlog is the compact, block-coded columnar encoding for
+// telemetry.Event streams (DESIGN.md §12). JSONL traces parse slower than
+// the simulator produces them once runs reach 10⁸ events; this format
+// borrows the Gorilla/mebo column techniques — delta-of-delta timestamps,
+// zigzag-delta integer columns, per-block string dictionaries — so a trace
+// costs a few bytes per event instead of a hundred, and encodes in a
+// fraction of the JSONL marshal time.
 //
 // Layout (all multi-byte scalars little-endian, varints are unsigned
 // LEB128, signed values zigzag-folded first):
 //
-//	"JGB1"                        file magic + version
+//	"JGB2"                        file magic + version
 //	repeated block records:
 //	  0x01 tag
 //	  uvarint rawLen              payload size before compression
@@ -29,20 +29,21 @@
 //	  uint32 footerLen            bytes from the 0x02 tag through the crc
 //	  "JGBX"                      trailer magic
 //
-// The trailing (footerLen, magic) pair lets a seekable reader load the
-// index from the end of the file without scanning it, then binary-search
-// blocks by timestamp; per-member files merge with a k-way walk over their
-// readers.
+// The trailing (footerLen, magic) pair lets ReadIndex load the index from
+// the end of a file without scanning its blocks (jitgctrace info).
 //
 // A block's raw payload is columnar:
 //
 //	uvarint n                     event count
 //	type column                   per-block dictionary + n indices
 //	T column                      zigzag(T₀), then zigzag delta-of-delta
-//	22 int columns                zigzag delta vs previous value in column
+//	26 int columns                zigzag delta vs previous value in column
 //	5 string columns              per-block dictionary + indices
-//	2 bool columns                bit-packed
-//	2 float columns               Gorilla XOR bitstream (length-prefixed)
+//
+// Bools ride the int columns as 0 and 1 (any non-zero value reads as true),
+// and floats as their IEEE-754 bits, so NaN, ±Inf and −0 round-trip exactly.
+// A stream of the previous layout, JGB1, fails at the header as an
+// unsupported version.
 //
 // A column stores one value per event whose type's field set
 // (telemetry.Fields) contains the column's field; Dev, LPN, Victim, and
@@ -71,7 +72,7 @@ import (
 
 // Wire constants.
 const (
-	fileMagic    = "JGB1" // header: format name + version in one token
+	fileMagic    = "JGB2" // header: format name + version in one token
 	trailerMagic = "JGBX"
 	tagBlock     = 0x01
 	tagFooter    = 0x02
@@ -111,6 +112,14 @@ func fieldsOf(t telemetry.EventType) telemetry.FieldSet {
 	return set | alwaysFields
 }
 
+// boolBits is a bool's int column value.
+func boolBits(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // zigzag folds signed into unsigned so small-magnitude negatives stay
 // short under LEB128.
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
@@ -120,14 +129,13 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // Column counts, fixing the sizes of the column tables and of the writer's
 // per-column state.
 const (
-	numIntCols   = 22
-	numStrCols   = 5
-	numBoolCols  = 2
-	numFloatCols = 2
+	numIntCols = 26
+	numStrCols = 5
 )
 
 // intCol describes one integer column: its presence bit, its wire name, and
-// the setter the decoder fills an Event through. The encoder reads fields
+// the setter the decoder fills an Event through (bool and float fields
+// convert back from their int form there). The encoder reads fields
 // with direct accesses instead (Writer.appendFields).
 type intCol struct {
 	bit  telemetry.FieldSet
@@ -156,6 +164,10 @@ var intCols = [numIntCols]intCol{
 		func(e *telemetry.Event, v int64) { e.ReclaimBytes = v }},
 	{telemetry.FPredictedBytes, "predicted_bytes",
 		func(e *telemetry.Event, v int64) { e.PredictedBytes = v }},
+	{telemetry.FIdleFraction, "idle_fraction",
+		func(e *telemetry.Event, v int64) { e.IdleFraction = math.Float64frombits(uint64(v)) }},
+	{telemetry.FForeground, "foreground",
+		func(e *telemetry.Event, v int64) { e.Foreground = v != 0 }},
 	{telemetry.FValidPages, "valid_pages",
 		func(e *telemetry.Event, v int64) { e.ValidPages = int(v) }},
 	{telemetry.FSIPPages, "sip_pages",
@@ -168,6 +180,8 @@ var intCols = [numIntCols]intCol{
 		func(e *telemetry.Event, v int64) { e.EraseCount = v }},
 	{telemetry.FAttempts, "attempts",
 		func(e *telemetry.Event, v int64) { e.Attempts = int(v) }},
+	{telemetry.FRecovered, "recovered",
+		func(e *telemetry.Event, v int64) { e.Recovered = v != 0 }},
 	{telemetry.FTenant, "tenant",
 		func(e *telemetry.Event, v int64) { e.Tenant = int(v) }},
 	{telemetry.FDropped, "dropped",
@@ -176,6 +190,8 @@ var intCols = [numIntCols]intCol{
 		func(e *telemetry.Event, v int64) { e.Violations = v }},
 	{telemetry.FDirtyPages, "dirty_pages",
 		func(e *telemetry.Event, v int64) { e.DirtyPages = int(v) }},
+	{telemetry.FWAF, "waf",
+		func(e *telemetry.Event, v int64) { e.WAF = math.Float64frombits(uint64(v)) }},
 	{telemetry.FFGC, "fgc",
 		func(e *telemetry.Event, v int64) { e.FGCInvocations = v }},
 	{telemetry.FBGC, "bgc",
@@ -195,16 +211,20 @@ const (
 	slotFreeBytes
 	slotReclaimBytes
 	slotPredictedBytes
+	slotIdleFraction
+	slotForeground
 	slotValidPages
 	slotSIPPages
 	slotFreedPages
 	slotElapsed
 	slotEraseCount
 	slotAttempts
+	slotRecovered
 	slotTenant
 	slotDropped
 	slotViolations
 	slotDirtyPages
+	slotWAF
 	slotFGC
 	slotBGC
 	slotRequests
@@ -237,46 +257,6 @@ const (
 	slotOp
 	slotReason
 	slotClass
-)
-
-// boolCol describes one bit-packed bool column.
-type boolCol struct {
-	bit  telemetry.FieldSet
-	name string
-	set  func(*telemetry.Event, bool)
-}
-
-var boolCols = [numBoolCols]boolCol{
-	{telemetry.FForeground, "foreground",
-		func(e *telemetry.Event, v bool) { e.Foreground = v }},
-	{telemetry.FRecovered, "recovered",
-		func(e *telemetry.Event, v bool) { e.Recovered = v }},
-}
-
-// Bool column slots.
-const (
-	slotForeground = iota
-	slotRecovered
-)
-
-// floatCol describes one Gorilla-encoded float column.
-type floatCol struct {
-	bit  telemetry.FieldSet
-	name string
-	set  func(*telemetry.Event, float64)
-}
-
-var floatCols = [numFloatCols]floatCol{
-	{telemetry.FIdleFraction, "idle_fraction",
-		func(e *telemetry.Event, v float64) { e.IdleFraction = v }},
-	{telemetry.FWAF, "waf",
-		func(e *telemetry.Event, v float64) { e.WAF = v }},
-}
-
-// Float column slots.
-const (
-	slotIdleFraction = iota
-	slotWAF
 )
 
 // populated returns the set of fields holding non-zero values in ev, floats
@@ -532,99 +512,5 @@ func fieldName(set telemetry.FieldSet) string {
 			return strCols[i].name
 		}
 	}
-	for i := range boolCols {
-		if boolCols[i].bit == bit {
-			return boolCols[i].name
-		}
-	}
-	for i := range floatCols {
-		if floatCols[i].bit == bit {
-			return floatCols[i].name
-		}
-	}
 	return fmt.Sprintf("bit %#x", uint32(bit))
-}
-
-// bitWriter packs an MSB-first bitstream into a byte slice (the Gorilla
-// float columns). The caller owns buf reuse across blocks.
-type bitWriter struct {
-	buf   []byte
-	acc   uint64
-	nbits uint
-}
-
-func (w *bitWriter) reset(buf []byte) {
-	w.buf, w.acc, w.nbits = buf[:0], 0, 0
-}
-
-// writeBits appends the low n bits of v, n ≤ 32.
-func (w *bitWriter) writeBits(v uint64, n uint) {
-	v &= 1<<n - 1
-	w.acc = w.acc<<n | v
-	w.nbits += n
-	for w.nbits >= 8 {
-		w.nbits -= 8
-		w.buf = append(w.buf, byte(w.acc>>w.nbits))
-	}
-}
-
-// write64 appends up to 64 bits in two halves.
-func (w *bitWriter) write64(v uint64, n uint) {
-	if n > 32 {
-		w.writeBits(v>>32, n-32)
-		n = 32
-	}
-	w.writeBits(v, n)
-}
-
-// finish pads the final partial byte with zeros and returns the stream.
-func (w *bitWriter) finish() []byte {
-	if w.nbits > 0 {
-		w.buf = append(w.buf, byte(w.acc<<(8-w.nbits)))
-		w.acc, w.nbits = 0, 0
-	}
-	return w.buf
-}
-
-// bitReader consumes an MSB-first bitstream.
-type bitReader struct {
-	buf   []byte
-	off   int
-	acc   uint64
-	nbits uint
-}
-
-func (r *bitReader) reset(buf []byte) {
-	r.buf, r.off, r.acc, r.nbits = buf, 0, 0, 0
-}
-
-// readBits returns the next n bits, n ≤ 32.
-func (r *bitReader) readBits(n uint) (uint64, error) {
-	for r.nbits < n {
-		if r.off >= len(r.buf) {
-			return 0, fmt.Errorf("binlog: float bitstream truncated")
-		}
-		r.acc = r.acc<<8 | uint64(r.buf[r.off])
-		r.off++
-		r.nbits += 8
-	}
-	r.nbits -= n
-	v := r.acc >> r.nbits & (1<<n - 1)
-	return v, nil
-}
-
-// read64 returns up to 64 bits in two halves.
-func (r *bitReader) read64(n uint) (uint64, error) {
-	if n <= 32 {
-		return r.readBits(n)
-	}
-	hi, err := r.readBits(n - 32)
-	if err != nil {
-		return 0, err
-	}
-	lo, err := r.readBits(32)
-	if err != nil {
-		return 0, err
-	}
-	return hi<<32 | lo, nil
 }

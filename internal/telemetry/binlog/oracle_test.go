@@ -52,11 +52,6 @@ type refWriter struct {
 	intPrev  []int64
 	strDicts []smallDict
 	strBufs  [][]byte
-	boolAcc  []byte
-	boolN    []uint
-	boolBufs [][]byte
-	floatWs  []bitWriter
-	floatSt  []gorillaState
 }
 
 // Reference column getters, by column index in the wire tables: the
@@ -72,16 +67,20 @@ var (
 		func(e *telemetry.Event) int64 { return e.FreeBytes },
 		func(e *telemetry.Event) int64 { return e.ReclaimBytes },
 		func(e *telemetry.Event) int64 { return e.PredictedBytes },
+		func(e *telemetry.Event) int64 { return int64(math.Float64bits(e.IdleFraction)) },
+		func(e *telemetry.Event) int64 { return boolBits(e.Foreground) },
 		func(e *telemetry.Event) int64 { return int64(e.ValidPages) },
 		func(e *telemetry.Event) int64 { return int64(e.SIPPages) },
 		func(e *telemetry.Event) int64 { return e.FreedPages },
 		func(e *telemetry.Event) int64 { return int64(e.Elapsed) },
 		func(e *telemetry.Event) int64 { return e.EraseCount },
 		func(e *telemetry.Event) int64 { return int64(e.Attempts) },
+		func(e *telemetry.Event) int64 { return boolBits(e.Recovered) },
 		func(e *telemetry.Event) int64 { return int64(e.Tenant) },
 		func(e *telemetry.Event) int64 { return e.Dropped },
 		func(e *telemetry.Event) int64 { return e.Violations },
 		func(e *telemetry.Event) int64 { return int64(e.DirtyPages) },
+		func(e *telemetry.Event) int64 { return int64(math.Float64bits(e.WAF)) },
 		func(e *telemetry.Event) int64 { return e.FGCInvocations },
 		func(e *telemetry.Event) int64 { return e.BGCCollections },
 		func(e *telemetry.Event) int64 { return e.Requests },
@@ -93,39 +92,22 @@ var (
 		func(e *telemetry.Event) string { return e.Reason },
 		func(e *telemetry.Event) string { return e.Class },
 	}
-	refBoolGet = [numBoolCols]func(*telemetry.Event) bool{
-		func(e *telemetry.Event) bool { return e.Foreground },
-		func(e *telemetry.Event) bool { return e.Recovered },
-	}
-	refFloatGet = [numFloatCols]func(*telemetry.Event) float64{
-		func(e *telemetry.Event) float64 { return e.IdleFraction },
-		func(e *telemetry.Event) float64 { return e.WAF },
-	}
 )
 
-// Reference dispatch tables: field bit position to column kind and slot.
-const (
-	colInt = iota
-	colStr
-	colBool
-	colFloat
+// Reference dispatch tables: field bit position to column kind (string or
+// not) and slot.
+var (
+	refColStr  [32]bool
+	refColSlot [32]uint8
 )
-
-var refColKind, refColSlot [32]uint8
 
 func init() {
 	idx := func(bit telemetry.FieldSet) int { return bits.TrailingZeros32(uint32(bit)) }
 	for i, c := range intCols {
-		refColKind[idx(c.bit)], refColSlot[idx(c.bit)] = colInt, uint8(i)
+		refColSlot[idx(c.bit)] = uint8(i)
 	}
 	for i, c := range strCols {
-		refColKind[idx(c.bit)], refColSlot[idx(c.bit)] = colStr, uint8(i)
-	}
-	for i, c := range boolCols {
-		refColKind[idx(c.bit)], refColSlot[idx(c.bit)] = colBool, uint8(i)
-	}
-	for i, c := range floatCols {
-		refColKind[idx(c.bit)], refColSlot[idx(c.bit)] = colFloat, uint8(i)
+		refColStr[idx(c.bit)], refColSlot[idx(c.bit)] = true, uint8(i)
 	}
 }
 
@@ -139,11 +121,6 @@ func newRefWriter(w io.Writer, opts Options) *refWriter {
 		intPrev:  make([]int64, numIntCols),
 		strDicts: make([]smallDict, numStrCols),
 		strBufs:  make([][]byte, numStrCols),
-		boolAcc:  make([]byte, numBoolCols),
-		boolN:    make([]uint, numBoolCols),
-		boolBufs: make([][]byte, numBoolCols),
-		floatWs:  make([]bitWriter, numFloatCols),
-		floatSt:  make([]gorillaState, numFloatCols),
 	}
 	return r
 }
@@ -258,14 +235,6 @@ func (w *refWriter) encodeBlock() []byte {
 		w.strBufs[i] = w.strBufs[i][:0]
 		w.strDicts[i].reset()
 	}
-	for i := range w.boolBufs {
-		w.boolBufs[i] = w.boolBufs[i][:0]
-		w.boolAcc[i], w.boolN[i] = 0, 0
-	}
-	for i := range w.floatWs {
-		w.floatWs[i].reset(w.floatWs[i].buf)
-		w.floatSt[i] = gorillaState{first: true, lead: ^uint(0), trail: ^uint(0)}
-	}
 
 	prevT, prevDelta := int64(0), int64(0)
 	for i := range evs {
@@ -284,20 +253,15 @@ func (w *refWriter) encodeBlock() []byte {
 		for s := uint32(fset); s != 0; s &= s - 1 {
 			pos := bits.TrailingZeros32(s)
 			slot := int(refColSlot[pos])
-			switch refColKind[pos] {
-			case colInt:
-				v := refIntGet[slot](ev)
-				if w.fault && ev.Type == telemetry.EvRequest && intCols[slot].bit == telemetry.FVictim {
-					v = 0
-				}
-				w.putInt(slot, v)
-			case colStr:
+			if refColStr[pos] {
 				w.putStr(slot, refStrGet[slot](ev))
-			case colBool:
-				w.putBool(slot, refBoolGet[slot](ev))
-			default:
-				w.putFloat(slot, refFloatGet[slot](ev))
+				continue
 			}
+			v := refIntGet[slot](ev)
+			if w.fault && ev.Type == telemetry.EvRequest && intCols[slot].bit == telemetry.FVictim {
+				v = 0
+			}
+			w.putInt(slot, v)
 		}
 	}
 
@@ -313,17 +277,6 @@ func (w *refWriter) encodeBlock() []byte {
 		buf = appendDict(buf, w.strDicts[c].strs)
 		buf = append(buf, w.strBufs[c]...)
 	}
-	for c := range w.boolBufs {
-		if w.boolN[c] > 0 {
-			w.boolBufs[c] = append(w.boolBufs[c], w.boolAcc[c]<<(8-w.boolN[c]))
-		}
-		buf = append(buf, w.boolBufs[c]...)
-	}
-	for c := range w.floatWs {
-		fb := w.floatWs[c].finish()
-		buf = binary.AppendUvarint(buf, uint64(len(fb)))
-		buf = append(buf, fb...)
-	}
 	w.raw = buf
 	return buf
 }
@@ -336,48 +289,6 @@ func (w *refWriter) putInt(slot int, v int64) {
 
 func (w *refWriter) putStr(slot int, s string) {
 	w.strBufs[slot] = binary.AppendUvarint(w.strBufs[slot], w.strDicts[slot].id(s))
-}
-
-func (w *refWriter) putBool(slot int, v bool) {
-	w.boolAcc[slot] <<= 1
-	if v {
-		w.boolAcc[slot] |= 1
-	}
-	if w.boolN[slot]++; w.boolN[slot] == 8 {
-		w.boolBufs[slot] = append(w.boolBufs[slot], w.boolAcc[slot])
-		w.boolAcc[slot], w.boolN[slot] = 0, 0
-	}
-}
-
-func (w *refWriter) putFloat(slot int, v float64) {
-	bw := &w.floatWs[slot]
-	st := &w.floatSt[slot]
-	b := math.Float64bits(v)
-	if st.first {
-		bw.write64(b, 64)
-		st.prevBits, st.first = b, false
-		return
-	}
-	xor := b ^ st.prevBits
-	st.prevBits = b
-	if xor == 0 {
-		bw.writeBits(0, 1)
-		return
-	}
-	bw.writeBits(1, 1)
-	lead := uint(min(bits.LeadingZeros64(xor), 31))
-	trail := uint(bits.TrailingZeros64(xor))
-	if st.lead != ^uint(0) && lead >= st.lead && trail >= st.trail {
-		bw.writeBits(0, 1)
-		bw.write64(xor>>st.trail, 64-st.lead-st.trail)
-	} else {
-		bw.writeBits(1, 1)
-		bw.writeBits(uint64(lead), 5)
-		sig := 64 - lead - trail
-		bw.writeBits(uint64(sig-1), 6)
-		bw.write64(xor>>trail, sig)
-		st.lead, st.trail = lead, trail
-	}
 }
 
 func (w *refWriter) writeFooter() error {
@@ -532,30 +443,27 @@ func oracleInt(rng *rand.Rand) int64 {
 
 func oracleString(rng *rand.Rand) string { return quickStrings[rng.Intn(len(quickStrings))] }
 
-// setField gives ev's field bit a random value (possibly zero).
+// setField gives ev's field bit a random value (possibly zero): a bool
+// field either value, a float field a special or an ordinary float.
 func setField(ev *telemetry.Event, bit telemetry.FieldSet, rng *rand.Rand) {
 	for i := range intCols {
-		if intCols[i].bit == bit {
-			intCols[i].set(ev, oracleInt(rng))
-			return
+		if intCols[i].bit != bit {
+			continue
 		}
+		v := oracleInt(rng)
+		switch bit {
+		case telemetry.FForeground, telemetry.FRecovered:
+			v = int64(rng.Intn(2))
+		case telemetry.FIdleFraction, telemetry.FWAF:
+			vals := []float64{0, 1, -0.5, math.NaN(), math.Inf(1), math.MaxFloat64, rng.NormFloat64()}
+			v = int64(math.Float64bits(vals[rng.Intn(len(vals))]))
+		}
+		intCols[i].set(ev, v)
+		return
 	}
 	for i := range strCols {
 		if strCols[i].bit == bit {
 			strCols[i].set(ev, oracleString(rng))
-			return
-		}
-	}
-	for i := range boolCols {
-		if boolCols[i].bit == bit {
-			boolCols[i].set(ev, rng.Intn(2) == 0)
-			return
-		}
-	}
-	for i := range floatCols {
-		if floatCols[i].bit == bit {
-			vals := []float64{0, 1, -0.5, math.NaN(), math.Inf(1), math.MaxFloat64, rng.NormFloat64()}
-			floatCols[i].set(ev, vals[rng.Intn(len(vals))])
 			return
 		}
 	}
@@ -705,8 +613,7 @@ func oracleProperty(logf func(string, ...any), fault bool) func(oracleCase) bool
 
 // storedEvent is an event alone in its block that the zero-run codec cannot
 // shrink: an unknown type, so every column is stored, with every value
-// non-zero and floats free of zero bytes, so its raw payload holds no two
-// adjacent zero bytes.
+// non-zero, so its raw payload holds no two adjacent zero bytes.
 func storedEvent(t time.Duration) telemetry.Event {
 	ev := telemetry.Event{Type: "future_event", T: t}
 	for i := range intCols {
@@ -714,12 +621,6 @@ func storedEvent(t time.Duration) telemetry.Event {
 	}
 	for i := range strCols {
 		strCols[i].set(&ev, "s")
-	}
-	for i := range boolCols {
-		boolCols[i].set(&ev, true)
-	}
-	for i := range floatCols {
-		floatCols[i].set(&ev, math.Float64frombits(0x3FF1111111111111+uint64(t)))
 	}
 	return ev
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"slices"
 	"time"
 
@@ -74,7 +73,6 @@ type Reader struct {
 	comp  []byte
 	raw   []byte
 	fsets []telemetry.FieldSet
-	bitr  bitReader
 
 	nblocks int64
 	done    bool
@@ -91,13 +89,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if string(magic[:]) != fileMagic {
 		return nil, fmt.Errorf("binlog: bad magic %q (not a binlog stream, or an unsupported version)", magic)
 	}
-	return newRawReader(br), nil
-}
-
-// newRawReader builds a Reader positioned at a block boundary (header
-// already consumed — also the entry point for index-driven seeks).
-func newRawReader(br *bufio.Reader) *Reader {
-	return &Reader{br: br}
+	return &Reader{br: br}, nil
 }
 
 // Next returns the next event, or io.EOF after the footer of a complete
@@ -288,119 +280,10 @@ func (r *Reader) decodeBlock(raw []byte) error {
 		}
 	}
 
-	// Bool columns.
-	for c := range boolCols {
-		col := &boolCols[c]
-		m := 0
-		for i := 0; i < n; i++ {
-			if r.fsets[i]&col.bit != 0 {
-				m++
-			}
-		}
-		bm, err := br.take((m + 7) / 8)
-		if err != nil {
-			return fmt.Errorf("binlog: column %q: %w", col.name, err)
-		}
-		j := 0
-		for i := 0; i < n; i++ {
-			if r.fsets[i]&col.bit == 0 {
-				continue
-			}
-			col.set(&evs[i], bm[j/8]&(1<<(7-j%8)) != 0)
-			j++
-		}
-	}
-
-	// Float columns.
-	for c := range floatCols {
-		col := &floatCols[c]
-		blen, err := br.uvarint()
-		if err != nil {
-			return fmt.Errorf("binlog: column %q: %w", col.name, err)
-		}
-		stream, err := br.take(int(blen))
-		if err != nil {
-			return fmt.Errorf("binlog: column %q: %w", col.name, err)
-		}
-		if err := r.decodeFloats(col, evs, stream); err != nil {
-			return fmt.Errorf("binlog: column %q: %w", col.name, err)
-		}
-	}
-
 	if br.off != len(raw) {
 		return fmt.Errorf("binlog: %d trailing bytes after block payload", len(raw)-br.off)
 	}
 	r.pos = 0
-	return nil
-}
-
-// decodeFloats reverses the Gorilla XOR stream for one float column.
-func (r *Reader) decodeFloats(col *floatCol, evs []telemetry.Event, stream []byte) error {
-	r.bitr.reset(stream)
-	var prevBits uint64
-	prevLead, prevTrail := ^uint(0), ^uint(0)
-	first := true
-	for i := range evs {
-		if r.fsets[i]&col.bit == 0 {
-			continue
-		}
-		var v uint64
-		if first {
-			b, err := r.bitr.read64(64)
-			if err != nil {
-				return err
-			}
-			v, first = b, false
-		} else {
-			ctrl, err := r.bitr.readBits(1)
-			if err != nil {
-				return err
-			}
-			if ctrl == 0 {
-				v = prevBits
-			} else {
-				reuse, err := r.bitr.readBits(1)
-				if err != nil {
-					return err
-				}
-				var xor uint64
-				if reuse == 0 {
-					if prevLead == ^uint(0) {
-						return fmt.Errorf("window reuse before any window was set")
-					}
-					sig := 64 - prevLead - prevTrail
-					x, err := r.bitr.read64(sig)
-					if err != nil {
-						return err
-					}
-					xor = x << prevTrail
-				} else {
-					lead64, err := r.bitr.readBits(5)
-					if err != nil {
-						return err
-					}
-					sigM, err := r.bitr.readBits(6)
-					if err != nil {
-						return err
-					}
-					lead, sig := uint(lead64), uint(sigM)+1
-					if lead+sig > 64 {
-						return fmt.Errorf("window %d+%d bits exceeds 64", lead, sig)
-					}
-					trail := 64 - lead - sig
-					x, err := r.bitr.read64(sig)
-					if err != nil {
-						return err
-					}
-					xor = x << trail
-					prevLead, prevTrail = lead, trail
-				}
-				v = prevBits ^ xor
-			}
-		}
-		prevBits = v
-		col.set(&evs[i], math.Float64frombits(v))
-	}
 	return nil
 }
 
@@ -462,8 +345,8 @@ func Decode(r io.Reader) ([]telemetry.Event, error) {
 	}
 }
 
-// IndexEntry locates one block for seeking: its absolute file offset,
-// event count, and timestamp range.
+// IndexEntry describes one block as the footer index records it: its
+// absolute file offset, event count, and timestamp range.
 type IndexEntry struct {
 	Offset int64
 	Events int64
@@ -562,136 +445,6 @@ func ReadIndex(rs io.ReadSeeker) ([]IndexEntry, error) {
 		})
 	}
 	return entries, nil
-}
-
-// SeekReader reads a seekable binlog stream with index-driven positioning:
-// Seek(t) uses the footer index to skip whole blocks, then discards the
-// head of the target block, so landing mid-trace costs one block decode
-// instead of a scan. Seek assumes the stream is time-ordered (a
-// single-device trace, or merged output); interleaved multi-worker streams
-// can still be read sequentially.
-type SeekReader struct {
-	rs   io.ReadSeeker
-	idx  []IndexEntry
-	r    *Reader
-	skip time.Duration
-}
-
-// NewSeekReader opens rs, loading the footer index and positioning at the
-// first event.
-func NewSeekReader(rs io.ReadSeeker) (*SeekReader, error) {
-	idx, err := ReadIndex(rs)
-	if err != nil {
-		return nil, err
-	}
-	s := &SeekReader{rs: rs, idx: idx}
-	if err := s.Seek(0); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Index returns the stream's block index (shared slice; do not modify).
-func (s *SeekReader) Index() []IndexEntry { return s.idx }
-
-// Seek positions the reader so Next returns the first event at or after t.
-func (s *SeekReader) Seek(t time.Duration) error {
-	target := -1
-	for i, e := range s.idx {
-		if e.LastT >= t {
-			target = i
-			break
-		}
-	}
-	if target == -1 { // past the end: drain straight to EOF
-		s.r = &Reader{done: true}
-		return nil
-	}
-	if _, err := s.rs.Seek(s.idx[target].Offset, io.SeekStart); err != nil {
-		return fmt.Errorf("binlog: seek block %d: %w", target, err)
-	}
-	s.r = newRawReader(bufio.NewReaderSize(s.rs, 1<<16))
-	s.r.nblocks = int64(target) // footer block-count check stays truthful
-	s.skip = t
-	return nil
-}
-
-// Next returns the next event at or after the last Seek target, or io.EOF.
-func (s *SeekReader) Next() (telemetry.Event, error) {
-	for {
-		ev, err := s.r.Next()
-		if err != nil {
-			return ev, err
-		}
-		if ev.T >= s.skip {
-			s.skip = 0 // only the block head is filtered
-			return ev, nil
-		}
-	}
-}
-
-// EventSource is anything that yields events in order — a *Reader, a
-// *SeekReader, or a test stub. Next returns io.EOF when drained.
-type EventSource interface {
-	Next() (telemetry.Event, error)
-}
-
-// Merger k-way merges time-ordered event streams (one per array member,
-// say) into a single stream ordered by T, ties broken by source order so
-// merges are deterministic.
-type Merger struct {
-	srcs   []EventSource
-	heads  []telemetry.Event
-	live   []bool
-	primed bool
-}
-
-// NewMerger builds a merger over srcs in priority order.
-func NewMerger(srcs ...EventSource) *Merger {
-	return &Merger{srcs: srcs, heads: make([]telemetry.Event, len(srcs)), live: make([]bool, len(srcs))}
-}
-
-// Next returns the earliest pending event across all sources, or io.EOF
-// once every source is drained.
-func (m *Merger) Next() (telemetry.Event, error) {
-	if !m.primed {
-		m.primed = true
-		for i := range m.srcs {
-			if err := m.advance(i); err != nil {
-				return telemetry.Event{}, err
-			}
-		}
-	}
-	best := -1
-	for i := range m.heads {
-		if !m.live[i] {
-			continue
-		}
-		if best == -1 || m.heads[i].T < m.heads[best].T {
-			best = i
-		}
-	}
-	if best == -1 {
-		return telemetry.Event{}, io.EOF
-	}
-	ev := m.heads[best]
-	if err := m.advance(best); err != nil {
-		return telemetry.Event{}, err
-	}
-	return ev, nil
-}
-
-func (m *Merger) advance(i int) error {
-	ev, err := m.srcs[i].Next()
-	switch err {
-	case nil:
-		m.heads[i], m.live[i] = ev, true
-	case io.EOF:
-		m.live[i] = false
-	default:
-		return fmt.Errorf("binlog: merge source %d: %w", i, err)
-	}
-	return nil
 }
 
 // grow returns buf resized to n, reallocating only when capacity is short.

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"math/bits"
 	"sync"
 	"time"
 
@@ -26,7 +25,7 @@ var ErrBlockTooLarge = errors.New("binlog: block exceeds the reader's size limit
 type Options struct {
 	// BlockEvents is the number of events per block (default 4096, at
 	// most 2²⁴). Larger blocks compress better and amortize framing;
-	// smaller blocks seek at finer granularity.
+	// smaller blocks hold less in the writer and lose less to a crash.
 	BlockEvents int
 }
 
@@ -78,11 +77,6 @@ type Writer struct {
 	intPrev          [numIntCols]int64
 	strDicts         [numStrCols]smallDict
 	strBufs          [numStrCols][]byte
-	boolAcc          [numBoolCols]byte
-	boolN            [numBoolCols]uint
-	boolBufs         [numBoolCols][]byte
-	floatWs          [numFloatCols]bitWriter
-	floatSt          [numFloatCols]gorillaState
 
 	// Flush scratch, reused (a frame header on the stack would escape
 	// through the bufio write).
@@ -95,13 +89,6 @@ type Writer struct {
 	cachedType telemetry.EventType
 	cachedSet  telemetry.FieldSet
 	haveCached bool
-}
-
-// gorillaState is one float column's XOR-chain state within a block.
-type gorillaState struct {
-	prevBits    uint64
-	lead, trail uint
-	first       bool
 }
 
 // fieldsOfCached is fieldsOf through a one-entry cache: streams cluster by
@@ -279,9 +266,9 @@ func (w *Writer) appendFields(ev *telemetry.Event, set telemetry.FieldSet) {
 		case telemetry.FPredictedBytes:
 			w.putInt(slotPredictedBytes, ev.PredictedBytes)
 		case telemetry.FIdleFraction:
-			w.putFloat(slotIdleFraction, ev.IdleFraction)
+			w.putInt(slotIdleFraction, int64(math.Float64bits(ev.IdleFraction)))
 		case telemetry.FForeground:
-			w.putBool(slotForeground, ev.Foreground)
+			w.putInt(slotForeground, boolBits(ev.Foreground))
 		case telemetry.FVictim:
 			w.putInt(slotVictim, int64(ev.Victim))
 		case telemetry.FValidPages:
@@ -303,7 +290,7 @@ func (w *Writer) appendFields(ev *telemetry.Event, set telemetry.FieldSet) {
 		case telemetry.FAttempts:
 			w.putInt(slotAttempts, int64(ev.Attempts))
 		case telemetry.FRecovered:
-			w.putBool(slotRecovered, ev.Recovered)
+			w.putInt(slotRecovered, boolBits(ev.Recovered))
 		case telemetry.FReason:
 			w.putStr(slotReason, ev.Reason)
 		case telemetry.FTenant:
@@ -317,7 +304,7 @@ func (w *Writer) appendFields(ev *telemetry.Event, set telemetry.FieldSet) {
 		case telemetry.FDirtyPages:
 			w.putInt(slotDirtyPages, int64(ev.DirtyPages))
 		case telemetry.FWAF:
-			w.putFloat(slotWAF, ev.WAF)
+			w.putInt(slotWAF, int64(math.Float64bits(ev.WAF)))
 		case telemetry.FFGC:
 			w.putInt(slotFGC, ev.FGCInvocations)
 		case telemetry.FBGC:
@@ -422,7 +409,7 @@ func (w *Writer) flushBlock() error {
 }
 
 // concatBlock joins the pending block's columns into the reused raw buffer
-// in wire order: count, type column, T, ints, strings, bools, floats.
+// in wire order: count, type column, T, ints, strings.
 func (w *Writer) concatBlock() []byte {
 	buf := w.raw[:0]
 	buf = binary.AppendUvarint(buf, uint64(w.blockN))
@@ -435,17 +422,6 @@ func (w *Writer) concatBlock() []byte {
 	for c := range w.strBufs {
 		buf = appendDict(buf, w.strDicts[c].strs)
 		buf = append(buf, w.strBufs[c]...)
-	}
-	for c := range w.boolBufs {
-		buf = append(buf, w.boolBufs[c]...)
-		if w.boolN[c] > 0 {
-			buf = append(buf, w.boolAcc[c]<<(8-w.boolN[c]))
-		}
-	}
-	for c := range w.floatWs {
-		fb := w.floatWs[c].finish()
-		buf = binary.AppendUvarint(buf, uint64(len(fb)))
-		buf = append(buf, fb...)
 	}
 	w.raw = buf
 	return buf
@@ -467,19 +443,11 @@ func (w *Writer) resetBlock() {
 		w.strBufs[i] = w.strBufs[i][:0]
 		w.strDicts[i].reset()
 	}
-	for i := range w.boolBufs {
-		w.boolBufs[i] = w.boolBufs[i][:0]
-		w.boolAcc[i], w.boolN[i] = 0, 0
-	}
-	for i := range w.floatWs {
-		w.floatWs[i].reset(w.floatWs[i].buf)
-		w.floatSt[i] = gorillaState{first: true, lead: ^uint(0), trail: ^uint(0)}
-	}
 }
 
 // putInt appends v to int column slot: zigzag delta against the previous
 // value in the column (runs of equal values — erase counts, stats
-// counters — cost one byte each).
+// counters, GC episodes' foreground flags — cost one byte each).
 func (w *Writer) putInt(slot int, v int64) {
 	d := v - w.intPrev[slot]
 	w.intPrev[slot] = v
@@ -491,52 +459,7 @@ func (w *Writer) putStr(slot int, s string) {
 	w.strBufs[slot] = binary.AppendUvarint(w.strBufs[slot], w.strDicts[slot].id(s))
 }
 
-// putBool appends v to bool column slot, bit-packed MSB first.
-func (w *Writer) putBool(slot int, v bool) {
-	w.boolAcc[slot] <<= 1
-	if v {
-		w.boolAcc[slot] |= 1
-	}
-	if w.boolN[slot]++; w.boolN[slot] == 8 {
-		w.boolBufs[slot] = append(w.boolBufs[slot], w.boolAcc[slot])
-		w.boolAcc[slot], w.boolN[slot] = 0, 0
-	}
-}
-
-// putFloat appends v to float column slot's Gorilla XOR bitstream.
-func (w *Writer) putFloat(slot int, v float64) {
-	bw := &w.floatWs[slot]
-	st := &w.floatSt[slot]
-	b := math.Float64bits(v)
-	if st.first {
-		bw.write64(b, 64)
-		st.prevBits, st.first = b, false
-		return
-	}
-	xor := b ^ st.prevBits
-	st.prevBits = b
-	if xor == 0 {
-		bw.writeBits(0, 1)
-		return
-	}
-	bw.writeBits(1, 1)
-	lead := uint(min(bits.LeadingZeros64(xor), 31))
-	trail := uint(bits.TrailingZeros64(xor))
-	if st.lead != ^uint(0) && lead >= st.lead && trail >= st.trail {
-		// Fits the previous significant window: reuse it.
-		bw.writeBits(0, 1)
-		bw.write64(xor>>st.trail, 64-st.lead-st.trail)
-	} else {
-		bw.writeBits(1, 1)
-		bw.writeBits(uint64(lead), 5)
-		sig := 64 - lead - trail
-		bw.writeBits(uint64(sig-1), 6)
-		bw.write64(xor>>trail, sig)
-		st.lead, st.trail = lead, trail
-	}
-}
-
-// writeFooter emits the seekable block index and the fixed trailer.
+// writeFooter emits the footer block index and the fixed trailer.
 func (w *Writer) writeFooter() error {
 	if err := w.ensureHeader(); err != nil {
 		return err // header even for an empty stream, so readers accept it

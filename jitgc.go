@@ -117,12 +117,6 @@ type Options struct {
 	// WorkingSetPages bounds the benchmark's address space; 0 means half
 	// the user capacity, as in the paper.
 	WorkingSetPages int64
-	// FillFraction is the share of user capacity preconditioned with data
-	// before the run: the working set plus cold data beyond it, modelling
-	// a mostly-full filesystem whose hot half the benchmark overwrites.
-	// 0 means the default 0.90; values ≤ the working-set fraction
-	// precondition only the working set.
-	FillFraction float64
 	// Config overrides the simulator configuration; zero value uses
 	// sim.DefaultConfig with preconditioning of the working set.
 	Config *sim.Config
@@ -142,13 +136,9 @@ type Options struct {
 	// FaultRate, when positive, arms the NAND fault model with this
 	// per-operation failure probability on reads, programs and erases
 	// alike, and switches the FTL's recovery policies on. Each run builds
-	// its own seeded model, so results stay deterministic and worker-count
-	// independent.
+	// its own model, seeded with 1, so results stay deterministic and
+	// worker-count independent.
 	FaultRate float64
-	// FaultSeed seeds the fault model's RNG (default 1), independent of the
-	// workload Seed so fault placement can be varied against a fixed
-	// request stream.
-	FaultSeed int64
 	// HostProfile, when non-empty, replaces the named paper benchmark with
 	// a TRIM-rich host profile: "churn" (file create/delete churn with
 	// discard-on-unlink) or "log" (SSDFS-style append-only log with
@@ -167,9 +157,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Ops == 0 {
 		o.Ops = 100000
-	}
-	if o.FillFraction == 0 {
-		o.FillFraction = 0.90
 	}
 	o.Workers = o.workers()
 	return o
@@ -202,6 +189,12 @@ func (o Options) generator(benchmark string) (workload.Generator, error) {
 // run this long.
 const StreamingLatencyThreshold = 1_000_000
 
+// fillFraction is the share of user capacity preconditioned with data
+// before a run: the working set plus cold data beyond it, modelling a
+// mostly-full filesystem whose hot half the benchmark overwrites. A working
+// set larger than that is preconditioned whole.
+const fillFraction = 0.90
+
 // simConfig resolves the simulator configuration and working set.
 func (o Options) simConfig() (sim.Config, int64) {
 	var cfg sim.Config
@@ -218,23 +211,13 @@ func (o Options) simConfig() (sim.Config, int64) {
 	if ws == 0 {
 		ws = user / 2
 	}
-	cfg.PreconditionPages = int64(o.FillFraction * float64(user))
-	if cfg.PreconditionPages < ws {
-		cfg.PreconditionPages = ws
-	}
-	if cfg.PreconditionPages > user {
-		cfg.PreconditionPages = user
-	}
+	cfg.PreconditionPages = min(max(int64(fillFraction*float64(user)), ws), user)
 	if o.Tracer != nil {
 		cfg.Tracer = o.Tracer
 	}
 	if o.FaultRate > 0 {
-		seed := o.FaultSeed
-		if seed == 0 {
-			seed = 1
-		}
 		cfg.FTL.Fault = nand.FaultConfig{
-			Seed:        seed,
+			Seed:        1,
 			ReadRate:    o.FaultRate,
 			ProgramRate: o.FaultRate,
 			EraseRate:   o.FaultRate,

@@ -89,7 +89,7 @@ func TestRunDeterministicAcrossCalls(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Seed != 1 || o.Ops != 100000 || o.FillFraction != 0.90 {
+	if o.Seed != 1 || o.Ops != 100000 {
 		t.Errorf("defaults = %+v", o)
 	}
 	cfg, ws := o.simConfig()
@@ -97,17 +97,18 @@ func TestOptionsDefaults(t *testing.T) {
 	if ws != user/2 {
 		t.Errorf("working set = %d, want half of user %d", ws, user)
 	}
-	if cfg.PreconditionPages != int64(0.90*float64(user)) {
+	if cfg.PreconditionPages != int64(fillFraction*float64(user)) {
 		t.Errorf("precondition = %d", cfg.PreconditionPages)
 	}
-	// Fill below the working set clamps up; above user clamps down.
-	o.FillFraction = 0.10
+	// A working set past the fill is preconditioned whole, up to user
+	// capacity.
+	o.WorkingSetPages = user * 19 / 20
 	if cfg2, ws2 := o.simConfig(); cfg2.PreconditionPages != ws2 {
-		t.Errorf("low fill not clamped to working set: %d vs %d", cfg2.PreconditionPages, ws2)
+		t.Errorf("fill below the working set not raised to it: %d vs %d", cfg2.PreconditionPages, ws2)
 	}
-	o.FillFraction = 2.0
-	if cfg3, _ := o.simConfig(); cfg3.PreconditionPages > user {
-		t.Errorf("high fill not clamped to user capacity: %d", cfg3.PreconditionPages)
+	o.WorkingSetPages = 2 * user
+	if cfg3, _ := o.simConfig(); cfg3.PreconditionPages != user {
+		t.Errorf("working set past user capacity not clamped to it: %d", cfg3.PreconditionPages)
 	}
 }
 
