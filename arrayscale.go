@@ -202,6 +202,7 @@ func arrayscaleRebuild(opt Options) (Table, error) {
 func runRebuildUnderFire(red array.Redundancy, opt Options) (ArrayResults, error) {
 	const devices = 4
 	cfg := arrayDeviceConfig()
+	cfg.Tracer = opt.Tracer
 	arr, err := array.New(array.Config{
 		Devices:    devices,
 		Redundancy: red,

@@ -12,8 +12,12 @@
 // host scenario: "churn" (seeded file create/delete with discard-on-unlink)
 // or "log" (append-only log-structured segments with whole-segment TRIMs).
 // -trim-rate sets the steady-state trimmed fraction the profile steers
-// toward. TRIM-OP is the adaptive over-provisioning policy that resizes the
-// background-GC reserve from the observed TRIM stream.
+// toward, in [0,1); it is the profile's one setting. TRIM-OP is the
+// adaptive over-provisioning policy that resizes the background-GC reserve
+// from the observed TRIM stream.
+//
+// -fault-rate arms the seeded NAND fault model (seed -fault-seed) on the
+// device configuration, at one rate for reads, programs and erases.
 //
 // With -tenants N the run switches to the open-loop multi-tenant front end:
 // N tenants with seeded -arrival processes feed bounded queues, a
@@ -90,7 +94,7 @@ func main() {
 		usageError("-devices must be at least 1, got %d", *devices)
 	case *devices == 1 && (*spares > 0 || *redun != "none"):
 		usageError("-spares and -redundancy need a multi-device array (-devices > 1)")
-	case *trimRate < 0 || *trimRate >= 1:
+	case !(*trimRate >= 0 && *trimRate < 1):
 		usageError("-trim-rate must be in [0,1), got %v", *trimRate)
 	case *profile != "" && (*traceIn != "" || *tenants > 0):
 		usageError("-host-profile replaces the synthetic benchmark (no -trace or -tenants)")

@@ -111,7 +111,8 @@ func TestTenantsTimeline(t *testing.T) {
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-fault-rate", "2"}, {"-devices", "0"}, {"-spares", "1"},
-		{"-trim-rate", "1"}, {"-host-profile", "churn", "-tenants", "5"},
+		{"-trim-rate", "1"}, {"-host-profile", "churn", "-trim-rate", "NaN"},
+		{"-host-profile", "churn", "-tenants", "5"},
 		{"-tenants", "5", "-devices", "2"}, {"-devices", "2", "-trace", "x.trace"},
 		{"-tenants", "-3"}, {"-tenants", "5", "-rate", "-1"}, {"-tenants", "5", "-rate", "NaN"},
 		{"-ops", "0"}, {"-ops", "-5"},

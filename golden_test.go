@@ -15,7 +15,7 @@ import (
 	"jitgc/internal/telemetry/binlog"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/golden and testdata/settings.txt")
 
 // goldenOptions keeps the full serial sweep in the tens of seconds while still
 // driving every device through preconditioning and real GC pressure. The

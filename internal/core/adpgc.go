@@ -18,10 +18,10 @@ type ADPGC struct {
 	expire  time.Duration
 }
 
-// NewADPGC builds the ADP-GC baseline. wb must match the simulator's
-// write-back interval configuration; opts supplies the CDH percentile.
-func NewADPGC(wb predictor.WriteBack, opts JITOptions) (*ADPGC, error) {
-	tr, err := opts.newCDH(wb)
+// NewADPGC builds the ADP-GC baseline at the default CDH percentile. wb
+// must match the simulator's write-back interval configuration.
+func NewADPGC(wb predictor.WriteBack) (*ADPGC, error) {
+	tr, err := JITOptions{}.newCDH(wb)
 	if err != nil {
 		return nil, err
 	}

@@ -209,7 +209,7 @@ func TestJITGCTracksDirectWrites(t *testing.T) {
 
 func TestADPGCPredictsFromDeviceTraffic(t *testing.T) {
 	wb := predictor.WriteBack{Period: 5 * time.Second, Expire: 30 * time.Second}
-	a, err := NewADPGC(wb, JITOptions{})
+	a, err := NewADPGC(wb)
 	if err != nil {
 		t.Fatal(err)
 	}

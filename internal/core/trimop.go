@@ -26,14 +26,14 @@ type TrimOP struct {
 }
 
 // NewTrimOP builds the adaptive-OP policy. wb must match the simulator's
-// write-back interval configuration; opBytes is the device's C_OP; opts
-// supplies the CDH percentile of both trackers.
-func NewTrimOP(wb predictor.WriteBack, opBytes int64, opts JITOptions) (*TrimOP, error) {
-	writes, err := opts.newCDH(wb)
+// write-back interval configuration; opBytes is the device's C_OP. Both
+// trackers run at the default CDH percentile.
+func NewTrimOP(wb predictor.WriteBack, opBytes int64) (*TrimOP, error) {
+	writes, err := JITOptions{}.newCDH(wb)
 	if err != nil {
 		return nil, err
 	}
-	trims, err := opts.newCDH(wb)
+	trims, err := JITOptions{}.newCDH(wb)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,7 @@ func testWB() predictor.WriteBack {
 
 func newTestTrimOP(t *testing.T, opBytes int64) *TrimOP {
 	t.Helper()
-	p, err := NewTrimOP(testWB(), opBytes, JITOptions{})
+	p, err := NewTrimOP(testWB(), opBytes)
 	if err != nil {
 		t.Fatalf("NewTrimOP: %v", err)
 	}
@@ -22,7 +22,7 @@ func newTestTrimOP(t *testing.T, opBytes int64) *TrimOP {
 }
 
 func TestTrimOPRejectsBadWriteBack(t *testing.T) {
-	if _, err := NewTrimOP(predictor.WriteBack{}, 1000, JITOptions{}); err == nil {
+	if _, err := NewTrimOP(predictor.WriteBack{}, 1000); err == nil {
 		t.Error("zero write-back config accepted")
 	}
 }

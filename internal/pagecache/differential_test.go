@@ -81,12 +81,12 @@ func (p *pair) drop(lpn int64) {
 // scan, whatever flushes, drops, reclaims and rewrites came between; every
 // dirty page's first-seen time follows the map-based rule; and due counts,
 // per interval, the pages the division-based flush-interval formula puts
-// there, less the hot ones when the filter is on.
-func (p *pair) scan(now time.Duration, hotFilter bool) {
+// there, less the hot ones.
+func (p *pair) scan(now time.Duration) {
 	p.t.Helper()
 	cfg := p.c.cfg
 	due := make([]int64, cfg.Nwb())
-	joined, left := p.c.ScanDirty(now, hotFilter, due)
+	joined, left := p.c.ScanDirty(now, due)
 
 	var wantJoined, wantLeft []int64
 	wantDue := make([]int64, len(due))
@@ -101,7 +101,7 @@ func (p *pair) scan(now time.Duration, hotFilter bool) {
 		if s == noSlot || p.c.firstSeen[s] != first {
 			p.t.Fatalf("scan: lpn %d (slot %d) not indexed, or first seen at another time than %v", lpn, s, first)
 		}
-		if hotFilter && seen && now-first > cfg.Expire {
+		if seen && now-first > cfg.Expire {
 			continue
 		}
 		i := 1
@@ -125,7 +125,7 @@ func (p *pair) scan(now time.Duration, hotFilter bool) {
 		p.t.Fatalf("scan at %v: left\n got %v\nwant %v", now, got, wantLeft)
 	}
 	if !slices.Equal(due, wantDue) {
-		p.t.Fatalf("scan at %v (hot filter %v): due %v, want %v", now, hotFilter, due, wantDue)
+		p.t.Fatalf("scan at %v: due %v, want %v", now, due, wantDue)
 	}
 	if p.c.indexed != len(p.r.dirty) {
 		p.t.Fatalf("scan left %d index entries for %d dirty pages", p.c.indexed, len(p.r.dirty))
@@ -186,7 +186,7 @@ func TestCacheMatchesReference(t *testing.T) {
 				case k < 18 || !m.scans:
 					p.drop(lpn())
 				default:
-					p.scan(clock, rng.Intn(2) == 0)
+					p.scan(clock)
 				}
 			}
 			return true
@@ -222,7 +222,7 @@ func TestScanTurnoverAcrossRemovalAndRewrite(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p := newPair(t, cfg)
 			p.write(sec(1), 0, 2)
-			p.scan(sec(5), true) // both joined
+			p.scan(sec(5)) // both joined
 			remove(p)
 			if p.c.IsDirty(0) || p.c.IsDirty(1) || p.c.Drop(0) {
 				t.Fatal("a removed page is still dirty or can be dropped again")
@@ -238,7 +238,7 @@ func TestScanTurnoverAcrossRemovalAndRewrite(t *testing.T) {
 			}
 			// The reference wants joined {2}, left {1}, and lpn 0 — first
 			// seen at 1 s, 39 s ago — left out of due as hot.
-			p.scan(sec(40), true)
+			p.scan(sec(40))
 		})
 	}
 }

@@ -316,11 +316,11 @@ func (c *Cache) DirtyPages() []DirtyPage {
 // page's first-seen time is the LastUpdate it had at the first scan of its
 // current run of consecutive scans that found it dirty. What happens between
 // two scans does not break a run — a page flushed, reclaimed or dropped and
-// written again before the next scan keeps its first-seen time. With
-// hotFilter set, a page first seen more than τ_expire ago is left out of
-// due: it is being rewritten faster than it can expire. The cache keeps one
-// such track, so one scanner per cache.
-func (c *Cache) ScanDirty(now time.Duration, hotFilter bool, due []int64) (joined, left []int64) {
+// written again before the next scan keeps its first-seen time. A page
+// first seen more than τ_expire ago is left out of due: it is being
+// rewritten faster than it can expire. The cache keeps one such track, so
+// one scanner per cache.
+func (c *Cache) ScanDirty(now time.Duration, due []int64) (joined, left []int64) {
 	if c.firstSeen == nil {
 		c.firstSeen = make([]time.Duration, len(c.slab), cap(c.slab))
 		for i := range c.firstSeen {
@@ -341,7 +341,7 @@ func (c *Cache) ScanDirty(now time.Duration, hotFilter bool, due []int64) (joine
 		if first := c.firstSeen[s]; first == unseen {
 			c.firstSeen[s] = e.last
 			joined = appendDoubling(joined, e.lpn)
-		} else if hotFilter && now-first > expire {
+		} else if now-first > expire {
 			continue
 		}
 		due[i]++

@@ -324,7 +324,7 @@ func TestCheckConsistencyViolations(t *testing.T) {
 				}
 			}
 			c.Drop(5) // never scanned: a free slot
-			c.ScanDirty(5*time.Second, true, make([]int64, c.cfg.Nwb()))
+			c.ScanDirty(5*time.Second, make([]int64, c.cfg.Nwb()))
 			c.Drop(2) // scanned: a ghost
 			if err := c.CheckConsistency(); err != nil {
 				t.Fatalf("fresh cache inconsistent: %v", err)
@@ -358,7 +358,7 @@ func TestCacheSteadyStateZeroAlloc(t *testing.T) {
 		}
 	}
 	due := make([]int64, c.cfg.Nwb())
-	c.ScanDirty(0, true, due) // every page seen: removals leave ghosts
+	c.ScanDirty(0, due) // every page seen: removals leave ghosts
 	now, lpn := time.Duration(0), int64(0)
 	cycle := func() {
 		now += time.Millisecond
@@ -376,7 +376,7 @@ func TestCacheSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 2001; i++ { // as many ghosts logged as the measured cycles will
 		cycle()
 	}
-	c.ScanDirty(now, true, due)
+	c.ScanDirty(now, due)
 	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
 		t.Errorf("overwrite + IsDirty + Drop/Write allocates %.2f times per run, want 0", avg)
 	}
@@ -400,7 +400,7 @@ func TestSlabGrowsByDoubling(t *testing.T) {
 				cfg.CapacityPages = int(n)
 				c := newCache(t, cfg)
 				if scanned {
-					c.ScanDirty(0, false, make([]int64, cfg.Nwb()))
+					c.ScanDirty(0, make([]int64, cfg.Nwb()))
 				}
 				for lpn := int64(0); lpn < n; lpn++ { // the index at its working size
 					c.index.Set(lpn, 1)
@@ -450,7 +450,7 @@ func TestScratchGrowsByDoubling(t *testing.T) {
 			cfg.CapacityPages = int(n)
 			c := newCache(t, cfg)
 			due := make([]int64, cfg.Nwb())
-			c.ScanDirty(0, false, due) // track first-seen times, so flushed pages become ghosts
+			c.ScanDirty(0, due) // track first-seen times, so flushed pages become ghosts
 			for lpn := int64(0); lpn < n; lpn++ {
 				if _, err := c.Write(time.Duration(lpn), lpn, 1); err != nil {
 					t.Fatal(err)
@@ -458,9 +458,9 @@ func TestScratchGrowsByDoubling(t *testing.T) {
 			}
 			end := time.Duration(n) + cfg.Expire
 			var joined, flushed, gone []int64
-			join = min(join, mallocs(func() { joined, _ = c.ScanDirty(time.Duration(n), false, due) }))
+			join = min(join, mallocs(func() { joined, _ = c.ScanDirty(time.Duration(n), due) }))
 			flush = min(flush, mallocs(func() { flushed = c.Flush(end) }))
-			left = min(left, mallocs(func() { _, gone = c.ScanDirty(end, false, due) }))
+			left = min(left, mallocs(func() { _, gone = c.ScanDirty(end, due) }))
 			if len(joined) != int(n) || len(flushed) != int(n) || len(gone) != int(n) {
 				t.Fatalf("n=%d: %d joined, %d flushed, %d left", n, len(joined), len(flushed), len(gone))
 			}

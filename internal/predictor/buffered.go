@@ -17,7 +17,9 @@ import (
 // Following the paper, the predictor relaxes the τ_flush condition: it
 // assumes every dirty page is flushed once it is older than τ_expire,
 // which over-predicts by at most τ_flush but never misses a flush (missed
-// flushes are what cause expensive foreground GC).
+// flushes are what cause expensive foreground GC). Hot pages, dirty at
+// every scan for longer than τ_expire, are always left out of the demand
+// (see Predict).
 type Buffered struct {
 	cache *pagecache.Cache
 	wb    WriteBack
@@ -26,8 +28,6 @@ type Buffered struct {
 	// exceeds τ_flush. This reproduces the under-prediction failure mode
 	// the paper warns about and exists for the ablation benchmark.
 	Strict bool
-	// DisableHotFilter turns off hot-page exclusion (ablation knob).
-	DisableHotFilter bool
 
 	// demand backs Predict's result, so a steady-state tick allocates
 	// nothing. installed records that the last change Predict returned left
@@ -74,7 +74,7 @@ func (b *Buffered) Predict(now time.Duration) (Demand, SIPChange) {
 	pages := b.demand // page counts per interval until the end
 	limit := cfg.FlushLimit()
 	empty := b.Strict && b.cache.DirtyPageCount() <= limit
-	joined, left := b.cache.ScanDirty(now, !b.DisableHotFilter, pages)
+	joined, left := b.cache.ScanDirty(now, pages)
 	if empty {
 		clear(pages)
 		change := SIPChange{Reset: b.installed}

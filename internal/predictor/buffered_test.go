@@ -177,14 +177,6 @@ func TestHotPageFiltering(t *testing.T) {
 	if len(sip) != 1 || !sip[0] {
 		t.Errorf("hot page missing from SIP list: %v", sip)
 	}
-
-	// With the filter disabled the page counts as demand every window.
-	b2 := NewBuffered(cache)
-	b2.DisableHotFilter = true
-	d, _ := b2.Predict(sec(60))
-	if d.Total() == 0 {
-		t.Error("filter-disabled predictor dropped the hot page")
-	}
 }
 
 func TestHotPageFilterResetsAfterFlush(t *testing.T) {

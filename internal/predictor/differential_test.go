@@ -75,12 +75,11 @@ func TestPredictMatchesReference(t *testing.T) {
 		FlushRatio:    0.25,
 	}
 	modes := []struct {
-		name               string
-		strict, disableHot bool
+		name   string
+		strict bool
 	}{
-		{"default", false, false},
-		{"Strict", true, false},
-		{"DisableHotFilter", false, true},
+		{"default", false},
+		{"Strict", true},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
@@ -92,7 +91,6 @@ func TestPredictMatchesReference(t *testing.T) {
 				}
 				b, ref, sip := NewBuffered(cache), newRefBuffered(cache), sipSet{}
 				b.Strict, ref.strict = m.strict, m.strict
-				b.DisableHotFilter, ref.disableHotFilter = m.disableHot, m.disableHot
 				var clock time.Duration
 				for tick := 0; tick < 40; tick++ {
 					for w := rng.Intn(30); w > 0; w-- {

@@ -11,11 +11,10 @@ import (
 // and a second pass over the later-interval pages for the τ_flush rule. The
 // differential tests hold Predict to it.
 type refBuffered struct {
-	cache            *pagecache.Cache
-	wb               WriteBack
-	strict           bool
-	disableHotFilter bool
-	firstDirty       map[int64]time.Duration
+	cache      *pagecache.Cache
+	wb         WriteBack
+	strict     bool
+	firstDirty map[int64]time.Duration
 }
 
 func newRefBuffered(cache *pagecache.Cache) *refBuffered {
@@ -37,9 +36,6 @@ func (b *refBuffered) Predict(now time.Duration) (Demand, []int64) {
 // pages continuously dirty for longer than τ_expire. The sweep runs only
 // here, so "continuously" means "at every Predict".
 func (b *refBuffered) updateHotSet(pages []pagecache.DirtyPage, now time.Duration) map[int64]bool {
-	if b.disableHotFilter {
-		return nil
-	}
 	seen := make(map[int64]bool, len(pages))
 	var hot map[int64]bool
 	for _, pg := range pages {

@@ -317,9 +317,9 @@ func TestAccuracyReportedOnlyForPredictivePolicies(t *testing.T) {
 		{"A-BGC", func(env *Env) (core.Policy, error) { return core.NewAggressiveBGC(env.OPBytes()), nil }, false},
 		{"0.75OP", func(env *Env) (core.Policy, error) { return core.NewFixedBGC(env.OPBytes(), 0.75), nil }, false},
 		{"no-BGC", func(*Env) (core.Policy, error) { return core.NewNoBGC(), nil }, false},
-		{"ADP-GC", func(env *Env) (core.Policy, error) { return core.NewADPGC(env.WriteBack, core.JITOptions{}) }, true},
+		{"ADP-GC", func(env *Env) (core.Policy, error) { return core.NewADPGC(env.WriteBack) }, true},
 		{"TRIM-OP", func(env *Env) (core.Policy, error) {
-			return core.NewTrimOP(env.WriteBack, env.OPBytes(), core.JITOptions{})
+			return core.NewTrimOP(env.WriteBack, env.OPBytes())
 		}, true},
 		{"JIT-GC", jitFactory, true},
 		{"Oracle", func(env *Env) (core.Policy, error) { return core.NewOracle([]int64{1 << 20}, env.WriteBack) }, true},

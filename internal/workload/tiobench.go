@@ -11,35 +11,26 @@ import (
 // More than half the write volume is direct (Table 1: 53.7%), which is why
 // the paper's prediction accuracy drops here (Table 2: 86.1%) and SIP
 // filtering finds little (Table 3: 4.9%).
-type Tiobench struct {
-	// Threads is the number of interleaved workers (default 4).
-	Threads int
-}
+type Tiobench struct{}
 
-// NewTiobench returns the Tiobench generator with 4 threads.
-func NewTiobench() Tiobench { return Tiobench{Threads: 4} }
+// tiobenchThreads is the number of interleaved workers.
+const tiobenchThreads = 4
+
+// NewTiobench returns the Tiobench generator.
+func NewTiobench() Tiobench { return Tiobench{} }
 
 // Name implements Generator.
 func (Tiobench) Name() string { return "Tiobench" }
 
-// threads is the worker count, Threads or its default.
-func (t Tiobench) threads() int {
-	if t.Threads <= 0 {
-		return 4
-	}
-	return t.Threads
-}
-
 // MinWorkingSetPages implements Generator: every thread needs a stripe of
 // at least one page.
-func (t Tiobench) MinWorkingSetPages() int64 { return int64(t.threads()) }
+func (Tiobench) MinWorkingSetPages() int64 { return tiobenchThreads }
 
 // Generate implements Generator.
 func (t Tiobench) Generate(p Params) ([]trace.Request, error) {
 	if err := validate(t, p); err != nil {
 		return nil, err
 	}
-	threads := t.threads()
 	e := newEngine(p, 0.537)
 	clock := &burstClock{
 		lenLo: 2400, lenHi: 6000,
@@ -49,12 +40,12 @@ func (t Tiobench) Generate(p Params) ([]trace.Request, error) {
 
 	// Each thread owns a stripe of the working set and a sequential cursor
 	// within it.
-	stripe := p.WorkingSetPages / int64(threads)
-	cursors := make([]int64, threads)
+	stripe := p.WorkingSetPages / tiobenchThreads
+	cursors := make([]int64, tiobenchThreads)
 
 	for i := 0; i < p.Ops; i++ {
 		e.think(clock.next(e))
-		th := e.r.Intn(threads)
+		th := e.r.Intn(tiobenchThreads)
 		base := int64(th) * stripe
 		var lpn int64
 		pages := e.intRange(1, 5)

@@ -38,7 +38,9 @@ func Profile(name string, trimRate float64) (Generator, error) {
 	return nil, fmt.Errorf("workload: unknown host profile %q (have churn, log)", name)
 }
 
-// FileChurn is the discard-on-unlink file churn generator.
+// FileChurn is the discard-on-unlink file churn generator. Its shape is
+// fixed and mail-store-like — small lognormal files, mostly buffered
+// writes, a fifth of operations reads — so ChurnRate is its one knob.
 type FileChurn struct {
 	// ChurnRate is the target steady-state trimmed fraction of the touched
 	// working set in [0,1): deletions TRIM whole file extents on unlink and
@@ -47,56 +49,40 @@ type FileChurn struct {
 	// (unlinked extents are silently reused, as on a filesystem mounted
 	// without discard).
 	ChurnRate float64
-	// MeanFilePages centers the lognormal file-size distribution;
-	// SizeSigma is its log-domain spread. Sizes are clamped to
-	// [MinFilePages, MaxFilePages].
-	MeanFilePages              int
-	SizeSigma                  float64
-	MinFilePages, MaxFilePages int
-	// ReadFraction is the share of operations that read a live file.
-	ReadFraction float64
-	// DirectTarget is the device-level direct-write volume share the
-	// buffered/direct balancer aims for.
-	DirectTarget float64
 }
 
+// FileChurn's fixed shape.
+const (
+	// churnMeanFilePages centers the lognormal file-size distribution;
+	// churnSizeSigma is its log-domain spread. Sizes are clamped to
+	// [churnMinFilePages, churnMaxFilePages].
+	churnMeanFilePages = 8
+	churnSizeSigma     = 0.6
+	churnMinFilePages  = 2
+	churnMaxFilePages  = 32
+	// churnReadFraction is the share of operations that read a live file.
+	churnReadFraction = 0.20
+	// churnDirectTarget is the device-level direct-write volume share the
+	// buffered/direct balancer aims for.
+	churnDirectTarget = 0.15
+)
+
 // NewFileChurn returns the file-churn profile with a steady-state trimmed
-// share of rate and mail-store-like defaults (small files, mostly buffered
-// writes, a fifth of operations reads).
-func NewFileChurn(rate float64) FileChurn {
-	return FileChurn{
-		ChurnRate:     rate,
-		MeanFilePages: 8,
-		SizeSigma:     0.6,
-		MinFilePages:  2,
-		MaxFilePages:  32,
-		ReadFraction:  0.20,
-		DirectTarget:  0.15,
-	}
-}
+// share of rate.
+func NewFileChurn(rate float64) FileChurn { return FileChurn{ChurnRate: rate} }
 
 // Name implements Generator.
 func (FileChurn) Name() string { return "FileChurn" }
 
 // MinWorkingSetPages implements Generator: the metadata journal plus room
 // for four of the largest files.
-func (c FileChurn) MinWorkingSetPages() int64 {
-	return int64(4*c.MaxFilePages) + churnJournalPages
+func (FileChurn) MinWorkingSetPages() int64 {
+	return 4*churnMaxFilePages + churnJournalPages
 }
 
 func (c FileChurn) validate(p Params) error {
-	if c.ChurnRate < 0 || c.ChurnRate >= 1 {
+	if !(c.ChurnRate >= 0 && c.ChurnRate < 1) {
 		return fmt.Errorf("workload: churn rate %v outside [0,1)", c.ChurnRate)
-	}
-	if c.MinFilePages < 1 || c.MaxFilePages < c.MinFilePages {
-		return fmt.Errorf("workload: file size bounds [%d,%d]", c.MinFilePages, c.MaxFilePages)
-	}
-	if c.MeanFilePages < c.MinFilePages || c.MeanFilePages > c.MaxFilePages {
-		return fmt.Errorf("workload: mean file size %d outside [%d,%d]",
-			c.MeanFilePages, c.MinFilePages, c.MaxFilePages)
-	}
-	if c.ReadFraction < 0 || c.ReadFraction >= 1 {
-		return fmt.Errorf("workload: read fraction %v outside [0,1)", c.ReadFraction)
 	}
 	return validate(c, p)
 }
@@ -124,7 +110,7 @@ func (c FileChurn) generate(p Params, free holePool) ([]trace.Request, error) {
 	if err := c.validate(p); err != nil {
 		return nil, err
 	}
-	e := newEngine(p, c.DirectTarget)
+	e := newEngine(p, churnDirectTarget)
 	clock := &burstClock{
 		lenLo: 2000, lenHi: 4000,
 		intraLo: 200 * time.Microsecond, intraHi: 500 * time.Microsecond,
@@ -140,14 +126,8 @@ func (c FileChurn) generate(p Params, free holePool) ([]trace.Request, error) {
 	)
 
 	fileSize := func() int {
-		n := int(math.Round(math.Exp(math.Log(float64(c.MeanFilePages)) + c.SizeSigma*e.r.NormFloat64())))
-		if n < c.MinFilePages {
-			n = c.MinFilePages
-		}
-		if n > c.MaxFilePages {
-			n = c.MaxFilePages
-		}
-		return n
+		n := int(math.Round(math.Exp(math.Log(churnMeanFilePages) + churnSizeSigma*e.r.NormFloat64())))
+		return min(max(n, churnMinFilePages), churnMaxFilePages)
 	}
 
 	// allocate carves an extent of up to pages: first-fit from the free
@@ -209,7 +189,7 @@ func (c FileChurn) generate(p Params, free holePool) ([]trace.Request, error) {
 
 	for len(e.reqs) < p.Ops {
 		e.think(clock.next(e))
-		if len(live) > 0 && e.r.Float64() < c.ReadFraction {
+		if len(live) > 0 && e.r.Float64() < churnReadFraction {
 			f := live[e.r.Intn(len(live))]
 			e.emitRead(f.lpn, f.pages)
 			continue
@@ -226,57 +206,45 @@ func (c FileChurn) generate(p Params, free holePool) ([]trace.Request, error) {
 	return e.reqs, nil
 }
 
-// LogStructured is the SSDFS-style append-only log host profile.
+// LogStructured is the SSDFS-style append-only log host profile. Its
+// shape is fixed — 256-page segments, 4–32-page appends, mostly buffered —
+// so FreeTarget is its one knob.
 type LogStructured struct {
-	// SegmentPages is the host log segment size; every TRIM the profile
-	// emits covers exactly one whole segment.
-	SegmentPages int
 	// FreeTarget is the share of segments the host cleaner keeps free
-	// (trimmed or never written) ahead of the log head, in (0,1) — the
+	// (trimmed or never written) ahead of the log head, in [0,1) — the
 	// profile's TRIM-intensity knob and its steady-state trimmed share.
 	FreeTarget float64
-	// ReadFraction is the share of operations that read from a live
-	// segment.
-	ReadFraction float64
-	// DirectTarget is the device-level direct-write volume share (log
-	// appends are mostly buffered and flushed in order).
-	DirectTarget float64
-	// AppendLo/AppendHi bound the pages appended per write operation.
-	AppendLo, AppendHi int
 }
+
+// LogStructured's fixed shape.
+const (
+	// logSegmentPages is the host log segment size; every TRIM the profile
+	// emits covers exactly one whole segment.
+	logSegmentPages = 256
+	// logReadFraction is the share of operations that read from a live
+	// segment.
+	logReadFraction = 0.15
+	// logDirectTarget is the device-level direct-write volume share (log
+	// appends are mostly buffered and flushed in order).
+	logDirectTarget = 0.10
+	// logAppendLo/logAppendHi bound the pages appended per write operation.
+	logAppendLo, logAppendHi = 4, 32
+)
 
 // NewLogStructured returns the append-only log profile keeping rate of its
 // segments trimmed ahead of the head. A rate of 0 is clamped to one free
 // segment's worth so the log can always turn over.
-func NewLogStructured(rate float64) LogStructured {
-	return LogStructured{
-		SegmentPages: 256,
-		FreeTarget:   rate,
-		ReadFraction: 0.15,
-		DirectTarget: 0.10,
-		AppendLo:     4,
-		AppendHi:     32,
-	}
-}
+func NewLogStructured(rate float64) LogStructured { return LogStructured{FreeTarget: rate} }
 
 // Name implements Generator.
 func (LogStructured) Name() string { return "LogStructured" }
 
 // MinWorkingSetPages implements Generator: four segments.
-func (l LogStructured) MinWorkingSetPages() int64 { return 4 * int64(l.SegmentPages) }
+func (LogStructured) MinWorkingSetPages() int64 { return 4 * logSegmentPages }
 
 func (l LogStructured) validate(p Params) error {
-	if l.SegmentPages < 1 {
-		return fmt.Errorf("workload: segment size %d pages", l.SegmentPages)
-	}
-	if l.FreeTarget < 0 || l.FreeTarget >= 1 {
+	if !(l.FreeTarget >= 0 && l.FreeTarget < 1) {
 		return fmt.Errorf("workload: free-segment target %v outside [0,1)", l.FreeTarget)
-	}
-	if l.ReadFraction < 0 || l.ReadFraction >= 1 {
-		return fmt.Errorf("workload: read fraction %v outside [0,1)", l.ReadFraction)
-	}
-	if l.AppendLo < 1 || l.AppendHi < l.AppendLo {
-		return fmt.Errorf("workload: append burst bounds [%d,%d]", l.AppendLo, l.AppendHi)
 	}
 	return validate(l, p)
 }
@@ -286,14 +254,14 @@ func (l LogStructured) Generate(p Params) ([]trace.Request, error) {
 	if err := l.validate(p); err != nil {
 		return nil, err
 	}
-	e := newEngine(p, l.DirectTarget)
+	e := newEngine(p, logDirectTarget)
 	clock := &burstClock{
 		lenLo: 3000, lenHi: 6000,
 		intraLo: 150 * time.Microsecond, intraHi: 350 * time.Microsecond,
 		idleLo: 2 * time.Second, idleHi: 6 * time.Second,
 	}
 
-	segments := p.WorkingSetPages / int64(l.SegmentPages)
+	segments := p.WorkingSetPages / logSegmentPages
 	// The cleaner keeps at least one segment free so the head always has a
 	// fresh segment to turn into, whatever FreeTarget says.
 	freeFloor := int64(float64(segments) * l.FreeTarget)
@@ -310,12 +278,12 @@ func (l LogStructured) Generate(p Params) ([]trace.Request, error) {
 
 	for len(e.reqs) < p.Ops {
 		e.think(clock.next(e))
-		if liveSegs > 0 && e.r.Float64() < l.ReadFraction {
+		if liveSegs > 0 && e.r.Float64() < logReadFraction {
 			// Read a random extent from a random live segment.
 			seg := (tail + int64(e.r.Int63n(liveSegs))) % segments
-			off := int64(e.r.Intn(l.SegmentPages))
+			off := int64(e.r.Intn(logSegmentPages))
 			n := e.intRange(1, 8)
-			lpn, n := clampExtent(seg*int64(l.SegmentPages)+off, n, (seg+1)*int64(l.SegmentPages))
+			lpn, n := clampExtent(seg*logSegmentPages+off, n, (seg+1)*logSegmentPages)
 			e.emitRead(lpn, n)
 			continue
 		}
@@ -327,20 +295,20 @@ func (l LogStructured) Generate(p Params) ([]trace.Request, error) {
 			// is a fully written one behind the head. Emitted as single
 			// whole-segment discards, never partial.
 			for segments-liveSegs-1 < freeFloor && liveSegs > 0 {
-				e.emitTrim(tail*int64(l.SegmentPages), l.SegmentPages)
+				e.emitTrim(tail*logSegmentPages, logSegmentPages)
 				e.think(0)
 				tail = (tail + 1) % segments
 				liveSegs--
 			}
 			liveSegs++
 		}
-		n := e.intRange(l.AppendLo, l.AppendHi)
-		if n > l.SegmentPages-fill {
-			n = l.SegmentPages - fill
+		n := e.intRange(logAppendLo, logAppendHi)
+		if n > logSegmentPages-fill {
+			n = logSegmentPages - fill
 		}
-		e.emitWrite(head*int64(l.SegmentPages)+int64(fill), n)
+		e.emitWrite(head*logSegmentPages+int64(fill), n)
 		fill += n
-		if fill == l.SegmentPages {
+		if fill == logSegmentPages {
 			head = (head + 1) % segments
 			fill = 0
 		}

@@ -128,7 +128,7 @@ func TestLogStructuredWholeSegmentTrims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := int64(g.SegmentPages)
+	seg := int64(logSegmentPages)
 	state := make(map[int64]int) // 0 unwritten/trimmed, 1 live
 	sawTrim := false
 	for i, r := range reqs {
@@ -171,8 +171,8 @@ func TestLogStructuredFreeShare(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, trimmed := replayPageStates(t, g.Name(), reqs, p.WorkingSetPages)
-		segments := p.WorkingSetPages / int64(g.SegmentPages)
-		trimmedSegs := int64(len(trimmed)) / int64(g.SegmentPages)
+		segments := p.WorkingSetPages / logSegmentPages
+		trimmedSegs := int64(len(trimmed)) / logSegmentPages
 		got := float64(trimmedSegs) / float64(segments)
 		if math.Abs(got-q) > 0.05 {
 			t.Errorf("q=%v: steady-state trimmed segment share = %.4f (|Δ| > 0.05)", q, got)
@@ -227,16 +227,15 @@ func TestTrimProfilesRejectBadParams(t *testing.T) {
 		}
 	}
 	p := trimParams()
-	if _, err := (FileChurn{ChurnRate: 1.5, MeanFilePages: 8, SizeSigma: 0.5,
-		MinFilePages: 2, MaxFilePages: 32}).Generate(p); err == nil {
-		t.Error("churn rate ≥ 1 accepted")
+	for _, rate := range []float64{1.5, -0.1, math.NaN()} {
+		if _, err := NewFileChurn(rate).Generate(p); err == nil {
+			t.Errorf("churn rate %v accepted", rate)
+		}
+		if _, err := NewLogStructured(rate).Generate(p); err == nil {
+			t.Errorf("free-segment target %v accepted", rate)
+		}
 	}
 	if _, err := NewFileChurn(0.2).Generate(Params{Seed: 1, Ops: 100, WorkingSetPages: 100}); err == nil {
 		t.Error("tiny working set accepted by FileChurn")
-	}
-	bad := NewLogStructured(0.2)
-	bad.SegmentPages = 8192
-	if _, err := bad.Generate(p); err == nil {
-		t.Error("working set below 4 segments accepted by LogStructured")
 	}
 }

@@ -196,7 +196,7 @@ func TestGeneratorsRejectBadParams(t *testing.T) {
 // data region beside the redo log). At the minimum, every generator
 // generates.
 func TestSmallWorkingSetsReturnError(t *testing.T) {
-	for _, g := range append(allGenerators(), Tiobench{Threads: 7}) {
+	for _, g := range allGenerators() {
 		need := g.MinWorkingSetPages()
 		for ws := int64(1); ws < need; ws++ {
 			_, err := g.Generate(Params{Seed: 1, Ops: 100, WorkingSetPages: ws})
@@ -210,7 +210,7 @@ func TestSmallWorkingSetsReturnError(t *testing.T) {
 			}
 		}
 	}
-	for g, want := range map[Generator]int64{NewTiobench(): 4, NewTPCC(): 17, Tiobench{}: 4} {
+	for g, want := range map[Generator]int64{NewTiobench(): 4, NewTPCC(): 17} {
 		if got := g.MinWorkingSetPages(); got != want {
 			t.Errorf("%s: MinWorkingSetPages %d, want %d", g.Name(), got, want)
 		}

@@ -16,12 +16,12 @@ package jitgc
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"jitgc/internal/core"
 	"jitgc/internal/ftl"
 	"jitgc/internal/metrics"
-	"jitgc/internal/nand"
 	"jitgc/internal/sim"
 	"jitgc/internal/telemetry"
 	"jitgc/internal/trace"
@@ -42,7 +42,8 @@ type PolicySpec struct {
 	Kind string
 	// Factor sets C_resv = Factor × C_OP for Kind "fixed".
 	Factor float64
-	// JIT tunes the predictors for Kinds "JIT-GC" and "ADP-GC".
+	// JIT tunes the predictors for Kind "JIT-GC" only; the other adaptive
+	// policies run their CDH trackers at the default percentile.
 	JIT core.JITOptions
 	// DisableSIP turns off SIP-list forwarding and SIP-aware victim
 	// selection for Kind "JIT-GC" (ablation).
@@ -80,14 +81,14 @@ func (p PolicySpec) Factory() sim.PolicyFactory {
 		case "A-BGC":
 			return core.NewAggressiveBGC(env.OPBytes()), nil
 		case "fixed":
-			if p.Factor <= 0 {
+			if !(p.Factor > 0 && p.Factor <= math.MaxFloat64) {
 				return nil, fmt.Errorf("jitgc: fixed policy needs a positive factor, got %v", p.Factor)
 			}
 			return core.NewFixedBGC(env.OPBytes(), p.Factor), nil
 		case "ADP-GC":
-			return core.NewADPGC(env.WriteBack, p.JIT)
+			return core.NewADPGC(env.WriteBack)
 		case "TRIM-OP":
-			return core.NewTrimOP(env.WriteBack, env.OPBytes(), p.JIT)
+			return core.NewTrimOP(env.WriteBack, env.OPBytes())
 		case "JIT-GC":
 			j, err := core.NewJITGC(env.Cache, p.JIT)
 			if err != nil {
@@ -118,7 +119,8 @@ type Options struct {
 	// the user capacity, as in the paper.
 	WorkingSetPages int64
 	// Config overrides the simulator configuration; zero value uses
-	// sim.DefaultConfig with preconditioning of the working set.
+	// sim.DefaultConfig with preconditioning of the working set. NAND
+	// fault injection is armed here, through Config.FTL.Fault.
 	Config *sim.Config
 	// Workers bounds how many simulation runs the experiment grids execute
 	// concurrently (each grid cell is an independent Simulator). 0 means
@@ -133,12 +135,6 @@ type Options struct {
 	// concurrent-safe (telemetry.JSONLSink, RingSink and binlog.BinSink
 	// all are).
 	Tracer *telemetry.Tracer
-	// FaultRate, when positive, arms the NAND fault model with this
-	// per-operation failure probability on reads, programs and erases
-	// alike, and switches the FTL's recovery policies on. Each run builds
-	// its own model, seeded with 1, so results stay deterministic and
-	// worker-count independent.
-	FaultRate float64
 	// HostProfile, when non-empty, replaces the named paper benchmark with
 	// a TRIM-rich host profile: "churn" (file create/delete churn with
 	// discard-on-unlink) or "log" (SSDFS-style append-only log with
@@ -214,14 +210,6 @@ func (o Options) simConfig() (sim.Config, int64) {
 	cfg.PreconditionPages = min(max(int64(fillFraction*float64(user)), ws), user)
 	if o.Tracer != nil {
 		cfg.Tracer = o.Tracer
-	}
-	if o.FaultRate > 0 {
-		cfg.FTL.Fault = nand.FaultConfig{
-			Seed:        1,
-			ReadRate:    o.FaultRate,
-			ProgramRate: o.FaultRate,
-			EraseRate:   o.FaultRate,
-		}
 	}
 	return cfg, ws
 }

@@ -1,10 +1,12 @@
 package jitgc
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"jitgc/internal/array"
 	"jitgc/internal/ftl"
 	"jitgc/internal/metrics"
 	"jitgc/internal/sim"
@@ -40,7 +42,9 @@ func TestPolicySpecConstructors(t *testing.T) {
 
 func TestFactoryRejectsBadSpecs(t *testing.T) {
 	cfg := sim.DefaultConfig()
-	for _, spec := range []PolicySpec{{Kind: "bogus"}, {Kind: "fixed", Factor: 0}} {
+	for _, spec := range []PolicySpec{
+		{Kind: "bogus"}, Fixed(0), Fixed(math.NaN()), Fixed(math.Inf(1)),
+	} {
 		if _, err := sim.New(cfg, spec.Factory()); err == nil {
 			t.Errorf("spec %+v accepted", spec)
 		}
@@ -445,5 +449,30 @@ func TestStreamingLatencyAutoThreshold(t *testing.T) {
 	explicit.StreamingLatency = true
 	if !cfgFor(Options{Ops: 100, Config: &explicit}).StreamingLatency {
 		t.Error("explicit streaming config was overridden")
+	}
+}
+
+// TestRebuildUnderFireTraced: the rebuild half of arrayscale streams its
+// events through the experiment's tracer, so a mirror cell's trace shows
+// member 1 degrading and a spare rebuild starting.
+func TestRebuildUnderFireTraced(t *testing.T) {
+	ring, err := telemetry.NewRingSink(1 << 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Seed: 1, Ops: 2000, Tracer: telemetry.New(ring)}.withDefaults()
+	if _, err := runRebuildUnderFire(array.RedundancyMirror, opt); err != nil {
+		t.Fatal(err)
+	}
+	if ring.Total() > int64(len(ring.Events())) {
+		t.Fatalf("ring overflowed: %d events emitted", ring.Total())
+	}
+	var degraded, rebuild bool
+	for _, ev := range ring.Events() {
+		degraded = degraded || ev.Type == telemetry.EvDeviceDegraded && ev.Dev == 1
+		rebuild = rebuild || ev.Type == telemetry.EvRebuild && ev.Action == telemetry.ActionStart
+	}
+	if !degraded || !rebuild {
+		t.Errorf("member 1 degraded traced %v, rebuild start traced %v; want both", degraded, rebuild)
 	}
 }

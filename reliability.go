@@ -42,7 +42,11 @@ func reliability(opt Options) ([]Table, error) {
 	slots, err := gridCells(opt, nRates*nPols, func(i int) (Results, error) {
 		rate, pol := reliabilityRates[i/nPols], reliabilityPolicies[i%nPols]
 		cellOpt := opt
-		cellOpt.FaultRate = rate
+		if rate > 0 {
+			cfg, _ := opt.withDefaults().simConfig()
+			cfg.FTL.Fault = nand.FaultConfig{Seed: 1, ReadRate: rate, ProgramRate: rate, EraseRate: rate}
+			cellOpt.Config = &cfg
+		}
 		res, err := Run("YCSB", pol, cellOpt)
 		if err != nil {
 			return res, fmt.Errorf("reliability %.0e/%s: %w", rate, pol.Kind, err)

@@ -49,7 +49,7 @@ type TrimPointResult struct {
 // sweep it bypasses the page cache — the point is the GC process the
 // analytic curve models — and is deterministic for a fixed seed.
 func RunTrimPoint(q float64, seed int64) (TrimPointResult, error) {
-	if q < 0 || q >= 1 {
+	if !(q >= 0 && q < 1) {
 		return TrimPointResult{}, fmt.Errorf("trim: intensity %v outside [0,1)", q)
 	}
 	cfg := ftl.DefaultConfig()

@@ -1,6 +1,7 @@
 package jitgc
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestTrimPointInsideFrankieBracket(t *testing.T) {
 }
 
 func TestRunTrimPointRejectsBadIntensity(t *testing.T) {
-	for _, q := range []float64{-0.1, 1, 1.5} {
+	for _, q := range []float64{-0.1, 1, 1.5, math.NaN()} {
 		if _, err := RunTrimPoint(q, 1); err == nil {
 			t.Errorf("intensity %v accepted", q)
 		}
