@@ -179,6 +179,11 @@ type FTL struct {
 	gcActive   int    // block receiving GC migrations, -1 if none
 	collecting int    // block collectOnce is emptying, -1 outside a collection
 
+	// victimPages holds the valid pages of the block being collected. Its
+	// capacity is PagesPerBlock, so a collection allocates nothing, and it
+	// is carved from progFails' allocation, so a device costs no extra one.
+	victimPages []int
+
 	idx *victimIndex // incremental GC victim index (index.go)
 
 	lastInvalidate []time.Duration // per block, for cost-benefit selection
@@ -233,6 +238,8 @@ func New(cfg Config) (*FTL, error) {
 	if total-user < minOP {
 		return nil, fmt.Errorf("ftl: OP ratio %v leaves %d OP pages, need ≥ %d", cfg.OPRatio, total-user, minOP)
 	}
+	blocks := geo.TotalBlocks()
+	progFails := make([]int, blocks+geo.PagesPerBlock)
 	f := &FTL{
 		cfg:            cfg,
 		dev:            dev,
@@ -243,10 +250,11 @@ func New(cfg Config) (*FTL, error) {
 		hostActive:     -1,
 		gcActive:       -1,
 		collecting:     -1,
+		victimPages:    progFails[blocks:blocks],
 		lastInvalidate: make([]time.Duration, geo.TotalBlocks()),
 		sipBits:        make([]uint64, (user+63)/64),
 		sipPerBlock:    make([]int, geo.TotalBlocks()),
-		progFails:      make([]int, geo.TotalBlocks()),
+		progFails:      progFails[:blocks:blocks],
 		recoveryOn:     cfg.Recovery.Enabled || cfg.Fault.Enabled(),
 	}
 	if f.recoveryOn {
@@ -546,9 +554,7 @@ func (f *FTL) invalidateMapping(lpn int64) {
 	f.mappedPages--
 	f.lastInvalidate[addr.Block] = f.now
 	if f.onSIPList(lpn) {
-		if f.sipPerBlock[addr.Block] > 0 {
-			f.sipPerBlock[addr.Block]--
-		}
+		f.sipPerBlock[addr.Block]--
 	}
 	// The block's valid count (and possibly its eligibility) changed; the
 	// sync must run after lastInvalidate moves so the bucket champion order

@@ -224,22 +224,25 @@ func (f *FTL) collectOnce(foreground bool) (time.Duration, error) {
 	}
 
 	var total time.Duration
-	ppb := f.cfg.Geometry.PagesPerBlock
-	for page := 0; page < ppb; page++ {
-		addr := nand.PageAddr{Block: victim, Page: page}
-		st, err := f.dev.PageStateAt(addr)
-		if err != nil {
-			finish(total)
-			return total, err
-		}
-		if st != nand.PageValid {
-			continue
-		}
-		d, err := f.migratePage(addr)
+	pages := f.dev.ValidPages(victim, f.victimPages[:0])
+	if f.dev.FaultInjector() == nil {
+		d, err := f.migrateRuns(victim, pages)
 		total += d
 		if err != nil {
 			finish(total)
 			return total, err
+		}
+	} else {
+		// Faults are drawn per operation, so with an injector installed each
+		// page is read, programmed and invalidated on its own (the rule Fill
+		// follows too).
+		for _, page := range pages {
+			d, err := f.migratePage(nand.PageAddr{Block: victim, Page: page})
+			total += d
+			if err != nil {
+				finish(total)
+				return total, err
+			}
 		}
 	}
 
@@ -370,20 +373,58 @@ func (f *FTL) migratePage(src nand.PageAddr) (time.Duration, error) {
 	if err := f.dev.InvalidatePage(src); err != nil {
 		return total, err
 	}
-	dstPPN := dst.PPN(ppb)
+	f.migrated(lpn, srcPPN, dst.PPN(ppb), src.Block, dst.Block)
+	return total, nil
+}
+
+// migrateRuns moves a victim's valid pages, given ascending, to the GC
+// destination stream one destination run at a time: each run fills the
+// active GC block to its end or takes every page left, and costs one
+// nand.Array.Copyback. It leaves exactly the state migratePage on each page
+// leaves when no fault injector is installed, the only case it serves.
+func (f *FTL) migrateRuns(victim int, pages []int) (time.Duration, error) {
+	ppb := f.cfg.Geometry.PagesPerBlock
+	base := int64(victim) * int64(ppb)
+	var total time.Duration
+	for len(pages) > 0 {
+		dst, err := f.allocPage(true)
+		if err != nil {
+			return total, err
+		}
+		run := pages[:min(len(pages), ppb-dst.Page)]
+		d, err := f.dev.Copyback(victim, run, dst)
+		total += d
+		if err != nil {
+			return total, err
+		}
+		f.progFails[dst.Block] = 0
+		dstPPN := dst.PPN(ppb)
+		for i, page := range run {
+			srcPPN := base + int64(page)
+			lpn := f.p2l.at(srcPPN)
+			if lpn == unmapped {
+				panic(fmt.Sprintf("ftl: migrated valid page %d of block %d had no reverse mapping", page, victim))
+			}
+			f.migrated(lpn, srcPPN, dstPPN+int64(i), victim, dst.Block)
+		}
+		pages = pages[len(run):]
+	}
+	return total, nil
+}
+
+// migrated moves lpn's mapping from srcPPN, in block srcBlock, to dstPPN,
+// in block dstBlock, once GC has copied the page, and counts the migration.
+func (f *FTL) migrated(lpn, srcPPN, dstPPN int64, srcBlock, dstBlock int) {
 	f.l2p.set(lpn, dstPPN)
 	f.p2l.set(dstPPN, lpn)
 	f.p2l.set(srcPPN, unmapped)
-
 	f.stats.GCMigrations++
 	if f.onSIPList(lpn) {
 		f.stats.WastedMigrations++
-		// SIP counter moves with the page: decrement source block,
-		// increment destination block.
-		f.sipPerBlock[src.Block]--
-		f.sipPerBlock[dst.Block]++
+		// The SIP counter moves with the page.
+		f.sipPerBlock[srcBlock]--
+		f.sipPerBlock[dstBlock]++
 	}
-	return total, nil
 }
 
 // CollectBackgroundOnce collects a single victim block in background mode,

@@ -3,6 +3,7 @@ package nand
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -51,6 +52,7 @@ const (
 	stateBitsPerPage  = 2
 	statePagesPerWord = 32
 	stateMask         = uint64(0b11)
+	stateLowBits      = uint64(0x5555_5555_5555_5555) // the low bit of every lane
 )
 
 // newStateBits returns an all-PageFree state bitmap for n pages.
@@ -74,7 +76,7 @@ func (s stateBits) set(i int64, st PageState) {
 // whole words are stored outright, and only a range's first and last word
 // need a mask.
 func (s stateBits) setRange(start, n int64, st PageState) {
-	pattern := uint64(st) * 0x5555_5555_5555_5555 // st in every 2-bit lane
+	pattern := uint64(st) * stateLowBits // st in every 2-bit lane
 	for end := start + n; start < end; {
 		lo := start % statePagesPerWord
 		cnt := statePagesPerWord - lo
@@ -369,32 +371,15 @@ func (a *Array) ProgramPage(addr PageAddr, data uint64) (time.Duration, error) {
 // addr, with data's payload tokens in order, and returns the device time
 // consumed. It leaves exactly the state len(data) ProgramPage calls leave —
 // states, tokens, write pointer, valid count and Stats — but checks the run
-// once and writes the page states a word at a time. addr must be the
-// block's next free page and the run must end inside the block. It does not
-// consult a fault injector, so an array with one installed refuses it: the
-// injector's answer is defined per page.
+// once (checkRun) and writes the page states a word at a time.
 func (a *Array) ProgramRun(addr PageAddr, data []uint64) (time.Duration, error) {
 	n := len(data)
 	if n == 0 {
 		return 0, nil
 	}
-	if err := a.checkAddr(addr); err != nil {
+	if err := a.checkRun("program run", addr, n); err != nil {
 		return 0, err
 	}
-	if addr.Page+n > a.geo.PagesPerBlock {
-		return 0, fmt.Errorf("%w: run of %d pages from block %d page %d", ErrBadAddress, n, addr.Block, addr.Page)
-	}
-	if a.injector != nil {
-		return 0, fmt.Errorf("nand: program run on block %d with a fault injector installed", addr.Block)
-	}
-	if a.retired[addr.Block] {
-		return 0, fmt.Errorf("%w: program on retired block %d", ErrWornOut, addr.Block)
-	}
-	if addr.Page != int(a.writePtr[addr.Block]) {
-		return 0, fmt.Errorf("%w: block %d expects page %d, got %d", ErrOutOfOrderProgram, addr.Block, a.writePtr[addr.Block], addr.Page)
-	}
-	// Every page from the write pointer to the end of the block is free: only
-	// an erase rewinds the pointer, and it frees the whole block.
 	pi := a.pageIndex(addr)
 	a.states.setRange(pi, int64(n), PageValid)
 	if a.data != nil {
@@ -406,6 +391,83 @@ func (a *Array) ProgramRun(addr PageAddr, data []uint64) (time.Duration, error) 
 	d := time.Duration(n) * a.timing.ProgramCost()
 	a.stats.BusyTime += d
 	return d, nil
+}
+
+// Copyback moves the valid pages of block src named by pages into
+// len(pages) consecutive pages starting at dst, in order, and returns the
+// device time consumed: the chip-internal copy NAND offers garbage
+// collection. It leaves exactly the state one ReadPage, ProgramPage and
+// InvalidatePage per page leave — states, tokens, valid counts, write
+// pointer and Stats (a read and a program per page) — but checks the run
+// once (checkRun) and writes the destination states a word at a time.
+// pages must be ascending indexes of valid pages, as ValidPages returns
+// them. A refused call changes nothing.
+func (a *Array) Copyback(src int, pages []int, dst PageAddr) (time.Duration, error) {
+	n := len(pages)
+	if n == 0 {
+		return 0, nil
+	}
+	if src < 0 || src >= a.nblocks {
+		return 0, fmt.Errorf("%w: copyback from block %d", ErrBadAddress, src)
+	}
+	if err := a.checkRun("copyback", dst, n); err != nil {
+		return 0, err
+	}
+	base := int64(src) * a.ppb
+	prev := -1
+	for _, p := range pages {
+		if p <= prev || p >= a.geo.PagesPerBlock {
+			return 0, fmt.Errorf("%w: copyback of block %d page %d after page %d", ErrBadAddress, src, p, prev)
+		}
+		if st := a.states.get(base + int64(p)); st != PageValid {
+			return 0, fmt.Errorf("nand: copyback of block %d page %d in state %v", src, p, st)
+		}
+		prev = p
+	}
+	// The source pages are valid, so they lie below src's write pointer and
+	// never overlap the destination run, even when src is dst's block.
+	di := a.pageIndex(dst)
+	a.states.setRange(di, int64(n), PageValid)
+	for i, p := range pages {
+		si := base + int64(p)
+		a.states.set(si, PageInvalid)
+		if a.data != nil {
+			a.data[di+int64(i)] = a.data[si]
+		}
+	}
+	a.valid[src] -= int32(n)
+	a.writePtr[dst.Block] += int32(n)
+	a.valid[dst.Block] += int32(n)
+	a.stats.Reads += int64(n)
+	a.stats.Programs += int64(n)
+	d := time.Duration(n) * a.timing.MigrateCost()
+	a.stats.BusyTime += d
+	return d, nil
+}
+
+// checkRun checks that n pages from addr can be programmed as one run: addr
+// is in range, the run ends inside the block, no fault injector is
+// installed (its answer is defined per page, so runs refuse it), the block
+// is not retired, and addr is the block's next free page. Every page from
+// the write pointer to the end of the block is then free: only an erase
+// rewinds the pointer, and it frees the whole block.
+func (a *Array) checkRun(op string, addr PageAddr, n int) error {
+	if err := a.checkAddr(addr); err != nil {
+		return err
+	}
+	if addr.Page+n > a.geo.PagesPerBlock {
+		return fmt.Errorf("%w: %s of %d pages from block %d page %d", ErrBadAddress, op, n, addr.Block, addr.Page)
+	}
+	if a.injector != nil {
+		return fmt.Errorf("nand: %s on block %d with a fault injector installed", op, addr.Block)
+	}
+	if a.retired[addr.Block] {
+		return fmt.Errorf("%w: %s on retired block %d", ErrWornOut, op, addr.Block)
+	}
+	if addr.Page != int(a.writePtr[addr.Block]) {
+		return fmt.Errorf("%w: block %d expects page %d, got %d", ErrOutOfOrderProgram, addr.Block, a.writePtr[addr.Block], addr.Page)
+	}
+	return nil
 }
 
 // FaultInjector returns the installed fault injector, or nil.
@@ -495,6 +557,31 @@ func (a *Array) PageStateAt(addr PageAddr) (PageState, error) {
 		return PageFree, err
 	}
 	return a.states.get(a.pageIndex(addr)), nil
+}
+
+// ValidPages appends the indexes of a block's valid pages to buf in
+// ascending order and returns the extended slice. It reads the page states
+// a word at a time, so a block costs ⌈P/32⌉+1 word reads whatever its valid
+// count, and it allocates nothing when buf has room for ValidCount(block)
+// more pages. block must be in range, as for ValidCount.
+func (a *Array) ValidPages(block int, buf []int) []int {
+	start := int64(block) * a.ppb
+	end := start + a.ppb
+	for w := start / statePagesPerWord; w*statePagesPerWord < end; w++ {
+		word := a.states[w]
+		valid := word & stateLowBits &^ (word >> 1) // lanes holding 0b01
+		lo := w * statePagesPerWord
+		if lo < start {
+			valid &^= 1<<(uint(start-lo)*stateBitsPerPage) - 1
+		}
+		if end-lo < statePagesPerWord {
+			valid &= 1<<(uint(end-lo)*stateBitsPerPage) - 1
+		}
+		for ; valid != 0; valid &= valid - 1 {
+			buf = append(buf, int(lo+int64(bits.TrailingZeros64(valid)/stateBitsPerPage)-start))
+		}
+	}
+	return buf
 }
 
 // ValidCount returns the number of valid pages in a block.

@@ -7,6 +7,14 @@
 // JIT-GC paper (Hahn, Lee, Kim — DAC 2015): it reproduces the behaviour GC
 // policies react to — page programs, valid-page migration costs, and block
 // erases — under a deterministic, configurable geometry.
+//
+// Beside the per-page operations (ReadPage, ProgramPage, InvalidatePage)
+// the array offers two checked run operations that leave exactly the state
+// the per-page sequence leaves: ProgramRun, which preconditioning uses, and
+// Copyback, the chip-internal copy garbage collection moves a victim's valid
+// pages (ValidPages lists them) with, one destination run at a time. A
+// fault injector answers per operation, so both refuse to run while one is
+// installed; callers then take the per-page path, which is the fault path.
 package nand
 
 import (
