@@ -12,7 +12,7 @@
 GO ?= go
 COVERAGE_BASELINE := $(shell cat ci/coverage-baseline.txt)
 
-.PHONY: ci build vet fmt-check test test-race bench-test coverage-gate fuzz loc loc-diff test-times
+.PHONY: ci build vet fmt-check test test-race bench-test coverage-gate fuzz loc loc-diff ftl-bench-diff test-times
 
 ci: build vet fmt-check test-race bench-test coverage-gate
 
@@ -89,6 +89,42 @@ loc-diff:
 		{ after[$$0] = n; row($$0, $$0 in before ? before[$$0] : 0, n) } \
 		function row(k, b, a) { printf "%7d %7d %+7d  %s\n", b, a, a - b, k } \
 	' "$$tmp/before" "$$tmp/after"
+
+# The FTL micro-benchmarks BenchmarkVictimSelect and
+# BenchmarkSteadyStateWrite at REV (git archive into a temp dir) beside the
+# working tree's: N rounds (default 5) of -benchtime 20000x per side, the
+# side that runs first alternating by round, then one row per sub-benchmark
+# with each side's median ns/op and their ratio (now/REV); "-" marks a
+# sub-benchmark one side lacks. Not part of ci: these benchmarks have no
+# baseline to gate on, and their timings vary from run to run.
+N ?= 5
+FTL_BENCH := ^(BenchmarkVictimSelect|BenchmarkSteadyStateWrite)$$
+ftl-bench-diff:
+	@[ -n "$(REV)" ] || { echo "usage: make ftl-bench-diff REV=<rev> [N=5]"; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir "$$tmp/tree" && git archive "$(REV)" | tar -x -C "$$tmp/tree" && \
+	(cd "$$tmp/tree" && $(GO) test -c -o "$$tmp/rev.test" ./internal/ftl) && \
+	$(GO) test -c -o "$$tmp/now.test" ./internal/ftl && \
+	for i in $$(seq $(N)); do \
+		sides="now rev"; [ $$((i % 2)) -eq 0 ] && sides="rev now"; \
+		for side in $$sides; do \
+			dir=internal/ftl; [ $$side = rev ] && dir="$$tmp/tree/internal/ftl"; \
+			(cd "$$dir" && "$$tmp/$$side.test" -test.run '^$$' -test.bench '$(FTL_BENCH)' \
+				-test.benchtime 20000x -test.timeout 10m) > "$$tmp/out" || { cat "$$tmp/out"; exit 1; }; \
+			awk -v side=$$side '/^Benchmark/ { print side, $$1, $$3 }' "$$tmp/out" >> "$$tmp/results"; \
+		done; \
+	done && \
+	awk -v rev="$(REV)" -v rounds=$(N) ' \
+		function med(s, k,   m, i, j, a, t) { \
+			m = n[s, k]; if (!m) return "-"; \
+			for (i = 1; i <= m; i++) { t = v[s, k, i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } \
+			return m % 2 ? a[(m + 1) / 2] : (a[m / 2] + a[m / 2 + 1]) / 2 } \
+		{ v[$$1, $$2, ++n[$$1, $$2]] = $$3; if (!($$2 in seen)) { seen[$$2] = 1; order[++nk] = $$2 } } \
+		END { \
+			printf "%-52s %12s %12s %7s\n", "ns/op (median of " rounds " runs)", rev, "now", "ratio"; \
+			for (i = 1; i <= nk; i++) { k = order[i]; b = med("rev", k); a = med("now", k); \
+				printf "%-52s %12s %12s %7s\n", k, b, a, (b == "-" || a == "-") ? "-" : sprintf("%.2f", a / b) } } \
+	' "$$tmp/results"
 
 # The 20 slowest tests of one uncached run of the suite, with package and
 # seconds, slowest first (subtests included): the per-test time table a

@@ -196,10 +196,9 @@ func (f *FTL) CheckConsistency() error {
 // truth: the free-pool bitmap mirrors the pool, index membership equals
 // the eligibility predicate (in particular, retired and pooled blocks are
 // absent), every member's leaf key names its own block and the device's
-// valid count, every bucket holds exactly the members of its valid count
-// with intact links and an exact champion, the size/valid-sum aggregates
-// balance, every internal tournament node is the minimum of its children,
-// and the root is the reference greedy victim.
+// valid count, the size/valid-sum aggregates equal a recount from the
+// leaves, the padding leaves are empty, every internal tournament node is
+// the minimum of its children, and the root is the reference greedy victim.
 func (f *FTL) checkVictimIndex() error {
 	geo := f.cfg.Geometry
 	ix := f.idx
@@ -215,7 +214,7 @@ func (f *FTL) checkVictimIndex() error {
 		}
 	}
 
-	refGreedy := -1
+	refGreedy, members, sumValid := -1, 0, int64(0)
 	for b := 0; b < geo.TotalBlocks(); b++ {
 		want := f.indexEligible(b)
 		if ix.contains(b) != want {
@@ -239,38 +238,12 @@ func (f *FTL) checkVictimIndex() error {
 		if refGreedy < 0 || f.dev.ValidCount(b) < f.dev.ValidCount(refGreedy) {
 			refGreedy = b
 		}
+		members++
+		sumValid += int64(ix.valid(b))
 	}
 
-	members, sumValid := 0, int64(0)
-	for v := 0; v < geo.PagesPerBlock; v++ {
-		champ := int32(-1)
-		prev := int32(-1)
-		for m := ix.bhead[v]; m >= 0; m = ix.next[m] {
-			b := int(m)
-			if !ix.contains(b) || ix.valid(b) != v {
-				return fmt.Errorf("ftl: block %d threaded on bucket %d (member %v, valid %d)",
-					b, v, ix.contains(b), ix.valid(b))
-			}
-			if ix.prev[b] != prev {
-				return fmt.Errorf("ftl: bucket %d member %d has prev %d, want %d",
-					v, b, ix.prev[b], prev)
-			}
-			if champ < 0 || ix.older(b, int(champ)) {
-				champ = m
-			}
-			members++
-			sumValid += int64(v)
-			if members > ix.size {
-				return fmt.Errorf("ftl: bucket lists hold more than the %d indexed blocks (cycle?)", ix.size)
-			}
-			prev = m
-		}
-		if ix.champ[v] != champ {
-			return fmt.Errorf("ftl: bucket %d champion %d, recomputed %d", v, ix.champ[v], champ)
-		}
-	}
 	if members != ix.size {
-		return fmt.Errorf("ftl: index size %d but buckets hold %d blocks", ix.size, members)
+		return fmt.Errorf("ftl: index size %d but %d leaves hold members", ix.size, members)
 	}
 	if sumValid != ix.sumValid {
 		return fmt.Errorf("ftl: index valid-page sum %d, recount says %d", ix.sumValid, sumValid)

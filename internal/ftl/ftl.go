@@ -267,7 +267,7 @@ func New(cfg Config) (*FTL, error) {
 		f.freeBlocks[i] = i
 		f.inFreePool[i] = true
 	}
-	f.idx = newVictimIndex(geo.TotalBlocks(), geo.PagesPerBlock, f.lastInvalidate)
+	f.idx = newVictimIndex(geo.TotalBlocks(), geo.PagesPerBlock)
 	return f, nil
 }
 
@@ -556,9 +556,7 @@ func (f *FTL) invalidateMapping(lpn int64) {
 	if f.onSIPList(lpn) {
 		f.sipPerBlock[addr.Block]--
 	}
-	// The block's valid count (and possibly its eligibility) changed; the
-	// sync must run after lastInvalidate moves so the bucket champion order
-	// sees the new age.
+	// The block's valid count (and possibly its eligibility) changed.
 	f.syncIndex(addr.Block)
 }
 

@@ -9,9 +9,11 @@ import (
 )
 
 // Selector is the GC victim selection rule. The victim index answers each
-// of the three without a candidate scan; every answer equals a full scan of
-// the eligible blocks under the same rule, tie-breaks included (the
-// reference selectors in gc_test.go).
+// of the three without allocating: greedy from its root, SIP-greedy by a
+// walk of the blocks near the greedy choice, cost-benefit by a walk of
+// every candidate. Every answer equals a full scan of the eligible blocks
+// under the same rule, tie-breaks included (the reference selectors in
+// gc_test.go).
 type Selector uint8
 
 const (
@@ -119,12 +121,11 @@ func (f *FTL) pickVictim(foreground bool) (victim int, ok bool) {
 	return choice, true
 }
 
-// costBenefitVictim evaluates the cost-benefit policy over the index's
-// bucket champions. Within a bucket every member shares the utilization
-// term, so the score is maximized by the smallest (lastInvalidate, index)
-// — exactly the cached champion — and the full-scan winner is always some
-// bucket's champion. A fully-invalid block short-circuits, as in the
-// full-scan reference; the tree root is the lowest-indexed such block.
+// costBenefitVictim evaluates the cost-benefit policy over every member,
+// with the full-scan reference's rule: the highest score, ties to the lower
+// block, which the ascending walk gives by replacing only on a strictly
+// higher score. A fully-invalid block short-circuits, as in the reference;
+// the tree root is the lowest-indexed such block.
 func (f *FTL) costBenefitVictim() int {
 	ix := f.idx
 	root := ix.greedyVictim()
@@ -133,54 +134,40 @@ func (f *FTL) costBenefitVictim() int {
 	}
 	ppb := float64(f.cfg.Geometry.PagesPerBlock)
 	best, bestScore := -1, -1.0
-	for v := 1; v < ix.ppb; v++ {
-		c := ix.champ[v]
-		if c < 0 {
-			continue
-		}
-		b := int(c)
+	ix.each(ix.ppb-1, func(b, v int) {
 		age := f.now - f.lastInvalidate[b]
 		if age < 0 {
 			age = 0
 		}
 		u := float64(v) / ppb
-		score := float64(age) * (1 - u) / (2 * u)
-		if score > bestScore || (score == bestScore && b < best) {
+		if score := float64(age) * (1 - u) / (2 * u); score > bestScore {
 			best, bestScore = b, score
 		}
-	}
+	})
 	return best
 }
 
 // sipGreedyVictim evaluates SIP-aware selection with taint threshold
-// maxFraction over the bounded bucket frontier Valid ≤ greedy+slack,
-// walking only the blocks a migration-cost budget could ever justify —
-// cold buckets beyond the slack are never touched. The comparison chain
-// matches the full-scan reference term for term. Production passes
-// sipMaxFraction and sipSlackPages; tests also drive harder settings.
+// maxFraction over the bounded frontier Valid ≤ greedy+slack, walking only
+// the blocks a migration-cost budget could ever justify — subtrees holding
+// no block within the slack are never entered. The comparison chain matches
+// the full-scan reference term for term. Production passes sipMaxFraction
+// and sipSlackPages; tests also drive harder settings.
 func (f *FTL) sipGreedyVictim(greedy int, maxFraction float64, slack int) int {
-	ix := f.idx
-	gv := ix.valid(greedy)
+	gv := f.idx.valid(greedy)
 	gs := f.sipPerBlock[greedy]
 	if gv == 0 || float64(gs)/float64(gv) <= maxFraction {
 		return greedy // not tainted enough to pay anything for
 	}
 	best, bestSIP, bestValid := greedy, gs, gv
-	limit := gv + slack
-	if limit > ix.ppb-1 {
-		limit = ix.ppb - 1
-	}
-	for v := 0; v <= limit; v++ {
-		for m := ix.bhead[v]; m >= 0; m = ix.next[m] {
-			b := int(m)
-			sv := f.sipPerBlock[b]
-			if sv < bestSIP ||
-				(sv == bestSIP && v < bestValid) ||
-				(sv == bestSIP && v == bestValid && b < best) {
-				best, bestSIP, bestValid = b, sv, v
-			}
+	f.idx.each(gv+slack, func(b, v int) {
+		sv := f.sipPerBlock[b]
+		if sv < bestSIP ||
+			(sv == bestSIP && v < bestValid) ||
+			(sv == bestSIP && v == bestValid && b < best) {
+			best, bestSIP, bestValid = b, sv, v
 		}
-	}
+	})
 	return best
 }
 

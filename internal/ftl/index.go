@@ -1,39 +1,30 @@
 package ftl
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // victimIndex incrementally maintains the set of GC-eligible blocks — the
-// exact set a full scan would enumerate — so victim selection never walks
-// cold blocks and never allocates. It answers the
-// three Selector kinds without materializing a candidate slice:
+// exact set a full scan would enumerate — as one tournament tree over all
+// blocks, so victim selection never allocates. A node is a packed
+// valid<<32|block key (emptyKey for a non-member), so the lexicographic
+// (valid pages, block index) order is one integer comparison, a match is
+// one min, and every node holds its subtree's minimum key. It answers the
+// three Selector kinds:
 //
-//   - Greedy: a tournament tree over all blocks holds the greedy winner at
-//     its root. A node is a packed valid<<32|block key (emptyKey for a
-//     non-member), so the lexicographic (valid pages, block index) order is
-//     one integer comparison and a match is one min. Reads are O(1).
-//   - Cost-Benefit: blocks are threaded onto doubly-linked buckets keyed
-//     by valid-page count. Each bucket caches its champion — the member
-//     minimizing (lastInvalidate, index), which is the bucket's maximum
-//     cost-benefit score with the scan tie-break — so a selection compares
-//     at most PagesPerBlock champions instead of every block.
-//   - SIP-Greedy: the bounded frontier of buckets within sipSlackPages of
-//     the greedy choice is walked directly; blocks outside it are never
-//     touched.
+//   - Greedy: the root is the greedy winner. O(1).
+//   - SIP-Greedy: each walks the members within sipSlackPages of the
+//     greedy choice, skipping every subtree whose minimum lies above that
+//     bound; blocks outside the frontier are passed over a subtree at a
+//     time.
+//   - Cost-Benefit: each walks every member (the ablation-only path).
 //
-// Updates are O(1) for the bucket links. A tree update replays matches from
-// the leaf only as far as they change a node: log2(B) levels at worst, but
-// a block that is not its subtree's minimum stops at the first node its
-// sibling subtree already wins, so the mean is a small constant
-// independent of B (TestInvalidationRewritesFewNodes). The other amortized
-// operation is re-scanning a bucket when its cached champion leaves; the
-// champion is the bucket's oldest member, so under random traffic the
-// rescan triggers on ~1/len(bucket) of removals.
+// A tree update replays matches from the leaf only as far as they change a
+// node: log2(B) levels at worst, but a block that is not its subtree's
+// minimum stops at the first node its sibling subtree already wins, so the
+// mean is a small constant independent of B
+// (TestInvalidationRewritesFewNodes).
 //
-// The leaf key is also the index's only record of membership and of a
-// member's valid count. The block a collection is emptying is not a member:
+// The leaf key is the index's only record of membership and of a member's
+// valid count. The block a collection is emptying is not a member:
 // collectOnce takes it out for the duration, so its per-page invalidations
 // never reach the tree.
 //
@@ -42,14 +33,7 @@ import (
 // golden renderings depend on this, and the differential property test in
 // index_test.go plus CheckConsistency's index invariants enforce it.
 type victimIndex struct {
-	ppb     int
-	lastInv []time.Duration // shared with the owning FTL; never reallocated
-
-	next  []int32 // bucket forward links, -1 terminated
-	prev  []int32 // bucket backward links, -1 at head
-	bhead []int32 // bucket heads per valid count v in [0, ppb-1], -1 empty
-	champ []int32 // per bucket: member minimizing (lastInv, index), -1 empty
-
+	ppb      int
 	size     int   // number of member blocks
 	sumValid int64 // sum of members' valid counts, for GC bandwidth estimation
 
@@ -64,48 +48,21 @@ const emptyKey = ^uint64(0)
 // packKey builds the tournament key of block b holding valid valid pages.
 func packKey(b, valid int) uint64 { return uint64(valid)<<32 | uint64(uint32(b)) }
 
-// newVictimIndex builds an empty index over nblocks blocks of ppb pages,
-// sharing the FTL's lastInvalidate slice for champion ordering.
-func newVictimIndex(nblocks, ppb int, lastInv []time.Duration) *victimIndex {
+// newVictimIndex builds an empty index over nblocks blocks of ppb pages.
+func newVictimIndex(nblocks, ppb int) *victimIndex {
 	leafBase := 1
 	for leafBase < nblocks {
 		leafBase <<= 1
 	}
-	ix := &victimIndex{
-		ppb:      ppb,
-		lastInv:  lastInv,
-		next:     make([]int32, nblocks),
-		prev:     make([]int32, nblocks),
-		bhead:    make([]int32, ppb),
-		champ:    make([]int32, ppb),
-		leafBase: leafBase,
-		tree:     make([]uint64, 2*leafBase),
-	}
-	ix.reset()
-	return ix
-}
-
-// reset empties the index in place; newVictimIndex starts from it.
-func (ix *victimIndex) reset() {
-	for i := range ix.bhead {
-		ix.bhead[i] = -1
-		ix.champ[i] = -1
-	}
+	ix := &victimIndex{ppb: ppb, leafBase: leafBase, tree: make([]uint64, 2*leafBase)}
 	for i := range ix.tree {
 		ix.tree[i] = emptyKey
 	}
-	ix.size = 0
-	ix.sumValid = 0
+	return ix
 }
 
-// bytes returns the heap footprint of the index's arrays (the shared
-// lastInvalidate slice is charged to the FTL, not here).
-func (ix *victimIndex) bytes() int64 {
-	n := int64(len(ix.next)) * (4 + 4)  // next, prev
-	n += int64(len(ix.bhead)) * (4 + 4) // bhead, champ
-	n += int64(len(ix.tree)) * 8
-	return n
-}
+// bytes returns the heap footprint of the index.
+func (ix *victimIndex) bytes() int64 { return int64(len(ix.tree)) * 8 }
 
 // greedyVictim returns the member minimizing (valid, index) — the exact
 // greedy choice — or -1 when the index is empty. O(1).
@@ -122,6 +79,30 @@ func (ix *victimIndex) contains(b int) bool { return ix.tree[ix.leafBase+b] != e
 // valid returns member b's valid-page count as the index last saw it.
 func (ix *victimIndex) valid(b int) int { return int(ix.tree[ix.leafBase+b] >> 32) }
 
+// each calls fn(b, valid) for every member b holding at most limit valid
+// pages, in ascending block order. A subtree whose minimum key is at or
+// above (limit+1)<<32 holds no such member and is skipped whole. The
+// depth-first stack is a fixed array (a tree over 2^31 blocks is 32 levels
+// deep), so a walk allocates nothing.
+func (ix *victimIndex) each(limit int, fn func(b, valid int)) {
+	bound := uint64(limit+1) << 32
+	var stack [64]int
+	stack[0] = 1
+	for n := 1; n > 0; {
+		n--
+		i := stack[n]
+		if ix.tree[i] >= bound {
+			continue
+		}
+		if i >= ix.leafBase {
+			fn(i-ix.leafBase, int(ix.tree[i]>>32))
+			continue
+		}
+		stack[n], stack[n+1] = 2*i+1, 2*i // left child on top: block order
+		n += 2
+	}
+}
+
 // insert adds block b with the given valid count.
 func (ix *victimIndex) insert(b, valid int) {
 	if ix.contains(b) {
@@ -130,7 +111,6 @@ func (ix *victimIndex) insert(b, valid int) {
 	if valid < 0 || valid >= ix.ppb {
 		panic(fmt.Sprintf("ftl: victim index insert of block %d with valid %d", b, valid))
 	}
-	ix.bucketInsert(b, valid)
 	ix.size++
 	ix.sumValid += int64(valid)
 	ix.setLeaf(b, packKey(b, valid))
@@ -141,71 +121,20 @@ func (ix *victimIndex) remove(b int) {
 	if !ix.contains(b) {
 		panic(fmt.Sprintf("ftl: victim index remove of absent block %d", b))
 	}
-	old := ix.valid(b)
-	ix.bucketRemove(b, old)
 	ix.size--
-	ix.sumValid -= int64(old)
+	ix.sumValid -= int64(ix.valid(b))
 	ix.setLeaf(b, emptyKey)
 }
 
-// updateValid moves member b to the bucket of its new valid count. A
-// no-op when the count is unchanged: lastInvalidate only moves together
-// with a valid-count change, so an equal count means an identical key.
+// updateValid rekeys member b to its new valid count; a no-op when the
+// count is unchanged.
 func (ix *victimIndex) updateValid(b, valid int) {
 	old := ix.valid(b)
 	if old == valid {
 		return
 	}
-	ix.bucketRemove(b, old)
-	ix.bucketInsert(b, valid)
 	ix.sumValid += int64(valid - old)
 	ix.setLeaf(b, packKey(b, valid))
-}
-
-// older reports whether a precedes c in champion order: ascending
-// (lastInvalidate, index). The oldest last invalidation maximizes the
-// cost-benefit age term; the index tie-break mirrors the full scan's.
-func (ix *victimIndex) older(a, c int) bool {
-	la, lc := ix.lastInv[a], ix.lastInv[c]
-	if la != lc {
-		return la < lc
-	}
-	return a < c
-}
-
-// bucketInsert links b at the head of bucket v and refreshes the champion.
-func (ix *victimIndex) bucketInsert(b, v int) {
-	h := ix.bhead[v]
-	ix.next[b], ix.prev[b] = h, -1
-	if h >= 0 {
-		ix.prev[h] = int32(b)
-	}
-	ix.bhead[v] = int32(b)
-	if c := ix.champ[v]; c < 0 || ix.older(b, int(c)) {
-		ix.champ[v] = int32(b)
-	}
-}
-
-// bucketRemove unlinks b from bucket v, re-scanning for a new champion
-// only when b held the title.
-func (ix *victimIndex) bucketRemove(b, v int) {
-	if p := ix.prev[b]; p >= 0 {
-		ix.next[p] = ix.next[b]
-	} else {
-		ix.bhead[v] = ix.next[b]
-	}
-	if n := ix.next[b]; n >= 0 {
-		ix.prev[n] = ix.prev[b]
-	}
-	if int(ix.champ[v]) == b {
-		best := int32(-1)
-		for m := ix.bhead[v]; m >= 0; m = ix.next[m] {
-			if best < 0 || ix.older(int(m), int(best)) {
-				best = m
-			}
-		}
-		ix.champ[v] = best
-	}
 }
 
 // setLeaf writes b's tree leaf and replays its matches toward the root,
@@ -235,9 +164,9 @@ func (f *FTL) indexEligible(b int) bool {
 		!f.dev.Retired(b) && f.dev.WritePtr(b) >= ppb && f.dev.ValidCount(b) < ppb
 }
 
-// syncIndex reconciles block b's index membership and bucket after any
-// state change that can affect its eligibility or key. All FTL mutation
-// paths funnel through this hook.
+// syncIndex reconciles block b's index membership and valid count after
+// any state change that can affect either. All FTL mutation paths funnel
+// through this hook.
 func (f *FTL) syncIndex(b int) {
 	if f.indexEligible(b) {
 		if f.idx.contains(b) {

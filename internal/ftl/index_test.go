@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -192,9 +193,54 @@ func steadyFTL(tb testing.TB, cfg Config) *FTL {
 	return f
 }
 
-// TestSelectVictimZeroAlloc enforces the tentpole claim for every Selector
-// kind, foreground and background: a victim selection in steady state
-// performs zero heap allocations.
+// taintedSteadyFTL builds a steady-state FTL whose greedy victim holds
+// valid pages and is tainted: random overwrites spread the candidates over
+// many valid counts, background collections take every fully-invalid
+// block, and taintGreedy lists every other LPN.
+// Selections on it run the walks, not the early returns: cost-benefit walks
+// every member and SIP-greedy walks its frontier.
+func taintedSteadyFTL(t *testing.T, sel Selector) *FTL {
+	t.Helper()
+	cfg := quickGeometry()
+	cfg.Selector = sel
+	f := steadyFTL(t, cfg)
+	rng := rand.New(rand.NewSource(1))
+	f.SetNow(time.Second)
+	for i := int64(0); i < f.UserPages(); i++ {
+		if _, _, err := f.Write(rng.Int63n(f.UserPages())); err != nil {
+			t.Fatalf("overwrite: %v", err)
+		}
+	}
+	f.SetNow(2 * time.Second)
+	for f.idx.size > 0 && f.idx.valid(f.idx.greedyVictim()) == 0 {
+		if _, _, err := f.CollectBackgroundOnce(); err != nil {
+			t.Fatalf("CollectBackgroundOnce: %v", err)
+		}
+	}
+	taintGreedy(t, f)
+	return f
+}
+
+// taintGreedy lists every other LPN and fails unless that puts more than
+// sipMaxFraction of the greedy victim's valid pages on the SIP list.
+func taintGreedy(tb testing.TB, f *FTL) {
+	tb.Helper()
+	var every []int64
+	for lpn := int64(0); lpn < f.UserPages(); lpn += 2 {
+		every = append(every, lpn)
+	}
+	f.UpdateSIP(true, every, nil)
+	g := f.idx.greedyVictim()
+	if g < 0 || float64(f.sipPerBlock[g]) <= sipMaxFraction*float64(f.idx.valid(g)) {
+		tb.Fatalf("greedy victim %d (valid %d, SIP %d) is not tainted", g, f.idx.valid(g), f.sipPerBlock[g])
+	}
+}
+
+// TestSelectVictimZeroAlloc enforces the claim for every Selector kind,
+// foreground and background: a victim selection in steady state performs
+// zero heap allocations, walks included. The greedy victim holds valid SIP
+// pages, so cost-benefit walks every member and SIP-greedy walks its
+// frontier and filters (FilteredSelections grows).
 func TestSelectVictimZeroAlloc(t *testing.T) {
 	selectors := []struct {
 		name string
@@ -206,10 +252,8 @@ func TestSelectVictimZeroAlloc(t *testing.T) {
 	}
 	for _, tc := range selectors {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := quickGeometry()
-			cfg.Selector = tc.sel
-			f := steadyFTL(t, cfg)
-			f.UpdateSIP(true, []int64{1, 5, 9, 13}, nil) // give SIP filtering something to chew
+			f := taintedSteadyFTL(t, tc.sel)
+			before := f.Stats().FilteredSelections
 			for _, fg := range []bool{false, true} {
 				if avg := testing.AllocsPerRun(200, func() {
 					if _, ok := f.pickVictim(fg); !ok {
@@ -219,7 +263,55 @@ func TestSelectVictimZeroAlloc(t *testing.T) {
 					t.Errorf("pickVictim(foreground=%v) allocates %.2f times per op, want 0", fg, avg)
 				}
 			}
+			if filtered := f.Stats().FilteredSelections > before; filtered != (tc.sel == SIPGreedy) {
+				t.Errorf("FilteredSelections grew: %v, want %v", filtered, tc.sel == SIPGreedy)
+			}
 		})
+	}
+}
+
+// TestEachVisitsMembersUpToLimit pins the walk both non-greedy selectors
+// run: for every limit in [0, PagesPerBlock], on random index states from
+// the differential sweep's geometries, each visits exactly the members
+// holding at most limit valid pages, each once, in ascending block order,
+// with the valid count the leaf holds — and allocates nothing.
+func TestEachVisitsMembersUpToLimit(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		m := newFTLModelOn(t, seed, sweepGeometry(seed))
+		ix := m.f.idx
+		for step := 0; step < 150; step++ {
+			m.step()
+			if step%10 != 9 {
+				continue
+			}
+			for limit := 0; limit <= ix.ppb; limit++ {
+				var want, got []int
+				for b := 0; b < m.f.cfg.Geometry.TotalBlocks(); b++ {
+					if ix.contains(b) && ix.valid(b) <= limit {
+						want = append(want, b)
+					}
+				}
+				ix.each(limit, func(b, valid int) {
+					if valid != ix.valid(b) {
+						t.Fatalf("seed %d limit %d: block %d visited with valid %d, leaf says %d",
+							seed, limit, b, valid, ix.valid(b))
+					}
+					got = append(got, b)
+				})
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d limit %d: each visits %v, want %v", seed, step, limit, got, want)
+				}
+				visits := 0
+				if avg := testing.AllocsPerRun(5, func() {
+					ix.each(limit, func(int, int) { visits++ })
+				}); avg != 0 {
+					t.Fatalf("each(%d) allocates %.2f times per walk, want 0", limit, avg)
+				}
+				if visits != 6*len(want) { // AllocsPerRun adds a warm-up call
+					t.Fatalf("each(%d) made %d visits over 6 walks, want %d", limit, visits, 6*len(want))
+				}
+			}
+		}
 	}
 }
 
@@ -318,10 +410,6 @@ func TestCheckConsistencyVictimIndexViolations(t *testing.T) {
 		{"stale cached valid count", func(t *testing.T, f *FTL) {
 			f.idx.tree[f.idx.leafBase+anyIndexed(t, f)] += 1 << 32
 		}, "index caches"},
-		{"champion corrupted", func(t *testing.T, f *FTL) {
-			b := anyIndexed(t, f)
-			f.idx.champ[f.idx.valid(b)] = -1
-		}, "champion"},
 		{"tournament leaf corrupted", func(t *testing.T, f *FTL) {
 			// The key's low half names another block.
 			f.idx.tree[f.idx.leafBase+anyIndexed(t, f)] ^= 1
@@ -397,7 +485,7 @@ func TestVictimIndexPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	ix := newVictimIndex(8, 4, make([]time.Duration, 8))
+	ix := newVictimIndex(8, 4)
 	ix.insert(3, 2)
 	mustPanic("double insert", func() { ix.insert(3, 1) })
 	mustPanic("insert with valid == PagesPerBlock", func() { ix.insert(4, 4) })
@@ -421,8 +509,8 @@ func benchGeometry(blocks int) Config {
 }
 
 // benchSteadyFTL preconditions a device of the given size into GC steady
-// state with a skewed overwrite pass, so candidate blocks spread over many
-// valid-count buckets.
+// state with a random overwrite pass, so candidate blocks spread over many
+// valid counts.
 func benchSteadyFTL(b testing.TB, blocks int, sel Selector) *FTL {
 	b.Helper()
 	cfg := benchGeometry(blocks)
@@ -450,23 +538,31 @@ func benchSteadyFTL(b testing.TB, blocks int, sel Selector) *FTL {
 }
 
 // BenchmarkVictimSelect measures one background victim selection at
-// increasing device sizes. The acceptance criterion is scaling, not a
-// point value: greedy reads the tournament root in O(1) and cost-benefit
-// walks at most PagesPerBlock bucket champions, so ns/op must stay flat
-// as the block count grows 16× — the full scan this replaced grew
-// linearly. Allocations must be zero at every size.
+// increasing device sizes, with zero allocations at every size. Greedy reads
+// the tournament root, so its ns/op must stay flat as the block count grows
+// 16×. Cost-benefit walks every member, so its ns/op grows linearly. A
+// SIP-greedy selection with no SIP list installed returns the greedy choice;
+// with every other LPN listed ("sipgreedy-tainted") the greedy victim is
+// tainted and the selection walks the frontier of blocks within
+// sipSlackPages of it, as JIT-GC runs do, so its cost follows the frontier,
+// not the device.
 func BenchmarkVictimSelect(b *testing.B) {
 	for _, tc := range []struct {
-		name string
-		sel  Selector
+		name    string
+		sel     Selector
+		tainted bool
 	}{
-		{"greedy", Greedy},
-		{"costbenefit", CostBenefit},
-		{"sipgreedy", SIPGreedy},
+		{"greedy", Greedy, false},
+		{"costbenefit", CostBenefit, false},
+		{"sipgreedy", SIPGreedy, false},
+		{"sipgreedy-tainted", SIPGreedy, true},
 	} {
 		for _, blocks := range []int{512, 2048, 8192} {
 			b.Run(fmt.Sprintf("%s/blocks=%d", tc.name, blocks), func(b *testing.B) {
 				f := benchSteadyFTL(b, blocks, tc.sel)
+				if tc.tainted {
+					taintGreedy(b, f)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
