@@ -50,14 +50,14 @@ coverage-gate:
 		{ echo "coverage $$total% below baseline $(COVERAGE_BASELINE)%"; exit 1; }
 
 # Open-ended fuzzing session for the trace parsers, the binlog reader, the
-# binlog footer index walk (ReadIndex, in FuzzSeekReader) and the binlog
+# binlog footer index walk (FuzzReadIndex) and the binlog
 # request-trace decoder (not part of ci; ci runs their committed seed
 # corpora). -fuzz takes a regexp, so each name is anchored.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMSR$$' -fuzztime 30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 30s ./internal/telemetry/binlog/
-	$(GO) test -run '^$$' -fuzz '^FuzzSeekReader$$' -fuzztime 30s ./internal/telemetry/binlog/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadIndex$$' -fuzztime 30s ./internal/telemetry/binlog/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequests$$' -fuzztime 30s ./internal/telemetry/binlog/
 
 # Non-test Go lines per package, for the main module and for the nested

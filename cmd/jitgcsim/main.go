@@ -58,7 +58,6 @@ func main() {
 		factor   = flag.Float64("factor", 1.0, "C_resv factor for -policy fixed (× C_OP)")
 		ops      = flag.Int("ops", 100000, "number of host requests")
 		seed     = flag.Int64("seed", 1, "workload generation seed")
-		noSIP    = flag.Bool("no-sip", false, "disable SIP victim filtering (JIT-GC only)")
 		timeline = flag.String("timeline", "", "write per-interval state samples to this CSV file")
 		traceIn  = flag.String("trace", "", "replay this trace file instead of a synthetic benchmark (jitgc text or binlog format, or MSR CSV with -msr)")
 		msr      = flag.Bool("msr", false, "parse -trace as an MSR-Cambridge CSV block trace")
@@ -149,7 +148,7 @@ func main() {
 	if *faultR > 0 {
 		cfg.FTL.Fault = nand.FaultConfig{Seed: *faultS, ReadRate: *faultR, ProgramRate: *faultR, EraseRate: *faultR}
 	}
-	spec := jitgc.PolicySpec{Kind: *policy, Factor: *factor, DisableSIP: *noSIP}
+	spec := jitgc.PolicySpec{Kind: *policy, Factor: *factor}
 	opt := jitgc.Options{Seed: *seed, Ops: *ops, Tracer: tracer, Config: &cfg,
 		HostProfile: *profile, TrimRate: *trimRate}
 	// A host profile replaces the synthetic benchmark, so label the run

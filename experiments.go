@@ -11,6 +11,7 @@ import (
 	"jitgc/internal/histogram"
 	"jitgc/internal/pagecache"
 	"jitgc/internal/predictor"
+	"jitgc/internal/sim"
 )
 
 // Experiment regenerates one table or figure of the paper's evaluation.
@@ -36,16 +37,14 @@ func Experiments() []Experiment {
 		{ID: "fig7a", Title: "Fig 7(a): normalized IOPS of L-BGC/A-BGC/ADP-GC/JIT-GC", Run: fig7a},
 		{ID: "fig7b", Title: "Fig 7(b): normalized WAF of L-BGC/A-BGC/ADP-GC/JIT-GC", Run: fig7b},
 		{ID: "table2", Title: "Table 2: prediction accuracy of JIT-GC and ADP-GC", Run: table2},
-		{ID: "table3", Title: "Table 3: SIP-filtered GC victim selections", Run: table3},
+		{ID: "table3", Title: "Table 3: SIP-filtered GC victim selections and the wasted migrations they avoid", Run: table3},
 		{ID: "oracle", Title: "Ideal-policy anchor: oracle BGC vs JIT-GC (paper §2)", Run: oracleAnchor},
 		{ID: "array", Title: "Array scaling: striped multi-device backend, independent vs coordinated GC", Run: arrayExp},
 		{ID: "arrayscale", Title: "Array width: 16-64 devices under static vs adaptive GC tokens + rebuild under fire", Run: arrayscaleExp},
 		{ID: "lifetime", Title: "Lifetime: host data served before wear-out per policy", Run: lifetime},
 		{ID: "reliability", Title: "Reliability: fault-rate sweep per policy + degraded 2-device array", Run: reliability},
-		{ID: "ablation-sip", Title: "Ablation: SIP victim filtering on/off", Run: ablationSIP},
 		{ID: "ablation-percentile", Title: "Ablation: direct-write CDH percentile", Run: ablationPercentile},
 		{ID: "ablation-flush", Title: "Ablation: relaxed vs strict flush-condition prediction", Run: ablationFlush},
-		{ID: "ablation-victim", Title: "Ablation: GC victim selector", Run: ablationVictim},
 		{ID: "scale", Title: "Scale: metadata footprint and WAF vs device capacity (256 MiB – 64 GiB)", Run: scaleExp},
 		{ID: "multitenant", Title: "Multi-tenant: open-loop QoS grid (tenants × load × policy) with p99.9 SLO verdicts", Run: multitenantExp},
 		{ID: "trim", Title: "TRIM: Frankie-validated WAF sweep + host profile × intensity × policy grid", Run: trimExp},
@@ -254,24 +253,65 @@ func table2(opt Options) ([]Table, error) {
 	return []Table{t}, nil
 }
 
+// table3 measures what SIP filtering buys. Every benchmark runs under
+// JIT-GC twice, with its SIP list installed both times: once with the
+// paper's SIP-greedy victim selection and once with plain greedy
+// (runJITGreedy). Wasted migrations are GC moves of pages on the list, so
+// the greedy arm's excess over the SIP-greedy arm is the waste filtering
+// avoided.
 func table3(opt Options) ([]Table, error) {
 	t := Table{
-		Title:   "Table 3: SIP-filtered GC victim selections % (paper: 12.2/20.6/17.5/8.7/4.9/1.1)",
-		Columns: []string{"benchmark", "filtered %", "wasted migrations avoided"},
+		Title: "Table 3: SIP-filtered GC victim selections % (paper: 12.2/20.6/17.5/8.7/4.9/1.1), JIT-GC with SIP-greedy vs greedy selection",
+		Columns: []string{"benchmark", "filtered %", "wasted migrations (SIP-greedy)", "wasted migrations (greedy)",
+			"avoided", "WAF (SIP-greedy)", "WAF (greedy)"},
 	}
 	benches := Benchmarks()
-	rows, err := gridCells(opt, len(benches), func(i int) (Results, error) {
-		return Run(benches[i], JIT(), opt)
+	slots, err := gridCells(opt, 2*len(benches), func(i int) (Results, error) {
+		if i%2 == 0 {
+			return Run(benches[i/2], JIT(), opt)
+		}
+		return runJITGreedy(benches[i/2], opt)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, b := range benches {
+	for bi, b := range benches {
+		sip, greedy := slots[2*bi], slots[2*bi+1]
 		t.AddRow(b,
-			fmt.Sprintf("%.1f", rows[i].FilteredVictimPct),
-			fmt.Sprintf("%d", rows[i].WastedMigrations))
+			fmt.Sprintf("%.1f", sip.FilteredVictimPct),
+			fmt.Sprintf("%d", sip.WastedMigrations),
+			fmt.Sprintf("%d", greedy.WastedMigrations),
+			fmt.Sprintf("%d", greedy.WastedMigrations-sip.WastedMigrations),
+			fmt.Sprintf("%.3f", sip.WAF),
+			fmt.Sprintf("%.3f", greedy.WAF))
 	}
 	return []Table{t}, nil
+}
+
+// runJITGreedy runs a benchmark under JIT-GC, SIP list forwarded as usual,
+// with victim selection reset to plain greedy: Table 3's control arm.
+func runJITGreedy(benchmark string, opt Options) (Results, error) {
+	reqs, cfg, err := GenerateStream(benchmark, opt)
+	if err != nil {
+		return Results{}, err
+	}
+	jit := JIT().Factory()
+	s, err := sim.New(cfg, func(env *sim.Env) (core.Policy, error) {
+		p, err := jit(env)
+		if err != nil {
+			return nil, err
+		}
+		return p, env.FTL.SetSelector(ftl.Greedy)
+	})
+	if err != nil {
+		return Results{}, err
+	}
+	res, err := s.RunClosedLoop(reqs)
+	if err != nil {
+		return Results{}, err
+	}
+	res.Workload = benchmark
+	return res, nil
 }
 
 // fig4 reproduces the paper's worked example of buffered demand estimation:
@@ -521,31 +561,6 @@ func normLifetimeCell(v, base float64) string {
 	return fmt.Sprintf("%.2f", v/base)
 }
 
-// ablationSIP compares full JIT-GC against JIT-GC without SIP forwarding.
-func ablationSIP(opt Options) ([]Table, error) {
-	t := Table{
-		Title:   "Ablation: SIP victim filtering (JIT-GC with vs without the SIP list)",
-		Columns: []string{"benchmark", "WAF with SIP", "WAF without", "wasted migr. with", "wasted migr. without"},
-	}
-	benches := Benchmarks()
-	noSIP := JIT()
-	noSIP.DisableSIP = true
-	specs := []PolicySpec{JIT(), noSIP}
-	slots, err := gridCells(opt, len(benches)*len(specs), func(i int) (Results, error) {
-		return Run(benches[i/len(specs)], specs[i%len(specs)], opt)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for bi, b := range benches {
-		with, without := slots[bi*len(specs)], slots[bi*len(specs)+1]
-		t.AddRow(b,
-			fmt.Sprintf("%.3f", with.WAF), fmt.Sprintf("%.3f", without.WAF),
-			fmt.Sprintf("%d", with.WastedMigrations), fmt.Sprintf("%d", without.WastedMigrations))
-	}
-	return []Table{t}, nil
-}
-
 // ablationPercentile sweeps the direct-write CDH percentile the paper fixes
 // at 80%.
 func ablationPercentile(opt Options) ([]Table, error) {
@@ -596,36 +611,6 @@ func ablationFlush(opt Options) ([]Table, error) {
 		t.AddRow(b,
 			fmt.Sprintf("%d", relaxed.FGCInvocations), fmt.Sprintf("%d", strict.FGCInvocations),
 			fmt.Sprintf("%.1f", 100*relaxed.PredictionAccuracy), fmt.Sprintf("%.1f", 100*strict.PredictionAccuracy))
-	}
-	return []Table{t}, nil
-}
-
-// ablationVictim compares victim selectors under the L-BGC policy, where
-// selection quality dominates.
-func ablationVictim(opt Options) ([]Table, error) {
-	t := Table{
-		Title:   "Ablation: GC victim selector under L-BGC",
-		Columns: []string{"benchmark", "selector", "WAF", "erases"},
-	}
-	benches := []string{"YCSB", "Postmark", "TPC-C"}
-	selectors := []string{"greedy", "cost-benefit"}
-	slots, err := gridCells(opt, len(benches)*len(selectors), func(i int) (Results, error) {
-		opt2 := opt
-		cfg, _ := opt.withDefaults().simConfig()
-		if selectors[i%len(selectors)] == "cost-benefit" {
-			cfg.FTL.Selector = ftl.CostBenefit
-		}
-		opt2.Config = &cfg
-		return Run(benches[i/len(selectors)], Lazy(), opt2)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for bi, b := range benches {
-		for si, sel := range selectors {
-			res := slots[bi*len(selectors)+si]
-			t.AddRow(b, sel, fmt.Sprintf("%.3f", res.WAF), fmt.Sprintf("%d", res.Erases))
-		}
 	}
 	return []Table{t}, nil
 }

@@ -140,6 +140,10 @@ func countEvents(r io.Reader) (int64, error) {
 	}
 }
 
+// scaleHasNoGolden is why the scale experiment is left out of the golden
+// sweep and has no file under testdata/golden.
+const scaleHasNoGolden = "scale grid reports wall-clock ns/write, which cannot be golden; covered by TestScaleExperimentSmallPreset"
+
 // eachExperiment calls check with every experiment's runs, one parallel
 // subtest each. scale is always left out: its ns/write column is
 // wall-clock, so two runs never render alike and it has no golden (its
@@ -149,7 +153,7 @@ func eachExperiment(t *testing.T, skip func(id string) string, check func(t *tes
 	for _, e := range Experiments() {
 		t.Run(e.ID, func(t *testing.T) {
 			if e.ID == "scale" {
-				t.Skip("scale grid reports wall-clock ns/write, which cannot be golden; covered by TestScaleExperimentSmallPreset")
+				t.Skip(scaleHasNoGolden)
 			}
 			if why := skip(e.ID); why != "" {
 				t.Skip(why)
@@ -195,6 +199,33 @@ func TestExperimentGoldens(t *testing.T) {
 			t.Errorf("output differs from %s:\n%s", path, diffLines(string(want), got))
 		}
 	})
+}
+
+// TestGoldenFilesMatchExperiments keeps testdata/golden in step with the
+// registry: every golden file names an experiment, so a deleted
+// experiment's file cannot linger unchecked, and every experiment but
+// scale has one.
+func TestGoldenFilesMatchExperiments(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "golden", "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, f := range files {
+		have[strings.TrimSuffix(filepath.Base(f), ".txt")] = true
+	}
+	for _, id := range ExperimentIDs() {
+		switch {
+		case id == "scale" && have[id]:
+			t.Errorf("%s has a golden file, but %s", id, scaleHasNoGolden)
+		case id != "scale" && !have[id]:
+			t.Errorf("experiment %s has no golden file (generate with -update)", id)
+		}
+		delete(have, id)
+	}
+	for id := range have {
+		t.Errorf("testdata/golden/%s.txt names no experiment", id)
+	}
 }
 
 // TestExperimentEventStreamsRoundTrip locks down the event streams of the

@@ -30,9 +30,6 @@ type JITGC struct {
 	buffered *predictor.Buffered
 	direct   *predictor.CDHTracker
 	interval time.Duration
-	// DisableSIP suppresses SIP-list forwarding (ablation knob: JIT timing
-	// without victim filtering).
-	DisableSIP bool
 
 	demand []int64 // OnInterval's combined sequence, reused every tick
 }
@@ -112,10 +109,7 @@ func (j *JITGC) OnInterval(now time.Duration, view DeviceView) Decision {
 		demand = append(demand, d)
 	}
 	j.demand = demand
-	f := forecast{demand: demand, predicted: p.Total()}
-	if !j.DisableSIP {
-		f.sip = p.SIP
-	}
+	f := forecast{demand: demand, predicted: p.Total(), sip: p.SIP}
 	// Buffered flushes are point events whose timing the predictor knows
 	// exactly, and host bursts can occupy the device for most of an
 	// interval — so the flush wave due in two ticks must already be free:

@@ -176,18 +176,6 @@ func TestJITGCNoDemandNoReclaim(t *testing.T) {
 	}
 }
 
-func TestJITGCDisableSIP(t *testing.T) {
-	j, cache := newJIT(t)
-	j.DisableSIP = true
-	if _, err := cache.Write(time.Second, 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	dec := j.OnInterval(5*time.Second, fakeView{free: 100 * mb, bw: 8 * mb, bgc: 2 * mb, idleFrac: 1})
-	if dec.SIP.Reset || dec.SIP.Add != nil {
-		t.Error("SIP forwarded despite DisableSIP")
-	}
-}
-
 func TestJITGCTracksDirectWrites(t *testing.T) {
 	j, _ := newJIT(t)
 	view := fakeView{free: 0, bw: 8 * mb, bgc: 2 * mb, idleFrac: 1}

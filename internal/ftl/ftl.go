@@ -20,8 +20,8 @@ var (
 	ErrBadLPN       = errors.New("ftl: LPN out of user capacity")
 	ErrNoFreeBlocks = errors.New("ftl: no free blocks and no reclaimable victim")
 	ErrCorruption   = errors.New("ftl: stored payload does not match its logical page")
-	// ErrUnknownSelector rejects a Selector value past the three kinds.
-	ErrUnknownSelector = errors.New("ftl: victim selector is not Greedy, CostBenefit or SIPGreedy")
+	// ErrUnknownSelector rejects a Selector value past the two kinds.
+	ErrUnknownSelector = errors.New("ftl: victim selector is not Greedy or SIPGreedy")
 )
 
 const unmapped = int64(-1)
@@ -40,8 +40,8 @@ type Config struct {
 	// OPRatio is the over-provisioning capacity C_OP as a fraction of user
 	// capacity. The SM843T in the paper uses 7%.
 	OPRatio float64
-	// Selector chooses GC victim blocks: Greedy (the zero value),
-	// CostBenefit or SIPGreedy; any other value is ErrUnknownSelector.
+	// Selector chooses GC victim blocks: Greedy (the zero value) or
+	// SIPGreedy; any other value is ErrUnknownSelector.
 	Selector Selector
 	// WearThreshold is the max-min erase-count gap that triggers static
 	// wear leveling (forcing the least-erased full block to be recycled).
@@ -186,12 +186,11 @@ type FTL struct {
 
 	idx *victimIndex // incremental GC victim index (index.go)
 
-	lastInvalidate []time.Duration // per block, for cost-benefit selection
-	sipBits        []uint64        // the installed SIP set, one bit per user LPN
-	sipPages       int             // how many bits are set
-	sipPerBlock    []int           // count of valid SIP pages per block
+	sipBits     []uint64 // the installed SIP set, one bit per user LPN
+	sipPages    int      // how many bits are set
+	sipPerBlock []int    // count of valid SIP pages per block
 
-	now             time.Duration // advanced by callers via SetNow for age bookkeeping
+	now             time.Duration // advanced by callers via SetNow, stamps trace events
 	stats           Stats
 	lastWLSelection int64  // selection count at the last wear-leveling pick
 	writeSeq        uint64 // monotone version counter for payload tokens
@@ -241,21 +240,20 @@ func New(cfg Config) (*FTL, error) {
 	blocks := geo.TotalBlocks()
 	progFails := make([]int, blocks+geo.PagesPerBlock)
 	f := &FTL{
-		cfg:            cfg,
-		dev:            dev,
-		userPages:      user,
-		integrity:      !cfg.DisableIntegrity,
-		l2p:            newPageMap(user, total),
-		p2l:            newPageMap(total, total),
-		hostActive:     -1,
-		gcActive:       -1,
-		collecting:     -1,
-		victimPages:    progFails[blocks:blocks],
-		lastInvalidate: make([]time.Duration, geo.TotalBlocks()),
-		sipBits:        make([]uint64, (user+63)/64),
-		sipPerBlock:    make([]int, geo.TotalBlocks()),
-		progFails:      progFails[:blocks:blocks],
-		recoveryOn:     cfg.Recovery.Enabled || cfg.Fault.Enabled(),
+		cfg:         cfg,
+		dev:         dev,
+		userPages:   user,
+		integrity:   !cfg.DisableIntegrity,
+		l2p:         newPageMap(user, total),
+		p2l:         newPageMap(total, total),
+		hostActive:  -1,
+		gcActive:    -1,
+		collecting:  -1,
+		victimPages: progFails[blocks:blocks],
+		sipBits:     make([]uint64, (user+63)/64),
+		sipPerBlock: make([]int, geo.TotalBlocks()),
+		progFails:   progFails[:blocks:blocks],
+		recoveryOn:  cfg.Recovery.Enabled || cfg.Fault.Enabled(),
 	}
 	if f.recoveryOn {
 		f.fault = nand.NewFaultModel(cfg.Fault)
@@ -309,9 +307,8 @@ func (f *FTL) SetSelector(s Selector) error {
 	return nil
 }
 
-// SetNow advances the FTL's notion of time, used only for victim-age
-// bookkeeping (cost-benefit selection). The simulator calls it as the clock
-// advances.
+// SetNow advances the FTL's notion of time, which stamps the GC, erase and
+// fault events it traces. The simulator calls it as the clock advances.
 func (f *FTL) SetNow(t time.Duration) { f.now = t }
 
 // SetTracer installs a telemetry tracer for GC and erase events (nil
@@ -362,7 +359,7 @@ func (f *FTL) MappedPPN(lpn int64) int64 {
 func (f *FTL) MetadataBytes() int64 {
 	n := f.l2p.bytes() + f.p2l.bytes() + f.dev.MetadataBytes()
 	blocks := int64(f.cfg.Geometry.TotalBlocks())
-	n += blocks * (8 + 8 + 8 + 1) // lastInvalidate, sipPerBlock, progFails, inFreePool
+	n += blocks * (8 + 8 + 1) // sipPerBlock, progFails, inFreePool
 	n += int64(len(f.sipBits)) * 8
 	n += int64(len(f.freeBlocks)) * 8
 	n += f.idx.bytes()
@@ -552,7 +549,6 @@ func (f *FTL) invalidateMapping(lpn int64) {
 	f.p2l.set(old, unmapped)
 	f.l2p.set(lpn, unmapped)
 	f.mappedPages--
-	f.lastInvalidate[addr.Block] = f.now
 	if f.onSIPList(lpn) {
 		f.sipPerBlock[addr.Block]--
 	}

@@ -8,12 +8,11 @@ import (
 	"jitgc/internal/nand"
 )
 
-// Selector is the GC victim selection rule. The victim index answers each
-// of the three without allocating: greedy from its root, SIP-greedy by a
-// walk of the blocks near the greedy choice, cost-benefit by a walk of
-// every candidate. Every answer equals a full scan of the eligible blocks
-// under the same rule, tie-breaks included (the reference selectors in
-// gc_test.go).
+// Selector is the GC victim selection rule. The victim index answers both
+// without allocating: greedy from its root, SIP-greedy by a walk of the
+// blocks near the greedy choice. Every answer equals a full scan of the
+// eligible blocks under the same rule, tie-breaks included (the reference
+// selectors in gc_test.go).
 type Selector uint8
 
 const (
@@ -21,10 +20,6 @@ const (
 	// minimum-migration victim policy. Ties break toward the lower block
 	// index for determinism.
 	Greedy Selector = iota
-	// CostBenefit selects by the classical cost-benefit score
-	// age × (1−u)/(2u): prefer old blocks with low utilization u. Fully
-	// invalid blocks (u = 0) are always taken first.
-	CostBenefit
 	// SIPGreedy is the paper's extended victim selection: greedy, modified
 	// to avoid blocks holding soon-to-be-invalidated pages, because
 	// migrating a SIP page is useless work — it is about to be rewritten
@@ -105,10 +100,7 @@ func (f *FTL) pickVictim(foreground bool) (victim int, ok bool) {
 		return greedy, true
 	}
 	choice := greedy
-	switch f.cfg.Selector {
-	case CostBenefit:
-		choice = f.costBenefitVictim()
-	case SIPGreedy:
+	if f.cfg.Selector == SIPGreedy {
 		choice = f.sipGreedyVictim(greedy, sipMaxFraction, sipSlackPages)
 	}
 	// Table 3 counts selections where SIP filtering paid migration cost to
@@ -119,32 +111,6 @@ func (f *FTL) pickVictim(foreground bool) (victim int, ok bool) {
 		f.stats.FilteredSelections++
 	}
 	return choice, true
-}
-
-// costBenefitVictim evaluates the cost-benefit policy over every member,
-// with the full-scan reference's rule: the highest score, ties to the lower
-// block, which the ascending walk gives by replacing only on a strictly
-// higher score. A fully-invalid block short-circuits, as in the reference;
-// the tree root is the lowest-indexed such block.
-func (f *FTL) costBenefitVictim() int {
-	ix := f.idx
-	root := ix.greedyVictim()
-	if ix.valid(root) == 0 {
-		return root
-	}
-	ppb := float64(f.cfg.Geometry.PagesPerBlock)
-	best, bestScore := -1, -1.0
-	ix.each(ix.ppb-1, func(b, v int) {
-		age := f.now - f.lastInvalidate[b]
-		if age < 0 {
-			age = 0
-		}
-		u := float64(v) / ppb
-		if score := float64(age) * (1 - u) / (2 * u); score > bestScore {
-			best, bestScore = b, score
-		}
-	})
-	return best
 }
 
 // sipGreedyVictim evaluates SIP-aware selection with taint threshold
@@ -353,10 +319,9 @@ func (f *FTL) migratePage(src nand.PageAddr) (time.Duration, error) {
 		return total, err
 	}
 
-	// Migration invalidates without touching lastInvalidate (the data is
-	// not newly cold, it just moved), and without an index update: the
-	// source is the block being collected, which collectOnce holds out of
-	// the index until it knows the block's fate.
+	// Migration invalidates without an index update: the source is the
+	// block being collected, which collectOnce holds out of the index until
+	// it knows the block's fate.
 	if err := f.dev.InvalidatePage(src); err != nil {
 		return total, err
 	}

@@ -2,9 +2,9 @@ package ftl
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // BlockInfo describes a GC victim candidate for the full-scan reference
@@ -17,13 +17,6 @@ type BlockInfo struct {
 	// SIPValid is how many of those valid pages are on the current SIP
 	// list, i.e. will shortly be invalidated by a page-cache flush.
 	SIPValid int
-	// EraseCount is the block's wear.
-	EraseCount int64
-	// LastInvalidate is when a page of the block last became invalid.
-	LastInvalidate time.Duration
-	// Age is how long ago that was (the "age" input of cost-benefit
-	// selection).
-	Age time.Duration
 	// PagesPerBlock is the block capacity, for utilization math.
 	PagesPerBlock int
 }
@@ -45,7 +38,7 @@ func TestBlockInfoUtilization(t *testing.T) {
 	}
 }
 
-// greedySelect, costBenefitSelect and sipGreedySelect are the full-scan
+// greedySelect and sipGreedySelect are the full-scan
 // reference selectors: each returns the position in cands (never empty) of
 // the victim its Selector kind defines over every eligible block. The
 // victim index must reproduce their choices bit for bit
@@ -58,23 +51,6 @@ func greedySelect(cands []BlockInfo) int {
 		if cands[i].Valid < cands[best].Valid ||
 			(cands[i].Valid == cands[best].Valid && cands[i].Index < cands[best].Index) {
 			best = i
-		}
-	}
-	return best
-}
-
-// costBenefitSelect takes the highest age × (1−u)/(2u), a fully invalid
-// block first.
-func costBenefitSelect(cands []BlockInfo) int {
-	best, bestScore := 0, -1.0
-	for i, c := range cands {
-		if c.Valid == 0 {
-			return i
-		}
-		u := c.Utilization()
-		score := float64(c.Age) * (1 - u) / (2 * u)
-		if score > bestScore || (score == bestScore && c.Index < cands[best].Index) {
-			best, bestScore = i, score
 		}
 	}
 	return best
@@ -120,21 +96,6 @@ func TestGreedySelectsMinValid(t *testing.T) {
 	}
 }
 
-func TestCostBenefitPrefersOldSparseBlocks(t *testing.T) {
-	cands := []BlockInfo{
-		{Index: 0, Valid: 8, Age: time.Second, PagesPerBlock: 16},
-		{Index: 1, Valid: 8, Age: time.Hour, PagesPerBlock: 16}, // much older
-	}
-	if got := costBenefitSelect(cands); got != 1 {
-		t.Errorf("cost-benefit = %d, want the older block", got)
-	}
-	// A fully invalid block always wins.
-	cands = append(cands, BlockInfo{Index: 2, Valid: 0, PagesPerBlock: 16})
-	if got := costBenefitSelect(cands); got != 2 {
-		t.Errorf("cost-benefit = %d, want the empty block", got)
-	}
-}
-
 func TestSIPGreedyFiltersWithinSlack(t *testing.T) {
 	sel := func(cands []BlockInfo) int { return sipGreedySelect(cands, 0, 4) }
 	cands := []BlockInfo{
@@ -166,10 +127,80 @@ func TestSIPGreedyFractionThreshold(t *testing.T) {
 	}
 }
 
+// TestSIPGreedyFrontierEdge pins the upper edge of the frontier walk on a
+// real index. The greedy victim holds 2 valid pages, all listed; the only
+// clean candidate holds exactly 2+sipSlackPages, so SIP-greedy must take it
+// over a tainted one a page cheaper. Once that candidate is tainted too, the
+// cheaper one wins, and a clean block one page past the slack stays out.
+func TestSIPGreedyFrontierEdge(t *testing.T) {
+	cfg := quickGeometry()
+	cfg.Selector = SIPGreedy
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Fill(f.UserPages()); err != nil {
+		t.Fatal(err)
+	}
+	ppb := cfg.Geometry.PagesPerBlock
+	lpns := map[int][]int64{} // block → the LPNs it holds, ascending
+	for lpn := int64(0); lpn < f.UserPages(); lpn++ {
+		b := int(f.MappedPPN(lpn)) / ppb
+		lpns[b] = append(lpns[b], lpn)
+	}
+	var full []int
+	for b, l := range lpns {
+		if len(l) == ppb {
+			full = append(full, b)
+		}
+	}
+	slices.Sort(full)
+	if len(full) < 4 {
+		t.Fatalf("fill left %d full blocks, need 4", len(full))
+	}
+	const gv = 2
+	greedy, inside, edge, past := full[0], full[1], full[2], full[3]
+	for b, keep := range map[int]int{
+		greedy: gv,
+		inside: gv + sipSlackPages - 1,
+		edge:   gv + sipSlackPages,
+		past:   gv + sipSlackPages + 1,
+	} {
+		for _, lpn := range lpns[b][keep:] {
+			if err := f.Trim(lpn); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	f.UpdateSIP(true, append(slices.Clone(lpns[greedy][:gv]), lpns[inside][0]), nil)
+	for _, step := range []struct {
+		taint int64 // LPN listed before the selection, -1 for none
+		want  int
+	}{
+		{-1, edge},
+		{lpns[edge][0], inside},
+	} {
+		if step.taint >= 0 {
+			f.UpdateSIP(false, []int64{step.taint}, nil)
+		}
+		checkIndexAgainstReference(t, f)
+		if g := f.idx.greedyVictim(); g != greedy {
+			t.Fatalf("greedy victim %d, want block %d", g, greedy)
+		}
+		if got, _ := f.pickVictim(false); got != step.want {
+			t.Errorf("SIP-greedy picks block %d (valid %d, SIP %d), want block %d (valid %d, SIP %d)",
+				got, f.idx.valid(got), f.sipPerBlock[got],
+				step.want, f.idx.valid(step.want), f.sipPerBlock[step.want])
+		}
+	}
+	if n := f.Stats().FilteredSelections; n != 2 {
+		t.Errorf("FilteredSelections = %d, want 2", n)
+	}
+}
+
 func TestSelectorsDeterministicProperty(t *testing.T) {
 	selectors := []func([]BlockInfo) int{
 		greedySelect,
-		costBenefitSelect,
 		func(c []BlockInfo) int { return sipGreedySelect(c, sipMaxFraction, sipSlackPages) },
 		func(c []BlockInfo) int { return sipGreedySelect(c, 0.1, 8) },
 	}
@@ -182,7 +213,6 @@ func TestSelectorsDeterministicProperty(t *testing.T) {
 				Index:         i,
 				Valid:         r.Intn(16),
 				SIPValid:      r.Intn(4),
-				Age:           time.Duration(r.Intn(1000)) * time.Millisecond,
 				PagesPerBlock: 16,
 			}
 			if cands[i].SIPValid > cands[i].Valid {

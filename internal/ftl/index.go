@@ -8,14 +8,13 @@ import "fmt"
 // valid<<32|block key (emptyKey for a non-member), so the lexicographic
 // (valid pages, block index) order is one integer comparison, a match is
 // one min, and every node holds its subtree's minimum key. It answers the
-// three Selector kinds:
+// two Selector kinds:
 //
 //   - Greedy: the root is the greedy winner. O(1).
 //   - SIP-Greedy: each walks the members within sipSlackPages of the
 //     greedy choice, skipping every subtree whose minimum lies above that
 //     bound; blocks outside the frontier are passed over a subtree at a
 //     time.
-//   - Cost-Benefit: each walks every member (the ablation-only path).
 //
 // A tree update replays matches from the leaf only as far as they change a
 // node: log2(B) levels at worst, but a block that is not its subtree's

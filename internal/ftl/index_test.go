@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"jitgc/internal/nand"
 )
@@ -35,27 +34,20 @@ func referenceCandidates(f *FTL) []BlockInfo {
 		if f.dev.ValidCount(b) >= ppb {
 			continue
 		}
-		age := f.now - f.lastInvalidate[b]
-		if age < 0 {
-			age = 0
-		}
 		cands = append(cands, BlockInfo{
-			Index:          b,
-			Valid:          f.dev.ValidCount(b),
-			SIPValid:       f.sipPerBlock[b],
-			EraseCount:     f.dev.EraseCount(b),
-			LastInvalidate: f.lastInvalidate[b],
-			Age:            age,
-			PagesPerBlock:  ppb,
+			Index:         b,
+			Valid:         f.dev.ValidCount(b),
+			SIPValid:      f.sipPerBlock[b],
+			PagesPerBlock: ppb,
 		})
 	}
 	return cands
 }
 
 // checkIndexAgainstReference asserts that every index-served victim choice
-// — greedy, cost-benefit, and SIP-greedy at the production configuration
-// and two others — equals the corresponding full-scan selection, bit for
-// bit, including the deterministic tie-breaks the goldens depend on.
+// — greedy, and SIP-greedy at the production configuration and two others
+// — equals the corresponding full-scan selection, bit for bit, including
+// the deterministic tie-breaks the goldens depend on.
 func checkIndexAgainstReference(t *testing.T, f *FTL) {
 	t.Helper()
 	cands := referenceCandidates(f)
@@ -71,10 +63,6 @@ func checkIndexAgainstReference(t *testing.T, f *FTL) {
 	greedy := cands[greedySelect(cands)].Index
 	if got := f.idx.greedyVictim(); got != greedy {
 		t.Fatalf("index greedy victim %d, reference scan picks %d", got, greedy)
-	}
-	if want := cands[costBenefitSelect(cands)].Index; f.costBenefitVictim() != want {
-		t.Fatalf("index cost-benefit victim %d, reference scan picks %d",
-			f.costBenefitVictim(), want)
 	}
 	for _, s := range []struct {
 		frac  float64
@@ -197,21 +185,18 @@ func steadyFTL(tb testing.TB, cfg Config) *FTL {
 // valid pages and is tainted: random overwrites spread the candidates over
 // many valid counts, background collections take every fully-invalid
 // block, and taintGreedy lists every other LPN.
-// Selections on it run the walks, not the early returns: cost-benefit walks
-// every member and SIP-greedy walks its frontier.
+// SIP-greedy selections on it walk the frontier instead of returning early.
 func taintedSteadyFTL(t *testing.T, sel Selector) *FTL {
 	t.Helper()
 	cfg := quickGeometry()
 	cfg.Selector = sel
 	f := steadyFTL(t, cfg)
 	rng := rand.New(rand.NewSource(1))
-	f.SetNow(time.Second)
 	for i := int64(0); i < f.UserPages(); i++ {
 		if _, _, err := f.Write(rng.Int63n(f.UserPages())); err != nil {
 			t.Fatalf("overwrite: %v", err)
 		}
 	}
-	f.SetNow(2 * time.Second)
 	for f.idx.size > 0 && f.idx.valid(f.idx.greedyVictim()) == 0 {
 		if _, _, err := f.CollectBackgroundOnce(); err != nil {
 			t.Fatalf("CollectBackgroundOnce: %v", err)
@@ -239,15 +224,14 @@ func taintGreedy(tb testing.TB, f *FTL) {
 // TestSelectVictimZeroAlloc enforces the claim for every Selector kind,
 // foreground and background: a victim selection in steady state performs
 // zero heap allocations, walks included. The greedy victim holds valid SIP
-// pages, so cost-benefit walks every member and SIP-greedy walks its
-// frontier and filters (FilteredSelections grows).
+// pages, so SIP-greedy walks its frontier and filters (FilteredSelections
+// grows).
 func TestSelectVictimZeroAlloc(t *testing.T) {
 	selectors := []struct {
 		name string
 		sel  Selector
 	}{
 		{"greedy", Greedy},
-		{"cost-benefit", CostBenefit},
 		{"sip-greedy", SIPGreedy},
 	}
 	for _, tc := range selectors {
@@ -270,11 +254,11 @@ func TestSelectVictimZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEachVisitsMembersUpToLimit pins the walk both non-greedy selectors
-// run: for every limit in [0, PagesPerBlock], on random index states from
-// the differential sweep's geometries, each visits exactly the members
-// holding at most limit valid pages, each once, in ascending block order,
-// with the valid count the leaf holds — and allocates nothing.
+// TestEachVisitsMembersUpToLimit pins the walk SIP-greedy runs: for every
+// limit in [0, PagesPerBlock], on random index states from the differential
+// sweep's geometries, each visits exactly the members holding at most limit
+// valid pages, each once, in ascending block order, with the valid count
+// the leaf holds — and allocates nothing.
 func TestEachVisitsMembersUpToLimit(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		m := newFTLModelOn(t, seed, sweepGeometry(seed))
@@ -525,7 +509,6 @@ func benchSteadyFTL(b testing.TB, blocks int, sel Selector) *FTL {
 		}
 	}
 	rng := rand.New(rand.NewSource(1))
-	f.SetNow(time.Second)
 	for i := int64(0); i < f.UserPages()/2; i++ {
 		if _, _, err := f.Write(rng.Int63n(f.UserPages())); err != nil {
 			b.Fatalf("overwrite: %v", err)
@@ -540,10 +523,9 @@ func benchSteadyFTL(b testing.TB, blocks int, sel Selector) *FTL {
 // BenchmarkVictimSelect measures one background victim selection at
 // increasing device sizes, with zero allocations at every size. Greedy reads
 // the tournament root, so its ns/op must stay flat as the block count grows
-// 16×. Cost-benefit walks every member, so its ns/op grows linearly. A
-// SIP-greedy selection with no SIP list installed returns the greedy choice;
-// with every other LPN listed ("sipgreedy-tainted") the greedy victim is
-// tainted and the selection walks the frontier of blocks within
+// 16×. A SIP-greedy selection with no SIP list installed returns the greedy
+// choice; with every other LPN listed ("sipgreedy-tainted") the greedy
+// victim is tainted and the selection walks the frontier of blocks within
 // sipSlackPages of it, as JIT-GC runs do, so its cost follows the frontier,
 // not the device.
 func BenchmarkVictimSelect(b *testing.B) {
@@ -553,7 +535,6 @@ func BenchmarkVictimSelect(b *testing.B) {
 		tainted bool
 	}{
 		{"greedy", Greedy, false},
-		{"costbenefit", CostBenefit, false},
 		{"sipgreedy", SIPGreedy, false},
 		{"sipgreedy-tainted", SIPGreedy, true},
 	} {

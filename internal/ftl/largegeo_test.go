@@ -94,10 +94,10 @@ func newMeasured(tb testing.TB, cfg Config) (*FTL, int64) {
 // TestMetadataBytesAccounting pins the footprint at the million-page
 // geometry: bare mode costs at most 11.2 B per logical page, the
 // first-principles model agrees with the measured heap growth to 2% (so
-// the bound holds for real memory, not only for the sum), integrity mode
-// costs exactly the 8 B/page token plane more at the device level, and the
-// budget does not drift as the device fills (the mapping planes are
-// allocated up front).
+// the bound holds for real memory, not only for the sum), the FTL's own
+// per-block arrays cost 17 B a block, integrity mode costs exactly the
+// 8 B/page token plane more at the device level, and the budget does not
+// drift as the device fills (the mapping planes are allocated up front).
 func TestMetadataBytesAccounting(t *testing.T) {
 	cfg := millionPageConfig(t)
 	bare, heap := newMeasured(t, cfg)
@@ -109,6 +109,14 @@ func TestMetadataBytesAccounting(t *testing.T) {
 	if rel := math.Abs(float64(heap)/float64(bare.MetadataBytes()) - 1); rel > 0.02 {
 		t.Errorf("heap grew %d B across New but MetadataBytes accounts for %d B (%.1f%% apart, want ≤ 2%%)",
 			heap, bare.MetadataBytes(), 100*rel)
+	}
+	// Beyond the mapping planes, the device, the SIP bitmap, the free pool
+	// and the victim tree, the FTL keeps 17 B per block: sipPerBlock,
+	// progFails and inFreePool.
+	planes := bare.l2p.bytes() + bare.p2l.bytes() + bare.dev.MetadataBytes() +
+		int64(len(bare.sipBits))*8 + int64(len(bare.freeBlocks))*8 + bare.idx.bytes()
+	if perBlock, blocks := bare.MetadataBytes()-planes, int64(cfg.Geometry.TotalBlocks()); perBlock != 17*blocks {
+		t.Errorf("per-block FTL arrays cost %d B over %d blocks, want 17 B per block", perBlock, blocks)
 	}
 
 	cfg.DisableIntegrity = false

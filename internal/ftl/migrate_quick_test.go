@@ -46,7 +46,7 @@ func TestQuickCopybackMatchesPerPageMigration(t *testing.T) {
 			},
 			Timing:           nand.DefaultTimingMLC(),
 			OPRatio:          []float64{0.5, 0.7, 0.9}[r.Intn(3)],
-			Selector:         Selector(r.Intn(3)),
+			Selector:         Selector(r.Intn(2)),
 			WearThreshold:    int64(r.Intn(2) * 4),
 			DisableIntegrity: r.Intn(3) == 0,
 		}
@@ -136,7 +136,6 @@ func TestQuickCopybackMatchesPerPageMigration(t *testing.T) {
 			ga, gb := runs.idx.greedyVictim(), perPage.idx.greedyVictim()
 			answers := [][2]int{
 				{ga, gb},
-				{runs.costBenefitVictim(), perPage.costBenefitVictim()},
 				{runs.sipGreedyVictim(ga, sipMaxFraction, sipSlackPages), perPage.sipGreedyVictim(gb, sipMaxFraction, sipSlackPages)},
 			}
 			for k, a := range answers {
@@ -173,7 +172,7 @@ func TestQuickCopybackMatchesPerPageMigration(t *testing.T) {
 // CollectBackgroundOnce allocates nothing while it migrates pages.
 func TestCollectZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, sel := range []Selector{Greedy, CostBenefit, SIPGreedy} {
+	for _, sel := range []Selector{Greedy, SIPGreedy} {
 		cfg := quickGeometry()
 		cfg.Selector = sel
 

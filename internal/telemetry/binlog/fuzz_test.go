@@ -188,13 +188,13 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
-// FuzzSeekReader feeds arbitrary bytes to the seeking footer walk,
+// FuzzReadIndex feeds arbitrary bytes to the seeking footer walk,
 // ReadIndex, which jitgctrace info runs on files it is handed: no panic, no
 // allocation past allocBudget, and on writer seeds an index of their
 // blocks — each entry at a block tag, with the block's event count and the
 // T of its first and last event, the counts summing to the stream's. (The
 // blocks themselves are the streaming reader's, which FuzzReader covers.)
-func FuzzSeekReader(f *testing.F) {
+func FuzzReadIndex(f *testing.F) {
 	known := addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var idx []IndexEntry

@@ -45,9 +45,6 @@ type PolicySpec struct {
 	// JIT tunes the predictors for Kind "JIT-GC" only; the other adaptive
 	// policies run their CDH trackers at the default percentile.
 	JIT core.JITOptions
-	// DisableSIP turns off SIP-list forwarding and SIP-aware victim
-	// selection for Kind "JIT-GC" (ablation).
-	DisableSIP bool
 }
 
 // Lazy returns the paper's L-BGC baseline (C_resv = 0.5 × C_OP).
@@ -94,11 +91,8 @@ func (p PolicySpec) Factory() sim.PolicyFactory {
 			if err != nil {
 				return nil, err
 			}
-			j.DisableSIP = p.DisableSIP
-			if !p.DisableSIP {
-				if err := env.FTL.SetSelector(ftl.SIPGreedy); err != nil {
-					return nil, err
-				}
+			if err := env.FTL.SetSelector(ftl.SIPGreedy); err != nil {
+				return nil, err
 			}
 			return j, nil
 		case "no-BGC":

@@ -321,6 +321,47 @@ func TestRunOracle(t *testing.T) {
 	}
 }
 
+// TestTable3ArmsMeasureAvoidance checks at full scale that Table 3's two
+// arms can disagree: SIP-greedy filters on YCSB and Tiobench and there
+// migrates fewer listed pages than greedy with the same list installed,
+// while greedy never filters and TPC-C, which lists almost nothing, shows
+// no difference. At the golden scale every cell is zero, so the golden
+// alone could not tell the arms apart.
+func TestTable3ArmsMeasureAvoidance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six full-scale runs")
+	}
+	opt := Options{Seed: 1}
+	for _, b := range []string{"YCSB", "Tiobench", "TPC-C"} {
+		sip, err := Run(b, JIT(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		greedy, err := runJITGreedy(b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if greedy.FilteredVictimPct != 0 {
+			t.Errorf("%s: greedy arm filtered %.1f%% of selections, want 0", b, greedy.FilteredVictimPct)
+		}
+		avoided := greedy.WastedMigrations - sip.WastedMigrations
+		if b == "TPC-C" {
+			if avoided != 0 {
+				t.Errorf("%s: avoided %d wasted migrations (%d SIP-greedy, %d greedy), want 0",
+					b, avoided, sip.WastedMigrations, greedy.WastedMigrations)
+			}
+			continue
+		}
+		if sip.FilteredVictimPct <= 0 {
+			t.Errorf("%s: SIP-greedy arm filtered no selection", b)
+		}
+		if avoided <= 0 {
+			t.Errorf("%s: avoided %d wasted migrations (%d SIP-greedy, %d greedy), want > 0",
+				b, avoided, sip.WastedMigrations, greedy.WastedMigrations)
+		}
+	}
+}
+
 func TestTrimReachesDevice(t *testing.T) {
 	res, err := Run("Postmark", Lazy(), smallOpt())
 	if err != nil {
