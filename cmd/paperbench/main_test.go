@@ -112,17 +112,17 @@ func TestOutputMatchesGoldens(t *testing.T) {
 // command reported.
 func TestTraceEventsBinary(t *testing.T) {
 	dir := t.TempDir()
-	_, stderr := mustRun(t, "-exp", "table3,fig5", "-ops", "500", "-workers", "1",
+	_, stderr := mustRun(t, "-exp", "evaluation,fig5", "-ops", "500", "-workers", "1",
 		"-trace-events-dir", dir, "-trace-events-binary")
 	files, err := filepath.Glob(filepath.Join(dir, "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(files) != 2 {
-		t.Fatalf("wrote %v, want table3.jgb and fig5.jgb", files)
+		t.Fatalf("wrote %v, want evaluation.jgb and fig5.jgb", files)
 	}
 	total := 0
-	for _, id := range []string{"table3", "fig5"} {
+	for _, id := range []string{"evaluation", "fig5"} {
 		f, err := os.Open(filepath.Join(dir, id+".jgb"))
 		if err != nil {
 			t.Fatal(err)

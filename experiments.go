@@ -16,7 +16,7 @@ import (
 
 // Experiment regenerates one table or figure of the paper's evaluation.
 type Experiment struct {
-	// ID is the key used on the command line ("fig2a", "table2", …).
+	// ID is the key used on the command line ("evaluation", "lifetime", …).
 	ID string
 	// Title describes the experiment.
 	Title string
@@ -28,17 +28,10 @@ type Experiment struct {
 // the ablation studies DESIGN.md calls out, in presentation order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{ID: "fig2a", Title: "Fig 2(a): normalized IOPS vs reserved capacity sweep", Run: fig2a},
-		{ID: "fig2b", Title: "Fig 2(b): normalized WAF vs reserved capacity sweep", Run: fig2b},
-		{ID: "table1", Title: "Table 1: buffered/direct write breakdown", Run: table1},
+		{ID: "evaluation", Title: "Paper evaluation: Fig 2, Table 1, Fig 7, Tables 2-3 and the oracle replay over one benchmark × policy grid", Run: evaluationExp},
 		{ID: "fig4", Title: "Fig 4: buffered write demand estimation example", Run: fig4},
 		{ID: "fig5", Title: "Fig 5: cumulative data histogram example", Run: fig5},
 		{ID: "fig6", Title: "Fig 6: JIT-GC manager scheduling examples", Run: fig6},
-		{ID: "fig7a", Title: "Fig 7(a): normalized IOPS of L-BGC/A-BGC/ADP-GC/JIT-GC", Run: fig7a},
-		{ID: "fig7b", Title: "Fig 7(b): normalized WAF of L-BGC/A-BGC/ADP-GC/JIT-GC", Run: fig7b},
-		{ID: "table2", Title: "Table 2: prediction accuracy of JIT-GC and ADP-GC", Run: table2},
-		{ID: "table3", Title: "Table 3: SIP-filtered GC victim selections and the wasted migrations they avoid", Run: table3},
-		{ID: "oracle", Title: "Ideal-policy anchor: oracle BGC vs JIT-GC (paper §2)", Run: oracleAnchor},
 		{ID: "array", Title: "Array scaling: striped multi-device backend, independent vs coordinated GC", Run: arrayExp},
 		{ID: "arrayscale", Title: "Array width: 16-64 devices under static vs adaptive GC tokens + rebuild under fire", Run: arrayscaleExp},
 		{ID: "lifetime", Title: "Lifetime: host data served before wear-out per policy", Run: lifetime},
@@ -75,28 +68,73 @@ func ExperimentIDs() []string {
 // fig2Factors is the reserved-capacity sweep of the paper's Fig. 2.
 var fig2Factors = []float64{0.5, 0.75, 1.0, 1.25, 1.5}
 
-// runFig2 executes the Cresv sweep for every benchmark and returns the
-// result grid indexed [benchmark][factor]. The benchmark×factor cells are
-// independent simulations, so they fan out over opt.Workers.
-func runFig2(opt Options) (map[string][]Results, error) {
+// The arms of the paper grid, in cell order within a benchmark. Arms 0–4
+// are Fig. 2's C_resv sweep over fig2Factors, whose ends are the paper's
+// L-BGC and A-BGC (C_resv = 0.5× and 1.5× C_OP; TestLazyAggressiveAreSweepEnds
+// holds each to its Fixed twin).
+const (
+	armLBGC   = 0
+	armABGC   = 4
+	armADP    = 5
+	armJIT    = 6
+	armGreedy = 7 // JIT-GC with plain greedy victim selection: Table 3's control
+	armOracle = 8
+	numArms   = 9
+)
+
+// runArm runs one cell of the paper grid.
+func runArm(benchmark string, arm int, opt Options) (Results, error) {
+	switch arm {
+	case armADP:
+		return Run(benchmark, ADP(), opt)
+	case armJIT:
+		return Run(benchmark, JIT(), opt)
+	case armGreedy:
+		return runJITGreedy(benchmark, opt)
+	case armOracle:
+		return RunOracle(benchmark, opt)
+	default:
+		return Run(benchmark, Fixed(fig2Factors[arm]), opt)
+	}
+}
+
+// evaluationExp runs the paper grid — every benchmark under every arm,
+// each cell once, fanned out over opt.Workers — and renders Fig. 2,
+// Table 1, Fig. 7, Tables 2 and 3 and the oracle replay from its cells.
+func evaluationExp(opt Options) ([]Table, error) {
 	benches := Benchmarks()
-	nf := len(fig2Factors)
-	cells, err := gridCells(opt, len(benches)*nf, func(i int) (Results, error) {
-		b, f := benches[i/nf], fig2Factors[i%nf]
-		res, err := Run(b, Fixed(f), opt)
+	cells, err := gridCells(opt, len(benches)*numArms, func(i int) (Results, error) {
+		b, arm := benches[i/numArms], i%numArms
+		res, err := runArm(b, arm, opt)
 		if err != nil {
-			return res, fmt.Errorf("fig2 %s ×%.2f: %w", b, f, err)
+			return res, fmt.Errorf("evaluation %s arm %d: %w", b, arm, err)
 		}
 		return res, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	grid := make(map[string][]Results, len(benches))
-	for bi, b := range benches {
-		grid[b] = cells[bi*nf : (bi+1)*nf]
+	grid := make([][]Results, len(benches))
+	for bi := range grid {
+		grid[bi] = cells[bi*numArms : (bi+1)*numArms]
 	}
-	return grid, nil
+
+	sweep, sweepCols := make([]int, len(fig2Factors)), make([]string, len(fig2Factors))
+	for i, f := range fig2Factors {
+		sweep[i], sweepCols[i] = i, fmt.Sprintf("%.2fOP", f)
+	}
+	fig7 := []int{armLBGC, armABGC, armADP, armJIT}
+	fig7Cols := []string{"L-BGC", "A-BGC", "ADP-GC", "JIT-GC"}
+	return []Table{
+		normTable("Fig 2(a): IOPS normalized to the 1.5×OP (A-BGC) policy", sweepCols, sweep, benches, grid, Results.NormalizedIOPS),
+		normTable("Fig 2(b): WAF normalized to the 1.5×OP (A-BGC) policy", sweepCols, sweep, benches, grid, Results.NormalizedWAF),
+		breakdownTable(benches, grid),
+		normTable("Fig 7(a): IOPS normalized to A-BGC", fig7Cols, fig7, benches, grid, Results.NormalizedIOPS),
+		normTable("Fig 7(b): WAF normalized to A-BGC", fig7Cols, fig7, benches, grid, Results.NormalizedWAF),
+		accuracyTable(benches, grid),
+		sipTable(benches, grid),
+		oracleTable(benches, grid),
+	}, nil
 }
 
 // normCell formats a normalized metric, degrading to "n/a" when the
@@ -108,106 +146,16 @@ func normCell(v float64) string {
 	return fmt.Sprintf("%.3f", v)
 }
 
-func fig2Table(opt Options, title string, metric func(r, base Results) float64) ([]Table, error) {
-	grid, err := runFig2(opt)
-	if err != nil {
-		return nil, err
-	}
-	t := Table{Title: title, Columns: []string{"benchmark"}}
-	for _, f := range fig2Factors {
-		t.Columns = append(t.Columns, fmt.Sprintf("%.2fOP", f))
-	}
-	for _, b := range Benchmarks() {
-		row := grid[b]
-		base := row[len(row)-1] // normalize over 1.5×OP (= A-BGC), like the paper
-		cells := []string{b}
-		degenerate := false
-		for _, r := range row {
-			v := metric(r, base)
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				degenerate = true
-			}
-			cells = append(cells, normCell(v))
-		}
-		if degenerate {
-			t.AddNote("%s: degenerate baseline (IOPS=%.0f, WAF=%.3f) — normalized cells reported as n/a",
-				b, base.IOPS, base.WAF)
-		}
-		t.AddRow(cells...)
-	}
-	return []Table{t}, nil
-}
-
-func fig2a(opt Options) ([]Table, error) {
-	return fig2Table(opt, "Fig 2(a): IOPS normalized to the 1.5×OP (A-BGC) policy",
-		func(r, base Results) float64 { return r.NormalizedIOPS(base) })
-}
-
-func fig2b(opt Options) ([]Table, error) {
-	return fig2Table(opt, "Fig 2(b): WAF normalized to the 1.5×OP (A-BGC) policy",
-		func(r, base Results) float64 { return r.NormalizedWAF(base) })
-}
-
-func table1(opt Options) ([]Table, error) {
-	t := Table{
-		Title:   "Table 1: device-level write breakdown (paper: 88.2/81.7/85.8/72.4/46.3/0.1 % buffered)",
-		Columns: []string{"benchmark", "buffered %", "direct %"},
-	}
-	benches := Benchmarks()
-	rows, err := gridCells(opt, len(benches), func(i int) (Results, error) {
-		return Run(benches[i], Lazy(), opt)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range benches {
-		t.AddRow(b,
-			fmt.Sprintf("%.1f", 100*rows[i].BufferedRatio()),
-			fmt.Sprintf("%.1f", 100*(1-rows[i].BufferedRatio())))
-	}
-	return []Table{t}, nil
-}
-
-// evaluation runs the four Fig. 7 policies over all benchmarks once and is
-// shared by fig7a/fig7b/table2/table3. All benchmark×policy cells fan out
-// over opt.Workers into pre-indexed slots.
-func evaluation(opt Options) (map[string]map[string]Results, error) {
-	policies := []PolicySpec{Lazy(), Aggressive(), ADP(), JIT()}
-	benches := Benchmarks()
-	slots, err := gridCells(opt, len(benches)*len(policies), func(i int) (Results, error) {
-		b, p := benches[i/len(policies)], policies[i%len(policies)]
-		res, err := Run(b, p, opt)
-		if err != nil {
-			return res, fmt.Errorf("evaluation %s/%s: %w", b, p.Kind, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]map[string]Results, len(benches))
+// normTable renders the given arms of every benchmark's row normalized
+// over the row's A-BGC cell, noting a degenerate baseline.
+func normTable(title string, cols []string, arms []int, benches []string, grid [][]Results, metric func(r, base Results) float64) Table {
+	t := Table{Title: title, Columns: append([]string{"benchmark"}, cols...)}
 	for bi, b := range benches {
-		out[b] = make(map[string]Results, len(policies))
-		for pi := range policies {
-			res := slots[bi*len(policies)+pi]
-			out[b][res.Policy] = res
-		}
-	}
-	return out, nil
-}
-
-func fig7Table(opt Options, title string, metric func(r, base Results) float64) ([]Table, error) {
-	eval, err := evaluation(opt)
-	if err != nil {
-		return nil, err
-	}
-	t := Table{Title: title, Columns: []string{"benchmark", "L-BGC", "A-BGC", "ADP-GC", "JIT-GC"}}
-	for _, b := range Benchmarks() {
-		base := eval[b]["A-BGC"]
+		base := grid[bi][armABGC]
 		cells := []string{b}
 		degenerate := false
-		for _, p := range []string{"L-BGC", "A-BGC", "ADP-GC", "JIT-GC"} {
-			v := metric(eval[b][p], base)
+		for _, arm := range arms {
+			v := metric(grid[bi][arm], base)
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				degenerate = true
 			}
@@ -219,64 +167,49 @@ func fig7Table(opt Options, title string, metric func(r, base Results) float64) 
 		}
 		t.AddRow(cells...)
 	}
-	return []Table{t}, nil
+	return t
 }
 
-func fig7a(opt Options) ([]Table, error) {
-	return fig7Table(opt, "Fig 7(a): IOPS normalized to A-BGC",
-		func(r, base Results) float64 { return r.NormalizedIOPS(base) })
+// breakdownTable is Table 1, read from the L-BGC cells.
+func breakdownTable(benches []string, grid [][]Results) Table {
+	t := Table{
+		Title:   "Table 1: device-level write breakdown (paper: 88.2/81.7/85.8/72.4/46.3/0.1 % buffered)",
+		Columns: []string{"benchmark", "buffered %", "direct %"},
+	}
+	for bi, b := range benches {
+		r := grid[bi][armLBGC].BufferedRatio()
+		t.AddRow(b, fmt.Sprintf("%.1f", 100*r), fmt.Sprintf("%.1f", 100*(1-r)))
+	}
+	return t
 }
 
-func fig7b(opt Options) ([]Table, error) {
-	return fig7Table(opt, "Fig 7(b): WAF normalized to A-BGC",
-		func(r, base Results) float64 { return r.NormalizedWAF(base) })
-}
-
-func table2(opt Options) ([]Table, error) {
+// accuracyTable is Table 2.
+func accuracyTable(benches []string, grid [][]Results) Table {
 	t := Table{
 		Title:   "Table 2: prediction accuracy % (paper JIT: 98.9/93.2/97.3/89.8/86.1/72.5; ADP: 87.7/72.8/82.0/73.4/74.1/71.2)",
 		Columns: []string{"benchmark", "JIT-GC", "ADP-GC"},
 	}
-	benches := Benchmarks()
-	specs := []PolicySpec{JIT(), ADP()}
-	slots, err := gridCells(opt, len(benches)*len(specs), func(i int) (Results, error) {
-		return Run(benches[i/len(specs)], specs[i%len(specs)], opt)
-	})
-	if err != nil {
-		return nil, err
-	}
 	for bi, b := range benches {
 		t.AddRow(b,
-			fmt.Sprintf("%.1f", 100*slots[bi*len(specs)].PredictionAccuracy),
-			fmt.Sprintf("%.1f", 100*slots[bi*len(specs)+1].PredictionAccuracy))
+			fmt.Sprintf("%.1f", 100*grid[bi][armJIT].PredictionAccuracy),
+			fmt.Sprintf("%.1f", 100*grid[bi][armADP].PredictionAccuracy))
 	}
-	return []Table{t}, nil
+	return t
 }
 
-// table3 measures what SIP filtering buys. Every benchmark runs under
-// JIT-GC twice, with its SIP list installed both times: once with the
-// paper's SIP-greedy victim selection and once with plain greedy
-// (runJITGreedy). Wasted migrations are GC moves of pages on the list, so
-// the greedy arm's excess over the SIP-greedy arm is the waste filtering
-// avoided.
-func table3(opt Options) ([]Table, error) {
+// sipTable is Table 3: what SIP filtering buys. Both arms run JIT-GC with
+// its SIP list installed, one with the paper's SIP-greedy victim selection
+// and one with plain greedy (runJITGreedy). Wasted migrations are GC moves
+// of pages on the list, so the greedy arm's excess over the SIP-greedy arm
+// is the waste filtering avoided.
+func sipTable(benches []string, grid [][]Results) Table {
 	t := Table{
 		Title: "Table 3: SIP-filtered GC victim selections % (paper: 12.2/20.6/17.5/8.7/4.9/1.1), JIT-GC with SIP-greedy vs greedy selection",
 		Columns: []string{"benchmark", "filtered %", "wasted migrations (SIP-greedy)", "wasted migrations (greedy)",
 			"avoided", "WAF (SIP-greedy)", "WAF (greedy)"},
 	}
-	benches := Benchmarks()
-	slots, err := gridCells(opt, 2*len(benches), func(i int) (Results, error) {
-		if i%2 == 0 {
-			return Run(benches[i/2], JIT(), opt)
-		}
-		return runJITGreedy(benches[i/2], opt)
-	})
-	if err != nil {
-		return nil, err
-	}
 	for bi, b := range benches {
-		sip, greedy := slots[2*bi], slots[2*bi+1]
+		sip, greedy := grid[bi][armJIT], grid[bi][armGreedy]
 		t.AddRow(b,
 			fmt.Sprintf("%.1f", sip.FilteredVictimPct),
 			fmt.Sprintf("%d", sip.WastedMigrations),
@@ -285,7 +218,29 @@ func table3(opt Options) ([]Table, error) {
 			fmt.Sprintf("%.3f", sip.WAF),
 			fmt.Sprintf("%.3f", greedy.WAF))
 	}
-	return []Table{t}, nil
+	return t
+}
+
+// oracleTable sets the oracle replay (RunOracle) beside JIT-GC, both
+// normalized to A-BGC. The oracle knows the device write volume an A-BGC
+// run recorded, not its own future, so it is no upper bound: on the
+// direct-heavy benchmarks its IOPS falls below JIT-GC's (EXPERIMENTS.md).
+func oracleTable(benches []string, grid [][]Results) Table {
+	t := Table{
+		Title:   "Ideal-policy anchor (values normalized to A-BGC)",
+		Columns: []string{"benchmark", "oracle IOPS", "JIT IOPS", "oracle WAF", "JIT WAF", "oracle FGC", "JIT FGC"},
+	}
+	for bi, b := range benches {
+		base, jit, oracle := grid[bi][armABGC], grid[bi][armJIT], grid[bi][armOracle]
+		t.AddRow(b,
+			normCell(oracle.NormalizedIOPS(base)),
+			normCell(jit.NormalizedIOPS(base)),
+			normCell(oracle.NormalizedWAF(base)),
+			normCell(jit.NormalizedWAF(base)),
+			fmt.Sprintf("%d", oracle.FGCInvocations),
+			fmt.Sprintf("%d", jit.FGCInvocations))
+	}
+	return t
 }
 
 // runJITGreedy runs a benchmark under JIT-GC, SIP list forwarded as usual,
@@ -296,22 +251,13 @@ func runJITGreedy(benchmark string, opt Options) (Results, error) {
 		return Results{}, err
 	}
 	jit := JIT().Factory()
-	s, err := sim.New(cfg, func(env *sim.Env) (core.Policy, error) {
+	return runStream(reqs, benchmark, func(env *sim.Env) (core.Policy, error) {
 		p, err := jit(env)
 		if err != nil {
 			return nil, err
 		}
 		return p, env.FTL.SetSelector(ftl.Greedy)
-	})
-	if err != nil {
-		return Results{}, err
-	}
-	res, err := s.RunClosedLoop(reqs)
-	if err != nil {
-		return Results{}, err
-	}
-	res.Workload = benchmark
-	return res, nil
+	}, cfg, true)
 }
 
 // fig4 reproduces the paper's worked example of buffered demand estimation:
@@ -460,48 +406,6 @@ func Fig6Decisions() (at10, at20 int64) {
 	at10 = core.Schedule(add(dbuf10, dir), cfree, period, bw, bgc, 1)
 	at20 = core.Schedule(add(dbuf20, dir), cfree, period, bw, bgc, 1)
 	return at10, at20
-}
-
-// oracleAnchor runs the paper's §2 ideal policy — perfect knowledge of
-// future write volumes — beside JIT-GC and A-BGC: the gap between JIT-GC
-// and the oracle is the cost of *prediction* error, while the gap between
-// the oracle and A-BGC is the value of *timing* itself.
-func oracleAnchor(opt Options) ([]Table, error) {
-	t := Table{
-		Title:   "Ideal-policy anchor (values normalized to A-BGC)",
-		Columns: []string{"benchmark", "oracle IOPS", "JIT IOPS", "oracle WAF", "JIT WAF", "oracle FGC", "JIT FGC"},
-	}
-	benches := Benchmarks()
-	const perBench = 3 // A-BGC baseline, JIT-GC, oracle
-	slots, err := gridCells(opt, len(benches)*perBench, func(i int) (res Results, err error) {
-		b := benches[i/perBench]
-		switch i % perBench {
-		case 0:
-			res, err = Run(b, Aggressive(), opt)
-		case 1:
-			res, err = Run(b, JIT(), opt)
-		case 2:
-			res, err = RunOracle(b, opt)
-		}
-		if err != nil {
-			err = fmt.Errorf("oracle anchor %s: %w", b, err)
-		}
-		return res, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for bi, b := range benches {
-		base, jit, oracle := slots[bi*perBench], slots[bi*perBench+1], slots[bi*perBench+2]
-		t.AddRow(b,
-			normCell(oracle.NormalizedIOPS(base)),
-			normCell(jit.NormalizedIOPS(base)),
-			normCell(oracle.NormalizedWAF(base)),
-			normCell(jit.NormalizedWAF(base)),
-			fmt.Sprintf("%d", oracle.FGCInvocations),
-			fmt.Sprintf("%d", jit.FGCInvocations))
-	}
-	return []Table{t}, nil
 }
 
 // lifetime measures the paper's title claim directly: with a finite

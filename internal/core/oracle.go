@@ -8,13 +8,15 @@ import (
 	"jitgc/internal/trace"
 )
 
-// Oracle is the ideal BGC invocation policy the paper's §2 motivates:
-// "one that can dynamically change C_resv so that only an exact amount of
-// future writes can be reserved in advance". It is fed the per-interval
-// device write volumes of a previous run of the same workload, so its
-// demand forecast is (near-)perfect; the residual error is only the timing
-// drift the policy itself introduces. Oracle is the upper-bound anchor the
-// practical predictors (JIT-GC, ADP-GC) are measured against.
+// Oracle replays a recorded future, after the ideal BGC invocation policy
+// the paper's §2 motivates: "one that can dynamically change C_resv so
+// that only an exact amount of future writes can be reserved in advance".
+// It is fed the per-interval device write volumes of a previous run of the
+// same workload (jitgc.RunOracle records them under A-BGC) and schedules
+// them with JIT-GC's rule. Its forecast is exact only while its own
+// closed-loop timing follows the recording's, so it bounds nothing: where
+// the two drift apart it can lose to the practical predictors it is set
+// beside (EXPERIMENTS.md).
 type Oracle struct {
 	future []int64 // bytes actually written per interval, known in advance
 	wb     predictor.WriteBack

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"jitgc/internal/ftl"
+	"jitgc/internal/nand"
 	"jitgc/internal/predictor"
 )
 
@@ -50,6 +52,28 @@ func TestBaselineConstructors(t *testing.T) {
 	}
 	if (FixedReserve{ReserveBytes: 42}).Name() != "fixed(42)" {
 		t.Error("default fixed name")
+	}
+}
+
+// TestLazyAggressiveAreSweepEnds: L-BGC and A-BGC reserve exactly what the
+// Fig. 2 sweep reserves at 0.5× and 1.5× C_OP, so the paper grid reads
+// them off the sweep's end columns. Checked at the C_OP of every scale
+// preset under the default OP ratio, and at odd byte counts where the
+// integer halving and the float product could round apart.
+func TestLazyAggressiveAreSweepEnds(t *testing.T) {
+	ops := []int64{0, 1, 3, 4095, 4097, 1<<20 + 1, 999_999_999, 1<<40 + 7}
+	opRatio := ftl.DefaultConfig().OPRatio
+	for _, p := range nand.ScalePresets() {
+		total := p.Geo.TotalPages()
+		ops = append(ops, (total-ftl.UserPagesFor(total, opRatio))*int64(p.Geo.PageSize))
+	}
+	for _, op := range ops {
+		if l, f := NewLazyBGC(op).ReserveBytes, NewFixedBGC(op, 0.5).ReserveBytes; l != f {
+			t.Errorf("C_OP=%d: L-BGC reserves %d, Fixed(0.5) %d", op, l, f)
+		}
+		if a, f := NewAggressiveBGC(op).ReserveBytes, NewFixedBGC(op, 1.5).ReserveBytes; a != f {
+			t.Errorf("C_OP=%d: A-BGC reserves %d, Fixed(1.5) %d", op, a, f)
+		}
 	}
 }
 

@@ -169,16 +169,6 @@ func (o Options) generator(benchmark string) (workload.Generator, error) {
 	return workload.ByName(benchmark)
 }
 
-// StreamingLatencyThreshold is the request count from which a run's latency
-// recorder is the constant-memory streaming histogram. Runs under the
-// threshold — every golden and default run — keep exact percentiles unless
-// Config.StreamingLatency asks for streaming; past it streaming is forced,
-// whatever Config.StreamingLatency says. Memory alone no longer calls for
-// the switch — bounded by the run length, the exact recorder keeps about
-// 0.16 bytes per request — but removing it would move the outputs of every
-// run this long.
-const StreamingLatencyThreshold = 1_000_000
-
 // fillFraction is the share of user capacity preconditioned with data
 // before a run: the working set plus cold data beyond it, modelling a
 // mostly-full filesystem whose hot half the benchmark overwrites. A working
@@ -192,9 +182,6 @@ func (o Options) simConfig() (sim.Config, int64) {
 		cfg = *o.Config
 	} else {
 		cfg = sim.DefaultConfig()
-	}
-	if !cfg.StreamingLatency && o.Ops >= StreamingLatencyThreshold {
-		cfg.StreamingLatency = true
 	}
 	user := ftl.UserPagesFor(cfg.FTL.Geometry.TotalPages(), cfg.FTL.OPRatio)
 	ws := o.WorkingSetPages
@@ -243,7 +230,13 @@ func GenerateStream(benchmark string, opt Options) ([]trace.Request, sim.Config,
 // selects whether request times are think times (true) or absolute arrival
 // times (false, trace replay).
 func RunTrace(reqs []trace.Request, name string, policy PolicySpec, cfg sim.Config, closedLoop bool) (Results, error) {
-	s, err := sim.New(cfg, policy.Factory())
+	return runStream(reqs, name, policy.Factory(), cfg, closedLoop)
+}
+
+// runStream executes reqs on a simulator whose policy newPolicy builds and
+// labels the result with name; closedLoop is as for RunTrace.
+func runStream(reqs []trace.Request, name string, newPolicy sim.PolicyFactory, cfg sim.Config, closedLoop bool) (Results, error) {
+	s, err := sim.New(cfg, newPolicy)
 	if err != nil {
 		return Results{}, err
 	}
@@ -260,14 +253,15 @@ func RunTrace(reqs []trace.Request, name string, policy PolicySpec, cfg sim.Conf
 	return res, nil
 }
 
-// RunOracle executes a benchmark under the ideal BGC policy of the paper's
-// §2: a first pass records the actual device write volume of every
-// write-back interval, and a second pass replays the workload with a
-// policy that reserves for exactly that recorded future. The recording
-// pass runs under A-BGC, whose pacing is closest to a well-reserved run,
-// so the replayed series stays aligned with the oracle's own closed-loop
-// timing. The result is the upper-bound anchor against which JIT-GC's
-// practical predictors can be judged.
+// RunOracle executes a benchmark under the oracle BGC policy modelled on
+// the paper's §2 ideal: a first pass runs the workload under A-BGC, whose
+// pacing is closest to a well-reserved run, and records the device write
+// volume of every write-back interval; a second pass replays the workload
+// with a policy that reserves for exactly that recorded future. The future
+// it knows is A-BGC's, not its own: once
+// the replay's closed-loop timing drifts from the recording, its forecast
+// is wrong too. It is a replay, not an upper bound; EXPERIMENTS.md lists
+// where it loses to JIT-GC.
 func RunOracle(benchmark string, opt Options) (Results, error) {
 	reqs, cfg, err := GenerateStream(benchmark, opt)
 	if err != nil {
@@ -282,19 +276,9 @@ func RunOracle(benchmark string, opt Options) (Results, error) {
 		return Results{}, err
 	}
 	future := recorder.IntervalActuals()
-
-	s, err := sim.New(cfg, func(env *sim.Env) (core.Policy, error) {
+	return runStream(reqs, benchmark, func(env *sim.Env) (core.Policy, error) {
 		return core.NewOracle(future, env.WriteBack)
-	})
-	if err != nil {
-		return Results{}, err
-	}
-	res, err := s.RunClosedLoop(reqs)
-	if err != nil {
-		return Results{}, err
-	}
-	res.Workload = benchmark
-	return res, nil
+	}, cfg, true)
 }
 
 // Benchmarks returns the six paper benchmark names in paper order.

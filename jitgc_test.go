@@ -2,6 +2,7 @@ package jitgc
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -187,12 +188,12 @@ func TestExperimentRegistry(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
-	for _, id := range []string{"fig2a", "fig2b", "table1", "fig4", "fig5", "fig6", "fig7a", "fig7b", "table2", "table3"} {
+	for _, id := range []string{"evaluation", "fig4", "fig5", "fig6"} {
 		if !seen[id] {
 			t.Errorf("missing paper experiment %q", id)
 		}
 	}
-	if _, err := ExperimentByID("fig7a"); err != nil {
+	if _, err := ExperimentByID("evaluation"); err != nil {
 		t.Errorf("ExperimentByID: %v", err)
 	}
 	if _, err := ExperimentByID("nope"); err == nil {
@@ -228,6 +229,34 @@ func TestFig5TableShowsPaperReserve(t *testing.T) {
 	out := tables[0].String()
 	if !strings.Contains(out, "20 MB") {
 		t.Errorf("fig5 output missing the 20 MB reserve:\n%s", out)
+	}
+}
+
+// TestLazyAggressiveRunAsSweepEnds: the paper grid reads L-BGC and A-BGC
+// off Fig. 2's 0.50OP and 1.50OP columns, so on every benchmark Lazy and
+// Fixed(0.5), and Aggressive and Fixed(1.5), must produce the same Results
+// but for the policy's name, at the options evaluation's golden renders at.
+func TestLazyAggressiveRunAsSweepEnds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("24 runs at golden scale")
+	}
+	pairs := [][2]PolicySpec{{Lazy(), Fixed(0.5)}, {Aggressive(), Fixed(1.5)}}
+	benches := Benchmarks()
+	opt := goldenOptions()
+	opt.Workers = 0
+	cells, err := gridCells(opt, 2*len(benches)*len(pairs), func(i int) (Results, error) {
+		return Run(benches[i/(2*len(pairs))], pairs[i/2%len(pairs)][i%2], opt)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(cells); i += 2 {
+		named, fixed := cells[i], cells[i+1]
+		fixed.Policy = named.Policy
+		if !reflect.DeepEqual(named, fixed) {
+			t.Errorf("%s: %s and %s Results differ beyond Policy", benches[i/(2*len(pairs))],
+				pairs[i/2%len(pairs)][0].Kind, cells[i+1].Policy)
+		}
 	}
 }
 
@@ -468,23 +497,18 @@ func TestTimelineRecording(t *testing.T) {
 	}
 }
 
-// TestStreamingLatencyAutoThreshold pins the recorder-selection policy:
-// golden-scale runs keep exact percentiles, while runs past the sample
-// threshold default to the constant-memory streaming recorder (still
-// overridable by an explicit Config).
-func TestStreamingLatencyAutoThreshold(t *testing.T) {
+// TestStreamingLatencyOnlyWhenAsked pins the recorder selection: a run
+// keeps exact percentiles at any length, 10⁶ requests included, and
+// streams only when its Config asks.
+func TestStreamingLatencyOnlyWhenAsked(t *testing.T) {
 	cfgFor := func(o Options) sim.Config {
 		cfg, _ := o.withDefaults().simConfig()
 		return cfg
 	}
-	if cfgFor(Options{Ops: 4000}).StreamingLatency {
-		t.Error("golden-scale run switched to streaming latency")
-	}
-	if cfgFor(Options{}).StreamingLatency {
-		t.Error("default run switched to streaming latency")
-	}
-	if !cfgFor(Options{Ops: StreamingLatencyThreshold}).StreamingLatency {
-		t.Error("threshold-sized run kept the exact recorder")
+	for _, ops := range []int{4000, 0, 1_000_000} {
+		if cfgFor(Options{Ops: ops}).StreamingLatency {
+			t.Errorf("Ops=%d run switched to streaming latency", ops)
+		}
 	}
 	explicit := sim.DefaultConfig()
 	explicit.StreamingLatency = true

@@ -192,7 +192,6 @@ func scaleTable(rows []ScaleResult) Table {
 				r.Preset.Name, r.WAF, r.GreedyWAF, r.MeanFieldWAF)
 		}
 	}
-	t.AddInfo("payload integrity disabled for this grid (tokens cost 8 B/page); "+
-		"simulator runs past %d ops use the streaming latency recorder", StreamingLatencyThreshold)
+	t.AddInfo("payload integrity disabled for this grid (tokens cost 8 B/page)")
 	return t
 }
