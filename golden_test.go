@@ -19,12 +19,35 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 
 // goldenOptions keeps the full serial sweep in the tens of seconds while still
 // driving every device through preconditioning and real GC pressure. The
-// committed golden files are rendered at exactly these options; regenerate
-// with `go test -run TestExperimentGoldens -update .` after an intentional
-// behaviour change.
+// committed golden files are rendered at exactly these options, evaluation's
+// at goldenOptionsFor's; regenerate with `go test -run TestExperimentGoldens
+// -update .` after an intentional behaviour change.
 func goldenOptions() Options {
 	return Options{Seed: 1, Ops: 4000, Workers: 1}
 }
+
+// evaluationOps is the request count evaluation's golden renders at. At
+// 4000 requests GC barely runs and its tables read 1.000 or 0.0% almost
+// everywhere; at 100000 they carry the paper's shape, so a change to a
+// policy shows up as a golden diff.
+const evaluationOps = 100_000
+
+// goldenOptionsFor returns the options experiment id's golden renders at.
+// Under -race evaluation stays at goldenOptions' 4000 requests: its runs
+// there check determinism and the shared tracer, not the golden.
+func goldenOptionsFor(id string) Options {
+	opt := goldenOptions()
+	if id == "evaluation" && !raceEnabled {
+		opt.Ops = evaluationOps
+	}
+	return opt
+}
+
+// evaluationUntraced is why evaluation's runs carry no event stream to
+// check: they render at evaluationOps, where tracing 60 runs would cost more
+// than the rest of the golden sweep, and the event types a traced 4000-request
+// evaluation run emits are all emitted by the other traced experiments too.
+const evaluationUntraced = "evaluation runs untraced at golden scale; its event types are covered by the other experiments' streams"
 
 // shortOps is the request count the experiments run at under -short.
 const shortOps = 500
@@ -48,7 +71,8 @@ func renderExperiment(e Experiment, tables []Table) string {
 //
 // Outside -race and -short the serial run traces into an event digest and a
 // live binlog at once (telemetry.Tee), and the live binlog must decode to
-// the events the digest folded. Under -race the serial run is
+// the events the digest folded; evaluation's runs, at evaluationOps, are
+// untraced (evaluationUntraced). Under -race the serial run is
 // untraced (the binlog package tests cover the codec under race), and the
 // Workers=8 run traces into one BinSink shared by all its cells, so the
 // race detector sees a tracer shared across grid workers. lifetime, which
@@ -74,11 +98,11 @@ var experimentRuns = func() map[string]func() *experimentRun {
 // runTwice makes e's serial and Workers=8 runs.
 func runTwice(e Experiment) *experimentRun {
 	r := &experimentRun{}
-	opt := goldenOptions()
+	opt := goldenOptionsFor(e.ID)
 	if testing.Short() {
 		opt.Ops = shortOps
 	}
-	if raceEnabled || testing.Short() || e.ID == "lifetime" {
+	if raceEnabled || testing.Short() || e.ID == "lifetime" || e.ID == "evaluation" {
 		r.serial, r.serialErr = e.Run(opt)
 	} else {
 		r.runTeed(e, opt)
@@ -172,8 +196,11 @@ func TestExperimentGoldens(t *testing.T) {
 		t.Skip("golden sweep runs every experiment at golden scale; skipped in -short")
 	}
 	eachExperiment(t, func(id string) string {
-		if raceEnabled && id == "lifetime" {
+		switch {
+		case raceEnabled && id == "lifetime":
 			return "wear-out replay takes minutes under the race detector"
+		case raceEnabled && id == "evaluation":
+			return "evaluation renders its golden at 100000 requests; under the race detector it runs at 4000 for the determinism check only"
 		}
 		return ""
 	}, func(t *testing.T, e Experiment, r *experimentRun) {
@@ -233,7 +260,8 @@ func TestGoldenFilesMatchExperiments(t *testing.T) {
 // actually emit must come back out of the live binlog the same run wrote
 // (requests through BinSink.EmitRequest) — same count, same SHA-256 over
 // every field. lifetime, whose nine wear-out cells would dominate the
-// whole suite, is covered by TestLifetimeEventStreamRoundTrip instead.
+// whole suite, is covered by TestLifetimeEventStreamRoundTrip instead;
+// evaluation runs untraced (evaluationUntraced).
 func TestExperimentEventStreamsRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the golden runs are traced only at golden scale; skipped in -short")
@@ -242,8 +270,11 @@ func TestExperimentEventStreamsRoundTrip(t *testing.T) {
 		t.Skip("single-goroutine fidelity sweep; the binlog package tests already run under race")
 	}
 	eachExperiment(t, func(id string) string {
-		if id == "lifetime" {
+		switch id {
+		case "lifetime":
 			return "covered by TestLifetimeEventStreamRoundTrip (one wear-out cell instead of nine)"
+		case "evaluation":
+			return evaluationUntraced
 		}
 		return ""
 	}, func(t *testing.T, e Experiment, r *experimentRun) {

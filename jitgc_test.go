@@ -238,11 +238,11 @@ func TestFig5TableShowsPaperReserve(t *testing.T) {
 // but for the policy's name, at the options evaluation's golden renders at.
 func TestLazyAggressiveRunAsSweepEnds(t *testing.T) {
 	if testing.Short() {
-		t.Skip("24 runs at golden scale")
+		t.Skip("24 runs at evaluation's golden scale")
 	}
 	pairs := [][2]PolicySpec{{Lazy(), Fixed(0.5)}, {Aggressive(), Fixed(1.5)}}
 	benches := Benchmarks()
-	opt := goldenOptions()
+	opt := goldenOptionsFor("evaluation")
 	opt.Workers = 0
 	cells, err := gridCells(opt, 2*len(benches)*len(pairs), func(i int) (Results, error) {
 		return Run(benches[i/(2*len(pairs))], pairs[i/2%len(pairs)][i%2], opt)
