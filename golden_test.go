@@ -44,9 +44,10 @@ func goldenOptionsFor(id string) Options {
 }
 
 // evaluationUntraced is why evaluation's runs carry no event stream to
-// check: they render at evaluationOps, where tracing 60 runs would cost more
-// than the rest of the golden sweep, and the event types a traced 4000-request
-// evaluation run emits are all emitted by the other traced experiments too.
+// check: they render at evaluationOps untraced, and the event types a traced
+// 4000-request evaluation run emits (erase, flush_decision, gc_start,
+// gc_end, request, snapshot) are all emitted by the other traced
+// experiments too.
 const evaluationUntraced = "evaluation runs untraced at golden scale; its event types are covered by the other experiments' streams"
 
 // shortOps is the request count the experiments run at under -short.

@@ -104,7 +104,8 @@ func (a *AccuracyTracker) Elapsed() int { return len(a.actual) }
 
 // Actuals returns a copy of the per-interval actual write volumes recorded
 // so far (bytes per closed interval). Feeding this series to a later run's
-// oracle policy gives it perfect demand knowledge.
+// oracle policy gives it this run's demand, which is the later run's own
+// only while the two runs' timing agrees.
 func (a *AccuracyTracker) Actuals() []int64 {
 	out := make([]int64, len(a.actual))
 	copy(out, a.actual)

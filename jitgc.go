@@ -258,10 +258,9 @@ func runStream(reqs []trace.Request, name string, newPolicy sim.PolicyFactory, c
 // pacing is closest to a well-reserved run, and records the device write
 // volume of every write-back interval; a second pass replays the workload
 // with a policy that reserves for exactly that recorded future. The future
-// it knows is A-BGC's, not its own: once
-// the replay's closed-loop timing drifts from the recording, its forecast
-// is wrong too. It is a replay, not an upper bound; EXPERIMENTS.md lists
-// where it loses to JIT-GC.
+// it knows is A-BGC's, not its own: once the replay's closed-loop timing
+// drifts from the recording, its forecast is wrong too. It is a replay, not
+// an upper bound; EXPERIMENTS.md lists where it loses to JIT-GC.
 func RunOracle(benchmark string, opt Options) (Results, error) {
 	reqs, cfg, err := GenerateStream(benchmark, opt)
 	if err != nil {

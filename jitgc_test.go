@@ -240,12 +240,12 @@ func TestLazyAggressiveRunAsSweepEnds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("24 runs at evaluation's golden scale")
 	}
-	pairs := [][2]PolicySpec{{Lazy(), Fixed(0.5)}, {Aggressive(), Fixed(1.5)}}
+	specs := []PolicySpec{Lazy(), Fixed(0.5), Aggressive(), Fixed(1.5)} // named, fixed twin, …
 	benches := Benchmarks()
 	opt := goldenOptionsFor("evaluation")
 	opt.Workers = 0
-	cells, err := gridCells(opt, 2*len(benches)*len(pairs), func(i int) (Results, error) {
-		return Run(benches[i/(2*len(pairs))], pairs[i/2%len(pairs)][i%2], opt)
+	cells, err := gridCells(opt, len(benches)*len(specs), func(i int) (Results, error) {
+		return Run(benches[i/len(specs)], specs[i%len(specs)], opt)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,8 +254,7 @@ func TestLazyAggressiveRunAsSweepEnds(t *testing.T) {
 		named, fixed := cells[i], cells[i+1]
 		fixed.Policy = named.Policy
 		if !reflect.DeepEqual(named, fixed) {
-			t.Errorf("%s: %s and %s Results differ beyond Policy", benches[i/(2*len(pairs))],
-				pairs[i/2%len(pairs)][0].Kind, cells[i+1].Policy)
+			t.Errorf("%s: %s and %s Results differ beyond Policy", named.Workload, named.Policy, cells[i+1].Policy)
 		}
 	}
 }
