@@ -24,11 +24,12 @@ type Experiment struct {
 	Run func(opt Options) ([]Table, error)
 }
 
-// Experiments returns every reproducible table and figure of the paper plus
-// the ablation studies DESIGN.md calls out, in presentation order.
+// Experiments returns every reproducible table and figure of the paper's
+// evaluation, its ablations included, plus the extension studies DESIGN.md
+// calls out, in presentation order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{ID: "evaluation", Title: "Paper evaluation: Fig 2, Table 1, Fig 7, Tables 2-3 and the oracle replay over one benchmark × policy grid", Run: evaluationExp},
+		{ID: "evaluation", Title: "Paper evaluation: Fig 2, Table 1, Fig 7, Tables 2-3, the oracle replay and the §3.2 ablations over one benchmark × policy grid", Run: evaluationExp},
 		{ID: "fig4", Title: "Fig 4: buffered write demand estimation example", Run: fig4},
 		{ID: "fig5", Title: "Fig 5: cumulative data histogram example", Run: fig5},
 		{ID: "fig6", Title: "Fig 6: JIT-GC manager scheduling examples", Run: fig6},
@@ -36,8 +37,6 @@ func Experiments() []Experiment {
 		{ID: "arrayscale", Title: "Array width: 16-64 devices under static vs adaptive GC tokens + rebuild under fire", Run: arrayscaleExp},
 		{ID: "lifetime", Title: "Lifetime: host data served before wear-out per policy", Run: lifetime},
 		{ID: "reliability", Title: "Reliability: fault-rate sweep per policy + degraded 2-device array", Run: reliability},
-		{ID: "ablation-percentile", Title: "Ablation: direct-write CDH percentile", Run: ablationPercentile},
-		{ID: "ablation-flush", Title: "Ablation: relaxed vs strict flush-condition prediction", Run: ablationFlush},
 		{ID: "scale", Title: "Scale: metadata footprint and WAF vs device capacity (256 MiB – 64 GiB)", Run: scaleExp},
 		{ID: "multitenant", Title: "Multi-tenant: open-loop QoS grid (tenants × load × policy) with p99.9 SLO verdicts", Run: multitenantExp},
 		{ID: "trim", Title: "TRIM: Frankie-validated WAF sweep + host profile × intensity × policy grid", Run: trimExp},
@@ -69,7 +68,7 @@ func ExperimentIDs() []string {
 var fig2Factors = []float64{0.5, 0.75, 1.0, 1.25, 1.5}
 
 // The arms of the paper grid, in cell order within a benchmark. Arms 0–4
-// are Fig. 2's C_resv sweep over fig2Factors, whose ends are the paper's
+// are Fig. 2's C_resv sweep over fig2Factors, whose ends run the paper's
 // L-BGC and A-BGC (C_resv = 0.5× and 1.5× C_OP; TestLazyAggressiveAreSweepEnds
 // holds each to its Fixed twin).
 const (
@@ -77,46 +76,84 @@ const (
 	armABGC   = 4
 	armADP    = 5
 	armJIT    = 6
-	armGreedy = 7 // JIT-GC with plain greedy victim selection: Table 3's control
-	armOracle = 8
-	numArms   = 9
+	armGreedy = 7  // JIT-GC with plain greedy victim selection: Table 3's control
+	armPct50  = 8  // JIT-GC at the 50th direct-write CDH percentile (§3.2.2 ablation)
+	armPct95  = 9  // … and at the 95th; armJIT is the paper's 80th
+	armStrict = 10 // JIT-GC with the strict τ_flush condition (§3.2.1 ablation)
+	armOracle = 11 // replays the benchmark's A-BGC cell, so it runs in a second pass
+	numArms   = 12
 )
 
-// runArm runs one cell of the paper grid.
-func runArm(benchmark string, arm int, opt Options) (Results, error) {
+// armPolicy returns the policy of one first-pass arm of the paper grid.
+func armPolicy(arm int) sim.PolicyFactory {
+	jit := JIT()
 	switch arm {
+	case armLBGC:
+		return Lazy().Factory()
+	case armABGC:
+		return Aggressive().Factory()
 	case armADP:
-		return Run(benchmark, ADP(), opt)
-	case armJIT:
-		return Run(benchmark, JIT(), opt)
-	case armGreedy:
-		return runJITGreedy(benchmark, opt)
-	case armOracle:
-		return RunOracle(benchmark, opt)
+		return ADP().Factory()
+	case armJIT: // the paper's JIT-GC; the ablation arms below retune it
+	case armGreedy: // SIP list forwarded as usual, victims picked by plain greedy
+		return func(env *sim.Env) (core.Policy, error) {
+			p, err := jit.Factory()(env)
+			if err != nil {
+				return nil, err
+			}
+			return p, env.FTL.SetSelector(ftl.Greedy)
+		}
+	case armPct50:
+		jit.JIT.Percentile = 0.5
+	case armPct95:
+		jit.JIT.Percentile = 0.95
+	case armStrict:
+		jit.JIT.StrictFlushPrediction = true
 	default:
-		return Run(benchmark, Fixed(fig2Factors[arm]), opt)
+		return Fixed(fig2Factors[arm]).Factory()
 	}
+	return jit.Factory()
 }
 
 // evaluationExp runs the paper grid — every benchmark under every arm,
 // each cell once, fanned out over opt.Workers — and renders Fig. 2,
-// Table 1, Fig. 7, Tables 2 and 3 and the oracle replay from its cells.
+// Table 1, Fig. 7, Tables 2 and 3, the oracle replay and the two ablations
+// from its cells.
 func evaluationExp(opt Options) ([]Table, error) {
 	benches := Benchmarks()
-	cells, err := gridCells(opt, len(benches)*numArms, func(i int) (Results, error) {
-		b, arm := benches[i/numArms], i%numArms
-		res, err := runArm(b, arm, opt)
-		if err != nil {
-			return res, fmt.Errorf("evaluation %s arm %d: %w", b, arm, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	grid := make([][]Results, len(benches))
 	for bi := range grid {
-		grid[bi] = cells[bi*numArms : (bi+1)*numArms]
+		grid[bi] = make([]Results, numArms)
+	}
+	// pass runs arms [first, last) of every benchmark. The oracle cells
+	// replay the A-BGC cells' recordings, so they run in a second pass.
+	futures := make([][]int64, len(benches))
+	pass := func(first, last int) error {
+		n := last - first
+		return runIndexed(opt.workers(), len(benches)*n, func(i int) error {
+			bi, arm := i/n, first+i%n
+			var policy sim.PolicyFactory
+			if arm == armOracle {
+				policy = oraclePolicy(futures[bi])
+			} else {
+				policy = armPolicy(arm)
+			}
+			res, s, err := runBenchmark(benches[bi], policy, opt)
+			if err != nil {
+				return fmt.Errorf("evaluation %s arm %d: %w", benches[bi], arm, err)
+			}
+			if arm == armABGC {
+				futures[bi] = s.IntervalActuals()
+			}
+			grid[bi][arm] = res
+			return nil
+		})
+	}
+	if err := pass(0, armOracle); err != nil {
+		return nil, err
+	}
+	if err := pass(armOracle, numArms); err != nil {
+		return nil, err
 	}
 
 	sweep, sweepCols := make([]int, len(fig2Factors)), make([]string, len(fig2Factors))
@@ -134,6 +171,8 @@ func evaluationExp(opt Options) ([]Table, error) {
 		accuracyTable(benches, grid),
 		sipTable(benches, grid),
 		oracleTable(benches, grid),
+		percentileTable(benches, grid),
+		flushTable(benches, grid),
 	}, nil
 }
 
@@ -199,7 +238,7 @@ func accuracyTable(benches []string, grid [][]Results) Table {
 
 // sipTable is Table 3: what SIP filtering buys. Both arms run JIT-GC with
 // its SIP list installed, one with the paper's SIP-greedy victim selection
-// and one with plain greedy (runJITGreedy). Wasted migrations are GC moves
+// and one with plain greedy (armGreedy). Wasted migrations are GC moves
 // of pages on the list, so the greedy arm's excess over the SIP-greedy arm
 // is the waste filtering avoided.
 func sipTable(benches []string, grid [][]Results) Table {
@@ -241,23 +280,6 @@ func oracleTable(benches []string, grid [][]Results) Table {
 			fmt.Sprintf("%d", jit.FGCInvocations))
 	}
 	return t
-}
-
-// runJITGreedy runs a benchmark under JIT-GC, SIP list forwarded as usual,
-// with victim selection reset to plain greedy: Table 3's control arm.
-func runJITGreedy(benchmark string, opt Options) (Results, error) {
-	reqs, cfg, err := GenerateStream(benchmark, opt)
-	if err != nil {
-		return Results{}, err
-	}
-	jit := JIT().Factory()
-	return runStream(reqs, benchmark, func(env *sim.Env) (core.Policy, error) {
-		p, err := jit(env)
-		if err != nil {
-			return nil, err
-		}
-		return p, env.FTL.SetSelector(ftl.Greedy)
-	}, cfg, true)
 }
 
 // fig4 reproduces the paper's worked example of buffered demand estimation:
@@ -393,18 +415,15 @@ func Fig6Decisions() (at10, at20 int64) {
 		bgc    = 10 * mb
 		period = 5 * time.Second
 	)
-	add := func(buf, dir []int64) []int64 {
-		out := make([]int64, len(buf))
-		for i := range out {
-			out[i] = buf[i] + dir[i]
-		}
-		return out
+	// Fig. 4's Dbuf(10) and Dbuf(20), plus 5 MB of direct writes per window.
+	d10 := []int64{0, 0, 0, 0, 20 * mb, 40 * mb}
+	d20 := []int64{0, 0, 20 * mb, 40 * mb, 0, 200 * mb}
+	for i := range d10 {
+		d10[i] += 5 * mb
+		d20[i] += 5 * mb
 	}
-	dir := []int64{5 * mb, 5 * mb, 5 * mb, 5 * mb, 5 * mb, 5 * mb}
-	dbuf10 := []int64{0, 0, 0, 0, 20 * mb, 40 * mb}
-	dbuf20 := []int64{0, 0, 20 * mb, 40 * mb, 0, 200 * mb}
-	at10 = core.Schedule(add(dbuf10, dir), cfree, period, bw, bgc, 1)
-	at20 = core.Schedule(add(dbuf20, dir), cfree, period, bw, bgc, 1)
+	at10 = core.Schedule(d10, cfree, period, bw, bgc, 1)
+	at20 = core.Schedule(d20, cfree, period, bw, bgc, 1)
 	return at10, at20
 }
 
@@ -435,23 +454,17 @@ func lifetime(opt Options) ([]Table, error) {
 		return nil, err
 	}
 	for bi, b := range benches {
-		rows := map[string]LifetimeResult{}
-		for pi := range policies {
-			res := slots[bi*len(policies)+pi]
-			rows[res.Policy] = res
-		}
-		base := float64(rows["A-BGC"].HostBytesWritten)
-		if base == 0 {
-			t.AddNote("%s: A-BGC served zero host bytes — normalized cells reported as n/a", b)
-		}
+		row := slots[bi*len(policies) : (bi+1)*len(policies)] // L-BGC, A-BGC, JIT-GC
+		base := float64(row[1].HostBytesWritten)
 		baseCell := "1.000"
 		if base == 0 {
+			t.AddNote("%s: A-BGC served zero host bytes — normalized cells reported as n/a", b)
 			baseCell = "n/a"
 		}
 		t.AddRow(b,
-			normLifetimeCell(float64(rows["L-BGC"].HostBytesWritten), base),
+			normLifetimeCell(float64(row[0].HostBytesWritten), base),
 			baseCell,
-			normLifetimeCell(float64(rows["JIT-GC"].HostBytesWritten), base),
+			normLifetimeCell(float64(row[2].HostBytesWritten), base),
 			fmt.Sprintf("%.0f", base/1e6))
 	}
 	return []Table{t}, nil
@@ -465,56 +478,36 @@ func normLifetimeCell(v, base float64) string {
 	return fmt.Sprintf("%.2f", v/base)
 }
 
-// ablationPercentile sweeps the direct-write CDH percentile the paper fixes
-// at 80%.
-func ablationPercentile(opt Options) ([]Table, error) {
+// percentileTable is the §3.2.2 ablation: JIT-GC reserving the 50th, the
+// paper's 80th and the 95th percentile of the direct-write CDH.
+func percentileTable(benches []string, grid [][]Results) Table {
 	t := Table{
 		Title:   "Ablation: direct-write CDH percentile (paper argues 80% balances IOPS and WAF)",
 		Columns: []string{"benchmark", "pct", "IOPS", "WAF", "FGC"},
 	}
-	benches := []string{"Tiobench", "TPC-C"} // the direct-write-heavy pair
-	pcts := []float64{0.5, 0.8, 0.95}
-	slots, err := gridCells(opt, len(benches)*len(pcts), func(i int) (Results, error) {
-		spec := JIT()
-		spec.JIT = core.JITOptions{Percentile: pcts[i%len(pcts)]}
-		return Run(benches[i/len(pcts)], spec, opt)
-	})
-	if err != nil {
-		return nil, err
-	}
+	pcts := []string{"50%", "80%", "95%"}
 	for bi, b := range benches {
-		for pi, pct := range pcts {
-			res := slots[bi*len(pcts)+pi]
-			t.AddRow(b, fmt.Sprintf("%.0f%%", 100*pct),
-				fmt.Sprintf("%.0f", res.IOPS), fmt.Sprintf("%.3f", res.WAF),
+		for i, arm := range []int{armPct50, armJIT, armPct95} {
+			res := grid[bi][arm]
+			t.AddRow(b, pcts[i], fmt.Sprintf("%.0f", res.IOPS), fmt.Sprintf("%.3f", res.WAF),
 				fmt.Sprintf("%d", res.FGCInvocations))
 		}
 	}
-	return []Table{t}, nil
+	return t
 }
 
-// ablationFlush compares the paper's relaxed τ_flush prediction against the
-// strict variant it argues against (§3.2.1).
-func ablationFlush(opt Options) ([]Table, error) {
+// flushTable is the §3.2.1 ablation: the paper's relaxed τ_flush
+// prediction (armJIT) against the strict variant it argues against.
+func flushTable(benches []string, grid [][]Results) Table {
 	t := Table{
 		Title:   "Ablation: relaxed vs strict flush-condition prediction (strict under-predicts → FGC)",
 		Columns: []string{"benchmark", "relaxed FGC", "strict FGC", "relaxed acc %", "strict acc %"},
 	}
-	benches := []string{"YCSB", "Postmark", "Filebench"} // buffered-heavy trio
-	strictSpec := JIT()
-	strictSpec.JIT = core.JITOptions{StrictFlushPrediction: true}
-	specs := []PolicySpec{JIT(), strictSpec}
-	slots, err := gridCells(opt, len(benches)*len(specs), func(i int) (Results, error) {
-		return Run(benches[i/len(specs)], specs[i%len(specs)], opt)
-	})
-	if err != nil {
-		return nil, err
-	}
 	for bi, b := range benches {
-		relaxed, strict := slots[bi*len(specs)], slots[bi*len(specs)+1]
+		relaxed, strict := grid[bi][armJIT], grid[bi][armStrict]
 		t.AddRow(b,
 			fmt.Sprintf("%d", relaxed.FGCInvocations), fmt.Sprintf("%d", strict.FGCInvocations),
 			fmt.Sprintf("%.1f", 100*relaxed.PredictionAccuracy), fmt.Sprintf("%.1f", 100*strict.PredictionAccuracy))
 	}
-	return []Table{t}, nil
+	return t
 }

@@ -17,11 +17,12 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/golden and testdata/settings.txt")
 
-// goldenOptions keeps the full serial sweep in the tens of seconds while still
-// driving every device through preconditioning and real GC pressure. The
+// goldenOptions keeps the extension experiments' serial sweep in seconds
+// while still driving every device through preconditioning and GC. The
 // committed golden files are rendered at exactly these options, evaluation's
-// at goldenOptionsFor's; regenerate with `go test -run TestExperimentGoldens
-// -update .` after an intentional behaviour change.
+// (the paper's tables and its ablations) at goldenOptionsFor's; regenerate
+// with `go test -run TestExperimentGoldens -update .` after an intentional
+// behaviour change.
 func goldenOptions() Options {
 	return Options{Seed: 1, Ops: 4000, Workers: 1}
 }
@@ -292,8 +293,8 @@ func TestExperimentEventStreamsRoundTrip(t *testing.T) {
 }
 
 // TestExperimentsRunAtReducedScale checks that every registered experiment
-// (sweeps, evaluations, ablations, oracle) returns tables with rows, on
-// both of its runs, so the full harness is exercised in CI.
+// (the paper grid, its worked examples and the extensions) returns tables
+// with rows, on both of its runs, so the full harness is exercised in CI.
 func TestExperimentsRunAtReducedScale(t *testing.T) {
 	eachExperiment(t, func(id string) string {
 		if id == "lifetime" {
@@ -329,6 +330,15 @@ func TestExperimentsRunAtReducedScale(t *testing.T) {
 // whose stream must decode to exactly Count() events. lifetime is
 // excluded only for wall-clock; it assembles its grid with the same
 // gridCells helper the covered experiments exercise.
+//
+// Some subtests guard state beyond the grid runner. array's coordination
+// state must live entirely inside each cell's array, and arrayscale's
+// rebuild state on top of it. multitenant superposes thousands of seeded
+// arrival and workload streams over one stepped simulator, so a global
+// RNG, map-iteration order or cross-cell aliasing shows up as a one-cell
+// diff. trim mixes direct-driven steady-state sweeps with full simulator
+// runs over TRIM-rich host profiles, and both must draw every random
+// choice from the cell's own seeded RNG.
 func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
 	eachExperiment(t, func(id string) string {
 		if id == "lifetime" {
@@ -336,46 +346,6 @@ func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		return ""
 	}, checkWorkersDeterministic)
-}
-
-// TestArrayExpWorkersDeterministic asserts the array experiment renders
-// byte-identically whether its grid cells run serially or fan out over
-// eight workers: the coordination state must live entirely inside each
-// cell's array, never shared across goroutines.
-func TestArrayExpWorkersDeterministic(t *testing.T) {
-	checkExperimentDeterministic(t, "array")
-}
-
-// TestArrayScaleExpWorkersDeterministic does the same for the wide-array
-// study: its cells carry rebuild state on top of coordination, all of
-// which must stay confined to the cell's own array.
-func TestArrayScaleExpWorkersDeterministic(t *testing.T) {
-	checkExperimentDeterministic(t, "arrayscale")
-}
-
-// TestMultiTenantExpDeterministic does the same for the multi-tenant
-// experiment. The engine superposes thousands of seeded arrival and
-// workload streams over one stepped simulator; any hidden shared state — a
-// global RNG, map-iteration ordering, cross-cell aliasing — shows up here
-// as a one-cell diff between the two runs at one seed.
-func TestMultiTenantExpDeterministic(t *testing.T) {
-	checkExperimentDeterministic(t, "multitenant")
-}
-
-// TestTrimExpWorkersDeterministic does the same for the trim experiment.
-// Its grid mixes two kinds of cells — direct-driven steady-state sweeps and
-// full simulator runs over the TRIM-rich host profiles — and both must
-// derive every random choice from the cell's own seeded RNG.
-func TestTrimExpWorkersDeterministic(t *testing.T) {
-	checkExperimentDeterministic(t, "trim")
-}
-
-func checkExperimentDeterministic(t *testing.T, id string) {
-	e, err := ExperimentByID(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWorkersDeterministic(t, e, experimentRuns[id]())
 }
 
 // checkWorkersDeterministic fails unless e's Workers=8 run rendered the

@@ -198,11 +198,19 @@ func (o Options) simConfig() (sim.Config, int64) {
 // Run generates the named benchmark's request stream and executes it
 // closed-loop under the given policy.
 func Run(benchmark string, policy PolicySpec, opt Options) (Results, error) {
+	res, _, err := runBenchmark(benchmark, policy.Factory(), opt)
+	return res, err
+}
+
+// runBenchmark generates the named benchmark's request stream and executes
+// it closed-loop on a simulator whose policy newPolicy builds, returning
+// that simulator beside its results for callers that read more of it.
+func runBenchmark(benchmark string, newPolicy sim.PolicyFactory, opt Options) (Results, *sim.Simulator, error) {
 	reqs, cfg, err := GenerateStream(benchmark, opt)
 	if err != nil {
-		return Results{}, err
+		return Results{}, nil, err
 	}
-	return RunTrace(reqs, benchmark, policy, cfg, true)
+	return runStream(reqs, benchmark, newPolicy, cfg, true)
 }
 
 // GenerateStream produces the named benchmark's closed-loop request stream
@@ -230,15 +238,17 @@ func GenerateStream(benchmark string, opt Options) ([]trace.Request, sim.Config,
 // selects whether request times are think times (true) or absolute arrival
 // times (false, trace replay).
 func RunTrace(reqs []trace.Request, name string, policy PolicySpec, cfg sim.Config, closedLoop bool) (Results, error) {
-	return runStream(reqs, name, policy.Factory(), cfg, closedLoop)
+	res, _, err := runStream(reqs, name, policy.Factory(), cfg, closedLoop)
+	return res, err
 }
 
 // runStream executes reqs on a simulator whose policy newPolicy builds and
-// labels the result with name; closedLoop is as for RunTrace.
-func runStream(reqs []trace.Request, name string, newPolicy sim.PolicyFactory, cfg sim.Config, closedLoop bool) (Results, error) {
+// labels the result with name; closedLoop is as for RunTrace. It returns the
+// simulator too, whose IntervalActuals the oracle replays.
+func runStream(reqs []trace.Request, name string, newPolicy sim.PolicyFactory, cfg sim.Config, closedLoop bool) (Results, *sim.Simulator, error) {
 	s, err := sim.New(cfg, newPolicy)
 	if err != nil {
-		return Results{}, err
+		return Results{}, nil, err
 	}
 	var res Results
 	if closedLoop {
@@ -247,10 +257,10 @@ func runStream(reqs []trace.Request, name string, newPolicy sim.PolicyFactory, c
 		res, err = s.Run(reqs)
 	}
 	if err != nil {
-		return Results{}, err
+		return Results{}, nil, err
 	}
 	res.Workload = name
-	return res, nil
+	return res, s, nil
 }
 
 // RunOracle executes a benchmark under the oracle BGC policy modelled on
@@ -262,22 +272,18 @@ func runStream(reqs []trace.Request, name string, newPolicy sim.PolicyFactory, c
 // drifts from the recording, its forecast is wrong too. It is a replay, not
 // an upper bound; EXPERIMENTS.md lists where it loses to JIT-GC.
 func RunOracle(benchmark string, opt Options) (Results, error) {
-	reqs, cfg, err := GenerateStream(benchmark, opt)
+	_, recorder, err := runBenchmark(benchmark, Aggressive().Factory(), opt)
 	if err != nil {
 		return Results{}, err
 	}
+	res, _, err := runBenchmark(benchmark, oraclePolicy(recorder.IntervalActuals()), opt)
+	return res, err
+}
 
-	recorder, err := sim.New(cfg, Aggressive().Factory())
-	if err != nil {
-		return Results{}, err
-	}
-	if _, err := recorder.RunClosedLoop(reqs); err != nil {
-		return Results{}, err
-	}
-	future := recorder.IntervalActuals()
-	return runStream(reqs, benchmark, func(env *sim.Env) (core.Policy, error) {
-		return core.NewOracle(future, env.WriteBack)
-	}, cfg, true)
+// oraclePolicy builds the oracle policy reserving for future, the
+// IntervalActuals of an A-BGC run of the same benchmark and options.
+func oraclePolicy(future []int64) sim.PolicyFactory {
+	return func(env *sim.Env) (core.Policy, error) { return core.NewOracle(future, env.WriteBack) }
 }
 
 // Benchmarks returns the six paper benchmark names in paper order.
