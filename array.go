@@ -26,8 +26,10 @@ type ArrayConfig struct {
 	StripePages int64
 	// Coordination is the GC coordination mode: "independent" (default,
 	// every device collects on its own schedule) or "coordinated" (a
-	// rotation token caps concurrent background collections and JIT-GC's
-	// T_idle/T_gc test runs against array-level demand).
+	// rotation token caps concurrent background collections, deferred
+	// mid-burst unless the array is urgent: core.Schedule's verdict on the
+	// members' aggregate forecast and free space with K collectors' GC
+	// bandwidth, next-tick rule included).
 	Coordination string
 	// MaxConcurrentGC is the token width K in coordinated mode.
 	// array.AdaptiveCap (-1) resizes K every interval from the aggregate

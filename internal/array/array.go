@@ -21,9 +21,9 @@
 // goes through a rotation token — at most K devices collect per interval —
 // and each grant collects ahead to the device's full predicted deficit,
 // because the next burst may start before the token returns. Urgency is
-// the paper's T_idle/T_gc test against aggregate demand: when the idle
-// time left in the write-back horizon cannot cover the aggregate GC debt
-// at concurrency K, deferral is suspended and token holders collect even
+// core.Schedule's verdict on the members' aggregate forecast and free
+// space with K collectors' GC bandwidth, next-tick rule included: when it
+// would reclaim, deferral is suspended and token holders collect even
 // mid-burst. Devices whose free space no longer covers their own demand
 // bypass the token entirely — denying them would only convert the same
 // work into a foreground stall.
@@ -216,8 +216,9 @@ type Array struct {
 
 	// Per-tick scratch, one slot per device, cleared at the start of every
 	// tick instead of allocated by it.
-	decs []core.Decision // this interval's decisions, as coordinate adjusted them
-	free []int64         // coordinate's per-device writable bytes
+	decs    []core.Decision // this interval's decisions, as coordinate adjusted them
+	free    []int64         // coordinate's per-device writable bytes
+	horizon []int64         // the aggregate forecast, one slot per write-back interval
 }
 
 // extent is a run of contiguous device-local pages within one request.
@@ -296,6 +297,7 @@ func New(cfg Config, factory sim.PolicyFactory) (*Array, error) {
 		burnEMA:     make([]int64, cfg.Devices),
 		decs:        make([]core.Decision, cfg.Devices),
 		free:        make([]int64, cfg.Devices),
+		horizon:     make([]int64, cfg.Device.Cache.Nwb()),
 		capNow:      capNow,
 		perDevPages: perDev,
 		userPages:   perDev * dataDevs,
@@ -552,8 +554,7 @@ func (a *Array) Tick(t time.Duration) error {
 // without consuming a token slot. Mid-burst, every other request is
 // deferred: the device policy only sees its 1/N slice of the stream and
 // asks just-in-time, but the array knows an inter-burst gap is coming where
-// the identical work costs nothing. When the array-level urgency test says
-// the idle time left in the horizon cannot absorb the aggregate GC debt,
+// the identical work costs nothing. When the array is urgent (below),
 // deferral is suspended and asks are granted through the token, at most
 // MaxConcurrentGC per interval, never enlarged — a boosted target mid-burst
 // grinds victim-collection chunks between host requests for the rest of the
@@ -561,9 +562,13 @@ func (a *Array) Tick(t time.Duration) error {
 // device's predicted horizon deficit, capped at half an interval of GC
 // bandwidth so the work is finished well before a burst can resume.
 //
-// Urgency is the paper's T_idle/T_gc test lifted to the array: aggregate
-// demand over the τ_expire horizon versus aggregate free space, with GC
-// throughput limited to K concurrent collectors.
+// Urgency is core.Schedule's verdict on the members' aggregate forecast,
+// split evenly over the horizon's Nwb intervals (remainder on the last),
+// against their aggregate free space, with K times the mean GC bandwidth:
+// urgent when free space falls short of the next interval's demand
+// (Schedule's next-tick rule) or when the idle time before a later
+// deadline cannot cover the GC debt due by it; at the last deadline that
+// is the paper's T_idle < T_gc.
 func (a *Array) coordinate(t time.Duration, decs []core.Decision) {
 	n := len(a.devs)
 	busy := a.intervalReqs > 0
@@ -618,23 +623,14 @@ func (a *Array) coordinate(t time.Duration, decs []core.Decision) {
 	}
 	a.capNow = k
 
-	urgent := false
-	if demandTotal > freeTotal && bwTotal > 0 && bgcMean > 0 {
-		tw := float64(demandTotal) / bwTotal
-		tidle := a.cfg.Device.Cache.Expire.Seconds() - tw
-		if tidle < 0 {
-			tidle = 0
-		}
-		tgc := float64(demandTotal-freeTotal) / (float64(k) * bgcMean)
-		urgent = tgc > tidle
+	nwb := int64(len(a.horizon))
+	per := demandTotal / nwb
+	for j := range a.horizon {
+		a.horizon[j] = per
 	}
-
-	// nwb is the number of write-back intervals in the τ_expire horizon: a
-	// predictive policy's PredictedBytes spreads over nwb intervals.
-	nwb := float64(a.cfg.Device.Cache.Expire) / float64(a.cfg.Device.Cache.FlusherPeriod)
-	if nwb < 1 {
-		nwb = 1
-	}
+	a.horizon[nwb-1] += demandTotal - per*nwb
+	urgent := core.Schedule(a.horizon, freeTotal, a.cfg.Device.Cache.FlusherPeriod,
+		bwTotal, float64(k)*bgcMean, 1) > 0
 
 	grants := 0
 	advanceTo := -1
@@ -644,7 +640,7 @@ func (a *Array) coordinate(t time.Duration, decs []core.Decision) {
 			continue
 		}
 		ask := decs[i].ReclaimBytes
-		need := int64(float64(decs[i].PredictedBytes) / nwb)
+		need := decs[i].PredictedBytes / nwb
 		if a.burnEMA[i] > need {
 			need = a.burnEMA[i]
 		}

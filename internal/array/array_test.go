@@ -22,9 +22,7 @@ func tinyDevice() sim.Config {
 			Channels: 2, ChipsPerChannel: 1, BlocksPerChip: 16,
 			PagesPerBlock: 16, PageSize: 4096,
 		},
-		Timing:   nand.DefaultTimingMLC(),
-		OPRatio:  0.34,
-		Selector: ftl.Greedy,
+		OPRatio: 0.34,
 	}
 	ccfg := pagecache.Config{
 		PageSize:      4096,
@@ -280,6 +278,74 @@ func TestCoordinateCriticalBypass(t *testing.T) {
 	}
 	if decs[1].ReclaimBytes != 0 || decs[3].ReclaimBytes != 0 {
 		t.Errorf("over-granted: %d/%d", decs[1].ReclaimBytes, decs[3].ReclaimBytes)
+	}
+}
+
+// TestCoordinateUrgencyIsSchedule pins the coordinator's urgency to
+// core.Schedule on the aggregate forecast. Two members are mid-burst under
+// the paper's write-back timing (p = 5 s, τ_expire = 30 s, Nwb = 6): A's
+// large forecast makes it critical, so it bypasses the token; B is not
+// critical and asks for 4 KiB. B is granted exactly when the array is
+// urgent. At twice the free space the array is calm and B is deferred. At
+// six times it plus one interval's margin, free space falls short of the
+// next interval's demand while T_idle ≥ T_gc still holds at the horizon's
+// end: only Schedule's next-tick rule makes the array urgent. Past the
+// last-interval deadline T_idle < T_gc, and both rules agree.
+func TestCoordinateUrgencyIsSchedule(t *testing.T) {
+	const ask = 4096
+	for _, tc := range []struct {
+		name                   string
+		demand                 func(free int64, bgc float64) int64 // aggregate forecast
+		nextTick, lastDeadline bool                                // which of Schedule's rules fire
+	}{
+		{"calm", func(free int64, _ float64) int64 { return 2 * free }, false, false},
+		{"next-tick", func(free int64, _ float64) int64 { return 6 * (free + ask) }, true, false},
+		{"past-last-deadline", func(free int64, bgc float64) int64 { return free + int64(30*bgc) }, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := tinyDevice()
+			dev.Cache.FlusherPeriod, dev.Cache.Expire = 5*time.Second, 30*time.Second
+			a := newArray(t, Config{Devices: 2, StripePages: 4, Mode: Coordinated, Device: dev})
+			nwb := int64(dev.Cache.Nwb())
+			var free int64
+			var bw, bgc float64
+			for _, d := range a.devs {
+				free += d.FTL().WritableBytes()
+				bw += d.FTL().WriteBandwidth()
+				bgc += d.FTL().GCBandwidth() / 2
+			}
+			demand := tc.demand(free, bgc) // K = 1: one collector's bandwidth
+			tidle := max(dev.Cache.Expire.Seconds()-float64(demand)/bw, 0)
+			tgc := float64(demand-free) / bgc
+			if demand/nwb > free != tc.nextTick || tgc > tidle != tc.lastDeadline {
+				t.Fatalf("demand %d, free %d: next-tick %v, T_gc %.2f s vs T_idle %.2f s: not the %s case",
+					demand, free, demand/nwb > free, tgc, tidle, tc.name)
+			}
+			h := make([]int64, nwb)
+			for j := range h {
+				h[j] = demand / nwb
+			}
+			h[nwb-1] += demand % nwb
+			urgent := core.Schedule(h, free, dev.Cache.FlusherPeriod, bw, bgc, 1) > 0
+			if urgent != (tc.nextTick || tc.lastDeadline) {
+				t.Fatalf("core.Schedule says urgent = %v", urgent)
+			}
+
+			a.intervalReqs = 1 // mid-burst
+			decs := []core.Decision{
+				{PredictedBytes: demand - ask, ReclaimBytes: ask},
+				{ReclaimBytes: ask},
+			}
+			a.coordinate(0, decs)
+			if decs[0].ReclaimBytes != ask || a.bypassed != 1 {
+				t.Errorf("critical member A: reclaim %d, bypassed %d; want %d, 1", decs[0].ReclaimBytes, a.bypassed, ask)
+			}
+			granted := decs[1].ReclaimBytes == ask
+			if granted != urgent {
+				t.Errorf("member B granted = %v (reclaim %d), want core.Schedule's urgent = %v",
+					granted, decs[1].ReclaimBytes, urgent)
+			}
+		})
 	}
 }
 

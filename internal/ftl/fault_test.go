@@ -326,7 +326,7 @@ func TestUnrecoverableReadDropsMapping(t *testing.T) {
 		t.Errorf("lost page still mapped to ppn %d", ppn)
 	}
 	// Subsequent reads serve zeroes via the unmapped path.
-	if d, err := f.Read(3); err != nil || d != f.Config().Timing.Transfer {
+	if d, err := f.Read(3); err != nil || d != f.Device().Timing().Transfer {
 		t.Errorf("read after loss: d=%v err=%v", d, err)
 	}
 	if err := f.CheckConsistency(); err != nil {

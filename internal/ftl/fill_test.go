@@ -35,7 +35,6 @@ func genFillCase(seed int64) fillCase {
 			Channels: 1 + r.Intn(2), ChipsPerChannel: 1, BlocksPerChip: 12 + r.Intn(20),
 			PagesPerBlock: ppb, PageSize: 4096,
 		},
-		Timing:           nand.DefaultTimingMLC(),
 		OPRatio:          []float64{0.5, 0.7, 0.9}[r.Intn(3)],
 		WearThreshold:    int64(r.Intn(2) * 4),
 		DisableIntegrity: r.Intn(3) == 0,

@@ -1,9 +1,10 @@
 // Package ftl implements a page-mapping flash translation layer over the
 // nand array model: logical-to-physical mapping, out-of-place updates, a
 // free-block pool, foreground and background garbage collection with a
-// choice of three victim selection rules (one of them the paper's SIP-aware
-// filtering), wear-aware block allocation with threshold wear leveling, and
-// the write-amplification accounting the paper's lifetime results rest on.
+// choice of two victim selection rules (plain greedy and the paper's
+// SIP-aware filtering), wear-aware block allocation with threshold wear
+// leveling, and the write-amplification accounting the paper's lifetime
+// results rest on.
 package ftl
 
 import (
@@ -20,7 +21,7 @@ var (
 	ErrBadLPN       = errors.New("ftl: LPN out of user capacity")
 	ErrNoFreeBlocks = errors.New("ftl: no free blocks and no reclaimable victim")
 	ErrCorruption   = errors.New("ftl: stored payload does not match its logical page")
-	// ErrUnknownSelector rejects a Selector value past the two kinds.
+	// ErrUnknownSelector rejects a SetSelector value past the two kinds.
 	ErrUnknownSelector = errors.New("ftl: victim selector is not Greedy or SIPGreedy")
 )
 
@@ -34,15 +35,12 @@ const freeBlockReserve = 2
 
 // Config parameterizes an FTL instance.
 type Config struct {
-	// Geometry and Timing describe the underlying NAND array.
+	// Geometry describes the underlying NAND array, which runs at
+	// nand.DefaultTimingMLC.
 	Geometry nand.Geometry
-	Timing   nand.Timing
 	// OPRatio is the over-provisioning capacity C_OP as a fraction of user
 	// capacity. The SM843T in the paper uses 7%.
 	OPRatio float64
-	// Selector chooses GC victim blocks: Greedy (the zero value) or
-	// SIPGreedy; any other value is ErrUnknownSelector.
-	Selector Selector
 	// WearThreshold is the max-min erase-count gap that triggers static
 	// wear leveling (forcing the least-erased full block to be recycled).
 	// 0 disables it.
@@ -75,7 +73,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Geometry:      nand.DefaultGeometry(),
-		Timing:        nand.DefaultTimingMLC(),
 		OPRatio:       0.07,
 		WearThreshold: 64,
 	}
@@ -86,17 +83,11 @@ func (c Config) Validate() error {
 	if err := c.Geometry.Validate(); err != nil {
 		return err
 	}
-	if err := c.Timing.Validate(); err != nil {
-		return err
-	}
 	if c.OPRatio <= 0 || c.OPRatio >= 1 {
 		return fmt.Errorf("ftl: OP ratio %v outside (0,1)", c.OPRatio)
 	}
 	if c.WearThreshold < 0 {
 		return fmt.Errorf("ftl: negative wear threshold %d", c.WearThreshold)
-	}
-	if c.Selector > SIPGreedy {
-		return fmt.Errorf("%w: %d", ErrUnknownSelector, c.Selector)
 	}
 	return c.Fault.Validate()
 }
@@ -165,6 +156,7 @@ func (s Stats) WAF() float64 {
 type FTL struct {
 	cfg Config
 	dev *nand.Array
+	sel Selector // GC victim rule, Greedy until SetSelector
 
 	userPages   int64   // exposed logical capacity in pages
 	l2p         pageMap // LPN → PPN, unmapped = -1
@@ -221,7 +213,7 @@ func New(cfg Config) (*FTL, error) {
 	if cfg.DisableIntegrity {
 		newDev = nand.NewBareArray
 	}
-	dev, err := newDev(cfg.Geometry, cfg.Timing)
+	dev, err := newDev(cfg.Geometry, nand.DefaultTimingMLC())
 	if err != nil {
 		return nil, err
 	}
@@ -297,13 +289,13 @@ func (f *FTL) OPBytes() int64 { return f.OPPages() * int64(f.cfg.Geometry.PageSi
 func (f *FTL) PageSize() int { return f.cfg.Geometry.PageSize }
 
 // SetSelector replaces the GC victim selector (e.g. to enable SIP-aware
-// filtering once a JIT-GC policy is attached). A value past the three kinds
-// is ErrUnknownSelector and changes nothing.
+// filtering once a JIT-GC policy is attached); a new FTL selects Greedy. A
+// value past the two kinds is ErrUnknownSelector and changes nothing.
 func (f *FTL) SetSelector(s Selector) error {
 	if s > SIPGreedy {
 		return fmt.Errorf("%w: %d", ErrUnknownSelector, s)
 	}
-	f.cfg.Selector = s
+	f.sel = s
 	return nil
 }
 
@@ -377,7 +369,7 @@ func (f *FTL) Read(lpn int64) (time.Duration, error) {
 	if ppn == unmapped {
 		// Unwritten data: controllers return zeroes without touching the
 		// array; charge only transfer time.
-		return f.cfg.Timing.Transfer, nil
+		return f.dev.Timing().Transfer, nil
 	}
 	tok, d, err := f.readRecovered(nand.AddrOfPPN(ppn, f.cfg.Geometry.PagesPerBlock), lpn)
 	if err != nil {

@@ -18,9 +18,7 @@ func smallConfig() Config {
 			Channels: 2, ChipsPerChannel: 1, BlocksPerChip: 8,
 			PagesPerBlock: 16, PageSize: 4096,
 		},
-		Timing:   nand.DefaultTimingMLC(),
-		OPRatio:  0.34,
-		Selector: Greedy,
+		OPRatio: 0.34,
 	}
 }
 
@@ -95,19 +93,19 @@ func TestWriteReadMapping(t *testing.T) {
 	if fgc != 0 {
 		t.Errorf("fresh write triggered FGC time %v", fgc)
 	}
-	if service != f.cfg.Timing.ProgramCost() {
-		t.Errorf("service = %v, want %v", service, f.cfg.Timing.ProgramCost())
+	if service != f.dev.Timing().ProgramCost() {
+		t.Errorf("service = %v, want %v", service, f.dev.Timing().ProgramCost())
 	}
 	if f.MappedPPN(42) < 0 {
 		t.Error("lpn 42 unmapped after write")
 	}
 	d, err := f.Read(42)
-	if err != nil || d != f.cfg.Timing.ReadCost() {
+	if err != nil || d != f.dev.Timing().ReadCost() {
 		t.Errorf("read = %v, %v", d, err)
 	}
 	// Unmapped read costs only transfer time.
 	d, err = f.Read(43)
-	if err != nil || d != f.cfg.Timing.Transfer {
+	if err != nil || d != f.dev.Timing().Transfer {
 		t.Errorf("unmapped read = %v, %v", d, err)
 	}
 	if f.MappedPPN(-1) != -1 || f.MappedPPN(f.UserPages()) != -1 {

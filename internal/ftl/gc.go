@@ -100,7 +100,7 @@ func (f *FTL) pickVictim(foreground bool) (victim int, ok bool) {
 		return greedy, true
 	}
 	choice := greedy
-	if f.cfg.Selector == SIPGreedy {
+	if f.sel == SIPGreedy {
 		choice = f.sipGreedyVictim(greedy, sipMaxFraction, sipSlackPages)
 	}
 	// Table 3 counts selections where SIP filtering paid migration cost to
@@ -458,8 +458,9 @@ func (f *FTL) GCBandwidth() float64 {
 	if u > 0.95 {
 		u = 0.95
 	}
-	migrate := f.cfg.Timing.MigrateCost().Seconds() * u * ppb
-	erase := f.cfg.Timing.EraseBlock.Seconds()
+	timing := f.dev.Timing()
+	migrate := timing.MigrateCost().Seconds() * u * ppb
+	erase := timing.EraseBlock.Seconds()
 	freed := (1 - u) * ppb * float64(geo.PageSize)
 	perBlock := migrate + erase
 	if perBlock <= 0 {
@@ -472,6 +473,6 @@ func (f *FTL) GCBandwidth() float64 {
 // NAND program timing and channel parallelism.
 func (f *FTL) WriteBandwidth() float64 {
 	geo := f.cfg.Geometry
-	perPage := f.cfg.Timing.ProgramCost().Seconds()
+	perPage := f.dev.Timing().ProgramCost().Seconds()
 	return float64(geo.PageSize) / perPage * float64(geo.Parallelism())
 }

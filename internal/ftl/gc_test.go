@@ -134,11 +134,11 @@ func TestSIPGreedyFractionThreshold(t *testing.T) {
 // cheaper one wins, and a clean block one page past the slack stays out.
 func TestSIPGreedyFrontierEdge(t *testing.T) {
 	cfg := quickGeometry()
-	cfg.Selector = SIPGreedy
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	withSelector(t, f, SIPGreedy)
 	if err := f.Fill(f.UserPages()); err != nil {
 		t.Fatal(err)
 	}

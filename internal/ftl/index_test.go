@@ -181,6 +181,15 @@ func steadyFTL(tb testing.TB, cfg Config) *FTL {
 	return f
 }
 
+// withSelector installs sel on f and returns f.
+func withSelector(tb testing.TB, f *FTL, sel Selector) *FTL {
+	tb.Helper()
+	if err := f.SetSelector(sel); err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
 // taintedSteadyFTL builds a steady-state FTL whose greedy victim holds
 // valid pages and is tainted: random overwrites spread the candidates over
 // many valid counts, background collections take every fully-invalid
@@ -188,9 +197,7 @@ func steadyFTL(tb testing.TB, cfg Config) *FTL {
 // SIP-greedy selections on it walk the frontier instead of returning early.
 func taintedSteadyFTL(t *testing.T, sel Selector) *FTL {
 	t.Helper()
-	cfg := quickGeometry()
-	cfg.Selector = sel
-	f := steadyFTL(t, cfg)
+	f := withSelector(t, steadyFTL(t, quickGeometry()), sel)
 	rng := rand.New(rand.NewSource(1))
 	for i := int64(0); i < f.UserPages(); i++ {
 		if _, _, err := f.Write(rng.Int63n(f.UserPages())); err != nil {
@@ -306,11 +313,11 @@ func TestEachVisitsMembersUpToLimit(t *testing.T) {
 // foreground GC, erases and victim selections included.
 func TestWritePathZeroAlloc(t *testing.T) {
 	cfg := quickGeometry()
-	cfg.Selector = SIPGreedy
 	fresh, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	withSelector(t, fresh, SIPGreedy)
 	for _, tc := range []struct {
 		name   string
 		f      *FTL
@@ -318,7 +325,7 @@ func TestWritePathZeroAlloc(t *testing.T) {
 		stride int64 // LPN step between writes
 	}{
 		{"fill", fresh, int(fresh.UserPages()) - 1, 1},
-		{"steady", steadyFTL(t, cfg), 400, 7},
+		{"steady", withSelector(t, steadyFTL(t, cfg), SIPGreedy), 400, 7},
 	} {
 		lpn := int64(0)
 		if avg := testing.AllocsPerRun(tc.writes, func() {
@@ -425,24 +432,17 @@ func TestCheckConsistencyVictimIndexViolations(t *testing.T) {
 	}
 }
 
-// TestCustomSelectorRejected: the victim index answers only the three
-// Selector kinds, so New and SetSelector refuse a value past them with
-// ErrUnknownSelector, and a refused SetSelector leaves the installed kind in
-// place. Foreground selection ignores the selector: a stalled host write
-// always takes the greedy victim straight from the index root.
+// TestCustomSelectorRejected: the victim index answers only the two
+// Selector kinds, so SetSelector refuses a value past them with
+// ErrUnknownSelector and leaves the installed kind in place. Foreground
+// selection ignores the selector: a stalled host write always takes the
+// greedy victim straight from the index root.
 func TestCustomSelectorRejected(t *testing.T) {
-	cfg := quickGeometry()
-	cfg.Selector = SIPGreedy + 1
-	if _, err := New(cfg); !errors.Is(err, ErrUnknownSelector) {
-		t.Errorf("New with selector %d: err = %v, want ErrUnknownSelector", cfg.Selector, err)
-	}
-
-	cfg.Selector = SIPGreedy
-	f := steadyFTL(t, cfg)
+	f := withSelector(t, steadyFTL(t, quickGeometry()), SIPGreedy)
 	if err := f.SetSelector(SIPGreedy + 1); !errors.Is(err, ErrUnknownSelector) {
 		t.Errorf("SetSelector(SIPGreedy+1): err = %v, want ErrUnknownSelector", err)
 	}
-	if got := f.Config().Selector; got != SIPGreedy {
+	if got := f.sel; got != SIPGreedy {
 		t.Errorf("refused SetSelector replaced the selector with %d", got)
 	}
 
@@ -497,12 +497,11 @@ func benchGeometry(blocks int) Config {
 // valid counts.
 func benchSteadyFTL(b testing.TB, blocks int, sel Selector) *FTL {
 	b.Helper()
-	cfg := benchGeometry(blocks)
-	cfg.Selector = sel
-	f, err := New(cfg)
+	f, err := New(benchGeometry(blocks))
 	if err != nil {
 		b.Fatal(err)
 	}
+	withSelector(b, f, sel)
 	for lpn := int64(0); lpn < f.UserPages(); lpn++ {
 		if _, _, err := f.Write(lpn); err != nil {
 			b.Fatalf("precondition write(%d): %v", lpn, err)
@@ -523,7 +522,7 @@ func benchSteadyFTL(b testing.TB, blocks int, sel Selector) *FTL {
 // BenchmarkVictimSelect measures one background victim selection at
 // increasing device sizes, with zero allocations at every size. Greedy reads
 // the tournament root, so its ns/op must stay flat as the block count grows
-// 16×. A SIP-greedy selection with no SIP list installed returns the greedy
+// 256×, up to the 16 GiB and 64 GiB presets' block counts. A SIP-greedy selection with no SIP list installed returns the greedy
 // choice; with every other LPN listed ("sipgreedy-tainted") the greedy
 // victim is tainted and the selection walks the frontier of blocks within
 // sipSlackPages of it, as JIT-GC runs do, so its cost follows the frontier,
@@ -538,7 +537,7 @@ func BenchmarkVictimSelect(b *testing.B) {
 		{"sipgreedy", SIPGreedy, false},
 		{"sipgreedy-tainted", SIPGreedy, true},
 	} {
-		for _, blocks := range []int{512, 2048, 8192} {
+		for _, blocks := range []int{512, 2048, 8192, 32768, 131072} {
 			b.Run(fmt.Sprintf("%s/blocks=%d", tc.name, blocks), func(b *testing.B) {
 				f := benchSteadyFTL(b, blocks, tc.sel)
 				if tc.tainted {

@@ -44,17 +44,18 @@ func TestQuickCopybackMatchesPerPageMigration(t *testing.T) {
 				Channels: 1 + r.Intn(2), ChipsPerChannel: 1, BlocksPerChip: 12 + r.Intn(20),
 				PagesPerBlock: ppb, PageSize: 4096,
 			},
-			Timing:           nand.DefaultTimingMLC(),
 			OPRatio:          []float64{0.5, 0.7, 0.9}[r.Intn(3)],
-			Selector:         Selector(r.Intn(2)),
 			WearThreshold:    int64(r.Intn(2) * 4),
 			DisableIntegrity: r.Intn(3) == 0,
 		}
+		sel := Selector(r.Intn(2))
 		runs, err := New(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: New: %v", seed, err)
 		}
 		perPage, _ := New(cfg)
+		withSelector(t, runs, sel)
+		withSelector(t, perPage, sel)
 		perPage.Device().SetFaultInjector(neverFail{})
 		user := runs.UserPages()
 
@@ -174,12 +175,11 @@ func TestCollectZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, sel := range []Selector{Greedy, SIPGreedy} {
 		cfg := quickGeometry()
-		cfg.Selector = sel
-
 		first, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		withSelector(t, first, sel)
 		if err := first.Fill(first.UserPages()); err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestCollectZeroAlloc(t *testing.T) {
 			t.Errorf("selector %d: the first collection allocates %d times, want 0", sel, n)
 		}
 
-		f := steadyFTL(t, cfg)
+		f := withSelector(t, steadyFTL(t, cfg), sel)
 		f.UpdateSIP(true, []int64{1, 5, 9, 13, 17, 21}, nil)
 		lpn := int64(0)
 		migrations := f.Stats().GCMigrations

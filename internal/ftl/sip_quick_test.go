@@ -17,7 +17,6 @@ import (
 // counter and on every victim, and both must audit clean.
 func TestQuickSIPChangeMatchesReplaceInstall(t *testing.T) {
 	cfg := quickGeometry()
-	cfg.Selector = SIPGreedy
 	steps, maxCount := 400, 24
 	if testing.Short() {
 		steps, maxCount = 150, 8
@@ -25,7 +24,8 @@ func TestQuickSIPChangeMatchesReplaceInstall(t *testing.T) {
 	var filtered int64 // victim choices the SIP set changed, over all seeds
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		delta, twin := steadyFTL(t, cfg), steadyFTL(t, cfg)
+		delta := withSelector(t, steadyFTL(t, cfg), SIPGreedy)
+		twin := withSelector(t, steadyFTL(t, cfg), SIPGreedy)
 		both := func(op string, do func(f *FTL) error) {
 			t.Helper()
 			for _, f := range []*FTL{delta, twin} {

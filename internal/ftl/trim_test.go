@@ -22,7 +22,7 @@ func TestTrimInvalidatesMapping(t *testing.T) {
 	}
 	// Reading a trimmed page behaves like an unwritten page (zeroes).
 	d, err := f.Read(9)
-	if err != nil || d != f.cfg.Timing.Transfer {
+	if err != nil || d != f.dev.Timing().Transfer {
 		t.Errorf("read after trim = %v, %v", d, err)
 	}
 }

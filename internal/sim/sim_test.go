@@ -23,9 +23,7 @@ func tinyConfig() Config {
 			Channels: 2, ChipsPerChannel: 1, BlocksPerChip: 16,
 			PagesPerBlock: 16, PageSize: 4096,
 		},
-		Timing:   nand.DefaultTimingMLC(),
-		OPRatio:  0.34,
-		Selector: ftl.Greedy,
+		OPRatio: 0.34,
 	}
 	ccfg := pagecache.Config{
 		PageSize:      4096,
@@ -112,7 +110,7 @@ func TestDirectWritesAreImmediate(t *testing.T) {
 		t.Errorf("programs = %d direct = %d", res.HostPrograms, res.DirectPages)
 	}
 	// Four programs striped over two channels.
-	want := time.Duration(float64(4*s.ftl.Config().Timing.ProgramCost()) / 2)
+	want := time.Duration(float64(4*s.ftl.Device().Timing().ProgramCost()) / 2)
 	if res.MeanLatency != want {
 		t.Errorf("latency = %v, want %v", res.MeanLatency, want)
 	}
@@ -181,7 +179,7 @@ func TestClosedLoopArrivalsFollowCompletions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	service := time.Duration(float64(2*s.ftl.Config().Timing.ProgramCost()) / 2)
+	service := time.Duration(float64(2*s.ftl.Device().Timing().ProgramCost()) / 2)
 	if res.SimTime < 2*service {
 		t.Errorf("sim time %v < 2×service %v", res.SimTime, 2*service)
 	}
@@ -278,7 +276,7 @@ func TestFGCStallsAreCharged(t *testing.T) {
 	}
 	// Foreground GC is charged serially: max latency must include at least
 	// one un-striped collection (≫ a single striped program).
-	if res.MaxLatency < s.ftl.Config().Timing.EraseBlock {
+	if res.MaxLatency < s.ftl.Device().Timing().EraseBlock {
 		t.Errorf("max latency %v does not reflect serial FGC", res.MaxLatency)
 	}
 	if res.WAF <= 1 {

@@ -26,9 +26,7 @@ func tinyDevice() sim.Config {
 			Channels: 2, ChipsPerChannel: 1, BlocksPerChip: 16,
 			PagesPerBlock: 16, PageSize: 4096,
 		},
-		Timing:   nand.DefaultTimingMLC(),
-		OPRatio:  0.34,
-		Selector: ftl.Greedy,
+		OPRatio: 0.34,
 	}
 	ccfg := pagecache.Config{
 		PageSize:      4096,
