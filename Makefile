@@ -95,23 +95,27 @@ loc-diff:
 # working tree's: N rounds (default 5) of -benchtime 20000x per side, the
 # side that runs first alternating by round, then one row per sub-benchmark
 # with each side's median ns/op and their ratio (now/REV); "-" marks a
-# sub-benchmark one side lacks. Not part of ci: these benchmarks have no
-# baseline to gate on, and their timings vary from run to run.
+# sub-benchmark one side lacks. Each benchmark of FTL_BENCH runs in its own
+# test process, both sides of it before the next, so one benchmark's
+# devices never share a heap with another's timings. Not part of ci: these benchmarks have no baseline to
+# gate on, and their timings vary from run to run.
 N ?= 5
-FTL_BENCH := ^(BenchmarkVictimSelect|BenchmarkSteadyStateWrite)$$
+FTL_BENCH := BenchmarkVictimSelect BenchmarkSteadyStateWrite
 ftl-bench-diff:
-	@[ -n "$(REV)" ] || { echo "usage: make ftl-bench-diff REV=<rev> [N=5]"; exit 2; }
+	@[ -n "$(REV)" ] || { echo "usage: make ftl-bench-diff REV=<rev> [N=5] [FTL_BENCH=<names>]"; exit 2; }
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	mkdir "$$tmp/tree" && git archive "$(REV)" | tar -x -C "$$tmp/tree" && \
 	(cd "$$tmp/tree" && $(GO) test -c -o "$$tmp/rev.test" ./internal/ftl) && \
 	$(GO) test -c -o "$$tmp/now.test" ./internal/ftl && \
 	for i in $$(seq $(N)); do \
 		sides="now rev"; [ $$((i % 2)) -eq 0 ] && sides="rev now"; \
-		for side in $$sides; do \
-			dir=internal/ftl; [ $$side = rev ] && dir="$$tmp/tree/internal/ftl"; \
-			(cd "$$dir" && "$$tmp/$$side.test" -test.run '^$$' -test.bench '$(FTL_BENCH)' \
-				-test.benchtime 20000x -test.timeout 10m) > "$$tmp/out" || { cat "$$tmp/out"; exit 1; }; \
-			awk -v side=$$side '/^Benchmark/ { print side, $$1, $$3 }' "$$tmp/out" >> "$$tmp/results"; \
+		for bench in $(FTL_BENCH); do \
+			for side in $$sides; do \
+				dir=internal/ftl; [ $$side = rev ] && dir="$$tmp/tree/internal/ftl"; \
+				(cd "$$dir" && "$$tmp/$$side.test" -test.run '^$$' -test.bench "^$$bench\$$" \
+					-test.benchtime 20000x -test.timeout 10m) > "$$tmp/out" || { cat "$$tmp/out"; exit 1; }; \
+				awk -v side=$$side '/^Benchmark/ { print side, $$1, $$3 }' "$$tmp/out" >> "$$tmp/results"; \
+			done; \
 		done; \
 	done && \
 	awk -v rev="$(REV)" -v rounds=$(N) ' \

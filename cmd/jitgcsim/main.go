@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"jitgc"
+	"jitgc/internal/array"
 	"jitgc/internal/ftl"
 	"jitgc/internal/metrics"
 	"jitgc/internal/nand"
@@ -80,6 +81,8 @@ func main() {
 	)
 	flag.Parse()
 
+	mode, modeErr := array.ParseMode(*coord)
+	redundancy, redErr := array.ParseRedundancy(*redun)
 	switch {
 	case *ops < 1:
 		usageError("-ops must be at least 1, got %d", *ops)
@@ -91,7 +94,11 @@ func main() {
 		usageError("-fault-rate must be in [0,1], got %v", *faultR)
 	case *devices < 1:
 		usageError("-devices must be at least 1, got %d", *devices)
-	case *devices == 1 && (*spares > 0 || *redun != "none"):
+	case modeErr != nil:
+		usageError("-coord: %v", modeErr)
+	case redErr != nil:
+		usageError("-redundancy: %v", redErr)
+	case *devices == 1 && (*spares > 0 || redundancy != array.RedundancyNone):
 		usageError("-spares and -redundancy need a multi-device array (-devices > 1)")
 	case !(*trimRate >= 0 && *trimRate < 1):
 		usageError("-trim-rate must be in [0,1), got %v", *trimRate)
@@ -161,12 +168,12 @@ func main() {
 	case *tenants > 0:
 		runMultiTenant(*tenants, *arrival, *slo, *rate, spec, opt)
 	case *devices > 1:
-		runArray(label, spec, jitgc.ArrayConfig{
-			Devices:      *devices,
-			StripePages:  *stripe,
-			Coordination: *coord,
-			Spares:       *spares,
-			Redundancy:   *redun,
+		runArray(label, spec, array.Config{
+			Devices:     *devices,
+			StripePages: *stripe,
+			Mode:        mode,
+			Spares:      *spares,
+			Redundancy:  redundancy,
 		}, opt)
 	case *traceIn != "":
 		printResults(replayTraceFile(*traceIn, *msr, spec, opt))
@@ -286,7 +293,7 @@ func runMultiTenant(tenants int, arrival string, slo time.Duration, rate float64
 
 // runArray runs a benchmark over the striped multi-device array and prints
 // the merged record plus the per-device spread.
-func runArray(bench string, spec jitgc.PolicySpec, acfg jitgc.ArrayConfig, opt jitgc.Options) {
+func runArray(bench string, spec jitgc.PolicySpec, acfg array.Config, opt jitgc.Options) {
 	res, err := jitgc.RunArray(bench, spec, acfg, opt)
 	if err != nil {
 		log.Fatal(err)
@@ -311,7 +318,7 @@ func runArray(bench string, spec jitgc.PolicySpec, acfg jitgc.ArrayConfig, opt j
 		fmt.Printf("latency recorder     streaming histogram (percentiles bucket-accurate)\n")
 	}
 	fmt.Printf("write utilization    %.2f..%.2f of even-striping ideal\n", res.UtilMin, res.UtilMax)
-	if res.Mode == "coordinated" {
+	if res.Mode == array.Coordinated {
 		fmt.Printf("GC token             %d granted / %d denied / %d boosted / %d bypassed (cap %d)\n",
 			res.GCGranted, res.GCDenied, res.GCBoosted, res.GCBypassed, res.ResolvedCap)
 	}

@@ -116,6 +116,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-tenants", "5", "-devices", "2"}, {"-devices", "2", "-trace", "x.trace"},
 		{"-tenants", "-3"}, {"-tenants", "5", "-rate", "-1"}, {"-tenants", "5", "-rate", "NaN"},
 		{"-ops", "0"}, {"-ops", "-5"},
+		{"-devices", "2", "-coord", "bogus"}, {"-devices", "2", "-redundancy", "bogus"},
 	} {
 		out, err := exec.Command(os.Args[0], append([]string{"jitgcsim"}, args...)...).CombinedOutput()
 		var exit *exec.ExitError

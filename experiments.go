@@ -33,10 +33,9 @@ func Experiments() []Experiment {
 		{ID: "fig4", Title: "Fig 4: buffered write demand estimation example", Run: fig4},
 		{ID: "fig5", Title: "Fig 5: cumulative data histogram example", Run: fig5},
 		{ID: "fig6", Title: "Fig 6: JIT-GC manager scheduling examples", Run: fig6},
-		{ID: "array", Title: "Array scaling: striped multi-device backend, independent vs coordinated GC", Run: arrayExp},
-		{ID: "arrayscale", Title: "Array width: 16-64 devices under static vs adaptive GC tokens + rebuild under fire", Run: arrayscaleExp},
+		{ID: "array", Title: "Array: striped multi-device backend at 1-64 devices, independent vs coordinated GC tokens + rebuild under fire", Run: arrayExp},
 		{ID: "lifetime", Title: "Lifetime: host data served before wear-out per policy", Run: lifetime},
-		{ID: "reliability", Title: "Reliability: fault-rate sweep per policy + degraded 2-device array", Run: reliability},
+		{ID: "reliability", Title: "Reliability: fault-rate sweep per policy", Run: reliability},
 		{ID: "scale", Title: "Scale: metadata footprint and WAF vs device capacity (256 MiB – 64 GiB)", Run: scaleExp},
 		{ID: "multitenant", Title: "Multi-tenant: open-loop QoS grid (tenants × load × policy) with p99.9 SLO verdicts", Run: multitenantExp},
 		{ID: "trim", Title: "TRIM: Frankie-validated WAF sweep + host profile × intensity × policy grid", Run: trimExp},

@@ -332,13 +332,13 @@ func TestExperimentsRunAtReducedScale(t *testing.T) {
 // gridCells helper the covered experiments exercise.
 //
 // Some subtests guard state beyond the grid runner. array's coordination
-// state must live entirely inside each cell's array, and arrayscale's
-// rebuild state on top of it. multitenant superposes thousands of seeded
-// arrival and workload streams over one stepped simulator, so a global
-// RNG, map-iteration order or cross-cell aliasing shows up as a one-cell
-// diff. trim mixes direct-driven steady-state sweeps with full simulator
-// runs over TRIM-rich host profiles, and both must draw every random
-// choice from the cell's own seeded RNG.
+// state must live entirely inside each cell's array, and its rebuild state
+// on top of it. multitenant superposes thousands of seeded arrival and
+// workload streams over one stepped simulator, so a global RNG,
+// map-iteration order or cross-cell aliasing shows up as a one-cell diff.
+// trim mixes direct-driven steady-state sweeps with full simulator runs
+// over TRIM-rich host profiles, and both must draw every random choice
+// from the cell's own seeded RNG.
 func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
 	eachExperiment(t, func(id string) string {
 		if id == "lifetime" {

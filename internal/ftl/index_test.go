@@ -539,9 +539,16 @@ func BenchmarkVictimSelect(b *testing.B) {
 	} {
 		for _, blocks := range []int{512, 2048, 8192, 32768, 131072} {
 			b.Run(fmt.Sprintf("%s/blocks=%d", tc.name, blocks), func(b *testing.B) {
-				f := benchSteadyFTL(b, blocks, tc.sel)
+				f := victimFTLs[blocks]
+				if f == nil {
+					f = benchSteadyFTL(b, blocks, Greedy)
+					victimFTLs[blocks] = f
+				}
+				withSelector(b, f, tc.sel)
 				if tc.tainted {
 					taintGreedy(b, f)
+				} else {
+					f.UpdateSIP(true, nil, nil)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -554,6 +561,14 @@ func BenchmarkVictimSelect(b *testing.B) {
 		}
 	}
 }
+
+// victimFTLs keeps one preconditioned device per block count for
+// BenchmarkVictimSelect, as steadyFTLs does for BenchmarkSteadyStateWrite.
+// A victim selection changes nothing but counters, so every call finds the
+// state preconditioning left. That state does not depend on the selector:
+// the host writes of preconditioning collect in the foreground only, and a
+// foreground pick is plain greedy under either kind.
+var victimFTLs = map[int]*FTL{}
 
 // scaleBlockCounts are the device sizes the write-path benchmarks run at:
 // the 256 MiB default, the 4 GiB preset `single_direct` uses, and the 64 GiB

@@ -30,7 +30,7 @@ var settingsPath = filepath.Join("testdata", "settings.txt")
 // Regenerate with `go test -run TestSettingsInventory -update .`.
 func TestSettingsInventory(t *testing.T) {
 	roots := []any{
-		Options{}, PolicySpec{}, ArrayConfig{}, TenantConfig{},
+		Options{}, PolicySpec{}, TenantConfig{},
 		sim.Config{}, array.Config{}, tenant.Config{}, core.JITOptions{},
 		binlog.Options{}, workload.Params{},
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"jitgc/internal/array"
 	"jitgc/internal/ftl"
 	"jitgc/internal/metrics"
 )
@@ -87,7 +88,7 @@ func TestTrimProfileRunEndToEnd(t *testing.T) {
 // named benchmark on an array as it does on one device: the churn profile
 // discards, YCSB never does.
 func TestRunArrayHonoursHostProfile(t *testing.T) {
-	res, err := RunArray("YCSB", JIT(), ArrayConfig{Devices: 2},
+	res, err := RunArray("YCSB", JIT(), array.Config{Devices: 2},
 		Options{HostProfile: "churn", TrimRate: 0.25, Ops: 3000})
 	if err != nil {
 		t.Fatal(err)
