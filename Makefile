@@ -97,10 +97,15 @@ loc-diff:
 # with each side's median ns/op and their ratio (now/REV); "-" marks a
 # sub-benchmark one side lacks. Each benchmark of FTL_BENCH runs in its own
 # test process, both sides of it before the next, so one benchmark's
-# devices never share a heap with another's timings. Not part of ci: these benchmarks have no baseline to
+# devices never share a heap with another's timings. The sub-benchmarks
+# FTL_SLOW matches (a -test.bench pattern below the benchmark's name) cost
+# milliseconds per op, so they run at FTL_SLOW_COUNT instead, in a second
+# process per side. Not part of ci: these benchmarks have no baseline to
 # gate on, and their timings vary from run to run.
 N ?= 5
 FTL_BENCH := BenchmarkVictimSelect BenchmarkSteadyStateWrite
+FTL_SLOW := /^sipgreedy-tainted$$/^blocks=(32768|131072)$$
+FTL_SLOW_COUNT := 1000x
 ftl-bench-diff:
 	@[ -n "$(REV)" ] || { echo "usage: make ftl-bench-diff REV=<rev> [N=5] [FTL_BENCH=<names>]"; exit 2; }
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
@@ -113,7 +118,9 @@ ftl-bench-diff:
 			for side in $$sides; do \
 				dir=internal/ftl; [ $$side = rev ] && dir="$$tmp/tree/internal/ftl"; \
 				(cd "$$dir" && "$$tmp/$$side.test" -test.run '^$$' -test.bench "^$$bench\$$" \
-					-test.benchtime 20000x -test.timeout 10m) > "$$tmp/out" || { cat "$$tmp/out"; exit 1; }; \
+					-test.skip '$(FTL_SLOW)' -test.benchtime 20000x -test.timeout 10m && \
+				"$$tmp/$$side.test" -test.run '^$$' -test.bench "^$$bench\$$$(FTL_SLOW)" \
+					-test.benchtime $(FTL_SLOW_COUNT) -test.timeout 10m) > "$$tmp/out" || { cat "$$tmp/out"; exit 1; }; \
 				awk -v side=$$side '/^Benchmark/ { print side, $$1, $$3 }' "$$tmp/out" >> "$$tmp/results"; \
 			done; \
 		done; \

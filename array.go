@@ -10,11 +10,6 @@ import (
 	"jitgc/internal/workload"
 )
 
-// ArrayResults is the merged record of a multi-device array run: the
-// array-level aggregate, every member device's own record, and the
-// per-device spread statistics.
-type ArrayResults = array.Results
-
 // RunArray generates the named benchmark's request stream, scaled to the
 // array's capacity, and executes it closed-loop over the striped array
 // acfg describes: acfg.Devices members of acfg.Redundancy stripes under
@@ -27,11 +22,11 @@ type ArrayResults = array.Results
 // single-device run, and per-device GC pressure matches the paper's setup
 // regardless of array width. A set opt.HostProfile replaces the
 // benchmark, whose name then only labels the run, as in Run.
-func RunArray(benchmark string, policy PolicySpec, acfg array.Config, opt Options) (ArrayResults, error) {
+func RunArray(benchmark string, policy PolicySpec, acfg array.Config, opt Options) (array.Results, error) {
 	opt = opt.withDefaults()
 	gen, err := opt.generator(benchmark)
 	if err != nil {
-		return ArrayResults{}, err
+		return array.Results{}, err
 	}
 
 	devOpt := opt
@@ -43,7 +38,7 @@ func RunArray(benchmark string, policy PolicySpec, acfg array.Config, opt Option
 
 	arr, err := array.New(acfg, policy.Factory())
 	if err != nil {
-		return ArrayResults{}, err
+		return array.Results{}, err
 	}
 
 	ws := opt.WorkingSetPages
@@ -56,11 +51,11 @@ func RunArray(benchmark string, policy PolicySpec, acfg array.Config, opt Option
 		WorkingSetPages: ws,
 	})
 	if err != nil {
-		return ArrayResults{}, err
+		return array.Results{}, err
 	}
 	res, err := arr.RunClosedLoop(reqs)
 	if err != nil {
-		return ArrayResults{}, err
+		return array.Results{}, err
 	}
 	res.Array.Workload = benchmark
 	return res, nil
@@ -133,7 +128,7 @@ func arrayTinyDeviceConfig() sim.Config {
 // the array, opt.Ops × Devices / perDevices requests, so per-device GC
 // pressure stays constant across the sweep (otherwise wide arrays coast at
 // WAF 1 and the comparison measures nothing).
-func arrayWidthCell(opt Options, bench string, dev sim.Config, perDevices int, acfg array.Config) (ArrayResults, error) {
+func arrayWidthCell(opt Options, bench string, dev sim.Config, perDevices int, acfg array.Config) (array.Results, error) {
 	cellOpt := opt.withDefaults()
 	cellOpt.Ops = cellOpt.Ops * acfg.Devices / perDevices
 	cellOpt.Config = &dev
@@ -184,7 +179,7 @@ func arrayExp(opt Options) ([]Table, error) {
 func arrayGrid(opt Options) (Table, error) {
 	benches := Benchmarks()
 	perBench := len(arrayDeviceCounts) * len(arrayModes)
-	slots, err := gridCells(opt, len(benches)*perBench, func(i int) (ArrayResults, error) {
+	slots, err := gridCells(opt, len(benches)*perBench, func(i int) (array.Results, error) {
 		return arrayWidthCell(opt, benches[i/perBench], arrayDeviceConfig(), 1, array.Config{
 			Devices: arrayDeviceCounts[(i%perBench)/len(arrayModes)],
 			Mode:    arrayModes[i%len(arrayModes)],
@@ -221,7 +216,7 @@ func arrayGrid(opt Options) (Table, error) {
 // tiny member geometry.
 func arrayWide(opt Options) (Table, error) {
 	nModes := len(arrayWideModes)
-	slots, err := gridCells(opt, len(arrayWideDeviceCounts)*nModes, func(i int) (ArrayResults, error) {
+	slots, err := gridCells(opt, len(arrayWideDeviceCounts)*nModes, func(i int) (array.Results, error) {
 		d, m := arrayWideDeviceCounts[i/nModes], arrayWideModes[i%nModes]
 		return arrayWidthCell(opt, "YCSB", arrayTinyDeviceConfig(), 4, array.Config{
 			Devices:         d,
@@ -265,7 +260,7 @@ func arrayWide(opt Options) (Table, error) {
 
 // devP99Spread bounds the member devices' own p99 latencies — the
 // per-device tail spread uncoordinated collections let develop.
-func devP99Spread(res ArrayResults) (min, max time.Duration) {
+func devP99Spread(res array.Results) (min, max time.Duration) {
 	for i, r := range res.PerDevice {
 		if i == 0 || r.P99Latency < min {
 			min = r.P99Latency
@@ -287,7 +282,7 @@ func arrayRebuild(opt Options) (Table, error) {
 			"degraded rd/wr", "rebuilt", "rebuild pages", "rebuild time"},
 	}
 	schemes := []array.Redundancy{array.RedundancyMirror, array.RedundancyParity, array.RedundancyNone}
-	slots, err := gridCells(opt, len(schemes), func(i int) (ArrayResults, error) {
+	slots, err := gridCells(opt, len(schemes), func(i int) (array.Results, error) {
 		return runRebuildUnderFire(schemes[i], opt)
 	})
 	if err != nil {
@@ -322,7 +317,7 @@ func arrayRebuild(opt Options) (Table, error) {
 // the scaled YCSB stream closed-loop. The run drains until maintenance
 // finishes, so a completed record implies the rebuild either swapped the
 // spare in or aborted.
-func runRebuildUnderFire(red array.Redundancy, opt Options) (ArrayResults, error) {
+func runRebuildUnderFire(red array.Redundancy, opt Options) (array.Results, error) {
 	const devices = 4
 	cfg := arrayDeviceConfig()
 	cfg.Tracer = opt.Tracer
@@ -333,7 +328,7 @@ func runRebuildUnderFire(red array.Redundancy, opt Options) (ArrayResults, error
 		Device:     cfg,
 	}, JIT().Factory())
 	if err != nil {
-		return ArrayResults{}, err
+		return array.Results{}, err
 	}
 	fm := nand.NewFaultModel(nand.FaultConfig{Seed: 1})
 	arr.Device(1).FTL().Device().SetFaultInjector(fm)
@@ -345,11 +340,11 @@ func runRebuildUnderFire(red array.Redundancy, opt Options) (ArrayResults, error
 		WorkingSetPages: arr.UserPages() / 2,
 	})
 	if err != nil {
-		return ArrayResults{}, err
+		return array.Results{}, err
 	}
 	res, err := arr.RunClosedLoop(reqs)
 	if err != nil {
-		return ArrayResults{}, fmt.Errorf("array rebuild under fire (%s): %w", red, err)
+		return array.Results{}, fmt.Errorf("array rebuild under fire (%s): %w", red, err)
 	}
 	res.Array.Workload = "YCSB"
 	return res, nil

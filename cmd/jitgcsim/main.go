@@ -46,7 +46,9 @@ import (
 	"jitgc/internal/sim"
 	"jitgc/internal/telemetry"
 	"jitgc/internal/telemetry/binlog"
+	"jitgc/internal/tenant"
 	"jitgc/internal/trace"
+	"jitgc/internal/workload"
 )
 
 func main() {
@@ -74,8 +76,8 @@ func main() {
 		size     = flag.String("size", "", "device capacity preset (256MiB, 1GiB, 4GiB, 16GiB, 64GiB); default is the built-in 256MiB geometry")
 		tenants  = flag.Int("tenants", 0, "run the open-loop multi-tenant engine with this many tenants (0 = classic single-stream run)")
 		arrival  = flag.String("arrival", "poisson", "tenant arrival process (poisson, mmpp, diurnal); used with -tenants")
-		slo      = flag.Duration("slo", 0, "silver-class p99.9 SLO target (gold = slo/4, bronze = 5×slo); default 100ms; used with -tenants")
-		rate     = flag.Float64("rate", 0, "aggregate arrival rate in req/s across all tenants (0 = 120); used with -tenants")
+		slo      = flag.Duration("slo", tenant.DefaultSLO, "silver-class p99.9 SLO target (gold = slo/4, bronze = 5×slo); used with -tenants")
+		rate     = flag.Float64("rate", 120, "aggregate arrival rate in req/s across all tenants; used with -tenants")
 		profile  = flag.String("host-profile", "", "TRIM-rich host profile replacing -bench (churn, log)")
 		trimRate = flag.Float64("trim-rate", 0, "steady-state trimmed fraction the host profile steers toward, in [0,1); used with -host-profile")
 	)
@@ -83,17 +85,38 @@ func main() {
 
 	mode, modeErr := array.ParseMode(*coord)
 	redundancy, redErr := array.ParseRedundancy(*redun)
+	arrivalKind, arrivalErr := tenant.ParseArrival(*arrival)
+	var preset nand.ScalePreset
+	var sizeErr, profileErr error
+	if *size != "" {
+		preset, sizeErr = nand.PresetByName(*size)
+	}
+	if *profile != "" {
+		_, profileErr = workload.Profile(*profile, *trimRate)
+	}
 	switch {
 	case *ops < 1:
 		usageError("-ops must be at least 1, got %d", *ops)
 	case *tenants < 0:
 		usageError("-tenants must not be negative, got %d", *tenants)
-	case !(*rate >= 0 && *rate <= math.MaxFloat64):
-		usageError("-rate must be a finite req/s of at least 0 (0 = 120), got %v", *rate)
+	case *ops < *tenants:
+		usageError("-ops must be at least -tenants (one request per tenant), got %d for %d tenants", *ops, *tenants)
+	case !(*rate > 0 && *rate <= math.MaxFloat64):
+		usageError("-rate must be a positive finite req/s, got %v", *rate)
+	case *slo <= 0:
+		usageError("-slo must be positive, got %v", *slo)
+	case arrivalErr != nil:
+		usageError("-arrival: %v", arrivalErr)
 	case *faultR < 0 || *faultR > 1:
 		usageError("-fault-rate must be in [0,1], got %v", *faultR)
+	case sizeErr != nil:
+		usageError("-size: %v", sizeErr)
 	case *devices < 1:
 		usageError("-devices must be at least 1, got %d", *devices)
+	case *stripe < 1:
+		usageError("-stripe must be at least 1 page, got %d", *stripe)
+	case *spares < 0:
+		usageError("-spares must not be negative, got %d", *spares)
 	case modeErr != nil:
 		usageError("-coord: %v", modeErr)
 	case redErr != nil:
@@ -102,6 +125,8 @@ func main() {
 		usageError("-spares and -redundancy need a multi-device array (-devices > 1)")
 	case !(*trimRate >= 0 && *trimRate < 1):
 		usageError("-trim-rate must be in [0,1), got %v", *trimRate)
+	case profileErr != nil:
+		usageError("-host-profile: %v", profileErr)
 	case *profile != "" && (*traceIn != "" || *tenants > 0):
 		usageError("-host-profile replaces the synthetic benchmark (no -trace or -tenants)")
 	case *tenants > 0 && (*traceIn != "" || *devices > 1):
@@ -147,10 +172,7 @@ func main() {
 
 	cfg := sim.DefaultConfig()
 	if *size != "" {
-		var err error
-		if cfg, err = presetConfig(*size); err != nil {
-			log.Fatal(err)
-		}
+		cfg = presetConfig(preset)
 	}
 	if *faultR > 0 {
 		cfg.FTL.Fault = nand.FaultConfig{Seed: *faultS, ReadRate: *faultR, ProgramRate: *faultR, EraseRate: *faultR}
@@ -166,7 +188,12 @@ func main() {
 	}
 	switch {
 	case *tenants > 0:
-		runMultiTenant(*tenants, *arrival, *slo, *rate, spec, opt)
+		runMultiTenant(tenant.Config{
+			Tenants: *tenants,
+			Arrival: arrivalKind,
+			Rate:    *rate / float64(*tenants),
+			Classes: tenant.Ladder(*slo),
+		}, spec, opt)
 	case *devices > 1:
 		runArray(label, spec, array.Config{
 			Devices:     *devices,
@@ -242,34 +269,26 @@ func printResults(res jitgc.Results, err error) {
 	}
 }
 
-// presetConfig resolves a -size capacity preset into a device configuration.
-func presetConfig(size string) (sim.Config, error) {
-	preset, err := nand.PresetByName(size)
-	if err != nil {
-		return sim.Config{}, err
-	}
+// presetConfig turns a -size capacity preset into a device configuration.
+func presetConfig(preset nand.ScalePreset) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.FTL.Geometry = preset.Geo
 	// Million-page presets drop payload integrity: they exist for
 	// performance and memory studies, where the 8 bytes/page of tokens
 	// would dominate the footprint being measured.
 	cfg.FTL.DisableIntegrity = preset.Geo.TotalPages() >= 1<<20
-	return cfg, nil
+	return cfg
 }
 
 // runMultiTenant runs the open-loop multi-tenant engine and prints the
 // merged record plus the per-class SLO scoreboard.
-func runMultiTenant(tenants int, arrival string, slo time.Duration, rate float64, spec jitgc.PolicySpec, opt jitgc.Options) {
-	tcfg := jitgc.TenantConfig{Tenants: tenants, Arrival: arrival, SLO: slo}
-	if rate > 0 {
-		tcfg.Rate = rate / float64(tenants)
-	}
+func runMultiTenant(tcfg tenant.Config, spec jitgc.PolicySpec, opt jitgc.Options) {
 	res, err := jitgc.RunMultiTenant(spec, tcfg, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
 	d := res.Device
-	fmt.Printf("workload             %s (%d tenants, %s arrivals)\n", d.Workload, res.Tenants, arrival)
+	fmt.Printf("workload             %s (%d tenants, %s arrivals)\n", d.Workload, res.Tenants, tcfg.Arrival)
 	fmt.Printf("policy               %s\n", d.Policy)
 	fmt.Printf("arrivals             %d (%d admitted, %d dropped)\n", res.Arrivals, res.Admitted, res.Dropped)
 	fmt.Printf("completed            %d\n", res.Completed)

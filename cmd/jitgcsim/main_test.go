@@ -117,6 +117,10 @@ func TestUsageErrors(t *testing.T) {
 		{"-tenants", "-3"}, {"-tenants", "5", "-rate", "-1"}, {"-tenants", "5", "-rate", "NaN"},
 		{"-ops", "0"}, {"-ops", "-5"},
 		{"-devices", "2", "-coord", "bogus"}, {"-devices", "2", "-redundancy", "bogus"},
+		{"-devices", "2", "-stripe", "0"}, {"-devices", "2", "-spares", "-1"},
+		{"-tenants", "5", "-slo", "-1s"}, {"-tenants", "5", "-slo", "0"}, {"-tenants", "5", "-rate", "0"},
+		{"-tenants", "5", "-arrival", "bogus"}, {"-host-profile", "bogus"}, {"-size", "3GiB"},
+		{"-tenants", "5", "-ops", "3"},
 	} {
 		out, err := exec.Command(os.Args[0], append([]string{"jitgcsim"}, args...)...).CombinedOutput()
 		var exit *exec.ExitError
@@ -153,16 +157,9 @@ func TestTimelineKeepsSizePreset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := presetConfig("4GiB")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.FTL.Geometry != preset.Geo || !cfg.FTL.DisableIntegrity {
+	if cfg := presetConfig(preset); cfg.FTL.Geometry != preset.Geo || !cfg.FTL.DisableIntegrity {
 		t.Fatalf("presetConfig(4GiB) = geometry %+v, DisableIntegrity %v; want the preset geometry without integrity",
 			cfg.FTL.Geometry, cfg.FTL.DisableIntegrity)
-	}
-	if _, err := presetConfig("3GiB"); err == nil {
-		t.Error("unknown size preset accepted")
 	}
 
 	csv := filepath.Join(t.TempDir(), "tl.csv")

@@ -21,7 +21,7 @@ func backloggedScheduler() *scheduler {
 	)
 	weights := make([]int64, tenants)
 	for i := range weights {
-		weights[i] = DefaultClasses()[i%3].Weight
+		weights[i] = Ladder(DefaultSLO)[i%3].Weight
 	}
 	s := newScheduler(weights, 8, depth)
 	for t := 0; t < tenants; t++ {

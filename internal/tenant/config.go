@@ -38,17 +38,21 @@ type Class struct {
 	SLO time.Duration
 }
 
-// DefaultClasses returns the three-tier gold/silver/bronze QoS ladder:
-// weights 4/2/1 and p99.9 SLOs of 25 ms / 100 ms / 500 ms. The ladder is
-// calibrated to the device's stall anatomy: silver sits just above a
-// write-back flush batch, so meeting it means dodging foreground
-// collections; bronze tolerates riding out a full collection behind the
-// queue; gold demands a tail no collection ever touches.
-func DefaultClasses() []Class {
+// DefaultSLO is the silver-class p99.9 target of the default QoS ladder.
+const DefaultSLO = 100 * time.Millisecond
+
+// Ladder returns the three-tier gold/silver/bronze QoS ladder around the
+// silver-class p99.9 target slo: weights 4/2/1 and SLOs of slo/4, slo and
+// 5×slo. At DefaultSLO (25 ms / 100 ms / 500 ms) the ladder is calibrated
+// to the device's stall anatomy: silver sits just above a write-back flush
+// batch, so meeting it means dodging foreground collections; bronze
+// tolerates riding out a full collection behind the queue; gold demands a
+// tail no collection ever touches.
+func Ladder(slo time.Duration) []Class {
 	return []Class{
-		{Name: "gold", Weight: 4, SLO: 25 * time.Millisecond},
-		{Name: "silver", Weight: 2, SLO: 100 * time.Millisecond},
-		{Name: "bronze", Weight: 1, SLO: 500 * time.Millisecond},
+		{Name: "gold", Weight: 4, SLO: slo / 4},
+		{Name: "silver", Weight: 2, SLO: slo},
+		{Name: "bronze", Weight: 1, SLO: 5 * slo},
 	}
 }
 
@@ -70,7 +74,7 @@ type Config struct {
 	// weight-1 tenant earns per scheduler rotation. Default 8.
 	Quantum int64
 	// Classes is the QoS ladder tenants are assigned to round-robin.
-	// Default DefaultClasses().
+	// Default Ladder(DefaultSLO).
 	Classes []Class
 	// Seed drives workload generation and every arrival process (default 1).
 	Seed int64
@@ -98,7 +102,7 @@ func (c Config) withDefaults() Config {
 		c.Quantum = 8
 	}
 	if c.Classes == nil {
-		c.Classes = DefaultClasses()
+		c.Classes = Ladder(DefaultSLO)
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

@@ -3,6 +3,7 @@ package tenant
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,9 +22,25 @@ func validConfig() Config {
 	}.withDefaults()
 }
 
+// TestValidateAcceptsDefaults also pins the QoS ladder: the default is
+// Ladder(DefaultSLO), 25/100/500 ms at weights 4/2/1, and the ladder
+// scales every tier with the silver SLO.
 func TestValidateAcceptsDefaults(t *testing.T) {
-	if err := validConfig().Validate(); err != nil {
+	cfg := validConfig()
+	if err := cfg.Validate(); err != nil {
 		t.Errorf("defaulted config invalid: %v", err)
+	}
+	ms := time.Millisecond
+	for _, c := range []struct {
+		got  []Class
+		want []Class
+	}{
+		{cfg.Classes, []Class{{"gold", 4, 25 * ms}, {"silver", 2, 100 * ms}, {"bronze", 1, 500 * ms}}},
+		{Ladder(40 * ms), []Class{{"gold", 4, 10 * ms}, {"silver", 2, 40 * ms}, {"bronze", 1, 200 * ms}}},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("ladder %v, want %v", c.got, c.want)
+		}
 	}
 }
 

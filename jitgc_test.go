@@ -14,6 +14,7 @@ import (
 	"jitgc/internal/metrics"
 	"jitgc/internal/sim"
 	"jitgc/internal/telemetry"
+	"jitgc/internal/tenant"
 	"jitgc/internal/trace"
 )
 
@@ -57,6 +58,17 @@ func TestFactoryRejectsBadSpecs(t *testing.T) {
 func TestRunUnknownBenchmark(t *testing.T) {
 	if _, err := Run("nope", Lazy(), smallOpt()); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+}
+
+// TestRunMultiTenantZeroTenants: a zero tenant count must reach tenant.New
+// and come back as its validation error, not divide the request budget by
+// zero on the way.
+func TestRunMultiTenantZeroTenants(t *testing.T) {
+	want := tenant.Config{}.Validate()
+	_, err := RunMultiTenant(JIT(), tenant.Config{}, smallOpt())
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("RunMultiTenant with zero tenants: got %v, want %v", err, want)
 	}
 }
 

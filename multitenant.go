@@ -7,45 +7,6 @@ import (
 	"jitgc/internal/tenant"
 )
 
-// MultiTenantResults is the record of an open-loop multi-tenant run: the
-// shared device's own results plus per-tenant and per-class SLO verdicts,
-// drop accounting, and the merged latency histogram.
-type MultiTenantResults = tenant.Results
-
-// TenantConfig selects the open-loop multi-tenant front end: N independent
-// tenants with seeded arrival processes feed bounded queues, and a
-// deficit-round-robin scheduler dispatches them to one shared device.
-type TenantConfig struct {
-	// Tenants is the number of traffic sources (default 1000).
-	Tenants int
-	// Arrival names the per-tenant arrival process: "poisson" (default),
-	// "mmpp" (bursty), or "diurnal".
-	Arrival string
-	// Rate is each tenant's mean arrival rate in requests/second; 0 means
-	// the moderate aggregate load (120 req/s) split evenly across tenants.
-	Rate float64
-	// SLO is the silver-class p99.9 latency target (default 100 ms); gold
-	// tightens it 4×, bronze relaxes it 5×.
-	SLO time.Duration
-}
-
-// withDefaults fills zero fields.
-func (c TenantConfig) withDefaults() TenantConfig {
-	if c.Tenants == 0 {
-		c.Tenants = 1000
-	}
-	if c.Arrival == "" {
-		c.Arrival = string(tenant.Poisson)
-	}
-	if c.Rate == 0 {
-		c.Rate = moderateAggregateRate / float64(c.Tenants)
-	}
-	if c.SLO == 0 {
-		c.SLO = 100 * time.Millisecond
-	}
-	return c
-}
-
 // Aggregate request rates of the -exp multitenant load levels, in req/s
 // across all tenants. The device programs a direct page in ≈ 512 µs of
 // occupancy (2 ms NAND program striped over 4 dies) and GC roughly doubles
@@ -59,49 +20,27 @@ const (
 	heavyAggregateRate    = 400
 )
 
-// qosClasses derives the gold/silver/bronze ladder from the silver-class
-// p99.9 target.
-func qosClasses(slo time.Duration) []tenant.Class {
-	return []tenant.Class{
-		{Name: "gold", Weight: 4, SLO: slo / 4},
-		{Name: "silver", Weight: 2, SLO: slo},
-		{Name: "bronze", Weight: 1, SLO: 5 * slo},
-	}
-}
-
-// RunMultiTenant executes the open-loop multi-tenant engine under the given
-// policy. opt.Ops is the total request budget, split evenly across tenants;
-// the working set defaults to half the user capacity, split into disjoint
-// per-tenant slices. The write-back interval is left at whatever opt.Config
-// carries (the experiment grid compresses it, like the array grid).
-func RunMultiTenant(policy PolicySpec, tcfg TenantConfig, opt Options) (MultiTenantResults, error) {
+// RunMultiTenant executes the open-loop multi-tenant engine tcfg describes
+// under the given policy. It fills exactly four fields of tcfg from opt:
+// Device, the device opt configures; WorkingSetPages, opt.WorkingSetPages
+// or half the user capacity, split into disjoint per-tenant slices; Seed,
+// opt.Seed; and OpsPerTenant, opt.Ops split evenly across tcfg.Tenants (at
+// least 1). The tenant count, arrival process, rate and classes come from
+// tcfg, with tenant.Config's defaults for zero fields. The write-back
+// interval is left at whatever opt.Config carries (the experiment grid
+// compresses it, like the array grid).
+func RunMultiTenant(policy PolicySpec, tcfg tenant.Config, opt Options) (tenant.Results, error) {
 	opt = opt.withDefaults()
-	tcfg = tcfg.withDefaults()
-	kind, err := tenant.ParseArrival(tcfg.Arrival)
+	tcfg.Device, tcfg.WorkingSetPages = opt.simConfig()
+	tcfg.Seed = opt.Seed
+	tcfg.OpsPerTenant = max(opt.Ops/max(tcfg.Tenants, 1), 1) // tenant.New rejects fewer than one tenant
+	eng, err := tenant.New(tcfg, policy.Factory())
 	if err != nil {
-		return MultiTenantResults{}, err
-	}
-	cfg, ws := opt.simConfig()
-	ops := opt.Ops / tcfg.Tenants
-	if ops < 1 {
-		ops = 1
-	}
-	eng, err := tenant.New(tenant.Config{
-		Tenants:         tcfg.Tenants,
-		OpsPerTenant:    ops,
-		Arrival:         kind,
-		Rate:            tcfg.Rate,
-		Classes:         qosClasses(tcfg.SLO),
-		Seed:            opt.Seed,
-		WorkingSetPages: ws,
-		Device:          cfg,
-	}, policy.Factory())
-	if err != nil {
-		return MultiTenantResults{}, err
+		return tenant.Results{}, err
 	}
 	res, err := eng.Run()
 	if err != nil {
-		return MultiTenantResults{}, err
+		return tenant.Results{}, err
 	}
 	res.Device.Workload = "multitenant"
 	return res, nil
@@ -128,16 +67,16 @@ var (
 // backlog. Cells fan out over opt.Workers into pre-indexed slots.
 func multitenantExp(opt Options) ([]Table, error) {
 	perCount := len(mtLoads) * len(mtPolicies)
-	slots, err := gridCells(opt, len(mtTenantCounts)*perCount, func(i int) (MultiTenantResults, error) {
+	slots, err := gridCells(opt, len(mtTenantCounts)*perCount, func(i int) (tenant.Results, error) {
 		n := mtTenantCounts[i/perCount]
 		load := mtLoads[(i%perCount)/len(mtPolicies)]
 		pol := mtPolicies[i%len(mtPolicies)]
 		cellOpt := opt.withDefaults()
 		cfg := arrayDeviceConfig() // compressed write-back interval, same rationale
 		cellOpt.Config = &cfg
-		res, err := RunMultiTenant(pol, TenantConfig{
+		res, err := RunMultiTenant(pol, tenant.Config{
 			Tenants: n,
-			Arrival: string(tenant.MMPP),
+			Arrival: tenant.MMPP,
 			Rate:    load.aggregate / float64(n),
 		}, cellOpt)
 		if err != nil {

@@ -30,7 +30,7 @@ var settingsPath = filepath.Join("testdata", "settings.txt")
 // Regenerate with `go test -run TestSettingsInventory -update .`.
 func TestSettingsInventory(t *testing.T) {
 	roots := []any{
-		Options{}, PolicySpec{}, TenantConfig{},
+		Options{}, PolicySpec{},
 		sim.Config{}, array.Config{}, tenant.Config{}, core.JITOptions{},
 		binlog.Options{}, workload.Params{},
 	}
