@@ -12,7 +12,7 @@
 GO ?= go
 COVERAGE_BASELINE := $(shell cat ci/coverage-baseline.txt)
 
-.PHONY: ci build vet fmt-check test test-race bench-test coverage-gate fuzz loc loc-diff ftl-bench-diff test-times
+.PHONY: ci build vet fmt-check test test-race bench-test coverage-gate fuzz loc loc-diff ftl-bench-diff paperbench-diff test-times
 
 ci: build vet fmt-check test-race bench-test coverage-gate
 
@@ -136,6 +136,27 @@ ftl-bench-diff:
 			for (i = 1; i <= nk; i++) { k = order[i]; b = med("rev", k); a = med("now", k); \
 				printf "%-52s %12s %12s %7s\n", k, b, a, (b == "-" || a == "-") ? "-" : sprintf("%.2f", a / b) } } \
 	' "$$tmp/results"
+
+# paperbench's output at REV (git archive into a temp dir) beside the
+# working tree's, as `diff -u`, whose exit status the target returns: the
+# equal-output check of a change that should not move a table. EXP is the
+# -exp list; OPS (paperbench's default when unset) and WORKERS (default 2)
+# are passed to both sides. The `(N.Ns)` timing is cut from each `===`
+# header, and each side's exit status is appended to its output, so a run
+# that exits 1 on table warnings is still compared. Not part of ci.
+WORKERS ?= 2
+paperbench-diff:
+	@[ -n "$(REV)" ] && [ -n "$(EXP)" ] || { echo "usage: make paperbench-diff REV=<rev> EXP=<ids> [OPS=N] [WORKERS=2]"; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir "$$tmp/tree" && git archive "$(REV)" | tar -x -C "$$tmp/tree" && \
+	(cd "$$tmp/tree" && $(GO) build -o "$$tmp/rev" ./cmd/paperbench) && \
+	$(GO) build -o "$$tmp/now" ./cmd/paperbench && \
+	for side in rev now; do \
+		st=0; "$$tmp/$$side" -exp "$(EXP)" -workers $(WORKERS) $(if $(OPS),-ops $(OPS)) > "$$tmp/$$side.out" 2>&1 || st=$$?; \
+		[ $$st -le 1 ] || { cat "$$tmp/$$side.out"; exit $$st; }; \
+		{ sed -E '/^=== /s/ \([0-9.]+s\)$$//' "$$tmp/$$side.out"; echo "exit status $$st"; } > "$$tmp/$$side.txt"; \
+	done && \
+	diff -u --label "paperbench@$(REV)" --label "paperbench (working tree)" "$$tmp/rev.txt" "$$tmp/now.txt"
 
 # The 20 slowest tests of one uncached run of the suite, with package and
 # seconds, slowest first (subtests included): the per-test time table a

@@ -99,8 +99,9 @@ func main() {
 		usageError("-ops must be at least 1, got %d", *ops)
 	case *tenants < 0:
 		usageError("-tenants must not be negative, got %d", *tenants)
-	case *ops < *tenants:
-		usageError("-ops must be at least -tenants (one request per tenant), got %d for %d tenants", *ops, *tenants)
+	case *tenants > 0 && *ops%*tenants != 0:
+		usageError("-ops must be a multiple of -tenants (each tenant issues -ops/-tenants requests), got %d for %d tenants: %d requests left over",
+			*ops, *tenants, *ops%*tenants)
 	case !(*rate > 0 && *rate <= math.MaxFloat64):
 		usageError("-rate must be a positive finite req/s, got %v", *rate)
 	case *slo <= 0:

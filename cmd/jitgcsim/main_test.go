@@ -120,7 +120,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-devices", "2", "-stripe", "0"}, {"-devices", "2", "-spares", "-1"},
 		{"-tenants", "5", "-slo", "-1s"}, {"-tenants", "5", "-slo", "0"}, {"-tenants", "5", "-rate", "0"},
 		{"-tenants", "5", "-arrival", "bogus"}, {"-host-profile", "bogus"}, {"-size", "3GiB"},
-		{"-tenants", "5", "-ops", "3"},
+		{"-tenants", "5", "-ops", "3"}, {"-tenants", "7", "-ops", "100"},
 	} {
 		out, err := exec.Command(os.Args[0], append([]string{"jitgcsim"}, args...)...).CombinedOutput()
 		var exit *exec.ExitError

@@ -152,9 +152,6 @@ func (h *Histogram) Bins() []uint64 {
 	return out
 }
 
-// BinWidth returns the configured bin width.
-func (h *Histogram) BinWidth() float64 { return h.binWidth }
-
 // Reset drops all samples.
 func (h *Histogram) Reset() {
 	for i := range h.counts {

@@ -5,27 +5,34 @@ import "math"
 // Analytic write-amplification models for cross-validating simulated
 // steady-state WAF at scales where the shadow-model sweeps are too slow.
 // Both assume uniform random small writes over a fixed working set — the
-// regime the scale experiment drives — and bracket the simulated greedy
-// result from opposite sides:
+// regime the scale and TRIM validation sweeps drive — and are evaluated at
+// the live footprint the device must preserve:
 //
-//   - GreedyWAF is the worst-case bound for greedy victim selection under
-//     uniform traffic (Frankie et al. / Hu et al.): with spare factor ρ,
-//     the victim's steady-state valid fraction tends to (1-ρ)/(1+ρ)… giving
-//     WA = (1+ρ)/(2ρ). It slightly UNDERSTATES amplification for small
-//     devices because it idealizes the valid-count distribution's lower
-//     tail.
+//   - GreedyWAF is the greedy-selection model under uniform traffic
+//     (Frankie et al. / Hu et al.): with spare factor ρ, the victim's
+//     steady-state valid fraction tends to (1-ρ)/(1+ρ)… giving
+//     WA = (1+ρ)/(2ρ). It ignores the block size: the fewer pages a block
+//     holds, the wider its valid-count spread, the emptier greedy's
+//     minimum-valid victim and the lower the WAF. An idealized greedy
+//     model (uniform overwrites, minimum-valid victim, a 65,536-page device
+//     at 75% fill) reads about 1.59, 1.80 and 1.88 at 8, 32 and 128 pages
+//     per block against GreedyWAF's 1.672, so at the FTL's 128 pages per
+//     block the measured WAF sits 11–13% above it at every device size
+//     from 256 MiB to 64 GiB: the gap follows block size, not device size.
 //   - MeanFieldWAF is the d-choices/mean-field fixed point used by
 //     Li/Lee/Lui's stochastic model family for random (non-greedy)
 //     selection: α = exp(-Sf·(1-α)), WA = 1/(1-α), with Sf = T/U the
-//     physical-to-logical page ratio. Random selection wastes more
-//     migration work than greedy, so it OVERSTATES a greedy simulator's
-//     amplification.
+//     physical-to-logical page ratio. At 128 pages per block greedy gains
+//     almost nothing over random selection: the scale grid's WAF reads
+//     1.859–1.886 against a mean-field 1.881, above it at 256 MiB, and the
+//     TRIM sweep's untrimmed point 2.626 against 2.625.
 //
-// A correct greedy simulation of a device with working set = user capacity
-// lands between the two; the scale experiment asserts exactly that
-// bracketing. When the working set covers only a fraction of user
-// capacity, the effective over-provisioning grows accordingly — callers
-// pass the spare factor relative to the written footprint.
+// So the measured WAF is pinned to the bracket's mean-field edge, not inside
+// it; the bracket holds there only through the 5% tolerance the scale and
+// TRIM tables allow. A trimmed fraction q enters as a smaller live footprint
+// (1-q)·ws (Frankie et al., "Analysis of Trim Commands on Overprovisioning
+// and Write Amplification in Solid State Drives"): trimmed pages cost GC
+// nothing, so WAF collapses along the same two curves.
 
 // GreedyWAF returns the analytic steady-state write amplification of greedy
 // victim selection under uniform random writes, for a device with
@@ -43,68 +50,10 @@ func GreedyWAF(totalPages, livePages int64) float64 {
 	return wa
 }
 
-// TRIM extension (Frankie et al., "Analysis of Trim Commands on
-// Overprovisioning and Write Amplification in Solid State Drives"): a host
-// that discards a steady fraction q of its working set shrinks the live
-// footprint the device must preserve, so the spare factor the WAF models see
-// is computed against (1-q)·U live pages rather than U. Trimmed pages cost
-// GC nothing — they are invalid without a compensating program — so WAF
-// collapses along the same greedy/mean-field curves, evaluated at the
-// TRIM-inflated effective over-provisioning. TrimmedLivePages, EffectiveOP
-// and the Frankie* helpers express that substitution so callers state their
-// workload in (working set, trimmed fraction) terms.
-
-// TrimmedLivePages returns the steady-state live footprint of a working set
-// of which trimmedFraction is discarded at any moment: (1-q)·ws, floored at
-// one page so the WAF models stay defined.
-func TrimmedLivePages(workingSetPages int64, trimmedFraction float64) int64 {
-	if trimmedFraction < 0 {
-		trimmedFraction = 0
-	}
-	if trimmedFraction > 1 {
-		trimmedFraction = 1
-	}
-	live := int64(math.Round((1 - trimmedFraction) * float64(workingSetPages)))
-	if live < 1 {
-		live = 1
-	}
-	return live
-}
-
-// EffectiveOP returns Frankie et al.'s TRIM-inflated spare factor
-// ρ_eff = (T - (1-q)·ws) / ((1-q)·ws): the over-provisioning the GC process
-// actually enjoys when q of the ws-page working set is trimmed on a device
-// with totalPages physical pages.
-func EffectiveOP(totalPages, workingSetPages int64, trimmedFraction float64) float64 {
-	live := TrimmedLivePages(workingSetPages, trimmedFraction)
-	if totalPages <= live {
-		return 0
-	}
-	return float64(totalPages-live) / float64(live)
-}
-
-// FrankieWAF returns the greedy steady-state write amplification predicted
-// by Frankie et al.'s WAF-vs-effective-OP curve: GreedyWAF evaluated at the
-// TRIM-reduced live footprint. It is the lower (greedy) edge of the analytic
-// bracket; FrankieWAFBracket returns both edges.
-func FrankieWAF(totalPages, workingSetPages int64, trimmedFraction float64) float64 {
-	return GreedyWAF(totalPages, TrimmedLivePages(workingSetPages, trimmedFraction))
-}
-
-// FrankieWAFBracket returns the [greedy, mean-field] analytic WAF bracket at
-// the TRIM-inflated effective over-provisioning. A correct greedy simulation
-// of uniform random writes with a steady trimmed fraction lands between the
-// two, exactly as the untrimmed scale experiment lands between GreedyWAF and
-// MeanFieldWAF.
-func FrankieWAFBracket(totalPages, workingSetPages int64, trimmedFraction float64) (lo, hi float64) {
-	live := TrimmedLivePages(workingSetPages, trimmedFraction)
-	return GreedyWAF(totalPages, live), MeanFieldWAF(totalPages, live)
-}
-
 // MeanFieldWAF returns the mean-field fixed-point write amplification of
 // RANDOM victim selection under uniform random writes: α = exp(-Sf·(1-α))
-// with Sf = totalPages/livePages, WA = 1/(1-α). An upper reference for
-// greedy simulations.
+// with Sf = totalPages/livePages, WA = 1/(1-α): the bracket's upper edge,
+// which a greedy simulation with 128-page blocks sits on.
 func MeanFieldWAF(totalPages, livePages int64) float64 {
 	if livePages <= 0 || totalPages <= livePages {
 		return 1

@@ -28,6 +28,30 @@ func TestGreedyWAF(t *testing.T) {
 	}
 }
 
+// TestGreedyWAFAtTrimmedSpareFactor checks the TRIM substitution: a
+// trimmed fraction q of a ws-page working set enters GreedyWAF as the
+// smaller live footprint (1-q)·ws, whose spare factor only grows with q.
+func TestGreedyWAFAtTrimmedSpareFactor(t *testing.T) {
+	// No trim: ρ = 7/100, the plain spare factor.
+	if got, want := GreedyWAF(107, 100), (1+0.07)/(2*0.07); math.Abs(got-want) > 1e-12 {
+		t.Errorf("GreedyWAF(107, 100) = %v, want %v", got, want)
+	}
+	// 30% trimmed: live = 70, ρ = 37/70.
+	if got, want := GreedyWAF(107, 70), (1+37.0/70)/(2*37.0/70); math.Abs(got-want) > 1e-12 {
+		t.Errorf("GreedyWAF(107, 70) = %v, want %v", got, want)
+	}
+	if got := GreedyWAF(50, 100); got != 1 {
+		t.Errorf("GreedyWAF with live beyond total = %v, want 1", got)
+	}
+	// TRIM only ever lowers the amplification.
+	for _, q := range []float64{0, 0.1, 0.2, 0.4, 0.6} {
+		live := int64(math.Round((1 - q) * 100))
+		if GreedyWAF(107, live) > GreedyWAF(107, 100) {
+			t.Errorf("GreedyWAF rose at q=%v", q)
+		}
+	}
+}
+
 func TestMeanFieldWAF(t *testing.T) {
 	// Sf = 2: α = exp(-2(1-α)) → α ≈ 0.2032, WA ≈ 1.255.
 	if got := MeanFieldWAF(100, 50); math.Abs(got-1.255) > 0.005 {
@@ -52,69 +76,25 @@ func TestMeanFieldWAF(t *testing.T) {
 	}
 }
 
-func TestTrimmedLivePages(t *testing.T) {
-	cases := []struct {
-		ws   int64
-		q    float64
-		want int64
-	}{
-		{1000, 0, 1000},
-		{1000, 0.25, 750},
-		{1000, 1, 1},     // floored at one page
-		{1000, -1, 1000}, // clamped
-		{1000, 2, 1},     // clamped then floored
-	}
-	for _, c := range cases {
-		if got := TrimmedLivePages(c.ws, c.q); got != c.want {
-			t.Errorf("TrimmedLivePages(%d, %v) = %d, want %d", c.ws, c.q, got, c.want)
-		}
-	}
-}
-
-func TestEffectiveOP(t *testing.T) {
-	// No trim: ρ_eff is the plain spare factor.
-	if got, want := EffectiveOP(107, 100, 0), 0.07; math.Abs(got-want) > 1e-12 {
-		t.Errorf("EffectiveOP(107, 100, 0) = %v, want %v", got, want)
-	}
-	// 30% trimmed: live = 70, ρ_eff = 37/70.
-	if got, want := EffectiveOP(107, 100, 0.30), 37.0/70.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("EffectiveOP(107, 100, 0.30) = %v, want %v", got, want)
-	}
-	if got := EffectiveOP(50, 100, 0); got != 0 {
-		t.Errorf("EffectiveOP with live beyond total = %v, want 0", got)
-	}
-	// TRIM only ever inflates the effective OP.
-	for _, q := range []float64{0, 0.1, 0.2, 0.4, 0.6} {
-		if EffectiveOP(107, 100, q) < EffectiveOP(107, 100, 0) {
-			t.Errorf("EffectiveOP shrank at q=%v", q)
-		}
-	}
-}
-
-func TestFrankieWAFCurve(t *testing.T) {
+// TestWAFModelsFallAsLivePagesShrink sweeps a TRIM-style shrinking live
+// footprint: both models fall monotonically, never below 1, and greedy
+// stays at or below mean-field throughout.
+func TestWAFModelsFallAsLivePagesShrink(t *testing.T) {
 	const total, ws = 65536, 55000
-	// q = 0 degenerates to the plain greedy model.
-	if got, want := FrankieWAF(total, ws, 0), GreedyWAF(total, ws); got != want {
-		t.Errorf("FrankieWAF at q=0 = %v, want GreedyWAF %v", got, want)
-	}
-	// WAF must collapse monotonically as the trimmed fraction grows.
-	prev := math.Inf(1)
-	for _, q := range []float64{0, 0.1, 0.2, 0.3, 0.45, 0.6} {
-		wa := FrankieWAF(total, ws, q)
-		if wa > prev {
-			t.Errorf("FrankieWAF rose from %v to %v at q=%v", prev, wa, q)
+	prevG, prevM := math.Inf(1), math.Inf(1)
+	for _, q := range []float64{0, 0.1, 0.15, 0.2, 0.3, 0.45, 0.6} {
+		live := int64(math.Round((1 - q) * ws))
+		g, m := GreedyWAF(total, live), MeanFieldWAF(total, live)
+		if g > prevG || m > prevM {
+			t.Errorf("q=%v: greedy %v (was %v) or mean-field %v (was %v) rose", q, g, prevG, m, prevM)
 		}
-		prev = wa
-	}
-	// The bracket stays ordered (greedy ≤ mean-field) at every intensity.
-	for _, q := range []float64{0, 0.15, 0.30, 0.45} {
-		lo, hi := FrankieWAFBracket(total, ws, q)
-		if lo > hi {
-			t.Errorf("q=%v: bracket inverted [%v, %v]", q, lo, hi)
+		if g > m {
+			t.Errorf("q=%v: bracket inverted [%v, %v]", q, g, m)
 		}
-		if lo < 1 || hi < 1 {
-			t.Errorf("q=%v: bracket below 1 [%v, %v]", q, lo, hi)
+		if g < 1 || m < 1 {
+			t.Errorf("q=%v: bracket below 1 [%v, %v]", q, g, m)
 		}
+		prevG, prevM = g, m
 	}
 }
 

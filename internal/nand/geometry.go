@@ -152,33 +152,6 @@ func (g Geometry) TotalBlocks() int { return g.TotalChips() * g.BlocksPerChip }
 // int64: a validated geometry may hold more pages than a 32-bit int.
 func (g Geometry) TotalPages() int64 { return int64(g.TotalBlocks()) * int64(g.PagesPerBlock) }
 
-// BlockBytes returns the payload capacity of one erase block.
-func (g Geometry) BlockBytes() int64 { return int64(g.PagesPerBlock) * int64(g.PageSize) }
-
-// TotalBytes returns the raw payload capacity of the array.
-func (g Geometry) TotalBytes() int64 { return g.TotalPages() * int64(g.PageSize) }
-
 // Parallelism returns the number of flash operations the array can perform
 // concurrently: one per die.
 func (g Geometry) Parallelism() int { return g.TotalChips() }
-
-// PagesFor returns the number of pages needed to hold n bytes. The count is
-// int64 — a byte volume near math.MaxInt64 must not truncate through a
-// 32-bit int the way the previous signature did.
-func (g Geometry) PagesFor(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	ps := int64(g.PageSize)
-	// (n + ps - 1) can overflow for n near MaxInt64; divide first.
-	pages := n / ps
-	if n%ps != 0 {
-		pages++
-	}
-	return pages
-}
-
-// ChannelOf returns the channel a flat block index belongs to. Blocks are
-// striped across channels so that consecutive blocks land on different
-// channels, matching how SSD firmware interleaves superblocks.
-func (g Geometry) ChannelOf(block int) int { return block % g.Channels }

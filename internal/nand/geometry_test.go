@@ -23,12 +23,6 @@ func TestGeometryDerivedQuantities(t *testing.T) {
 	if got, want := g.TotalPages(), int64(1024); got != want {
 		t.Errorf("TotalPages = %d, want %d", got, want)
 	}
-	if got, want := g.BlockBytes(), int64(16*4096); got != want {
-		t.Errorf("BlockBytes = %d, want %d", got, want)
-	}
-	if got, want := g.TotalBytes(), int64(1024*4096); got != want {
-		t.Errorf("TotalBytes = %d, want %d", got, want)
-	}
 	if got, want := g.Parallelism(), 8; got != want {
 		t.Errorf("Parallelism = %d, want %d", got, want)
 	}
@@ -48,44 +42,6 @@ func TestGeometryValidateRejectsNonPositiveFields(t *testing.T) {
 		mutate(&g)
 		if err := g.Validate(); err == nil {
 			t.Errorf("mutation %d: Validate accepted invalid geometry %+v", i, g)
-		}
-	}
-}
-
-func TestPagesFor(t *testing.T) {
-	g := Geometry{Channels: 1, ChipsPerChannel: 1, BlocksPerChip: 1, PagesPerBlock: 1, PageSize: 4096}
-	cases := []struct {
-		bytes int64
-		want  int64
-	}{
-		{0, 0}, {-5, 0}, {1, 1}, {4096, 1}, {4097, 2}, {8192, 2}, {12288, 3},
-	}
-	for _, c := range cases {
-		if got := g.PagesFor(c.bytes); got != c.want {
-			t.Errorf("PagesFor(%d) = %d, want %d", c.bytes, got, c.want)
-		}
-	}
-}
-
-// Regression: PagesFor used to truncate its page count through int, and
-// its old (n + PageSize - 1) rounding overflowed for n near MaxInt64.
-func TestPagesForHugeVolumes(t *testing.T) {
-	g := Geometry{Channels: 1, ChipsPerChannel: 1, BlocksPerChip: 1, PagesPerBlock: 1, PageSize: 4096}
-	const maxI64 = int64(math.MaxInt64)
-	cases := []struct {
-		bytes int64
-		want  int64
-	}{
-		// 16 GiB: 4M pages — fits int64 but used to truncate on 32-bit ints.
-		{16 << 30, 4 << 20},
-		{(16 << 30) + 1, (4 << 20) + 1},
-		// Values near MaxInt64 must not overflow in the round-up.
-		{maxI64, maxI64/4096 + 1},
-		{maxI64 - maxI64%4096, maxI64 / 4096},
-	}
-	for _, c := range cases {
-		if got := g.PagesFor(c.bytes); got != c.want {
-			t.Errorf("PagesFor(%d) = %d, want %d", c.bytes, got, c.want)
 		}
 	}
 }
@@ -131,11 +87,14 @@ func TestScalePresetsValidAndOrdered(t *testing.T) {
 		if err := p.Geo.Validate(); err != nil {
 			t.Errorf("preset %s invalid: %v", p.Name, err)
 		}
-		if b := p.Geo.TotalBytes(); b <= prev {
+		if b := p.Geo.TotalPages(); b <= prev {
 			t.Errorf("preset %s capacity %d not above previous %d", p.Name, b, prev)
 		} else {
 			prev = b
 		}
+	}
+	if presets[0].Geo != DefaultGeometry() {
+		t.Errorf("smallest preset %s is not the default geometry", presets[0].Name)
 	}
 	if got := presets[len(presets)-1].Geo.TotalPages(); got < 16<<20 {
 		t.Errorf("largest preset has %d pages, want ≥ 16M", got)
@@ -145,15 +104,6 @@ func TestScalePresetsValidAndOrdered(t *testing.T) {
 	}
 	if _, err := PresetByName("nope"); err == nil {
 		t.Error("PresetByName accepted unknown name")
-	}
-}
-
-func TestChannelOfStripesBlocks(t *testing.T) {
-	g := DefaultGeometry()
-	for b := 0; b < 2*g.Channels; b++ {
-		if got, want := g.ChannelOf(b), b%g.Channels; got != want {
-			t.Errorf("ChannelOf(%d) = %d, want %d", b, got, want)
-		}
 	}
 }
 

@@ -96,9 +96,6 @@ func score(pred, act int64) float64 {
 	return 1 - float64(diff)/float64(maxv)
 }
 
-// Horizon returns the forecast horizon in intervals.
-func (a *AccuracyTracker) Horizon() int { return a.horizon }
-
 // Elapsed returns the number of closed intervals.
 func (a *AccuracyTracker) Elapsed() int { return len(a.actual) }
 

@@ -80,9 +80,16 @@ func TestAccuracyOverAndUnderPredictionSymmetric(t *testing.T) {
 }
 
 func TestAccuracyMinimumHorizon(t *testing.T) {
-	a := NewAccuracyTracker(0) // clamps to 1
-	if a.Horizon() != 1 {
-		t.Errorf("horizon = %d, want 1", a.Horizon())
+	a := NewAccuracyTracker(0) // clamps to 1: scored after one interval
+	a.RecordPrediction(100)
+	a.Tick()
+	if a.Count() != 0 {
+		t.Errorf("scored before the horizon elapsed")
+	}
+	a.AddActual(100)
+	a.Tick()
+	if a.Count() != 1 || a.Mean() != 1 {
+		t.Errorf("one-interval horizon: count %d, mean %v, want 1 and 1", a.Count(), a.Mean())
 	}
 }
 

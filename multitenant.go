@@ -24,8 +24,9 @@ const (
 // under the given policy. It fills exactly four fields of tcfg from opt:
 // Device, the device opt configures; WorkingSetPages, opt.WorkingSetPages
 // or half the user capacity, split into disjoint per-tenant slices; Seed,
-// opt.Seed; and OpsPerTenant, opt.Ops split evenly across tcfg.Tenants (at
-// least 1). The tenant count, arrival process, rate and classes come from
+// opt.Seed; and OpsPerTenant, opt.Ops/tcfg.Tenants rounded down (at least
+// 1), so a budget that is not a multiple of the tenant count loses its
+// remainder and one below it issues one request per tenant. The tenant count, arrival process, rate and classes come from
 // tcfg, with tenant.Config's defaults for zero fields. The write-back
 // interval is left at whatever opt.Config carries (the experiment grid
 // compresses it, like the array grid).

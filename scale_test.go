@@ -23,6 +23,13 @@ func TestScaleExperimentSmallPreset(t *testing.T) {
 	if !res.CompactMap {
 		t.Error("256 MiB preset did not use the compact (int32) mapping")
 	}
+	// Untrimmed, the models see the whole working set, three quarters of
+	// user capacity, and the device ends the run with all of it mapped.
+	if want := int64(scaleFillFraction * float64(res.UserPages)); res.WorkingSetPages != want ||
+		res.LivePages != want || res.MappedPages != want {
+		t.Errorf("working set %d, live %d, mapped %d pages; want %d each",
+			res.WorkingSetPages, res.LivePages, res.MappedPages, want)
+	}
 	// Budget: compact L2P+P2L ≈ 8 B/page plus sub-byte state planes and
 	// per-block metadata. 12 B/page is generous headroom; the old layout
 	// (int64 maps + token plane + 1 B/page states) needed ≥ 25.
@@ -80,12 +87,12 @@ func TestScaleTableRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := ScaleResult{
-		Preset: preset, UserPages: 61248, LivePages: 45936, CompactMap: true,
+	good := SteadyResult{
+		Preset: preset, UserPages: 61248, WorkingSetPages: 45936, LivePages: 45936, CompactMap: true,
 		MetaBytesPerPage: 9.09, WAF: 1.88, GreedyWAF: 1.672, MeanFieldWAF: 1.881,
 		NsPerWrite: 2500,
 	}
-	tb := scaleTable([]ScaleResult{good})
+	tb := scaleTable([]SteadyResult{good})
 	if len(tb.Rows) != 1 {
 		t.Fatalf("rendered %d rows, want 1", len(tb.Rows))
 	}
@@ -101,7 +108,7 @@ func TestScaleTableRendering(t *testing.T) {
 
 	bad := good
 	bad.WAF = bad.MeanFieldWAF * 1.2
-	tb = scaleTable([]ScaleResult{bad})
+	tb = scaleTable([]SteadyResult{bad})
 	if len(tb.Notes) != 1 || !strings.Contains(tb.Notes[0], "outside the analytic bracket") {
 		t.Errorf("out-of-bracket row not flagged: %v", tb.Notes)
 	}

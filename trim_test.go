@@ -7,7 +7,7 @@ import (
 
 	"jitgc/internal/array"
 	"jitgc/internal/ftl"
-	"jitgc/internal/metrics"
+	"jitgc/internal/nand"
 )
 
 // TestTrimPointInsideFrankieBracket is the committed cross-validation from
@@ -20,9 +20,13 @@ func TestTrimPointInsideFrankieBracket(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state sweep needs ~5 device passes per intensity; skipped in -short")
 	}
+	preset, err := nand.PresetByName("256MiB")
+	if err != nil {
+		t.Fatal(err)
+	}
 	prevWAF := 0.0
 	for i, q := range trimIntensities {
-		r, err := RunTrimPoint(q, 1)
+		r, err := runSteady(preset, trimFillFraction, q, 1)
 		if err != nil {
 			t.Fatalf("q=%.2f: %v", q, err)
 		}
@@ -36,18 +40,26 @@ func TestTrimPointInsideFrankieBracket(t *testing.T) {
 				q, r.WAF, prevWAF)
 		}
 		prevWAF = r.WAF
-		// The steering must actually have held the trimmed fraction: the
-		// measured live footprint matches (1-q)·ws within one percent.
-		want := metrics.TrimmedLivePages(r.WorkingSetPages, q)
+		// The models see the (1-q)·ws pages the device must preserve, and
+		// the steering must actually have held the trimmed fraction: the
+		// mapped footprint matches that within one percent.
+		want := int64(math.Round((1 - q) * float64(r.WorkingSetPages)))
+		if r.LivePages != want {
+			t.Errorf("q=%.2f: models evaluated at %d live pages, want %d", q, r.LivePages, want)
+		}
 		if diff := r.MappedPages - want; diff > want/100 || diff < -want/100 {
 			t.Errorf("q=%.2f: mapped %d pages, steering target %d", q, r.MappedPages, want)
 		}
 	}
 }
 
-func TestRunTrimPointRejectsBadIntensity(t *testing.T) {
+func TestRunSteadyRejectsBadIntensity(t *testing.T) {
+	preset, err := nand.PresetByName("256MiB")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, q := range []float64{-0.1, 1, 1.5, math.NaN()} {
-		if _, err := RunTrimPoint(q, 1); err == nil {
+		if _, err := runSteady(preset, trimFillFraction, q, 1); err == nil {
 			t.Errorf("intensity %v accepted", q)
 		}
 	}
@@ -112,7 +124,8 @@ func TestTrimGridTableShapes(t *testing.T) {
 	}
 	tb := trimGridTable(cells)
 	s := tb.String()
-	for _, want := range []string{"churn", "0.15", "A-BGC", "100.0", "log", "JIT-GC", "n/a"} {
+	// 1000 of the default device's 65,536 pages mapped: effective OP 64.536.
+	for _, want := range []string{"churn", "0.15", "A-BGC", "100.0", "64.536", "log", "JIT-GC", "n/a"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("grid table missing %q:\n%s", want, s)
 		}
@@ -123,11 +136,12 @@ func TestTrimGridTableShapes(t *testing.T) {
 // the Frankie bracket must warn (and so fail paperbench), a row inside
 // must not.
 func TestTrimValidationTableFlagsEscapes(t *testing.T) {
-	inside := TrimPointResult{Q: 0.15, WAF: 1.6, GreedyWAF: 1.5, MeanFieldWAF: 1.75}
-	outside := TrimPointResult{Q: 0.30, WAF: 2.4, GreedyWAF: 1.1, MeanFieldWAF: 1.4}
-	tb := trimValidationTable([]TrimPointResult{inside, outside})
+	inside := SteadyResult{Q: 0.15, WAF: 1.6, GreedyWAF: 1.5, MeanFieldWAF: 1.75}
+	outside := SteadyResult{Q: 0.30, WAF: 2.4, GreedyWAF: 1.1, MeanFieldWAF: 1.4}
+	tb := trimValidationTable([]SteadyResult{inside, outside})
 	s := tb.String()
-	if !strings.Contains(s, "q=0.30") || len(tb.Notes) != 1 {
+	if !strings.Contains(s, "q=0.30") || len(tb.Notes) != 1 ||
+		tb.Notes[0] != "q=0.30: WAF 2.400 outside the Frankie bracket [1.100, 1.400]" {
 		t.Errorf("escaped row not flagged (notes %v):\n%s", tb.Notes, s)
 	}
 	if strings.Contains(strings.Join(tb.Notes, "\n"), "q=0.15") {
