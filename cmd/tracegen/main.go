@@ -1,9 +1,9 @@
 // Command tracegen writes a benchmark's synthetic request stream as a
-// trace file that jitgcsim-compatible tools (and examples/tracereplay) can
-// replay: the human-readable text format by default, or the columnar
-// binlog format with -binary (an order of magnitude smaller, and the only
-// practical choice once traces reach 10⁸ requests). The stream is the one
-// jitgc.Run simulates for the same benchmark, seed, ops and working set.
+// trace file that jitgcsim -trace can replay: the human-readable text
+// format by default, or the columnar binlog format with -binary (an order
+// of magnitude smaller, and the only practical choice once traces reach 10⁸
+// requests). The stream is the one jitgc.Run simulates for the same
+// benchmark, seed, ops and working set.
 //
 // Usage:
 //

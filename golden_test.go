@@ -168,12 +168,12 @@ func countEvents(r io.Reader) (int64, error) {
 
 // scaleHasNoGolden is why the scale experiment is left out of the golden
 // sweep and has no file under testdata/golden.
-const scaleHasNoGolden = "scale grid reports wall-clock ns/write, which cannot be golden; covered by TestScaleExperimentSmallPreset"
+const scaleHasNoGolden = "scale grid's 16.8M-page cell takes tens of seconds to reach steady state; covered by TestScaleExperimentSmallPreset"
 
 // eachExperiment calls check with every experiment's runs, one parallel
-// subtest each. scale is always left out: its ns/write column is
-// wall-clock, so two runs never render alike and it has no golden (its
-// deterministic columns are pinned by TestScaleExperimentSmallPreset).
+// subtest each. scale is always left out: its largest cell is too slow for
+// the suite, so it has no golden (its columns are pinned by
+// TestScaleExperimentSmallPreset).
 // skip names why any other experiment is left out, or returns "".
 func eachExperiment(t *testing.T, skip func(id string) string, check func(t *testing.T, e Experiment, r *experimentRun)) {
 	for _, e := range Experiments() {

@@ -10,6 +10,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"jitgc/internal/nand"
@@ -23,6 +24,9 @@ var (
 	ErrCorruption   = errors.New("ftl: stored payload does not match its logical page")
 	// ErrUnknownSelector rejects a SetSelector value past the two kinds.
 	ErrUnknownSelector = errors.New("ftl: victim selector is not Greedy or SIPGreedy")
+	// ErrTooManyPages rejects a geometry whose page numbers do not fit the
+	// 4-byte page maps: math.MaxInt32 pages or more.
+	ErrTooManyPages = errors.New("ftl: geometry has too many pages for 4-byte page maps")
 )
 
 const unmapped = int64(-1)
@@ -82,6 +86,9 @@ func DefaultConfig() Config {
 func (c Config) Validate() error {
 	if err := c.Geometry.Validate(); err != nil {
 		return err
+	}
+	if pages := c.Geometry.TotalPages(); pages >= math.MaxInt32 {
+		return fmt.Errorf("%w: %d, limit %d", ErrTooManyPages, pages, math.MaxInt32-1)
 	}
 	if c.OPRatio <= 0 || c.OPRatio >= 1 {
 		return fmt.Errorf("ftl: OP ratio %v outside (0,1)", c.OPRatio)
@@ -236,8 +243,8 @@ func New(cfg Config) (*FTL, error) {
 		dev:         dev,
 		userPages:   user,
 		integrity:   !cfg.DisableIntegrity,
-		l2p:         newPageMap(user, total),
-		p2l:         newPageMap(total, total),
+		l2p:         newPageMap(user),
+		p2l:         newPageMap(total),
 		hostActive:  -1,
 		gcActive:    -1,
 		collecting:  -1,

@@ -10,8 +10,8 @@ import (
 )
 
 // millionPageConfig is the 4 GiB scale preset (8,192 blocks, 1,048,576
-// pages) in bare mode — the smallest geometry where the compact int32
-// mapping, the 2-bit state plane, and the absent payload plane are all
+// pages) in bare mode — the smallest geometry where the int32 page maps,
+// the 2-bit state plane, and the absent payload plane are all
 // load-bearing. Fault injection and wear thresholds stay at defaults so
 // the configuration is exactly what `paperbench -exp scale` runs.
 func millionPageConfig(tb testing.TB) Config {
@@ -40,9 +40,6 @@ func TestMillionPageDifferentialSweep(t *testing.T) {
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if f.l2p.e32 == nil || f.p2l.e32 == nil {
-		t.Fatal("million-page config did not select the compact int32 mapping")
 	}
 	user := f.UserPages()
 	if total := cfg.Geometry.TotalPages(); total < 1<<20 {

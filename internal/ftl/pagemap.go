@@ -5,71 +5,38 @@ import (
 	"math/bits"
 )
 
-// pageMap is a page-number translation table (L2P or P2L) whose entry width
-// adapts to the device: devices whose page count fits an int32 — everything
-// up to 8 TiB at 4 KiB pages — store 4-byte entries, halving the dominant
-// metadata plane; larger devices fall back to 8-byte entries. The accessor
-// pair at/set hides the width from the FTL and the consistency checker.
-type pageMap struct {
-	e32 []int32
-	e64 []int64
-}
+// pageMap is a page-number translation table (L2P or P2L) of 4-byte
+// entries. Every stored value is a page number in [-1, TotalPages), and
+// Config.Validate holds TotalPages below math.MaxInt32, so each fits an
+// int32: everything up to 8 TiB at 4 KiB pages.
+type pageMap []int32
 
-// newPageMap returns a map of n entries, all unmapped. totalPages decides
-// the entry width: every stored value is a page number in
-// [-1, totalPages), so the one bound covers L2P and P2L tables both.
-func newPageMap(n, totalPages int64) pageMap {
-	if totalPages < math.MaxInt32 {
-		m := pageMap{e32: make([]int32, n)}
-		for i := range m.e32 {
-			m.e32[i] = -1
-		}
-		return m
-	}
-	m := pageMap{e64: make([]int64, n)}
-	for i := range m.e64 {
-		m.e64[i] = unmapped
+// newPageMap returns a map of n entries, all unmapped.
+func newPageMap(n int64) pageMap {
+	m := make(pageMap, n)
+	for i := range m {
+		m[i] = int32(unmapped)
 	}
 	return m
 }
 
 // at returns entry i.
-func (m pageMap) at(i int64) int64 {
-	if m.e32 != nil {
-		return int64(m.e32[i])
-	}
-	return m.e64[i]
-}
+func (m pageMap) at(i int64) int64 { return int64(m[i]) }
 
 // set writes entry i.
-func (m pageMap) set(i, v int64) {
-	if m.e32 != nil {
-		m.e32[i] = int32(v)
-		return
-	}
-	m.e64[i] = v
-}
+func (m pageMap) set(i, v int64) { m[i] = int32(v) }
 
 // setSeq writes entries i, i+1, …, i+n-1 with v, v+1, …, v+n-1: a run of
 // consecutive pages mapped to consecutive pages, in either direction.
 func (m pageMap) setSeq(i, v, n int64) {
-	if m.e32 != nil {
-		s := m.e32[i : i+n]
-		for k := range s {
-			s[k] = int32(v + int64(k))
-		}
-		return
-	}
-	s := m.e64[i : i+n]
+	s := m[i : i+n]
 	for k := range s {
-		s[k] = v + int64(k)
+		s[k] = int32(v + int64(k))
 	}
 }
 
 // bytes returns the heap footprint of the entry array.
-func (m pageMap) bytes() int64 {
-	return int64(len(m.e32))*4 + int64(len(m.e64))*8
-}
+func (m pageMap) bytes() int64 { return int64(len(m)) * 4 }
 
 // UserPagesFor returns the exposed user capacity for a device of totalPages
 // physical pages at the given over-provisioning ratio:

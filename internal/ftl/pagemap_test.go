@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -95,39 +96,54 @@ func cmp128(aHi, aLo, bHi, bLo uint64) int {
 	return 0
 }
 
-// TestPageMapWidths drives both entry widths through the accessor layer.
-func TestPageMapWidths(t *testing.T) {
+// TestPageMapEntries drives the 4-byte entries through the accessor layer
+// up to the largest page number a valid geometry holds.
+func TestPageMapEntries(t *testing.T) {
+	m := newPageMap(64)
+	for i := int64(0); i < 64; i++ {
+		if m.at(i) != unmapped {
+			t.Fatalf("fresh entry %d = %d", i, m.at(i))
+		}
+	}
+	const top = math.MaxInt32 - 2 // the last page of a (2^31−2)-page device
+	m.set(7, top)
+	if got := m.at(7); got != top {
+		t.Fatalf("at(7) = %d, want %d", got, top)
+	}
+	m.set(7, unmapped)
+	if m.at(7) != unmapped {
+		t.Fatal("unmapped round-trip failed")
+	}
+	m.setSeq(60, top-3, 4)
+	for i := int64(0); i < 4; i++ {
+		if got := m.at(60 + i); got != top-3+i {
+			t.Fatalf("setSeq: at(%d) = %d, want %d", 60+i, got, top-3+i)
+		}
+	}
+	if m.bytes() != 64*4 {
+		t.Fatalf("bytes %d, want %d", m.bytes(), 64*4)
+	}
+}
+
+// TestValidateRejectsPageCountBeyondInt32 checks the bound the page maps
+// rest on without building a device: a geometry of math.MaxInt32 − 1 pages
+// passes, one of math.MaxInt32 pages or more is ErrTooManyPages.
+func TestValidateRejectsPageCountBeyondInt32(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Geometry.Channels, cfg.Geometry.ChipsPerChannel, cfg.Geometry.PagesPerBlock = 1, 1, 2
 	for _, tc := range []struct {
-		name       string
-		totalPages int64
-		compact    bool
+		blocks, pagesPerBlock int
+		ok                    bool
 	}{
-		{"compact", 1 << 20, true},
-		{"wide", math.MaxInt32 + 1, false},
+		{(math.MaxInt32 - 1) / 2, 2, true},
+		{math.MaxInt32, 1, false},
+		{1 << 30, 2, false},
+		{1 << 24, 1 << 10, false},
 	} {
-		m := newPageMap(64, tc.totalPages)
-		if got := m.e32 != nil; got != tc.compact {
-			t.Fatalf("%s: compact=%v, want %v", tc.name, got, tc.compact)
-		}
-		for i := int64(0); i < 64; i++ {
-			if m.at(i) != unmapped {
-				t.Fatalf("%s: fresh entry %d = %d", tc.name, i, m.at(i))
-			}
-		}
-		m.set(7, tc.totalPages-1)
-		if got := m.at(7); got != tc.totalPages-1 {
-			t.Fatalf("%s: at(7) = %d, want %d", tc.name, got, tc.totalPages-1)
-		}
-		m.set(7, unmapped)
-		if m.at(7) != unmapped {
-			t.Fatalf("%s: unmapped round-trip failed", tc.name)
-		}
-		wantBytes := int64(64 * 8)
-		if tc.compact {
-			wantBytes = 64 * 4
-		}
-		if m.bytes() != wantBytes {
-			t.Fatalf("%s: bytes %d, want %d", tc.name, m.bytes(), wantBytes)
+		cfg.Geometry.BlocksPerChip, cfg.Geometry.PagesPerBlock = tc.blocks, tc.pagesPerBlock
+		err := cfg.Validate()
+		if tc.ok != (err == nil) || (!tc.ok && !errors.Is(err, ErrTooManyPages)) {
+			t.Errorf("%d pages: Validate() = %v, want ok=%v", cfg.Geometry.TotalPages(), err, tc.ok)
 		}
 	}
 }

@@ -2,79 +2,56 @@ package metrics
 
 import "math"
 
-// Analytic write-amplification models for cross-validating simulated
-// steady-state WAF at scales where the shadow-model sweeps are too slow.
-// Both assume uniform random small writes over a fixed working set — the
-// regime the scale and TRIM validation sweeps drive — and are evaluated at
-// the live footprint the device must preserve:
+// GreedyWAF is the steady-state write amplification of greedy victim
+// selection under uniform random overwrites: the fluid limit of Li/Lee/Lui's
+// mean-field model for a device of totalPages physical pages in blocks of
+// k = pagesPerBlock, livePages of which hold host data. Every valid-count
+// class above the victim's passes the same flux of overwrites, so the block
+// counts fall as y_j ∝ 1/j, and the victim class j* is fixed by the blocks
+// and pages they must hold:
 //
-//   - GreedyWAF is the greedy-selection model under uniform traffic
-//     (Frankie et al. / Hu et al.): with spare factor ρ, the victim's
-//     steady-state valid fraction tends to (1-ρ)/(1+ρ)… giving
-//     WA = (1+ρ)/(2ρ). It ignores the block size: the fewer pages a block
-//     holds, the wider its valid-count spread, the emptier greedy's
-//     minimum-valid victim and the lower the WAF. An idealized greedy
-//     model (uniform overwrites, minimum-valid victim, a 65,536-page device
-//     at 75% fill) reads about 1.59, 1.80 and 1.88 at 8, 32 and 128 pages
-//     per block against GreedyWAF's 1.672, so at the FTL's 128 pages per
-//     block the measured WAF sits 11–13% above it at every device size
-//     from 256 MiB to 64 GiB: the gap follows block size, not device size.
-//   - MeanFieldWAF is the d-choices/mean-field fixed point used by
-//     Li/Lee/Lui's stochastic model family for random (non-greedy)
-//     selection: α = exp(-Sf·(1-α)), WA = 1/(1-α), with Sf = T/U the
-//     physical-to-logical page ratio. At 128 pages per block greedy gains
-//     almost nothing over random selection: the scale grid's WAF reads
-//     1.859–1.886 against a mean-field 1.881, above it at 256 MiB, and the
-//     TRIM sweep's untrimmed point 2.626 against 2.625.
+//	(H_k − H_{j*−1}) / (k − j* + 1) = (T/U) / k,   WAF = k / (k − j* + 1),
 //
-// So the measured WAF is pinned to the bracket's mean-field edge, not inside
-// it; the bracket holds there only through the 5% tolerance the scale and
-// TRIM tables allow. A trimmed fraction q enters as a smaller live footprint
-// (1-q)·ws (Frankie et al., "Analysis of Trim Commands on Overprovisioning
-// and Write Amplification in Solid State Drives"): trimmed pages cost GC
-// nothing, so WAF collapses along the same two curves.
-
-// GreedyWAF returns the analytic steady-state write amplification of greedy
-// victim selection under uniform random writes, for a device with
-// totalPages physical pages of which livePages hold host data. The spare
-// factor is ρ = (T - U) / U.
-func GreedyWAF(totalPages, livePages int64) float64 {
-	if livePages <= 0 || totalPages <= livePages {
+// with H the harmonic numbers taken at real arguments. A trimmed share of
+// the working set enters as a smaller livePages (Frankie et al.). The
+// idealized greedy simulation in analytic_test.go and the scale and trim
+// sweeps check it. It returns 1 when nothing is live and +Inf when there is
+// no spare page.
+func GreedyWAF(totalPages, livePages int64, pagesPerBlock int) float64 {
+	if livePages <= 0 || pagesPerBlock <= 1 {
 		return 1
 	}
-	rho := float64(totalPages-livePages) / float64(livePages)
-	wa := (1 + rho) / (2 * rho)
-	if wa < 1 {
-		return 1
-	}
-	return wa
-}
-
-// MeanFieldWAF returns the mean-field fixed-point write amplification of
-// RANDOM victim selection under uniform random writes: α = exp(-Sf·(1-α))
-// with Sf = totalPages/livePages, WA = 1/(1-α): the bracket's upper edge,
-// which a greedy simulation with 128-page blocks sits on.
-func MeanFieldWAF(totalPages, livePages int64) float64 {
-	if livePages <= 0 || totalPages <= livePages {
-		return 1
-	}
-	sf := float64(totalPages) / float64(livePages)
-	// The fixed point is a contraction for Sf > 1; iterate to convergence.
-	alpha := 0.5
-	for i := 0; i < 200; i++ {
-		next := math.Exp(-sf * (1 - alpha))
-		if math.Abs(next-alpha) < 1e-12 {
-			alpha = next
-			break
-		}
-		alpha = next
-	}
-	if alpha >= 1 {
+	if totalPages <= livePages {
 		return math.Inf(1)
 	}
-	wa := 1 / (1 - alpha)
-	if wa < 1 {
-		return 1
+	k := float64(pagesPerBlock)
+	target := float64(totalPages) / float64(livePages) / k
+	// x = j*−1 is the victim's valid count. The mean of 1/j over (x, k]
+	// falls from H_k/k at x = 0 to 1/k as x → k; bisect for the target.
+	hk := harmonic(k)
+	if hk/k <= target {
+		return 1 // spare enough that greedy's victim is empty
 	}
-	return wa
+	lo, hi := 0.0, k
+	for i := 0; i < 100; i++ {
+		x := (lo + hi) / 2
+		if (hk-harmonic(x))/(k-x) > target {
+			lo = x
+		} else {
+			hi = x
+		}
+	}
+	return k / (k - (lo+hi)/2)
+}
+
+// harmonic returns H_x = ψ(x+1) + γ for real x ≥ 0: the recurrence
+// H_x = H_{x+1} − 1/(x+1) lifts x past 6, where the asymptotic series is
+// accurate to 1e-10.
+func harmonic(x float64) float64 {
+	h := 0.0
+	for ; x < 6; x++ {
+		h -= 1 / (x + 1)
+	}
+	f := 1 / (x * x)
+	return h + math.Log(x) + 0.5772156649015329 + 0.5/x - f*(1.0/12-f*(1.0/120-f/252))
 }

@@ -10,12 +10,10 @@ import (
 	"jitgc/internal/nand"
 )
 
-// TestTrimPointInsideFrankieBracket is the committed cross-validation from
-// the issue: at every swept TRIM intensity the measured steady-state WAF
-// must fall inside Frankie et al.'s analytic bracket — the greedy curve at
-// the TRIM-reduced live footprint from below, the Li/Lee/Lui-style
-// mean-field fixed point at the same footprint from above (with the same
-// 5% slack the untrimmed scale experiment allows its bracket).
+// TestTrimPointInsideFrankieBracket is the TRIM cross-validation: at every
+// swept TRIM intensity the measured steady-state WAF must lie within
+// steadyTolerance of the greedy model at the TRIM-reduced live footprint
+// (Frankie et al.'s substitution).
 func TestTrimPointInsideFrankieBracket(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state sweep needs ~5 device passes per intensity; skipped in -short")
@@ -30,22 +28,19 @@ func TestTrimPointInsideFrankieBracket(t *testing.T) {
 		if err != nil {
 			t.Fatalf("q=%.2f: %v", q, err)
 		}
-		if r.WAF < r.GreedyWAF*0.95 || r.WAF > r.MeanFieldWAF*1.05 {
-			t.Errorf("q=%.2f: WAF %.3f outside Frankie bracket [%.3f, %.3f]",
-				q, r.WAF, r.GreedyWAF, r.MeanFieldWAF)
-		}
+		checkSteadyWAF(t, r)
 		// The paper-level claim: TRIM collapses WAF monotonically.
 		if i > 0 && r.WAF > prevWAF {
 			t.Errorf("q=%.2f: WAF rose to %.3f from %.3f at the previous intensity",
 				q, r.WAF, prevWAF)
 		}
 		prevWAF = r.WAF
-		// The models see the (1-q)·ws pages the device must preserve, and
+		// The model sees the (1-q)·ws pages the device must preserve, and
 		// the steering must actually have held the trimmed fraction: the
 		// mapped footprint matches that within one percent.
 		want := int64(math.Round((1 - q) * float64(r.WorkingSetPages)))
 		if r.LivePages != want {
-			t.Errorf("q=%.2f: models evaluated at %d live pages, want %d", q, r.LivePages, want)
+			t.Errorf("q=%.2f: model evaluated at %d live pages, want %d", q, r.LivePages, want)
 		}
 		if diff := r.MappedPages - want; diff > want/100 || diff < -want/100 {
 			t.Errorf("q=%.2f: mapped %d pages, steering target %d", q, r.MappedPages, want)
@@ -132,19 +127,19 @@ func TestTrimGridTableShapes(t *testing.T) {
 	}
 }
 
-// TestTrimValidationTableFlagsEscapes pins the bracket note: a row outside
-// the Frankie bracket must warn (and so fail paperbench), a row inside
-// must not.
+// TestTrimValidationTableFlagsEscapes pins the tolerance note: a row
+// further than steadyTolerance from the greedy model must warn (and so fail
+// paperbench), a row within it must not.
 func TestTrimValidationTableFlagsEscapes(t *testing.T) {
-	inside := SteadyResult{Q: 0.15, WAF: 1.6, GreedyWAF: 1.5, MeanFieldWAF: 1.75}
-	outside := SteadyResult{Q: 0.30, WAF: 2.4, GreedyWAF: 1.1, MeanFieldWAF: 1.4}
+	inside := SteadyResult{Q: 0.15, WAF: 1.76, GreedyWAF: 1.735}
+	outside := SteadyResult{Q: 0.30, WAF: 1.44, GreedyWAF: 1.356}
 	tb := trimValidationTable([]SteadyResult{inside, outside})
 	s := tb.String()
 	if !strings.Contains(s, "q=0.30") || len(tb.Notes) != 1 ||
-		tb.Notes[0] != "q=0.30: WAF 2.400 outside the Frankie bracket [1.100, 1.400]" {
+		tb.Notes[0] != "q=0.30: WAF 1.440 is +6.2% from the greedy model 1.356 (tolerance ±3%)" {
 		t.Errorf("escaped row not flagged (notes %v):\n%s", tb.Notes, s)
 	}
 	if strings.Contains(strings.Join(tb.Notes, "\n"), "q=0.15") {
-		t.Errorf("in-bracket row flagged: %v", tb.Notes)
+		t.Errorf("row within tolerance flagged: %v", tb.Notes)
 	}
 }
