@@ -3,8 +3,9 @@
 # `make ci` is the gate every change must pass: it builds everything, vets
 # it, checks gofmt, and runs the full test suite under the race detector —
 # the experiment grids execute simulation cells concurrently
-# (Options.Workers), so race-cleanliness is a correctness requirement, not a
-# style preference.
+# (Options.Workers) and tenant.New synthesizes its tenants on every core, so
+# race-cleanliness is a correctness requirement, not a style preference. The
+# worker pool's tests run again at -cpu 1,2,4.
 # That run includes the committed fuzz seed corpora and the fault, array and
 # multi-tenant sweeps. It also tests the nested bench/ module and fails if
 # statement coverage of internal/... drops below the recorded baseline.
@@ -12,9 +13,9 @@
 GO ?= go
 COVERAGE_BASELINE := $(shell cat ci/coverage-baseline.txt)
 
-.PHONY: ci build vet fmt-check test test-race bench-test coverage-gate fuzz loc loc-diff ftl-bench-diff paperbench-diff test-times
+.PHONY: ci build vet fmt-check test test-race bench-test coverage-gate fuzz loc loc-diff bench-diff paperbench-diff test-times test-cpu
 
-ci: build vet fmt-check test-race bench-test coverage-gate
+ci: build vet fmt-check test-race test-cpu bench-test coverage-gate
 
 build:
 	$(GO) build ./...
@@ -31,6 +32,14 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The deterministic worker pool's tests at GOMAXPROCS 1, 2 and 4 (about a
+# second): parallel.Run must give the serial result under any schedule, so a
+# result that depends on scheduling fails here even on a 2-core box. The
+# tenant determinism test is not rerun here: it sets GOMAXPROCS 1, 2 and 8
+# itself, which -cpu would only overwrite.
+test-cpu:
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/parallel
 
 # The benchmark harness under bench/ is a nested module (its own go.mod), so
 # ./... above never reaches it; its tests check the harness against the
@@ -90,37 +99,42 @@ loc-diff:
 		function row(k, b, a) { printf "%7d %7d %+7d  %s\n", b, a, a - b, k } \
 	' "$$tmp/before" "$$tmp/after"
 
-# The FTL micro-benchmarks BenchmarkVictimSelect and
-# BenchmarkSteadyStateWrite at REV (git archive into a temp dir) beside the
-# working tree's: N rounds (default 5) of -benchtime 20000x per side, the
-# side that runs first alternating by round, then one row per sub-benchmark
-# with each side's median ns/op and their ratio (now/REV); "-" marks a
-# sub-benchmark one side lacks. Each benchmark of FTL_BENCH runs in its own
-# test process, both sides of it before the next, so one benchmark's
-# devices never share a heap with another's timings. The sub-benchmarks
-# FTL_SLOW matches (a -test.bench pattern below the benchmark's name) cost
-# milliseconds per op, so they run at FTL_SLOW_COUNT instead, in a second
-# process per side. Not part of ci: these benchmarks have no baseline to
-# gate on, and their timings vary from run to run.
+# The micro-benchmarks BENCH of package PKG at REV (git archive into a temp
+# dir) beside the working tree's: N rounds (default 5) per side, the side
+# that runs first alternating by round, then one row per sub-benchmark with
+# each side's median ns/op and their ratio (now/REV); "-" marks a
+# sub-benchmark one side lacks. Each benchmark of BENCH runs in its own test
+# process, both sides of it before the next, so one benchmark's state never
+# shares a heap with another's timings. PKG defaults to internal/ftl, whose
+# BENCH defaults to BenchmarkVictimSelect and BenchmarkSteadyStateWrite, at
+# -benchtime 20000x; any other PKG needs BENCH and runs at -benchtime 1s. In
+# internal/ftl the sub-benchmarks FTL_SLOW matches (a -test.bench pattern
+# below the benchmark's name) cost milliseconds per op, so they run at
+# FTL_SLOW_COUNT instead, in a second process per side. Not part of ci: these
+# benchmarks have no baseline to gate on, and their timings vary from run to
+# run.
 N ?= 5
-FTL_BENCH := BenchmarkVictimSelect BenchmarkSteadyStateWrite
+PKG ?= internal/ftl
+ftl_pkg = $(filter internal/ftl,$(PKG))
+BENCH ?= $(if $(ftl_pkg),BenchmarkVictimSelect BenchmarkSteadyStateWrite)
+benchtime = $(if $(ftl_pkg),20000x,1s)
 FTL_SLOW := /^sipgreedy-tainted$$/^blocks=(32768|131072)$$
 FTL_SLOW_COUNT := 1000x
-ftl-bench-diff:
-	@[ -n "$(REV)" ] || { echo "usage: make ftl-bench-diff REV=<rev> [N=5] [FTL_BENCH=<names>]"; exit 2; }
+bench-diff:
+	@[ -n "$(REV)" ] && [ -n "$(BENCH)" ] || { echo "usage: make bench-diff REV=<rev> [PKG=internal/ftl] [BENCH=<names>] [N=5] (BENCH is required outside internal/ftl)"; exit 2; }
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	mkdir "$$tmp/tree" && git archive "$(REV)" | tar -x -C "$$tmp/tree" && \
-	(cd "$$tmp/tree" && $(GO) test -c -o "$$tmp/rev.test" ./internal/ftl) && \
-	$(GO) test -c -o "$$tmp/now.test" ./internal/ftl && \
+	(cd "$$tmp/tree" && $(GO) test -c -o "$$tmp/rev.test" ./$(PKG)) && \
+	$(GO) test -c -o "$$tmp/now.test" ./$(PKG) && \
 	for i in $$(seq $(N)); do \
 		sides="now rev"; [ $$((i % 2)) -eq 0 ] && sides="rev now"; \
-		for bench in $(FTL_BENCH); do \
+		for bench in $(BENCH); do \
 			for side in $$sides; do \
-				dir=internal/ftl; [ $$side = rev ] && dir="$$tmp/tree/internal/ftl"; \
+				dir=$(PKG); [ $$side = rev ] && dir="$$tmp/tree/$(PKG)"; \
 				(cd "$$dir" && "$$tmp/$$side.test" -test.run '^$$' -test.bench "^$$bench\$$" \
-					-test.skip '$(FTL_SLOW)' -test.benchtime 20000x -test.timeout 10m && \
-				"$$tmp/$$side.test" -test.run '^$$' -test.bench "^$$bench\$$$(FTL_SLOW)" \
-					-test.benchtime $(FTL_SLOW_COUNT) -test.timeout 10m) > "$$tmp/out" || { cat "$$tmp/out"; exit 1; }; \
+					$(if $(ftl_pkg),-test.skip '$(FTL_SLOW)') -test.benchtime $(benchtime) -test.timeout 10m \
+				$(if $(ftl_pkg),&& "$$tmp/$$side.test" -test.run '^$$' -test.bench "^$$bench\$$$(FTL_SLOW)" \
+					-test.benchtime $(FTL_SLOW_COUNT) -test.timeout 10m)) > "$$tmp/out" || { cat "$$tmp/out"; exit 1; }; \
 				awk -v side=$$side '/^Benchmark/ { print side, $$1, $$3 }' "$$tmp/out" >> "$$tmp/results"; \
 			done; \
 		done; \

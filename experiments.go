@@ -10,6 +10,7 @@ import (
 	"jitgc/internal/ftl"
 	"jitgc/internal/histogram"
 	"jitgc/internal/pagecache"
+	"jitgc/internal/parallel"
 	"jitgc/internal/predictor"
 	"jitgc/internal/sim"
 )
@@ -129,7 +130,7 @@ func evaluationExp(opt Options) ([]Table, error) {
 	futures := make([][]int64, len(benches))
 	pass := func(first, last int) error {
 		n := last - first
-		return runIndexed(opt.workers(), len(benches)*n, func(i int) error {
+		return parallel.Run(opt.workers(), len(benches)*n, func(i int) error {
 			bi, arm := i/n, first+i%n
 			var policy sim.PolicyFactory
 			if arm == armOracle {

@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -77,7 +78,10 @@ func BenchmarkDispatch(b *testing.B) {
 // BenchmarkNewSource measures tenant synthesis without the device: 1,000
 // MMPP tenants of 60 requests each, every one generating its workload
 // profile and arrival stream — the set-up tenants1000_open pays in
-// tenant.New.
+// tenant.New. workers=GOMAXPROCS is newSource as tenant.New runs it, its
+// tenants spread over every core; workers=1 holds GOMAXPROCS at 1 for its
+// duration, so it is the serial synthesis cost, comparable with figures
+// measured before synthesis ran in parallel.
 func BenchmarkNewSource(b *testing.B) {
 	const tenants = 1000
 	cfg := Config{
@@ -91,12 +95,21 @@ func BenchmarkNewSource(b *testing.B) {
 	if err := cfg.Validate(); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := newSource(cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name  string
+		procs int // GOMAXPROCS for the sub-benchmark; 0 leaves it as is
+	}{{"workers=GOMAXPROCS", 0}, {"workers=1", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			if bc.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(bc.procs))
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := newSource(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

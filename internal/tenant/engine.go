@@ -2,9 +2,11 @@ package tenant
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"jitgc/internal/metrics"
+	"jitgc/internal/parallel"
 	"jitgc/internal/sim"
 	"jitgc/internal/telemetry"
 	"jitgc/internal/trace"
@@ -67,8 +69,9 @@ type Results struct {
 
 // Engine is one open-loop multi-tenant run: a tenant source (arrival
 // processes, bounded queues, DRR dispatch, per-tenant SLO scoring) driven
-// over one shared device simulator by sim.Drive. Everything runs on one
-// simulated clock in one goroutine — determinism is by construction.
+// over one shared device simulator by sim.Drive. The run is on one
+// simulated clock in one goroutine — determinism is by construction; only
+// the synthesis in New fans out, into pre-indexed slots (see newSource).
 type Engine struct {
 	sim *sim.Simulator
 	src *source
@@ -141,6 +144,12 @@ func New(cfg Config, factory sim.PolicyFactory) (*Engine, error) {
 
 // newSource synthesizes the tenant streams and scheduler for a validated,
 // defaults-filled cfg.
+//
+// Tenants are synthesized in parallel, one parallel.Run cell each on
+// GOMAXPROCS workers: a tenant's streams are a pure function of (seed,
+// tenant) through streamSeed, and each cell writes only its own tenants
+// slot. The scheduler weights and the arrival heap are then built serially
+// in tenant order, so the source is the same at any worker count.
 func newSource(cfg Config) (*source, error) {
 	n := cfg.Tenants
 	e := &source{
@@ -154,11 +163,7 @@ func newSource(cfg Config) (*source, error) {
 	// generator's closed-loop think times with its own arrival process.
 	slice := cfg.WorkingSetPages / int64(n)
 	gens := workload.All()
-	weights := make([]int64, n)
-	for t := 0; t < n; t++ {
-		class := t % len(cfg.Classes)
-		weights[t] = cfg.Classes[class].Weight
-
+	err := parallel.Run(runtime.GOMAXPROCS(0), n, func(t int) error {
 		gen := gens[t%len(gens)]
 		reqs, err := gen.Generate(workload.Params{
 			Source:          newPCG(streamSeed(cfg.Seed, t, workloadStream)),
@@ -166,11 +171,11 @@ func newSource(cfg Config) (*source, error) {
 			WorkingSetPages: slice,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("tenant %d (%s): %w", t, gen.Name(), err)
+			return fmt.Errorf("tenant %d (%s): %w", t, gen.Name(), err)
 		}
 		proc, err := newProcess(cfg.Arrival, cfg.Rate, streamSeed(cfg.Seed, t, arrivalStream))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		base := int64(t) * slice
 		var at time.Duration
@@ -179,8 +184,18 @@ func newSource(cfg Config) (*source, error) {
 			reqs[i].Time = at
 			reqs[i].LPN += base
 		}
-		e.tenants[t] = tenantState{stream: reqs, class: class, hist: telemetry.NewLogHist()}
-		e.heapPush(arrival{at: reqs[0].Time, tenant: int32(t)})
+		e.tenants[t] = tenantState{stream: reqs, class: t % len(cfg.Classes), hist: telemetry.NewLogHist()}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	weights := make([]int64, n)
+	for t := range e.tenants {
+		ts := &e.tenants[t]
+		weights[t] = cfg.Classes[ts.class].Weight
+		e.heapPush(arrival{at: ts.stream[0].Time, tenant: int32(t)})
 	}
 	e.sched = newScheduler(weights, cfg.Quantum, cfg.QueueDepth)
 	return e, nil

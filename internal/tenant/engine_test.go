@@ -139,6 +139,76 @@ func TestEngineDeterministic(t *testing.T) {
 	}
 }
 
+// TestNewSourceSameAtAnyParallelism: newSource synthesizes tenants on
+// GOMAXPROCS workers, and the source must not depend on how many there are.
+// The tenants1000_open shape (1,000 MMPP tenants × 60 requests) and 37
+// Poisson and 37 diurnal tenants are built at GOMAXPROCS 1, 2 and 8: every
+// tenant's stream and class, the DRR weights and the arrival heap must be
+// identical, and so must a small engine run at GOMAXPROCS 1 and 4.
+func TestNewSourceSameAtAnyParallelism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	shapes := []struct {
+		arrival ArrivalKind
+		tenants int
+	}{{MMPP, 1000}, {Poisson, 37}, {Diurnal, 37}}
+	for _, sh := range shapes {
+		cfg := Config{
+			Tenants:         sh.tenants,
+			OpsPerTenant:    60,
+			Arrival:         sh.arrival,
+			Rate:            120.0 / float64(sh.tenants),
+			WorkingSetPages: 30 * int64(sh.tenants),
+			Seed:            1,
+			Device:          sim.DefaultConfig(),
+		}.withDefaults()
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		var ref *source
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			src, err := newSource(cfg)
+			if err != nil {
+				t.Fatalf("%s × %d at GOMAXPROCS %d: %v", sh.arrival, sh.tenants, procs, err)
+			}
+			if ref == nil {
+				ref = src
+				continue
+			}
+			for tn := range ref.tenants {
+				a, b := &ref.tenants[tn], &src.tenants[tn]
+				if !reflect.DeepEqual(a.stream, b.stream) || a.class != b.class {
+					t.Errorf("%s × %d: tenant %d differs at GOMAXPROCS %d from GOMAXPROCS 1",
+						sh.arrival, sh.tenants, tn, procs)
+					break
+				}
+			}
+			if !reflect.DeepEqual(ref.sched.quantum, src.sched.quantum) {
+				t.Errorf("%s × %d: DRR weights differ at GOMAXPROCS %d", sh.arrival, sh.tenants, procs)
+			}
+			if !reflect.DeepEqual(ref.heap, src.heap) {
+				t.Errorf("%s × %d: arrival heap differs at GOMAXPROCS %d", sh.arrival, sh.tenants, procs)
+			}
+		}
+	}
+
+	run := func(procs int) Results {
+		runtime.GOMAXPROCS(procs)
+		eng, err := New(tinyEngineConfig(), lazyFactory)
+		if err != nil {
+			t.Fatalf("New at GOMAXPROCS %d: %v", procs, err)
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatalf("Run at GOMAXPROCS %d: %v", procs, err)
+		}
+		return res
+	}
+	if a, b := run(1), run(4); !reflect.DeepEqual(a, b) {
+		t.Errorf("engine results differ between GOMAXPROCS 1 and 4:\n  %+v\n  %+v", a.PerClass, b.PerClass)
+	}
+}
+
 // TestEngineLatencyIncludesQueueWait pins the open-loop measurement
 // contract: a request's latency runs from its queue arrival, so under a
 // backlog the observed tail must exceed anything the device alone reports.

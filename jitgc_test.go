@@ -654,3 +654,23 @@ func TestRebuildUnderFireTraced(t *testing.T) {
 		t.Errorf("member 1 degraded traced %v, rebuild start traced %v; want both", degraded, rebuild)
 	}
 }
+
+// TestNormCellGuardsDegenerateBaselines covers the report-table guard: a
+// zero baseline IOPS/WAF produces NaN or Inf ratios, which must surface as
+// "n/a" instead of leaking into the tables.
+func TestNormCellGuardsDegenerateBaselines(t *testing.T) {
+	var zero, r Results
+	r.IOPS, r.WAF = 1000, 1.5
+	if got := normCell(r.NormalizedIOPS(zero)); got != "n/a" {
+		t.Errorf("NaN cell = %q, want n/a", got)
+	}
+	if got := normCell(math.Inf(1)); got != "n/a" {
+		t.Errorf("Inf cell = %q, want n/a", got)
+	}
+	if got := normCell(1.234); got != "1.234" {
+		t.Errorf("finite cell = %q", got)
+	}
+	if got := normLifetimeCell(5, 0); got != "n/a" {
+		t.Errorf("zero lifetime baseline = %q, want n/a", got)
+	}
+}
