@@ -70,7 +70,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequests$$' -fuzztime 30s ./internal/telemetry/binlog/
 
 # Non-test Go lines per package, for the main module and for the nested
-# bench/ module, each with its total: the net-LOC figure a change reports.
+# bench/ module, each with its total, then the line counts of the three
+# top-level docs with theirs: the net-LOC figure a change reports.
+DOCS := README.md DESIGN.md EXPERIMENTS.md
 loc:
 	@for m in . bench; do \
 		(cd $$m && $(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./...) | \
@@ -78,9 +80,11 @@ loc:
 			[ -n "$$files" ] && printf '%6d  %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
 		done | awk -v m="$$m" '{ print; t += $$1 } END { printf "%6d  total (%s)\n", t, m == "." ? "main module" : m "/" }'; \
 	done
+	@for f in $(DOCS); do printf '%6d  %s\n' "$$(wc -l < $$f)" "$$f"; done | \
+		awk '{ print; t += $$1 } END { printf "%6d  total (docs)\n", t }'
 
-# The loc table at REV beside the working tree's, one row per package with
-# the lines before, after and the delta, and each module's total: the
+# The loc table at REV beside the working tree's, one row per package or
+# doc with the lines before, after and the delta, and each block's total: the
 # net-LOC table a change reports. REV is anything git archive takes, e.g.
 # `make loc-diff REV=HEAD~1`; the counting is this Makefile's loc target on
 # both trees, so REV need not have one.

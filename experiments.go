@@ -260,10 +260,10 @@ func sipTable(benches []string, grid [][]Results) Table {
 	return t
 }
 
-// oracleTable sets the oracle replay (RunOracle) beside JIT-GC, both
-// normalized to A-BGC. The oracle knows the device write volume an A-BGC
-// run recorded, not its own future, so it is no upper bound: on the
-// direct-heavy benchmarks its IOPS falls below JIT-GC's (EXPERIMENTS.md).
+// oracleTable sets the grid's oracle arm beside JIT-GC, both normalized to
+// A-BGC. The oracle knows the device write volume an A-BGC run recorded,
+// not its own future, so it is no upper bound: on the direct-heavy
+// benchmarks its IOPS falls below JIT-GC's (EXPERIMENTS.md).
 func oracleTable(benches []string, grid [][]Results) Table {
 	t := Table{
 		Title:   "Ideal-policy anchor (values normalized to A-BGC)",

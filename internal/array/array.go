@@ -336,24 +336,15 @@ func (a *Array) locate(alpn int64) (int, int64) {
 	return int(s % n), (s/n)*stripe + off
 }
 
-// Run executes the request stream open-loop (absolute arrival times).
-func (a *Array) Run(reqs []trace.Request) (Results, error) {
-	return a.replay(reqs, false)
-}
-
 // RunClosedLoop executes the request stream closed-loop: each request's
 // Time is a think time after the previous request's array-level completion
 // (the max over its striped segments), so a single slow device stalls the
 // whole stream — exactly the amplification coordination is measured
 // against.
 func (a *Array) RunClosedLoop(reqs []trace.Request) (Results, error) {
-	return a.replay(reqs, true)
-}
-
-func (a *Array) replay(reqs []trace.Request, closed bool) (Results, error) {
 	a.lat.Bound(len(reqs))
 	dev := a.cfg.Device
-	if err := sim.Replay(a, reqs, closed, dev.Cache.FlusherPeriod, dev.DrainCache); err != nil {
+	if err := sim.Replay(a, reqs, true, dev.Cache.FlusherPeriod, dev.DrainCache); err != nil {
 		return Results{}, err
 	}
 	return a.Results(), nil

@@ -12,7 +12,7 @@ import (
 // the paper's §2 motivates: "one that can dynamically change C_resv so
 // that only an exact amount of future writes can be reserved in advance".
 // It is fed the per-interval device write volumes of a previous run of the
-// same workload (jitgc.RunOracle records them under A-BGC) and schedules
+// same workload (the evaluation grid records them under A-BGC) and schedules
 // them with JIT-GC's rule. Its forecast is exact only while its own
 // closed-loop timing follows the recording's, so it bounds nothing: where
 // the two drift apart it can lose to the practical predictors it is set

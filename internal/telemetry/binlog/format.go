@@ -1,5 +1,5 @@
 // Package binlog is the compact, block-coded columnar encoding for
-// telemetry.Event streams (DESIGN.md §12). JSONL traces parse slower than
+// telemetry.Event streams (DESIGN.md §10). JSONL traces parse slower than
 // the simulator produces them once runs reach 10⁸ events; this format
 // borrows the Gorilla/mebo column techniques — delta-of-delta timestamps,
 // zigzag-delta integer columns, per-block string dictionaries — so a trace
@@ -13,7 +13,7 @@
 //	repeated block records:
 //	  0x01 tag
 //	  uvarint rawLen              payload size before compression
-//	  byte    codec               0 stored, 2 zero-run (1 is retired)
+//	  byte    codec               0 stored, 2 zero-run (1 is unknown)
 //	  uvarint payloadLen          compressed size (= rawLen when stored)
 //	  uint32  crc                 IEEE CRC-32 of the raw payload
 //	  payload
@@ -54,9 +54,8 @@
 //
 // Blocks are zero-run coded: columnar deltas leave long runs of zero bytes
 // (idle columns, repeated values), and squeezing just those runs is nearly
-// free. A block the zero-run codec does not shrink is stored. Codec 1 was
-// DEFLATE (DESIGN.md §12 gives the numbers that retired it) and now reads
-// as an unknown codec.
+// free. A block the zero-run codec does not shrink is stored. Codec 1
+// reads as an unknown codec.
 package binlog
 
 import (

@@ -263,25 +263,10 @@ func runStream(reqs []trace.Request, name string, newPolicy sim.PolicyFactory, c
 	return res, s, nil
 }
 
-// RunOracle executes a benchmark under the oracle BGC policy modelled on
-// the paper's §2 ideal: a first pass runs the workload under A-BGC, whose
-// pacing is closest to a well-reserved run, and records the device write
-// volume of every write-back interval; a second pass replays the workload
-// with a policy that reserves for exactly that recorded future. The future
-// it knows is A-BGC's, not its own: once the replay's closed-loop timing
-// drifts from the recording, its forecast is wrong too. It is a replay, not
-// an upper bound; EXPERIMENTS.md lists where it loses to JIT-GC.
-func RunOracle(benchmark string, opt Options) (Results, error) {
-	_, recorder, err := runBenchmark(benchmark, Aggressive().Factory(), opt)
-	if err != nil {
-		return Results{}, err
-	}
-	res, _, err := runBenchmark(benchmark, oraclePolicy(recorder.IntervalActuals()), opt)
-	return res, err
-}
-
 // oraclePolicy builds the oracle policy reserving for future, the
-// IntervalActuals of an A-BGC run of the same benchmark and options.
+// IntervalActuals of an A-BGC run of the same benchmark and options: the
+// evaluation grid's second pass. It is a replay, not an upper bound
+// (core.Oracle).
 func oraclePolicy(future []int64) sim.PolicyFactory {
 	return func(env *sim.Env) (core.Policy, error) { return core.NewOracle(future, env.WriteBack) }
 }

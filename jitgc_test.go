@@ -312,9 +312,14 @@ func TestRunOracle(t *testing.T) {
 		t.Skip("two-pass experiment")
 	}
 	opt := Options{Seed: 1, Ops: 20000}
+	// The evaluation grid's oracle arm: record under A-BGC, then replay.
 	// YCSB's demand lands at flusher ticks, so the recorded series stays
 	// aligned across passes (direct-heavy workloads drift more).
-	oracle, err := RunOracle("YCSB", opt)
+	_, recorder, err := runBenchmark("YCSB", Aggressive().Factory(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, _, err := runBenchmark("YCSB", oraclePolicy(recorder.IntervalActuals()), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
