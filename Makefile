@@ -7,15 +7,18 @@
 # race-cleanliness is a correctness requirement, not a style preference. The
 # worker pool's tests run again at -cpu 1,2,4.
 # That run includes the committed fuzz seed corpora and the fault, array and
-# multi-tenant sweeps. It also tests the nested bench/ module and fails if
-# statement coverage of internal/... drops below the recorded baseline.
+# multi-tenant sweeps. The root package then runs once more without the race
+# detector, which is the only run that compares the 100,000-request goldens
+# (the paper's tables among them). It also tests the nested bench/ module
+# and fails if statement coverage of internal/... drops below the recorded
+# baseline.
 
 GO ?= go
 COVERAGE_BASELINE := $(shell cat ci/coverage-baseline.txt)
 
-.PHONY: ci build vet fmt-check test test-race bench-test coverage-gate fuzz loc loc-diff bench-diff paperbench-diff test-times test-cpu
+.PHONY: ci build vet fmt-check test test-race test-goldens bench-test coverage-gate fuzz loc loc-diff bench-diff paperbench-diff test-times test-cpu
 
-ci: build vet fmt-check test-race test-cpu bench-test coverage-gate
+ci: build vet fmt-check test-race test-goldens test-cpu bench-test coverage-gate
 
 build:
 	$(GO) build ./...
@@ -32,6 +35,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The root package without the race detector (about 15 s). Under -race the
+# golden sweep runs evaluation, reliability, trim and multitenant at 4000
+# requests and skips their comparison, skips lifetime, and skips the traced
+# event-stream fidelity sweep; this run checks all of them.
+test-goldens:
+	$(GO) test -count=1 .
 
 # The deterministic worker pool's tests at GOMAXPROCS 1, 2 and 4 (about a
 # second): parallel.Run must give the serial result under any schedule, so a

@@ -19,36 +19,50 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 
 // goldenOptions keeps the extension experiments' serial sweep in seconds
 // while still driving every device through preconditioning and GC. The
-// committed golden files are rendered at exactly these options, evaluation's
-// (the paper's tables and its ablations) at goldenOptionsFor's; regenerate
-// with `go test -run TestExperimentGoldens -update .` after an intentional
-// behaviour change.
+// committed golden files are rendered at exactly these options, except the
+// experiments in fullScale, which goldenOptionsFor renders at fullScaleOps;
+// regenerate with `go test -run TestExperimentGoldens -update .` after an
+// intentional behaviour change, then re-quote the EXPERIMENTS.md blocks
+// TestDocsQuoteGoldens names.
 func goldenOptions() Options {
 	return Options{Seed: 1, Ops: 4000, Workers: 1}
 }
 
-// evaluationOps is the request count evaluation's golden renders at. At
-// 4000 requests GC barely runs and its tables read 1.000 or 0.0% almost
-// everywhere; at 100000 they carry the paper's shape, so a change to a
-// policy shows up as a golden diff.
-const evaluationOps = 100_000
+// fullScaleOps is the request count the fullScale experiments' goldens
+// render at: paperbench's default, so each golden is what `paperbench -exp
+// <id>` prints and EXPERIMENTS.md can quote it. At 4000 requests GC barely
+// runs: evaluation's tables read 1.000 or 0.0% almost everywhere,
+// reliability reads WAF 1.000 and 0 FGC in every row, and trim and
+// multitenant hardly collect. At 100000 they carry the paper's shape, so a
+// change to a policy shows up as a golden diff.
+const fullScaleOps = 100_000
+
+// fullScale lists the experiments whose goldens render at fullScaleOps:
+// the paper grid (evaluation) and the three extensions whose verdicts read
+// GC (reliability, trim, multitenant). array stays at 4000 requests per
+// member and lifetime pins its own 30000.
+var fullScale = map[string]bool{"evaluation": true, "reliability": true, "trim": true, "multitenant": true}
 
 // goldenOptionsFor returns the options experiment id's golden renders at.
-// Under -race evaluation stays at goldenOptions' 4000 requests: its runs
-// there check determinism and the shared tracer, not the golden.
+// Under -race the fullScale experiments stay at goldenOptions' 4000
+// requests: their runs there check determinism and the shared tracer, not
+// the golden.
 func goldenOptionsFor(id string) Options {
 	opt := goldenOptions()
-	if id == "evaluation" && !raceEnabled {
-		opt.Ops = evaluationOps
+	if fullScale[id] && !raceEnabled {
+		opt.Ops = fullScaleOps
 	}
 	return opt
 }
 
 // evaluationUntraced is why evaluation's runs carry no event stream to
-// check: they render at evaluationOps untraced, and the event types a traced
+// check: they render at fullScaleOps untraced, and the event types a traced
 // 4000-request evaluation run emits (erase, flush_decision, gc_start,
 // gc_end, request, snapshot) are all emitted by the other traced
-// experiments too.
+// experiments too. reliability, trim and multitenant stay traced at
+// fullScaleOps: reliability's recovering FTLs are the only source of
+// fault_injected, block_retired and read_retry, and multitenant the only
+// source of tenant_summary.
 const evaluationUntraced = "evaluation runs untraced at golden scale; its event types are covered by the other experiments' streams"
 
 // shortOps is the request count the experiments run at under -short.
@@ -73,7 +87,7 @@ func renderExperiment(e Experiment, tables []Table) string {
 //
 // Outside -race and -short the serial run traces into an event digest and a
 // live binlog at once (telemetry.Tee), and the live binlog must decode to
-// the events the digest folded; evaluation's runs, at evaluationOps, are
+// the events the digest folded; evaluation's runs, at fullScaleOps, are
 // untraced (evaluationUntraced). Under -race the serial run is
 // untraced (the binlog package tests cover the codec under race), and the
 // Workers=8 run traces into one BinSink shared by all its cells, so the
@@ -201,8 +215,8 @@ func TestExperimentGoldens(t *testing.T) {
 		switch {
 		case raceEnabled && id == "lifetime":
 			return "wear-out replay takes minutes under the race detector"
-		case raceEnabled && id == "evaluation":
-			return "evaluation renders its golden at 100000 requests; under the race detector it runs at 4000 for the determinism check only"
+		case raceEnabled && fullScale[id]:
+			return id + " renders its golden at 100000 requests; under the race detector it runs at 4000 for the determinism check only"
 		}
 		return ""
 	}, func(t *testing.T, e Experiment, r *experimentRun) {

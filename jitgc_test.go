@@ -405,7 +405,7 @@ func TestAblationClaims(t *testing.T) {
 	seeds := []int64{2, 3}
 	runs, err := gridCells(Options{}, len(seeds)*len(cells), func(i int) (Results, error) {
 		c := cells[i%len(cells)]
-		res, _, err := runBenchmark(c.bench, armPolicy(c.arm), Options{Seed: seeds[i/len(cells)], Ops: evaluationOps})
+		res, _, err := runBenchmark(c.bench, armPolicy(c.arm), Options{Seed: seeds[i/len(cells)], Ops: fullScaleOps})
 		return res, err
 	})
 	if err != nil {
