@@ -68,16 +68,17 @@ coverage-gate:
 	awk -v t="$$total" -v b="$(COVERAGE_BASELINE)" 'BEGIN { exit (t+0 >= b+0) ? 0 : 1 }' || \
 		{ echo "coverage $$total% below baseline $(COVERAGE_BASELINE)%"; exit 1; }
 
-# Open-ended fuzzing session for the trace parsers, the binlog reader, the
-# binlog footer index walk (FuzzReadIndex) and the binlog
-# request-trace decoder (not part of ci; ci runs their committed seed
-# corpora). -fuzz takes a regexp, so each name is anchored.
+# Open-ended fuzzing session: every native fuzz target of the module, 30 s
+# each (not part of ci; ci runs their committed seed corpora). The targets
+# are found per package with `go test -list`, so a new or renamed one cannot
+# drop out; -fuzz takes a regexp, so each name is anchored.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMSR$$' -fuzztime 30s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 30s ./internal/telemetry/binlog/
-	$(GO) test -run '^$$' -fuzz '^FuzzReadIndex$$' -fuzztime 30s ./internal/telemetry/binlog/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequests$$' -fuzztime 30s ./internal/telemetry/binlog/
+	@for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "$$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 30s $$pkg || exit 1; \
+		done; \
+	done
 
 # Non-test Go lines per package, for the main module and for the nested
 # bench/ module, each with its total, then the line counts of the three

@@ -61,11 +61,15 @@ func RunArray(benchmark string, policy PolicySpec, acfg array.Config, opt Option
 	return res, nil
 }
 
-// arrayDeviceCounts and arrayModes span the ×1–8 array grid.
-var (
-	arrayDeviceCounts = []int{1, 2, 4, 8}
-	arrayModes        = []array.Mode{array.Independent, array.Coordinated}
-)
+// arrayGridCells spans the ×1–8 array grid, per benchmark: one device,
+// which Array.Tick never coordinates, then 2, 4 and 8 devices under each
+// coordination mode.
+var arrayGridCells = []array.Config{
+	{Devices: 1, Mode: array.Independent},
+	{Devices: 2, Mode: array.Independent}, {Devices: 2, Mode: array.Coordinated},
+	{Devices: 4, Mode: array.Independent}, {Devices: 4, Mode: array.Coordinated},
+	{Devices: 8, Mode: array.Independent}, {Devices: 8, Mode: array.Coordinated},
+}
 
 // arrayWideDeviceCounts is the wide-array width sweep: past the 8 devices
 // the static token width was tuned in, into the regime where a fixed K
@@ -142,7 +146,8 @@ func arrayWidthCell(opt Options, bench string, dev sim.Config, perDevices int, a
 // arrayExp runs the array study in three parts.
 //
 // The ×1–8 grid runs every benchmark × device count × coordination mode
-// under JIT-GC. The independent rows are the unsynchronized baseline whose
+// under JIT-GC (one device only uncoordinated: there is nothing to
+// coordinate). The independent rows are the unsynchronized baseline whose
 // array-level tail latency degrades with width (any member collecting
 // stalls a striped request); the coordinated rows show what the rotation
 // token recovers.
@@ -178,12 +183,9 @@ func arrayExp(opt Options) ([]Table, error) {
 // arrayGrid is the ×1–8 grid.
 func arrayGrid(opt Options) (Table, error) {
 	benches := Benchmarks()
-	perBench := len(arrayDeviceCounts) * len(arrayModes)
+	perBench := len(arrayGridCells)
 	slots, err := gridCells(opt, len(benches)*perBench, func(i int) (array.Results, error) {
-		return arrayWidthCell(opt, benches[i/perBench], arrayDeviceConfig(), 1, array.Config{
-			Devices: arrayDeviceCounts[(i%perBench)/len(arrayModes)],
-			Mode:    arrayModes[i%len(arrayModes)],
-		})
+		return arrayWidthCell(opt, benches[i/perBench], arrayDeviceConfig(), 1, arrayGridCells[i%perBench])
 	})
 	if err != nil {
 		return Table{}, err

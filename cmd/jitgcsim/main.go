@@ -392,8 +392,10 @@ func writeTimelineCSV(path string, points []metrics.TimelinePoint) error {
 	return f.Close()
 }
 
-// replayTraceFile replays a recorded trace on the device opt configures,
-// preconditioned to half its user capacity.
+// replayTraceFile replays a recorded trace on the device opt configures. A
+// jitgc trace is preconditioned as jitgc.Run preconditions a benchmark, so
+// a tracegen trace replays to -bench's results; an MSR trace to half the
+// device's user capacity.
 func replayTraceFile(path string, msr bool, spec jitgc.PolicySpec, opt jitgc.Options) (jitgc.Results, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -401,10 +403,11 @@ func replayTraceFile(path string, msr bool, spec jitgc.PolicySpec, opt jitgc.Opt
 	}
 	defer f.Close()
 
-	cfg := *opt.Config
+	cfg := opt.SimConfig()
 	user := ftl.UserPagesFor(cfg.FTL.Geometry.TotalPages(), cfg.FTL.OPRatio)
 	var reqs []trace.Request
 	if msr {
+		cfg.PreconditionPages = user / 2
 		reqs, err = trace.DecodeMSR(f, trace.MSROptions{Disk: -1, MaxLPN: user})
 	} else {
 		br := bufio.NewReaderSize(f, 1<<16)
@@ -418,8 +421,6 @@ func replayTraceFile(path string, msr bool, spec jitgc.PolicySpec, opt jitgc.Opt
 	if err != nil {
 		return jitgc.Results{}, err
 	}
-	cfg.PreconditionPages = user / 2
-	cfg.Tracer = opt.Tracer
 	// jitgc text traces carry think times (closed loop); MSR traces carry
 	// absolute arrival timestamps (open loop).
 	return jitgc.RunTrace(reqs, path, spec, cfg, !msr)

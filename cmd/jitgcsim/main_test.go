@@ -93,6 +93,26 @@ func TestTimelineGoldens(t *testing.T) {
 	}
 }
 
+// TestTraceReplaysBench: a tracegen text trace replays to its benchmark's
+// run — `-trace` prints `-bench`'s record line for line, the first line,
+// which names the workload, aside — so the text format loses nothing and
+// the replay preconditions the device as the benchmark run does.
+func TestTraceReplaysBench(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ycsb.trace")
+	writeTextTrace(t, path, "YCSB", 20000)
+	bench := strings.Split(jitgcsim(t, "-bench", "YCSB", "-ops", "20000"), "\n")
+	replay := strings.Split(jitgcsim(t, "-trace", path), "\n")
+	if len(replay) != len(bench) {
+		t.Fatalf("-trace printed %d lines, -bench %d:\n%s\n---\n%s",
+			len(replay), len(bench), strings.Join(replay, "\n"), strings.Join(bench, "\n"))
+	}
+	for i := 1; i < len(bench); i++ {
+		if replay[i] != bench[i] {
+			t.Errorf("line %d: -trace %q, -bench %q", i+1, replay[i], bench[i])
+		}
+	}
+}
+
 // TestTenantsTimeline: -timeline records the multi-tenant engine's shared
 // device like any other run.
 func TestTenantsTimeline(t *testing.T) {
@@ -188,12 +208,13 @@ func TestTraceReplayHonoursDeviceFlags(t *testing.T) {
 	}
 
 	plain := replay()
-	if free := firstFreeBytes(t, csv); free > 256<<20 {
-		t.Fatalf("default device starts with %d free bytes", free)
+	def := firstFreeBytes(t, csv)
+	if def > 256<<20 {
+		t.Fatalf("default device starts with %d free bytes", def)
 	}
 	replay("-size", "1GiB")
-	if free := firstFreeBytes(t, csv); free <= 256<<20 {
-		t.Errorf("-size 1GiB replay starts with %d free bytes: the preset was ignored", free)
+	if free := firstFreeBytes(t, csv); free <= 2*def {
+		t.Errorf("-size 1GiB replay starts with %d free bytes, the default device %d: the preset was ignored", free, def)
 	}
 
 	seed1 := replay("-fault-rate", "0.001", "-fault-seed", "1")

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"jitgc"
 	"jitgc/internal/telemetry/binlog"
@@ -40,9 +39,7 @@ func tracegen(t *testing.T, args ...string) {
 
 // TestStreamIsTheOneRunSimulates: with the default working set, both output
 // formats decode to exactly the requests jitgc.GenerateStream produces —
-// the stream jitgc.Run simulates at the same benchmark, seed and ops. The
-// text format stores times in whole microseconds, so its decode is held to
-// the stream at that resolution; the binary format is exact.
+// the stream jitgc.Run simulates at the same benchmark, seed and ops.
 func TestStreamIsTheOneRunSimulates(t *testing.T) {
 	want, _, err := jitgc.GenerateStream("YCSB", jitgc.Options{Seed: 3, Ops: 2000})
 	if err != nil {
@@ -58,7 +55,7 @@ func TestStreamIsTheOneRunSimulates(t *testing.T) {
 		decode func(*os.File) ([]trace.Request, error)
 		want   []trace.Request
 	}{
-		{text, func(f *os.File) ([]trace.Request, error) { return trace.Decode(f) }, microseconds(want)},
+		{text, func(f *os.File) ([]trace.Request, error) { return trace.Decode(f) }, want},
 		{bin, func(f *os.File) ([]trace.Request, error) { return binlog.DecodeRequests(f) }, want},
 	} {
 		f, err := os.Open(tc.path)
@@ -74,14 +71,4 @@ func TestStreamIsTheOneRunSimulates(t *testing.T) {
 			t.Errorf("%s: decoded %d requests that differ from GenerateStream's %d", tc.path, len(got), len(tc.want))
 		}
 	}
-}
-
-// microseconds returns reqs with every time truncated to whole
-// microseconds, the text format's resolution.
-func microseconds(reqs []trace.Request) []trace.Request {
-	out := append([]trace.Request(nil), reqs...)
-	for i := range out {
-		out[i].Time = out[i].Time.Truncate(time.Microsecond)
-	}
-	return out
 }

@@ -168,22 +168,17 @@ func (quickEvents) Generate(rng *rand.Rand, size int) reflect.Value {
 		}
 		rs := func() string { return quickStrings[rng.Intn(len(quickStrings))] }
 		rf := func() float64 { return math.Trunc(rng.NormFloat64()*1e6) / 1e3 }
-		for c := range intCols {
-			if !populate(intCols[c].bit) {
+		for _, col := range telemetry.Columns {
+			if !populate(col.Bit) {
 				continue
 			}
-			switch intCols[c].bit {
-			case telemetry.FForeground, telemetry.FRecovered:
-				intCols[c].set(&ev, 1)
-			case telemetry.FIdleFraction, telemetry.FWAF:
-				intCols[c].set(&ev, int64(math.Float64bits(rf())))
+			switch col.Kind {
+			case telemetry.BoolColumn:
+				col.Set(&ev, 1, "")
+			case telemetry.FloatColumn:
+				col.Set(&ev, int64(math.Float64bits(rf())), "")
 			default:
-				intCols[c].set(&ev, ri())
-			}
-		}
-		for c := range strCols {
-			if populate(strCols[c].bit) {
-				strCols[c].set(&ev, rs())
+				col.Set(&ev, ri(), rs())
 			}
 		}
 		evs[i] = ev

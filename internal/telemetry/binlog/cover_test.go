@@ -173,21 +173,25 @@ func TestSmallDictSpill(t *testing.T) {
 	}
 }
 
-// TestFieldNames checks every column bit maps to its wire name — these
-// strings are what unrepresentable-event errors show the user.
+// TestFieldNames checks that an unrepresentable event's error names the
+// offending field by its wire name, for every column that can be outside a
+// type's set (the always-stored ones never are).
 func TestFieldNames(t *testing.T) {
-	for _, c := range intCols {
-		if got := fieldName(c.bit); got != c.name {
-			t.Errorf("int bit %#x named %q, want %q", uint32(c.bit), got, c.name)
+	for _, col := range telemetry.Columns {
+		if col.Always {
+			continue
 		}
-	}
-	for _, c := range strCols {
-		if got := fieldName(c.bit); got != c.name {
-			t.Errorf("str bit %#x named %q, want %q", uint32(c.bit), got, c.name)
+		// A device_degraded event stores only dev and reason; a stripe_torn
+		// event has no reason.
+		ev := telemetry.Event{Type: telemetry.EvDeviceDegraded}
+		if col.Bit == telemetry.FReason {
+			ev.Type = telemetry.EvStripeTorn
 		}
-	}
-	if got := fieldName(1 << 31); !strings.Contains(got, "bit") {
-		t.Errorf("unknown bit named %q", got)
+		col.Set(&ev, 1, "x")
+		err := NewWriter(io.Discard, Options{}).WriteEvent(ev)
+		if want := fmt.Sprintf("field %q outside", col.Name); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s populated outside %s: err %v, want it to name the field", col.Name, ev.Type, err)
+		}
 	}
 }
 

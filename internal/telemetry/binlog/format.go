@@ -37,20 +37,25 @@
 //	uvarint n                     event count
 //	type column                   per-block dictionary + n indices
 //	T column                      zigzag(T₀), then zigzag delta-of-delta
-//	26 int columns                zigzag delta vs previous value in column
-//	5 string columns              per-block dictionary + indices
+//	int columns                   zigzag delta vs previous value in column
+//	string columns                per-block dictionary + indices
 //
+// The columns are the rows of telemetry.Columns, the schema the telemetry
+// package declares beside Event: every non-string column in table order,
+// then every string column in table order. This package walks that table;
+// only the request fast path, Writer.WriteRequest, names columns itself.
 // Bools ride the int columns as 0 and 1 (any non-zero value reads as true),
-// and floats as their IEEE-754 bits, so NaN, ±Inf and −0 round-trip exactly.
-// A stream of the previous layout, JGB1, fails at the header as an
+// and floats as their IEEE-754 bits, so NaN, ±Inf and −0 round-trip
+// exactly. A stream of the previous layout, JGB1, fails at the header as an
 // unsupported version.
 //
 // A column stores one value per event whose type's field set
-// (telemetry.Fields) contains the column's field; Dev, LPN, Victim, and
-// Page are stored for every event because their zeros are explicit in the
-// JSONL encoding too. Presence is therefore a pure function of the type
-// column, which is what makes ToJSONL's view of a stream byte-identical to
-// what telemetry.JSONLSink writes for the same events.
+// (telemetry.Fields) contains the column's field; the always-stored
+// columns (Dev, LPN, Victim and Page) hold one for every event because
+// their zeros are explicit in the JSONL encoding too. Presence is therefore
+// a pure function of the type column, which is what makes ToJSONL's view of
+// a stream byte-identical to what telemetry.JSONLSink writes for the same
+// events.
 //
 // Blocks are zero-run coded: columnar deltas leave long runs of zero bytes
 // (idle columns, repeated values), and squeezing just those runs is nearly
@@ -62,9 +67,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"math/bits"
-	"time"
 
 	"jitgc/internal/telemetry"
 )
@@ -98,25 +101,24 @@ const (
 	codecZLE   = 2 // zero-run encoding (zleCompress)
 )
 
-// alwaysFields are stored for every event regardless of type: their zero
-// values are legitimate data and the JSONL encoding writes them explicitly
-// (telemetry.Event tag contract), so the binary form must carry them to
-// round-trip byte-faithfully.
-const alwaysFields = telemetry.FDev | telemetry.FLPN | telemetry.FVictim | telemetry.FPage
-
-// fieldsOf returns the set of fields the binary format stores for an event
-// of type t.
-func fieldsOf(t telemetry.EventType) telemetry.FieldSet {
-	set, _ := telemetry.Fields(t)
-	return set | alwaysFields
-}
-
-// boolBits is a bool's int column value.
-func boolBits(b bool) int64 {
-	if b {
-		return 1
+// alwaysStored is the set of the columns stored for every event whatever
+// its type: their zero values are legitimate data, which the JSONL encoding
+// writes explicitly, so the binary form carries them to round-trip
+// byte-faithfully.
+var alwaysStored = func() (set telemetry.FieldSet) {
+	for i := range telemetry.Columns {
+		if telemetry.Columns[i].Always {
+			set |= telemetry.Columns[i].Bit
+		}
 	}
-	return 0
+	return set
+}()
+
+// storedFields returns the set of columns the binary format stores for an
+// event of type t.
+func storedFields(t telemetry.EventType) telemetry.FieldSet {
+	set, _ := telemetry.Fields(t)
+	return set | alwaysStored
 }
 
 // zigzag folds signed into unsigned so small-magnitude negatives stay
@@ -125,241 +127,30 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// Column counts, fixing the sizes of the column tables and of the writer's
-// per-column state.
-const (
-	numIntCols = 26
-	numStrCols = 5
-)
+// wireOrder lists the indexes of telemetry.Columns in the order a block
+// carries the columns: every non-string column, then every string column,
+// each group in table order.
+var wireOrder = func() (order []int) {
+	for _, str := range []bool{false, true} {
+		for c := range telemetry.Columns {
+			if (telemetry.Columns[c].Kind == telemetry.StringColumn) == str {
+				order = append(order, c)
+			}
+		}
+	}
+	return order
+}()
 
-// intCol describes one integer column: its presence bit, its wire name, and
-// the setter the decoder fills an Event through (bool and float fields
-// convert back from their int form there). The encoder reads fields
-// with direct accesses instead (Writer.appendFields).
-type intCol struct {
-	bit  telemetry.FieldSet
-	name string
-	set  func(*telemetry.Event, int64)
-}
+// columnOf maps a field bit's position to its row in telemetry.Columns.
+var columnOf = func() (rows [32]int) {
+	for c := range telemetry.Columns {
+		rows[bits.TrailingZeros32(uint32(telemetry.Columns[c].Bit))] = c
+	}
+	return rows
+}()
 
-// intCols fixes the wire order of the integer columns. The always-present
-// four lead; the rest follow in Event struct order.
-var intCols = [numIntCols]intCol{
-	{telemetry.FDev, "dev",
-		func(e *telemetry.Event, v int64) { e.Dev = int(v) }},
-	{telemetry.FLPN, "lpn",
-		func(e *telemetry.Event, v int64) { e.LPN = v }},
-	{telemetry.FVictim, "victim",
-		func(e *telemetry.Event, v int64) { e.Victim = int(v) }},
-	{telemetry.FPage, "page",
-		func(e *telemetry.Event, v int64) { e.Page = int(v) }},
-	{telemetry.FPages, "pages",
-		func(e *telemetry.Event, v int64) { e.Pages = int(v) }},
-	{telemetry.FLatency, "latency_ns",
-		func(e *telemetry.Event, v int64) { e.Latency = time.Duration(v) }},
-	{telemetry.FFreeBytes, "free_bytes",
-		func(e *telemetry.Event, v int64) { e.FreeBytes = v }},
-	{telemetry.FReclaimBytes, "reclaim_bytes",
-		func(e *telemetry.Event, v int64) { e.ReclaimBytes = v }},
-	{telemetry.FPredictedBytes, "predicted_bytes",
-		func(e *telemetry.Event, v int64) { e.PredictedBytes = v }},
-	{telemetry.FIdleFraction, "idle_fraction",
-		func(e *telemetry.Event, v int64) { e.IdleFraction = math.Float64frombits(uint64(v)) }},
-	{telemetry.FForeground, "foreground",
-		func(e *telemetry.Event, v int64) { e.Foreground = v != 0 }},
-	{telemetry.FValidPages, "valid_pages",
-		func(e *telemetry.Event, v int64) { e.ValidPages = int(v) }},
-	{telemetry.FSIPPages, "sip_pages",
-		func(e *telemetry.Event, v int64) { e.SIPPages = int(v) }},
-	{telemetry.FFreedPages, "freed_pages",
-		func(e *telemetry.Event, v int64) { e.FreedPages = v }},
-	{telemetry.FElapsed, "elapsed_ns",
-		func(e *telemetry.Event, v int64) { e.Elapsed = time.Duration(v) }},
-	{telemetry.FEraseCount, "erase_count",
-		func(e *telemetry.Event, v int64) { e.EraseCount = v }},
-	{telemetry.FAttempts, "attempts",
-		func(e *telemetry.Event, v int64) { e.Attempts = int(v) }},
-	{telemetry.FRecovered, "recovered",
-		func(e *telemetry.Event, v int64) { e.Recovered = v != 0 }},
-	{telemetry.FTenant, "tenant",
-		func(e *telemetry.Event, v int64) { e.Tenant = int(v) }},
-	{telemetry.FDropped, "dropped",
-		func(e *telemetry.Event, v int64) { e.Dropped = v }},
-	{telemetry.FViolations, "violations",
-		func(e *telemetry.Event, v int64) { e.Violations = v }},
-	{telemetry.FDirtyPages, "dirty_pages",
-		func(e *telemetry.Event, v int64) { e.DirtyPages = int(v) }},
-	{telemetry.FWAF, "waf",
-		func(e *telemetry.Event, v int64) { e.WAF = math.Float64frombits(uint64(v)) }},
-	{telemetry.FFGC, "fgc",
-		func(e *telemetry.Event, v int64) { e.FGCInvocations = v }},
-	{telemetry.FBGC, "bgc",
-		func(e *telemetry.Event, v int64) { e.BGCCollections = v }},
-	{telemetry.FRequests, "requests",
-		func(e *telemetry.Event, v int64) { e.Requests = v }},
-}
-
-// Int column slots, the indexes into intCols the encoder names directly.
-const (
-	slotDev = iota
-	slotLPN
-	slotVictim
-	slotPage
-	slotPages
-	slotLatency
-	slotFreeBytes
-	slotReclaimBytes
-	slotPredictedBytes
-	slotIdleFraction
-	slotForeground
-	slotValidPages
-	slotSIPPages
-	slotFreedPages
-	slotElapsed
-	slotEraseCount
-	slotAttempts
-	slotRecovered
-	slotTenant
-	slotDropped
-	slotViolations
-	slotDirtyPages
-	slotWAF
-	slotFGC
-	slotBGC
-	slotRequests
-)
-
-// strCol describes one dictionary-encoded string column.
-type strCol struct {
-	bit  telemetry.FieldSet
-	name string
-	set  func(*telemetry.Event, string)
-}
-
-var strCols = [numStrCols]strCol{
-	{telemetry.FKind, "kind",
-		func(e *telemetry.Event, v string) { e.Kind = v }},
-	{telemetry.FAction, "action",
-		func(e *telemetry.Event, v string) { e.Action = v }},
-	{telemetry.FOp, "op",
-		func(e *telemetry.Event, v string) { e.Op = v }},
-	{telemetry.FReason, "reason",
-		func(e *telemetry.Event, v string) { e.Reason = v }},
-	{telemetry.FClass, "class",
-		func(e *telemetry.Event, v string) { e.Class = v }},
-}
-
-// String column slots.
-const (
-	slotKind = iota
-	slotAction
-	slotOp
-	slotReason
-	slotClass
-)
-
-// populated returns the set of fields holding non-zero values in ev, floats
-// by their bits (a -0 outside its type's set must not decode as +0). It is
-// hand-rolled with direct field accesses: it runs once per WriteEvent, and
-// routing ev through dynamic funcs would both cost calls and force the event
-// to escape.
-func populated(ev *telemetry.Event) telemetry.FieldSet {
-	var set telemetry.FieldSet
-	if ev.Dev != 0 {
-		set |= telemetry.FDev
-	}
-	if ev.Kind != "" {
-		set |= telemetry.FKind
-	}
-	if ev.LPN != 0 {
-		set |= telemetry.FLPN
-	}
-	if ev.Pages != 0 {
-		set |= telemetry.FPages
-	}
-	if ev.Latency != 0 {
-		set |= telemetry.FLatency
-	}
-	if ev.FreeBytes != 0 {
-		set |= telemetry.FFreeBytes
-	}
-	if ev.ReclaimBytes != 0 {
-		set |= telemetry.FReclaimBytes
-	}
-	if ev.PredictedBytes != 0 {
-		set |= telemetry.FPredictedBytes
-	}
-	if math.Float64bits(ev.IdleFraction) != 0 {
-		set |= telemetry.FIdleFraction
-	}
-	if ev.Foreground {
-		set |= telemetry.FForeground
-	}
-	if ev.Victim != 0 {
-		set |= telemetry.FVictim
-	}
-	if ev.ValidPages != 0 {
-		set |= telemetry.FValidPages
-	}
-	if ev.SIPPages != 0 {
-		set |= telemetry.FSIPPages
-	}
-	if ev.FreedPages != 0 {
-		set |= telemetry.FFreedPages
-	}
-	if ev.Elapsed != 0 {
-		set |= telemetry.FElapsed
-	}
-	if ev.EraseCount != 0 {
-		set |= telemetry.FEraseCount
-	}
-	if ev.Action != "" {
-		set |= telemetry.FAction
-	}
-	if ev.Op != "" {
-		set |= telemetry.FOp
-	}
-	if ev.Page != 0 {
-		set |= telemetry.FPage
-	}
-	if ev.Attempts != 0 {
-		set |= telemetry.FAttempts
-	}
-	if ev.Recovered {
-		set |= telemetry.FRecovered
-	}
-	if ev.Reason != "" {
-		set |= telemetry.FReason
-	}
-	if ev.Tenant != 0 {
-		set |= telemetry.FTenant
-	}
-	if ev.Class != "" {
-		set |= telemetry.FClass
-	}
-	if ev.Dropped != 0 {
-		set |= telemetry.FDropped
-	}
-	if ev.Violations != 0 {
-		set |= telemetry.FViolations
-	}
-	if ev.DirtyPages != 0 {
-		set |= telemetry.FDirtyPages
-	}
-	if math.Float64bits(ev.WAF) != 0 {
-		set |= telemetry.FWAF
-	}
-	if ev.FGCInvocations != 0 {
-		set |= telemetry.FFGC
-	}
-	if ev.BGCCollections != 0 {
-		set |= telemetry.FBGC
-	}
-	if ev.Requests != 0 {
-		set |= telemetry.FRequests
-	}
-	return set
-}
+// column returns the row in telemetry.Columns of the single field bit.
+func column(bit telemetry.FieldSet) int { return columnOf[bits.TrailingZeros32(uint32(bit))] }
 
 // zleCompress appends the zero-run encoding of src to dst[:0]: alternating
 // (uvarint litLen, literal bytes, uvarint zeroLen) tokens, starting with a
@@ -488,28 +279,12 @@ func zleWalk(dst, src []byte, n int) (uint32, error) {
 	return crc, nil
 }
 
-// unrepresentableError reports an event populating a field outside its
+// unrepresentableError reports an event populating field outside its
 // type's field set — the only events the columnar layout cannot carry.
 // Tracer-emitted events always pass the writer's check; the error exists so
 // a hand-crafted event is rejected loudly instead of silently shedding a
 // field.
-func unrepresentableError(t telemetry.EventType, extra telemetry.FieldSet) error {
+func unrepresentableError(t telemetry.EventType, field string) error {
 	return fmt.Errorf("binlog: event type %q populates field %q outside its field set; not representable",
-		t, fieldName(extra))
-}
-
-// fieldName names the lowest set bit of set for error messages.
-func fieldName(set telemetry.FieldSet) string {
-	bit := telemetry.FieldSet(1) << uint(bits.TrailingZeros32(uint32(set)))
-	for i := range intCols {
-		if intCols[i].bit == bit {
-			return intCols[i].name
-		}
-	}
-	for i := range strCols {
-		if strCols[i].bit == bit {
-			return strCols[i].name
-		}
-	}
-	return fmt.Sprintf("bit %#x", uint32(bit))
+		t, field)
 }

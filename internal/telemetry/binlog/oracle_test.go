@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -48,79 +47,98 @@ type refWriter struct {
 	typeDict smallDict
 	typeIdx  []byte
 	tbuf     []byte
-	intBufs  [][]byte
-	intPrev  []int64
-	strDicts []smallDict
-	strBufs  [][]byte
+	bufs     [][]byte // by refCols index
+	prev     []int64
+	dicts    []smallDict
 }
 
-// Reference column getters, by column index in the wire tables: the
-// accessors the two-pass encoder read events through.
-var (
-	refIntGet = [numIntCols]func(*telemetry.Event) int64{
-		func(e *telemetry.Event) int64 { return int64(e.Dev) },
-		func(e *telemetry.Event) int64 { return e.LPN },
-		func(e *telemetry.Event) int64 { return int64(e.Victim) },
-		func(e *telemetry.Event) int64 { return int64(e.Page) },
-		func(e *telemetry.Event) int64 { return int64(e.Pages) },
-		func(e *telemetry.Event) int64 { return int64(e.Latency) },
-		func(e *telemetry.Event) int64 { return e.FreeBytes },
-		func(e *telemetry.Event) int64 { return e.ReclaimBytes },
-		func(e *telemetry.Event) int64 { return e.PredictedBytes },
-		func(e *telemetry.Event) int64 { return int64(math.Float64bits(e.IdleFraction)) },
-		func(e *telemetry.Event) int64 { return boolBits(e.Foreground) },
-		func(e *telemetry.Event) int64 { return int64(e.ValidPages) },
-		func(e *telemetry.Event) int64 { return int64(e.SIPPages) },
-		func(e *telemetry.Event) int64 { return e.FreedPages },
-		func(e *telemetry.Event) int64 { return int64(e.Elapsed) },
-		func(e *telemetry.Event) int64 { return e.EraseCount },
-		func(e *telemetry.Event) int64 { return int64(e.Attempts) },
-		func(e *telemetry.Event) int64 { return boolBits(e.Recovered) },
-		func(e *telemetry.Event) int64 { return int64(e.Tenant) },
-		func(e *telemetry.Event) int64 { return e.Dropped },
-		func(e *telemetry.Event) int64 { return e.Violations },
-		func(e *telemetry.Event) int64 { return int64(e.DirtyPages) },
-		func(e *telemetry.Event) int64 { return int64(math.Float64bits(e.WAF)) },
-		func(e *telemetry.Event) int64 { return e.FGCInvocations },
-		func(e *telemetry.Event) int64 { return e.BGCCollections },
-		func(e *telemetry.Event) int64 { return e.Requests },
-	}
-	refStrGet = [numStrCols]func(*telemetry.Event) string{
-		func(e *telemetry.Event) string { return e.Kind },
-		func(e *telemetry.Event) string { return e.Action },
-		func(e *telemetry.Event) string { return e.Op },
-		func(e *telemetry.Event) string { return e.Reason },
-		func(e *telemetry.Event) string { return e.Class },
-	}
-)
+// refCol is one column as the two-pass encoder knew it: its field bit, its
+// name, and the getter it read events through (int for the integer
+// columns, str for the string ones).
+type refCol struct {
+	bit  telemetry.FieldSet
+	name string
+	int  func(*telemetry.Event) int64
+	str  func(*telemetry.Event) string
+}
 
-// Reference dispatch tables: field bit position to column kind (string or
-// not) and slot.
-var (
-	refColStr  [32]bool
-	refColSlot [32]uint8
-)
+func refBool(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
-func init() {
-	idx := func(bit telemetry.FieldSet) int { return bits.TrailingZeros32(uint32(bit)) }
-	for i, c := range intCols {
-		refColSlot[idx(c.bit)] = uint8(i)
+// refCols is the reference's own schema, in wire order: the integer
+// columns, then the string columns. It is written out here, not derived
+// from telemetry.Columns, so the differential holds the writer's table
+// walk to an independent statement of the format.
+var refCols = []refCol{
+	{telemetry.FDev, "dev", func(e *telemetry.Event) int64 { return int64(e.Dev) }, nil},
+	{telemetry.FLPN, "lpn", func(e *telemetry.Event) int64 { return e.LPN }, nil},
+	{telemetry.FVictim, "victim", func(e *telemetry.Event) int64 { return int64(e.Victim) }, nil},
+	{telemetry.FPage, "page", func(e *telemetry.Event) int64 { return int64(e.Page) }, nil},
+	{telemetry.FPages, "pages", func(e *telemetry.Event) int64 { return int64(e.Pages) }, nil},
+	{telemetry.FLatency, "latency_ns", func(e *telemetry.Event) int64 { return int64(e.Latency) }, nil},
+	{telemetry.FFreeBytes, "free_bytes", func(e *telemetry.Event) int64 { return e.FreeBytes }, nil},
+	{telemetry.FReclaimBytes, "reclaim_bytes", func(e *telemetry.Event) int64 { return e.ReclaimBytes }, nil},
+	{telemetry.FPredictedBytes, "predicted_bytes", func(e *telemetry.Event) int64 { return e.PredictedBytes }, nil},
+	{telemetry.FIdleFraction, "idle_fraction", func(e *telemetry.Event) int64 { return int64(math.Float64bits(e.IdleFraction)) }, nil},
+	{telemetry.FForeground, "foreground", func(e *telemetry.Event) int64 { return refBool(e.Foreground) }, nil},
+	{telemetry.FValidPages, "valid_pages", func(e *telemetry.Event) int64 { return int64(e.ValidPages) }, nil},
+	{telemetry.FSIPPages, "sip_pages", func(e *telemetry.Event) int64 { return int64(e.SIPPages) }, nil},
+	{telemetry.FFreedPages, "freed_pages", func(e *telemetry.Event) int64 { return e.FreedPages }, nil},
+	{telemetry.FElapsed, "elapsed_ns", func(e *telemetry.Event) int64 { return int64(e.Elapsed) }, nil},
+	{telemetry.FEraseCount, "erase_count", func(e *telemetry.Event) int64 { return e.EraseCount }, nil},
+	{telemetry.FAttempts, "attempts", func(e *telemetry.Event) int64 { return int64(e.Attempts) }, nil},
+	{telemetry.FRecovered, "recovered", func(e *telemetry.Event) int64 { return refBool(e.Recovered) }, nil},
+	{telemetry.FTenant, "tenant", func(e *telemetry.Event) int64 { return int64(e.Tenant) }, nil},
+	{telemetry.FDropped, "dropped", func(e *telemetry.Event) int64 { return e.Dropped }, nil},
+	{telemetry.FViolations, "violations", func(e *telemetry.Event) int64 { return e.Violations }, nil},
+	{telemetry.FDirtyPages, "dirty_pages", func(e *telemetry.Event) int64 { return int64(e.DirtyPages) }, nil},
+	{telemetry.FWAF, "waf", func(e *telemetry.Event) int64 { return int64(math.Float64bits(e.WAF)) }, nil},
+	{telemetry.FFGC, "fgc", func(e *telemetry.Event) int64 { return e.FGCInvocations }, nil},
+	{telemetry.FBGC, "bgc", func(e *telemetry.Event) int64 { return e.BGCCollections }, nil},
+	{telemetry.FRequests, "requests", func(e *telemetry.Event) int64 { return e.Requests }, nil},
+	{telemetry.FKind, "kind", nil, func(e *telemetry.Event) string { return e.Kind }},
+	{telemetry.FAction, "action", nil, func(e *telemetry.Event) string { return e.Action }},
+	{telemetry.FOp, "op", nil, func(e *telemetry.Event) string { return e.Op }},
+	{telemetry.FReason, "reason", nil, func(e *telemetry.Event) string { return e.Reason }},
+	{telemetry.FClass, "class", nil, func(e *telemetry.Event) string { return e.Class }},
+}
+
+// refStored is the reference's stored set for an event type: its field
+// set plus the four always-stored columns.
+func refStored(t telemetry.EventType) telemetry.FieldSet {
+	set, _ := telemetry.Fields(t)
+	return set | telemetry.FDev | telemetry.FLPN | telemetry.FVictim | telemetry.FPage
+}
+
+// refUnrepresentable is the reference's check: the error naming the lowest
+// field bit ev populates outside its stored set, or nil.
+func refUnrepresentable(ev *telemetry.Event) error {
+	stored, name, lowest := refStored(ev.Type), "", telemetry.FieldSet(0)
+	for _, c := range refCols {
+		populated := c.int != nil && c.int(ev) != 0 || c.str != nil && c.str(ev) != ""
+		if populated && stored&c.bit == 0 && (name == "" || c.bit < lowest) {
+			name, lowest = c.name, c.bit
+		}
 	}
-	for i, c := range strCols {
-		refColStr[idx(c.bit)], refColSlot[idx(c.bit)] = true, uint8(i)
+	if name == "" {
+		return nil
 	}
+	return unrepresentableError(ev.Type, name)
 }
 
 func newRefWriter(w io.Writer, opts Options) *refWriter {
 	opts = opts.withDefaults()
 	r := &refWriter{
-		bw:       bufio.NewWriterSize(w, 1<<16),
-		opts:     opts,
-		block:    make([]telemetry.Event, 0, opts.BlockEvents),
-		intBufs:  make([][]byte, numIntCols),
-		intPrev:  make([]int64, numIntCols),
-		strDicts: make([]smallDict, numStrCols),
-		strBufs:  make([][]byte, numStrCols),
+		bw:    bufio.NewWriterSize(w, 1<<16),
+		opts:  opts,
+		block: make([]telemetry.Event, 0, opts.BlockEvents),
+		bufs:  make([][]byte, len(refCols)),
+		prev:  make([]int64, len(refCols)),
+		dicts: make([]smallDict, len(refCols)),
 	}
 	return r
 }
@@ -135,9 +153,9 @@ func (w *refWriter) WriteEvent(ev telemetry.Event) error {
 	}
 	w.block = append(w.block, ev)
 	slot := &w.block[len(w.block)-1]
-	if extra := populated(slot) &^ fieldsOf(slot.Type); extra != 0 {
+	if err := refUnrepresentable(slot); err != nil {
 		w.block = w.block[:len(w.block)-1]
-		w.err = unrepresentableError(slot.Type, extra)
+		w.err = err
 		return w.err
 	}
 	w.n++
@@ -227,13 +245,10 @@ func (w *refWriter) encodeBlock() []byte {
 	w.typeDict.reset()
 	w.typeIdx = w.typeIdx[:0]
 	w.tbuf = w.tbuf[:0]
-	for i := range w.intBufs {
-		w.intBufs[i] = w.intBufs[i][:0]
-		w.intPrev[i] = 0
-	}
-	for i := range w.strBufs {
-		w.strBufs[i] = w.strBufs[i][:0]
-		w.strDicts[i].reset()
+	for c := range refCols {
+		w.bufs[c] = w.bufs[c][:0]
+		w.prev[c] = 0
+		w.dicts[c].reset()
 	}
 
 	prevT, prevDelta := int64(0), int64(0)
@@ -249,19 +264,20 @@ func (w *refWriter) encodeBlock() []byte {
 			prevDelta = delta
 		}
 		prevT = t
-		fset := fieldsOf(ev.Type)
-		for s := uint32(fset); s != 0; s &= s - 1 {
-			pos := bits.TrailingZeros32(s)
-			slot := int(refColSlot[pos])
-			if refColStr[pos] {
-				w.putStr(slot, refStrGet[slot](ev))
-				continue
+		stored := refStored(ev.Type)
+		for c, col := range refCols {
+			switch {
+			case stored&col.bit == 0:
+			case col.str != nil:
+				w.bufs[c] = binary.AppendUvarint(w.bufs[c], w.dicts[c].id(col.str(ev)))
+			default:
+				v := col.int(ev)
+				if w.fault && ev.Type == telemetry.EvRequest && col.bit == telemetry.FVictim {
+					v = 0
+				}
+				w.bufs[c] = binary.AppendUvarint(w.bufs[c], zigzag(v-w.prev[c]))
+				w.prev[c] = v
 			}
-			v := refIntGet[slot](ev)
-			if w.fault && ev.Type == telemetry.EvRequest && intCols[slot].bit == telemetry.FVictim {
-				v = 0
-			}
-			w.putInt(slot, v)
 		}
 	}
 
@@ -270,25 +286,14 @@ func (w *refWriter) encodeBlock() []byte {
 	buf = appendDict(buf, w.typeDict.strs)
 	buf = append(buf, w.typeIdx...)
 	buf = append(buf, w.tbuf...)
-	for i := range w.intBufs {
-		buf = append(buf, w.intBufs[i]...)
-	}
-	for c := range w.strBufs {
-		buf = appendDict(buf, w.strDicts[c].strs)
-		buf = append(buf, w.strBufs[c]...)
+	for c, col := range refCols {
+		if col.str != nil {
+			buf = appendDict(buf, w.dicts[c].strs)
+		}
+		buf = append(buf, w.bufs[c]...)
 	}
 	w.raw = buf
 	return buf
-}
-
-func (w *refWriter) putInt(slot int, v int64) {
-	d := v - w.intPrev[slot]
-	w.intPrev[slot] = v
-	w.intBufs[slot] = binary.AppendUvarint(w.intBufs[slot], zigzag(d))
-}
-
-func (w *refWriter) putStr(slot int, s string) {
-	w.strBufs[slot] = binary.AppendUvarint(w.strBufs[slot], w.strDicts[slot].id(s))
 }
 
 func (w *refWriter) writeFooter() error {
@@ -400,7 +405,7 @@ func (oracleCase) Generate(rng *rand.Rand, size int) reflect.Value {
 		}
 		ty := oracleTypes[rng.Intn(len(oracleTypes))]
 		ev := telemetry.Event{Type: ty, T: t}
-		set := fieldsOf(ty)
+		set := storedFields(ty)
 		for s := set; s != 0; s &= s - 1 {
 			if rng.Intn(3) != 0 { // a random populated subset, zeros included
 				setField(&ev, s&-s, rng)
@@ -412,7 +417,7 @@ func (oracleCase) Generate(rng *rand.Rand, size int) reflect.Value {
 		// One unrepresentable event: a known type populating a field
 		// outside its set.
 		ty := quickTypes[rng.Intn(len(quickTypes))]
-		outside := telemetry.FAll &^ fieldsOf(ty)
+		outside := telemetry.FAll &^ storedFields(ty)
 		var pick []telemetry.FieldSet
 		for s := outside; s != 0; s &= s - 1 {
 			pick = append(pick, s&-s)
@@ -446,26 +451,22 @@ func oracleString(rng *rand.Rand) string { return quickStrings[rng.Intn(len(quic
 // setField gives ev's field bit a random value (possibly zero): a bool
 // field either value, a float field a special or an ordinary float.
 func setField(ev *telemetry.Event, bit telemetry.FieldSet, rng *rand.Rand) {
-	for i := range intCols {
-		if intCols[i].bit != bit {
+	for _, col := range telemetry.Columns {
+		if col.Bit != bit {
 			continue
 		}
-		v := oracleInt(rng)
-		switch bit {
-		case telemetry.FForeground, telemetry.FRecovered:
-			v = int64(rng.Intn(2))
-		case telemetry.FIdleFraction, telemetry.FWAF:
+		switch col.Kind {
+		case telemetry.StringColumn:
+			col.Set(ev, 0, oracleString(rng))
+		case telemetry.BoolColumn:
+			col.Set(ev, int64(rng.Intn(2)), "")
+		case telemetry.FloatColumn:
 			vals := []float64{0, 1, -0.5, math.NaN(), math.Inf(1), math.MaxFloat64, rng.NormFloat64()}
-			v = int64(math.Float64bits(vals[rng.Intn(len(vals))]))
+			col.Set(ev, int64(math.Float64bits(vals[rng.Intn(len(vals))])), "")
+		default:
+			col.Set(ev, oracleInt(rng), "")
 		}
-		intCols[i].set(ev, v)
 		return
-	}
-	for i := range strCols {
-		if strCols[i].bit == bit {
-			strCols[i].set(ev, oracleString(rng))
-			return
-		}
 	}
 	panic(fmt.Sprintf("no column for bit %#x", uint32(bit)))
 }
@@ -616,11 +617,8 @@ func oracleProperty(logf func(string, ...any), fault bool) func(oracleCase) bool
 // non-zero, so its raw payload holds no two adjacent zero bytes.
 func storedEvent(t time.Duration) telemetry.Event {
 	ev := telemetry.Event{Type: "future_event", T: t}
-	for i := range intCols {
-		intCols[i].set(&ev, int64(i+1)<<20+int64(t))
-	}
-	for i := range strCols {
-		strCols[i].set(&ev, "s")
+	for i, col := range telemetry.Columns {
+		col.Set(&ev, int64(i+1)<<20+int64(t), "s")
 	}
 	return ev
 }

@@ -222,7 +222,7 @@ func (r *Reader) decodeBlock(raw []byte) error {
 			return fmt.Errorf("binlog: type index %d outside dictionary of %d", id, len(typeDict))
 		}
 		evs[i].Type = telemetry.EventType(typeDict[id])
-		r.fsets[i] = fieldsOf(evs[i].Type)
+		r.fsets[i] = storedFields(evs[i].Type)
 	}
 
 	// T column.
@@ -241,42 +241,11 @@ func (r *Reader) decodeBlock(raw []byte) error {
 		evs[i].T = time.Duration(prevT)
 	}
 
-	// Int columns.
-	for c := range intCols {
-		col := &intCols[c]
-		prev := int64(0)
-		for i := 0; i < n; i++ {
-			if r.fsets[i]&col.bit == 0 {
-				continue
-			}
-			u, err := br.uvarint()
-			if err != nil {
-				return fmt.Errorf("binlog: column %q: %w", col.name, err)
-			}
-			prev += unzigzag(u)
-			col.set(&evs[i], prev)
-		}
-	}
-
-	// String columns.
-	for c := range strCols {
-		col := &strCols[c]
-		dict, err := br.readDict()
-		if err != nil {
-			return fmt.Errorf("binlog: column %q: %w", col.name, err)
-		}
-		for i := 0; i < n; i++ {
-			if r.fsets[i]&col.bit == 0 {
-				continue
-			}
-			id, err := br.uvarint()
-			if err != nil {
-				return fmt.Errorf("binlog: column %q: %w", col.name, err)
-			}
-			if id >= uint64(len(dict)) {
-				return fmt.Errorf("binlog: column %q index %d outside dictionary of %d", col.name, id, len(dict))
-			}
-			col.set(&evs[i], dict[id])
+	// Payload columns, in wire order.
+	for _, c := range wireOrder {
+		col := &telemetry.Columns[c]
+		if err := r.decodeColumn(&br, col); err != nil {
+			return fmt.Errorf("binlog: column %q: %w", col.Name, err)
 		}
 	}
 
@@ -284,6 +253,40 @@ func (r *Reader) decodeBlock(raw []byte) error {
 		return fmt.Errorf("binlog: %d trailing bytes after block payload", len(raw)-br.off)
 	}
 	r.pos = 0
+	return nil
+}
+
+// decodeColumn fills col's field of every event of the block that stores
+// it: int columns hold zigzag deltas, string columns a dictionary and then
+// indexes into it.
+func (r *Reader) decodeColumn(br *byteReader, col *telemetry.Column) error {
+	str := col.Kind == telemetry.StringColumn
+	var dict []string
+	if str {
+		var err error
+		if dict, err = br.readDict(); err != nil {
+			return err
+		}
+	}
+	prev := int64(0)
+	for i := range r.evs {
+		if r.fsets[i]&col.Bit == 0 {
+			continue
+		}
+		u, err := br.uvarint()
+		if err != nil {
+			return err
+		}
+		switch {
+		case !str:
+			prev += unzigzag(u)
+			col.Set(&r.evs[i], prev, "")
+		case u < uint64(len(dict)):
+			col.Set(&r.evs[i], 0, dict[u])
+		default:
+			return fmt.Errorf("index %d outside dictionary of %d", u, len(dict))
+		}
+	}
 	return nil
 }
 

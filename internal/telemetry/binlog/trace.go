@@ -14,7 +14,7 @@ import (
 // = the single-letter trace code, LPN, Pages), so tracegen can emit
 // multi-GiB traces that replay without the text-parse bottleneck and
 // jitgctrace can convert them like any other stream. Timestamps keep full
-// nanosecond precision — the text format rounds to microseconds.
+// nanosecond precision, as the text format's do.
 
 // EncodeRequests writes reqs as a binlog request stream.
 func EncodeRequests(w io.Writer, reqs []trace.Request, opts Options) error {
@@ -58,18 +58,9 @@ func requestFromEvent(ev telemetry.Event) (trace.Request, error) {
 	if ev.Type != telemetry.EvRequest {
 		return trace.Request{}, fmt.Errorf("event type %q is not a request", ev.Type)
 	}
-	var kind trace.Kind
-	switch ev.Kind {
-	case "R":
-		kind = trace.Read
-	case "W":
-		kind = trace.BufferedWrite
-	case "D":
-		kind = trace.DirectWrite
-	case "T":
-		kind = trace.Trim
-	default:
-		return trace.Request{}, fmt.Errorf("bad kind %q", ev.Kind)
+	kind, err := trace.ParseKind(ev.Kind)
+	if err != nil {
+		return trace.Request{}, err
 	}
 	pages, err := trace.NarrowPages(int64(ev.Pages))
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"sync"
 	"time"
 
@@ -66,17 +65,17 @@ type Writer struct {
 	// The pending block, kept in column form: an accepted event's type id,
 	// T and fields are appended to their columns' buffers on arrival, so a
 	// flush only concatenates the buffers in wire order, compresses and
-	// frames.
+	// frames. The per-column state is indexed like telemetry.Columns; prev
+	// serves the int columns and dicts the string ones.
 	blockN           int
 	firstT, lastT    time.Duration
 	prevT, prevDelta int64 // T column state: delta-of-delta
 	typeDict         smallDict
 	typeIdx          []byte
 	tbuf             []byte
-	intBufs          [numIntCols][]byte
-	intPrev          [numIntCols]int64
-	strDicts         [numStrCols]smallDict
-	strBufs          [numStrCols][]byte
+	bufs             [len(telemetry.Columns)][]byte
+	prev             [len(telemetry.Columns)]int64
+	dicts            [len(telemetry.Columns)]smallDict
 
 	// Flush scratch, reused (a frame header on the stack would escape
 	// through the bufio write).
@@ -91,14 +90,14 @@ type Writer struct {
 	haveCached bool
 }
 
-// fieldsOfCached is fieldsOf through a one-entry cache: streams cluster by
-// type, and the underlying telemetry.Fields map lookup is measurable at
+// storedCached is storedFields through a one-entry cache: streams cluster
+// by type, and the underlying telemetry.Fields map lookup is measurable at
 // per-event rates.
-func (w *Writer) fieldsOfCached(t telemetry.EventType) telemetry.FieldSet {
+func (w *Writer) storedCached(t telemetry.EventType) telemetry.FieldSet {
 	if w.haveCached && t == w.cachedType {
 		return w.cachedSet
 	}
-	set := fieldsOf(t)
+	set := storedFields(t)
 	w.cachedType, w.cachedSet, w.haveCached = t, set, true
 	return set
 }
@@ -178,29 +177,59 @@ func (w *Writer) writeEvent(ev *telemetry.Event) error {
 		return err
 	}
 	// Validate before touching the block: a rejected event leaves no trace.
-	set := w.fieldsOfCached(ev.Type)
-	if extra := populated(ev) &^ set; extra != 0 {
-		w.err = unrepresentableError(ev.Type, extra)
-		return w.err
+	// Both walks step through set bits, not table rows, so a type's
+	// columns cost no per-row branch.
+	set := w.storedCached(ev.Type)
+	for rest := telemetry.FAll &^ set; rest != 0; rest &= rest - 1 {
+		if v, s := ev.Field(rest & -rest); v != 0 || s != "" {
+			// rest's lowest bit is the lowest field bit at fault.
+			w.err = unrepresentableError(ev.Type, telemetry.Columns[column(rest&-rest)].Name)
+			return w.err
+		}
 	}
-	if ev.Type == telemetry.EvRequest {
-		w.appendRequest(ev.T, ev.Dev, ev.Kind, ev.LPN, ev.Victim, ev.Page, ev.Pages, ev.Latency)
-	} else {
-		w.appendHead(ev.Type, ev.T)
-		w.appendFields(ev, set)
+	w.appendHead(ev.Type, ev.T)
+	for rest := set; rest != 0; rest &= rest - 1 {
+		bit := rest & -rest
+		c := column(bit)
+		v, s := ev.Field(bit)
+		if telemetry.Columns[c].Kind == telemetry.StringColumn {
+			w.putStr(c, s)
+		} else {
+			w.putInt(c, v)
+		}
 	}
 	return w.endEvent()
 }
 
+// The columns of a request event: WriteRequest stores them without
+// building an Event.
+var (
+	colDev     = column(telemetry.FDev)
+	colKind    = column(telemetry.FKind)
+	colLPN     = column(telemetry.FLPN)
+	colPages   = column(telemetry.FPages)
+	colLatency = column(telemetry.FLatency)
+	colVictim  = column(telemetry.FVictim)
+	colPage    = column(telemetry.FPage)
+)
+
 // WriteRequest appends a request completion — the event WriteEvent would
 // write for telemetry.Event{Type: EvRequest, T: now, Dev: dev, Kind: kind,
 // LPN: lpn, Pages: pages, Latency: latency}, byte for byte — without
-// building the Event. The first error is sticky.
+// building the Event: the request's stored columns, with the always-stored
+// victim and page at zero. The first error is sticky.
 func (w *Writer) WriteRequest(now time.Duration, dev int, kind string, lpn int64, pages int, latency time.Duration) error {
 	if err := w.ready(); err != nil {
 		return err
 	}
-	w.appendRequest(now, dev, kind, lpn, 0, 0, pages, latency)
+	w.appendHead(telemetry.EvRequest, now)
+	w.putInt(colDev, int64(dev))
+	w.putStr(colKind, kind)
+	w.putInt(colLPN, lpn)
+	w.putInt(colPages, int64(pages))
+	w.putInt(colLatency, int64(latency))
+	w.putInt(colVictim, 0)
+	w.putInt(colPage, 0)
 	return w.endEvent()
 }
 
@@ -211,21 +240,6 @@ func (w *Writer) ready() error {
 		w.err = telemetry.ErrClosedSink
 	}
 	return w.err
-}
-
-// appendRequest appends a request event's columns: the one encoder of
-// request events, whether they arrive as an Event or as WriteRequest's
-// arguments. Victim and page are always-stored columns, zero unless a
-// hand-built Event sets them.
-func (w *Writer) appendRequest(now time.Duration, dev int, kind string, lpn int64, victim, page, pages int, latency time.Duration) {
-	w.appendHead(telemetry.EvRequest, now)
-	w.putInt(slotDev, int64(dev))
-	w.putInt(slotLPN, lpn)
-	w.putInt(slotVictim, int64(victim))
-	w.putInt(slotPage, int64(page))
-	w.putInt(slotPages, int64(pages))
-	w.putInt(slotLatency, int64(latency))
-	w.putStr(slotKind, kind)
 }
 
 // appendHead appends an event's type id and T: zigzag(T₀) for a block's
@@ -242,77 +256,6 @@ func (w *Writer) appendHead(ty telemetry.EventType, t time.Duration) {
 		w.prevDelta = delta
 	}
 	w.prevT, w.lastT = v, t
-}
-
-// appendFields appends the fields in set, ev's stored field set, to their
-// columns. Order across columns is immaterial (each has its own buffer).
-func (w *Writer) appendFields(ev *telemetry.Event, set telemetry.FieldSet) {
-	for s := set; s != 0; s &= s - 1 {
-		switch s & -s {
-		case telemetry.FDev:
-			w.putInt(slotDev, int64(ev.Dev))
-		case telemetry.FKind:
-			w.putStr(slotKind, ev.Kind)
-		case telemetry.FLPN:
-			w.putInt(slotLPN, ev.LPN)
-		case telemetry.FPages:
-			w.putInt(slotPages, int64(ev.Pages))
-		case telemetry.FLatency:
-			w.putInt(slotLatency, int64(ev.Latency))
-		case telemetry.FFreeBytes:
-			w.putInt(slotFreeBytes, ev.FreeBytes)
-		case telemetry.FReclaimBytes:
-			w.putInt(slotReclaimBytes, ev.ReclaimBytes)
-		case telemetry.FPredictedBytes:
-			w.putInt(slotPredictedBytes, ev.PredictedBytes)
-		case telemetry.FIdleFraction:
-			w.putInt(slotIdleFraction, int64(math.Float64bits(ev.IdleFraction)))
-		case telemetry.FForeground:
-			w.putInt(slotForeground, boolBits(ev.Foreground))
-		case telemetry.FVictim:
-			w.putInt(slotVictim, int64(ev.Victim))
-		case telemetry.FValidPages:
-			w.putInt(slotValidPages, int64(ev.ValidPages))
-		case telemetry.FSIPPages:
-			w.putInt(slotSIPPages, int64(ev.SIPPages))
-		case telemetry.FFreedPages:
-			w.putInt(slotFreedPages, ev.FreedPages)
-		case telemetry.FElapsed:
-			w.putInt(slotElapsed, int64(ev.Elapsed))
-		case telemetry.FEraseCount:
-			w.putInt(slotEraseCount, ev.EraseCount)
-		case telemetry.FAction:
-			w.putStr(slotAction, ev.Action)
-		case telemetry.FOp:
-			w.putStr(slotOp, ev.Op)
-		case telemetry.FPage:
-			w.putInt(slotPage, int64(ev.Page))
-		case telemetry.FAttempts:
-			w.putInt(slotAttempts, int64(ev.Attempts))
-		case telemetry.FRecovered:
-			w.putInt(slotRecovered, boolBits(ev.Recovered))
-		case telemetry.FReason:
-			w.putStr(slotReason, ev.Reason)
-		case telemetry.FTenant:
-			w.putInt(slotTenant, int64(ev.Tenant))
-		case telemetry.FClass:
-			w.putStr(slotClass, ev.Class)
-		case telemetry.FDropped:
-			w.putInt(slotDropped, ev.Dropped)
-		case telemetry.FViolations:
-			w.putInt(slotViolations, ev.Violations)
-		case telemetry.FDirtyPages:
-			w.putInt(slotDirtyPages, int64(ev.DirtyPages))
-		case telemetry.FWAF:
-			w.putInt(slotWAF, int64(math.Float64bits(ev.WAF)))
-		case telemetry.FFGC:
-			w.putInt(slotFGC, ev.FGCInvocations)
-		case telemetry.FBGC:
-			w.putInt(slotBGC, ev.BGCCollections)
-		case telemetry.FRequests:
-			w.putInt(slotRequests, ev.Requests)
-		}
-	}
 }
 
 // endEvent counts the event just appended and flushes a full block.
@@ -409,19 +352,19 @@ func (w *Writer) flushBlock() error {
 }
 
 // concatBlock joins the pending block's columns into the reused raw buffer
-// in wire order: count, type column, T, ints, strings.
+// in wire order: count, type column, T, then the columns in wireOrder, each
+// string column behind its dictionary.
 func (w *Writer) concatBlock() []byte {
 	buf := w.raw[:0]
 	buf = binary.AppendUvarint(buf, uint64(w.blockN))
 	buf = appendDict(buf, w.typeDict.strs)
 	buf = append(buf, w.typeIdx...)
 	buf = append(buf, w.tbuf...)
-	for i := range w.intBufs {
-		buf = append(buf, w.intBufs[i]...)
-	}
-	for c := range w.strBufs {
-		buf = appendDict(buf, w.strDicts[c].strs)
-		buf = append(buf, w.strBufs[c]...)
+	for _, c := range wireOrder {
+		if telemetry.Columns[c].Kind == telemetry.StringColumn {
+			buf = appendDict(buf, w.dicts[c].strs)
+		}
+		buf = append(buf, w.bufs[c]...)
 	}
 	w.raw = buf
 	return buf
@@ -435,28 +378,25 @@ func (w *Writer) resetBlock() {
 	w.typeDict.reset()
 	w.typeIdx = w.typeIdx[:0]
 	w.tbuf = w.tbuf[:0]
-	for i := range w.intBufs {
-		w.intBufs[i] = w.intBufs[i][:0]
-		w.intPrev[i] = 0
-	}
-	for i := range w.strBufs {
-		w.strBufs[i] = w.strBufs[i][:0]
-		w.strDicts[i].reset()
+	for c := range w.bufs {
+		w.bufs[c] = w.bufs[c][:0]
+		w.prev[c] = 0
+		w.dicts[c].reset()
 	}
 }
 
-// putInt appends v to int column slot: zigzag delta against the previous
+// putInt appends v to int column c: zigzag delta against the previous
 // value in the column (runs of equal values — erase counts, stats
 // counters, GC episodes' foreground flags — cost one byte each).
-func (w *Writer) putInt(slot int, v int64) {
-	d := v - w.intPrev[slot]
-	w.intPrev[slot] = v
-	w.intBufs[slot] = binary.AppendUvarint(w.intBufs[slot], zigzag(d))
+func (w *Writer) putInt(c int, v int64) {
+	d := v - w.prev[c]
+	w.prev[c] = v
+	w.bufs[c] = binary.AppendUvarint(w.bufs[c], zigzag(d))
 }
 
-// putStr appends s to string column slot as a dictionary index.
-func (w *Writer) putStr(slot int, s string) {
-	w.strBufs[slot] = binary.AppendUvarint(w.strBufs[slot], w.strDicts[slot].id(s))
+// putStr appends s to string column c as a dictionary index.
+func (w *Writer) putStr(c int, s string) {
+	w.bufs[c] = binary.AppendUvarint(w.bufs[c], w.dicts[c].id(s))
 }
 
 // writeFooter emits the footer block index and the fixed trailer.

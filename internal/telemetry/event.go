@@ -11,7 +11,10 @@
 // call hooks unconditionally on their hot paths.
 package telemetry
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // EventType discriminates trace events.
 type EventType string
@@ -175,14 +178,15 @@ const (
 	FFGC
 	FBGC
 	FRequests
+	fieldsEnd
 
 	// FAll is every payload field; it is the field set of unknown event
 	// types, which must round-trip without knowing which fields matter.
-	FAll FieldSet = 1<<31 - 1
+	FAll = fieldsEnd - 1
 )
 
 // typeFields maps each event type to the fields its emitter populates,
-// mirroring the Tracer helpers one-to-one.
+// mirroring the Tracer helpers one-to-one (TestTracerPopulatesItsFieldSet).
 var typeFields = map[EventType]FieldSet{
 	EvRequest:        FDev | FKind | FLPN | FPages | FLatency,
 	EvFlushDecision:  FDev | FFreeBytes | FReclaimBytes | FPredictedBytes | FIdleFraction,
@@ -209,6 +213,151 @@ func Fields(t EventType) (set FieldSet, known bool) {
 		return FAll, false
 	}
 	return set, true
+}
+
+// ColumnKind is how a payload field's values are carried as integers or
+// strings, the two forms a column stores.
+type ColumnKind uint8
+
+// Column kinds.
+const (
+	IntColumn    ColumnKind = iota // int, int64 or time.Duration
+	FloatColumn                    // float64, as its IEEE-754 bits
+	BoolColumn                     // 0 or 1
+	StringColumn                   // string
+)
+
+// Column describes one payload field of Event: its JSON key, its FieldSet
+// bit, its kind, whether it is always stored, and how a decoded value is
+// stored back. Reading goes through Event.Field instead of a func per row,
+// so that reading an event does not make it escape.
+type Column struct {
+	Name string // the field's JSON key
+	Bit  FieldSet
+	Kind ColumnKind
+	// Always marks the fields whose zero is data (no omitempty): they are
+	// encoded for every event, whatever its type.
+	Always bool
+	// Set stores v, or s for a string column, into the field, in the form
+	// Event.Field reads it.
+	Set func(e *Event, v int64, s string)
+}
+
+// Columns is Event's payload schema, one row per field, in binlog wire
+// order: the four always-stored fields first, then struct order. Adding a
+// traced field takes the struct field, its bit, its typeFields entries, a
+// row here and its case in Event.Field; TestColumnsMatchEvent fails until
+// all agree.
+var Columns = [...]Column{
+	{"dev", FDev, IntColumn, true, func(e *Event, v int64, _ string) { e.Dev = int(v) }},
+	{"lpn", FLPN, IntColumn, true, func(e *Event, v int64, _ string) { e.LPN = v }},
+	{"victim", FVictim, IntColumn, true, func(e *Event, v int64, _ string) { e.Victim = int(v) }},
+	{"page", FPage, IntColumn, true, func(e *Event, v int64, _ string) { e.Page = int(v) }},
+	{"kind", FKind, StringColumn, false, func(e *Event, _ int64, s string) { e.Kind = s }},
+	{"pages", FPages, IntColumn, false, func(e *Event, v int64, _ string) { e.Pages = int(v) }},
+	{"latency_ns", FLatency, IntColumn, false, func(e *Event, v int64, _ string) { e.Latency = time.Duration(v) }},
+	{"free_bytes", FFreeBytes, IntColumn, false, func(e *Event, v int64, _ string) { e.FreeBytes = v }},
+	{"reclaim_bytes", FReclaimBytes, IntColumn, false, func(e *Event, v int64, _ string) { e.ReclaimBytes = v }},
+	{"predicted_bytes", FPredictedBytes, IntColumn, false, func(e *Event, v int64, _ string) { e.PredictedBytes = v }},
+	{"idle_fraction", FIdleFraction, FloatColumn, false, func(e *Event, v int64, _ string) { e.IdleFraction = math.Float64frombits(uint64(v)) }},
+	{"foreground", FForeground, BoolColumn, false, func(e *Event, v int64, _ string) { e.Foreground = v != 0 }},
+	{"valid_pages", FValidPages, IntColumn, false, func(e *Event, v int64, _ string) { e.ValidPages = int(v) }},
+	{"sip_pages", FSIPPages, IntColumn, false, func(e *Event, v int64, _ string) { e.SIPPages = int(v) }},
+	{"freed_pages", FFreedPages, IntColumn, false, func(e *Event, v int64, _ string) { e.FreedPages = v }},
+	{"elapsed_ns", FElapsed, IntColumn, false, func(e *Event, v int64, _ string) { e.Elapsed = time.Duration(v) }},
+	{"erase_count", FEraseCount, IntColumn, false, func(e *Event, v int64, _ string) { e.EraseCount = v }},
+	{"action", FAction, StringColumn, false, func(e *Event, _ int64, s string) { e.Action = s }},
+	{"op", FOp, StringColumn, false, func(e *Event, _ int64, s string) { e.Op = s }},
+	{"attempts", FAttempts, IntColumn, false, func(e *Event, v int64, _ string) { e.Attempts = int(v) }},
+	{"recovered", FRecovered, BoolColumn, false, func(e *Event, v int64, _ string) { e.Recovered = v != 0 }},
+	{"reason", FReason, StringColumn, false, func(e *Event, _ int64, s string) { e.Reason = s }},
+	{"tenant", FTenant, IntColumn, false, func(e *Event, v int64, _ string) { e.Tenant = int(v) }},
+	{"class", FClass, StringColumn, false, func(e *Event, _ int64, s string) { e.Class = s }},
+	{"dropped", FDropped, IntColumn, false, func(e *Event, v int64, _ string) { e.Dropped = v }},
+	{"violations", FViolations, IntColumn, false, func(e *Event, v int64, _ string) { e.Violations = v }},
+	{"dirty_pages", FDirtyPages, IntColumn, false, func(e *Event, v int64, _ string) { e.DirtyPages = int(v) }},
+	{"waf", FWAF, FloatColumn, false, func(e *Event, v int64, _ string) { e.WAF = math.Float64frombits(uint64(v)) }},
+	{"fgc", FFGC, IntColumn, false, func(e *Event, v int64, _ string) { e.FGCInvocations = v }},
+	{"bgc", FBGC, IntColumn, false, func(e *Event, v int64, _ string) { e.BGCCollections = v }},
+	{"requests", FRequests, IntColumn, false, func(e *Event, v int64, _ string) { e.Requests = v }},
+}
+
+// Field reads the payload field bit names in its column form: an integer
+// as v, a float as its IEEE-754 bits, a bool as 0 or 1, a string as s. A
+// bit naming no single field reads as zero.
+func (e *Event) Field(bit FieldSet) (v int64, s string) {
+	switch bit {
+	case FDev:
+		return int64(e.Dev), ""
+	case FKind:
+		return 0, e.Kind
+	case FLPN:
+		return e.LPN, ""
+	case FPages:
+		return int64(e.Pages), ""
+	case FLatency:
+		return int64(e.Latency), ""
+	case FFreeBytes:
+		return e.FreeBytes, ""
+	case FReclaimBytes:
+		return e.ReclaimBytes, ""
+	case FPredictedBytes:
+		return e.PredictedBytes, ""
+	case FIdleFraction:
+		return int64(math.Float64bits(e.IdleFraction)), ""
+	case FForeground:
+		return boolBits(e.Foreground), ""
+	case FVictim:
+		return int64(e.Victim), ""
+	case FValidPages:
+		return int64(e.ValidPages), ""
+	case FSIPPages:
+		return int64(e.SIPPages), ""
+	case FFreedPages:
+		return e.FreedPages, ""
+	case FElapsed:
+		return int64(e.Elapsed), ""
+	case FEraseCount:
+		return e.EraseCount, ""
+	case FAction:
+		return 0, e.Action
+	case FOp:
+		return 0, e.Op
+	case FPage:
+		return int64(e.Page), ""
+	case FAttempts:
+		return int64(e.Attempts), ""
+	case FRecovered:
+		return boolBits(e.Recovered), ""
+	case FReason:
+		return 0, e.Reason
+	case FTenant:
+		return int64(e.Tenant), ""
+	case FClass:
+		return 0, e.Class
+	case FDropped:
+		return e.Dropped, ""
+	case FViolations:
+		return e.Violations, ""
+	case FDirtyPages:
+		return int64(e.DirtyPages), ""
+	case FWAF:
+		return int64(math.Float64bits(e.WAF)), ""
+	case FFGC:
+		return e.FGCInvocations, ""
+	case FBGC:
+		return e.BGCCollections, ""
+	case FRequests:
+		return e.Requests, ""
+	}
+	return 0, ""
+}
+
+func boolBits(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Token hand-off actions (Event.Action for EvToken).

@@ -7,15 +7,16 @@ import (
 	"time"
 )
 
-// emitAll drives every tracer emit helper once. Called with a live tracer
-// it must produce one event per helper; called with the nil (disabled)
-// tracer it must be a silent no-op — both contracts are pinned below.
+// emitAll drives every tracer emit helper once, with every argument
+// non-zero. Called with a live tracer it must produce one event per helper;
+// called with the nil (disabled) tracer it must be a silent no-op — both
+// contracts are pinned below.
 func emitAll(tr *Tracer) {
 	now := 5 * time.Millisecond
 	tr.Request(now, "read", 1, 2, time.Millisecond)
 	tr.FlushDecision(now, 1, 2, 3, 0.5)
 	tr.GCStart(now, true, 7, 8, 9)
-	tr.GCEnd(now, false, 7, 64, time.Millisecond)
+	tr.GCEnd(now, true, 7, 64, time.Millisecond)
 	tr.Erase(now, 3, 11, time.Microsecond)
 	tr.FaultInjected(now, "program", 3, 1, -1)
 	tr.BlockRetired(now, 3, "wear", 100)
@@ -23,7 +24,7 @@ func emitAll(tr *Tracer) {
 	tr.DeviceDegraded(now, 1, "program fault")
 	tr.StripeTorn(now, 1, 64, 16)
 	tr.Rebuild(now, 1, ActionStart, 128, time.Second)
-	tr.Token(now, 0, "grant", 1, 2)
+	tr.Token(now, 2, "grant", 1, 2)
 	tr.TenantSummary(now, 9, "gold", 100, 1, 2, time.Millisecond)
 	tr.Snapshot(now, 1, 2, 1.5, 3, 4, 5)
 }
@@ -70,6 +71,36 @@ func TestTracerEmitHelpers(t *testing.T) {
 	}
 	if events[10].Action != ActionStart {
 		t.Errorf("rebuild action = %q, want %q", events[10].Action, ActionStart)
+	}
+}
+
+// TestTracerPopulatesItsFieldSet holds typeFields to the helpers it
+// mirrors: given every argument non-zero, each helper's event populates
+// exactly its type's field set, read through Event.Field, and every known
+// type has a helper.
+func TestTracerPopulatesItsFieldSet(t *testing.T) {
+	ring, err := NewRingSink(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emitAll(New(ring).WithDevice(3))
+	seen := map[EventType]bool{}
+	for _, ev := range ring.Events() {
+		var got FieldSet
+		for _, col := range Columns {
+			if v, s := ev.Field(col.Bit); v != 0 || s != "" {
+				got |= col.Bit
+			}
+		}
+		if want, known := Fields(ev.Type); !known || got != want {
+			t.Errorf("%s populates %#x, Fields says %#x (known %v)", ev.Type, uint32(got), uint32(want), known)
+		}
+		seen[ev.Type] = true
+	}
+	for ty := range typeFields {
+		if !seen[ty] {
+			t.Errorf("no helper emits %s", ty)
+		}
 	}
 }
 

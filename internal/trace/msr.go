@@ -30,12 +30,6 @@ type MSROptions struct {
 	// volumes larger than the simulated device still replay; 0 disables
 	// wrapping.
 	MaxLPN int64
-	// WritesAreBuffered marks writes as page-cache-buffered instead of
-	// direct. Block-level traces sit *below* the host cache, so the
-	// faithful default is direct writes.
-	WritesAreBuffered bool
-	// MaxRequests bounds the number of converted requests (0 = no bound).
-	MaxRequests int
 }
 
 func (o *MSROptions) setDefaults() {
@@ -46,8 +40,9 @@ func (o *MSROptions) setDefaults() {
 
 // DecodeMSR parses an MSR-Cambridge CSV trace into a request stream:
 // timestamps are rebased to start at zero, offsets and sizes are converted
-// to page units, and requests are returned in arrival order (MSR traces
-// are time-sorted; out-of-order records are rejected).
+// to page units, writes become direct writes (a block-level trace sits
+// below the host cache), and requests are returned in arrival order (MSR
+// traces are time-sorted; out-of-order records are rejected).
 func DecodeMSR(r io.Reader, opts MSROptions) ([]Request, error) {
 	opts.setDefaults()
 	sc := bufio.NewScanner(r)
@@ -63,9 +58,6 @@ func DecodeMSR(r io.Reader, opts MSROptions) ([]Request, error) {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
-		}
-		if opts.MaxRequests > 0 && len(reqs) >= opts.MaxRequests {
-			break
 		}
 		req, disk, ft, err := parseMSRLine(line, opts)
 		if err != nil {
@@ -120,9 +112,6 @@ func parseMSRLine(line string, opts MSROptions) (Request, int, int64, error) {
 		kind = Read
 	case "write":
 		kind = DirectWrite
-		if opts.WritesAreBuffered {
-			kind = BufferedWrite
-		}
 	default:
 		return Request{}, 0, 0, fmt.Errorf("bad type %q", fields[3])
 	}

@@ -30,7 +30,7 @@ func TestDecodeMSRBasic(t *testing.T) {
 	if reqs[0].Kind != Read || reqs[0].LPN != 2 || reqs[0].Pages != 1 {
 		t.Errorf("req0 = %+v", reqs[0])
 	}
-	// Block-level writes default to the direct path.
+	// Block-level writes take the direct path.
 	if reqs[1].Kind != DirectWrite || reqs[1].LPN != 3 || reqs[1].Pages != 2 {
 		t.Errorf("req1 = %+v", reqs[1])
 	}
@@ -50,16 +50,6 @@ func TestDecodeMSRDiskFilter(t *testing.T) {
 	}
 }
 
-func TestDecodeMSRBufferedWrites(t *testing.T) {
-	reqs, err := DecodeMSR(strings.NewReader(msrSample), MSROptions{Disk: 0, WritesAreBuffered: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reqs[1].Kind != BufferedWrite {
-		t.Errorf("write kind = %v, want buffered", reqs[1].Kind)
-	}
-}
-
 func TestDecodeMSRWrapsLPN(t *testing.T) {
 	reqs, err := DecodeMSR(strings.NewReader(msrSample), MSROptions{Disk: -1, MaxLPN: 3})
 	if err != nil {
@@ -69,16 +59,6 @@ func TestDecodeMSRWrapsLPN(t *testing.T) {
 		if r.End() > 3 {
 			t.Errorf("req %d beyond MaxLPN: %+v", i, r)
 		}
-	}
-}
-
-func TestDecodeMSRMaxRequests(t *testing.T) {
-	reqs, err := DecodeMSR(strings.NewReader(msrSample), MSROptions{Disk: -1, MaxRequests: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) != 2 {
-		t.Errorf("requests = %d, want 2", len(reqs))
 	}
 }
 

@@ -50,6 +50,16 @@ func (k Kind) String() string {
 	}
 }
 
+// ParseKind parses a kind's String form.
+func ParseKind(s string) (Kind, error) {
+	for k := Read; k <= Trim; k++ {
+		if k.String() == s {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("bad kind %q", s)
+}
+
 // Request is one host I/O request. It is 24 bytes: Kind and Pages share
 // one word, so a stream of n requests holds 24n bytes.
 type Request struct {

@@ -139,11 +139,19 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	in := []Request{
 		{Time: 0, Kind: Read, LPN: 5, Pages: 1},
 		{Time: 1500 * time.Microsecond, Kind: BufferedWrite, LPN: 100, Pages: 8},
+		{Time: 150250 * time.Nanosecond, Kind: Read, LPN: 6, Pages: 1},
+		{Time: time.Nanosecond, Kind: Trim, LPN: 7, Pages: 2},
 		{Time: 2 * time.Second, Kind: DirectWrite, LPN: 999, Pages: 3},
 	}
 	var buf bytes.Buffer
 	if err := Encode(&buf, in); err != nil {
 		t.Fatalf("Encode: %v", err)
+	}
+	// Whole microseconds stay integers; nanoseconds are trimmed decimals.
+	for _, line := range []string{"\n1500 W 100 8\n", "\n150.25 R 6 1\n", "\n0.001 T 7 2\n"} {
+		if !strings.Contains(buf.String(), line) {
+			t.Errorf("encoding lacks %q:\n%s", line[1:], buf.String())
+		}
 	}
 	out, err := Decode(&buf)
 	if err != nil {
@@ -182,6 +190,13 @@ func TestDecodeParsing(t *testing.T) {
 		{"bad pages", "100 W 5 x\n", false},
 		{"negative pages", "100 W 5 -2\n", false},
 		{"think times need not be sorted", "100 W 5 2\n50 W 5 2\n", true},
+		{"nanosecond decimals", "150.25 W 5 2\n0.001 R 1 1\n7.100 D 3 3\n", true},
+		{"no decimals after the point", "1. W 5 2\n", false},
+		{"four decimals", "1.2345 W 5 2\n", false},
+		{"negative with decimals", "-0.5 W 5 2\n", false},
+		{"no whole part", ".5 W 5 2\n", false},
+		{"signed decimals", "1.+5 W 5 2\n", false},
+		{"decimals past the range", "9223372036854775.808 W 5 2\n", false},
 	}
 	for _, c := range cases {
 		_, err := Decode(strings.NewReader(c.input))
@@ -202,13 +217,13 @@ func TestDecodeReportsLineNumbers(t *testing.T) {
 }
 
 // Property: Encode→Decode is the identity on any valid, sorted request
-// stream.
+// stream, nanoseconds included.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seeds []uint32) bool {
 		reqs := make([]Request, 0, len(seeds))
 		var tprev time.Duration
 		for _, s := range seeds {
-			tprev += time.Duration(s%1000) * time.Microsecond
+			tprev += time.Duration(s%1000000) * time.Nanosecond
 			reqs = append(reqs, Request{
 				Time:  tprev,
 				Kind:  Kind(s % 3),

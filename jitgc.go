@@ -195,6 +195,15 @@ func (o Options) simConfig() (sim.Config, int64) {
 	return cfg, ws
 }
 
+// SimConfig returns the simulator configuration Run uses for a benchmark
+// under o: Config (or the default device) preconditioned as for the working
+// set, with Tracer installed. Replaying a benchmark's recorded stream on it
+// reproduces Run.
+func (o Options) SimConfig() sim.Config {
+	cfg, _ := o.withDefaults().simConfig()
+	return cfg
+}
+
 // Run generates the named benchmark's request stream and executes it
 // closed-loop under the given policy.
 func Run(benchmark string, policy PolicySpec, opt Options) (Results, error) {
